@@ -53,7 +53,7 @@ var experiments = []experiment{
 	{"toporder", "ordered traversal terminal: merged top-K vs frontier sort on the Zipf workload", single(bench.TopOrder)},
 	{"allocs", "hot-path allocation discipline: allocs/op and bytes/op, pooled vs unpooled", single(bench.Allocs)},
 	{"groupcard", "high-cardinality _groupby: streaming merge vs map-accumulate, _having pushdown, spill", single(bench.GroupCard)},
-	{"recurse", "_recurse reachability: visited-set dedup vs naive frontier expansion on the Zipf hubs", single(bench.Recurse)},
+	{"recurse", "_recurse reachability: vertex reads per reachable vertex under visited-set dedup on the Zipf hubs", single(bench.Recurse)},
 }
 
 func main() {

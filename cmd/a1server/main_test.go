@@ -1,0 +1,44 @@
+package main
+
+import (
+	"encoding/base64"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"testing"
+
+	"a1"
+)
+
+// TestFetchRejectsForgedTokens: GET and DELETE /fetch take the token from
+// the request, so a machine id outside the cluster or a negative page size
+// must answer 410 bad_token instead of reaching the engine's per-machine
+// state.
+func TestFetchRejectsForgedTokens(t *testing.T) {
+	db, err := a1.Open(a1.Options{Machines: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := &server{db: db}
+	for name, payload := range map[string]string{
+		"machine past the cluster": `{"m":9999,"id":1}`,
+		"negative machine":         `{"m":-1,"id":1}`,
+		"negative page size":       `{"m":0,"id":1,"ps":-5}`,
+	} {
+		token := base64.URLEncoding.EncodeToString([]byte(payload))
+		for _, method := range []string{http.MethodGet, http.MethodDelete} {
+			w := httptest.NewRecorder()
+			s.handleFetch(w, httptest.NewRequest(method, "/fetch?token="+url.QueryEscape(token), nil))
+			var body errorJSON
+			if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+				t.Errorf("%s %s: body %q: %v", method, name, w.Body, err)
+				continue
+			}
+			if w.Code != http.StatusGone || body.Code != "bad_token" {
+				t.Errorf("%s %s: status %d code %q, want 410 bad_token", method, name, w.Code, body.Code)
+			}
+		}
+	}
+}

@@ -181,6 +181,19 @@ func (f *Farm) PinSnapshot(ts uint64) func() {
 	}
 }
 
+// PinnedSnapshots counts the snapshot pins currently held — the leak gauge
+// for readers (queries, parked continuations) that must unpin on every
+// path.
+func (f *Farm) PinnedSnapshots() int {
+	f.pinMu.Lock()
+	defer f.pinMu.Unlock()
+	n := 0
+	for _, held := range f.pins {
+		n += held
+	}
+	return n
+}
+
 // gcWatermark returns the highest timestamp below which old versions are
 // reclaimable: the minimum pinned snapshot, or the current clock if no
 // reader is active.

@@ -138,7 +138,7 @@ func (t *Tier) Fetch(c *fabric.Ctx, token string) (*query.Result, error) {
 		return nil, err
 	}
 	defer t.release(fe)
-	coordinator, _, err := query.DecodeToken(token)
+	coordinator, err := t.engine.Coordinator(token)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ func (t *Tier) Fetch(c *fabric.Ctx, token string) (*query.Result, error) {
 // Unlike Fetch it is not throttled: dropping server-side state should
 // never be rejected under load.
 func (t *Tier) Release(c *fabric.Ctx, token string) error {
-	coordinator, _, err := query.DecodeToken(token)
+	coordinator, err := t.engine.Coordinator(token)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"encoding/base64"
 	"errors"
 	"strings"
 	"sync"
@@ -301,7 +302,7 @@ func TestCursorCloseReleasesThroughTier(t *testing.T) {
 	}
 	// The token names its coordinator; after Close, that machine must hold
 	// no continuation state.
-	coordinator, _, err := query.DecodeToken(rows.Result().Continuation)
+	coordinator, err := engine.Coordinator(rows.Result().Continuation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestThrottledExecAndFetch(t *testing.T) {
 	if err := tier.Release(c, res.Continuation); err != nil {
 		t.Errorf("Release under load err = %v, want nil (not throttled)", err)
 	}
-	coordinator, _, _ := query.DecodeToken(res.Continuation)
+	coordinator, _ := engine.Coordinator(res.Continuation)
 	if n := engine.PendingResults(coordinator); n != 0 {
 		t.Errorf("pending after release = %d", n)
 	}
@@ -374,7 +375,7 @@ func TestCursorCloseReleasesAfterTransientError(t *testing.T) {
 	if err := rows.Err(); !errors.Is(err, ErrThrottled) {
 		t.Fatalf("Err = %v, want ErrThrottled", err)
 	}
-	coordinator, _, err := query.DecodeToken(rows.Result().Continuation)
+	coordinator, err := engine.Coordinator(rows.Result().Continuation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,5 +470,28 @@ func TestGroupedAggregatesThroughFrontend(t *testing.T) {
 	}
 	if got != len(res.Groups) {
 		t.Errorf("paged groups = %d, want %d", got, len(res.Groups))
+	}
+}
+
+// TestForgedTokensRejected: a continuation token is unauthenticated client
+// input, and the tier routes by the machine id it carries. Ids outside the
+// cluster and page sizes the engine never issues must come back as
+// bad_token from Fetch and Release, not index per-machine state.
+func TestForgedTokensRejected(t *testing.T) {
+	tier, _, c := newTier(t)
+	for name, payload := range map[string]string{
+		"machine past the cluster": `{"m":9999,"id":1}`,
+		"negative machine":         `{"m":-1,"id":1}`,
+		"negative page size":       `{"m":0,"id":1,"ps":-5}`,
+	} {
+		token := base64.URLEncoding.EncodeToString([]byte(payload))
+		_, err := tier.Fetch(c, token)
+		var qe *query.Error
+		if !errors.As(err, &qe) || qe.Code != query.CodeBadToken {
+			t.Errorf("Fetch(%s) = %v, want CodeBadToken", name, err)
+		}
+		if err := tier.Release(c, token); !errors.As(err, &qe) || qe.Code != query.CodeBadToken {
+			t.Errorf("Release(%s) = %v, want CodeBadToken", name, err)
+		}
 	}
 }

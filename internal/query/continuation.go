@@ -4,7 +4,6 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"a1/internal/fabric"
@@ -27,6 +26,8 @@ func encodeToken(m fabric.MachineID, id uint64, pageSize int) string {
 	return base64.URLEncoding.EncodeToString(b)
 }
 
+// decodeToken parses a token. Tokens are unauthenticated client input:
+// anything the engine could not have issued is ErrBadToken.
 func decodeToken(token string) (tokenPayload, error) {
 	var p tokenPayload
 	raw, err := base64.URLEncoding.DecodeString(token)
@@ -36,170 +37,149 @@ func decodeToken(token string) (tokenPayload, error) {
 	if err := json.Unmarshal(raw, &p); err != nil {
 		return p, fmt.Errorf("%w: %v", ErrBadToken, err)
 	}
+	if p.M < 0 || p.PS < 0 {
+		return p, fmt.Errorf("%w: machine %d, page size %d", ErrBadToken, p.M, p.PS)
+	}
 	return p, nil
 }
 
-// DecodeToken extracts the coordinator machine a token belongs to, so a
-// frontend can route the fetch.
-func DecodeToken(token string) (fabric.MachineID, uint64, error) {
+// Coordinator decodes the machine a token must be fetched or released on,
+// so a frontend can route there. A token naming a machine outside this
+// cluster is rejected here, before anything indexes per-machine state
+// with it.
+func (e *Engine) Coordinator(token string) (fabric.MachineID, error) {
 	p, err := decodeToken(token)
-	if err != nil {
-		return 0, 0, classify(err)
+	if err == nil && int(p.M) >= len(e.caches) {
+		err = fmt.Errorf("%w: machine %d of %d", ErrBadToken, p.M, len(e.caches))
 	}
-	return fabric.MachineID(p.M), p.ID, nil
+	return fabric.MachineID(p.M), classify(err)
 }
 
-type cachedResult struct {
-	rows    []Row
-	groups  []GroupRow    // grouped-aggregate remainder (`_groupby` results page too)
-	pg      *pager        // streamed-group remainder: pages pull from live run/spill merges
-	rpg     *recursePager // `_recurse` remainder: pages resume the parked expansion
-	expires time.Duration
-}
-
-type resultCache struct {
-	mu      sync.Mutex
-	nextID  uint64
-	entries map[uint64]*cachedResult
-}
-
-func newResultCache() *resultCache {
-	return &resultCache{entries: make(map[uint64]*cachedResult)}
-}
-
-func (rc *resultCache) put(c *fabric.Ctx, ttl time.Duration, rows []Row, groups []GroupRow) uint64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.nextID++
-	id := rc.nextID
-	rc.entries[id] = &cachedResult{rows: rows, groups: groups, expires: c.Now() + ttl}
-	return id
-}
-
-// putStream caches a live streamed-group pager: fetches drive the k-way
-// merge (pulling worker run tails or spilled runs) instead of slicing a
-// materialized remainder.
-func (rc *resultCache) putStream(c *fabric.Ctx, ttl time.Duration, pg *pager) uint64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.nextID++
-	id := rc.nextID
-	rc.entries[id] = &cachedResult{pg: pg, expires: c.Now() + ttl}
-	return id
-}
-
-// putRecurse caches a mid-flight `_recurse` expansion: fetches step the
-// distributed frontier expansion itself instead of slicing a materialized
-// remainder, so deep reachable sets never sit fully resident behind a
-// token.
-func (rc *resultCache) putRecurse(c *fabric.Ctx, ttl time.Duration, rpg *recursePager) uint64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.nextID++
-	id := rc.nextID
-	rc.entries[id] = &cachedResult{rpg: rpg, expires: c.Now() + ttl}
-	return id
-}
-
-// closeEntry tears down whichever live pager an entry carries. Must be
-// called without rc.mu held: pager teardown can release spill tables and
-// snapshot pins.
-func (entry *cachedResult) closeEntry(e *Engine) {
-	if entry.pg != nil {
-		entry.pg.close(e)
+// localToken decodes a token that must belong to the machine c runs on.
+func localToken(c *fabric.Ctx, token string) (tokenPayload, error) {
+	p, err := decodeToken(token)
+	if err == nil && fabric.MachineID(p.M) != c.M {
+		err = fmt.Errorf("%w: token belongs to %v, presented on %v", ErrBadToken, fabric.MachineID(p.M), c.M)
 	}
-	if entry.rpg != nil {
-		entry.rpg.close(e)
+	return p, err
+}
+
+// pageSource produces what remains of a paged result. A materialized row
+// or group slice is the trivial source; the streamed-group pager pulls
+// worker run tails or spilled runs, and the `_recurse` pager steps a
+// parked frontier expansion. The engine treats them alike: run cuts page 0
+// and Fetch page N through turnPage, and Release, expiry and a coordinator
+// drop all end in close.
+type pageSource interface {
+	// nextPage sets up to n rows or groups on res, adds the work it did
+	// to res.Stats, and reports whether more remain.
+	nextPage(c *fabric.Ctx, n int, res *Result) (more bool, err error)
+	// close releases whatever the source holds — spill tables, pooled
+	// buffers, a snapshot pin. Idempotent, and never called under a store
+	// lock.
+	close()
+}
+
+// slicePages pages a fully materialized result.
+type slicePages[T any] struct {
+	rest []T
+	into func(*Result) *[]T
+}
+
+func rowPages(rows []Row) pageSource {
+	return &slicePages[Row]{rest: rows, into: func(r *Result) *[]Row { return &r.Rows }}
+}
+
+func groupPages(groups []GroupRow) pageSource {
+	return &slicePages[GroupRow]{rest: groups, into: func(r *Result) *[]GroupRow { return &r.Groups }}
+}
+
+func (s *slicePages[T]) nextPage(_ *fabric.Ctx, n int, res *Result) (bool, error) {
+	page := s.rest
+	if len(page) > n {
+		page = page[:n]
+	}
+	s.rest = s.rest[len(page):]
+	*s.into(res) = page
+	return len(s.rest) > 0, nil
+}
+
+func (*slicePages[T]) close() {}
+
+// cut applies a terminal's _skip/_limit to a materialized, ordered result.
+func cut[T any](s []T, skip, limit int) []T {
+	if skip > 0 {
+		if skip >= len(s) {
+			return nil
+		}
+		s = s[skip:]
+	}
+	if limit > 0 && len(s) > limit {
+		s = s[:limit]
+	}
+	return s
+}
+
+// turnPage draws one page from src into res. The caller holds src
+// exclusively — fresh from run (id 0) or claimed from the store by Fetch —
+// because paging may cross the fabric and no local lock is held across a
+// fabric round trip; a second Fetch of the same token meanwhile finds no
+// entry and gets ErrBadToken. While more remains the source goes (back)
+// into the coordinator's store and res carries the token; otherwise, or on
+// error, it is closed.
+func (e *Engine) turnPage(c *fabric.Ctx, src pageSource, id uint64, expires time.Duration, pageSize int, res *Result) error {
+	more, err := src.nextPage(c, pageSize, res)
+	if err != nil || !more {
+		src.close()
+		return err
+	}
+	if id != 0 {
+		e.caches[c.M].restore(id, src, expires)
+	} else {
+		var lapsed []pageSource
+		id, lapsed = e.caches[c.M].put(c.Now(), e.cfg.ResultTTL, src)
+		closeAll(lapsed)
+	}
+	res.Continuation = encodeToken(c.M, id, pageSize)
+	return nil
+}
+
+func closeAll(srcs []pageSource) {
+	for _, src := range srcs {
+		src.close()
 	}
 }
 
 // Fetch returns the next page for a continuation token. It must execute on
-// the coordinator that issued the token (frontends guarantee this via
-// DecodeToken routing). The token carries the page size that shaped the
-// first page, so every page of one query agrees even when the client hinted
-// a custom _pagesize. Ordered results were sorted once at the coordinator
-// before caching, so later pages stay sorted across fetches.
+// the coordinator that issued the token (frontends route with
+// Coordinator). The token carries the page size that shaped the first
+// page, so every page of one query agrees even when the client hinted a
+// custom _pagesize. At most one Fetch per token is in flight: the entry is
+// claimed for the duration of the call, and a racing Fetch of the same
+// token gets ErrBadToken — the same answer as racing its expiry.
 func (e *Engine) Fetch(c *fabric.Ctx, token string) (*Result, error) {
-	p, err := decodeToken(token)
+	p, err := localToken(c, token)
 	if err != nil {
 		return nil, classify(err)
 	}
-	m, id := fabric.MachineID(p.M), p.ID
-	if m != c.M {
-		return nil, classify(fmt.Errorf("%w: token belongs to %v, fetched on %v", ErrBadToken, m, c.M))
-	}
 	pageSize := p.PS
-	if pageSize <= 0 {
+	if pageSize == 0 {
 		pageSize = e.cfg.PageSize
 	}
-	rc := e.caches[c.M]
-	rc.mu.Lock()
-	entry, ok := rc.entries[id]
-	if ok && c.Now() >= entry.expires {
-		delete(rc.entries, id)
-		rc.mu.Unlock()
-		entry.closeEntry(e)
-		return nil, classify(fmt.Errorf("%w: expired; restart the query", ErrBadToken))
+	src, expires, ok := e.caches[c.M].claim(p.ID)
+	if ok && c.Now() >= expires {
+		src.close()
+		ok = false
 	}
 	if !ok {
-		rc.mu.Unlock()
 		return nil, classify(fmt.Errorf("%w: expired; restart the query", ErrBadToken))
 	}
-	if entry.pg != nil || entry.rpg != nil {
-		// Live-pager entry (streamed groups or a parked `_recurse`
-		// expansion): paging it pulls run tails or steps the expansion over
-		// the fabric, so the entry is claimed (removed) under the lock and
-		// the pull runs unlocked — a local lock must never be held across a
-		// fabric round trip. A concurrent Fetch of the same token sees no
-		// entry and gets ErrBadToken, the same contract as racing a sweeper
-		// expiry.
-		delete(rc.entries, id)
-		rc.mu.Unlock()
-		res := &Result{}
-		var more bool
-		var err error
-		if entry.pg != nil {
-			res.Groups, more, err = entry.pg.nextPage(c, pageSize, &res.Stats)
-		} else {
-			res.Rows, more, err = entry.rpg.nextPage(c, pageSize, &res.Stats)
-		}
-		if err != nil {
-			entry.closeEntry(e)
-			return nil, classify(err)
-		}
-		if more {
-			rc.mu.Lock()
-			rc.entries[id] = entry // same id: the client's token stays valid
-			rc.mu.Unlock()
-			res.Continuation = token
-		} else {
-			entry.closeEntry(e)
-		}
-		return res, nil
-	}
+	var ops fabric.OpStats
 	res := &Result{}
-	if len(entry.groups) > 0 {
-		// Grouped-aggregate remainder: groups page exactly like rows.
-		if len(entry.groups) > pageSize {
-			res.Groups = entry.groups[:pageSize]
-			entry.groups = entry.groups[pageSize:]
-		} else {
-			res.Groups = entry.groups
-			delete(rc.entries, id)
-			id = 0
-		}
-	} else if len(entry.rows) > pageSize {
-		res.Rows = entry.rows[:pageSize]
-		entry.rows = entry.rows[pageSize:]
-	} else {
-		res.Rows = entry.rows
-		delete(rc.entries, id)
-		id = 0
+	if err := e.turnPage(c.WithStats(&ops), src, p.ID, expires, pageSize, res); err != nil {
+		return nil, classify(err)
 	}
-	rc.mu.Unlock()
-	if id != 0 {
-		res.Continuation = token // same entry, same page size
-	}
+	res.Stats.setOps(&ops)
 	return res, nil
 }
 
@@ -208,71 +188,39 @@ func (e *Engine) Fetch(c *fabric.Ctx, token string) (*Result, error) {
 // issued the token. Releasing an already-expired or consumed token is not
 // an error.
 func (e *Engine) Release(c *fabric.Ctx, token string) error {
-	p, err := decodeToken(token)
+	p, err := localToken(c, token)
 	if err != nil {
 		return classify(err)
 	}
-	m := fabric.MachineID(p.M)
-	if m != c.M {
-		return classify(fmt.Errorf("%w: token belongs to %v, released on %v", ErrBadToken, m, c.M))
-	}
-	rc := e.caches[c.M]
-	rc.mu.Lock()
-	entry := rc.entries[p.ID]
-	delete(rc.entries, p.ID)
-	rc.mu.Unlock()
-	if entry != nil {
-		entry.closeEntry(e)
+	if src, _, ok := e.caches[c.M].claim(p.ID); ok {
+		src.close()
 	}
 	return nil
 }
 
 // PendingResults counts live continuation entries cached on machine m —
 // the observable for cursor-release and sweeper tests.
-func (e *Engine) PendingResults(m fabric.MachineID) int {
-	rc := e.caches[m]
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return len(rc.entries)
-}
+func (e *Engine) PendingResults(m fabric.MachineID) int { return e.caches[m].len() }
 
-// ExpireResults drops timed-out continuation state on machine m — cached
-// pages, streamed-group pagers (their spill tables are released), and this
-// machine's parked group-run tails (called by a background sweeper; also
-// exercised directly in tests).
+// PendingRuns counts group-run tails parked on machine m — the observable
+// for the streamed-group sweeper tests and the groupcard bench.
+func (e *Engine) PendingRuns(m fabric.MachineID) int { return e.runs[m].len() }
+
+// ExpireResults drops timed-out continuation sources and parked group-run
+// tails on the machine c runs on, and reports how many. The stores sweep
+// themselves as new state is parked (ttlStore.put); this is the on-demand
+// form for an idle machine, tests and the benchmark's leak gauge.
 func (e *Engine) ExpireResults(c *fabric.Ctx) int {
-	rc := e.caches[c.M]
 	now := c.Now()
-	var closed []*cachedResult
-	rc.mu.Lock()
-	n := 0
-	for id, entry := range rc.entries {
-		if now >= entry.expires {
-			delete(rc.entries, id)
-			if entry.pg != nil || entry.rpg != nil {
-				closed = append(closed, entry)
-			}
-			n++
-		}
-	}
-	rc.mu.Unlock()
-	for _, entry := range closed {
-		entry.closeEntry(e)
-	}
-	return n + e.runs[c.M].expire(now)
+	lapsed := e.caches[c.M].sweep(now)
+	closeAll(lapsed)
+	return len(lapsed) + len(e.runs[c.M].sweep(now))
 }
 
 // DropResultsOn simulates a coordinator crash wiping its continuation
 // cache and its parked group-run tails (clients must restart their
 // queries; run tails this machine's queries parked elsewhere die by TTL).
 func (e *Engine) DropResultsOn(m fabric.MachineID) {
-	rc := e.caches[m]
-	rc.mu.Lock()
-	old := rc.entries
-	rc.entries = make(map[uint64]*cachedResult)
-	rc.mu.Unlock()
-	for _, entry := range old {
-		entry.closeEntry(e)
-	}
-	e.runs[m].reset()
+	closeAll(e.caches[m].drain())
+	e.runs[m].drain()
 }

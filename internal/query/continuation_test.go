@@ -2,13 +2,18 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"a1/internal/core"
+	"a1/internal/fabric"
 )
 
-// Continuation sweeper coverage: expired tokens through the Release path,
-// and the background sweep racing concurrent Fetch streams.
+// Continuation lifecycle coverage. Every kind of page source goes through
+// the same ttlStore and the same turnPage, so one table drives all of them
+// through every way a continuation can end and asserts the same end state.
 
 func TestReleaseExpiredToken(t *testing.T) {
 	e, g, c := newRangeEnv(t)
@@ -55,74 +60,328 @@ func TestReleaseExpiredToken(t *testing.T) {
 	}
 }
 
-func TestSweepUnderConcurrentFetch(t *testing.T) {
-	e, g, c := newRangeEnv(t)
-	e.cfg.PageSize = 5
-	e.cfg.ResultTTL = 40 * time.Millisecond
+// pagedCase is one kind of page source: an engine configured so that doc
+// pages out through it, and how many rows or groups the full result holds.
+type pagedCase struct {
+	e     *Engine
+	g     *core.Graph
+	c     *fabric.Ctx
+	doc   string
+	total int
+}
 
-	const streams = 8
-	stop := make(chan struct{})
-	var sweeperWG sync.WaitGroup
-	sweeperWG.Add(1)
-	go func() {
-		defer sweeperWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				e.ExpireResults(c)
-				time.Sleep(time.Millisecond)
-			}
+const (
+	skewGroupsPagedDoc   = `{"_hints": {"page_size": 10}, "_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`
+	skewOrderedGroupsDoc = `{"_hints": {"page_size": 10}, "_type": "product", "_groupby": "category", "_select": ["_sum(score)"], "_orderby": "-_sum(score)"}`
+)
+
+var pagedSources = []struct {
+	name string
+	open func(t *testing.T) pagedCase
+}{
+	{"row slice", func(t *testing.T) pagedCase {
+		e, g, c := newRangeEnv(t)
+		e.cfg.PageSize = 5
+		return pagedCase{e, g, c, `{"_type": "item", "_select": ["id"]}`, rangeItems}
+	}},
+	{"ordered-traverse rows", func(t *testing.T) pagedCase {
+		e, _, g, c := newTopOrderEnv(t, 8)
+		return pagedCase{e, g, c, topOrderPagedDoc, 64}
+	}},
+	{"group slice", func(t *testing.T) pagedCase {
+		e, _, g, c := newSkewEnv(t)
+		return pagedCase{e, g, c, skewOrderedGroupsDoc, 81}
+	}},
+	{"streamed groups", func(t *testing.T) pagedCase {
+		e, _, g, c := newSkewEnv(t)
+		e.cfg.GroupChunk = 8 // workers park run tails the pages pull
+		return pagedCase{e, g, c, skewGroupsPagedDoc, 81}
+	}},
+	{"spilled groups", func(t *testing.T) pagedCase {
+		e, _, g, c := newSkewEnv(t)
+		e.cfg.MaxWorkingSet = 40 // 81 groups: the ordered form spills twice
+		return pagedCase{e, g, c, skewOrderedGroupsDoc, 81}
+	}},
+	{"parked recursion", func(t *testing.T) pagedCase {
+		cfg := DefaultConfig()
+		cfg.PageSize = 2
+		e, g, c := newRecurseEnv(t, cfg)
+		total := len(oracleSet(bfsDist(recurseEdges(), 0, false, -1), 1, 5))
+		return pagedCase{e, g, c, recurseDoc(recurseID(0), 1, 5, ""), total}
+	}},
+}
+
+func (pc pagedCase) machines() int { return pc.e.store.Farm().Fabric().Machines() }
+
+// firstPage executes the case's document and insists on a continuation.
+func (pc pagedCase) firstPage(t *testing.T) *Result {
+	t.Helper()
+	res, err := pc.e.Execute(pc.c, pc.g, []byte(pc.doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Continuation == "" {
+		t.Fatal("expected a continuation")
+	}
+	return res
+}
+
+func pageLen(res *Result) int { return len(res.Rows) + len(res.Groups) }
+
+// assertReleased is the end state every lifecycle path must reach at once:
+// no continuation on any machine, no spill table, no snapshot pin.
+func (pc pagedCase) assertReleased(t *testing.T) {
+	t.Helper()
+	for m := 0; m < pc.machines(); m++ {
+		if n := pc.e.PendingResults(fabric.MachineID(m)); n != 0 {
+			t.Errorf("PendingResults(m%d) = %d, want 0", m, n)
 		}
-	}()
+	}
+	if names := pc.e.spill.TableNames(); len(names) != 0 {
+		t.Errorf("spill tables left behind: %v", names)
+	}
+	if n := pc.e.store.Farm().PinnedSnapshots(); n != 0 {
+		t.Errorf("snapshot pins left behind: %d", n)
+	}
+}
 
-	var wg sync.WaitGroup
-	errCh := make(chan error, streams)
-	for s := 0; s < streams; s++ {
-		wg.Add(1)
-		go func(slow bool) {
-			defer wg.Done()
-			res, err := e.Execute(c, g, []byte(`{"_type": "item", "_select": ["id"]}`))
-			if err != nil {
-				errCh <- err
-				return
-			}
-			rows := len(res.Rows)
-			token := res.Continuation
-			for token != "" {
-				if slow {
-					// Outlive the TTL mid-stream: the sweeper must cut this
-					// stream off with ErrBadToken, never corrupt it.
-					time.Sleep(10 * time.Millisecond)
+// wrapParked swaps the parked source behind token for wrap(source).
+func (pc pagedCase) wrapParked(t *testing.T, token string, wrap func(pageSource) pageSource) {
+	t.Helper()
+	p, err := decodeToken(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := pc.e.caches[pc.c.M]
+	src, expires, ok := store.claim(p.ID)
+	if !ok {
+		t.Fatal("no parked source behind the token")
+	}
+	store.restore(p.ID, wrap(src), expires)
+}
+
+// failingPages is a source whose next page errors; close reaches the
+// source it wraps.
+type failingPages struct{ pageSource }
+
+func (failingPages) nextPage(*fabric.Ctx, int, *Result) (bool, error) {
+	return false, errors.New("page failed")
+}
+
+// gatedPages holds its next page until released, so a test can stand
+// inside a Fetch.
+type gatedPages struct {
+	pageSource
+	entered, release chan struct{}
+}
+
+func (p gatedPages) nextPage(c *fabric.Ctx, n int, res *Result) (bool, error) {
+	close(p.entered)
+	<-p.release
+	return p.pageSource.nextPage(c, n, res)
+}
+
+func TestContinuationLifecycle(t *testing.T) {
+	scenarios := []struct {
+		name string
+		run  func(t *testing.T, pc pagedCase)
+	}{
+		{"drain", func(t *testing.T, pc pagedCase) {
+			res := pc.firstPage(t)
+			n := pageLen(res)
+			for res.Continuation != "" {
+				var err error
+				if res, err = pc.e.Fetch(pc.c, res.Continuation); err != nil {
+					t.Fatal(err)
 				}
-				page, err := e.Fetch(c, token)
-				if err != nil {
-					if errors.Is(err, ErrBadToken) {
-						return // swept mid-stream: acceptable for a slow reader
+				n += pageLen(res)
+			}
+			if n != pc.total {
+				t.Errorf("drained %d, want %d", n, pc.total)
+			}
+		}},
+		{"release mid-stream", func(t *testing.T, pc pagedCase) {
+			res := pc.firstPage(t)
+			next, err := pc.e.Fetch(pc.c, res.Continuation)
+			if err != nil || next.Continuation != res.Continuation {
+				t.Fatalf("second page: continuation %q, err %v", next.Continuation, err)
+			}
+			if err := pc.e.Release(pc.c, res.Continuation); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pc.e.Fetch(pc.c, res.Continuation); !errors.Is(err, ErrBadToken) {
+				t.Errorf("Fetch(released) = %v, want ErrBadToken", err)
+			}
+			if err := pc.e.Release(pc.c, res.Continuation); err != nil {
+				t.Errorf("Release(again) = %v, want nil", err)
+			}
+		}},
+		{"coordinator drop", func(t *testing.T, pc pagedCase) {
+			res := pc.firstPage(t)
+			pc.e.DropResultsOn(pc.c.M)
+			if _, err := pc.e.Fetch(pc.c, res.Continuation); !errors.Is(err, ErrBadToken) {
+				t.Errorf("Fetch(dropped) = %v, want ErrBadToken", err)
+			}
+		}},
+		{"page error", func(t *testing.T, pc pagedCase) {
+			res := pc.firstPage(t)
+			pc.wrapParked(t, res.Continuation, func(src pageSource) pageSource { return failingPages{src} })
+			if _, err := pc.e.Fetch(pc.c, res.Continuation); err == nil || errors.Is(err, ErrBadToken) {
+				t.Errorf("Fetch(failing page) = %v, want the page's error", err)
+			}
+			if _, err := pc.e.Fetch(pc.c, res.Continuation); !errors.Is(err, ErrBadToken) {
+				t.Errorf("Fetch(after failed page) = %v, want ErrBadToken", err)
+			}
+		}},
+		{"racing fetch", func(t *testing.T, pc pagedCase) {
+			// One Fetch per token is in flight: the second finds the entry
+			// claimed and gets ErrBadToken; the first is unharmed and the
+			// token stays good afterwards.
+			res := pc.firstPage(t)
+			gate := gatedPages{entered: make(chan struct{}), release: make(chan struct{})}
+			pc.wrapParked(t, res.Continuation, func(src pageSource) pageSource {
+				gate.pageSource = src
+				return gate
+			})
+			done := make(chan error, 1)
+			go func() {
+				_, err := pc.e.Fetch(pc.c, res.Continuation)
+				done <- err
+			}()
+			<-gate.entered
+			if _, err := pc.e.Fetch(pc.c, res.Continuation); !errors.Is(err, ErrBadToken) {
+				t.Errorf("racing Fetch = %v, want ErrBadToken", err)
+			}
+			close(gate.release)
+			if err := <-done; err != nil {
+				t.Errorf("first Fetch = %v, want nil", err)
+			}
+			if err := pc.e.Release(pc.c, res.Continuation); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"sweep under concurrent fetch", func(t *testing.T, pc pagedCase) {
+			// Fast readers must see the whole result; slow readers outlive
+			// the TTL and are cut off with ErrBadToken, never corrupted.
+			pc.e.cfg.ResultTTL = 40 * time.Millisecond
+			const streams = 6
+			stop := make(chan struct{})
+			var sweeper sync.WaitGroup
+			sweeper.Add(1)
+			go func() {
+				defer sweeper.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						pc.e.ExpireResults(pc.c)
+						time.Sleep(time.Millisecond)
 					}
-					errCh <- err
-					return
 				}
-				rows += len(page.Rows)
-				token = page.Continuation
+			}()
+			var wg sync.WaitGroup
+			errCh := make(chan error, streams)
+			for s := 0; s < streams; s++ {
+				wg.Add(1)
+				go func(slow bool) {
+					defer wg.Done()
+					res, err := pc.e.Execute(pc.c, pc.g, []byte(pc.doc))
+					if err != nil {
+						errCh <- err
+						return
+					}
+					n := pageLen(res)
+					for res.Continuation != "" {
+						if slow {
+							time.Sleep(10 * time.Millisecond)
+						}
+						if res, err = pc.e.Fetch(pc.c, res.Continuation); err != nil {
+							if !errors.Is(err, ErrBadToken) {
+								errCh <- err
+							}
+							return // swept mid-stream: acceptable for a slow reader
+						}
+						n += pageLen(res)
+					}
+					if n != pc.total {
+						errCh <- fmt.Errorf("stream drained %d, want %d", n, pc.total)
+					}
+				}(s%2 == 1)
 			}
-			if rows != rangeItems {
-				errCh <- errors.New("incomplete stream despite no expiry")
+			wg.Wait()
+			close(stop)
+			sweeper.Wait()
+			close(errCh)
+			for err := range errCh {
+				t.Error(err)
 			}
-		}(s%2 == 1)
+			// Everything left behind — run tails on the workers included —
+			// drains after the TTL.
+			time.Sleep(50 * time.Millisecond)
+			for m := 0; m < pc.machines(); m++ {
+				pc.e.ExpireResults(pc.c.At(fabric.MachineID(m)))
+				if n := pc.e.PendingRuns(fabric.MachineID(m)); n != 0 {
+					t.Errorf("PendingRuns(m%d) after final sweep = %d, want 0", m, n)
+				}
+			}
+		}},
 	}
-	wg.Wait()
-	close(stop)
-	sweeperWG.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
+	for _, src := range pagedSources {
+		for _, sc := range scenarios {
+			t.Run(src.name+"/"+sc.name, func(t *testing.T) {
+				pc := src.open(t)
+				sc.run(t, pc)
+				pc.assertReleased(t)
+			})
+		}
 	}
-	// Everything left behind drains after the TTL.
-	time.Sleep(50 * time.Millisecond)
-	e.ExpireResults(c)
-	if n := e.PendingResults(0); n != 0 {
-		t.Fatalf("PendingResults after final sweep = %d, want 0", n)
+}
+
+// TestAbandonedCursorsSweptOnPut: nothing calls ExpireResults in a serving
+// process, so state behind cursors nobody fetches again must be reclaimed
+// by the next query that parks state on the machine.
+func TestAbandonedCursorsSweptOnPut(t *testing.T) {
+	for _, src := range pagedSources {
+		t.Run(src.name, func(t *testing.T) {
+			pc := src.open(t)
+			pc.e.cfg.ResultTTL = 20 * time.Millisecond
+			for i := 0; i < 3; i++ {
+				pc.firstPage(t)
+			}
+			time.Sleep(30 * time.Millisecond)
+			res := pc.firstPage(t) // its put sweeps the three lapsed entries
+			if n := pc.e.PendingResults(pc.c.M); n != 1 {
+				t.Errorf("PendingResults after the sweeping put = %d, want 1", n)
+			}
+			if err := pc.e.Release(pc.c, res.Continuation); err != nil {
+				t.Fatal(err)
+			}
+			pc.assertReleased(t)
+		})
+	}
+}
+
+func TestTTLStoreSweepsAtMostOncePerQuarterTTL(t *testing.T) {
+	s := newTTLStore[int]()
+	const ttl = 40 * time.Second
+	if _, lapsed := s.put(ttl/4, ttl, 1); len(lapsed) != 0 { // sweeps (nothing lapsed), expires at 50s
+		t.Fatalf("first put returned %v", lapsed)
+	}
+	s.restore(99, 2, 12*time.Second)
+	if _, lapsed := s.put(15*time.Second, ttl, 3); len(lapsed) != 0 {
+		t.Fatalf("put inside the quarter-TTL window swept %v", lapsed)
+	}
+	if _, lapsed := s.put(2*ttl/4, ttl, 4); len(lapsed) != 1 || lapsed[0] != 2 {
+		t.Fatalf("put past the window swept %v, want [2]", lapsed)
+	}
+	if v, _, ok := s.claim(1); !ok || v != 1 {
+		t.Fatalf("claim(1) = %d, %v", v, ok)
+	}
+	if _, _, ok := s.claim(1); ok {
+		t.Fatal("second claim of a claimed id succeeded")
+	}
+	if got := s.drain(); len(got) != 2 || s.len() != 0 {
+		t.Fatalf("drain = %v, len %d", got, s.len())
 	}
 }

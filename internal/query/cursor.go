@@ -113,7 +113,7 @@ func (r *Rows) Pages() int { return r.pages }
 type engineFetcher struct{ e *Engine }
 
 func (f engineFetcher) Fetch(c *fabric.Ctx, token string) (*Result, error) {
-	m, _, err := DecodeToken(token)
+	m, err := f.e.Coordinator(token)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +121,7 @@ func (f engineFetcher) Fetch(c *fabric.Ctx, token string) (*Result, error) {
 }
 
 func (f engineFetcher) Release(c *fabric.Ctx, token string) error {
-	m, _, err := DecodeToken(token)
+	m, err := f.e.Coordinator(token)
 	if err != nil {
 		return err
 	}

@@ -57,14 +57,6 @@ type Config struct {
 	// allocates fresh memory. Ablation knob for the allocs bench report
 	// and for bisecting suspected recycle-too-early bugs.
 	NoPooling bool
-	// NoRecurseDedup disables the per-machine visited sets of `_recurse`
-	// expansion: every iteration re-reads and re-expands every candidate
-	// reached, path by path, bounded only by `_max` and MaxWorkingSet —
-	// the naive baseline the recurse bench report compares against. The
-	// result may over-report vertices whose shortest distance from a root
-	// is below `_min` (a longer path can reach them inside the window),
-	// so this is an ablation knob, not a production mode.
-	NoRecurseDedup bool
 	// NoGroupStreaming disables the streamed grouped-aggregate path:
 	// workers ship whole group maps and the coordinator accumulates every
 	// group before finalizing — the pre-streaming behavior, kept as the
@@ -191,9 +183,9 @@ type Result struct {
 type Engine struct {
 	store  *core.Store
 	cfg    Config
-	caches []*resultCache // per machine (coordinator-cached continuations)
-	runs   []*runStore    // per machine (worker-parked group-run tails)
-	plans  *planCache     // compiled plans keyed by canonical document hash
+	caches []*ttlStore[pageSource]   // per machine (coordinator-parked continuation sources)
+	runs   []*ttlStore[[]groupEntry] // per machine (worker-parked group-run tails)
+	plans  *planCache                // compiled plans keyed by canonical document hash
 
 	// spill holds sorted group runs the order-by-aggregate form writes past
 	// MaxWorkingSet (groupstream.go); spillSeq names the run tables.
@@ -217,11 +209,11 @@ func NewEngine(store *core.Store, cfg Config) *Engine {
 	}
 	e := &Engine{store: store, cfg: cfg, plans: newPlanCache(), spill: objectstore.New()}
 	machines := store.Farm().Fabric().Machines()
-	e.caches = make([]*resultCache, machines)
-	e.runs = make([]*runStore, machines)
+	e.caches = make([]*ttlStore[pageSource], machines)
+	e.runs = make([]*ttlStore[[]groupEntry], machines)
 	for i := range e.caches {
-		e.caches[i] = newResultCache()
-		e.runs[i] = newRunStore()
+		e.caches[i] = newTTLStore[pageSource]()
+		e.runs[i] = newTTLStore[[]groupEntry]()
 	}
 	return e
 }
@@ -263,6 +255,9 @@ func (e *Engine) Run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 	return res, nil
 }
 
+// run executes a bound query in four steps: plan (zip the compiled plan
+// with this execution's patterns), open the root access path, drive the
+// levels, and cut the first page.
 func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 	if len(q.ParamNames) > 0 && !q.bound {
 		return nil, paramError("unbound parameter $%s", q.ParamNames[0])
@@ -300,7 +295,6 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 		st.bufs = sharedBufs
 	}
 	tp := pats[len(pats)-1]
-	tl := pl.Levels[len(pl.Levels)-1]
 	if tp.Limit > 0 && len(tp.Aggs) == 0 {
 		if len(tp.Orders) == 0 {
 			// Unordered limit: any K rows satisfy the query, so workers
@@ -317,171 +311,164 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 		return nil, err
 	}
 
-	var rows []Row
-	var aggStates []aggState
-	var groups map[string]*groupState
-	var gcur *groupCursor
-	var rpager *recursePager
-	pageSize := e.cfg.PageSize
-	if q.Hints.PageSize > 0 {
-		pageSize = q.Hints.PageSize
-	}
-
 	frontier, orderedRows, ordered, err := st.execStart(qc, ctx, pats[0], pl.Levels[0])
 	if err != nil {
 		return nil, err
 	}
 	st.initLevels(pl, pats)
+	out := &levelOutput{rows: orderedRows}
 	if ordered {
 		// OrderedIndexScan produced the terminal rows directly, already in
 		// result order.
-		rows = orderedRows
 		st.preOrdered = true
 		st.stats.Hops = 1
-		st.setActRows(0, len(rows))
+		st.setActRows(0, len(orderedRows))
 	} else {
 		st.setActRows(0, len(frontier))
-		level := 0
-		working := len(frontier)
-		for {
-			lp := pl.Levels[level]
-			pat := pats[level]
-			if lp.IndexFilter != nil && len(frontier) > 0 {
-				member, ok, err := st.buildMemberFilter(qc, ctx, pat, lp.IndexFilter, len(frontier))
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					st.member = member
-				}
-			}
-			// Recursive frontier expansion: `_recurse` consumes the rest of
-			// the chain (host + `_vertex` terminal) in one bounded-depth
-			// BFS. A completed expansion falls through to the shared shaping
-			// below; a streamed one returns its first page with the
-			// expansion parked mid-flight behind the continuation token.
-			if lp.Recurse != nil {
-				rRows, rAggs, pgr, err := st.execRecurse(qc, frontier, pat, pats[level+1], level, pageSize)
-				st.bufs.putAddrSet(st.member)
-				st.member = nil
-				if err != nil {
-					return nil, err
-				}
-				rows = rRows
-				aggStates = rAggs
-				rpager = pgr
-				break
-			}
-			// Ordered traversal terminal: when the statistics say per-machine
-			// index-order partial scans beat materializing the frontier, each
-			// owner walks the order field's index restricted to its slice of
-			// the frontier and ships its top limit+skip rows; the coordinator
-			// k-way merges them. Falls through to the sort path when no index
-			// exists (served=false).
-			if lp.Terminal && lp.OrderedTraverse != nil && len(frontier) > 0 {
-				eligible := frontier
-				if st.member != nil {
-					eligible = memberSubset(frontier, st.member)
-				}
-				choice := st.pc.rankOrderedTraverse(pat, lp.OrderedTraverse, float64(len(eligible)))
-				if choice.use {
-					oRows, served, err := st.execOrderedTraverse(qc, eligible, pat, lp.OrderedTraverse)
-					if err != nil {
-						return nil, err
-					}
-					if served {
-						if dropped := len(frontier) - len(eligible); dropped > 0 {
-							st.mu.Lock()
-							st.stats.IndexFiltered += int64(dropped)
-							st.mu.Unlock()
-						}
-						st.bufs.putAddrSet(st.member)
-						st.member = nil
-						st.stats.Hops++
-						// The terminal level reports the operator that ran
-						// with its own estimated-vs-actual output rows.
-						st.setLevelSource(level, choice.label)
-						st.setLevelEst(level, choice.est)
-						st.setActRows(level, len(oRows))
-						rows = oRows
-						st.preOrdered = true
-						break
-					}
-				}
-			}
-			// Streaming grouped terminal: workers reduce and sort their group
-			// partials into per-machine runs; the returned cursor k-way
-			// merges them in key order as the result pages out, so the full
-			// group set is never resident at the coordinator.
-			if lp.Terminal && lp.Group != nil && !e.cfg.NoGroupStreaming {
-				cur, err := st.execGroupedLevel(qc, frontier, pat, lp)
-				st.bufs.putAddrSet(st.member)
-				st.member = nil
-				if err != nil {
-					return nil, err
-				}
-				st.stats.Hops++
-				gcur = cur
-				break
-			}
-			out, err := st.execLevel(qc, frontier, pat, lp)
-			st.bufs.putAddrSet(st.member)
-			st.member = nil
-			if err != nil {
-				return nil, err
-			}
-			st.stats.Hops++
-			if lp.Terminal {
-				rows = dedupRows(st.bufs, out.rows)
-				aggStates = out.aggs
-				groups = out.groups
-				break
-			}
-			// Aggregate replies: dedup and repartition by pointer (§3.4).
-			qc.Work(time.Duration(len(out.next)) * e.cfg.CostMerge)
-			frontier = dedupPtrs(st.bufs, out.next)
-			st.setActRows(level+1, len(frontier))
-			working += len(frontier)
-			if working > e.cfg.MaxWorkingSet {
-				return nil, fmt.Errorf("%w: %d vertices", ErrWorkingSet, working)
-			}
-			if len(frontier) == 0 {
-				rows = nil
-				break
-			}
-			level++
+		if out, err = st.driveLevels(qc, ctx, frontier, pl, pats); err != nil {
+			return nil, err
 		}
 	}
 
 	res := &Result{}
-	switch {
-	case rpager != nil:
-		// Mid-expansion page: the rows in hand are the first page and the
-		// parked expansion produces the rest on demand through Fetch.
-		res.Rows = rows
-		id := e.caches[qc.M].putRecurse(qc, e.cfg.ResultTTL, rpager)
-		res.Continuation = encodeToken(qc.M, id, pageSize)
-	case tl.Group != nil:
-		if gcur != nil {
-			// Streamed grouped aggregates: the unordered form pages the
-			// k-way merge cursor directly (later pages pull through the
-			// continuation entry); the aggregate-`_orderby` form drains the
-			// cursor — spilling sorted runs past MaxWorkingSet — and pages
-			// the re-merged order.
-			if err := st.streamGroups(qc, res, gcur, tp, pageSize); err != nil {
+	src, err := st.shape(qc, out, tp, res)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats = st.stats
+	if src != nil {
+		pageSize := e.cfg.PageSize
+		if q.Hints.PageSize > 0 {
+			pageSize = q.Hints.PageSize
+		}
+		if err := e.turnPage(qc, src, 0, 0, pageSize, res); err != nil {
+			return nil, err
+		}
+	}
+	res.Stats.setOps(&ops)
+	res.Stats.Levels = st.levels
+	res.Stats.Elapsed = qc.Now() - start
+	if q.fromCache {
+		res.Stats.PlanCacheHits = 1
+	}
+	return res, nil
+}
+
+// driveLevels walks the plan's levels from the root frontier to the
+// terminal's product: each level builds its index-membership filter, runs
+// its operator, and either ends the chain or hands the deduplicated next
+// frontier to the level below.
+func (st *execState) driveLevels(qc *fabric.Ctx, ctx *farm.Tx, frontier []core.VertexPtr, pl *Plan, pats []*VertexPattern) (*levelOutput, error) {
+	e := st.engine
+	working := len(frontier)
+	for level := 0; ; level++ {
+		lp, pat := pl.Levels[level], pats[level]
+		if lp.IndexFilter != nil && len(frontier) > 0 {
+			member, ok, err := st.buildMemberFilter(qc, ctx, pat, lp.IndexFilter, len(frontier))
+			if err != nil {
 				return nil, err
 			}
-			break
+			if ok {
+				st.member = member
+			}
 		}
-		// Map-accumulate ablation (Config.NoGroupStreaming): finalize the
+		out, err := st.runLevel(qc, frontier, level, lp, pats)
+		st.bufs.putAddrSet(st.member)
+		st.member = nil
+		if err != nil || lp.Terminal || lp.Recurse != nil {
+			return out, err
+		}
+		// Aggregate replies: dedup and repartition by pointer (§3.4).
+		qc.Work(time.Duration(len(out.next)) * e.cfg.CostMerge)
+		frontier = dedupPtrs(st.bufs, out.next)
+		st.setActRows(level+1, len(frontier))
+		working += len(frontier)
+		if working > e.cfg.MaxWorkingSet {
+			return nil, fmt.Errorf("%w: %d vertices", ErrWorkingSet, working)
+		}
+		if len(frontier) == 0 {
+			return &levelOutput{}, nil
+		}
+	}
+}
+
+// runLevel picks and runs one level's physical operator over its frontier.
+func (st *execState) runLevel(qc *fabric.Ctx, frontier []core.VertexPtr, level int, lp *LevelPlan, pats []*VertexPattern) (*levelOutput, error) {
+	pat := pats[level]
+	// Recursive frontier expansion: `_recurse` consumes the rest of the
+	// chain (host + `_vertex` terminal) in one bounded-depth BFS.
+	if lp.Recurse != nil {
+		return st.execRecurse(qc, frontier, pat, pats[level+1], level)
+	}
+	// Ordered traversal terminal: when the statistics say per-machine
+	// index-order partial scans beat materializing the frontier, each owner
+	// walks the order field's index restricted to its slice of the frontier
+	// and ships its top limit+skip rows; the coordinator k-way merges them.
+	// Falls through to the sort path when no index exists (served=false).
+	if lp.Terminal && lp.OrderedTraverse != nil && len(frontier) > 0 {
+		eligible := frontier
+		if st.member != nil {
+			eligible = memberSubset(frontier, st.member)
+		}
+		choice := st.pc.rankOrderedTraverse(pat, lp.OrderedTraverse, float64(len(eligible)))
+		if choice.use {
+			rows, served, err := st.execOrderedTraverse(qc, eligible, pat, lp.OrderedTraverse)
+			if err != nil {
+				return nil, err
+			}
+			if served {
+				st.stats.IndexFiltered += int64(len(frontier) - len(eligible))
+				st.stats.Hops++
+				// The terminal level reports the operator that ran with its
+				// own estimated-vs-actual output rows.
+				st.setLevelSource(level, choice.label)
+				st.setLevelEst(level, choice.est)
+				st.setActRows(level, len(rows))
+				st.preOrdered = true
+				return &levelOutput{rows: rows}, nil
+			}
+		}
+	}
+	// Streaming grouped terminal: workers reduce and sort their group
+	// partials into per-machine runs; the cursor k-way merges them in key
+	// order as the result pages out, so the full group set is never
+	// resident at the coordinator.
+	if lp.Terminal && lp.Group != nil && !st.engine.cfg.NoGroupStreaming {
+		cur, err := st.execGroupedLevel(qc, frontier, pat, lp)
+		if err != nil {
+			return nil, err
+		}
+		st.stats.Hops++
+		return &levelOutput{cursor: cur}, nil
+	}
+	out, err := st.execLevel(qc, frontier, pat, lp)
+	if err != nil {
+		return nil, err
+	}
+	st.stats.Hops++
+	if lp.Terminal {
+		out.rows = dedupRows(st.bufs, out.rows)
+	}
+	return out, nil
+}
+
+// shape turns the levels' product into the Result's scalar parts (count,
+// aggregates) and the source its rows or groups page out of — nil when the
+// terminal is aggregate-only.
+func (st *execState) shape(qc *fabric.Ctx, out *levelOutput, tp *VertexPattern, res *Result) (pageSource, error) {
+	switch {
+	case out.pager != nil:
+		return out.pager, nil
+	case out.cursor != nil:
+		return st.streamGroups(qc, out.cursor, tp)
+	case len(tp.GroupBy) > 0:
+		// Map-accumulate path (Config.NoGroupStreaming): finalize the
 		// merged partial states into the sorted group list; `_having`
-		// filters finalized groups, _skip/_limit shape them, and overflowing
-		// group lists page through the continuation cache like rows. An
-		// aggregate `_orderby` re-sorts the groups by their (now final)
-		// aggregate columns, and the _limit slice below is the top-K
-		// pruning — groups merge fully before any aggregate is final, so
-		// the coordinator is the earliest place to prune.
-		grows := finalizeGroups(groups, tp.GroupBy, tp.Aggs)
+		// filters finalized groups and an aggregate `_orderby` re-sorts
+		// them by their (now final) aggregate columns. The _limit cut is
+		// the top-K pruning — groups merge fully before any aggregate is
+		// final, so the coordinator is the earliest place to prune.
+		grows := finalizeGroups(out.groups, tp.GroupBy, tp.Aggs)
 		if n := int64(len(grows)); n > st.stats.PeakGroups {
 			st.stats.PeakGroups = n
 		}
@@ -499,53 +486,32 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 		if len(tp.Orders) > 0 {
 			sortGroupsByAgg(grows, tp.Orders, tp.GroupOrder, tp.Aggs)
 		}
-		e.pageGroupSlice(qc, res, grows, tp, pageSize)
-	default:
-		if len(tp.Aggs) > 0 {
-			if aggStates == nil {
-				aggStates = make([]aggState, len(tp.Aggs))
-			}
-			res.Aggregates = finalizeAggs(aggStates, tp.Aggs)
-			if tp.Count {
-				for i, a := range tp.Aggs {
-					if a.Kind == AggCount {
-						res.Count = aggStates[i].count
-						res.HasCount = true
-						break
-					}
+		return groupPages(cut(grows, tp.Skip, tp.Limit)), nil
+	}
+	if len(tp.Aggs) > 0 {
+		aggs := out.aggs
+		if aggs == nil {
+			aggs = make([]aggState, len(tp.Aggs))
+		}
+		res.Aggregates = finalizeAggs(aggs, tp.Aggs)
+		if tp.Count {
+			for i, a := range tp.Aggs {
+				if a.Kind == AggCount {
+					res.Count = aggs[i].count
+					res.HasCount = true
+					break
 				}
 			}
 		}
 		// Rows are materialized unless the terminal is aggregate-only.
-		if len(tp.Selects) > 0 || len(tp.Aggs) == 0 {
-			if len(tp.Orders) > 0 && !st.preOrdered {
-				sortRows(rows, tp.Orders)
-			}
-			if skip := tp.Skip; skip > 0 {
-				if skip >= len(rows) {
-					rows = nil
-				} else {
-					rows = rows[skip:]
-				}
-			}
-			if tp.Limit > 0 && len(rows) > tp.Limit {
-				rows = rows[:tp.Limit]
-			}
-			if len(rows) > pageSize {
-				token := e.caches[qc.M].put(qc, e.cfg.ResultTTL, rows[pageSize:], nil)
-				res.Continuation = encodeToken(qc.M, token, pageSize)
-				rows = rows[:pageSize]
-			}
-			res.Rows = rows
+		if len(tp.Selects) == 0 {
+			return nil, nil
 		}
 	}
-
-	res.Stats = st.snapshotStats(&ops)
-	res.Stats.Elapsed = qc.Now() - start
-	if q.fromCache {
-		res.Stats.PlanCacheHits = 1
+	if len(tp.Orders) > 0 && !st.preOrdered {
+		sortRows(out.rows, tp.Orders)
 	}
-	return res, nil
+	return rowPages(cut(out.rows, tp.Skip, tp.Limit)), nil
 }
 
 // execState carries one query's execution through its hops.
@@ -583,15 +549,14 @@ type execState struct {
 	stats Stats
 }
 
-func (st *execState) snapshotStats(ops *fabric.OpStats) Stats {
-	s := st.stats
+// setOps records the fabric operations one entry point — a query's run or
+// a continuation's Fetch — performed.
+func (s *Stats) setOps(ops *fabric.OpStats) {
 	s.ObjectsRead = ops.TotalReads()
 	s.RemoteReads = ops.RemoteReads.Load()
 	s.LocalFrac = ops.LocalFraction()
 	s.RDMATime = time.Duration(ops.RDMAReadTime.Load())
 	s.RPCs = ops.RPCs.Load()
-	s.Levels = st.levels
-	return s
 }
 
 // initLevels builds the per-level estimated-vs-actual records once the
@@ -1010,75 +975,23 @@ func (st *execState) execOrderedTraverse(qc *fabric.Ctx, frontier []core.VertexP
 		return nil, false, nil
 	}
 	target := pat.Limit + pat.Skip
-	f := st.engine.store.Farm()
-	groups := make(map[fabric.MachineID][]core.VertexPtr)
-	var order []fabric.MachineID
-	for _, vp := range frontier {
-		m, err := f.PrimaryOf(qc, vp.Addr)
-		if err != nil {
-			return nil, false, err
-		}
-		s, ok := groups[m]
-		if !ok {
-			order = append(order, m)
-			s = st.bufs.getPtrs()
-		}
-		groups[m] = append(s, vp)
-	}
-	lists := make([][]Row, len(order))
-	var mu sync.Mutex
-	var firstErr error
-	notServed := false
-	qc.Parallel(len(order), func(i int, cc *fabric.Ctx) {
-		m := order[i]
-		batch := groups[m]
-		ship := !st.hints.NoShipping && m != cc.M && len(batch) >= st.engine.cfg.ShipThreshold
-		var rows []Row
-		var served bool
-		var err error
-		var rb int
-		defer st.bufs.putPtrs(batch)
-		if ship {
-			reqBytes := len(batch)*ptrWireBytes + 128
-			err = cc.RPC(m, reqBytes, func(sc *fabric.Ctx) (int, error) {
-				rows, served, err = st.orderedMemberScan(sc, batch, pat, otp, target)
-				if err != nil {
-					return 0, err
-				}
-				rb = 0
-				for r := range rows {
-					rb += rows[r].wireBytes()
-				}
-				return rb, nil
-			})
-		} else {
-			rows, served, err = st.orderedMemberScan(cc, batch, pat, otp, target)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+	var lists [][]Row
+	served := true
+	err := scatter(st, qc, frontier,
+		func(sc *fabric.Ctx, b ownerBatch) (orderedReply, error) {
+			rows, ok, err := st.orderedMemberScan(sc, b.ptrs, pat, otp, target)
+			return orderedReply{rows: rows, served: ok}, err
+		},
+		func(b ownerBatch, out orderedReply) error {
+			if lists == nil {
+				lists = make([][]Row, b.n)
 			}
-			return
-		}
-		if !served {
-			notServed = true
-			return
-		}
-		if ship {
-			st.mu.Lock()
-			st.stats.RowsShipped += int64(len(rows))
-			st.stats.BytesShipped += int64(rb)
-			st.mu.Unlock()
-		}
-		lists[i] = rows
-	})
-	if firstErr != nil {
-		return nil, false, firstErr
-	}
-	if notServed {
-		return nil, false, nil
+			lists[b.i] = out.rows
+			served = served && out.served
+			return nil
+		})
+	if err != nil || !served {
+		return nil, false, err
 	}
 	merged := mergeSortedRows(st.bufs, lists, pat.Orders, target)
 	qc.Work(time.Duration(len(merged)) * st.engine.cfg.CostMerge)
@@ -1088,6 +1001,21 @@ func (st *execState) execOrderedTraverse(qc *fabric.Ctx, frontier []core.VertexP
 		st.bufs.putRows(lists[i])
 	}
 	return merged, true, nil
+}
+
+// orderedReply is one owner's ordered partial result; served=false means
+// no index serves the order field there.
+type orderedReply struct {
+	rows   []Row
+	served bool
+}
+
+func (r orderedReply) wire() wireSize {
+	w := wireSize{rows: len(r.rows)}
+	for i := range r.rows {
+		w.bytes += r.rows[i].wireBytes()
+	}
+	return w
 }
 
 // orderedMemberScan is the owner-side half of an ordered traversal
@@ -1399,12 +1327,41 @@ func (st *execState) buildMemberFilter(qc *fabric.Ctx, tx *farm.Tx, pat *VertexP
 	return nil, false, nil
 }
 
-// levelOutput is the merged product of one hop.
+// levelOutput is the product of one level: what one owner's batch replies
+// with, and what the coordinator merges those replies into.
 type levelOutput struct {
 	next   []core.VertexPtr
 	rows   []Row
 	aggs   []aggState             // partial aggregates, parallel to the level's Aggs
-	groups map[string]*groupState // grouped-aggregate partials (_groupby)
+	groups map[string]*groupState // grouped-aggregate partials (_groupby, map path)
+
+	accepted int // `_recurse`: candidates that survived the owners' visited filters
+
+	// A terminal level may leave a live producer instead of rows.
+	cursor *groupCursor  // streamed groups: the k-way merge over the owners' runs
+	pager  *recursePager // unshaped `_recurse`: the expansion, seeded, not yet stepped
+}
+
+// absorb merges one owner's reply into the coordinator's running product.
+// pat is the pattern whose Aggs and Orders shaped the reply's rows.
+func (o *levelOutput) absorb(st *execState, in *levelOutput, pat *VertexPattern) {
+	o.accepted += in.accepted
+	o.next = append(o.next, in.next...)
+	o.rows = append(o.rows, in.rows...)
+	// The reply's slices were copied out by the appends above; only the
+	// slice headers die here, never the rows' own buffers.
+	st.bufs.putPtrs(in.next)
+	st.bufs.putRows(in.rows)
+	if in.aggs != nil {
+		if o.aggs == nil {
+			o.aggs = make([]aggState, len(pat.Aggs))
+		}
+		mergeAggStates(o.aggs, in.aggs, pat.Aggs)
+	}
+	// Ordered-limit merge: never hold more than the top K(+skip) rows.
+	if st.keep > 0 && len(o.rows) > 2*st.keep {
+		o.rows = topK(st.bufs, o.rows, pat.Orders, st.keep)
+	}
 }
 
 // ptrWireBytes is the encoded size of a fat pointer (addr + size).
@@ -1446,10 +1403,9 @@ func (g *groupState) wireBytes(enc string) int {
 	return n
 }
 
-// replyBytes is the wire size of one batch's reply: fat pointers for the
-// next frontier, Bond-encoded projected rows, and (grouped) aggregate
-// partials.
-func (o *levelOutput) replyBytes() int {
+// wire sizes one batch's reply: fat pointers for the next frontier,
+// Bond-encoded projected rows, and (grouped) aggregate partials.
+func (o *levelOutput) wire() wireSize {
 	n := len(o.next) * ptrWireBytes
 	for i := range o.rows {
 		n += o.rows[i].wireBytes()
@@ -1460,104 +1416,123 @@ func (o *levelOutput) replyBytes() int {
 	for enc, gs := range o.groups {
 		n += gs.wireBytes(enc)
 	}
-	return n
+	return wireSize{rows: len(o.rows), bytes: n}
 }
 
-// execLevel partitions the frontier by primary host and executes the
-// level's operators near the data: machines with enough vertices receive a
-// batched RPC (query shipping); stragglers are evaluated from the
-// coordinator over one-sided reads (§3.4, Figure 9).
-func (st *execState) execLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *VertexPattern, lp *LevelPlan) (*levelOutput, error) {
+// ownerBatch is one owner's share of a scattered frontier.
+type ownerBatch struct {
+	m    fabric.MachineID
+	ptrs []core.VertexPtr
+	i, n int // position among the n owners, in first-seen frontier order
+}
+
+// wireSize is what one shipped reply put on the fabric: its bytes, and the
+// rows or group partials they carried.
+type wireSize struct{ rows, groups, bytes int }
+
+// scatter is the engine's one distributed mechanism (paper §3.4, Figure
+// 9). It partitions a frontier by primary host and runs work near the
+// data, concurrently per owner: an owner holding at least ShipThreshold of
+// the frontier receives its batch as one RPC (query shipping) and work
+// runs there; stragglers, the coordinator's own share, and everything
+// under the no_shipping hint run work from the coordinator over one-sided
+// reads. Each reply is merged at the coordinator under scatter's lock, in
+// completion order — b.i gives callers the stable owner order when it
+// matters. The first error from work, the fabric, or merge is the
+// scatter's error; replies that arrive after it are still merged so their
+// owners' state stays accounted for.
+func scatter[T interface{ wire() wireSize }](st *execState, qc *fabric.Ctx, frontier []core.VertexPtr,
+	work func(sc *fabric.Ctx, b ownerBatch) (T, error), merge func(b ownerBatch, out T) error) error {
 	f := st.engine.store.Farm()
-	groups := make(map[fabric.MachineID][]core.VertexPtr)
-	var order []fabric.MachineID
+	slot := make(map[fabric.MachineID]int)
+	var batches []ownerBatch
 	for _, vp := range frontier {
 		m, err := f.PrimaryOf(qc, vp.Addr)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s, ok := groups[m]
+		i, ok := slot[m]
 		if !ok {
-			order = append(order, m)
-			s = st.bufs.getPtrs()
+			i = len(batches)
+			slot[m] = i
+			batches = append(batches, ownerBatch{m: m, ptrs: st.bufs.getPtrs(), i: i})
 		}
-		groups[m] = append(s, vp)
+		batches[i].ptrs = append(batches[i].ptrs, vp)
 	}
-	merged := &levelOutput{}
 	var mu sync.Mutex
 	var firstErr error
-	qc.Parallel(len(order), func(i int, cc *fabric.Ctx) {
-		m := order[i]
-		batch := groups[m]
-		ship := !st.hints.NoShipping && m != cc.M && len(batch) >= st.engine.cfg.ShipThreshold
-		var out *levelOutput
+	qc.Parallel(len(batches), func(i int, cc *fabric.Ctx) {
+		b := batches[i]
+		b.n = len(batches)
+		var out T
 		var err error
-		var rb int
-		if ship {
-			reqBytes := len(batch)*ptrWireBytes + 128
-			err = cc.RPC(m, reqBytes, func(sc *fabric.Ctx) (int, error) {
-				out, err = st.execBatch(sc, batch, pat, lp)
-				if err != nil {
+		if !st.hints.NoShipping && b.m != cc.M && len(b.ptrs) >= st.engine.cfg.ShipThreshold {
+			var w wireSize
+			err = cc.RPC(b.m, len(b.ptrs)*ptrWireBytes+128, func(sc *fabric.Ctx) (int, error) {
+				var err error
+				if out, err = work(sc, b); err != nil {
 					return 0, err
 				}
-				rb = out.replyBytes()
-				return rb, nil
+				w = out.wire()
+				return w.bytes, nil
 			})
+			if err == nil {
+				st.mu.Lock()
+				st.stats.RowsShipped += int64(w.rows)
+				st.stats.GroupsShipped += int64(w.groups)
+				st.stats.BytesShipped += int64(w.bytes)
+				st.mu.Unlock()
+			}
 		} else {
-			out, err = st.execBatch(cc, batch, pat, lp)
+			out, err = work(cc, b)
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+		if err == nil {
+			err = merge(b, out)
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	})
+	// Every batch finished and no reply aliases its batch; the per-owner
+	// frontier slices go back to the pool.
+	for _, b := range batches {
+		st.bufs.putPtrs(b.ptrs)
+	}
+	return firstErr
+}
+
+// execLevel scatters the frontier and runs the level's operators near the
+// data (execBatch), merging next-hop pointers, rows and aggregate partials
+// at the coordinator.
+func (st *execState) execLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *VertexPattern, lp *LevelPlan) (*levelOutput, error) {
+	merged := &levelOutput{}
+	err := scatter(st, qc, frontier,
+		func(sc *fabric.Ctx, b ownerBatch) (*levelOutput, error) {
+			return st.execBatch(sc, b.ptrs, pat, lp)
+		},
+		func(_ ownerBatch, out *levelOutput) error {
+			merged.absorb(st, out, pat)
+			if out.groups == nil {
+				return nil
 			}
-			return
-		}
-		if ship {
-			st.mu.Lock()
-			st.stats.RowsShipped += int64(len(out.rows))
-			st.stats.BytesShipped += int64(rb)
-			st.mu.Unlock()
-		}
-		merged.next = append(merged.next, out.next...)
-		merged.rows = append(merged.rows, out.rows...)
-		// The batch's slices were copied out by the appends above; only
-		// the slice headers die here, never the rows' own buffers.
-		st.bufs.putPtrs(out.next)
-		st.bufs.putRows(out.rows)
-		if out.aggs != nil {
-			if merged.aggs == nil {
-				merged.aggs = make([]aggState, len(pat.Aggs))
-			}
-			mergeAggStates(merged.aggs, out.aggs, pat.Aggs)
-		}
-		if out.groups != nil {
 			if merged.groups == nil {
 				merged.groups = make(map[string]*groupState)
 			}
 			mergeGroupStates(merged.groups, out.groups, pat.Aggs)
-			// Incremental working-set cap: fail while merging, never after
-			// transiently holding an over-budget group map.
-			if len(merged.groups) > st.engine.cfg.MaxWorkingSet && firstErr == nil {
-				firstErr = fmt.Errorf("%w: %d groups", ErrWorkingSet, len(merged.groups))
-			}
 			if n := int64(len(merged.groups)); n > st.stats.PeakGroups {
 				st.stats.PeakGroups = n
 			}
-		}
-		// Ordered-limit merge: never hold more than the top K(+skip) rows.
-		if lp.Terminal && st.keep > 0 && len(merged.rows) > 2*st.keep {
-			merged.rows = topK(st.bufs, merged.rows, pat.Orders, st.keep)
-		}
-	})
-	// Every batch finished; the per-machine frontier slices (values already
-	// copied into each batch's output) go back to the pool.
-	for _, m := range order {
-		st.bufs.putPtrs(groups[m])
-	}
-	if firstErr != nil {
-		return nil, firstErr
+			// Incremental working-set cap: fail while merging, never after
+			// transiently holding an over-budget group map.
+			if len(merged.groups) > st.engine.cfg.MaxWorkingSet {
+				return fmt.Errorf("%w: %d groups", ErrWorkingSet, len(merged.groups))
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	return merged, nil
 }

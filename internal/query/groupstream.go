@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"a1/internal/bond"
 	"a1/internal/core"
@@ -54,95 +52,30 @@ func (ge *groupEntry) wireBytes() int {
 	return ge.gs.wireBytes(ge.enc)
 }
 
-func runWireBytes(entries []groupEntry) int {
-	n := 0
-	for i := range entries {
-		n += entries[i].wireBytes()
-	}
-	return n
-}
-
-// runStore holds a machine's pending group runs: the tail of every sorted
-// run whose first chunk was shipped, keyed by run id, retained for the
-// continuation TTL (the coordinator pulls the rest chunk by chunk as its
-// client pages). Expiry mirrors the coordinator's result cache: a client
-// that stalls past the TTL restarts the query.
-type runStore struct {
-	mu      sync.Mutex
-	nextID  uint64
-	entries map[uint64]*pendingRun
-}
-
-type pendingRun struct {
-	entries []groupEntry
-	expires time.Duration
-}
-
-func newRunStore() *runStore {
-	return &runStore{entries: make(map[uint64]*pendingRun)}
-}
-
-func (rs *runStore) put(c *fabric.Ctx, ttl time.Duration, entries []groupEntry) uint64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.nextID++
-	id := rs.nextID
-	rs.entries[id] = &pendingRun{entries: entries, expires: c.Now() + ttl}
+// parkRun retains the tail of a sorted run whose first chunk was shipped in
+// this machine's run store (Engine.runs, a ttlStore) for the continuation
+// TTL; the coordinator pulls the rest chunk by chunk as its client pages.
+// Expiry mirrors the coordinator's continuation store: a client that
+// stalls past the TTL restarts the query.
+func (e *Engine) parkRun(c *fabric.Ctx, tail []groupEntry) uint64 {
+	id, _ := e.runs[c.M].put(c.Now(), e.cfg.ResultTTL, tail) // lapsed tails are plain memory
 	return id
 }
 
-// pull hands the coordinator the next chunk of a pending run, deleting the
-// entry once drained. more=false tells the caller the run is exhausted.
-func (rs *runStore) pull(c *fabric.Ctx, id uint64, n int) ([]groupEntry, bool, error) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	pr, ok := rs.entries[id]
-	if ok && c.Now() >= pr.expires {
-		delete(rs.entries, id)
-		ok = false
-	}
-	if !ok {
+// pullRun hands the coordinator the next GroupChunk entries of a run
+// parked on the machine c runs on, dropping the run once drained.
+// more=false tells the caller the run is exhausted.
+func (e *Engine) pullRun(c *fabric.Ctx, id uint64) (chunk []groupEntry, more bool, err error) {
+	rs := e.runs[c.M]
+	run, expires, ok := rs.claim(id)
+	if !ok || c.Now() >= expires {
 		return nil, false, fmt.Errorf("%w: group run expired; restart the query", ErrBadToken)
 	}
-	if len(pr.entries) <= n {
-		chunk := pr.entries
-		delete(rs.entries, id)
-		return chunk, false, nil
+	if n := e.cfg.GroupChunk; len(run) > n {
+		rs.restore(id, run[n:], expires)
+		return run[:n], true, nil
 	}
-	chunk := pr.entries[:n]
-	pr.entries = pr.entries[n:]
-	return chunk, true, nil
-}
-
-func (rs *runStore) expire(now time.Duration) int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	n := 0
-	for id, pr := range rs.entries {
-		if now >= pr.expires {
-			delete(rs.entries, id)
-			n++
-		}
-	}
-	return n
-}
-
-func (rs *runStore) count() int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return len(rs.entries)
-}
-
-func (rs *runStore) reset() {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.entries = make(map[uint64]*pendingRun)
-}
-
-// PendingRuns counts group-run tails parked on machine m — the observable
-// for the streamed-group sweeper tests and the groupcard bench.
-func (e *Engine) PendingRuns(m fabric.MachineID) int {
-	return e.runs[m].count()
+	return run, false, nil
 }
 
 // finalAggValue converts one merged aggregate state into its result value.
@@ -330,87 +263,59 @@ type runSource struct {
 	runID uint64
 }
 
-// execGroupedLevel runs a grouped terminal level streaming: the frontier is
-// partitioned by primary host exactly like execLevel, each machine reduces
-// its batch to group partials and sorts them into a run, and the returned
-// cursor k-way merges the runs lazily — pulling parked run tails chunk by
-// chunk as the result pages out.
+// wire sizes a shipped run chunk: full (non-tombstone) partial states
+// count as shipped groups, tombstones ship their key alone.
+func (s *runSource) wire() wireSize { return runWire(s.buf) }
+
+func runWire(entries []groupEntry) wireSize {
+	var w wireSize
+	for i := range entries {
+		if entries[i].gs != nil {
+			w.groups++
+		}
+		w.bytes += entries[i].wireBytes()
+	}
+	return w
+}
+
+// execGroupedLevel runs a grouped terminal level streaming: each owner
+// reduces its scattered batch to group partials and sorts them into a run,
+// and the returned cursor k-way merges the runs lazily — pulling parked run
+// tails chunk by chunk as the result pages out.
 func (st *execState) execGroupedLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *VertexPattern, lp *LevelPlan) (*groupCursor, error) {
-	f := st.engine.store.Farm()
-	parts := make(map[fabric.MachineID][]core.VertexPtr)
-	var order []fabric.MachineID
-	for _, vp := range frontier {
-		m, err := f.PrimaryOf(qc, vp.Addr)
-		if err != nil {
-			return nil, err
-		}
-		s, ok := parts[m]
-		if !ok {
-			order = append(order, m)
-			s = st.bufs.getPtrs()
-		}
-		parts[m] = append(s, vp)
-	}
-	// One machine owns the whole terminal frontier: its partial states are
-	// the final states, so `_having` evaluates exactly at the worker and the
-	// coordinator re-check is redundant.
-	exact := len(order) == 1
-	srcs := make([]*runSource, len(order))
-	var mu sync.Mutex
-	var firstErr error
-	qc.Parallel(len(order), func(i int, cc *fabric.Ctx) {
-		m := order[i]
-		batch := parts[m]
-		ship := !st.hints.NoShipping && m != cc.M && len(batch) >= st.engine.cfg.ShipThreshold
-		var src *runSource
-		var err error
-		var rb int
-		defer st.bufs.putPtrs(batch)
-		if ship {
-			reqBytes := len(batch)*ptrWireBytes + 128
-			err = cc.RPC(m, reqBytes, func(sc *fabric.Ctx) (int, error) {
-				src, err = st.buildGroupSource(sc, batch, pat, lp, exact)
-				if err != nil {
-					return 0, err
-				}
-				rb = runWireBytes(src.buf)
-				return rb, nil
-			})
-		} else {
-			src, err = st.buildGroupSource(cc, batch, pat, lp, exact)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+	// Sources stay in first-seen owner order: equal keys merge their float
+	// sums in source order, and results must not depend on batch timing.
+	var srcs []*runSource
+	err := scatter(st, qc, frontier,
+		func(sc *fabric.Ctx, b ownerBatch) (*runSource, error) {
+			// One machine owns the whole terminal frontier: its partial
+			// states are the final states, so `_having` evaluates exactly at
+			// the worker and the coordinator re-check is redundant.
+			return st.buildGroupSource(sc, b.ptrs, pat, lp, b.n == 1)
+		},
+		func(b ownerBatch, src *runSource) error {
+			if srcs == nil {
+				srcs = make([]*runSource, b.n)
 			}
-			return
+			srcs[b.i] = src
+			return nil
+		})
+	if err != nil {
+		// The cursor that would have drained the parked tails never exists.
+		for _, src := range srcs {
+			if src != nil && src.runID != 0 {
+				st.engine.dropRun(qc, src)
+			}
 		}
-		if ship {
-			st.mu.Lock()
-			st.stats.GroupsShipped += int64(countStates(src.buf))
-			st.stats.BytesShipped += int64(rb)
-			st.mu.Unlock()
-		}
-		srcs[i] = src
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	live := srcs[:0]
-	for _, src := range srcs {
-		if src != nil {
-			live = append(live, src)
-		}
+		return nil, err
 	}
 	cur := &groupCursor{
 		e:      st.engine,
-		srcs:   live,
+		srcs:   srcs,
 		by:     pat.GroupBy,
 		aggs:   pat.Aggs,
 		having: pat.Having,
-		exact:  exact,
+		exact:  len(srcs) == 1,
 	}
 	if r := cur.resident(); r > st.stats.PeakGroups {
 		st.stats.PeakGroups = r
@@ -418,15 +323,17 @@ func (st *execState) execGroupedLevel(qc *fabric.Ctx, frontier []core.VertexPtr,
 	return cur, nil
 }
 
-// countStates counts the full (non-tombstone) partial states in a run.
-func countStates(entries []groupEntry) int {
-	n := 0
-	for i := range entries {
-		if entries[i].gs != nil {
-			n++
-		}
+// dropRun discards a run tail parked on src's machine. Best effort: a tail
+// the drop cannot reach lapses by TTL like any other.
+func (e *Engine) dropRun(c *fabric.Ctx, src *runSource) {
+	if src.m == c.M {
+		e.runs[src.m].claim(src.runID)
+		return
 	}
-	return n
+	_ = c.RPC(src.m, 32, func(*fabric.Ctx) (int, error) {
+		e.runs[src.m].claim(src.runID)
+		return 0, nil
+	})
 }
 
 // buildGroupSource is the owner-side half: reduce the batch (execBatch
@@ -445,21 +352,18 @@ func (st *execState) buildGroupSource(sc *fabric.Ctx, batch []core.VertexPtr, pa
 		st.mu.Unlock()
 	}
 	e := st.engine
-	src := &runSource{m: sc.M}
-	if len(entries) <= e.cfg.GroupChunk {
-		src.buf = entries
-		return src, nil
+	src := &runSource{m: sc.M, buf: entries}
+	if len(entries) > e.cfg.GroupChunk {
+		src.buf = entries[:e.cfg.GroupChunk]
+		src.runID = e.parkRun(sc, entries[e.cfg.GroupChunk:])
 	}
-	src.buf = entries[:e.cfg.GroupChunk]
-	src.runID = e.runs[sc.M].put(sc, e.cfg.ResultTTL, entries[e.cfg.GroupChunk:])
 	return src, nil
 }
 
 // groupCursor k-way merges per-machine key-sorted runs into the stream of
 // globally merged groups, ascending by encoded key — byte-identical order
 // to sorting the accumulated map. Equal keys across machines merge their
-// aggregate states; a tombstone from any machine kills its key. The head
-// scan is linear in the machine count, like mergeSortedRows.
+// aggregate states; a tombstone from any machine kills its key.
 type groupCursor struct {
 	e      *Engine
 	srcs   []*runSource
@@ -473,35 +377,30 @@ type groupCursor struct {
 // fill ensures a source has a buffered head, pulling the next chunk of its
 // parked run when the buffer drains. Remote pulls account their reply bytes
 // and shipped states like any worker RPC.
-func (cur *groupCursor) fill(c *fabric.Ctx, s *runSource, stats *Stats) (bool, error) {
-	if s.pos < len(s.buf) {
-		return true, nil
-	}
-	if s.runID == 0 {
-		return false, nil
+func (cur *groupCursor) fill(c *fabric.Ctx, s *runSource, stats *Stats) error {
+	if s.pos < len(s.buf) || s.runID == 0 {
+		return nil
 	}
 	e := cur.e
 	var entries []groupEntry
 	var more bool
 	var err error
 	if s.m == c.M {
-		entries, more, err = e.runs[s.m].pull(c, s.runID, e.cfg.GroupChunk)
+		entries, more, err = e.pullRun(c, s.runID)
 	} else {
 		err = c.RPC(s.m, 32, func(sc *fabric.Ctx) (int, error) {
 			var perr error
-			entries, more, perr = e.runs[s.m].pull(sc, s.runID, e.cfg.GroupChunk)
-			if perr != nil {
-				return 0, perr
-			}
-			return runWireBytes(entries), nil
+			entries, more, perr = e.pullRun(sc, s.runID)
+			return runWire(entries).bytes, perr
 		})
 		if err == nil {
-			stats.GroupsShipped += int64(countStates(entries))
-			stats.BytesShipped += int64(runWireBytes(entries))
+			w := runWire(entries)
+			stats.GroupsShipped += int64(w.groups)
+			stats.BytesShipped += int64(w.bytes)
 		}
 	}
 	if err != nil {
-		return false, err
+		return err
 	}
 	s.buf, s.pos = entries, 0
 	if !more {
@@ -510,7 +409,7 @@ func (cur *groupCursor) fill(c *fabric.Ctx, s *runSource, stats *Stats) (bool, e
 	if r := cur.resident(); r > stats.PeakGroups {
 		stats.PeakGroups = r
 	}
-	return len(s.buf) > 0, nil
+	return nil
 }
 
 // resident counts the group entries currently buffered at the coordinator.
@@ -525,28 +424,24 @@ func (cur *groupCursor) resident() int64 {
 // next returns the next merged group in encoded-key order, or ok=false when
 // the runs are exhausted.
 func (cur *groupCursor) next(c *fabric.Ctx, stats *Stats) (string, *groupState, bool, error) {
+	srcs := cur.srcs
 	for !cur.done {
-		best := -1
-		for i, s := range cur.srcs {
-			ok, err := cur.fill(c, s, stats)
-			if err != nil {
+		for _, s := range srcs {
+			if err := cur.fill(c, s, stats); err != nil {
 				return "", nil, false, err
 			}
-			if !ok {
-				continue
-			}
-			if best < 0 || s.buf[s.pos].enc < cur.srcs[best].buf[cur.srcs[best].pos].enc {
-				best = i
-			}
 		}
+		best := leastHead(len(srcs),
+			func(i int) bool { return srcs[i].pos < len(srcs[i].buf) },
+			func(i, j int) bool { return srcs[i].buf[srcs[i].pos].enc < srcs[j].buf[srcs[j].pos].enc })
 		if best < 0 {
 			cur.done = true
 			break
 		}
-		enc := cur.srcs[best].buf[cur.srcs[best].pos].enc
+		enc := srcs[best].buf[srcs[best].pos].enc
 		var merged *groupState
 		dead := false
-		for _, s := range cur.srcs {
+		for _, s := range srcs {
 			if s.pos >= len(s.buf) || s.buf[s.pos].enc != enc {
 				continue
 			}
@@ -580,7 +475,7 @@ func (cur *groupCursor) next(c *fabric.Ctx, stats *Stats) (string, *groupState, 
 type groupStream interface {
 	nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error)
 	resident() int64
-	close(e *Engine)
+	close()
 }
 
 func (cur *groupCursor) nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error) {
@@ -594,7 +489,7 @@ func (cur *groupCursor) nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, er
 // close is a no-op: parked run tails on the workers expire by TTL, exactly
 // like coordinator continuation state (a worker cannot rely on a crashed
 // coordinator to release it).
-func (cur *groupCursor) close(*Engine) {}
+func (cur *groupCursor) close() {}
 
 // pager applies the terminal _skip/_limit to a group stream and cuts it
 // into continuation pages. It holds a one-row lookahead so a page knows
@@ -646,38 +541,37 @@ func (p *pager) pull(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error) {
 }
 
 // nextPage emits up to n groups and reports whether more remain.
-func (p *pager) nextPage(c *fabric.Ctx, n int, stats *Stats) ([]GroupRow, bool, error) {
+func (p *pager) nextPage(c *fabric.Ctx, n int, res *Result) (bool, error) {
+	stats := &res.Stats
 	var out []GroupRow
 	for len(out) < n {
 		gr, ok, err := p.pull(c, stats)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		if !ok {
 			break
 		}
 		out = append(out, gr)
 	}
+	res.Groups = out
 	if r := int64(len(out)) + p.stream.resident(); r > stats.PeakGroups {
 		stats.PeakGroups = r
 	}
 	if p.done {
-		return out, false, nil
+		return false, nil
 	}
 	// Look one group ahead so an exactly-full page with nothing behind it
 	// ends the stream instead of issuing a dead continuation.
 	gr, ok, err := p.pull(c, stats)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return out, false, nil
+	if err != nil || !ok {
+		return false, err
 	}
 	p.pending = &gr
-	return out, true, nil
+	return true, nil
 }
 
-func (p *pager) close(e *Engine) { p.stream.close(e) }
+func (p *pager) close() { p.stream.close() }
 
 // Order-by-aggregate spill: the top-K-groups form needs every group before
 // any aggregate order is final. The coordinator drains the run merge into a
@@ -831,7 +725,6 @@ func (st *execState) collectOrderedGroups(qc *fabric.Ctx, cur *groupCursor, tp *
 	sm := &spillMerge{
 		e:      e,
 		tables: tables,
-		mem:    buf,
 		orders: tp.Orders,
 		aggIdx: tp.GroupOrder,
 		aggs:   tp.Aggs,
@@ -845,13 +738,16 @@ func (st *execState) collectOrderedGroups(qc *fabric.Ctx, cur *groupCursor, tp *
 		}
 		sm.srcs = append(sm.srcs, &spillSource{table: t, n: t.Len()})
 	}
+	sm.srcs = append(sm.srcs, &spillSource{buf: buf})
 	return nil, sm, nil
 }
 
-// spillSource reads one spilled run back in chunks of sequence keys.
+// spillSource reads one spilled run back in chunks of sequence keys. The
+// in-memory tail run is a source with nothing left to read (n = 0) and its
+// rows already buffered.
 type spillSource struct {
 	table *objectstore.Table
-	n     int // total rows in the run
+	n     int // total rows in the run's table
 	next  int // next sequence number to read
 	buf   []spillRow
 	pos   int
@@ -863,8 +759,6 @@ type spillMerge struct {
 	e      *Engine
 	tables []string
 	srcs   []*spillSource
-	mem    []spillRow
-	memPos int
 	orders []OrderBy
 	aggIdx []int
 	aggs   []Aggregate
@@ -899,42 +793,29 @@ func (sm *spillMerge) fill(s *spillSource) error {
 	return nil
 }
 
-func (sm *spillMerge) nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error) {
-	best := -1
-	var bestRow *spillRow
-	for i, s := range sm.srcs {
+func (sm *spillMerge) nextRow(c *fabric.Ctx, _ *Stats) (GroupRow, bool, error) {
+	srcs := sm.srcs
+	for _, s := range srcs {
 		if err := sm.fill(s); err != nil {
 			return GroupRow{}, false, err
 		}
-		if s.pos >= len(s.buf) {
-			continue
-		}
-		head := &s.buf[s.pos]
-		if bestRow == nil || spillRowLess(head, bestRow, sm.orders, sm.aggIdx, sm.aggs) {
-			best, bestRow = i, head
-		}
 	}
-	if sm.memPos < len(sm.mem) {
-		head := &sm.mem[sm.memPos]
-		if bestRow == nil || spillRowLess(head, bestRow, sm.orders, sm.aggIdx, sm.aggs) {
-			best, bestRow = -2, head
-		}
-	}
-	if bestRow == nil {
+	best := leastHead(len(srcs),
+		func(i int) bool { return srcs[i].pos < len(srcs[i].buf) },
+		func(i, j int) bool {
+			return spillRowLess(&srcs[i].buf[srcs[i].pos], &srcs[j].buf[srcs[j].pos], sm.orders, sm.aggIdx, sm.aggs)
+		})
+	if best < 0 {
 		return GroupRow{}, false, nil
 	}
 	c.Work(sm.e.cfg.CostMerge)
-	gr := bestRow.gr
-	if best == -2 {
-		sm.memPos++
-	} else {
-		sm.srcs[best].pos++
-	}
-	return gr, true, nil
+	s := srcs[best]
+	s.pos++
+	return s.buf[s.pos-1].gr, true, nil
 }
 
 func (sm *spillMerge) resident() int64 {
-	n := int64(len(sm.mem) - sm.memPos)
+	var n int64
 	for _, s := range sm.srcs {
 		n += int64(len(s.buf) - s.pos)
 	}
@@ -943,72 +824,35 @@ func (sm *spillMerge) resident() int64 {
 
 // close drops the spilled run tables — on stream exhaustion, Release,
 // expiry, or coordinator crash.
-func (sm *spillMerge) close(e *Engine) {
+func (sm *spillMerge) close() {
 	for _, name := range sm.tables {
-		e.spill.DropTable(name)
+		sm.e.spill.DropTable(name)
 	}
 	sm.tables = nil
 }
 
-// pageGroupSlice applies the terminal _skip/_limit to a fully materialized
-// group list and pages the overflow through the continuation cache — the
-// shared tail of the map-accumulate path and the no-spill ordered path.
-func (e *Engine) pageGroupSlice(qc *fabric.Ctx, res *Result, grows []GroupRow, tp *VertexPattern, pageSize int) {
-	if skip := tp.Skip; skip > 0 {
-		if skip >= len(grows) {
-			grows = nil
-		} else {
-			grows = grows[skip:]
-		}
+// streamGroups turns the run-merge cursor of a streamed grouped result into
+// the source its pages come from. The unordered form pages the merge cursor
+// directly — later pages pull more of the runs. The aggregate-`_orderby`
+// form drains the cursor first (spilling sorted runs past MaxWorkingSet):
+// with no spill the buffer sorts and pages in memory exactly like the
+// map-accumulate path; with spill the runs merge back lazily behind the
+// continuation.
+func (st *execState) streamGroups(qc *fabric.Ctx, cur *groupCursor, tp *VertexPattern) (pageSource, error) {
+	if len(tp.Orders) == 0 {
+		return newPager(cur, tp), nil
 	}
-	if tp.Limit > 0 && len(grows) > tp.Limit {
-		grows = grows[:tp.Limit]
-	}
-	if len(grows) > pageSize {
-		token := e.caches[qc.M].put(qc, e.cfg.ResultTTL, nil, grows[pageSize:])
-		res.Continuation = encodeToken(qc.M, token, pageSize)
-		grows = grows[:pageSize]
-	}
-	res.Groups = grows
-}
-
-// streamGroups emits the first page of a streamed grouped result. The
-// unordered form pages the merge cursor directly — later pages pull more of
-// the runs through the continuation entry. The aggregate-`_orderby` form
-// drains the cursor first (spilling sorted runs past MaxWorkingSet): with
-// no spill the buffer sorts and pages in memory exactly like the ablation
-// path; with spill the runs merge back lazily behind the continuation.
-func (st *execState) streamGroups(qc *fabric.Ctx, res *Result, cur *groupCursor, tp *VertexPattern, pageSize int) error {
-	e := st.engine
-	var stream groupStream = cur
-	if len(tp.Orders) > 0 {
-		mem, sm, err := st.collectOrderedGroups(qc, cur, tp)
-		if err != nil {
-			return err
-		}
-		if sm == nil {
-			grows := make([]GroupRow, len(mem))
-			for i := range mem {
-				grows[i] = mem[i].gr
-			}
-			sortGroupsByAgg(grows, tp.Orders, tp.GroupOrder, tp.Aggs)
-			e.pageGroupSlice(qc, res, grows, tp, pageSize)
-			return nil
-		}
-		stream = sm
-	}
-	pg := newPager(stream, tp)
-	page, more, err := pg.nextPage(qc, pageSize, &st.stats)
+	mem, sm, err := st.collectOrderedGroups(qc, cur, tp)
 	if err != nil {
-		pg.close(e)
-		return err
+		return nil, err
 	}
-	if more {
-		token := e.caches[qc.M].putStream(qc, e.cfg.ResultTTL, pg)
-		res.Continuation = encodeToken(qc.M, token, pageSize)
-	} else {
-		pg.close(e)
+	if sm != nil {
+		return newPager(sm, tp), nil
 	}
-	res.Groups = page
-	return nil
+	grows := make([]GroupRow, len(mem))
+	for i := range mem {
+		grows[i] = mem[i].gr
+	}
+	sortGroupsByAgg(grows, tp.Orders, tp.GroupOrder, tp.Aggs)
+	return groupPages(cut(grows, tp.Skip, tp.Limit)), nil
 }

@@ -3,7 +3,6 @@ package query
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -212,110 +211,35 @@ func TestHavingExplain(t *testing.T) {
 // pull after expiry is a restartable ErrBadToken.
 func TestGroupRunStoreExpiry(t *testing.T) {
 	e, _, _, c := newSkewEnv(t)
-	rs := e.runs[c.M]
+	e.cfg.ResultTTL = 20 * time.Millisecond
+	e.cfg.GroupChunk = 1
 	gs := &groupState{}
-	id := rs.put(c, 20*time.Millisecond, []groupEntry{{enc: "a", gs: gs}, {enc: "b", gs: gs}})
+	id := e.parkRun(c, []groupEntry{{enc: "a", gs: gs}, {enc: "b", gs: gs}})
 	if n := e.PendingRuns(c.M); n != 1 {
 		t.Fatalf("PendingRuns = %d, want 1", n)
 	}
 	// Partial pull leaves the rest parked.
-	part, more, err := rs.pull(c, id, 1)
+	part, more, err := e.pullRun(c, id)
 	if err != nil || len(part) != 1 || !more {
-		t.Fatalf("pull(1) = %d entries, more=%v, err=%v", len(part), more, err)
+		t.Fatalf("pullRun = %d entries, more=%v, err=%v", len(part), more, err)
 	}
 	time.Sleep(30 * time.Millisecond)
-	if n := rs.expire(c.Now()); n != 1 {
-		t.Fatalf("expire swept %d runs, want 1", n)
+	if n := e.ExpireResults(c); n != 1 {
+		t.Fatalf("ExpireResults swept %d runs, want 1", n)
 	}
-	if _, _, err := rs.pull(c, id, 1); !errors.Is(err, ErrBadToken) {
-		t.Fatalf("pull(expired) = %v, want ErrBadToken", err)
+	if _, _, err := e.pullRun(c, id); !errors.Is(err, ErrBadToken) {
+		t.Fatalf("pullRun(expired) = %v, want ErrBadToken", err)
 	}
 
 	// Draining a run fully removes it without waiting for the sweeper.
-	id = rs.put(c, time.Minute, []groupEntry{{enc: "a", gs: gs}})
-	rest, more, err := rs.pull(c, id, 8)
+	e.cfg.ResultTTL = time.Minute
+	id = e.parkRun(c, []groupEntry{{enc: "a", gs: gs}})
+	rest, more, err := e.pullRun(c, id)
 	if err != nil || len(rest) != 1 || more {
-		t.Fatalf("pull(all) = %d entries, more=%v, err=%v", len(rest), more, err)
+		t.Fatalf("pullRun(all) = %d entries, more=%v, err=%v", len(rest), more, err)
 	}
 	if n := e.PendingRuns(c.M); n != 0 {
 		t.Fatalf("PendingRuns after drain = %d, want 0", n)
-	}
-}
-
-// TestGroupStreamSweepUnderConcurrentFetch mirrors the ordered-traversal
-// sweeper test: concurrent streamed-group paging races a 1ms sweeper
-// under -race. Fast readers must see all 81 groups; slow readers may be
-// swept mid-stream, which surfaces as ErrBadToken, never corruption.
-func TestGroupStreamSweepUnderConcurrentFetch(t *testing.T) {
-	e, _, g, c := newSkewEnv(t)
-	e.cfg.ResultTTL = 40 * time.Millisecond
-	e.cfg.GroupChunk = 8
-	doc := `{"_hints": {"page_size": 10}, "_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`
-
-	const streams = 6
-	stop := make(chan struct{})
-	var sweeperWG sync.WaitGroup
-	sweeperWG.Add(1)
-	go func() {
-		defer sweeperWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				e.ExpireResults(c)
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, streams)
-	for s := 0; s < streams; s++ {
-		wg.Add(1)
-		go func(slow bool) {
-			defer wg.Done()
-			res, err := e.Execute(c, g, []byte(doc))
-			if err != nil {
-				errCh <- err
-				return
-			}
-			groups := len(res.Groups)
-			token := res.Continuation
-			for token != "" {
-				if slow {
-					time.Sleep(10 * time.Millisecond)
-				}
-				page, err := e.Fetch(c, token)
-				if err != nil {
-					if errors.Is(err, ErrBadToken) {
-						return // swept mid-stream: acceptable for a slow reader
-					}
-					errCh <- err
-					return
-				}
-				groups += len(page.Groups)
-				token = page.Continuation
-			}
-			if groups != 81 {
-				errCh <- errors.New("incomplete group stream despite no expiry")
-			}
-		}(s%2 == 1)
-	}
-	wg.Wait()
-	close(stop)
-	sweeperWG.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	e.ExpireResults(c)
-	if n := e.PendingResults(0); n != 0 {
-		t.Fatalf("PendingResults after final sweep = %d, want 0", n)
-	}
-	if n := e.PendingRuns(0); n != 0 {
-		t.Fatalf("PendingRuns after final sweep = %d, want 0", n)
 	}
 }
 

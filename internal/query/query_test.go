@@ -348,7 +348,7 @@ func TestContinuationPaging(t *testing.T) {
 		t.Fatal("missing continuation token")
 	}
 	for res.Continuation != "" {
-		m, _, err := DecodeToken(res.Continuation)
+		m, err := e.Coordinator(res.Continuation)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,25 +400,6 @@ func TestWorkingSetFastFail(t *testing.T) {
 	_, err := e.Execute(env.c, env.graph, []byte(q4))
 	if !errors.Is(err, ErrWorkingSet) {
 		t.Errorf("err = %v, want ErrWorkingSet", err)
-	}
-}
-
-func TestNoShippingHintEquivalence(t *testing.T) {
-	env := newTestEnv(t, 9)
-	shipped, err := env.engine.Execute(env.c, env.graph, []byte(q1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc = `{"_hints": {"no_shipping": true}, ` + q1[1:]
-	direct, err := env.engine.Execute(env.c, env.graph, []byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shipped.Count != direct.Count {
-		t.Errorf("shipped count %d != no-shipping count %d", shipped.Count, direct.Count)
-	}
-	if direct.Stats.RPCs >= shipped.Stats.RPCs && shipped.Stats.RPCs > 0 {
-		t.Errorf("no-shipping used %d RPCs vs %d shipped", direct.Stats.RPCs, shipped.Stats.RPCs)
 	}
 }
 

@@ -33,13 +33,13 @@ import (
 // mid-expansion, so everything an iteration needs hangs off it.
 type recurseRun struct {
 	st   *execState
-	host *VertexPattern  // level hosting the `_recurse` clause
-	term *VertexPattern  // the `_vertex` terminal (output filter + shaping)
+	host *VertexPattern // level hosting the `_recurse` clause
+	term *VertexPattern // the `_vertex` terminal (output filter + shaping)
 	rp   *RecursePattern
 
-	// visited is the per-machine dedup state (nil under NoRecurseDedup):
-	// each map is touched only by its owner's batch goroutine inside one
-	// iteration, and iterations are sequential, so no lock is needed.
+	// visited is the per-machine dedup state: each map is touched only by
+	// its owner's batch goroutine inside one iteration, and iterations are
+	// sequential, so no lock is needed.
 	visited []map[farm.Addr]bool
 
 	cur       []core.VertexPtr // candidates for iteration k
@@ -52,13 +52,12 @@ type recurseRun struct {
 	done      bool
 }
 
-// recursePager parks a mid-flight expansion behind a continuation token:
-// Fetch claims the cache entry, steps the expansion unlocked (iterations
-// are fabric round trips — no local lock may be held across them), and
-// reinserts the entry while more remains. It holds its own snapshot pin
-// so the versions the expansion reads survive the issuing query's return;
-// close is idempotent, so the sweeper, Release, and a failing Fetch can
-// all tear it down safely.
+// recursePager is the page source of an unshaped `_recurse`: each page
+// steps the distributed expansion just far enough, so a deep reachable set
+// never sits fully resident behind a token. Parked in the continuation
+// store it holds its own snapshot pin, so the versions the expansion reads
+// survive the issuing query's return; close is idempotent, so the sweeper,
+// Release, and a failing page can all tear it down safely.
 type recursePager struct {
 	rr    *recurseRun
 	rows  []Row // emitted but not yet returned
@@ -66,17 +65,15 @@ type recursePager struct {
 	once  sync.Once
 }
 
-// execRecurse runs the `_recurse` hosted at pats[level]. It returns the
-// emitted rows and aggregate partials of a completed expansion — or, when
-// the unshaped result outgrew a page, the first page plus a pager holding
-// the expansion mid-flight.
-func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, host, term *VertexPattern, level, pageSize int) ([]Row, []aggState, *recursePager, error) {
+// execRecurse runs the `_recurse` hosted at pats[level]. A shaped result
+// (ordering, aggregation, _limit/_skip) expands to completion and comes
+// back as rows and aggregate partials; an unshaped one can stream in
+// discovery order, so it comes back as a pager seeded but not yet stepped.
+func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, host, term *VertexPattern, level int) (*levelOutput, error) {
 	e := st.engine
 	rp := host.Recurse
 	rr := &recurseRun{st: st, host: host, term: term, rp: rp, k: 1, termLevel: level + 1, iterBase: -1}
-	if !e.cfg.NoRecurseDedup {
-		rr.visited = make([]map[farm.Addr]bool, e.store.Farm().Fabric().Machines())
-	}
+	rr.visited = make([]map[farm.Addr]bool, e.store.Farm().Fabric().Machines())
 	if n := len(st.levels); rp.Max > 0 && n >= rp.Max {
 		rr.iterBase = n - rp.Max
 	}
@@ -86,50 +83,36 @@ func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, host
 	// hop's candidates.
 	roots := dedupPtrs(st.bufs, frontier)
 	rr.working = len(roots)
-	seed, _, err := rr.runPhase(qc, roots, 0)
+	seed, err := rr.runPhase(qc, roots, 0)
 	if err != nil {
 		rr.release()
-		return nil, nil, nil, err
+		return nil, err
 	}
 	st.stats.Hops++
 	rr.cur = seed.next
 	if len(rr.cur) == 0 || rp.Max < 1 {
 		rr.done = true
 	}
-
-	// A result with no ordering, aggregation, or _limit/_skip shaping can
-	// stream in discovery order: page out as soon as a page exists and
-	// park the rest of the expansion behind the continuation. Anything
-	// shaped (or the dedup-free ablation, whose duplicates need the full
-	// set) runs to completion.
-	stream := rr.visited != nil && len(term.Orders) == 0 && len(term.Aggs) == 0 &&
-		len(term.GroupBy) == 0 && term.Limit == 0 && term.Skip == 0
+	if len(term.Orders) == 0 && len(term.Aggs) == 0 && len(term.GroupBy) == 0 && term.Limit == 0 && term.Skip == 0 {
+		return &levelOutput{pager: &recursePager{rr: rr, unpin: e.store.Farm().PinSnapshot(st.ts)}}, nil
+	}
 	var rows []Row
 	for !rr.done {
 		out, err := rr.step(qc)
 		if err != nil {
 			rr.release()
-			return nil, nil, nil, err
+			return nil, err
 		}
 		rows = append(rows, out...)
-		if stream && len(rows) > pageSize && !rr.done {
-			pgr := &recursePager{rr: rr, rows: rows[pageSize:], unpin: e.store.Farm().PinSnapshot(st.ts)}
-			return rows[:pageSize], nil, pgr, nil
-		}
-		// Ordered-limit accumulation: with the visited set each vertex
-		// appears once, so pruning to the top K(+skip) loses nothing.
-		if rr.visited != nil && st.keep > 0 && len(rows) > 2*st.keep {
+		// Ordered-limit accumulation: the visited sets emit each vertex
+		// once, so pruning to the top K(+skip) loses nothing.
+		if st.keep > 0 && len(rows) > 2*st.keep {
 			rows = topK(st.bufs, rows, term.Orders, st.keep)
 		}
 	}
 	rr.release()
-	if rr.visited == nil {
-		// Dedup-free ablation: the same vertex is emitted once per path;
-		// iterations append in depth order, so first-kept is shallowest.
-		rows = dedupRows(st.bufs, rows)
-	}
 	st.setActRows(rr.termLevel, len(rows))
-	return rows, rr.aggs, nil, nil
+	return &levelOutput{rows: rows, aggs: rr.aggs}, nil
 }
 
 // step runs one expansion iteration: coordinator-side frontier dedup,
@@ -150,13 +133,13 @@ func (rr *recurseRun) step(qc *fabric.Ctx) ([]Row, error) {
 		return nil, nil
 	}
 	cand := dedupPtrs(st.bufs, rr.cur)
-	out, accepted, err := rr.runPhase(qc, cand, k)
+	out, err := rr.runPhase(qc, cand, k)
 	if err != nil {
 		return nil, err
 	}
 	st.stats.Hops++
-	rr.setIterAct(k, accepted)
-	rr.working += accepted
+	rr.setIterAct(k, out.accepted)
+	rr.working += out.accepted
 	if rr.working > e.cfg.MaxWorkingSet {
 		return nil, fmt.Errorf("%w: %d vertices visited", ErrWorkingSet, rr.working)
 	}
@@ -178,103 +161,32 @@ func (rr *recurseRun) step(qc *fabric.Ctx) ([]Row, error) {
 	return out.rows, nil
 }
 
-// runPhase partitions one iteration's frontier by primary host and runs
-// the owner-side batches — seed (k=0) or expansion (k>=1) — shipping
-// batches past ShipThreshold as RPCs exactly like execLevel. accepted
-// counts the candidates that survived the owners' visited filters.
-func (rr *recurseRun) runPhase(qc *fabric.Ctx, frontier []core.VertexPtr, k int) (*levelOutput, int, error) {
-	st := rr.st
-	f := st.engine.store.Farm()
-	groups := make(map[fabric.MachineID][]core.VertexPtr)
-	var order []fabric.MachineID
-	for _, vp := range frontier {
-		m, err := f.PrimaryOf(qc, vp.Addr)
-		if err != nil {
-			return nil, 0, err
-		}
-		s, ok := groups[m]
-		if !ok {
-			order = append(order, m)
-			s = st.bufs.getPtrs()
-		}
-		groups[m] = append(s, vp)
-	}
+// runPhase scatters one iteration's frontier to its owners — seed (k=0) or
+// expansion (k>=1) — and merges their emissions, next candidates and
+// accepted counts (the candidates that survived the visited filters).
+func (rr *recurseRun) runPhase(qc *fabric.Ctx, frontier []core.VertexPtr, k int) (*levelOutput, error) {
 	merged := &levelOutput{}
-	accepted := 0
-	var mu sync.Mutex
-	var firstErr error
-	qc.Parallel(len(order), func(i int, cc *fabric.Ctx) {
-		m := order[i]
-		batch := groups[m]
-		ship := !st.hints.NoShipping && m != cc.M && len(batch) >= st.engine.cfg.ShipThreshold
-		var out *levelOutput
-		var acc int
-		var err error
-		var rb int
-		run := func(sc *fabric.Ctx) error {
+	err := scatter(rr.st, qc, frontier,
+		func(sc *fabric.Ctx, b ownerBatch) (*levelOutput, error) {
 			if k == 0 {
-				out, acc, err = rr.seedBatch(sc, m, batch)
-			} else {
-				out, acc, err = rr.expandBatch(sc, m, batch, k)
+				return rr.seedBatch(sc, b.m, b.ptrs)
 			}
-			return err
-		}
-		if ship {
-			reqBytes := len(batch)*ptrWireBytes + 128
-			err = cc.RPC(m, reqBytes, func(sc *fabric.Ctx) (int, error) {
-				if err := run(sc); err != nil {
-					return 0, err
-				}
-				rb = out.replyBytes()
-				return rb, nil
-			})
-		} else {
-			err = run(cc)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		if ship {
-			st.mu.Lock()
-			st.stats.RowsShipped += int64(len(out.rows))
-			st.stats.BytesShipped += int64(rb)
-			st.mu.Unlock()
-		}
-		accepted += acc
-		merged.next = append(merged.next, out.next...)
-		merged.rows = append(merged.rows, out.rows...)
-		// Values were copied out by the appends; only the batch slice
-		// headers are recycled, never the rows' own buffers.
-		st.bufs.putPtrs(out.next)
-		st.bufs.putRows(out.rows)
-		if out.aggs != nil {
-			if merged.aggs == nil {
-				merged.aggs = make([]aggState, len(rr.term.Aggs))
-			}
-			mergeAggStates(merged.aggs, out.aggs, rr.term.Aggs)
-		}
-		if st.keep > 0 && len(merged.rows) > 2*st.keep {
-			merged.rows = topK(st.bufs, merged.rows, rr.term.Orders, st.keep)
-		}
-	})
-	for _, m := range order {
-		st.bufs.putPtrs(groups[m])
+			return rr.expandBatch(sc, b.m, b.ptrs, k)
+		},
+		func(_ ownerBatch, out *levelOutput) error {
+			merged.absorb(rr.st, out, rr.term)
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	if firstErr != nil {
-		return nil, 0, firstErr
-	}
-	return merged, accepted, nil
+	return merged, nil
 }
 
 // seedBatch applies the host level's residual filters to this owner's
 // slice of the root frontier, marks survivors visited at distance 0, and
 // enumerates their first-hop candidates.
-func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr) (*levelOutput, int, error) {
+func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr) (*levelOutput, error) {
 	st := rr.st
 	e := st.engine
 	g := st.graph
@@ -298,7 +210,6 @@ func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core
 	needData := host.Type != "" || len(host.Preds) > 0
 	const readChunk = 256
 	var vtxs []*core.Vertex
-	accepted := 0
 	for i, vp := range work {
 		if needData {
 			if i%readChunk == 0 {
@@ -306,7 +217,7 @@ func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core
 				var err error
 				vtxs, err = g.ReadVertices(tx, work[i:end])
 				if err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 			}
 			v := vtxs[i%readChunk]
@@ -320,7 +231,7 @@ func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core
 			}
 			schema, err := g.VertexTypeSchema(sc, v.TypeName)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			if len(host.Preds) > 0 {
 				sc.Work(time.Duration(len(host.Preds)) * e.cfg.CostPredEval)
@@ -333,28 +244,26 @@ func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core
 			//lint:ignore a1/batchreads machine-local batch: seedBatch runs owner-side on a PrimaryOf-partitioned batch; match-subtree reads below this helper stay on the owner
 			ok, err := st.evalMatches(sc, tx, vp, host.Matches)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			if !ok {
 				continue
 			}
 		}
-		if visited != nil {
-			if visited[vp.Addr] {
-				continue
-			}
-			visited[vp.Addr] = true
+		if visited[vp.Addr] {
+			continue
 		}
-		accepted++
+		visited[vp.Addr] = true
+		out.accepted++
 		//lint:ignore a1/batchreads machine-local batch: seedBatch runs owner-side on a PrimaryOf-partitioned batch; half-edge enumeration below this helper reads owner-resident objects
 		next, err := st.traverseEdge(sc, tx, vp, rr.rp.Edge)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		out.next = append(out.next, next...)
 		st.bufs.putPtrs(next)
 	}
-	return out, accepted, nil
+	return out, nil
 }
 
 // expandBatch runs iteration k for this owner's slice of the candidate
@@ -362,7 +271,7 @@ func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core
 // the survivors, emit those inside the depth window that pass the
 // terminal's output filters, and enumerate the next hop's candidates
 // while the depth bound allows.
-func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr, k int) (*levelOutput, int, error) {
+func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr, k int) (*levelOutput, error) {
 	st := rr.st
 	e := st.engine
 	g := st.graph
@@ -385,19 +294,15 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 	// Visited filter first, so the surviving batch read stays chunked and
 	// the dedup saving shows up as vertices never read at all.
 	visited := rr.visitedFor(m)
-	work := batch
-	if visited != nil {
-		filtered := st.bufs.getPtrs()
-		for _, vp := range batch {
-			if visited[vp.Addr] {
-				continue
-			}
+	work := st.bufs.getPtrs()
+	for _, vp := range batch {
+		if !visited[vp.Addr] {
 			visited[vp.Addr] = true
-			filtered = append(filtered, vp)
+			work = append(work, vp)
 		}
-		work = filtered
-		defer st.bufs.putPtrs(filtered)
 	}
+	defer st.bufs.putPtrs(work)
+	out.accepted = len(work)
 	const readChunk = 256
 	var vtxs []*core.Vertex
 	var schema *bond.Schema
@@ -412,7 +317,7 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 				var err error
 				vtxs, err = g.ReadVertices(tx, work[i:end])
 				if err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 			}
 			v := vtxs[i%readChunk]
@@ -433,7 +338,7 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 			if rowOK {
 				s, err := g.VertexTypeSchema(sc, vtx.TypeName)
 				if err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 				schema = s
 				if len(term.Preds) > 0 {
@@ -469,7 +374,7 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 			//lint:ignore a1/batchreads machine-local batch: expandBatch runs owner-side on a PrimaryOf-partitioned batch; half-edge enumeration below this helper reads owner-resident objects
 			next, err := st.traverseEdge(sc, tx, vp, rp.Edge)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			out.next = append(out.next, next...)
 			st.bufs.putPtrs(next)
@@ -478,16 +383,13 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 	if st.keep > 0 && len(out.rows) > st.keep {
 		out.rows = topK(st.bufs, out.rows, term.Orders, st.keep)
 	}
-	return out, len(work), nil
+	return out, nil
 }
 
 // visitedFor hands a batch its owner's visited set, creating it lazily.
 // Safe unlocked: one goroutine per machine per iteration, iterations in
 // sequence.
 func (rr *recurseRun) visitedFor(m fabric.MachineID) map[farm.Addr]bool {
-	if rr.visited == nil {
-		return nil
-	}
 	if rr.visited[m] == nil {
 		rr.visited[m] = rr.st.bufs.getAddrSet()
 	}
@@ -514,13 +416,11 @@ func (rr *recurseRun) release() {
 	rr.done = true
 }
 
-// nextPage resumes the parked expansion until a page (plus one row of
-// lookahead, so an exactly-full final page ends the stream) is buffered
-// or the expansion dries up. Work done here is accounted into the fetch's
-// own Stats, not the issuing query's.
-func (p *recursePager) nextPage(c *fabric.Ctx, n int, stats *Stats) ([]Row, bool, error) {
-	var ops fabric.OpStats
-	qc := c.WithStats(&ops)
+// nextPage steps the expansion until a page (plus one row of lookahead,
+// so an exactly-full final page ends the stream) is buffered or the
+// expansion dries up. The execution counters the steps move are added to
+// the page's own Stats: the execState outlives the query that built it.
+func (p *recursePager) nextPage(c *fabric.Ctx, n int, res *Result) (bool, error) {
 	st := p.rr.st
 	st.mu.Lock()
 	prev := st.stats
@@ -529,37 +429,33 @@ func (p *recursePager) nextPage(c *fabric.Ctx, n int, stats *Stats) ([]Row, bool
 		st.mu.Lock()
 		cur := st.stats
 		st.mu.Unlock()
+		stats := &res.Stats
 		stats.Hops += cur.Hops - prev.Hops
 		stats.VerticesRead += cur.VerticesRead - prev.VerticesRead
 		stats.EdgesVisited += cur.EdgesVisited - prev.EdgesVisited
 		stats.RowsShipped += cur.RowsShipped - prev.RowsShipped
 		stats.BytesShipped += cur.BytesShipped - prev.BytesShipped
 		stats.IndexFiltered += cur.IndexFiltered - prev.IndexFiltered
-		stats.ObjectsRead += ops.TotalReads()
-		stats.RemoteReads += ops.RemoteReads.Load()
-		stats.RPCs += ops.RPCs.Load()
-		stats.RDMATime += time.Duration(ops.RDMAReadTime.Load())
 	}()
 	for len(p.rows) <= n && !p.rr.done {
-		out, err := p.rr.step(qc)
+		out, err := p.rr.step(c)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		p.rows = append(p.rows, out...)
 	}
 	page := p.rows
 	if len(page) > n {
 		page = page[:n]
-		p.rows = p.rows[n:]
-	} else {
-		p.rows = nil
 	}
-	return page, len(p.rows) > 0 || !p.rr.done, nil
+	p.rows = p.rows[len(page):]
+	res.Rows = page
+	return len(p.rows) > 0 || !p.rr.done, nil
 }
 
-// close releases the expansion's state: idempotent, so Fetch error paths,
+// close releases the expansion's state: idempotent, so a failing page,
 // Release, the sweeper, and a coordinator drop can all call it.
-func (p *recursePager) close(*Engine) {
+func (p *recursePager) close() {
 	p.once.Do(func() {
 		p.rr.release()
 		p.rr.st.bufs.releaseRows(p.rows)

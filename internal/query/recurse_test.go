@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -301,34 +300,6 @@ func TestRecurseCountAggregate(t *testing.T) {
 	}
 }
 
-func TestRecurseDedupBeatsNaive(t *testing.T) {
-	naiveCfg := DefaultConfig()
-	naiveCfg.NoRecurseDedup = true
-	reads := func(cfg Config, max int) int64 {
-		e, g, c := newRecurseEnv(t, cfg)
-		res, err := e.Execute(c, g, []byte(recurseDoc(recurseID(0), 1, max, "")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := res.Stats.VerticesRead
-		for tok := res.Continuation; tok != ""; tok = res.Continuation {
-			if res, err = e.Fetch(c, tok); err != nil {
-				t.Fatal(err)
-			}
-			n += res.Stats.VerticesRead
-		}
-		return n
-	}
-	gap2 := reads(naiveCfg, 2) - reads(DefaultConfig(), 2)
-	gap5 := reads(naiveCfg, 5) - reads(DefaultConfig(), 5)
-	if gap2 < 0 || gap5 <= gap2 {
-		t.Fatalf("dedup saving must grow with _max: gap(_max=2)=%d, gap(_max=5)=%d", gap2, gap5)
-	}
-	if reads(DefaultConfig(), 5) >= reads(naiveCfg, 5) {
-		t.Fatalf("dedup must read strictly fewer vertices than naive")
-	}
-}
-
 func TestRecursePagedParity(t *testing.T) {
 	whole, g, c := newRecurseEnv(t, DefaultConfig())
 	pagedCfg := DefaultConfig()
@@ -411,78 +382,6 @@ func TestRecurseExpiredPagerSwept(t *testing.T) {
 	}
 }
 
-func TestRecurseSweepUnderConcurrentFetch(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PageSize = 2
-	cfg.ResultTTL = 40 * time.Millisecond
-	e, g, c := newRecurseEnv(t, cfg)
-	dist := bfsDist(recurseEdges(), 0, false, -1)
-	total := len(oracleSet(dist, 1, 5))
-	doc := recurseDoc(recurseID(0), 1, 5, "")
-
-	const streams = 8
-	stop := make(chan struct{})
-	var sweeperWG sync.WaitGroup
-	sweeperWG.Add(1)
-	go func() {
-		defer sweeperWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				e.ExpireResults(c)
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	errCh := make(chan error, streams)
-	for s := 0; s < streams; s++ {
-		wg.Add(1)
-		go func(slow bool) {
-			defer wg.Done()
-			res, err := e.Execute(c, g, []byte(doc))
-			if err != nil {
-				errCh <- err
-				return
-			}
-			rows := len(res.Rows)
-			token := res.Continuation
-			for token != "" {
-				if slow {
-					time.Sleep(10 * time.Millisecond)
-				}
-				page, err := e.Fetch(c, token)
-				if err != nil {
-					if errors.Is(err, ErrBadToken) {
-						return // swept mid-stream: acceptable for a slow reader
-					}
-					errCh <- err
-					return
-				}
-				rows += len(page.Rows)
-				token = page.Continuation
-			}
-			if rows != total {
-				errCh <- fmt.Errorf("stream drained %d rows, want %d", rows, total)
-			}
-		}(s%2 == 1)
-	}
-	wg.Wait()
-	close(stop)
-	sweeperWG.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	e.ExpireResults(c)
-	if n := e.PendingResults(0); n != 0 {
-		t.Fatalf("PendingResults after final sweep = %d, want 0", n)
-	}
-}
-
 func TestRecurseWorkingSetCap(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxWorkingSet = 5
@@ -500,20 +399,20 @@ func TestRecurseWorkingSetCap(t *testing.T) {
 func TestRecurseValidationErrors(t *testing.T) {
 	bad := []string{
 		`{"id": "p00", "_recurse": {"_type": "ref", "_min": 3, "_max": 2, "_vertex": {}}}`,
-		`{"id": "p00", "_recurse": {"_type": "ref", "_vertex": {}}}`,                                  // missing _max
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 99, "_vertex": {}}}`,                      // over the depth cap
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 0, "_vertex": {}}}`,                       // _max < 1
-		`{"id": "p00", "_recurse": {"_type": "ref", "_min": 0, "_max": 2, "_vertex": {}}}`,            // _min < 1
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_dir": "sideways", "_vertex": {}}}`,   // bad _dir
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_shortest": "yes", "_vertex": {}}}`,   // _shortest not bool
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2}, "_out_edge": {"_type": "ref"}}`,       // recurse + edge on one level
-		`{"id": "p00", "_select": ["id"], "_recurse": {"_type": "ref", "_max": 2, "_vertex": {}}}`,    // shaped host
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"id": "p01"}}}`,            // id on the terminal
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_out_edge": {"_type": "ref", "_vertex": {}}}}}`, // non-terminal _vertex
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_recurse": {"_type": "ref", "_max": 2, "_vertex": {}}}}}`, // nested recursion
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_groupby": "rank"}}}`,     // grouped terminal
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_match": [{"_out_edge": {"_type": "ref"}}]}}}`, // _match on terminal
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_shortest": true, "_vertex": {"_select": ["_count(*)"]}}}`, // shortest + aggregate
+		`{"id": "p00", "_recurse": {"_type": "ref", "_vertex": {}}}`,                                                                      // missing _max
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 99, "_vertex": {}}}`,                                                          // over the depth cap
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 0, "_vertex": {}}}`,                                                           // _max < 1
+		`{"id": "p00", "_recurse": {"_type": "ref", "_min": 0, "_max": 2, "_vertex": {}}}`,                                                // _min < 1
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_dir": "sideways", "_vertex": {}}}`,                                       // bad _dir
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_shortest": "yes", "_vertex": {}}}`,                                       // _shortest not bool
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2}, "_out_edge": {"_type": "ref"}}`,                                           // recurse + edge on one level
+		`{"id": "p00", "_select": ["id"], "_recurse": {"_type": "ref", "_max": 2, "_vertex": {}}}`,                                        // shaped host
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"id": "p01"}}}`,                                                // id on the terminal
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_out_edge": {"_type": "ref", "_vertex": {}}}}}`,               // non-terminal _vertex
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_recurse": {"_type": "ref", "_max": 2, "_vertex": {}}}}}`,     // nested recursion
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_groupby": "rank"}}}`,                                         // grouped terminal
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_match": [{"_out_edge": {"_type": "ref"}}]}}}`,                // _match on terminal
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_shortest": true, "_vertex": {"_select": ["_count(*)"]}}}`,                // shortest + aggregate
 		`{"id": "p00", "_match": [{"_out_edge": {"_type": "ref", "_vertex": {"_recurse": {"_type": "ref", "_max": 2, "_vertex": {}}}}}]}`, // recursion inside _match
 	}
 	for _, doc := range bad {
@@ -662,5 +561,23 @@ func TestExplainPlanLooseParams(t *testing.T) {
 	}
 	if s := pt.String(); !strings.Contains(s, `id="p00"`) || !strings.Contains(s, "rank >= 7") {
 		t.Fatalf("bound id/predicate should render their values:\n%s", s)
+	}
+}
+
+// TestRecurseReadsTrackReachableSet: the owners' visited sets drop a
+// re-entered vertex before it is read, so a graph full of cycles and
+// diamonds costs one vertex read per reachable vertex, not one per path.
+func TestRecurseReadsTrackReachableSet(t *testing.T) {
+	e, g, c := newRecurseEnv(t, DefaultConfig())
+	res, err := e.Execute(c, g, []byte(recurseDoc(recurseID(0), 1, 5, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reachable := len(oracleSet(bfsDist(recurseEdges(), 0, false, -1), 1, 5))
+	if len(res.Rows) != reachable || res.Stats.VerticesRead != int64(reachable) {
+		t.Fatalf("%d rows for %d vertex reads, oracle reaches %d", len(res.Rows), res.Stats.VerticesRead, reachable)
+	}
+	if res.Stats.EdgesVisited <= int64(reachable) {
+		t.Fatalf("edges visited = %d: the fixture has no re-entries to dedup", res.Stats.EdgesVisited)
 	}
 }

@@ -295,14 +295,27 @@ func topK(bufs *execBufs, rows []Row, orders []OrderBy, k int) []Row {
 	return rows
 }
 
+// leastHead picks the next element of a k-way merge: the index of the
+// least live head among n sources (the first of equals), or -1 when every
+// source is drained. The scan is linear on purpose: n is bounded by the
+// cluster size (or the spilled-run count) and every merge here emits a
+// page or a query limit at a time, so a heap would not pay for itself.
+func leastHead(n int, live func(i int) bool, less func(i, j int) bool) int {
+	best := -1
+	for i := 0; i < n; i++ {
+		if live(i) && (best < 0 || less(i, best)) {
+			best = i
+		}
+	}
+	return best
+}
+
 // mergeSortedRows streams the coordinator's k-way merge over per-machine
 // ordered partial results (OrderedTraverse), emitting the global top k.
 // Each input list is already totally ordered by rowLess (ties broken on the
 // vertex address, and addresses never repeat across machines), so
 // repeatedly taking the least head reproduces exactly what sorting the
-// concatenation would — without ever materializing it. The head scan is
-// linear in the list count: k is a query limit and the list count is
-// bounded by the cluster size, so a heap would not pay for itself.
+// concatenation would — without ever materializing it.
 func mergeSortedRows(bufs *execBufs, lists [][]Row, orders []OrderBy, k int) []Row {
 	pos := make([]int, len(lists))
 	total := 0
@@ -313,16 +326,10 @@ func mergeSortedRows(bufs *execBufs, lists [][]Row, orders []OrderBy, k int) []R
 		total = k
 	}
 	out := make([]Row, 0, total)
+	live := func(i int) bool { return pos[i] < len(lists[i]) }
+	less := func(i, j int) bool { return rowLess(&lists[i][pos[i]], &lists[j][pos[j]], orders) }
 	for len(out) < k {
-		best := -1
-		for i := range lists {
-			if pos[i] >= len(lists[i]) {
-				continue
-			}
-			if best < 0 || rowLess(&lists[i][pos[i]], &lists[best][pos[best]], orders) {
-				best = i
-			}
-		}
+		best := leastHead(len(lists), live, less)
 		if best < 0 {
 			break
 		}

@@ -3,7 +3,6 @@ package query
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -350,73 +349,5 @@ func TestOrderedTraverseExpiredTokenRelease(t *testing.T) {
 	}
 	if _, err := cost.Fetch(c, res.Continuation); !errors.Is(err, ErrBadToken) {
 		t.Fatalf("Fetch(expired) = %v, want ErrBadToken", err)
-	}
-}
-
-func TestOrderedTraverseSweepUnderConcurrentFetch(t *testing.T) {
-	cost, _, g, c := newTopOrderEnv(t, 8)
-	cost.cfg.ResultTTL = 40 * time.Millisecond
-
-	const streams = 6
-	stop := make(chan struct{})
-	var sweeperWG sync.WaitGroup
-	sweeperWG.Add(1)
-	go func() {
-		defer sweeperWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				cost.ExpireResults(c)
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, streams)
-	for s := 0; s < streams; s++ {
-		wg.Add(1)
-		go func(slow bool) {
-			defer wg.Done()
-			res, err := cost.Execute(c, g, []byte(topOrderPagedDoc))
-			if err != nil {
-				errCh <- err
-				return
-			}
-			rows := len(res.Rows)
-			token := res.Continuation
-			for token != "" {
-				if slow {
-					time.Sleep(10 * time.Millisecond)
-				}
-				page, err := cost.Fetch(c, token)
-				if err != nil {
-					if errors.Is(err, ErrBadToken) {
-						return // swept mid-stream: acceptable for a slow reader
-					}
-					errCh <- err
-					return
-				}
-				rows += len(page.Rows)
-				token = page.Continuation
-			}
-			if rows != 64 {
-				errCh <- errors.New("incomplete ordered stream despite no expiry")
-			}
-		}(s%2 == 1)
-	}
-	wg.Wait()
-	close(stop)
-	sweeperWG.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	cost.ExpireResults(c)
-	if n := cost.PendingResults(0); n != 0 {
-		t.Fatalf("PendingResults after final sweep = %d, want 0", n)
 	}
 }
