@@ -1,6 +1,7 @@
 package a1_test
 
 import (
+	"fmt"
 	"testing"
 
 	"a1"
@@ -9,7 +10,8 @@ import (
 
 // Alloc-tracked microbenchmarks over the query hot path (Direct mode,
 // real wall clock, -benchmem/-ReportAllocs): the 2-hop Zipf traversal,
-// the ordered index-scan root, and the `_groupby` rollup. These are the
+// its pointer-only `_count(*)` form, the ordered index-scan root, and the
+// `_groupby` rollup. These are the
 // go-test twins of the `allocs` a1bench report — CI runs them with
 // -benchmem so allocs/op regressions show next to the trend table.
 
@@ -65,6 +67,16 @@ func benchAllocQuery(b *testing.B, query func(z *workload.ZipfGraph) string) {
 func BenchmarkAllocZipfTwoHop(b *testing.B) {
 	benchAllocQuery(b, func(z *workload.ZipfGraph) string {
 		return z.TopKNeighborsQuery(z.HotCategory(), 10)
+	})
+}
+
+// BenchmarkAllocZipfTwoHopCount is the pointer-only path: two hops into
+// the biggest hub's in-neighborhood and a bare `_count(*)` terminal, which
+// reads the two traversal levels' headers and edge lists and nothing of
+// the vertices it counts.
+func BenchmarkAllocZipfTwoHopCount(b *testing.B) {
+	benchAllocQuery(b, func(z *workload.ZipfGraph) string {
+		return fmt.Sprintf(`{"id": %q, "_in_edge": {"_type": "link", "_vertex": {"_in_edge": {"_type": "link", "_vertex": {"_select": ["_count(*)"]}}}}}`, z.VertexID(0))
 	})
 }
 

@@ -35,10 +35,11 @@ func latencySweep(id, title, doc string, spec Spec) (*Report, error) {
 // Fig10 regenerates Figure 10: Q1 (actors who worked with Spielberg)
 // average and P99 latency across offered loads.
 func Fig10(spec Spec) (*Report, error) {
-	r, err := latencySweep("fig10", "Q1 latency vs throughput (avg & P99)", Q1, spec)
+	r, err := latencySweep("fig10", "Q1 latency vs throughput (avg & P99)", Q1Footprint, spec)
 	if err != nil {
 		return nil, err
 	}
+	r.Note(footprintNote)
 	r.Note("paper (245 machines): avg <8ms, P99 14ms at 20000 qps; flat-ish below capacity, avg/P99 spread tight")
 	return r, nil
 }
@@ -46,10 +47,11 @@ func Fig10(spec Spec) (*Report, error) {
 // Fig12 regenerates Figure 12: Q2 (actors who played Batman), a 3-hop
 // query with a map-attribute predicate.
 func Fig12(spec Spec) (*Report, error) {
-	r, err := latencySweep("fig12", "Q2 latency vs throughput (avg & P99)", Q2, spec)
+	r, err := latencySweep("fig12", "Q2 latency vs throughput (avg & P99)", Q2Footprint, spec)
 	if err != nil {
 		return nil, err
 	}
+	r.Note(footprintNote)
 	r.Note("paper: log-scale plot, single-digit-ms average, tail within ~2-3x of average")
 	return r, nil
 }
@@ -97,12 +99,12 @@ func Fig11(spec Spec) (*Report, error) {
 	// Forcing coordinator-side evaluation (no shipping) produces worker
 	// batches with varying remote-read counts, like the paper's workers
 	// that land on remote vertices.
-	doc := `{"_hints": {"no_shipping": true}, ` + Q1[1:]
+	doc := `{"_hints": {"no_shipping": true}, ` + Q1Footprint[1:]
 	rate := spec.Rates[0]
 	_ = MeasureRate(k.DB, k.G, doc, nil, rate, spec.QueriesPerPt)
 	// Plus the normal shipped execution, whose small batches still issue
 	// occasional remote reads.
-	_ = MeasureRate(k.DB, k.G, Q1, nil, rate, spec.QueriesPerPt/2)
+	_ = MeasureRate(k.DB, k.G, Q1Footprint, nil, rate, spec.QueriesPerPt/2)
 
 	r := &Report{
 		ID:     "fig11",
@@ -118,6 +120,7 @@ func Fig11(spec Spec) (*Report, error) {
 		r.Add(float64(n), avg, avg/float64(n), float64(b.n))
 	}
 	r.Note("paper: roughly linear, average RDMA read ~17us (intra-rack <5us, cross-rack <20us over oversubscribed T1s)")
+	r.Note(footprintNote)
 	return r, nil
 }
 
@@ -218,7 +221,7 @@ func Q4Stress(spec Spec) (*Report, error) {
 		return nil, err
 	}
 	defer k.DB.Close()
-	warm(k.DB, k.G, Q4)
+	warm(k.DB, k.G, Q4Footprint)
 	rates := []float64{1000, spec.Rates[len(spec.Rates)-1]}
 	if spec.Scale == ScalePaper {
 		rates = []float64{1000, 15000}
@@ -233,13 +236,14 @@ func Q4Stress(spec Spec) (*Report, error) {
 		if n < 50 {
 			n = 50
 		}
-		m := MeasureRate(k.DB, k.G, Q4, nil, rate, n)
+		m := MeasureRate(k.DB, k.G, Q4Footprint, nil, rate, n)
 		perQuery := float64(m.VerticesRead) / float64(m.Queries-m.Errors+1)
 		readsPerSec := float64(m.VerticesRead) / m.Duration.Seconds()
 		r.Add(rate, fmtMS(m.Avg), fmtMS(m.P99), perQuery,
 			readsPerSec/1e6, readsPerSec/float64(spec.Machines))
 	}
 	r.Note("paper: 24,312 vertices/query avg, 33ms at 1000 qps, 365M vertex reads/s (1.49M/s/machine) at 15,000 qps")
+	r.Note(footprintNote)
 	return r, nil
 }
 
@@ -260,7 +264,7 @@ func Locality(spec Spec) (*Report, error) {
 		return nil, err
 	}
 	defer k.DB.Close()
-	warm(k.DB, k.G, Q1)
+	warm(k.DB, k.G, Q1Footprint)
 	r := &Report{
 		ID:     "locality",
 		Title:  "Q1 object reads and locality: query shipping vs coordinator-side RDMA",
@@ -287,13 +291,14 @@ func Locality(spec Spec) (*Report, error) {
 		r.Add(ship, objects, remote, localPct, rpcs, latency)
 		return nil
 	}
-	if err := run(Q1, 1); err != nil {
+	if err := run(Q1Footprint, 1); err != nil {
 		return nil, err
 	}
-	if err := run(`{"_hints": {"no_shipping": true}, `+Q1[1:], 0); err != nil {
+	if err := run(`{"_hints": {"no_shipping": true}, `+Q1Footprint[1:], 0); err != nil {
 		return nil, err
 	}
 	r.Note("paper: 3443 objects read, 163 remote (>95%% local) with shipping; vertices are placed randomly so ~99%% of neighbors are remote without it")
+	r.Note(footprintNote)
 	return r, nil
 }
 
@@ -311,7 +316,7 @@ func BaselineCompare(spec Spec) (*Report, error) {
 		return nil, err
 	}
 	defer k.DB.Close()
-	warm(k.DB, k.G, Q1)
+	warm(k.DB, k.G, Q1Footprint)
 
 	// Load the same graph into the two-tier cache and time the equivalent
 	// client-side traversal.
@@ -333,7 +338,7 @@ func BaselineCompare(spec Spec) (*Report, error) {
 	k.DB.Run(func(c *a1.Ctx) {
 		for i := 0; i < trials; i++ {
 			t0 := c.Now()
-			res, err := k.DB.Query(c, k.G, Q1)
+			res, err := k.DB.Query(c, k.G, Q1Footprint)
 			if err != nil {
 				runErr = err
 				return
@@ -367,6 +372,7 @@ func BaselineCompare(spec Spec) (*Report, error) {
 	r.Add(1, fmtMS(a1Avg), float64(a1Count))
 	r.Add(0, fmtMS(ttAvg), float64(ttCount))
 	r.Note("speedup: %.1fx (paper: 3.6x average for the knowledge serving system); cache records loaded: %d", float64(ttAvg)/float64(a1Avg), loadN)
+	r.Note(footprintNote + "; the two-tier client fetches its terminal entities too")
 	return r, nil
 }
 
@@ -567,18 +573,19 @@ func Ablations(spec Spec) ([]*Report, error) {
 		Title:  "query shipping vs coordinator-side RDMA pulls under load (Q1)",
 		Header: []string{"shipping", "qps", "avg_ms", "p99_ms"},
 	}
-	warm(k.DB, k.G, Q1)
+	warm(k.DB, k.G, Q1Footprint)
 	for _, rate := range shipSpec.Rates {
-		m := MeasureRate(k.DB, k.G, Q1, nil, rate, shipSpec.QueriesPerPt/2)
+		m := MeasureRate(k.DB, k.G, Q1Footprint, nil, rate, shipSpec.QueriesPerPt/2)
 		ship.Add(1, rate, fmtMS(m.Avg), fmtMS(m.P99))
 	}
-	noShipDoc := `{"_hints": {"no_shipping": true}, ` + Q1[1:]
+	noShipDoc := `{"_hints": {"no_shipping": true}, ` + Q1Footprint[1:]
 	for _, rate := range shipSpec.Rates {
 		m := MeasureRate(k.DB, k.G, noShipDoc, nil, rate, shipSpec.QueriesPerPt/2)
 		ship.Add(0, rate, fmtMS(m.Avg), fmtMS(m.P99))
 	}
 	k.DB.Close()
 	ship.Note("shipping batches operators per machine; pulls pay one RDMA round trip per remote object")
+	ship.Note(footprintNote)
 	out = append(out, ship)
 
 	// 3. Random vs coordinator-local placement.
@@ -617,7 +624,7 @@ func Ablations(spec Spec) ([]*Report, error) {
 		}
 		var lat, objects float64
 		db.Run(func(c *a1.Ctx) {
-			res, err := db.QueryAt(c, g, Q1)
+			res, err := db.QueryAt(c, g, Q1Footprint)
 			if err != nil {
 				benchErr = err
 				return
@@ -636,6 +643,7 @@ func Ablations(spec Spec) ([]*Report, error) {
 		place.Add(flag, lat, objects)
 	}
 	place.Note("random placement + shipping keeps work spread while staying >90%% local; paper §3.2 chose it over offline partitioning")
+	place.Note(footprintNote)
 	out = append(out, place)
 	return out, nil
 }

@@ -96,6 +96,63 @@ func TestUnmarshalStructDropsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestUnmarshalStructFields: the projected decode returns exactly the
+// requested known fields, walks past everything else — including composite
+// and unknown fields — and rejects what the full decode rejects.
+func TestUnmarshalStructFields(t *testing.T) {
+	nested := Struct(FV(0, Int32(1)), FV(4, List(String("x"), String("y"))))
+	v := Struct(
+		FV(0, String("tom")),
+		FV(1, String("usa")),
+		FV(2, Date(7)),
+		FV(7, Map(MapEntry{String("k"), nested})), // from a newer schema
+	)
+	data := Marshal(v)
+	got, err := UnmarshalStructFields(actorSchema, data, []uint16{1, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(Struct(FV(1, String("usa")))) {
+		t.Errorf("projected = %v, want only origin", got)
+	}
+	if got, err = UnmarshalStructFields(actorSchema, data, nil); err != nil || len(got.FieldValues()) != 0 {
+		t.Errorf("empty projection = %v, %v", got, err)
+	}
+	// A requested required field must be present; an unrequested one is
+	// not the projection's business.
+	anon := Marshal(Struct(FV(1, String("usa"))))
+	if _, err := UnmarshalStructFields(actorSchema, anon, []uint16{0, 1}); err == nil {
+		t.Error("missing required field accepted when requested")
+	}
+	if _, err := UnmarshalStructFields(actorSchema, anon, []uint16{1}); err != nil {
+		t.Errorf("unrequested required field: %v", err)
+	}
+	if _, err := UnmarshalStructFields(actorSchema, Marshal(Struct(FV(1, Int32(3)))), []uint16{1}); err == nil {
+		t.Error("mistyped requested field accepted")
+	}
+	// Malformed bytes inside a field the projection skips still fail.
+	for i, bad := range [][]byte{
+		{99},                       // unknown kind
+		{byte(KindInt64)},          // truncated varint
+		{byte(KindString), 200, 1}, // length > input
+		{byte(KindStruct), 2, 5, byte(KindBool), 1, 3, byte(KindBool), 1}, // ids descending
+		{byte(KindMap), 1, byte(KindBool), 1},                             // entry without a value
+	} {
+		data := append([]byte{byte(KindStruct), 1, 1}, bad...)
+		_, fullErr := UnmarshalStruct(actorSchema, data)
+		_, projErr := UnmarshalStructFields(actorSchema, data, []uint16{0})
+		if fullErr == nil || projErr == nil {
+			t.Errorf("case %d: full err %v, projected err %v", i, fullErr, projErr)
+		}
+	}
+	if _, err := UnmarshalStructFields(actorSchema, append(data, 0xAA), nil); err == nil {
+		t.Error("trailing bytes accepted")
+	}
+	if _, err := UnmarshalStructFields(actorSchema, Marshal(Int32(5)), nil); err == nil {
+		t.Error("non-struct payload accepted")
+	}
+}
+
 func TestMarshalStructValidates(t *testing.T) {
 	if _, err := MarshalStruct(actorSchema, Struct(FV(1, String("no name")))); err == nil {
 		t.Error("MarshalStruct accepted invalid value")

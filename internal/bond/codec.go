@@ -135,6 +135,150 @@ func UnmarshalStruct(s *Schema, data []byte) (Value, error) {
 	return v, nil
 }
 
+// UnmarshalStructFields is the projected UnmarshalStruct: it decodes only
+// the top-level fields whose ids appear in ids (strictly ascending) and
+// walks past every other field without building its value, so a reader
+// that consumes one attribute does not pay for the rest of the payload.
+// The result equals UnmarshalStruct's restricted to ids. The whole
+// encoding is still walked, so malformed or truncated input fails exactly
+// where the full decode fails; schema validation covers the decoded fields
+// only (stored payloads were validated whole when written).
+func UnmarshalStructFields(s *Schema, data []byte, ids []uint16) (Value, error) {
+	if len(data) == 0 {
+		return Null, errTruncated
+	}
+	if Kind(data[0]) != KindStruct {
+		v, err := Unmarshal(data)
+		if err != nil {
+			return Null, err
+		}
+		return Null, fmt.Errorf("bond: schema %q: decoded %v, want struct", s.Name, v.Kind())
+	}
+	n, rest, err := readUvarint(data[1:])
+	if err != nil {
+		return Null, err
+	}
+	if n > maxDecodeLen {
+		return Null, errTruncated
+	}
+	fields := make([]FieldValue, 0, len(ids))
+	want := ids
+	prev := -1
+	for i := uint64(0); i < n; i++ {
+		var id uint64
+		id, rest, err = readUvarint(rest)
+		if err != nil {
+			return Null, err
+		}
+		if id > math.MaxUint16 || int(id) <= prev {
+			return Null, fmt.Errorf("bond: struct field ids not strictly ascending")
+		}
+		prev = int(id)
+		for len(want) > 0 && uint64(want[0]) < id {
+			want = want[1:]
+		}
+		f, known := Field{}, false
+		if len(want) > 0 && uint64(want[0]) == id {
+			f, known = s.FieldByID(uint16(id))
+		}
+		if !known {
+			if rest, err = skipValue(rest); err != nil {
+				return Null, err
+			}
+			continue
+		}
+		var fv Value
+		if fv, rest, err = decodeValue(rest); err != nil {
+			return Null, err
+		}
+		if err := checkType(f.Type, fv); err != nil {
+			return Null, fmt.Errorf("bond: schema %q field %q: %w", s.Name, f.Name, err)
+		}
+		fields = append(fields, FieldValue{ID: uint16(id), Value: fv})
+	}
+	if len(rest) != 0 {
+		return Null, fmt.Errorf("bond: %d trailing bytes", len(rest))
+	}
+	v := Value{kind: KindStruct, fields: fields}
+	for _, id := range ids {
+		if f, ok := s.FieldByID(id); ok && f.Required {
+			if fv, ok := v.Field(id); !ok || fv.IsZero() {
+				return Null, fmt.Errorf("bond: schema %q: required field %q missing or null", s.Name, f.Name)
+			}
+		}
+	}
+	return v, nil
+}
+
+// skipValue walks past one encoded value with decodeValue's structural
+// checks and none of its allocations.
+func skipValue(b []byte) ([]byte, error) {
+	if len(b) == 0 {
+		return nil, errTruncated
+	}
+	kind := Kind(b[0])
+	b = b[1:]
+	fixed := 0
+	switch kind {
+	case KindNone:
+		return b, nil
+	case KindBool:
+		fixed = 1
+	case KindFloat:
+		fixed = 4
+	case KindDouble:
+		fixed = 8
+	case KindInt32, KindInt64, KindDate, KindUInt64, KindString, KindBlob, KindList, KindMap, KindStruct:
+	default:
+		return nil, fmt.Errorf("bond: unknown kind byte %d", kind)
+	}
+	if fixed > 0 {
+		if len(b) < fixed {
+			return nil, errTruncated
+		}
+		return b[fixed:], nil
+	}
+	n, rest, err := readUvarint(b)
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
+	case KindInt32, KindInt64, KindDate, KindUInt64:
+		return rest, nil
+	case KindString, KindBlob:
+		if n > maxDecodeLen || uint64(len(rest)) < n {
+			return nil, errTruncated
+		}
+		return rest[n:], nil
+	}
+	// Containers: n elements, map entries or ⟨id, value⟩ fields.
+	if n > maxDecodeLen {
+		return nil, errTruncated
+	}
+	prev := -1
+	for i := uint64(0); i < n; i++ {
+		switch kind {
+		case KindMap:
+			if rest, err = skipValue(rest); err != nil {
+				return nil, err
+			}
+		case KindStruct:
+			var id uint64
+			if id, rest, err = readUvarint(rest); err != nil {
+				return nil, err
+			}
+			if id > math.MaxUint16 || int(id) <= prev {
+				return nil, fmt.Errorf("bond: struct field ids not strictly ascending")
+			}
+			prev = int(id)
+		}
+		if rest, err = skipValue(rest); err != nil {
+			return nil, err
+		}
+	}
+	return rest, nil
+}
+
 func appendUvarint(b []byte, u uint64) []byte {
 	return binary.AppendUvarint(b, u)
 }

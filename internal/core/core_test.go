@@ -687,3 +687,121 @@ func TestSnapshotTraversalDuringUpdates(t *testing.T) {
 		t.Errorf("snapshot enumeration saw %d edges, want 5", count)
 	}
 }
+
+// TestVisitVertices: the batched visitor reads what it is asked for and no
+// more — one header per vertex, the data object only under a projection,
+// each inline edge list once per visit however often it is enumerated —
+// across mixed types, a spilled list, and a vertex deleted under the batch.
+func TestVisitVertices(t *testing.T) {
+	s, g, c := testGraph(t, 3)
+	hanks := mustCreateVertex(t, g, c, "actor", actorVal("tom.hanks", "usa"))
+	ryan := mustCreateVertex(t, g, c, "film", filmVal("saving.private.ryan", "war"))
+	gump := mustCreateVertex(t, g, c, "film", filmVal("forrest.gump", "drama"))
+	gone := mustCreateVertex(t, g, c, "actor", actorVal("nobody", "nowhere"))
+	mustCreateEdge(t, g, c, ryan, "film.actor", hanks, bond.Null)
+	mustCreateEdge(t, g, c, gump, "film.actor", hanks, bond.Null)
+	mustCreateEdge(t, g, c, hanks, "acted", ryan, bond.Struct(bond.FV(0, bond.String("miller"))))
+	if err := farm.RunTransaction(c, s.Farm(), func(tx *farm.Tx) error { return g.DeleteVertex(tx, gone) }); err != nil {
+		t.Fatal(err)
+	}
+	batch := []VertexPtr{hanks, gone, ryan, gump}
+
+	visit := func(proj Projection, fn func(v *VertexVisit) (bool, error)) int64 {
+		t.Helper()
+		var ops fabric.OpStats
+		tx := s.Farm().CreateReadTransaction(c.WithStats(&ops))
+		if err := g.VisitVertices(tx, batch, proj, fn); err != nil {
+			t.Fatal(err)
+		}
+		return ops.TotalReads()
+	}
+
+	// Header only: type and degrees, no data, one read per live vertex.
+	var seen []int
+	reads := visit(Projection{}, func(v *VertexVisit) (bool, error) {
+		seen = append(seen, v.Index)
+		if !v.Data.IsNull() {
+			t.Errorf("vertex %d: data %v under an empty projection", v.Index, v.Data)
+		}
+		if v.Index == 0 && (v.TypeName != "actor" || v.InCount != 2 || v.OutCount != 1) {
+			t.Errorf("hanks: type %q in %d out %d", v.TypeName, v.InCount, v.OutCount)
+		}
+		return true, nil
+	})
+	if fmt.Sprint(seen) != "[0 2 3]" || reads != 4 { // the deleted vertex costs its header read too
+		t.Errorf("header-only: visited %v with %d reads, want [0 2 3] with 4", seen, reads)
+	}
+
+	// A projection decodes exactly its fields, resolved per vertex type.
+	reads = visit(Projection{Fields: []string{"genre", "origin"}}, func(v *VertexVisit) (bool, error) {
+		want := bond.Struct(bond.FV(1, bond.String(map[int]string{0: "usa", 2: "war", 3: "drama"}[v.Index])))
+		if !v.Data.Equal(want) {
+			t.Errorf("vertex %d: projected %v, want %v", v.Index, v.Data, want)
+		}
+		if _, ok := v.PK(); ok {
+			t.Errorf("vertex %d: primary key decoded though not projected", v.Index)
+		}
+		return true, nil
+	})
+	if reads != 7 {
+		t.Errorf("projected: %d reads, want 7 (4 headers + 3 data objects)", reads)
+	}
+	visit(Projection{All: true}, func(v *VertexVisit) (bool, error) {
+		if pk, ok := v.PK(); !ok || (v.Index == 0 && pk.AsString() != "tom.hanks") {
+			t.Errorf("vertex %d: pk %v %v", v.Index, pk, ok)
+		}
+		return v.Index < 2, nil // stop before the last vertex is read
+	})
+
+	// Edges come off the visit's own header; a list is read once per visit.
+	reads = visit(Projection{}, func(v *VertexVisit) (bool, error) {
+		if v.Index != 0 {
+			return true, nil
+		}
+		for _, etype := range []string{"film.actor", "", "film.actor"} {
+			n := 0
+			if err := v.Edges(DirIn, etype, func(HalfEdge) bool { n++; return true }); err != nil {
+				return false, err
+			}
+			if n != 2 {
+				t.Errorf("hanks in-edges (%q) = %d, want 2", etype, n)
+			}
+		}
+		n := 0
+		err := v.Edges(DirOut, "acted", func(he HalfEdge) bool {
+			n++
+			if he.Other != ryan || he.Data.IsNil() {
+				t.Errorf("acted edge = %+v", he)
+			}
+			return true
+		})
+		if n != 1 {
+			t.Errorf("hanks acted edges = %d, want 1", n)
+		}
+		return true, err
+	})
+	if reads != 6 {
+		t.Errorf("edges: %d reads, want 6 (4 headers + hanks's two lists)", reads)
+	}
+	if err := g.VisitVertices(s.Farm().CreateReadTransaction(c), batch[:1], Projection{}, func(v *VertexVisit) (bool, error) {
+		return true, v.Edges(DirOut, "no.such.edge", func(HalfEdge) bool { return true })
+	}); !errors.Is(err, ErrNoSuchType) {
+		t.Errorf("unknown edge type: err = %v", err)
+	}
+
+	// A spilled list enumerates through the same call.
+	for i := 0; i < 20; i++ {
+		a := mustCreateVertex(t, g, c, "actor", actorVal(fmt.Sprintf("extra.%02d", i), "usa"))
+		mustCreateEdge(t, g, c, ryan, "film.actor", a, bond.Null)
+	}
+	cast := 0
+	visit(Projection{}, func(v *VertexVisit) (bool, error) {
+		if v.Index != 2 {
+			return true, nil
+		}
+		return true, v.Edges(DirOut, "film.actor", func(HalfEdge) bool { cast++; return true })
+	})
+	if cast != 21 {
+		t.Errorf("spilled cast list = %d edges, want 21", cast)
+	}
+}

@@ -118,61 +118,56 @@ func (h *vertexHdr) setListRef(dir Direction, list farm.Ptr, count uint32, spill
 	}
 }
 
-// enumerateHalfEdges walks one direction of a vertex's edge list,
-// optionally filtered by edge type id (0 = all; type ids start at 1).
+// enumerateHalfEdges walks one direction of a vertex's edge list through
+// tracked transactional reads (the write paths' form; readers go through
+// VertexVisit.Edges), optionally filtered by edge type id (0 = all; type
+// ids start at 1).
 func (g *Graph) enumerateHalfEdges(tx *farm.Tx, gm *graphMeta, vp VertexPtr, hdr *vertexHdr, dir Direction, etypeFilter uint32, fn func(HalfEdge) bool) error {
-	return g.enumerateHalfEdgesWith(tx, gm, vp, hdr, dir, etypeFilter, fn, nil)
-}
-
-// enumerateHalfEdgesWith is enumerateHalfEdges with optional scratch
-// buffers: when s is non-nil the inline half-edge list is read into
-// s.data instead of a fresh tracked buffer (the list is fully decoded
-// into HalfEdge values before fn runs, so the bytes never escape).
-func (g *Graph) enumerateHalfEdgesWith(tx *farm.Tx, gm *graphMeta, vp VertexPtr, hdr *vertexHdr, dir Direction, etypeFilter uint32, fn func(HalfEdge) bool, s *readScratch) error {
 	list, count, spilled := hdr.listRef(dir)
 	if spilled {
-		tree := edgeTreeFor(g, gm, dir)
-		prefix := edgeTreePrefix(vp.Addr, etypeFilter, etypeFilter != 0)
-		return tree.Scan(tx, prefix, prefixEnd(prefix), func(k, v []byte) bool {
-			if len(k) != 20 {
-				return true
-			}
-			he := HalfEdge{
-				TypeID: binary.BigEndian.Uint32(k[8:]),
-				Other:  farm.Ptr{Addr: farm.Addr(binary.BigEndian.Uint64(k[12:])), Size: vertexHdrSize},
-				Data:   valuePtr(v),
-			}
-			return fn(he)
-		})
+		return g.scanSpilledEdges(tx, gm, vp, dir, etypeFilter, fn)
 	}
 	if count == 0 || list.IsNil() {
 		return nil
 	}
-	var data []byte
-	if s != nil {
-		d, err := tx.ReadSizedInto(list.Addr, list.Size, s.data)
-		if err != nil {
-			return err
-		}
-		s.data = d
-		data = d
-	} else {
-		buf, err := tx.Read(list)
-		if err != nil {
-			return err
-		}
-		data = buf.Data()
+	buf, err := tx.Read(list)
+	if err != nil {
+		return err
 	}
+	walkInlineEdges(buf.Data(), etypeFilter, fn)
+	return nil
+}
+
+// scanSpilledEdges enumerates a spilled edge list: a prefix scan of the
+// graph's global edge tree.
+func (g *Graph) scanSpilledEdges(tx *farm.Tx, gm *graphMeta, vp VertexPtr, dir Direction, etypeFilter uint32, fn func(HalfEdge) bool) error {
+	tree := edgeTreeFor(g, gm, dir)
+	prefix := edgeTreePrefix(vp.Addr, etypeFilter, etypeFilter != 0)
+	return tree.Scan(tx, prefix, prefixEnd(prefix), func(k, v []byte) bool {
+		if len(k) != 20 {
+			return true
+		}
+		he := HalfEdge{
+			TypeID: binary.BigEndian.Uint32(k[8:]),
+			Other:  farm.Ptr{Addr: farm.Addr(binary.BigEndian.Uint64(k[12:])), Size: vertexHdrSize},
+			Data:   valuePtr(v),
+		}
+		return fn(he)
+	})
+}
+
+// walkInlineEdges decodes an inline half-edge array entry by entry; each
+// entry is a value by the time fn sees it, so data may be scratch.
+func walkInlineEdges(data []byte, etypeFilter uint32, fn func(HalfEdge) bool) {
 	for i := 0; i+halfEdgeBytes <= len(data); i += halfEdgeBytes {
 		he := decodeHalfEdge(data[i:])
 		if etypeFilter != 0 && he.TypeID != etypeFilter {
 			continue
 		}
 		if !fn(he) {
-			return nil
+			return
 		}
 	}
-	return nil
 }
 
 // findHalfEdge locates a specific half-edge ⟨etype, other⟩.
@@ -547,34 +542,9 @@ func (g *Graph) GetEdge(tx *farm.Tx, src VertexPtr, etypeName string, dst Vertex
 // read, enumeration costs one extra read for inline lists — usually a
 // local memory access thanks to locality (§3.2).
 func (g *Graph) EnumerateEdges(tx *farm.Tx, vp VertexPtr, dir Direction, etypeName string, fn func(HalfEdge) bool) error {
-	c := tx.Ctx()
-	gm, err := g.meta(c)
-	if err != nil {
-		return err
-	}
-	var filter uint32
-	if etypeName != "" {
-		et, err := g.edgeType(c, etypeName)
-		if err != nil {
-			return err
-		}
-		filter = et.ID
-	}
-	s := readScratchPool.Get().(*readScratch)
-	defer readScratchPool.Put(s)
-	hb, err := tx.ReadSizedInto(vp.Addr, vertexHdrSize, s.hdr)
-	if err != nil {
-		if err == farm.ErrNotFound {
-			return ErrNotFound
-		}
-		return err
-	}
-	s.hdr = hb
-	hdr, err := decodeVertexHdrVal(hb)
-	if err != nil {
-		return err
-	}
-	return g.enumerateHalfEdgesWith(tx, gm, vp, &hdr, dir, filter, fn, s)
+	return g.readOne(tx, vp, Projection{}, func(v *VertexVisit) error {
+		return v.Edges(dir, etypeName, fn)
+	})
 }
 
 // EdgeCounts returns a vertex's out- and in-degree from its header alone.

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"a1/internal/bond"
 	"a1/internal/fabric"
@@ -226,96 +225,29 @@ func (g *Graph) readHeader(tx *farm.Tx, vp VertexPtr) (*farm.ObjBuf, *vertexHdr,
 	return buf, hdr, nil
 }
 
-// readScratch is the reusable buffer pair for the two reads of one
-// vertex materialization. Decoding copies everything out of the buffers
-// (bond values own their strings and blobs), so the scratch never escapes
-// and one pair serves any number of sequential reads.
-type readScratch struct {
-	hdr  []byte
-	data []byte
-}
-
-var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
-
-// readVertexWith materializes one vertex using a caller-resolved type
-// directory and scratch buffers — the batched and pooled read paths hoist
-// both out of their loops.
-func (g *Graph) readVertexWith(tx *farm.Tx, dir *typeDirectory, vp VertexPtr, s *readScratch) (*Vertex, error) {
-	hb, err := tx.ReadSizedInto(vp.Addr, vertexHdrSize, s.hdr)
-	if err != nil {
-		if err == farm.ErrNotFound {
-			return nil, ErrNotFound
-		}
-		return nil, err
-	}
-	s.hdr = hb
-	hdr, err := decodeVertexHdrVal(hb)
-	if err != nil {
-		return nil, err
-	}
-	vt, ok := dir.vByID[hdr.typeID]
-	if !ok {
-		return nil, fmt.Errorf("%w: vertex type id %d", ErrNoSuchType, hdr.typeID)
-	}
-	db, err := tx.ReadSizedInto(hdr.data.Addr, hdr.data.Size, s.data)
-	if err != nil {
-		return nil, err
-	}
-	s.data = db
-	val, err := bond.UnmarshalStruct(vt.Schema, db)
-	if err != nil {
-		return nil, err
-	}
-	return &Vertex{
-		Ptr:      vp,
-		TypeID:   hdr.typeID,
-		TypeName: vt.Name,
-		Data:     val,
-		OutCount: int(hdr.outCount),
-		InCount:  int(hdr.inCount),
-	}, nil
-}
-
 // ReadVertex materializes a vertex: header read plus data read — the two
 // consecutive RDMA reads of §3.2.
 func (g *Graph) ReadVertex(tx *farm.Tx, vp VertexPtr) (*Vertex, error) {
-	dir, err := g.types(tx.Ctx())
-	if err != nil {
-		return nil, err
-	}
-	s := readScratchPool.Get().(*readScratch)
-	defer readScratchPool.Put(s)
-	return g.readVertexWith(tx, dir, vp, s)
+	var out *Vertex
+	err := g.readOne(tx, vp, Projection{All: true}, func(v *VertexVisit) error {
+		out = v.vertex()
+		return nil
+	})
+	return out, err
 }
 
-// ReadVertices materializes a batch of vertices in one call: the type
-// directory is resolved once and the scratch buffers are reused across
-// the whole batch, so the per-vertex cost is the two object reads plus
-// the value decode. The result is parallel to vps; a vertex that has
+// ReadVertices materializes a batch of vertices whole through the batched
+// visitor (visit.go). The result is parallel to vps; a vertex that has
 // vanished since its pointer was collected (concurrent delete) yields a
-// nil slot rather than failing the batch. Reads are sequential within
-// the transaction — the fabric-level win comes from the caller shipping
-// the batch to the owner first (execLevel's contract).
+// nil slot rather than failing the batch.
 func (g *Graph) ReadVertices(tx *farm.Tx, vps []VertexPtr) ([]*Vertex, error) {
 	out := make([]*Vertex, len(vps))
-	if len(vps) == 0 {
-		return out, nil
-	}
-	dir, err := g.types(tx.Ctx())
+	err := g.VisitVertices(tx, vps, Projection{All: true}, func(v *VertexVisit) (bool, error) {
+		out[v.Index] = v.vertex()
+		return true, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	s := readScratchPool.Get().(*readScratch)
-	defer readScratchPool.Put(s)
-	for i, vp := range vps {
-		v, err := g.readVertexWith(tx, dir, vp, s)
-		if err == ErrNotFound {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
 	}
 	return out, nil
 }
@@ -580,19 +512,14 @@ func (g *Graph) freeEdgeData(tx *farm.Tx, p farm.Ptr, seen map[farm.Addr]bool) e
 
 // VertexPK returns a vertex's ⟨type name, primary key⟩ identity.
 func (g *Graph) VertexPK(tx *farm.Tx, vp VertexPtr) (string, bond.Value, error) {
-	dir, err := g.types(tx.Ctx())
-	if err != nil {
-		return "", bond.Null, err
-	}
-	s := readScratchPool.Get().(*readScratch)
-	defer readScratchPool.Put(s)
-	v, err := g.readVertexWith(tx, dir, vp, s)
-	if err != nil {
-		return "", bond.Null, err
-	}
-	vt := dir.vByID[v.TypeID]
-	pk, _ := v.Data.Field(vt.PKField)
-	return v.TypeName, pk, nil
+	var typeName string
+	var pk bond.Value
+	err := g.readOne(tx, vp, Projection{All: true}, func(v *VertexVisit) error {
+		typeName = v.TypeName
+		pk, _ = v.PK()
+		return nil
+	})
+	return typeName, pk, err
 }
 
 // ScanVerticesByType visits every vertex of a type in primary key order.

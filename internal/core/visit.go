@@ -1,0 +1,278 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+
+	"a1/internal/bond"
+	"a1/internal/farm"
+)
+
+// The batched vertex visitor: the one read path every materializing caller
+// goes through (paper §3.2: a vertex is a header object plus a data object,
+// and its edge lists hang off the header). A visit reads each header
+// exactly once, reads and decodes the data object only when the caller's
+// projection names fields, and enumerates half-edges off that same header
+// — so a reader pays for the FaRM objects it consumes and nothing else.
+// The type directory is resolved once per batch; the graph meta (needed
+// for spilled edge lists) and the edge type on the batch's first
+// enumeration.
+
+// Projection names what a visit decodes of each vertex's data object. The
+// zero Projection decodes nothing: the visit costs the header read alone.
+type Projection struct {
+	// All decodes every field of the vertex type's schema.
+	All bool
+	// Fields lists top-level field names to decode; every other field is
+	// skipped without being built. Names a vertex's type lacks are ignored.
+	Fields []string
+}
+
+func (p Projection) empty() bool { return !p.All && len(p.Fields) == 0 }
+
+// VertexVisit is one vertex as the visitor presents it. It is valid only
+// during the callback it is handed to.
+type VertexVisit struct {
+	Index    int // position in the visited batch
+	Ptr      VertexPtr
+	TypeID   uint32
+	TypeName string
+	Schema   *bond.Schema
+	// Data holds the projected fields of the data object; Null when the
+	// projection was empty and the data object was never read.
+	Data     bond.Value
+	OutCount int
+	InCount  int
+
+	vs       *visitState
+	vt       *vertexTypeMeta
+	hdr      vertexHdr
+	listRead [2]bool // inline list of that direction is in vs.lists
+}
+
+// visitState is the batch-scoped half of a visit: resolved metadata and
+// the scratch buffers every vertex of the batch decodes out of. Decoding
+// copies everything out of the buffers (bond values own their strings and
+// blobs, half-edges are values), so the scratch never escapes.
+type visitState struct {
+	g     *Graph
+	tx    *farm.Tx
+	types *typeDirectory
+	gm    *graphMeta // resolved on the batch's first edge enumeration
+
+	hdr, data []byte
+	lists     [2][]byte   // inline half-edge lists of the current vertex, per direction
+	cur       VertexVisit // the visit handed to the callback (pooled with the state)
+
+	// One-entry caches: batches are overwhelmingly single-type and
+	// enumerate a single edge label.
+	projType  *vertexTypeMeta
+	projIDs   []uint16
+	edgeName  string
+	edgeID    uint32
+	edgeKnown bool
+}
+
+var visitStatePool = sync.Pool{New: func() any { return new(visitState) }}
+
+func (g *Graph) newVisitState(tx *farm.Tx) (*visitState, error) {
+	types, err := g.types(tx.Ctx())
+	if err != nil {
+		return nil, err
+	}
+	vs := visitStatePool.Get().(*visitState)
+	vs.g, vs.tx, vs.types = g, tx, types
+	return vs, nil
+}
+
+// release returns the state to the pool, keeping only the scratch buffers.
+func (vs *visitState) release() {
+	*vs = visitState{hdr: vs.hdr, data: vs.data, lists: vs.lists, projIDs: vs.projIDs[:0]}
+	visitStatePool.Put(vs)
+}
+
+// read fills v from vp's header and, for a non-empty projection, its data
+// object. ok=false means the vertex no longer exists at the snapshot.
+func (vs *visitState) read(vp VertexPtr, proj Projection, v *VertexVisit) (ok bool, err error) {
+	hb, err := vs.tx.ReadSizedInto(vp.Addr, vertexHdrSize, vs.hdr)
+	if err != nil {
+		if err == farm.ErrNotFound {
+			return false, nil
+		}
+		return false, err
+	}
+	vs.hdr = hb
+	hdr, err := decodeVertexHdrVal(hb)
+	if err != nil {
+		return false, err
+	}
+	vt, found := vs.types.vByID[hdr.typeID]
+	if !found {
+		return false, fmt.Errorf("%w: vertex type id %d", ErrNoSuchType, hdr.typeID)
+	}
+	*v = VertexVisit{
+		Ptr:      vp,
+		TypeID:   hdr.typeID,
+		TypeName: vt.Name,
+		Schema:   vt.Schema,
+		OutCount: int(hdr.outCount),
+		InCount:  int(hdr.inCount),
+		vs:       vs,
+		vt:       vt,
+		hdr:      hdr,
+	}
+	if proj.empty() {
+		return true, nil
+	}
+	db, err := vs.tx.ReadSizedInto(hdr.data.Addr, hdr.data.Size, vs.data)
+	if err != nil {
+		return false, err
+	}
+	vs.data = db
+	if proj.All {
+		v.Data, err = bond.UnmarshalStruct(vt.Schema, db)
+	} else {
+		v.Data, err = bond.UnmarshalStructFields(vt.Schema, db, vs.fieldIDs(vt, proj.Fields))
+	}
+	return err == nil, err
+}
+
+// fieldIDs resolves a projection's names against a vertex type, ascending.
+func (vs *visitState) fieldIDs(vt *vertexTypeMeta, names []string) []uint16 {
+	if vs.projType == vt {
+		return vs.projIDs
+	}
+	ids := vs.projIDs[:0]
+	for _, name := range names {
+		f, ok := vt.Schema.FieldByName(name)
+		if !ok {
+			continue
+		}
+		// Insertion sort: projections name a handful of fields.
+		i := len(ids)
+		ids = append(ids, f.ID)
+		for ; i > 0 && ids[i-1] > f.ID; i-- {
+			ids[i], ids[i-1] = ids[i-1], ids[i]
+		}
+	}
+	vs.projType, vs.projIDs = vt, ids
+	return ids
+}
+
+// edgeTypeID resolves an edge label to its filter id (0 = all types).
+func (vs *visitState) edgeTypeID(name string) (uint32, error) {
+	if name == "" {
+		return 0, nil
+	}
+	if vs.edgeKnown && vs.edgeName == name {
+		return vs.edgeID, nil
+	}
+	et, ok := vs.types.eByName[name]
+	if !ok {
+		// Possibly newer than the cached directory: the authoritative read.
+		var err error
+		if et, err = vs.g.edgeType(vs.tx.Ctx(), name); err != nil {
+			return 0, err
+		}
+	}
+	vs.edgeName, vs.edgeID, vs.edgeKnown = name, et.ID, true
+	return et.ID, nil
+}
+
+// PK returns the vertex's primary key when the projection decoded it.
+func (v *VertexVisit) PK() (bond.Value, bool) { return v.Data.Field(v.vt.PKField) }
+
+// Edges enumerates the vertex's half-edges in one direction off the header
+// the visit already read, optionally filtered by edge type name ("" = all
+// types). An inline list costs one more read — usually local, thanks to
+// locality (§3.2) — and is read at most once per direction per visit, so
+// several enumerations of one vertex (a star `_match`) share it.
+func (v *VertexVisit) Edges(dir Direction, etypeName string, fn func(HalfEdge) bool) error {
+	vs := v.vs
+	filter, err := vs.edgeTypeID(etypeName)
+	if err != nil {
+		return err
+	}
+	if vs.gm == nil {
+		if vs.gm, err = vs.g.meta(vs.tx.Ctx()); err != nil {
+			return err
+		}
+	}
+	list, count, spilled := v.hdr.listRef(dir)
+	if spilled {
+		return vs.g.scanSpilledEdges(vs.tx, vs.gm, v.Ptr, dir, filter, fn)
+	}
+	if count == 0 || list.IsNil() {
+		return nil
+	}
+	if !v.listRead[dir] {
+		d, err := vs.tx.ReadSizedInto(list.Addr, list.Size, vs.lists[dir])
+		if err != nil {
+			return err
+		}
+		vs.lists[dir] = d
+		v.listRead[dir] = true
+	}
+	walkInlineEdges(vs.lists[dir], filter, fn)
+	return nil
+}
+
+// VisitVertices runs fn over a batch of vertices: one header read each,
+// plus the data-object read and projected decode when proj names fields;
+// fn enumerates edges through the visit. A vertex that no longer exists at
+// the transaction's snapshot is skipped. fn returning more=false ends the
+// batch before the next vertex is read. Reads are sequential within the
+// transaction — the fabric-level win comes from the caller shipping the
+// batch to the owner first.
+func (g *Graph) VisitVertices(tx *farm.Tx, vps []VertexPtr, proj Projection, fn func(v *VertexVisit) (more bool, err error)) error {
+	if len(vps) == 0 {
+		return nil
+	}
+	vs, err := g.newVisitState(tx)
+	if err != nil {
+		return err
+	}
+	defer vs.release()
+	v := &vs.cur
+	for i, vp := range vps {
+		ok, err := vs.read(vp, proj, v)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		v.Index = i
+		more, err := fn(v)
+		if err != nil || !more {
+			return err
+		}
+	}
+	return nil
+}
+
+// vertex materializes the visit as a Vertex (full-projection reads).
+func (v *VertexVisit) vertex() *Vertex {
+	return &Vertex{
+		Ptr:      v.Ptr,
+		TypeID:   v.TypeID,
+		TypeName: v.TypeName,
+		Data:     v.Data,
+		OutCount: v.OutCount,
+		InCount:  v.InCount,
+	}
+}
+
+// readOne is the single-vertex visit behind ReadVertex, VertexPK and
+// EnumerateEdges: ErrNotFound when the vertex does not exist.
+func (g *Graph) readOne(tx *farm.Tx, vp VertexPtr, proj Projection, fn func(v *VertexVisit) error) error {
+	found := false
+	err := g.VisitVertices(tx, []VertexPtr{vp}, proj, func(v *VertexVisit) (bool, error) {
+		found = true
+		return false, fn(v)
+	})
+	if err == nil && !found {
+		err = ErrNotFound
+	}
+	return err
+}

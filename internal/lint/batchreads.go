@@ -12,7 +12,7 @@ import (
 // is a potential fabric round trip, so a loop of them pays the paper's
 // remote-access gap once per ID; frontiers must instead be partitioned by
 // owner (farm.PrimaryOf) and evaluated near the data in batched RPCs, the
-// way execLevel/execBatch do.
+// way execLevel/runBatch do.
 //
 // The check is fact-driven over the module-wide call graph: a helper
 // that performs a per-ID read any number of calls below the loop body is
@@ -132,7 +132,7 @@ func runBatchReads(pass *analysis.Pass) error {
 						pass.Reportf(call.Pos(),
 							"per-ID %s inside a loop over %s: each call is a potential fabric "+
 								"round trip; partition the frontier by owner and ship a batched RPC "+
-								"(see execLevel/execBatch), or justify machine-locality",
+								"(see execLevel/runBatch), or justify machine-locality",
 							fn.Name(), types.ExprString(rs.X))
 						return true
 					}
@@ -141,7 +141,7 @@ func runBatchReads(pass *analysis.Pass) error {
 						pass.Reportf(call.Pos(),
 							"per-ID read hidden below %s inside a loop over %s (%s → %s): each "+
 								"iteration is a potential fabric round trip; partition the frontier by "+
-								"owner and ship a batched RPC (see execLevel/execBatch), or justify "+
+								"owner and ship a batched RPC (see execLevel/runBatch), or justify "+
 								"machine-locality",
 							fn.Name(), types.ExprString(rs.X), fn.Name(), f.Chain)
 					}

@@ -255,10 +255,16 @@ func (e *Engine) Run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 	return res, nil
 }
 
-// run executes a bound query in four steps: plan (zip the compiled plan
-// with this execution's patterns), open the root access path, drive the
-// levels, and cut the first page.
+// run executes a bound query at the snapshot the coordinator picks: the
+// clock's current timestamp, which all workers will read at.
 func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
+	return e.runAt(c, g, q, e.store.Farm().Clock().Current())
+}
+
+// runAt executes a bound query against snapshot ts in four steps: plan (zip
+// the compiled plan with this execution's patterns), open the root access
+// path, drive the levels, and cut the first page.
+func (e *Engine) runAt(c *fabric.Ctx, g *core.Graph, q *Query, ts uint64) (*Result, error) {
 	if len(q.ParamNames) > 0 && !q.bound {
 		return nil, paramError("unbound parameter $%s", q.ParamNames[0])
 	}
@@ -269,10 +275,8 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 		qc.Work(e.cfg.CostParse)
 	}
 
-	// The coordinator picks the snapshot timestamp all workers will read
-	// at; versions at that snapshot are pinned until the query completes.
+	// Versions at the snapshot are pinned until the query completes.
 	f := e.store.Farm()
-	ts := f.Clock().Current()
 	unpin := f.PinSnapshot(ts)
 	defer unpin()
 
@@ -307,7 +311,7 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 		}
 	}
 	ctx := f.CreateReadTransactionAt(qc, ts)
-	if err := st.resolveMatchTargets(ctx, q.Root); err != nil {
+	if err := st.resolveMatchTargets(ctx, q.Root, false); err != nil {
 		return nil, err
 	}
 
@@ -372,7 +376,7 @@ func (st *execState) driveLevels(qc *fabric.Ctx, ctx *farm.Tx, frontier []core.V
 				st.member = member
 			}
 		}
-		out, err := st.runLevel(qc, frontier, level, lp, pats)
+		out, err := st.runLevel(qc, frontier, level, pl, pats)
 		st.bufs.putAddrSet(st.member)
 		st.member = nil
 		if err != nil || lp.Terminal || lp.Recurse != nil {
@@ -393,12 +397,12 @@ func (st *execState) driveLevels(qc *fabric.Ctx, ctx *farm.Tx, frontier []core.V
 }
 
 // runLevel picks and runs one level's physical operator over its frontier.
-func (st *execState) runLevel(qc *fabric.Ctx, frontier []core.VertexPtr, level int, lp *LevelPlan, pats []*VertexPattern) (*levelOutput, error) {
-	pat := pats[level]
+func (st *execState) runLevel(qc *fabric.Ctx, frontier []core.VertexPtr, level int, pl *Plan, pats []*VertexPattern) (*levelOutput, error) {
+	lp, pat := pl.Levels[level], pats[level]
 	// Recursive frontier expansion: `_recurse` consumes the rest of the
 	// chain (host + `_vertex` terminal) in one bounded-depth BFS.
 	if lp.Recurse != nil {
-		return st.execRecurse(qc, frontier, pat, pats[level+1], level)
+		return st.execRecurse(qc, frontier, level, pl, pats)
 	}
 	// Ordered traversal terminal: when the statistics say per-machine
 	// index-order partial scans beat materializing the frontier, each owner
@@ -412,7 +416,7 @@ func (st *execState) runLevel(qc *fabric.Ctx, frontier []core.VertexPtr, level i
 		}
 		choice := st.pc.rankOrderedTraverse(pat, lp.OrderedTraverse, float64(len(eligible)))
 		if choice.use {
-			rows, served, err := st.execOrderedTraverse(qc, eligible, pat, lp.OrderedTraverse)
+			rows, served, err := st.execOrderedTraverse(qc, eligible, pat, lp)
 			if err != nil {
 				return nil, err
 			}
@@ -522,6 +526,9 @@ type execState struct {
 	hints   Hints
 	pc      *planContext                    // stats + probe the ranking costs against
 	targets map[*EdgePattern]core.VertexPtr // pre-resolved _match ids
+	// matchReads holds the read set of every `_match` subpattern vertex,
+	// filled with targets before the levels run and read-only after.
+	matchReads map[*VertexPattern]ReadSet
 
 	// chosen is the start candidate that actually served the root frontier;
 	// levels carries the per-level estimated-vs-actual accounting.
@@ -539,7 +546,7 @@ type execState struct {
 
 	// member, when non-nil, is the current level's index-membership filter:
 	// frontier vertices outside it are dropped before any read. Set by the
-	// coordinator before execLevel, read-only during it.
+	// coordinator before the level runs, read-only during it.
 	member map[farm.Addr]bool
 	// preOrdered marks rows produced by OrderedIndexScan: already in result
 	// order, no coordinator sort needed.
@@ -647,12 +654,25 @@ func memberSubset(frontier []core.VertexPtr, member map[farm.Addr]bool) []core.V
 	return out
 }
 
-// resolveMatchTargets pre-resolves `_match` subpatterns that terminate in a
-// primary-key lookup, so workers can test star-pattern membership by
-// pointer comparison instead of remote reads.
-func (st *execState) resolveMatchTargets(tx *farm.Tx, vp *VertexPattern) error {
+// resolveMatchTargets walks the pattern tree once, before any level runs:
+// `_match` subpatterns that terminate in a primary-key lookup are
+// pre-resolved so workers test star-pattern membership by pointer
+// comparison instead of remote reads, and every other subpattern vertex
+// (sub=true: vp sits inside a `_match`) gets the read set matchVertex will
+// visit it with.
+func (st *execState) resolveMatchTargets(tx *farm.Tx, vp *VertexPattern, sub bool) error {
 	if vp == nil {
 		return nil
+	}
+	if sub {
+		rs := readSetOf(vp, false)
+		if vp.ID != "" { // the key field is the type directory's to name
+			rs.Kind, rs.All = ReadFields, true
+		}
+		if st.matchReads == nil {
+			st.matchReads = map[*VertexPattern]ReadSet{}
+		}
+		st.matchReads[vp] = rs
 	}
 	for _, m := range vp.Matches {
 		if m.Vertex != nil && m.Vertex.ID != "" && m.Vertex.Edge == nil &&
@@ -666,14 +686,12 @@ func (st *execState) resolveMatchTargets(tx *farm.Tx, vp *VertexPattern) error {
 			} else {
 				st.targets[m] = core.VertexPtr{} // unresolvable: never matches
 			}
-		} else if m.Vertex != nil {
-			if err := st.resolveMatchTargets(tx, m.Vertex); err != nil {
-				return err
-			}
+		} else if err := st.resolveMatchTargets(tx, m.Vertex, true); err != nil {
+			return err
 		}
 	}
 	if vp.Edge != nil {
-		return st.resolveMatchTargets(tx, vp.Edge.Vertex)
+		return st.resolveMatchTargets(tx, vp.Edge.Vertex, sub)
 	}
 	return nil
 }
@@ -746,7 +764,7 @@ func (st *execState) execStart(qc *fabric.Ctx, tx *farm.Tx, root *VertexPattern,
 		case srcOrderedScan:
 			// Ordered index scan: result order off the index, top-K early
 			// stop.
-			rows, served, err := st.orderedScan(qc, tx, root, sp.Ordered)
+			rows, served, err := st.orderedScan(qc, tx, root, lp)
 			if err != nil {
 				return nil, rows, served, err
 			}
@@ -838,12 +856,15 @@ func (st *execState) rangeStart(tx *farm.Tx, root *VertexPattern) ([]core.Vertex
 // rows — O(limit) vertex reads instead of the type's cardinality. Range
 // predicates on the order field bound the walk itself. served=false means
 // the field has no index and the caller falls through.
-func (st *execState) orderedScan(qc *fabric.Ctx, tx *farm.Tx, pat *VertexPattern, osp *OrderedScanPlan) ([]Row, bool, error) {
+func (st *execState) orderedScan(qc *fabric.Ctx, tx *farm.Tx, pat *VertexPattern, lp *LevelPlan) ([]Row, bool, error) {
 	if pat.Limit <= 0 {
 		// Unbounded ordered scans would re-scan the type for keyless
 		// vertices; the sort-based path is no worse there.
 		return nil, false, nil
 	}
+	osp := lp.Start.Ordered
+	var bc batchCounts
+	defer st.fold(&bc)
 	g := st.graph
 	schema, err := g.VertexTypeSchema(qc, pat.Type)
 	if err != nil {
@@ -883,7 +904,7 @@ func (st *execState) orderedScan(qc *fabric.Ctx, tx *farm.Tx, pat *VertexPattern
 		if len(rows) >= target && !bytes.Equal(attrKey, lastAttr) {
 			return false
 		}
-		row, ok, err := st.buildTerminalRow(qc, tx, vp, pat)
+		row, ok, err := st.buildTerminalRow(qc, tx, vp, pat, lp.Read, &bc)
 		if err != nil {
 			innerErr = err
 			return false
@@ -929,7 +950,7 @@ func (st *execState) orderedScan(qc *fabric.Ctx, tx *farm.Tx, pat *VertexPattern
 	if needTail {
 		var tail []Row
 		err := g.ScanVerticesByType(tx, pat.Type, func(_ bond.Value, vp core.VertexPtr) bool {
-			row, ok, err := st.buildTerminalRow(qc, tx, vp, pat)
+			row, ok, err := st.buildTerminalRow(qc, tx, vp, pat, lp.Read, &bc)
 			if err != nil {
 				innerErr = err
 				return false
@@ -970,7 +991,7 @@ func (st *execState) orderedScan(qc *fabric.Ctx, tx *farm.Tx, pat *VertexPattern
 // rows beyond its top limit+skip can never enter the global top limit+skip
 // — they are dominated by that machine's own shipped rows — so the merge
 // of the shipped prefixes equals the fallback's global sort prefix.
-func (st *execState) execOrderedTraverse(qc *fabric.Ctx, frontier []core.VertexPtr, pat *VertexPattern, otp *OrderedScanPlan) ([]Row, bool, error) {
+func (st *execState) execOrderedTraverse(qc *fabric.Ctx, frontier []core.VertexPtr, pat *VertexPattern, lp *LevelPlan) ([]Row, bool, error) {
 	if pat.Limit <= 0 {
 		return nil, false, nil
 	}
@@ -979,7 +1000,7 @@ func (st *execState) execOrderedTraverse(qc *fabric.Ctx, frontier []core.VertexP
 	served := true
 	err := scatter(st, qc, frontier,
 		func(sc *fabric.Ctx, b ownerBatch) (orderedReply, error) {
-			rows, ok, err := st.orderedMemberScan(sc, b.ptrs, pat, otp, target)
+			rows, ok, err := st.orderedMemberScan(sc, b.ptrs, pat, lp.OrderedTraverse, lp.Read, target)
 			return orderedReply{rows: rows, served: ok}, err
 		},
 		func(b ownerBatch, out orderedReply) error {
@@ -1029,9 +1050,11 @@ func (r orderedReply) wire() wireSize {
 // and members the index never listed (null/missing order key) top up an
 // under-filled result in fallback order. served=false means no index
 // serves the field.
-func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, pat *VertexPattern, otp *OrderedScanPlan, target int) ([]Row, bool, error) {
+func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, pat *VertexPattern, otp *OrderedScanPlan, read ReadSet, target int) ([]Row, bool, error) {
 	e := st.engine
 	g := st.graph
+	var bc batchCounts
+	defer st.fold(&bc)
 	tx := e.store.Farm().CreateReadTransactionAt(sc, st.ts)
 	schema, err := g.VertexTypeSchema(sc, pat.Type)
 	if err != nil {
@@ -1078,7 +1101,7 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 			return false
 		}
 		seen[vp.Addr] = true
-		row, ok, err := st.buildTerminalRow(sc, tx, vp, pat)
+		row, ok, err := st.buildTerminalRow(sc, tx, vp, pat, read, &bc)
 		if err != nil {
 			innerErr = err
 			return false
@@ -1134,28 +1157,21 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 				unseen = append(unseen, vp)
 			}
 		}
-		vtxs, err := g.ReadVertices(tx, unseen)
+		var tail []Row
+		err := st.materialize(sc, tx, unseen, pat, read, &bc, func(v *core.VertexVisit, pass bool) (bool, error) {
+			if !pass {
+				return true, nil
+			}
+			row := newRow(st.bufs, v.Ptr, v.Data, pat, v.Schema)
+			if len(row.keys) > 0 && row.keys[0].ok {
+				st.bufs.releaseRow(&row) // keyed rows already came off the index
+			} else {
+				tail = append(tail, row)
+			}
+			return true, nil
+		})
 		if err != nil {
 			return nil, true, err
-		}
-		var tail []Row
-		for i, vp := range unseen {
-			if vtxs[i] == nil {
-				continue // deleted since the frontier was built
-			}
-			//lint:ignore a1/batchreads machine-local batch: the vertex payloads were batch-read by ReadVertices above; only _match subtree reads remain below this helper, owner-side on a PrimaryOf-partitioned batch
-			row, ok, err := st.buildRowFrom(sc, tx, vp, vtxs[i], pat)
-			if err != nil {
-				return nil, true, err
-			}
-			if !ok {
-				continue
-			}
-			if len(row.keys) > 0 && row.keys[0].ok {
-				st.bufs.releaseRow(&row)
-				continue // keyed rows already came off the index
-			}
-			tail = append(tail, row)
 		}
 		sortRows(tail, pat.Orders) // keyless: stable address order
 		if len(tail) > target-len(rows) {
@@ -1167,51 +1183,17 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 	return rows, true, nil
 }
 
-// buildTerminalRow reads one candidate vertex, applies the terminal
-// level's residual filters (type, predicates, _match), and materializes
-// its row with projections and sort keys.
-func (st *execState) buildTerminalRow(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr, pat *VertexPattern) (Row, bool, error) {
-	v, err := st.graph.ReadVertex(tx, vp)
-	if errors.Is(err, core.ErrNotFound) {
-		return Row{}, false, nil
-	}
-	if err != nil {
-		return Row{}, false, err
-	}
-	return st.buildRowFrom(sc, tx, vp, v, pat)
-}
-
-// buildRowFrom is buildTerminalRow for a vertex already in hand (batched
-// readers fetch payloads through ReadVertices first): residual filters,
-// then row materialization.
-func (st *execState) buildRowFrom(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr, v *core.Vertex, pat *VertexPattern) (Row, bool, error) {
-	g := st.graph
-	e := st.engine
-	sc.Work(e.cfg.CostVertexRead)
-	st.addVertexRead()
-	if pat.Type != "" && v.TypeName != pat.Type {
-		return Row{}, false, nil
-	}
-	schema, err := g.VertexTypeSchema(sc, v.TypeName)
-	if err != nil {
-		return Row{}, false, err
-	}
-	if len(pat.Preds) > 0 {
-		sc.Work(time.Duration(len(pat.Preds)) * e.cfg.CostPredEval)
-		if !evalPredicates(v.Data, pat.Preds, schema) {
-			return Row{}, false, nil
+// buildTerminalRow reads one candidate vertex with the level's read set,
+// applies the terminal level's residual filters (type, predicates, _match),
+// and materializes its row with projections and sort keys.
+func (st *execState) buildTerminalRow(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr, pat *VertexPattern, read ReadSet, bc *batchCounts) (row Row, ok bool, err error) {
+	err = st.materialize(sc, tx, []core.VertexPtr{vp}, pat, read, bc, func(v *core.VertexVisit, pass bool) (bool, error) {
+		if pass {
+			row, ok = newRow(st.bufs, vp, v.Data, pat, v.Schema), true
 		}
-	}
-	if len(pat.Matches) > 0 {
-		ok, err := st.evalMatches(sc, tx, vp, pat.Matches)
-		if err != nil {
-			return Row{}, false, err
-		}
-		if !ok {
-			return Row{}, false, nil
-		}
-	}
-	return newRow(st.bufs, vp, v.Data, pat, schema), true, nil
+		return false, nil
+	})
+	return row, ok, err
 }
 
 // newRow materializes one terminal row from a vertex's pre-shape data.
@@ -1504,13 +1486,23 @@ func scatter[T interface{ wire() wireSize }](st *execState, qc *fabric.Ctx, fron
 }
 
 // execLevel scatters the frontier and runs the level's operators near the
-// data (execBatch), merging next-hop pointers, rows and aggregate partials
-// at the coordinator.
+// data (runBatch), merging next-hop pointers, rows and aggregate partials
+// at the coordinator. A level that consumes nothing of its vertices and
+// follows no edge — a bare `_count(*)` or pointer-row terminal — has no
+// data to be near: the coordinator answers it from the deduplicated
+// frontier with no scatter, no RPC and no read. That is sound because
+// DeleteVertex removes every incident half-edge and index entry in the
+// vertex's own transaction and the query reads one pinned snapshot, so
+// every pointer the frontier holds names a vertex alive at that snapshot.
 func (st *execState) execLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *VertexPattern, lp *LevelPlan) (*levelOutput, error) {
+	op := st.opFor(pat, lp)
+	if op.pointerOnly() && op.member == nil {
+		return st.runBatch(qc, frontier, op)
+	}
 	merged := &levelOutput{}
 	err := scatter(st, qc, frontier,
 		func(sc *fabric.Ctx, b ownerBatch) (*levelOutput, error) {
-			return st.execBatch(sc, b.ptrs, pat, lp)
+			return st.runBatch(sc, b.ptrs, op)
 		},
 		func(_ ownerBatch, out *levelOutput) error {
 			merged.absorb(st, out, pat)
@@ -1537,12 +1529,52 @@ func (st *execState) execLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *V
 	return merged, nil
 }
 
-// execBatch runs one level's operators for a batch of vertices on whatever
-// machine the context lives on, inside a read-only transaction at the
-// query's snapshot timestamp.
-func (st *execState) execBatch(sc *fabric.Ctx, batch []core.VertexPtr, pat *VertexPattern, lp *LevelPlan) (*levelOutput, error) {
+// levelOp is what one owner does to each vertex of its batch: filter it
+// through pat, feed survivors to pat's terminal shaping, follow an edge out
+// of them. Plan levels, `_recurse` seeds and `_recurse` iterations are all
+// instances; runBatch is the one loop that executes them.
+type levelOp struct {
+	pat  *VertexPattern // residual filters and (emit) terminal shaping; nil: neither
+	read ReadSet        // what pat's operators consume of each vertex
+	// member, when non-nil, is the level's index-membership filter: batch
+	// vertices outside it are dropped before any read.
+	member map[farm.Addr]bool
+	emit   bool         // survivors feed pat's rows and aggregates...
+	group  bool         // ...or, with emit, its group partials
+	edge   *EdgePattern // half-edges to follow into the next frontier; nil: none
+	// through: vertices failing pat still follow edge — a `_recurse`
+	// iteration, whose terminal filters gate output only.
+	through bool
+	hops    int                // `_shortest`: the `_hops` value of emitted rows (0: no column)
+	mark    map[farm.Addr]bool // `_recurse` seed: survivors enter this visited set
+}
+
+// opFor is the op of a plan level over its pattern.
+func (st *execState) opFor(pat *VertexPattern, lp *LevelPlan) levelOp {
+	return levelOp{pat: pat, read: lp.Read, member: st.member, emit: lp.Terminal, group: lp.Group != nil, edge: pat.Edge}
+}
+
+// pointerOnly: the op consumes nothing of a vertex but its pointer.
+func (op levelOp) pointerOnly() bool { return op.read.Kind == ReadNone && op.edge == nil }
+
+// batchCounts is one batch's share of the execution counters, kept in
+// plain integers on the owner's goroutine and folded into the query's
+// stats once per batch.
+type batchCounts struct{ vertices, edges, indexFiltered int64 }
+
+func (st *execState) fold(bc *batchCounts) {
+	st.mu.Lock()
+	st.stats.VerticesRead += bc.vertices
+	st.stats.EdgesVisited += bc.edges
+	st.stats.IndexFiltered += bc.indexFiltered
+	st.mu.Unlock()
+}
+
+// runBatch runs one level op over a batch of vertices on whatever machine
+// the context lives on, inside a read-only transaction at the query's
+// snapshot timestamp.
+func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp) (*levelOutput, error) {
 	e := st.engine
-	g := st.graph
 	if e.cfg.RDMASampler != nil {
 		// Measure this batch's one-sided reads separately, then fold them
 		// back into the query's stats.
@@ -1556,30 +1588,32 @@ func (st *execState) execBatch(sc *fabric.Ctx, batch []core.VertexPtr, pat *Vert
 			}
 		}()
 	}
-	tx := e.store.Farm().CreateReadTransactionAt(sc, st.ts)
-	terminal := lp.Terminal
+	pat := op.pat
 	out := &levelOutput{}
-	grouped := terminal && lp.Group != nil
-	if grouped {
+	var bc batchCounts
+	defer st.fold(&bc)
+	buildRows := false
+	switch {
+	case op.group:
 		out.groups = make(map[string]*groupState)
-	} else if terminal && len(pat.Aggs) > 0 {
-		out.aggs = make([]aggState, len(pat.Aggs))
+	case op.emit:
+		if len(pat.Aggs) > 0 {
+			out.aggs = make([]aggState, len(pat.Aggs))
+		}
+		if buildRows = len(pat.Selects) > 0 || len(pat.Aggs) == 0; buildRows {
+			out.rows = st.bufs.getRows()
+		}
 	}
-	buildRows := terminal && !grouped && (len(pat.Selects) > 0 || len(pat.Aggs) == 0)
-	needData := terminal || len(pat.Preds) > 0 || len(pat.Selects) > 0 || pat.Type != ""
-	if !terminal {
+	if op.edge != nil {
 		out.next = st.bufs.getPtrs()
-	} else if buildRows {
-		out.rows = st.bufs.getRows()
 	}
-	// Index-membership filter (traversal-level pushdown): drop frontier
-	// vertices outside the indexed predicate's match set before any read.
+	// Traversal-level pushdown: the index-membership filter runs first.
 	work := batch
-	if st.member != nil {
+	if op.member != nil {
 		filtered := st.bufs.getPtrs()
 		for _, vp := range batch {
-			if !st.member[vp.Addr] {
-				st.addIndexFiltered()
+			if !op.member[vp.Addr] {
+				bc.indexFiltered++
 				continue
 			}
 			filtered = append(filtered, vp)
@@ -1587,134 +1621,151 @@ func (st *execState) execBatch(sc *fabric.Ctx, batch []core.VertexPtr, pat *Vert
 		work = filtered
 		defer st.bufs.putPtrs(filtered)
 	}
-	var schema *bond.Schema
+	// Unordered _limit short-circuit: once enough rows exist anywhere in
+	// the cluster, stop reading vertices.
+	full := func() bool {
+		return op.emit && st.rowTarget > 0 && st.rowsOut.Load() >= st.rowTarget
+	}
 	var gkScratch []byte
-	// Vertex payloads arrive through core.ReadVertices in bounded chunks:
-	// one type-directory resolve and one scratch buffer per chunk instead
-	// of per vertex. The chunk bound keeps the unordered-_limit
-	// short-circuit able to stop after at most readChunk extra reads.
-	const readChunk = 256
-	var vtxs []*core.Vertex
-	for i, vp := range work {
-		// Unordered _limit short-circuit: once enough rows exist anywhere
-		// in the cluster, stop reading vertices.
-		if terminal && st.rowTarget > 0 && st.rowsOut.Load() >= st.rowTarget {
+	emit := func(vp core.VertexPtr, data bond.Value, schema *bond.Schema) error {
+		if op.group {
+			gkScratch = accumGroup(out.groups, pat.GroupBy, pat.Aggs, data, schema, gkScratch)
+			// Per-worker incremental cap: a single batch's partial map must
+			// respect the working-set budget too, checked as it grows
+			// rather than after the batch.
+			if len(out.groups) > e.cfg.MaxWorkingSet {
+				return fmt.Errorf("%w: %d group partials", ErrWorkingSet, len(out.groups))
+			}
+			return nil
+		}
+		for i := range out.aggs {
+			accumAgg(&out.aggs[i], pat.Aggs[i], data, schema)
+		}
+		if !buildRows {
+			return nil
+		}
+		row := newRow(st.bufs, vp, data, pat, schema)
+		if op.hops > 0 {
+			if row.Values == nil {
+				row.Values = st.bufs.getValues(1)
+			}
+			row.Values[HopsColumn] = bond.Int64(int64(op.hops))
+		}
+		out.rows = append(out.rows, row)
+		st.rowsOut.Add(1)
+		// Ordered-limit pruning: keep this batch's working set at the top
+		// K(+skip) so large frontiers never ship large replies.
+		if st.keep > 0 && len(out.rows) >= 2*st.keep {
+			out.rows = topK(st.bufs, out.rows, pat.Orders, st.keep)
+		}
+		return nil
+	}
+	switch {
+	case !op.pointerOnly():
+		if full() {
 			break
 		}
-		var vtx *core.Vertex
-		if needData {
-			if i%readChunk == 0 {
-				end := min(i+readChunk, len(work))
-				var err error
-				vtxs, err = g.ReadVertices(tx, work[i:end])
-				if err != nil {
-					return nil, err
-				}
-			}
-			v := vtxs[i%readChunk]
-			if v == nil { // deleted since the frontier was built
-				continue
-			}
-			vtx = v
-			sc.Work(e.cfg.CostVertexRead)
-			st.addVertexRead()
-			if pat.Type != "" && v.TypeName != pat.Type {
-				continue
-			}
-			s, err := g.VertexTypeSchema(sc, v.TypeName)
-			if err != nil {
-				return nil, err
-			}
-			schema = s
-			if len(pat.Preds) > 0 {
-				sc.Work(time.Duration(len(pat.Preds)) * e.cfg.CostPredEval)
-				if !evalPredicates(v.Data, pat.Preds, schema) {
-					continue
-				}
-			}
-		} else {
-			st.addVertexRead()
-		}
-		if len(pat.Matches) > 0 {
-			//lint:ignore a1/batchreads machine-local batch: execBatch runs owner-side on a PrimaryOf-partitioned batch; match-subtree reads below this helper stay on the owner
-			ok, err := st.evalMatches(sc, tx, vp, pat.Matches)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if terminal {
-			if grouped {
-				if vtx != nil {
-					gkScratch = accumGroup(out.groups, pat.GroupBy, pat.Aggs, vtx.Data, schema, gkScratch)
-					// Per-worker incremental cap: a single batch's partial
-					// map must respect the working-set budget too, checked
-					// as it grows rather than after the batch.
-					if len(out.groups) > e.cfg.MaxWorkingSet {
-						return nil, fmt.Errorf("%w: %d group partials", ErrWorkingSet, len(out.groups))
+		tx := e.store.Farm().CreateReadTransactionAt(sc, st.ts)
+		err := st.materialize(sc, tx, work, pat, op.read, &bc, func(v *core.VertexVisit, pass bool) (bool, error) {
+			if pass {
+				if op.emit {
+					if err := emit(v.Ptr, v.Data, v.Schema); err != nil {
+						return false, err
 					}
 				}
-				continue
-			}
-			if len(pat.Aggs) > 0 && vtx != nil {
-				for i := range pat.Aggs {
-					accumAgg(&out.aggs[i], pat.Aggs[i], vtx.Data, schema)
+				if op.mark != nil {
+					op.mark[v.Ptr.Addr] = true
+					out.accepted++
 				}
 			}
-			if !buildRows {
-				continue
+			if op.edge != nil && (pass || op.through) {
+				var err error
+				if out.next, err = st.traverse(sc, tx, v, op.edge, out.next, &bc); err != nil {
+					return false, err
+				}
 			}
-			row := Row{Vertex: vp}
-			if vtx != nil {
-				row = newRow(st.bufs, vp, vtx.Data, pat, schema)
-			}
-			out.rows = append(out.rows, row)
-			st.rowsOut.Add(1)
-			// Ordered-limit pruning: keep this batch's working set at the
-			// top K(+skip) so large frontiers never ship large replies.
-			if st.keep > 0 && len(out.rows) >= 2*st.keep {
-				out.rows = topK(st.bufs, out.rows, pat.Orders, st.keep)
-			}
-			continue
-		}
-		//lint:ignore a1/batchreads machine-local batch: execBatch runs owner-side on a PrimaryOf-partitioned batch; half-edge enumeration below this helper reads owner-resident objects
-		next, err := st.traverseEdge(sc, tx, vp, pat.Edge)
+			return !full(), nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		out.next = append(out.next, next...)
-		st.bufs.putPtrs(next)
+	case buildRows:
+		// Pointer-only rows: nothing of the vertex is consumed.
+		for _, vp := range work {
+			if full() {
+				break
+			}
+			if err := emit(vp, bond.Null, nil); err != nil {
+				return nil, err
+			}
+		}
+	default:
+		// Pointer-only aggregates: a terminal that reads nothing can only
+		// hold `_count(*)` entries, and each counts the whole batch.
+		for i := range out.aggs {
+			out.aggs[i].count = int64(len(work))
+		}
 	}
-	if terminal && st.keep > 0 && len(out.rows) > st.keep {
+	if st.keep > 0 && len(out.rows) > st.keep {
 		out.rows = topK(st.bufs, out.rows, pat.Orders, st.keep)
 	}
 	return out, nil
 }
 
-// traverseEdge enumerates a vertex's half-edges matching the pattern and
-// returns the far endpoints. Edge-data predicates are applied in place.
-func (st *execState) traverseEdge(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr, ep *EdgePattern) ([]core.VertexPtr, error) {
-	e := st.engine
-	g := st.graph
-	dir := core.DirOut
-	if !ep.Out {
-		dir = core.DirIn
-	}
+// materialize is the engine's one read step: every vertex the executor
+// touches — level batches, `_recurse` seeds and iterations, ordered-scan
+// candidates, `_match` subpattern endpoints — is read here, through the
+// store's batched visitor, with exactly the read set its pattern consumes.
+// Each visited vertex is tested against pat's residual filters (type,
+// predicates, `_match`; nil pat: none) and handed to each with the
+// verdict; each returning more=false ends the batch before the next read.
+// Stats.VerticesRead counts the headers read here, and CostVertexRead is
+// charged exactly when a data object is decoded.
+func (st *execState) materialize(sc *fabric.Ctx, tx *farm.Tx, batch []core.VertexPtr, pat *VertexPattern, read ReadSet, bc *batchCounts,
+	each func(v *core.VertexVisit, pass bool) (more bool, err error)) error {
+	cfg := &st.engine.cfg
+	return st.graph.VisitVertices(tx, batch, read.projection(), func(v *core.VertexVisit) (bool, error) {
+		bc.vertices++
+		if read.Kind == ReadFields {
+			sc.Work(cfg.CostVertexRead)
+		}
+		pass := true
+		if pat != nil {
+			pass = pat.Type == "" || v.TypeName == pat.Type
+			if pass && len(pat.Preds) > 0 {
+				sc.Work(time.Duration(len(pat.Preds)) * cfg.CostPredEval)
+				pass = evalPredicates(v.Data, pat.Preds, v.Schema)
+			}
+			// `_match`: every subpattern (conjunction) must find an edge —
+			// the star patterns of Q3 (§6).
+			for i := 0; pass && i < len(pat.Matches); i++ {
+				var err error
+				if pass, err = st.evalMatchEdge(sc, tx, v, pat.Matches[i], bc); err != nil {
+					return false, err
+				}
+			}
+		}
+		return each(v, pass)
+	})
+}
+
+// traverse appends to next the far endpoints of v's half-edges matching
+// the pattern, enumerated off the header the visit already read.
+// Edge-data predicates are applied in place.
+func (st *execState) traverse(sc *fabric.Ctx, tx *farm.Tx, v *core.VertexVisit, ep *EdgePattern, next []core.VertexPtr, bc *batchCounts) ([]core.VertexPtr, error) {
+	cfg := &st.engine.cfg
 	var edgeSchema *bond.Schema
 	if len(ep.Preds) > 0 {
-		s, err := g.EdgeTypeSchema(sc, ep.Type)
+		s, err := st.graph.EdgeTypeSchema(sc, ep.Type)
 		if err != nil {
-			return nil, err
+			return next, err
 		}
 		edgeSchema = s
 	}
-	next := st.bufs.getPtrs()
 	var innerErr error
-	err := g.EnumerateEdges(tx, vp, dir, ep.Type, func(he core.HalfEdge) bool {
-		st.addEdgeVisited()
-		sc.Work(e.cfg.CostEdgeEnum)
+	err := v.Edges(edgeDir(ep), ep.Type, func(he core.HalfEdge) bool {
+		bc.edges++
+		sc.Work(cfg.CostEdgeEnum)
 		if len(ep.Preds) > 0 {
 			if he.Data.IsNil() {
 				return true
@@ -1729,7 +1780,7 @@ func (st *execState) traverseEdge(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr
 				innerErr = err
 				return false
 			}
-			sc.Work(time.Duration(len(ep.Preds)) * e.cfg.CostPredEval)
+			sc.Work(time.Duration(len(ep.Preds)) * cfg.CostPredEval)
 			if !evalPredicates(val, ep.Preds, edgeSchema) {
 				return true
 			}
@@ -1743,50 +1794,29 @@ func (st *execState) traverseEdge(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr
 	return next, err
 }
 
-// evalMatches tests every _match subpattern (conjunction) against a
-// candidate vertex — the star patterns of Q3 (§6).
-func (st *execState) evalMatches(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr, matches []*EdgePattern) (bool, error) {
-	for _, m := range matches {
-		ok, err := st.evalMatchEdge(sc, tx, vp, m)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
+func edgeDir(ep *EdgePattern) core.Direction {
+	if ep.Out {
+		return core.DirOut
 	}
-	return true, nil
+	return core.DirIn
 }
 
-func (st *execState) evalMatchEdge(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr, ep *EdgePattern) (bool, error) {
-	g := st.graph
-	dir := core.DirOut
-	if !ep.Out {
-		dir = core.DirIn
-	}
+// evalMatchEdge tests one `_match` subpattern against a visited vertex:
+// does any of its half-edges matching ep lead to a vertex matching
+// ep.Vertex? Pre-resolved targets compare by pointer.
+func (st *execState) evalMatchEdge(sc *fabric.Ctx, tx *farm.Tx, v *core.VertexVisit, ep *EdgePattern, bc *batchCounts) (bool, error) {
 	target, hasTarget := st.targets[ep]
 	matched := false
 	var innerErr error
-	err := g.EnumerateEdges(tx, vp, dir, ep.Type, func(he core.HalfEdge) bool {
-		st.addEdgeVisited()
+	err := v.Edges(edgeDir(ep), ep.Type, func(he core.HalfEdge) bool {
+		bc.edges++
 		sc.Work(st.engine.cfg.CostEdgeEnum)
 		if hasTarget {
-			if !target.IsNil() && he.Other.Addr == target.Addr {
-				matched = true
-				return false
-			}
-			return true
+			matched = !target.IsNil() && he.Other.Addr == target.Addr
+		} else {
+			matched, innerErr = st.matchVertex(sc, tx, he.Other, ep.Vertex, bc)
 		}
-		ok, err := st.matchVertex(sc, tx, he.Other, ep.Vertex)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		if ok {
-			matched = true
-			return false
-		}
-		return true
+		return !matched && innerErr == nil
 	})
 	if err == nil {
 		err = innerErr
@@ -1795,71 +1825,28 @@ func (st *execState) evalMatchEdge(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPt
 }
 
 // matchVertex recursively tests an existence subpattern against a vertex.
-func (st *execState) matchVertex(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr, pat *VertexPattern) (bool, error) {
+func (st *execState) matchVertex(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr, pat *VertexPattern, bc *batchCounts) (bool, error) {
 	if pat == nil {
 		return true, nil
 	}
-	g := st.graph
-	if pat.ID != "" || len(pat.Preds) > 0 || pat.Type != "" {
-		v, err := g.ReadVertex(tx, vp)
-		if errors.Is(err, core.ErrNotFound) {
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		sc.Work(st.engine.cfg.CostVertexRead)
-		st.addVertexRead()
-		if pat.Type != "" && v.TypeName != pat.Type {
-			return false, nil
-		}
-		schema, err := g.VertexTypeSchema(sc, v.TypeName)
-		if err != nil {
-			return false, err
-		}
-		if pat.ID != "" {
-			// The vertex is already in hand; resolve its primary key from
-			// the type directory instead of re-reading it.
-			pk, err := g.VertexPKOf(sc, v)
-			if err != nil {
-				return false, err
-			}
-			if pk.AsString() != pat.ID {
-				return false, nil
-			}
-		}
-		if !evalPredicates(v.Data, pat.Preds, schema) {
-			return false, nil
-		}
+	read := st.matchReads[pat]
+	if read.Kind == ReadNone && pat.Edge == nil {
+		return true, nil
 	}
-	if len(pat.Matches) > 0 {
-		ok, err := st.evalMatches(sc, tx, vp, pat.Matches)
-		if err != nil || !ok {
-			return false, err
+	matched := false
+	err := st.materialize(sc, tx, []core.VertexPtr{vp}, pat, read, bc, func(v *core.VertexVisit, pass bool) (bool, error) {
+		if pass && pat.ID != "" {
+			pk, _ := v.PK()
+			pass = pk.AsString() == pat.ID
 		}
-	}
-	if pat.Edge != nil {
-		return st.evalMatchEdge(sc, tx, vp, pat.Edge)
-	}
-	return true, nil
-}
-
-func (st *execState) addVertexRead() {
-	st.mu.Lock()
-	st.stats.VerticesRead++
-	st.mu.Unlock()
-}
-
-func (st *execState) addEdgeVisited() {
-	st.mu.Lock()
-	st.stats.EdgesVisited++
-	st.mu.Unlock()
-}
-
-func (st *execState) addIndexFiltered() {
-	st.mu.Lock()
-	st.stats.IndexFiltered++
-	st.mu.Unlock()
+		var err error
+		if pass && pat.Edge != nil {
+			pass, err = st.evalMatchEdge(sc, tx, v, pat.Edge, bc)
+		}
+		matched = pass
+		return false, err
+	})
+	return matched, err
 }
 
 func dedupPtrs(bufs *execBufs, ptrs []core.VertexPtr) []core.VertexPtr {

@@ -336,12 +336,12 @@ func (e *Engine) dropRun(c *fabric.Ctx, src *runSource) {
 	})
 }
 
-// buildGroupSource is the owner-side half: reduce the batch (execBatch
+// buildGroupSource is the owner-side half: reduce the batch (runBatch
 // enforces the per-machine working-set cap incrementally), sort the group
 // map into a run, ship the first chunk inline and park the tail in this
 // machine's run store under the continuation TTL.
 func (st *execState) buildGroupSource(sc *fabric.Ctx, batch []core.VertexPtr, pat *VertexPattern, lp *LevelPlan, exact bool) (*runSource, error) {
-	out, err := st.execBatch(sc, batch, pat, lp)
+	out, err := st.runBatch(sc, batch, st.opFor(pat, lp))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -114,6 +115,98 @@ type LevelPlan struct {
 	// Recurse marks a level hosting a `_recurse` frontier expansion; the
 	// next (and last) level is the recursion terminal.
 	Recurse *RecursePlan
+	// Read is what the level's operators consume of each vertex, and the
+	// only thing that decides which FaRM objects a vertex costs.
+	Read ReadSet
+}
+
+// ReadKind grades how much of a vertex a pattern's operators consume.
+type ReadKind uint8
+
+const (
+	// ReadNone: nothing — the vertex pointer answers the level.
+	ReadNone ReadKind = iota
+	// ReadHeader: the header object alone (`_type`, `_match`).
+	ReadHeader
+	// ReadFields: the header plus the named fields of the data object.
+	ReadFields
+)
+
+// ReadSet is the part of a vertex a pattern's operators consume, derived
+// from the pattern alone: `_type` and `_match` need the header (type id,
+// edge lists); predicates, `_select` paths, field aggregates and
+// `_orderby`/`_groupby` keys need their top-level fields; `_count(*)`
+// needs nothing. The executor's one materialize step reads exactly this:
+// no header for ReadNone (following an edge still reads it — the edge
+// lists hang off the header), no data object short of ReadFields, and a
+// projected decode of Fields only.
+type ReadSet struct {
+	Kind ReadKind
+	// Fields holds the consumed top-level field names, sorted and distinct.
+	Fields []string
+	// All: a "*" path (or a primary-key test, whose field only the type
+	// directory knows) consumes the whole value.
+	All bool
+}
+
+// readSetOf derives a pattern's read set. typeImplied marks the root
+// level, whose access path already proves `_type`: every root source reads
+// an index of the pattern's own type.
+func readSetOf(vp *VertexPattern, typeImplied bool) ReadSet {
+	var rs ReadSet
+	add := func(fp FieldPath) {
+		rs.Kind = ReadFields
+		if fp.Wildcard {
+			rs.All = true
+		} else {
+			rs.Fields = append(rs.Fields, fp.Field)
+		}
+	}
+	if (vp.Type != "" && !typeImplied) || len(vp.Matches) > 0 {
+		rs.Kind = ReadHeader
+	}
+	for _, p := range vp.Preds {
+		add(p.Path)
+	}
+	for _, sel := range vp.Selects {
+		add(sel)
+	}
+	for _, a := range vp.Aggs {
+		if a.Kind != AggCount {
+			add(a.Path)
+		}
+	}
+	for _, fp := range vp.GroupBy {
+		add(fp)
+	}
+	if len(vp.GroupBy) == 0 { // grouped `_orderby` keys name aggregate columns
+		for _, ob := range vp.Orders {
+			add(ob.Path)
+		}
+	}
+	slices.Sort(rs.Fields)
+	rs.Fields = slices.Compact(rs.Fields)
+	return rs
+}
+
+// projection is the read set as the store's visitor takes it.
+func (rs ReadSet) projection() core.Projection {
+	if rs.Kind != ReadFields {
+		return core.Projection{}
+	}
+	return core.Projection{All: rs.All, Fields: rs.Fields}
+}
+
+func (rs ReadSet) String() string {
+	switch {
+	case rs.Kind == ReadNone:
+		return "none"
+	case rs.Kind == ReadHeader:
+		return "header"
+	case rs.All:
+		return "fields{*}"
+	}
+	return "fields{" + strings.Join(rs.Fields, ", ") + "}"
 }
 
 // RecursePlan is the compiled form of a `_recurse` expansion. Bounds live
@@ -199,6 +292,7 @@ func compilePlan(q *Query) *Plan {
 			HasFilter: len(vp.Preds) > 0 || len(vp.Matches) > 0 || vp.Type != "",
 			Traverse:  vp.Edge != nil,
 		}
+		lp.Read = readSetOf(vp, depth == 0)
 		if vp.Recurse != nil {
 			lp.Recurse = &RecursePlan{Type: vp.Recurse.Edge.Type, Out: vp.Recurse.Edge.Out}
 		}
@@ -290,10 +384,10 @@ type PlanNode struct {
 
 // PlanTree is the structured form of Explain: one node per traversal level
 // (Op "Level", Detail the frontier-source operator), with the level's
-// operators — IndexFilter, Filter, Traverse, Recurse (and its per-iteration
-// Iter children), GroupAgg, Having, Aggregate, Shape — as children. The
-// string Explain rendering is derived from this tree, so the two forms
-// always agree.
+// operators — IndexFilter, Filter, Read (the level's read set), Traverse,
+// Recurse (and its per-iteration Iter children), GroupAgg, Having,
+// Aggregate, Shape — as children. The string Explain rendering is derived
+// from this tree, so the two forms always agree.
 type PlanTree struct {
 	Levels []*PlanNode `json:"levels"`
 }
@@ -384,6 +478,9 @@ func (pl *Plan) Tree(q *Query, pc *planContext) *PlanTree {
 				Op: "Filter", Detail: describeFilter(vp), Est: estUnknown, Act: estUnknown,
 			})
 		}
+		lv.Children = append(lv.Children, &PlanNode{
+			Op: "Read", Detail: lp.Read.String(), Est: estUnknown, Act: estUnknown,
+		})
 		switch {
 		case lp.Recurse != nil:
 			rootsEst := float64(estUnknown)

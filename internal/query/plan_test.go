@@ -579,20 +579,28 @@ func TestExplainOperatorTree(t *testing.T) {
 		want []string
 	}{
 		{`{"_type": "item", "_orderby": "-score", "_limit": 5}`,
-			[]string{"OrderedIndexScan(item.score desc, stop after 5)", "Shape(orderby -score; limit 5)"}},
+			[]string{"OrderedIndexScan(item.score desc, stop after 5)", "Shape(orderby -score; limit 5)", "Read(fields{score})"}},
 		{`{"_type": "item", "score": 3}`,
-			[]string{"IndexScan(item.score = 3)"}},
+			[]string{"IndexScan(item.score = 3)", "Read(fields{score})"}},
 		{`{"_type": "item", "bulk": 3}`,
 			[]string{"TypeScan(item)", "Filter(_type=item, bulk = 3)"}},
 		{`{"_type": "item", "score": {"_ge": 1}, "_select": ["id"]}`,
-			[]string{"IndexRangeScan(item.score)"}},
+			[]string{"IndexRangeScan(item.score)", "Read(fields{id, score})"}},
+		// The root's access path proves its `_type`: nothing left to read.
 		{`{"_type": "item", "_limit": 2}`,
-			[]string{"TypeScan(item, capped)"}},
+			[]string{"TypeScan(item, capped)", "Read(none)"}},
 		{`{"id": "hub", "_out_edge": {"_type": "link",
 		    "_vertex": {"_type": "item", "score": {"_ge": 10, "_lt": 20},
 		      "_groupby": "label", "_select": ["_count(*)"]}}}`,
 			[]string{`IDLookup(id="hub")`, "Traverse(out link)", "IndexFilter(item.score range)",
-				"GroupAgg(by label: _count(*))"}},
+				"GroupAgg(by label: _count(*))", "L0 IDLookup(id=\"hub\") est=1\n  Read(none)", "Read(fields{label, score})"}},
+		// Away from the root `_type` costs the header; `_count(*)` nothing.
+		{`{"id": "hub", "_out_edge": {"_type": "link",
+		    "_vertex": {"_type": "item", "_out_edge": {"_type": "link",
+		      "_vertex": {"_select": ["_count(*)"]}}}}}`,
+			[]string{"Read(header)\n    Traverse(out link)", "Read(none)\n      Aggregate(_count(*))"}},
+		{`{"id": "hub", "_out_edge": {"_type": "link", "_vertex": {"_select": ["*"]}}}`,
+			[]string{"Read(fields{*})"}},
 	}
 	for _, tc := range cases {
 		got, err := e.Explain(c, g, []byte(tc.doc))

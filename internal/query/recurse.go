@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"a1/internal/bond"
 	"a1/internal/core"
 	"a1/internal/fabric"
 	"a1/internal/farm"
@@ -36,6 +35,9 @@ type recurseRun struct {
 	host *VertexPattern // level hosting the `_recurse` clause
 	term *VertexPattern // the `_vertex` terminal (output filter + shaping)
 	rp   *RecursePattern
+	// What the host's filters and the terminal's operators consume of a
+	// vertex (the two levels' read sets).
+	hostRead, termRead ReadSet
 
 	// visited is the per-machine dedup state: each map is touched only by
 	// its owner's batch goroutine inside one iteration, and iterations are
@@ -69,10 +71,12 @@ type recursePager struct {
 // (ordering, aggregation, _limit/_skip) expands to completion and comes
 // back as rows and aggregate partials; an unshaped one can stream in
 // discovery order, so it comes back as a pager seeded but not yet stepped.
-func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, host, term *VertexPattern, level int) (*levelOutput, error) {
+func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, level int, pl *Plan, pats []*VertexPattern) (*levelOutput, error) {
 	e := st.engine
+	host, term := pats[level], pats[level+1]
 	rp := host.Recurse
-	rr := &recurseRun{st: st, host: host, term: term, rp: rp, k: 1, termLevel: level + 1, iterBase: -1}
+	rr := &recurseRun{st: st, host: host, term: term, rp: rp, k: 1, termLevel: level + 1, iterBase: -1,
+		hostRead: pl.Levels[level].Read, termRead: pl.Levels[level+1].Read}
 	rr.visited = make([]map[farm.Addr]bool, e.store.Farm().Fabric().Machines())
 	if n := len(st.levels); rp.Max > 0 && n >= rp.Max {
 		rr.iterBase = n - rp.Max
@@ -187,112 +191,21 @@ func (rr *recurseRun) runPhase(qc *fabric.Ctx, frontier []core.VertexPtr, k int)
 // slice of the root frontier, marks survivors visited at distance 0, and
 // enumerates their first-hop candidates.
 func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr) (*levelOutput, error) {
-	st := rr.st
-	e := st.engine
-	g := st.graph
-	tx := e.store.Farm().CreateReadTransactionAt(sc, st.ts)
-	host := rr.host
-	out := &levelOutput{next: st.bufs.getPtrs()}
-	visited := rr.visitedFor(m)
-	work := batch
-	if st.member != nil {
-		filtered := st.bufs.getPtrs()
-		for _, vp := range batch {
-			if !st.member[vp.Addr] {
-				st.addIndexFiltered()
-				continue
-			}
-			filtered = append(filtered, vp)
-		}
-		work = filtered
-		defer st.bufs.putPtrs(filtered)
-	}
-	needData := host.Type != "" || len(host.Preds) > 0
-	const readChunk = 256
-	var vtxs []*core.Vertex
-	for i, vp := range work {
-		if needData {
-			if i%readChunk == 0 {
-				end := min(i+readChunk, len(work))
-				var err error
-				vtxs, err = g.ReadVertices(tx, work[i:end])
-				if err != nil {
-					return nil, err
-				}
-			}
-			v := vtxs[i%readChunk]
-			if v == nil { // deleted since the frontier was built
-				continue
-			}
-			sc.Work(e.cfg.CostVertexRead)
-			st.addVertexRead()
-			if host.Type != "" && v.TypeName != host.Type {
-				continue
-			}
-			schema, err := g.VertexTypeSchema(sc, v.TypeName)
-			if err != nil {
-				return nil, err
-			}
-			if len(host.Preds) > 0 {
-				sc.Work(time.Duration(len(host.Preds)) * e.cfg.CostPredEval)
-				if !evalPredicates(v.Data, host.Preds, schema) {
-					continue
-				}
-			}
-		}
-		if len(host.Matches) > 0 {
-			//lint:ignore a1/batchreads machine-local batch: seedBatch runs owner-side on a PrimaryOf-partitioned batch; match-subtree reads below this helper stay on the owner
-			ok, err := st.evalMatches(sc, tx, vp, host.Matches)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if visited[vp.Addr] {
-			continue
-		}
-		visited[vp.Addr] = true
-		out.accepted++
-		//lint:ignore a1/batchreads machine-local batch: seedBatch runs owner-side on a PrimaryOf-partitioned batch; half-edge enumeration below this helper reads owner-resident objects
-		next, err := st.traverseEdge(sc, tx, vp, rr.rp.Edge)
-		if err != nil {
-			return nil, err
-		}
-		out.next = append(out.next, next...)
-		st.bufs.putPtrs(next)
-	}
-	return out, nil
+	return rr.st.runBatch(sc, batch, levelOp{
+		pat: rr.host, read: rr.hostRead, member: rr.st.member, edge: rr.rp.Edge, mark: rr.visitedFor(m),
+	})
 }
 
 // expandBatch runs iteration k for this owner's slice of the candidate
-// frontier: drop already-visited candidates before any read, batch-read
-// the survivors, emit those inside the depth window that pass the
-// terminal's output filters, and enumerate the next hop's candidates
-// while the depth bound allows.
+// frontier: drop already-visited candidates before any read, emit the
+// survivors inside the depth window that pass the terminal's output
+// filters, and enumerate the next hop's candidates while the depth bound
+// allows. The terminal's filters gate OUTPUT only: a non-matching vertex
+// still expands.
 func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr, k int) (*levelOutput, error) {
 	st := rr.st
-	e := st.engine
-	g := st.graph
-	tx := e.store.Farm().CreateReadTransactionAt(sc, st.ts)
-	rp := rr.rp
-	term := rr.term
-	expand := k < rp.Max
-	emit := k >= rp.Min
-	out := &levelOutput{}
-	if expand {
-		out.next = st.bufs.getPtrs()
-	}
-	if emit && len(term.Aggs) > 0 {
-		out.aggs = make([]aggState, len(term.Aggs))
-	}
-	buildRows := emit && (len(term.Selects) > 0 || len(term.Aggs) == 0)
-	if buildRows {
-		out.rows = st.bufs.getRows()
-	}
-	// Visited filter first, so the surviving batch read stays chunked and
-	// the dedup saving shows up as vertices never read at all.
+	// Visited filter first, so the dedup saving shows up as vertices never
+	// read at all.
 	visited := rr.visitedFor(m)
 	work := st.bufs.getPtrs()
 	for _, vp := range batch {
@@ -302,87 +215,21 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 		}
 	}
 	defer st.bufs.putPtrs(work)
+	op := levelOp{through: true}
+	if k < rr.rp.Max {
+		op.edge = rr.rp.Edge
+	}
+	if k >= rr.rp.Min {
+		op.pat, op.read, op.emit = rr.term, rr.termRead, true
+		if rr.rp.Shortest {
+			op.hops = k
+		}
+	}
+	out, err := st.runBatch(sc, work, op)
+	if err != nil {
+		return nil, err
+	}
 	out.accepted = len(work)
-	const readChunk = 256
-	var vtxs []*core.Vertex
-	var schema *bond.Schema
-	for i, vp := range work {
-		if st.rowTarget > 0 && st.rowsOut.Load() >= st.rowTarget {
-			break
-		}
-		var vtx *core.Vertex
-		if emit {
-			if i%readChunk == 0 {
-				end := min(i+readChunk, len(work))
-				var err error
-				vtxs, err = g.ReadVertices(tx, work[i:end])
-				if err != nil {
-					return nil, err
-				}
-			}
-			v := vtxs[i%readChunk]
-			if v == nil { // deleted since the frontier was built
-				continue
-			}
-			vtx = v
-			sc.Work(e.cfg.CostVertexRead)
-			st.addVertexRead()
-		}
-		if vtx != nil {
-			// Terminal filters gate OUTPUT only: a non-matching vertex
-			// still expands below.
-			rowOK := true
-			if term.Type != "" && vtx.TypeName != term.Type {
-				rowOK = false
-			}
-			if rowOK {
-				s, err := g.VertexTypeSchema(sc, vtx.TypeName)
-				if err != nil {
-					return nil, err
-				}
-				schema = s
-				if len(term.Preds) > 0 {
-					sc.Work(time.Duration(len(term.Preds)) * e.cfg.CostPredEval)
-					if !evalPredicates(vtx.Data, term.Preds, schema) {
-						rowOK = false
-					}
-				}
-			}
-			if rowOK {
-				if len(out.aggs) > 0 {
-					for ai := range term.Aggs {
-						accumAgg(&out.aggs[ai], term.Aggs[ai], vtx.Data, schema)
-					}
-				}
-				if buildRows {
-					row := newRow(st.bufs, vp, vtx.Data, term, schema)
-					if rp.Shortest {
-						if row.Values == nil {
-							row.Values = st.bufs.getValues(1)
-						}
-						row.Values[HopsColumn] = bond.Int64(int64(k))
-					}
-					out.rows = append(out.rows, row)
-					st.rowsOut.Add(1)
-					if st.keep > 0 && len(out.rows) >= 2*st.keep {
-						out.rows = topK(st.bufs, out.rows, term.Orders, st.keep)
-					}
-				}
-			}
-		}
-		if expand {
-			//lint:ignore a1/batchreads machine-local batch: expandBatch runs owner-side on a PrimaryOf-partitioned batch; half-edge enumeration below this helper reads owner-resident objects
-			next, err := st.traverseEdge(sc, tx, vp, rp.Edge)
-			if err != nil {
-				return nil, err
-			}
-			out.next = append(out.next, next...)
-			st.bufs.putPtrs(next)
-		}
-	}
-	if st.keep > 0 && len(out.rows) > st.keep {
-		out.rows = topK(st.bufs, out.rows, term.Orders, st.keep)
-	}
 	return out, nil
 }
 
