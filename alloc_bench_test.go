@@ -110,3 +110,44 @@ func BenchmarkAllocZipfGroupHaving(b *testing.B) {
 		return `{"_type": "node", "_groupby": "score", "_select": ["_count(*)", "_max(score)"], "_having": {"_max(score)": {"_lt": 400}}, "_limit": 100}`
 	})
 }
+
+// BenchmarkFilmPoint is the a1perf `point` op outside the harness, for
+// profiling (`-cpuprofile`): one ad-hoc untyped-`id` document per iteration
+// with a projection, ids cycling over the actor pool so the plan cache
+// mostly misses, against the film knowledge graph at the paper's scale
+// (a three-level primary index).
+func BenchmarkFilmPoint(b *testing.B) {
+	db, err := a1.Open(a1.Options{Machines: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(db.Close)
+	p := workload.PaperParams()
+	var g *a1.Graph
+	var loadErr error
+	db.Run(func(c *a1.Ctx) {
+		if loadErr = db.CreateTenant(c, "bing"); loadErr != nil {
+			return
+		}
+		if loadErr = db.CreateGraph(c, "bing", "kg"); loadErr != nil {
+			return
+		}
+		if g, loadErr = db.OpenGraph(c, "bing", "kg"); loadErr != nil {
+			return
+		}
+		loadErr = workload.NewFilmKG(p).Load(c, g)
+	})
+	if loadErr != nil {
+		b.Fatal(loadErr)
+	}
+	db.Run(func(c *a1.Ctx) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			doc := fmt.Sprintf(`{"id":"actor.%05d","_select":["id","name[0]","popularity"]}`, i*7919%p.ActorPool)
+			if _, err := db.Query(c, g, doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

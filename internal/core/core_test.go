@@ -805,3 +805,59 @@ func TestVisitVertices(t *testing.T) {
 		t.Errorf("spilled cast list = %d edges, want 21", cast)
 	}
 }
+
+// TestLookupVertexAnyType: the untyped lookup fans out over the cached type
+// directory (no catalog read beyond the per-type primary-index reads), and
+// re-reads the catalog once for a type newer than the cached directory.
+func TestLookupVertexAnyType(t *testing.T) {
+	s, g, c := testGraph(t, 5)
+	mustCreateVertex(t, g, c, "actor", actorVal("alice", "uk"))
+	jaws := mustCreateVertex(t, g, c, "film", filmVal("jaws", "thriller"))
+
+	c1 := s.Farm().Fabric().NewCtx(1, nil)
+	reads := func(fn func(tx *farm.Tx)) int {
+		var ops fabric.OpStats
+		fn(s.Farm().CreateReadTransaction(c1.WithStats(&ops)))
+		return int(ops.TotalReads())
+	}
+	untyped := func(tx *farm.Tx) {
+		vp, ok, err := g.LookupVertexAnyType(tx, bond.String("jaws"))
+		if err != nil || !ok || vp != jaws {
+			t.Errorf("LookupVertexAnyType(jaws) = %v, %v, %v; want %v", vp, ok, err, jaws)
+		}
+	}
+	typed := func(tx *farm.Tx) {
+		for _, typ := range []string{"actor", "film"} { // the directory's name order
+			if _, _, err := g.LookupVertex(tx, typ, bond.String("jaws")); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	reads(untyped) // warm machine 1's type directory and node caches
+	if got, want := reads(untyped), reads(typed); got != want {
+		t.Errorf("untyped lookup cost %d reads, the typed lookups it fans out to cost %d", got, want)
+	}
+
+	// A type created behind a stale directory is still found.
+	key := "bing/films"
+	s.typeDirs[1].mu.Lock()
+	stale := s.typeDirs[1].dirs[key]
+	s.typeDirs[1].mu.Unlock()
+	if stale == nil {
+		t.Fatal("machine 1 has no cached type directory after a lookup")
+	}
+	if err := g.CreateVertexType(c, "studio", filmSchema, "name"); err != nil {
+		t.Fatal(err)
+	}
+	amblin := mustCreateVertex(t, g, c, "studio", filmVal("amblin", ""))
+	s.typeDirs[1].mu.Lock()
+	s.typeDirs[1].dirs[key] = stale
+	s.typeDirs[1].mu.Unlock()
+	tx := s.Farm().CreateReadTransaction(c1)
+	if vp, ok, err := g.LookupVertexAnyType(tx, bond.String("amblin")); err != nil || !ok || vp != amblin {
+		t.Errorf("lookup behind a stale directory = %v, %v, %v; want %v", vp, ok, err, amblin)
+	}
+	if _, ok, err := g.LookupVertexAnyType(tx, bond.String("nobody")); err != nil || ok {
+		t.Errorf("unknown id = found %v, err %v", ok, err)
+	}
+}

@@ -16,6 +16,7 @@ import (
 type typeDirectory struct {
 	vByID   map[uint32]*vertexTypeMeta
 	vByName map[string]*vertexTypeMeta
+	vNames  []string // vertex type names in catalog key order, i.e. sorted
 	eByID   map[uint32]*edgeTypeMeta
 	eByName map[string]*edgeTypeMeta
 	expires time.Duration
@@ -61,6 +62,7 @@ func (s *Store) typeDirByKey(c *fabric.Ctx, cacheKey, tenant, graph string) (*ty
 		}
 		dir.vByID[m.ID] = m
 		dir.vByName[m.Name] = m
+		dir.vNames = append(dir.vNames, m.Name)
 		return true
 	})
 	if err == nil {

@@ -209,6 +209,36 @@ func (g *Graph) LookupVertex(tx *farm.Tx, typeName string, pk bond.Value) (Verte
 	return valuePtr(v), true, nil
 }
 
+// LookupVertexAnyType finds a vertex by primary key alone, trying every
+// vertex type of the graph in name order. The fan-out is served from the
+// per-machine type directory, so it costs no catalog read; only when every
+// cached type misses is the catalog re-read once, for types newer than the
+// cached directory (as vertexType does for an unknown name).
+func (g *Graph) LookupVertexAnyType(tx *farm.Tx, pk bond.Value) (VertexPtr, bool, error) {
+	dir, err := g.types(tx.Ctx())
+	if err != nil {
+		return farm.NilPtr, false, err
+	}
+	for _, name := range dir.vNames {
+		if vp, ok, err := g.LookupVertex(tx, name, pk); err != nil || ok {
+			return vp, ok, err
+		}
+	}
+	names, err := g.VertexTypeNames(tx.Ctx())
+	if err != nil {
+		return farm.NilPtr, false, err
+	}
+	for _, name := range names {
+		if _, tried := dir.vByName[name]; tried {
+			continue
+		}
+		if vp, ok, err := g.LookupVertex(tx, name, pk); err != nil || ok {
+			return vp, ok, err
+		}
+	}
+	return farm.NilPtr, false, nil
+}
+
 // readHeader fetches and decodes a vertex header.
 func (g *Graph) readHeader(tx *farm.Tx, vp VertexPtr) (*farm.ObjBuf, *vertexHdr, error) {
 	buf, err := tx.ReadSized(vp.Addr, vertexHdrSize)

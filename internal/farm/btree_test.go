@@ -13,7 +13,7 @@ import (
 	"a1/internal/fabric"
 )
 
-func newTestBTree(t *testing.T, f *Farm, c *fabric.Ctx) *BTree {
+func newTestBTree(t testing.TB, f *Farm, c *fabric.Ctx) *BTree {
 	t.Helper()
 	var bt *BTree
 	err := RunTransaction(c, f, func(tx *Tx) error {
@@ -204,28 +204,124 @@ func TestBTreeCachedLookupAfterRemoteSplits(t *testing.T) {
 	}
 }
 
+// TestBTreeQuickVsOracle interleaves Put/Delete (machine 0) with Get, Scan,
+// ScanDesc and Count (machine 1, whose inner-node cache goes stale as machine
+// 0 splits) against a sorted-map oracle: a three-level tree, values from a
+// few bytes up to btreeMaxEntry, and key ranges deleted whole so that leaves
+// sit empty between their fences.
 func TestBTreeQuickVsOracle(t *testing.T) {
 	f, c := directFarm(t, 5)
+	c1 := f.Fabric().NewCtx(1, nil)
 	bt := newTestBTree(t, f, c)
+	const keyspace = 3000
+	key := func(i int) string { return fmt.Sprintf("q%05d", i) }
 	oracle := map[string]string{}
-	cfg := &quick.Config{MaxCount: 60}
+	value := func(r *rand.Rand, k string) string {
+		n := 4 + r.Intn(120)
+		if r.Intn(25) == 0 {
+			n = btreeMaxEntry - len(k) // the largest entry Put accepts
+		}
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('a' + r.Intn(26))
+		}
+		return string(b)
+	}
+	sortedKeys := func() []string {
+		keys := make([]string, 0, len(oracle))
+		for k := range oracle {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	// check compares every read path, from machine 1, on [from, to).
+	check := func(r *rand.Rand) {
+		t.Helper()
+		rtx := f.CreateReadTransaction(c1)
+		for i := 0; i < 8; i++ {
+			k := key(r.Intn(keyspace))
+			v, ok, err := bt.Get(rtx, []byte(k))
+			if err != nil {
+				t.Fatalf("get: %v", err)
+			}
+			if want, wantOK := oracle[k]; ok != wantOK || string(v) != want {
+				t.Fatalf("Get(%q) = %q,%v; oracle %q,%v", k, v, ok, want, wantOK)
+			}
+		}
+		lo := r.Intn(keyspace)
+		from, to := []byte(key(lo)), []byte(key(lo+r.Intn(keyspace/4)))
+		if r.Intn(6) == 0 {
+			from, to = nil, nil
+		}
+		var want []string
+		for _, k := range sortedKeys() {
+			if (from == nil || k >= string(from)) && (to == nil || k < string(to)) {
+				want = append(want, k)
+			}
+		}
+		var fwd, rev []string
+		visit := func(dst *[]string) func(k, v []byte) bool {
+			return func(k, v []byte) bool {
+				if oracle[string(k)] != string(v) {
+					t.Fatalf("scan: key %q has value %q, oracle %q", k, v, oracle[string(k)])
+				}
+				*dst = append(*dst, string(k))
+				return true
+			}
+		}
+		if err := bt.Scan(rtx, from, to, visit(&fwd)); err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+		if err := bt.ScanDesc(rtx, from, to, visit(&rev)); err != nil {
+			t.Fatalf("scan desc: %v", err)
+		}
+		n, err := bt.Count(rtx, from, to)
+		if err != nil {
+			t.Fatalf("count: %v", err)
+		}
+		if n != len(want) || len(fwd) != len(want) || len(rev) != len(want) {
+			t.Fatalf("[%s,%s): Count %d, Scan %d, ScanDesc %d, oracle %d", from, to, n, len(fwd), len(rev), len(want))
+		}
+		for i, k := range want {
+			if fwd[i] != k || rev[len(rev)-1-i] != k {
+				t.Fatalf("[%s,%s) entry %d: Scan %q, ScanDesc %q, oracle %q", from, to, i, fwd[i], rev[len(rev)-1-i], k)
+			}
+		}
+	}
 	step := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		err := RunTransaction(c, f, func(tx *Tx) error {
-			for op := 0; op < 8; op++ {
-				k := fmt.Sprintf("q%03d", r.Intn(200))
-				switch r.Intn(3) {
-				case 0, 1:
-					v := fmt.Sprintf("v%d", r.Int63())
-					if err := bt.Put(tx, []byte(k), []byte(v)); err != nil {
+			if r.Intn(10) == 0 { // empty a run of leaves
+				lo := r.Intn(keyspace - 200)
+				for i := lo; i < lo+200; i++ {
+					if _, err := bt.Delete(tx, []byte(key(i))); err != nil {
 						return err
 					}
-					oracle[k] = v
-				case 2:
-					if _, err := bt.Delete(tx, []byte(k)); err != nil {
+					delete(oracle, key(i))
+				}
+			}
+			for op := 0; op < 40; op++ {
+				k := key(r.Intn(keyspace))
+				if r.Intn(4) == 0 {
+					found, err := bt.Delete(tx, []byte(k))
+					if err != nil {
 						return err
+					}
+					if _, had := oracle[k]; found != had {
+						return fmt.Errorf("Delete(%q) found=%v, oracle had=%v", k, found, had)
 					}
 					delete(oracle, k)
+					continue
+				}
+				v := value(r, k)
+				if err := bt.Put(tx, []byte(k), []byte(v)); err != nil {
+					return err
+				}
+				oracle[k] = v
+				// Read-your-writes through the freshly spliced image.
+				if got, ok, err := bt.Get(tx, []byte(k)); err != nil || !ok || string(got) != v {
+					return fmt.Errorf("Get(%q) in the writing tx = %q,%v,%v", k, got, ok, err)
 				}
 			}
 			return nil
@@ -233,41 +329,81 @@ func TestBTreeQuickVsOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ops: %v", err)
 		}
-		// Verify a few random keys and a full scan every so often.
-		rtx := f.CreateReadTransaction(c)
-		for i := 0; i < 5; i++ {
-			k := fmt.Sprintf("q%03d", r.Intn(200))
-			v, ok, err := bt.Get(rtx, []byte(k))
-			if err != nil {
-				t.Fatalf("get: %v", err)
-			}
-			want, wantOK := oracle[k]
-			if ok != wantOK || (ok && string(v) != want) {
-				t.Fatalf("Get(%q) = %q,%v; oracle %q,%v", k, v, ok, want, wantOK)
-			}
-		}
+		check(r)
 		return true
 	}
-	if err := quick.Check(step, cfg); err != nil {
+	if err := quick.Check(step, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Error(err)
 	}
-	// Final full comparison.
+	// The tree must have grown past two levels for the test to mean much.
 	rtx := f.CreateReadTransaction(c)
-	found := map[string]string{}
-	err := bt.Scan(rtx, nil, nil, func(k, v []byte) bool {
-		found[string(k)] = string(v)
-		return true
+	depth := 1
+	for p, _ := bt.rootPtr(rtx); ; depth++ {
+		buf, err := rtx.Read(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf, first, _, err := nodeLinks(buf.Data())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if leaf {
+			break
+		}
+		p = first
+	}
+	if depth < 3 {
+		t.Errorf("tree depth %d, want >= 3 levels", depth)
+	}
+	check(rand.New(rand.NewSource(99)))
+}
+
+// TestBTreeReadYourWrites: what Get returned stays what it was after later
+// writes to the same leaf in the same transaction, whether the leaf was
+// first seen as a committed read buffer or as this transaction's own image.
+func TestBTreeReadYourWrites(t *testing.T) {
+	f, c := directFarm(t, 5)
+	bt := newTestBTree(t, f, c)
+	btPut(t, f, c, bt, "k1", "committed-1")
+	btPut(t, f, c, bt, "k3", "committed-3")
+	err := RunTransaction(c, f, func(tx *Tx) error {
+		get := func(k string) []byte {
+			v, ok, err := bt.Get(tx, []byte(k))
+			if err != nil || !ok {
+				t.Fatalf("Get(%q) = %v, %v", k, ok, err)
+			}
+			return v
+		}
+		fromReadBuf := get("k1") // aliases the committed leaf image
+		if err := bt.Put(tx, []byte("k0"), []byte("shifts every later entry")); err != nil {
+			return err
+		}
+		fromOwnImage := get("k3") // aliases this transaction's spliced image
+		if err := bt.Put(tx, []byte("k1"), []byte("replaced")); err != nil {
+			return err
+		}
+		if err := bt.Put(tx, []byte("k2"), bytes.Repeat([]byte("x"), 200)); err != nil {
+			return err
+		}
+		if _, err := bt.Delete(tx, []byte("k3")); err != nil {
+			return err
+		}
+		if string(fromReadBuf) != "committed-1" || string(fromOwnImage) != "committed-3" {
+			t.Errorf("earlier Get results changed under later writes: %q, %q", fromReadBuf, fromOwnImage)
+		}
+		if got := get("k1"); string(got) != "replaced" {
+			t.Errorf("Get(k1) after replace = %q", got)
+		}
+		if _, ok, _ := bt.Get(tx, []byte("k3")); ok {
+			t.Error("Get(k3) after delete still finds it")
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(found) != len(oracle) {
-		t.Errorf("scan found %d entries, oracle has %d", len(found), len(oracle))
-	}
-	for k, v := range oracle {
-		if found[k] != v {
-			t.Errorf("key %q: tree %q, oracle %q", k, found[k], v)
-		}
+	if got, _ := btGet(t, f, c, bt, "k1"); got != "replaced" {
+		t.Errorf("committed k1 = %q", got)
 	}
 }
 

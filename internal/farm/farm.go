@@ -36,8 +36,8 @@ func DefaultConfig() Config {
 type Machine struct {
 	ID fabric.MachineID
 
-	mu        sync.Mutex
-	nodeCache map[Addr]cachedNode // B-tree inner-node cache
+	mu        sync.RWMutex
+	nodeCache map[Addr]cachedNode // B-tree inner-node and root-pointer cache
 	epoch     uint64              // bumped on process restart
 }
 
@@ -281,7 +281,6 @@ func gcRegion(r *Region, before uint64) []uint32 {
 			continue
 		}
 		// Walk to the newest record with ts <= before; keep it, free tail.
-		prevOff := off
 		p := r.older(off)
 		for !p.IsNil() && p.Addr.Region() == r.id {
 			recOff := p.Addr.Offset()
@@ -296,10 +295,8 @@ func gcRegion(r *Region, before uint64) []uint32 {
 				}
 				break
 			}
-			prevOff = recOff
 			p = r.older(recOff)
 		}
-		_ = prevOff
 	}
 	return freed
 }

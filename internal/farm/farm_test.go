@@ -14,7 +14,7 @@ import (
 )
 
 // directFarm builds a Direct-mode cluster for concurrency-oriented tests.
-func directFarm(t *testing.T, machines int) (*Farm, *fabric.Ctx) {
+func directFarm(t testing.TB, machines int) (*Farm, *fabric.Ctx) {
 	t.Helper()
 	fab := fabric.New(fabric.DefaultConfig(machines, fabric.Direct), nil)
 	f := Open(fab, Config{RegionSize: 4 << 20, Replicas: 3})
@@ -348,10 +348,7 @@ func TestOpacityPaperScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptrToB, _, err := readPtr(aBuf.Data())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ptrToB := ptrAt(aBuf.Data(), 0)
 	// T2 deletes B and commits.
 	err = RunTransaction(c, f, func(tx *Tx) error {
 		bBuf, err := tx.Read(bPtr)

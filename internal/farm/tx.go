@@ -395,6 +395,14 @@ func (tx *Tx) walkVersionChain(primary fabric.MachineID, r *Region, head objectS
 // OpenForWrite returns a writable copy of a previously read object. Writes
 // are buffered locally and pushed to replicas at commit (paper Figure 3).
 func (tx *Tx) OpenForWrite(buf *ObjBuf) (*ObjBuf, error) {
+	return tx.openForWrite(buf, nil)
+}
+
+// openForWrite is OpenForWrite with an optional replacement payload: a
+// non-nil data becomes the writable buffer's contents (the buffer owns it
+// from here on), which spares copying bytes the caller is about to replace
+// whole.
+func (tx *Tx) openForWrite(buf *ObjBuf, data []byte) (*ObjBuf, error) {
 	if err := tx.checkActive(); err != nil {
 		return nil, err
 	}
@@ -407,24 +415,41 @@ func (tx *Tx) OpenForWrite(buf *ObjBuf) (*ObjBuf, error) {
 	if buf.freed {
 		return nil, ErrNotFound
 	}
-	if buf.writable {
-		return buf, nil
+	w := buf
+	if !w.writable {
+		w = tx.writes[buf.addr]
 	}
-	if w, ok := tx.writes[buf.addr]; ok {
-		return w, nil
+	fresh := w == nil
+	if fresh {
+		w = &ObjBuf{
+			tx:       tx,
+			addr:     buf.addr,
+			writable: true,
+			baseVer:  buf.baseVer,
+			slotCap:  tx.slotCapOf(buf.addr, uint32(len(buf.data))),
+		}
+		if data == nil {
+			data = make([]byte, len(buf.data))
+			copy(data, buf.data)
+		}
 	}
-	data := make([]byte, len(buf.data))
-	copy(data, buf.data)
-	w := &ObjBuf{
-		tx:       tx,
-		addr:     buf.addr,
-		data:     data,
-		writable: true,
-		baseVer:  buf.baseVer,
-		slotCap:  tx.slotCapOf(buf.addr, uint32(len(data))),
+	if data != nil {
+		if uint32(len(data)) > w.slotCap {
+			return nil, fmt.Errorf("%w: %d > slot capacity %d", ErrTooLarge, len(data), w.slotCap)
+		}
+		w.data = data
 	}
-	tx.writes[buf.addr] = w
+	if fresh {
+		tx.writes[buf.addr] = w
+	}
 	return w, nil
+}
+
+// wrote reports whether the transaction holds a buffered, uncommitted write
+// of the object at a.
+func (tx *Tx) wrote(a Addr) bool {
+	_, ok := tx.writes[a]
+	return ok
 }
 
 // slotCapOf asks the primary's allocator for the slot capacity (local

@@ -194,8 +194,8 @@ type VertexPattern struct {
 	Edge    *EdgePattern    // the single chained traversal step
 	Recurse *RecursePattern // _recurse: bounded-depth frontier expansion
 	Matches []*EdgePattern  // _match: existence subpatterns (star queries)
-	Selects []FieldPath    // _select projections
-	Count   bool           // _select contains "_count(*)"
+	Selects []FieldPath     // _select projections
+	Count   bool            // _select contains "_count(*)"
 
 	// Result shaping (terminal level only).
 	Aggs    []Aggregate // _select aggregates, _count(*) included

@@ -704,20 +704,7 @@ func (st *execState) lookupByID(tx *farm.Tx, vp *VertexPattern) (core.VertexPtr,
 	if vp.Type != "" {
 		return st.graph.LookupVertex(tx, vp.Type, pk)
 	}
-	names, err := st.graph.VertexTypeNames(tx.Ctx())
-	if err != nil {
-		return core.VertexPtr{}, false, err
-	}
-	for _, name := range names {
-		ptr, ok, err := st.graph.LookupVertex(tx, name, pk)
-		if err != nil {
-			return core.VertexPtr{}, false, err
-		}
-		if ok {
-			return ptr, true, nil
-		}
-	}
-	return core.VertexPtr{}, false, nil
+	return st.graph.LookupVertexAnyType(tx, pk)
 }
 
 // execStart interprets the root level's StartPlan. Candidates run in

@@ -52,24 +52,22 @@ func newFullOracle(t *testing.T, env *readEnv) *fullOracle {
 // lookup mirrors the engine's lookupByID access sequence.
 func (o *fullOracle) lookup(vp *VertexPattern) core.VertexPtr {
 	o.t.Helper()
-	names := []string{vp.Type}
-	if vp.Type == "" {
-		var err error
-		if names, err = o.g.VertexTypeNames(o.itx.Ctx()); err != nil {
-			o.t.Fatal(err)
-		}
+	pk := bond.String(vp.ID)
+	var ptr core.VertexPtr
+	var ok bool
+	var err error
+	if vp.Type != "" {
+		ptr, ok, err = o.g.LookupVertex(o.itx, vp.Type, pk)
+	} else {
+		ptr, ok, err = o.g.LookupVertexAnyType(o.itx, pk)
 	}
-	for _, name := range names {
-		ptr, ok, err := o.g.LookupVertex(o.itx, name, bond.String(vp.ID))
-		if err != nil {
-			o.t.Fatal(err)
-		}
-		if ok {
-			return ptr
-		}
+	if err != nil {
+		o.t.Fatal(err)
 	}
-	o.t.Fatalf("oracle: no vertex %q", vp.ID)
-	return core.VertexPtr{}
+	if !ok {
+		o.t.Fatalf("oracle: no vertex %q", vp.ID)
+	}
+	return ptr
 }
 
 // visit is one vertex under the oracle: fully materialized, with the reads

@@ -9,7 +9,8 @@ import (
 	"a1/internal/farm"
 )
 
-func loadKG(t *testing.T, p Params) (*FilmKG, *core.Graph, *fabric.Ctx, *farm.Farm) {
+// openTestGraph opens an empty graph on a fresh 8-machine Direct cluster.
+func openTestGraph(t *testing.T) (*core.Graph, *fabric.Ctx, *farm.Farm) {
 	t.Helper()
 	fab := fabric.New(fabric.DefaultConfig(8, fabric.Direct), nil)
 	f := farm.Open(fab, farm.Config{RegionSize: 16 << 20})
@@ -24,6 +25,12 @@ func loadKG(t *testing.T, p Params) (*FilmKG, *core.Graph, *fabric.Ctx, *farm.Fa
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g, c, f
+}
+
+func loadKG(t *testing.T, p Params) (*FilmKG, *core.Graph, *fabric.Ctx, *farm.Farm) {
+	t.Helper()
+	g, c, f := openTestGraph(t)
 	kg := NewFilmKG(p)
 	if err := kg.Load(c, g); err != nil {
 		t.Fatal(err)
@@ -105,5 +112,26 @@ func TestUniformGraphShape(t *testing.T) {
 	doc := u.TwoHopQuery(u.VertexID(0))
 	if len(doc) == 0 {
 		t.Error("empty query doc")
+	}
+}
+
+// TestLoadedBytesUnchanged pins Farm.UsedBytes() after the seeded loads to
+// the values recorded at the last commit whose B-tree decoded and re-encoded
+// nodes (PR 13): the load goes through every index mutation path, so any
+// change to a node image's length, a split point or an allocation size shows
+// here. It is a wire-format guard, not a budget — a deliberate format change
+// re-records it and says so.
+func TestLoadedBytesUnchanged(t *testing.T) {
+	_, _, _, f := loadKG(t, TestParams())
+	if got := f.UsedBytes(); got != 231200 {
+		t.Errorf("film KG at TestParams: UsedBytes = %d, recorded 231200", got)
+	}
+
+	g, c, f := openTestGraph(t)
+	if err := NewZipfGraph(1000, 2000, 1).Load(c, g); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.UsedBytes(); got != 2517184 {
+		t.Errorf("Zipf graph 1000/2000 seed 1: UsedBytes = %d, recorded 2517184", got)
 	}
 }
