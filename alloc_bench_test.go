@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"a1"
+	"a1/internal/bench"
 	"a1/internal/workload"
 )
 
@@ -111,12 +112,11 @@ func BenchmarkAllocZipfGroupHaving(b *testing.B) {
 	})
 }
 
-// BenchmarkFilmPoint is the a1perf `point` op outside the harness, for
-// profiling (`-cpuprofile`): one ad-hoc untyped-`id` document per iteration
-// with a projection, ids cycling over the actor pool so the plan cache
-// mostly misses, against the film knowledge graph at the paper's scale
-// (a three-level primary index).
-func BenchmarkFilmPoint(b *testing.B) {
+// filmKG loads the film knowledge graph at the paper's scale (a three-level
+// primary index) into a fresh 8-machine Direct cluster, as a1perf's `point`
+// and `traverse` set-ups do.
+func filmKG(b *testing.B) (*a1.DB, *a1.Graph, workload.Params) {
+	b.Helper()
 	db, err := a1.Open(a1.Options{Machines: 8})
 	if err != nil {
 		b.Fatal(err)
@@ -140,6 +140,15 @@ func BenchmarkFilmPoint(b *testing.B) {
 	if loadErr != nil {
 		b.Fatal(loadErr)
 	}
+	return db, g, p
+}
+
+// BenchmarkFilmPoint is the a1perf `point` op outside the harness, for
+// profiling (`-cpuprofile`): one ad-hoc untyped-`id` document per iteration
+// with a projection, ids cycling over the actor pool so the plan cache
+// mostly misses.
+func BenchmarkFilmPoint(b *testing.B) {
+	db, g, p := filmKG(b)
 	db.Run(func(c *a1.Ctx) {
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -149,5 +158,32 @@ func BenchmarkFilmPoint(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+}
+
+// BenchmarkFilmTraverse is the a1perf `traverse` op outside the harness,
+// for profiling: the paper's Q1–Q4 in a1perf's 4:16:16:1 mix, one
+// closed-loop client per core (`-cpu 2` is a1perf's two clients).
+func BenchmarkFilmTraverse(b *testing.B) {
+	db, g, _ := filmKG(b)
+	var cycle []string
+	for i := 0; i < 16; i++ {
+		cycle = append(cycle, bench.Q2, bench.Q3)
+		if i%4 == 0 {
+			cycle = append(cycle, bench.Q1)
+		}
+	}
+	cycle = append(cycle, bench.Q4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		db.Run(func(c *a1.Ctx) {
+			for i := 0; pb.Next(); i++ {
+				if _, err := db.Query(c, g, cycle[i%len(cycle)]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
 	})
 }

@@ -629,23 +629,23 @@ func (g *Graph) IndexRangeScanBoundsDir(tx *farm.Tx, typeName, fieldName string,
 
 // IndexMemberScanDir walks a secondary index in attribute order like
 // IndexRangeScanBoundsDir, but restricted to a membership set of vertex
-// addresses: entries whose vertex is outside the set are skipped inside the
-// walk without surfacing to the callback. This is the owner-side half of an
+// addresses, given as its test: entries whose vertex fails member are
+// skipped inside the walk without surfacing to the callback. This is the owner-side half of an
 // ordered traversal terminal — each machine walks the index in result order
 // but only its slice of the query frontier is eligible, so the expensive
 // per-vertex work touches frontier members only. Returns the number of
 // index entries passed over (skipped non-members plus accepted members), so
 // callers can account the walk's length against a full frontier
 // materialization.
-func (g *Graph) IndexMemberScanDir(tx *farm.Tx, typeName, fieldName string, lo bond.Value, loInc bool, hi bond.Value, hiInc bool, desc bool, members map[farm.Addr]bool, fn func(attrKey []byte, vp VertexPtr) bool) (int, error) {
-	return g.indexWalkDir(tx, typeName, fieldName, lo, loInc, hi, hiInc, desc, members, fn)
+func (g *Graph) IndexMemberScanDir(tx *farm.Tx, typeName, fieldName string, lo bond.Value, loInc bool, hi bond.Value, hiInc bool, desc bool, member func(farm.Addr) bool, fn func(attrKey []byte, vp VertexPtr) bool) (int, error) {
+	return g.indexWalkDir(tx, typeName, fieldName, lo, loInc, hi, hiInc, desc, member, fn)
 }
 
 // indexWalkDir is the shared ordered secondary-index walk: bounds realize
 // inclusive/exclusive edges at key-prefix boundaries, a non-nil membership
-// set filters entries before the callback, and the entry count walked is
+// test filters entries before the callback, and the entry count walked is
 // returned.
-func (g *Graph) indexWalkDir(tx *farm.Tx, typeName, fieldName string, lo bond.Value, loInc bool, hi bond.Value, hiInc bool, desc bool, members map[farm.Addr]bool, fn func(attrKey []byte, vp VertexPtr) bool) (int, error) {
+func (g *Graph) indexWalkDir(tx *farm.Tx, typeName, fieldName string, lo bond.Value, loInc bool, hi bond.Value, hiInc bool, desc bool, member func(farm.Addr) bool, fn func(attrKey []byte, vp VertexPtr) bool) (int, error) {
 	vt, err := g.vertexType(tx.Ctx(), typeName)
 	if err != nil {
 		return 0, err
@@ -680,7 +680,7 @@ func (g *Graph) indexWalkDir(tx *farm.Tx, typeName, fieldName string, lo bond.Va
 		visit := func(k, v []byte) bool {
 			walked++
 			vp := valuePtr(v)
-			if members != nil && !members[vp.Addr] {
+			if member != nil && !member(vp.Addr) {
 				return true
 			}
 			attr := k

@@ -3,6 +3,7 @@ package farm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"a1/internal/fabric"
 )
@@ -15,11 +16,22 @@ type placement struct {
 	lost     bool // every replica unavailable; system paused for this region
 }
 
+// dirEntry is what the data path needs to know of a region's placement.
+type dirEntry struct {
+	primary fabric.MachineID
+	lost    bool
+}
+
 // CM is the configuration manager: the designated machine (machine 0) that
 // tracks cluster membership and region placement (paper §2.1). Placement
 // metadata is replicated to every machine in the real system so that
-// mapping an address to its primary host is a purely local operation; we
-// model that with a shared directory guarded by a read lock.
+// mapping an address to its primary host is a purely local operation. We
+// model that copy as an immutable directory — a slice indexed by RegionID,
+// which the CM hands out densely from 1 — published through an atomic
+// pointer: a lookup is one load and one index, with no lock and no hash,
+// and sees the placement as of some publish, never a torn one. Every change
+// to regions is made under mu and republished before mu is released, so
+// once handleFailure(m) has returned no lookup names m primary.
 type CM struct {
 	farm *Farm
 
@@ -27,15 +39,33 @@ type CM struct {
 	nextRegion RegionID
 	regions    map[RegionID]*placement
 	down       map[fabric.MachineID]bool
+
+	dir atomic.Pointer[[]dirEntry]
 }
 
 func newCM(f *Farm) *CM {
-	return &CM{
+	cm := &CM{
 		farm:       f,
 		nextRegion: 1, // region 0 reserved so Addr 0 is nil
 		regions:    make(map[RegionID]*placement),
 		down:       make(map[fabric.MachineID]bool),
 	}
+	cm.publishLocked()
+	return cm
+}
+
+// publishLocked replaces the directory with the current placement. Caller
+// holds mu (or is the constructor).
+func (cm *CM) publishLocked() {
+	dir := make([]dirEntry, cm.nextRegion) // entry 0 is never consulted
+	for id, pl := range cm.regions {
+		if pl.lost || len(pl.replicas) == 0 {
+			dir[id].lost = true
+		} else {
+			dir[id].primary = pl.replicas[0]
+		}
+	}
+	cm.dir.Store(&dir)
 }
 
 // Machine returns the machine hosting the CM role.
@@ -50,22 +80,12 @@ func (cm *CM) alive(m fabric.MachineID) bool { return !cm.down[m] }
 func (cm *CM) lookup(c *fabric.Ctx, id RegionID) (fabric.MachineID, error) {
 	const maxWaits = 20000 // * 500us = 10s of fabric time
 	for i := 0; ; i++ {
-		cm.mu.RLock()
-		pl := cm.regions[id]
-		var primary fabric.MachineID
-		var lost bool
-		if pl != nil {
-			lost = pl.lost || len(pl.replicas) == 0
-			if !lost {
-				primary = pl.replicas[0]
-			}
-		}
-		cm.mu.RUnlock()
-		if pl == nil {
+		dir := *cm.dir.Load()
+		if id == 0 || id >= RegionID(len(dir)) {
 			return 0, fmt.Errorf("%w: no such region %d", ErrBadAddr, id)
 		}
-		if !lost {
-			return primary, nil
+		if e := dir[id]; !e.lost {
+			return e.primary, nil
 		}
 		if i >= maxWaits {
 			return 0, fmt.Errorf("%w: region %d", ErrRegionLost, id)
@@ -158,6 +178,7 @@ func (cm *CM) createRegion(c *fabric.Ctx, prefer fabric.MachineID) (RegionID, er
 			f.drivers[m].Attach(newRegion(id, f.cfg.RegionSize))
 		}
 		cm.regions[id] = &placement{replicas: replicas}
+		cm.publishLocked()
 		return 16, nil
 	})
 	return id, err
@@ -247,6 +268,7 @@ func (cm *CM) handleFailure(c *fabric.Ctx, m fabric.MachineID) {
 			}
 		}
 	}
+	cm.publishLocked()
 	cm.mu.Unlock()
 
 	// Copy region state to the new backups outside the directory lock and
@@ -273,6 +295,7 @@ func (cm *CM) handleFailure(c *fabric.Ctx, m fabric.MachineID) {
 				pl.replicas = append(pl.replicas, cp.to)
 			}
 		}
+		cm.publishLocked()
 		cm.mu.Unlock()
 	}
 }
@@ -285,6 +308,7 @@ func (cm *CM) handleRestart(c *fabric.Ctx, m fabric.MachineID) {
 	d := cm.farm.drivers[m]
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
+	defer cm.publishLocked()
 	delete(cm.down, m)
 	for _, id := range d.Regions() {
 		pl := cm.regions[id]

@@ -1,6 +1,9 @@
 package farm
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Driver models the PyCo kernel driver (paper §5.3): memory that belongs to
 // the physical host rather than to the FaRM process. Region replicas — data
@@ -8,45 +11,55 @@ import "sync"
 // restarts ("fast restart") the new process re-maps them and no data is
 // lost. A machine reboot (power cycle) clears the driver, which is the case
 // disaster recovery exists for.
+//
+// The replicas are published as an immutable table indexed by RegionID
+// (nil = not hosted here), so the data path finds a region with one atomic
+// load and one index; Attach, Detach and Wipe replace the table under mu.
 type Driver struct {
-	mu       sync.Mutex
-	segments map[RegionID]*Region
+	mu       sync.Mutex // serializes the writers
+	segments atomic.Pointer[[]*Region]
 }
 
 // NewDriver allocates an empty driver for one physical host.
 func NewDriver() *Driver {
-	return &Driver{segments: make(map[RegionID]*Region)}
+	d := &Driver{}
+	d.segments.Store(new([]*Region))
+	return d
+}
+
+// set publishes a copy of the table with entry id replaced by r.
+func (d *Driver) set(id RegionID, r *Region) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	old := *d.segments.Load()
+	segs := make([]*Region, max(len(old), int(id)+1))
+	copy(segs, old)
+	segs[id] = r
+	d.segments.Store(&segs)
 }
 
 // Attach registers a region replica in driver memory.
-func (d *Driver) Attach(r *Region) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.segments[r.ID()] = r
-}
+func (d *Driver) Attach(r *Region) { d.set(r.ID(), r) }
 
 // Detach removes a region replica (when the CM moves it elsewhere).
-func (d *Driver) Detach(id RegionID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.segments, id)
-}
+func (d *Driver) Detach(id RegionID) { d.set(id, nil) }
 
 // Get returns the replica of region id hosted here, if any.
 func (d *Driver) Get(id RegionID) (*Region, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	r, ok := d.segments[id]
-	return r, ok
+	segs := *d.segments.Load()
+	if id >= RegionID(len(segs)) || segs[id] == nil {
+		return nil, false
+	}
+	return segs[id], true
 }
 
-// Regions returns the ids of all replicas hosted here.
+// Regions returns the ids of all replicas hosted here, ascending.
 func (d *Driver) Regions() []RegionID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ids := make([]RegionID, 0, len(d.segments))
-	for id := range d.segments {
-		ids = append(ids, id)
+	var ids []RegionID
+	for id, r := range *d.segments.Load() {
+		if r != nil {
+			ids = append(ids, RegionID(id))
+		}
 	}
 	return ids
 }
@@ -56,5 +69,5 @@ func (d *Driver) Regions() []RegionID {
 func (d *Driver) Wipe() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.segments = make(map[RegionID]*Region)
+	d.segments.Store(new([]*Region))
 }

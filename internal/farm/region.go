@@ -100,9 +100,6 @@ func (r *Region) applyAllocLocked(off, payload uint32) {
 // freeLocked returns a slot to the allocator. Caller holds mu.
 func (r *Region) freeLocked(off uint32) { r.alloc.free(off) }
 
-// slotPayloadCap returns the payload capacity of the slot at off.
-func (r *Region) slotPayloadCap(off uint32) uint32 { return r.alloc.slotSize(off) - hdrBytes }
-
 // Raw header access. Callers hold mu (read or write as appropriate).
 
 func (r *Region) versionWord(off uint32) uint64 {
@@ -189,17 +186,6 @@ func (r *Region) readVersionWord(off uint32) (uint64, error) {
 		return 0, fmt.Errorf("%w: %v", ErrBadAddr, MakeAddr(r.id, off))
 	}
 	return r.versionWord(off), nil
-}
-
-// forEachLive calls fn for every live allocation offset. Used by version GC
-// and diagnostics. Caller must not mutate the region from fn.
-func (r *Region) forEachLive(fn func(off uint32)) {
-	r.mu.RLock()
-	offs := r.alloc.liveOffsets()
-	r.mu.RUnlock()
-	for _, off := range offs {
-		fn(off)
-	}
 }
 
 // usedBytes returns the bytes currently allocated (headers included).

@@ -547,7 +547,7 @@ type execState struct {
 	// member, when non-nil, is the current level's index-membership filter:
 	// frontier vertices outside it are dropped before any read. Set by the
 	// coordinator before the level runs, read-only during it.
-	member map[farm.Addr]bool
+	member *addrSet
 	// preOrdered marks rows produced by OrderedIndexScan: already in result
 	// order, no coordinator sort needed.
 	preOrdered bool
@@ -644,10 +644,10 @@ func (st *execState) setLevelEst(level int, est float64) {
 
 // memberSubset returns the frontier vertices inside an index-membership
 // set, preserving order.
-func memberSubset(frontier []core.VertexPtr, member map[farm.Addr]bool) []core.VertexPtr {
+func memberSubset(frontier []core.VertexPtr, member *addrSet) []core.VertexPtr {
 	out := make([]core.VertexPtr, 0, len(frontier))
 	for _, vp := range frontier {
-		if member[vp.Addr] {
+		if member.has(vp.Addr) {
 			out = append(out, vp)
 		}
 	}
@@ -1050,7 +1050,7 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 	members := st.bufs.getAddrSet()
 	defer st.bufs.putAddrSet(members)
 	for _, vp := range batch {
-		members[vp.Addr] = true
+		members.add(vp.Addr)
 	}
 	lo, loInc, hi, hiInc := bond.Null, false, bond.Null, false
 	for _, spec := range rangeSpecs(pat.Preds) {
@@ -1078,7 +1078,7 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 	seen := st.bufs.getAddrSet()
 	defer st.bufs.putAddrSet(seen)
 	stopped := false
-	walked, err := g.IndexMemberScanDir(tx, pat.Type, otp.Field, lo, loInc, hi, hiInc, otp.Desc, members, func(attrKey []byte, vp core.VertexPtr) bool {
+	walked, err := g.IndexMemberScanDir(tx, pat.Type, otp.Field, lo, loInc, hi, hiInc, otp.Desc, members.has, func(attrKey []byte, vp core.VertexPtr) bool {
 		// Past the target, only key-ties with the boundary row still matter
 		// (the fallback breaks ties ascending by address; a descending walk
 		// yields them address-descending, so the whole boundary tie-run must
@@ -1087,7 +1087,7 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 			stopped = true
 			return false
 		}
-		seen[vp.Addr] = true
+		seen.add(vp.Addr)
 		row, ok, err := st.buildTerminalRow(sc, tx, vp, pat, read, &bc)
 		if err != nil {
 			innerErr = err
@@ -1140,7 +1140,7 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 		unseen := st.bufs.getPtrs()
 		defer st.bufs.putPtrs(unseen)
 		for _, vp := range batch {
-			if !seen[vp.Addr] {
+			if !seen.has(vp.Addr) {
 				unseen = append(unseen, vp)
 			}
 		}
@@ -1224,7 +1224,7 @@ func newRow(bufs *execBufs, vp core.VertexPtr, data bond.Value, pat *VertexPatte
 // small gets a budget of twice its estimate (slack for sketch error). The
 // structural 4·frontier+64 formula survives as the statistics-free
 // fallback and overflow guard.
-func (st *execState) buildMemberFilter(qc *fabric.Ctx, tx *farm.Tx, pat *VertexPattern, ifp *IndexFilterPlan, frontier int) (map[farm.Addr]bool, bool, error) {
+func (st *execState) buildMemberFilter(qc *fabric.Ctx, tx *farm.Tx, pat *VertexPattern, ifp *IndexFilterPlan, frontier int) (*addrSet, bool, error) {
 	g := st.graph
 	budget := 4*frontier + 64
 	if est, ok := st.pc.filterEstimate(pat, ifp); ok {
@@ -1233,12 +1233,12 @@ func (st *execState) buildMemberFilter(qc *fabric.Ctx, tx *farm.Tx, pat *VertexP
 		}
 		budget = int(2*est) + 64
 	}
-	collect := func(scan func(fn func(vp core.VertexPtr) bool) error) (map[farm.Addr]bool, bool, error) {
+	collect := func(scan func(fn func(vp core.VertexPtr) bool) error) (*addrSet, bool, error) {
 		member := st.bufs.getAddrSet()
 		overflow := false
 		err := scan(func(vp core.VertexPtr) bool {
-			member[vp.Addr] = true
-			if len(member) > budget {
+			member.add(vp.Addr)
+			if member.len() > budget {
 				overflow = true
 				return false
 			}
@@ -1279,7 +1279,7 @@ func (st *execState) buildMemberFilter(qc *fabric.Ctx, tx *farm.Tx, pat *VertexP
 				continue
 			}
 			if empty {
-				return map[farm.Addr]bool{}, true, nil
+				return new(addrSet), true, nil
 			}
 			m, ok, err := collect(func(fn func(core.VertexPtr) bool) error {
 				return g.IndexRangeScanBounds(tx, pat.Type, spec.field, lo, loInc, hi, hiInc, fn)
@@ -1525,15 +1525,15 @@ type levelOp struct {
 	read ReadSet        // what pat's operators consume of each vertex
 	// member, when non-nil, is the level's index-membership filter: batch
 	// vertices outside it are dropped before any read.
-	member map[farm.Addr]bool
+	member *addrSet
 	emit   bool         // survivors feed pat's rows and aggregates...
 	group  bool         // ...or, with emit, its group partials
 	edge   *EdgePattern // half-edges to follow into the next frontier; nil: none
 	// through: vertices failing pat still follow edge — a `_recurse`
 	// iteration, whose terminal filters gate output only.
 	through bool
-	hops    int                // `_shortest`: the `_hops` value of emitted rows (0: no column)
-	mark    map[farm.Addr]bool // `_recurse` seed: survivors enter this visited set
+	hops    int      // `_shortest`: the `_hops` value of emitted rows (0: no column)
+	mark    *addrSet // `_recurse` seed: survivors enter this visited set
 }
 
 // opFor is the op of a plan level over its pattern.
@@ -1599,7 +1599,7 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 	if op.member != nil {
 		filtered := st.bufs.getPtrs()
 		for _, vp := range batch {
-			if !op.member[vp.Addr] {
+			if !op.member.has(vp.Addr) {
 				bc.indexFiltered++
 				continue
 			}
@@ -1661,7 +1661,7 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 					}
 				}
 				if op.mark != nil {
-					op.mark[v.Ptr.Addr] = true
+					op.mark.add(v.Ptr.Addr)
 					out.accepted++
 				}
 			}
@@ -1841,11 +1841,9 @@ func dedupPtrs(bufs *execBufs, ptrs []core.VertexPtr) []core.VertexPtr {
 	defer bufs.putAddrSet(seen)
 	out := ptrs[:0]
 	for _, p := range ptrs {
-		if seen[p.Addr] {
-			continue
+		if seen.add(p.Addr) {
+			out = append(out, p)
 		}
-		seen[p.Addr] = true
-		out = append(out, p)
 	}
 	return out
 }
@@ -1858,11 +1856,10 @@ func dedupRows(bufs *execBufs, rows []Row) []Row {
 	defer bufs.putAddrSet(seen)
 	out := rows[:0]
 	for i := range rows {
-		if seen[rows[i].Vertex.Addr] {
+		if !seen.add(rows[i].Vertex.Addr) {
 			bufs.releaseRow(&rows[i])
 			continue
 		}
-		seen[rows[i].Vertex.Addr] = true
 		out = append(out, rows[i])
 	}
 	return out

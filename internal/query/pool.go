@@ -45,7 +45,7 @@ var (
 	rowPool    = sync.Pool{New: func() any { s := make([]Row, 0, 32); return &s }}
 	keyPool    = sync.Pool{New: func() any { s := make([]sortKey, 0, 4); return &s }}
 	valuesPool = sync.Pool{New: func() any { return make(map[string]bond.Value, 8) }}
-	addrPool   = sync.Pool{New: func() any { return make(map[farm.Addr]bool, 64) }}
+	addrPool   = sync.Pool{New: func() any { return new(addrSet) }}
 )
 
 func (b *execBufs) getPtrs() []core.VertexPtr {
@@ -104,19 +104,79 @@ func (b *execBufs) getKeys(n int) []sortKey {
 	return s[:n]
 }
 
-func (b *execBufs) getAddrSet() map[farm.Addr]bool {
-	if b == nil {
-		return make(map[farm.Addr]bool)
-	}
-	return addrPool.Get().(map[farm.Addr]bool)
+// addrSet is the engine's address set (frontier dedup, index-membership
+// filters, `_recurse` visited sets): open addressing over a slice whose
+// slots carry the generation that filled them, so emptying the set is a
+// generation bump. A pooled set that once held a large frontier therefore
+// costs the one-vertex frontiers after it nothing, where clearing a map
+// costs its whole retained bucket array. The zero value is an empty set and
+// a nil *addrSet reads as empty.
+type addrSet struct {
+	slots []addrSlot // power-of-two length, at most half full
+	gen   uint32     // a slot of another generation is empty
+	n     int
 }
 
-func (b *execBufs) putAddrSet(m map[farm.Addr]bool) {
-	if b == nil || m == nil || len(m) > maxPooledCap {
+type addrSlot struct {
+	addr farm.Addr
+	gen  uint32
+}
+
+// probe returns the slot holding a, or the empty slot where a belongs.
+func (s *addrSet) probe(a farm.Addr) *addrSlot {
+	mask := len(s.slots) - 1
+	// Offsets are multiples of 32 and region ids small; the high half of a
+	// multiplicative hash spreads both.
+	for i := int(uint64(a)*0x9E3779B97F4A7C15>>32) & mask; ; i = (i + 1) & mask {
+		if sl := &s.slots[i]; sl.gen != s.gen || sl.addr == a {
+			return sl
+		}
+	}
+}
+
+func (s *addrSet) has(a farm.Addr) bool {
+	return s != nil && s.n > 0 && s.probe(a).gen == s.gen
+}
+
+// add inserts a and reports whether it was absent.
+func (s *addrSet) add(a farm.Addr) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		old, oldGen := s.slots, s.gen
+		s.slots, s.gen, s.n = make([]addrSlot, max(2*len(old), 64)), 1, 0
+		for _, sl := range old {
+			if sl.gen == oldGen {
+				s.add(sl.addr)
+			}
+		}
+	}
+	sl := s.probe(a)
+	if sl.gen == s.gen {
+		return false
+	}
+	*sl = addrSlot{addr: a, gen: s.gen}
+	s.n++
+	return true
+}
+
+func (s *addrSet) len() int { return s.n }
+
+func (b *execBufs) getAddrSet() *addrSet {
+	if b == nil {
+		return new(addrSet)
+	}
+	return addrPool.Get().(*addrSet)
+}
+
+func (b *execBufs) putAddrSet(s *addrSet) {
+	if b == nil || s == nil || len(s.slots) > maxPooledCap {
 		return
 	}
-	clear(m)
-	addrPool.Put(m)
+	s.n = 0
+	if s.gen++; s.gen == 0 { // wrapped: stale slots could read as current
+		clear(s.slots)
+		s.gen = 1
+	}
+	addrPool.Put(s)
 }
 
 // releaseRow returns one dropped row's buffers to the pools. The caller

@@ -2,10 +2,12 @@ package query
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"a1/internal/bond"
+	"a1/internal/farm"
 )
 
 // Buffer-pool ownership: rows that escape into results are never reclaimed,
@@ -136,6 +138,57 @@ func TestContinuationRowsOutlivePoolChurn(t *testing.T) {
 		seen[id] = true
 		if len(m) != 2 || m["id"].AsString() != id {
 			t.Errorf("row %q corrupted by pool churn between pages", id)
+		}
+	}
+}
+
+// TestAddrSetVsMap checks addrSet against a plain map through fills,
+// pooled resets (generation bumps), growth, and the generation counter's
+// wrap: after a reset nothing of the previous fill reads as present, however
+// large that fill was.
+func TestAddrSetVsMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bufs := sharedBufs
+	var nilSet *addrSet
+	if nilSet.has(farm.MakeAddr(1, 64)) || new(addrSet).has(farm.MakeAddr(1, 64)) {
+		t.Fatal("nil or zero set reports a member")
+	}
+	s := new(addrSet)
+	for round := 0; round < 300; round++ {
+		if round == 150 {
+			s.gen = ^uint32(0) - 2 // the counter wraps within the next rounds
+		}
+		n := []int{1, 3, 40, 700, 9000}[rng.Intn(5)]
+		model := map[farm.Addr]bool{}
+		var prev []farm.Addr
+		for i := 0; i < n; i++ {
+			// Addresses as the engine sees them: few regions, 32-byte
+			// aligned offsets, with repeats.
+			a := farm.MakeAddr(farm.RegionID(1+rng.Intn(24)), uint32(rng.Intn(n*2+8))*32)
+			if fresh := s.add(a); fresh == model[a] {
+				t.Fatalf("round %d: add(%v) fresh=%v, model has=%v", round, a, fresh, model[a])
+			}
+			model[a] = true
+			prev = append(prev, a)
+			if s.len() != len(model) {
+				t.Fatalf("round %d: len %d, model %d", round, s.len(), len(model))
+			}
+		}
+		for i := 0; i < 200; i++ {
+			a := farm.MakeAddr(farm.RegionID(1+rng.Intn(24)), uint32(rng.Intn(n*2+8))*32)
+			if s.has(a) != model[a] {
+				t.Fatalf("round %d: has(%v) = %v, model %v", round, a, s.has(a), model[a])
+			}
+		}
+		bufs.putAddrSet(s)
+		s = bufs.getAddrSet() // this set again, or another goroutine's
+		if s.len() != 0 {
+			t.Fatalf("round %d: pooled set has len %d", round, s.len())
+		}
+		for _, a := range prev {
+			if s.has(a) {
+				t.Fatalf("round %d: %v survived the reset", round, a)
+			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"a1/internal/core"
 	"a1/internal/fabric"
-	"a1/internal/farm"
 )
 
 // Recursive traversal (`_recurse`): bounded-depth BFS executed as a
@@ -39,10 +38,10 @@ type recurseRun struct {
 	// vertex (the two levels' read sets).
 	hostRead, termRead ReadSet
 
-	// visited is the per-machine dedup state: each map is touched only by
+	// visited is the per-machine dedup state: each set is touched only by
 	// its owner's batch goroutine inside one iteration, and iterations are
 	// sequential, so no lock is needed.
-	visited []map[farm.Addr]bool
+	visited []*addrSet
 
 	cur       []core.VertexPtr // candidates for iteration k
 	k         int              // next iteration, 1-based
@@ -77,7 +76,7 @@ func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, leve
 	rp := host.Recurse
 	rr := &recurseRun{st: st, host: host, term: term, rp: rp, k: 1, termLevel: level + 1, iterBase: -1,
 		hostRead: pl.Levels[level].Read, termRead: pl.Levels[level+1].Read}
-	rr.visited = make([]map[farm.Addr]bool, e.store.Farm().Fabric().Machines())
+	rr.visited = make([]*addrSet, e.store.Farm().Fabric().Machines())
 	if n := len(st.levels); rp.Max > 0 && n >= rp.Max {
 		rr.iterBase = n - rp.Max
 	}
@@ -209,8 +208,7 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 	visited := rr.visitedFor(m)
 	work := st.bufs.getPtrs()
 	for _, vp := range batch {
-		if !visited[vp.Addr] {
-			visited[vp.Addr] = true
+		if visited.add(vp.Addr) {
 			work = append(work, vp)
 		}
 	}
@@ -236,7 +234,7 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 // visitedFor hands a batch its owner's visited set, creating it lazily.
 // Safe unlocked: one goroutine per machine per iteration, iterations in
 // sequence.
-func (rr *recurseRun) visitedFor(m fabric.MachineID) map[farm.Addr]bool {
+func (rr *recurseRun) visitedFor(m fabric.MachineID) *addrSet {
 	if rr.visited[m] == nil {
 		rr.visited[m] = rr.st.bufs.getAddrSet()
 	}
