@@ -46,14 +46,6 @@ var experiments = []experiment{
 	{"baseline", "A1 vs two-tier cache stack (the 3.6x claim)", single(bench.BaselineCompare)},
 	{"restart", "fast restart vs disaster recovery downtime", single(bench.FastRestart)},
 	{"ablations", "edge-spill / shipping / placement design ablations", bench.Ablations},
-	{"pushdown", "result-shaping pushdown: _limit / aggregate scalar shipping wins", single(bench.Pushdown)},
-	{"plancache", "prepared statements: parse-once plan cache vs per-request parsing", single(bench.PlanCache)},
-	{"groupby", "grouped-aggregate pushdown vs coordinator-side grouping", single(bench.GroupBy)},
-	{"planner", "cost-based vs structural access-path choice on the Zipf-skewed workload", single(bench.Planner)},
-	{"toporder", "ordered traversal terminal: merged top-K vs frontier sort on the Zipf workload", single(bench.TopOrder)},
-	{"allocs", "hot-path allocation discipline: allocs/op and bytes/op, pooled vs unpooled", single(bench.Allocs)},
-	{"groupcard", "high-cardinality _groupby: streaming merge vs map-accumulate, _having pushdown, spill", single(bench.GroupCard)},
-	{"recurse", "_recurse reachability: vertex reads per reachable vertex under visited-set dedup on the Zipf hubs", single(bench.Recurse)},
 }
 
 func main() {
@@ -65,30 +57,12 @@ func main() {
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		list      = flag.Bool("list", false, "list experiments and exit")
 		quick     = flag.Bool("quick", false, "smoke mode: tiny cluster and query counts so every experiment runs in seconds (CI)")
-		jsonDir   = flag.String("json", "", "also write each report as <dir>/<id>.json (benchmark trend artifacts)")
-		compare   = flag.String("compare", "", "compare two report directories, 'old:new' (or with -json as new), print a markdown delta table, and exit")
 	)
 	flag.Parse()
 
 	if *list {
 		for _, e := range experiments {
 			fmt.Printf("%-10s %s\n", e.id, e.desc)
-		}
-		return
-	}
-
-	if *compare != "" {
-		oldDir, newDir, ok := strings.Cut(*compare, ":")
-		if !ok {
-			newDir = *jsonDir
-		}
-		if oldDir == "" || newDir == "" {
-			fmt.Fprintln(os.Stderr, "a1bench: -compare wants old:new directories (or -compare old -json new)")
-			os.Exit(2)
-		}
-		if err := bench.CompareDirs(os.Stdout, oldDir, newDir); err != nil {
-			fmt.Fprintf(os.Stderr, "a1bench: compare: %v\n", err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -126,12 +100,6 @@ func main() {
 		}
 		for _, r := range reports {
 			r.Format(os.Stdout)
-			if *jsonDir != "" {
-				if err := r.WriteJSON(*jsonDir); err != nil {
-					fmt.Fprintf(os.Stderr, "a1bench: %s: writing json: %v\n", r.ID, err)
-					os.Exit(1)
-				}
-			}
 		}
 		fmt.Fprintf(os.Stderr, "%s done in %v\n", e.id, time.Since(start).Round(time.Millisecond))
 		ran++

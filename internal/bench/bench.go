@@ -3,12 +3,12 @@
 // latency/throughput curves of Figures 10, 12, 13 and 14, the RDMA read
 // accounting of Figure 11, the Q4 stress numbers, the query-shipping
 // locality measurement, the two-tier baseline comparison behind the "3.6x"
-// claim (§5), the fast-restart drill (§5.3), and ablations of the design
-// choices called out in DESIGN.md.
+// claim (§5), the fast-restart drill (§5.3), and ablations of the paper's
+// design choices: edge-list spill, query shipping vs RDMA pulls, and
+// random placement.
 package bench
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -81,8 +81,9 @@ func footprintTwin(doc string) string {
 // footprintNote is the line every report running a twin carries.
 const footprintNote = "runs the footprint twin (terminal also asks _max(popularity)): the paper's A1 reads the vertices it counts, this engine's bare _count(*) does not"
 
-// Result-shaping example queries (not from the paper's Table 2): top-K and
-// aggregate pushdown over the same knowledge graph.
+// Result-shaping example queries (not from the paper's Table 2): top-K,
+// aggregate and grouped pushdown over the same knowledge graph, printed by
+// a1shell's :examples and run by examples/knowledgegraph.
 const (
 	// QTopFilms: Spielberg's five most popular films, newest-ordering
 	// cousin of Q1 — _orderby + _limit push top-K pruning to the workers.
@@ -106,7 +107,7 @@ const (
       "_orderby" : "-popularity", "_limit" : "$k" }}}`
 
 	// QActorFilmsParam: per-actor filmography count keyed by a "$who"
-	// placeholder — the plan-cache experiment's repeated query shape.
+	// placeholder — one prepared shape re-executed per actor.
 	QActorFilmsParam = `{ "id" : "$who",
   "_out_edge" : { "_type" : "actor.film",
     "_vertex" : { "_select" : ["_count(*)"] }}}`
@@ -118,8 +119,7 @@ const (
   "_select" : ["_count(*)", "_avg(popularity)"] }`
 
 	// QFilmsByYearRows: the row-shipping twin of QFilmsByYear — the same
-	// grouping computed client-side from shipped rows, the baseline the
-	// groupby report compares against.
+	// grouping computed client-side from shipped rows.
 	QFilmsByYearRows = `{ "_type" : "entity", "str_str_map[kind]" : "film",
   "_select" : ["str_str_map[year]", "popularity"] }`
 )
@@ -310,5 +310,3 @@ func warm(db *a1.DB, g *a1.Graph, docs ...string) {
 
 // fmtMS renders a duration in milliseconds.
 func fmtMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-var _ = fmt.Sprintf

@@ -200,34 +200,9 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestPushdownMeasurement(t *testing.T) {
-	r, err := Pushdown(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(r.Rows))
-	}
-	unbounded, limited, agg := r.Rows[0], r.Rows[1], r.Rows[2]
-	// _limit reads strictly fewer vertices than the unbounded twin.
-	if limited[3] >= unbounded[3] {
-		t.Errorf("_limit read %v vertices, unbounded twin %v", limited[3], unbounded[3])
-	}
-	// Aggregates ship scalars: no rows shipped, fewer reply bytes.
-	if agg[4] != 0 {
-		t.Errorf("aggregate query shipped %v rows", agg[4])
-	}
-	if unbounded[4] == 0 {
-		t.Error("unbounded query shipped no rows; shipping not engaged")
-	}
-	if agg[5] >= unbounded[5] {
-		t.Errorf("aggregate bytes shipped %v >= row bytes shipped %v", agg[5], unbounded[5])
-	}
-	// The aggregate count agrees with the unbounded row count.
-	if agg[2] != unbounded[1] {
-		t.Errorf("aggregate count %v != unbounded rows %v", agg[2], unbounded[1])
-	}
-	// The shaped example queries run end-to-end on the same cluster.
+// TestExampleQueries runs the result-shaping example documents that
+// a1shell's :examples prints end-to-end on the test knowledge graph.
+func TestExampleQueries(t *testing.T) {
 	k, err := NewKGCluster(testSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -277,56 +252,5 @@ func TestMeasureRateAccounting(t *testing.T) {
 	}
 	if m.VerticesRead == 0 {
 		t.Error("no vertex reads accounted")
-	}
-}
-
-func TestGroupByMeasurement(t *testing.T) {
-	r, err := GroupBy(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(r.Rows))
-	}
-	base, push := r.Rows[0], r.Rows[1]
-	// Both strategies find the same group structure.
-	if base[1] != push[1] || push[1] <= 1 {
-		t.Errorf("groups: baseline %v vs pushdown %v", base[1], push[1])
-	}
-	// Pushdown ships partial states, never rows; the baseline ships every
-	// row.
-	if push[2] != 0 {
-		t.Errorf("pushdown shipped %v rows, want 0", push[2])
-	}
-	if base[2] == 0 {
-		t.Error("baseline shipped no rows; shipping not engaged")
-	}
-	if push[3] >= base[3] {
-		t.Errorf("pushdown bytes %v >= baseline bytes %v", push[3], base[3])
-	}
-}
-
-func TestPlannerAccessPathChoice(t *testing.T) {
-	r, err := Planner(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(r.Rows))
-	}
-	// Rows: [tail/structural, hot/structural, tail/cost, hot/cost].
-	structHot, costHot := r.Rows[1], r.Rows[3]
-	if structHot[4] != costHot[4] {
-		t.Errorf("row counts differ: structural %v vs cost-based %v", structHot[4], costHot[4])
-	}
-	// The acceptance bar: on the skewed shape the cost-based planner picks
-	// a cheaper access path with at least 2x fewer vertex reads.
-	if costHot[2]*2 > structHot[2] {
-		t.Errorf("cost-based hot reads %v vs structural %v, want ≥2x fewer", costHot[2], structHot[2])
-	}
-	// Tail shape: both pick the selective equality index, so reads match.
-	structTail, costTail := r.Rows[0], r.Rows[2]
-	if costTail[2] > 2*structTail[2] {
-		t.Errorf("tail reads diverge: cost %v vs structural %v", costTail[2], structTail[2])
 	}
 }

@@ -648,56 +648,6 @@ func Ablations(spec Spec) ([]*Report, error) {
 	return out, nil
 }
 
-// Pushdown measures the result-shaping pushdown wins: an unordered _limit
-// reads fewer vertices than its unbounded twin, and terminal aggregates
-// ship scalar partials instead of rows (fewer reply bytes per RPC).
-func Pushdown(spec Spec) (*Report, error) {
-	if spec.Scale == ScaleTest {
-		spec.Machines = 12
-		spec.KGParams = mediumParams()
-		spec.QueryCfg.ShipThreshold = 2
-	}
-	k, err := NewKGCluster(spec)
-	if err != nil {
-		return nil, err
-	}
-	defer k.DB.Close()
-	variants := []struct {
-		id  float64 // 0 = unbounded rows, 1 = _limit 20, 2 = aggregates
-		doc string
-	}{
-		{0, `{"_type": "entity", "str_str_map[kind]": "actor", "_select": ["id", "popularity"]}`},
-		{1, `{"_type": "entity", "str_str_map[kind]": "actor", "_select": ["id", "popularity"], "_limit": 20}`},
-		{2, `{"_type": "entity", "str_str_map[kind]": "actor", "_select": ["_count(*)", "_sum(popularity)"]}`},
-	}
-	warm(k.DB, k.G, variants[0].doc)
-	r := &Report{
-		ID:     "pushdown",
-		Title:  "result-shaping pushdown: rows vs _limit vs aggregates (actor scan)",
-		Header: []string{"variant", "rows", "count", "vertices_read", "rows_shipped", "bytes_shipped", "latency_ms"},
-	}
-	for _, v := range variants {
-		var row []float64
-		var qerr error
-		k.DB.Run(func(c *a1.Ctx) {
-			res, err := k.DB.QueryAt(c.At(1), k.G, v.doc)
-			if err != nil {
-				qerr = err
-				return
-			}
-			row = []float64{v.id, float64(len(res.Rows)), float64(res.Count),
-				float64(res.Stats.VerticesRead), float64(res.Stats.RowsShipped),
-				float64(res.Stats.BytesShipped), fmtMS(res.Stats.Elapsed)}
-		})
-		if qerr != nil {
-			return nil, qerr
-		}
-		r.Add(row...)
-	}
-	r.Note("variant 1 (_limit) short-circuits vertex reads; variant 2 (aggregates) ships scalars — compare vertices_read and bytes_shipped against variant 0")
-	return r, nil
-}
-
 // mediumParams sizes the KG between test and paper scales: enough fan-out
 // for query shipping and client-pool effects to show at 12-16 machines.
 func mediumParams() workload.Params {

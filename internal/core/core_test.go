@@ -668,9 +668,9 @@ func TestSnapshotTraversalDuringUpdates(t *testing.T) {
 		a := mustCreateVertex(t, g, c, "actor", actorVal(fmt.Sprintf("s%d", i), "usa"))
 		mustCreateEdge(t, g, c, film, "film.actor", a, bond.Null)
 	}
-	snap := g.store.farm.CreateReadTransaction(c)
-	unpin := g.store.farm.PinSnapshot(snap.ReadTs())
+	ts, unpin := g.store.farm.PinCurrent()
 	defer unpin()
+	snap := g.store.farm.CreateReadTransactionAt(c, ts)
 	// Concurrent growth.
 	for i := 5; i < 10; i++ {
 		a := mustCreateVertex(t, g, c, "actor", actorVal(fmt.Sprintf("s%d", i), "usa"))

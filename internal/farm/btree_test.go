@@ -454,9 +454,9 @@ func TestBTreeSnapshotScanDuringInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := f.CreateReadTransaction(c)
-	unpin := f.PinSnapshot(snap.ReadTs())
+	ts, unpin := f.PinCurrent()
 	defer unpin()
+	snap := f.CreateReadTransactionAt(c, ts)
 	// Concurrent growth after the snapshot.
 	err = RunTransaction(c, f, func(tx *Tx) error {
 		for i := 50; i < 150; i++ {

@@ -56,8 +56,9 @@ type Farm struct {
 	drivers  []*Driver
 	machines []*Machine
 
-	pinMu sync.Mutex
-	pins  map[uint64]int // snapshot ts -> active query count (blocks GC)
+	pinMu   sync.Mutex
+	pins    map[uint64]int // snapshot ts -> active query count (blocks GC)
+	gcFloor uint64         // highest watermark a GC pass has used: older snapshots may be freed
 }
 
 // Open creates a FaRM cluster over the fabric.
@@ -161,14 +162,33 @@ func (f *Farm) allocSlot(c *fabric.Ctx, near fabric.MachineID, payload uint32) (
 	return MakeAddr(id, off), nil
 }
 
-// PinSnapshot registers an active reader at timestamp ts so version GC will
-// not collect versions it may still need (paper §2.2: snapshot versions are
-// not garbage collected until the query runs to completion). The returned
-// function releases the pin.
-func (f *Farm) PinSnapshot(ts uint64) func() {
+// PinCurrent picks a read snapshot and pins it in one step, so version GC
+// will not collect versions the reader may still need (paper §2.2:
+// snapshot versions are not garbage collected until the query runs to
+// completion). The clock is read under the pin lock: a concurrent
+// GCVersions either took its watermark first — no later than the ts
+// returned here — or sees the pin. The returned function releases it.
+func (f *Farm) PinCurrent() (ts uint64, unpin func()) {
 	f.pinMu.Lock()
+	defer f.pinMu.Unlock()
+	ts = f.clock.Current()
+	return ts, f.pinLocked(ts)
+}
+
+// PinSnapshot pins a snapshot the caller chose earlier. It fails with
+// ErrTooOld when version GC has already run past ts, since the versions
+// ts reads may be gone; a ts the caller still holds pinned never fails.
+func (f *Farm) PinSnapshot(ts uint64) (unpin func(), err error) {
+	f.pinMu.Lock()
+	defer f.pinMu.Unlock()
+	if ts < f.gcFloor {
+		return nil, ErrTooOld
+	}
+	return f.pinLocked(ts), nil
+}
+
+func (f *Farm) pinLocked(ts uint64) func() {
 	f.pins[ts]++
-	f.pinMu.Unlock()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
@@ -196,7 +216,8 @@ func (f *Farm) PinnedSnapshots() int {
 
 // gcWatermark returns the highest timestamp below which old versions are
 // reclaimable: the minimum pinned snapshot, or the current clock if no
-// reader is active.
+// reader is active. It records the watermark, so no snapshot below it can
+// be pinned afterwards.
 func (f *Farm) gcWatermark() uint64 {
 	f.pinMu.Lock()
 	defer f.pinMu.Unlock()
@@ -206,6 +227,7 @@ func (f *Farm) gcWatermark() uint64 {
 			min = ts
 		}
 	}
+	f.gcFloor = max(f.gcFloor, min)
 	return min
 }
 

@@ -398,8 +398,8 @@ func TestOpacityPaperScenario(t *testing.T) {
 func TestFreeTombstoneAndGC(t *testing.T) {
 	f, c := directFarm(t, 5)
 	p := allocCounter(t, f, c, 3)
-	snapshot := f.CreateReadTransaction(c)
-	unpin := f.PinSnapshot(snapshot.ReadTs())
+	ts, unpin := f.PinCurrent()
+	snapshot := f.CreateReadTransactionAt(c, ts)
 
 	err := RunTransaction(c, f, func(tx *Tx) error {
 		buf, err := tx.Read(p)

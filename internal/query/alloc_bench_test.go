@@ -9,9 +9,9 @@ import (
 	"a1/internal/farm"
 )
 
-// Microbenchmarks for the hot-path shaping helpers, each run with the
-// shared buffer pool and with pooling disabled (nil *execBufs) so
-// allocs/op shows exactly what the pool buys. These complement the
+// Microbenchmarks for the hot-path shaping helpers, run through the shared
+// buffer pools so allocs/op shows what one call costs in steady state.
+// These complement the
 // end-to-end alloc benchmarks at the repo root (BenchmarkAllocZipf*),
 // which measure whole queries through the fabric; here each helper is
 // isolated at its own call granularity.
@@ -43,12 +43,6 @@ func benchData(n int) []bond.Value {
 	return out
 }
 
-// eachBufs runs the benchmark body under both pooling modes.
-func eachBufs(b *testing.B, run func(b *testing.B, bufs *execBufs)) {
-	b.Run("pooled", func(b *testing.B) { run(b, sharedBufs) })
-	b.Run("unpooled", func(b *testing.B) { run(b, nil) })
-}
-
 // BenchmarkAllocNewRow builds one projected, keyed row and releases it —
 // the per-vertex cost of a terminal worker batch.
 func BenchmarkAllocNewRow(b *testing.B) {
@@ -58,13 +52,11 @@ func BenchmarkAllocNewRow(b *testing.B) {
 	}
 	data := benchData(1)[0]
 	vp := core.VertexPtr{Addr: farm.Addr(42), Size: 64}
-	eachBufs(b, func(b *testing.B, bufs *execBufs) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			row := newRow(bufs, vp, data, pat, benchSchema)
-			bufs.releaseRow(&row)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		row := newRow(vp, data, pat, benchSchema)
+		releaseRow(&row)
+	}
 }
 
 // BenchmarkAllocTopKBatch is a worker's orderby+limit batch: build rows
@@ -73,18 +65,16 @@ func BenchmarkAllocTopKBatch(b *testing.B) {
 	const batch, k = 256, 16
 	pat := &VertexPattern{Orders: []OrderBy{{Path: benchPath(b, "score"), Desc: true}}}
 	data := benchData(batch)
-	eachBufs(b, func(b *testing.B, bufs *execBufs) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rows := bufs.getRows()
-			for j, d := range data {
-				rows = append(rows, newRow(bufs, core.VertexPtr{Addr: farm.Addr(j)}, d, pat, benchSchema))
-			}
-			rows = topK(bufs, rows, pat.Orders, k)
-			bufs.releaseRows(rows)
-			bufs.putRows(rows)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rows := getRows()
+		for j, d := range data {
+			rows = append(rows, newRow(core.VertexPtr{Addr: farm.Addr(j)}, d, pat, benchSchema))
 		}
-	})
+		rows = topK(rows, pat.Orders, k)
+		releaseRows(rows)
+		putRows(rows)
+	}
 }
 
 // BenchmarkAllocMergeSortedRows is the coordinator's k-way merge over
@@ -93,27 +83,25 @@ func BenchmarkAllocMergeSortedRows(b *testing.B) {
 	const machines, perList, k = 8, 32, 16
 	pat := &VertexPattern{Orders: []OrderBy{{Path: benchPath(b, "score")}}}
 	data := benchData(machines * perList)
-	eachBufs(b, func(b *testing.B, bufs *execBufs) {
-		lists := make([][]Row, machines)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for m := range lists {
-				rows := bufs.getRows()
-				for j := 0; j < perList; j++ {
-					d := data[m*perList+j]
-					rows = append(rows, newRow(bufs, core.VertexPtr{Addr: farm.Addr(m*perList + j)}, d, pat, benchSchema))
-				}
-				sortRows(rows, pat.Orders)
-				lists[m] = rows
+	lists := make([][]Row, machines)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for m := range lists {
+			rows := getRows()
+			for j := 0; j < perList; j++ {
+				d := data[m*perList+j]
+				rows = append(rows, newRow(core.VertexPtr{Addr: farm.Addr(m*perList + j)}, d, pat, benchSchema))
 			}
-			out := mergeSortedRows(bufs, lists, pat.Orders, k)
-			bufs.releaseRows(out)
-			for m := range lists {
-				bufs.putRows(lists[m])
-				lists[m] = nil
-			}
+			sortRows(rows, pat.Orders)
+			lists[m] = rows
 		}
-	})
+		out := mergeSortedRows(lists, pat.Orders, k)
+		releaseRows(out)
+		for m := range lists {
+			putRows(lists[m])
+			lists[m] = nil
+		}
+	}
 }
 
 // BenchmarkAllocAccumGroup is the grouped-aggregate inner loop in its

@@ -74,10 +74,11 @@ type pageSource interface {
 	// nextPage sets up to n rows or groups on res, adds the work it did
 	// to res.Stats, and reports whether more remain.
 	nextPage(c *fabric.Ctx, n int, res *Result) (more bool, err error)
-	// close releases whatever the source holds — spill tables, pooled
-	// buffers, a snapshot pin. Idempotent, and never called under a store
-	// lock.
-	close()
+	// close releases whatever the source holds — parked run tails, spill
+	// tables, pooled buffers, a snapshot pin. Idempotent, and never called
+	// under a store lock. c is the coordinator's context, nil when the
+	// coordinator is gone (DropResultsOn) and nothing can cross the fabric.
+	close(c *fabric.Ctx)
 }
 
 // slicePages pages a fully materialized result.
@@ -104,7 +105,7 @@ func (s *slicePages[T]) nextPage(_ *fabric.Ctx, n int, res *Result) (bool, error
 	return len(s.rest) > 0, nil
 }
 
-func (*slicePages[T]) close() {}
+func (*slicePages[T]) close(*fabric.Ctx) {}
 
 // cut applies a terminal's _skip/_limit to a materialized, ordered result.
 func cut[T any](s []T, skip, limit int) []T {
@@ -130,7 +131,7 @@ func cut[T any](s []T, skip, limit int) []T {
 func (e *Engine) turnPage(c *fabric.Ctx, src pageSource, id uint64, expires time.Duration, pageSize int, res *Result) error {
 	more, err := src.nextPage(c, pageSize, res)
 	if err != nil || !more {
-		src.close()
+		src.close(c)
 		return err
 	}
 	if id != 0 {
@@ -138,15 +139,15 @@ func (e *Engine) turnPage(c *fabric.Ctx, src pageSource, id uint64, expires time
 	} else {
 		var lapsed []pageSource
 		id, lapsed = e.caches[c.M].put(c.Now(), e.cfg.ResultTTL, src)
-		closeAll(lapsed)
+		closeAll(c, lapsed)
 	}
 	res.Continuation = encodeToken(c.M, id, pageSize)
 	return nil
 }
 
-func closeAll(srcs []pageSource) {
+func closeAll(c *fabric.Ctx, srcs []pageSource) {
 	for _, src := range srcs {
-		src.close()
+		src.close(c)
 	}
 }
 
@@ -168,7 +169,7 @@ func (e *Engine) Fetch(c *fabric.Ctx, token string) (*Result, error) {
 	}
 	src, expires, ok := e.caches[c.M].claim(p.ID)
 	if ok && c.Now() >= expires {
-		src.close()
+		src.close(c)
 		ok = false
 	}
 	if !ok {
@@ -193,7 +194,7 @@ func (e *Engine) Release(c *fabric.Ctx, token string) error {
 		return classify(err)
 	}
 	if src, _, ok := e.caches[c.M].claim(p.ID); ok {
-		src.close()
+		src.close(c)
 	}
 	return nil
 }
@@ -203,7 +204,7 @@ func (e *Engine) Release(c *fabric.Ctx, token string) error {
 func (e *Engine) PendingResults(m fabric.MachineID) int { return e.caches[m].len() }
 
 // PendingRuns counts group-run tails parked on machine m — the observable
-// for the streamed-group sweeper tests and the groupcard bench.
+// for the streamed-group lifecycle tests and the benchmark's leak gauge.
 func (e *Engine) PendingRuns(m fabric.MachineID) int { return e.runs[m].len() }
 
 // ExpireResults drops timed-out continuation sources and parked group-run
@@ -213,7 +214,7 @@ func (e *Engine) PendingRuns(m fabric.MachineID) int { return e.runs[m].len() }
 func (e *Engine) ExpireResults(c *fabric.Ctx) int {
 	now := c.Now()
 	lapsed := e.caches[c.M].sweep(now)
-	closeAll(lapsed)
+	closeAll(c, lapsed)
 	return len(lapsed) + len(e.runs[c.M].sweep(now))
 }
 
@@ -221,6 +222,6 @@ func (e *Engine) ExpireResults(c *fabric.Ctx) int {
 // cache and its parked group-run tails (clients must restart their
 // queries; run tails this machine's queries parked elsewhere die by TTL).
 func (e *Engine) DropResultsOn(m fabric.MachineID) {
-	closeAll(e.caches[m].drain())
+	closeAll(nil, e.caches[m].drain())
 	e.runs[m].drain()
 }

@@ -72,6 +72,7 @@ type pagedCase struct {
 
 const (
 	skewGroupsPagedDoc   = `{"_hints": {"page_size": 10}, "_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`
+	skewGroupsLimitDoc   = `{"_hints": {"page_size": 10}, "_type": "product", "_groupby": "category", "_select": ["_count(*)"], "_limit": 30}`
 	skewOrderedGroupsDoc = `{"_hints": {"page_size": 10}, "_type": "product", "_groupby": "category", "_select": ["_sum(score)"], "_orderby": "-_sum(score)"}`
 )
 
@@ -96,6 +97,11 @@ var pagedSources = []struct {
 		e, _, g, c := newSkewEnv(t)
 		e.cfg.GroupChunk = 8 // workers park run tails the pages pull
 		return pagedCase{e, g, c, skewGroupsPagedDoc, 81}
+	}},
+	{"_limit cut mid-stream", func(t *testing.T) pagedCase {
+		e, _, g, c := newSkewEnv(t)
+		e.cfg.GroupChunk = 8 // the cut leaves every machine's run tail parked
+		return pagedCase{e, g, c, skewGroupsLimitDoc, 30}
 	}},
 	{"spilled groups", func(t *testing.T) pagedCase {
 		e, _, g, c := newSkewEnv(t)
@@ -129,12 +135,16 @@ func (pc pagedCase) firstPage(t *testing.T) *Result {
 func pageLen(res *Result) int { return len(res.Rows) + len(res.Groups) }
 
 // assertReleased is the end state every lifecycle path must reach at once:
-// no continuation on any machine, no spill table, no snapshot pin.
+// no continuation or parked run tail on any machine, no spill table, no
+// snapshot pin.
 func (pc pagedCase) assertReleased(t *testing.T) {
 	t.Helper()
 	for m := 0; m < pc.machines(); m++ {
 		if n := pc.e.PendingResults(fabric.MachineID(m)); n != 0 {
 			t.Errorf("PendingResults(m%d) = %d, want 0", m, n)
+		}
+		if n := pc.e.PendingRuns(fabric.MachineID(m)); n != 0 {
+			t.Errorf("PendingRuns(m%d) = %d, want 0", m, n)
 		}
 	}
 	if names := pc.e.spill.TableNames(); len(names) != 0 {
@@ -217,10 +227,17 @@ func TestContinuationLifecycle(t *testing.T) {
 			}
 		}},
 		{"coordinator drop", func(t *testing.T, pc pagedCase) {
+			pc.e.cfg.ResultTTL = 20 * time.Millisecond
 			res := pc.firstPage(t)
 			pc.e.DropResultsOn(pc.c.M)
 			if _, err := pc.e.Fetch(pc.c, res.Continuation); !errors.Is(err, ErrBadToken) {
 				t.Errorf("Fetch(dropped) = %v, want ErrBadToken", err)
+			}
+			// Run tails the crashed coordinator parked on other machines
+			// can only lapse by TTL.
+			time.Sleep(30 * time.Millisecond)
+			for m := 0; m < pc.machines(); m++ {
+				pc.e.ExpireResults(pc.c.At(fabric.MachineID(m)))
 			}
 		}},
 		{"page error", func(t *testing.T, pc pagedCase) {

@@ -13,10 +13,9 @@ import (
 // time this file ranks the candidates against live statistics — per-type
 // cardinalities, per-indexed-field distinct/heavy-hitter estimates, mean
 // edge fan-outs — using the engine's CPU cost constants, and the cheapest
-// candidate runs. When statistics are unavailable (or the engine is
-// configured StructuralPlanner) the PR-3 fixed preference order survives as
-// the tiebreak and fallback, so behavior degrades to the structural
-// planner, never worse.
+// candidate runs. When statistics are unavailable the fixed preference
+// order survives as the tiebreak and fallback, so behavior degrades to the
+// structural planner, never worse.
 
 // Default selectivities when statistics cannot answer (the System R
 // classics), and the fan-out assumed for edge labels never seen.
@@ -30,25 +29,24 @@ const (
 const estUnknown = -1
 
 // planContext carries one execution's planner inputs: the cluster-wide
-// stats summary (nil when structural), the live index probe, the cluster
-// size (per-machine partial scans fan out across it), and the cost model.
+// stats summary (nil without statistics: the structural fallback), the live
+// index probe, the cluster size (per-machine partial scans fan out across
+// it), and the cost model.
 type planContext struct {
-	sum        *stats.GraphSummary
-	probe      indexProbe
-	cfg        *Config
-	machines   int
-	structural bool
+	sum      *stats.GraphSummary
+	probe    indexProbe
+	cfg      *Config
+	machines int
 }
 
 // newPlanContext snapshots the planner inputs for one execution or Explain.
 func newPlanContext(c *fabric.Ctx, e *Engine, g *core.Graph) *planContext {
 	pc := &planContext{
-		cfg:        &e.cfg,
-		probe:      indexProbeFor(c, g),
-		machines:   e.store.Farm().Fabric().Machines(),
-		structural: e.cfg.StructuralPlanner,
+		cfg:      &e.cfg,
+		probe:    indexProbeFor(c, g),
+		machines: e.store.Farm().Fabric().Machines(),
 	}
-	if !pc.structural {
+	if !e.noStats {
 		pc.sum = e.store.StatsSummary(c, g.Tenant(), g.Name())
 	}
 	return pc
@@ -203,9 +201,8 @@ type startCandidate struct {
 // structural preference order — IDLookup, equality IndexScan (document
 // order), OrderedIndexScan, IndexRangeScan, TypeScan — costs each against
 // statistics, and reorders by cost when statistics cover the type. The
-// stable sort keeps the preference order as the tiebreak, and a structural
-// planner (or a type without statistics) returns the preference order
-// untouched.
+// stable sort keeps the preference order as the tiebreak, and a type
+// without statistics gets the preference order untouched.
 func rankStartCandidates(sp *StartPlan, pat *VertexPattern, pc *planContext) []startCandidate {
 	if sp.ByID {
 		// A bound copy keeps IDParam alongside the substituted ID, so the
@@ -308,7 +305,7 @@ func rankStartCandidates(sp *StartPlan, pat *VertexPattern, pc *planContext) []s
 	}
 	cands = append(cands, ts)
 
-	if pc.structural || !haveTC {
+	if !haveTC {
 		return cands
 	}
 	// Stable insertion keeps the preference order for equal costs.
@@ -340,12 +337,11 @@ type orderedTraverseChoice struct {
 // `limit+skip` of *its* members survive the residual predicates — expected
 // walk length per machine is the index size scaled by the fraction of hits
 // needed (index entries are cheap: no vertex read), and only member hits
-// are read. Statistics supply the index entry count; without them (or under
-// Config.StructuralPlanner) the decision degrades to the sort fallback,
-// never worse than PR 3 behavior.
+// are read. Statistics supply the index entry count; without them the
+// decision degrades to the sort fallback.
 func (pc *planContext) rankOrderedTraverse(pat *VertexPattern, otp *OrderedScanPlan, frontier float64) orderedTraverseChoice {
 	no := orderedTraverseChoice{est: estUnknown}
-	if pc.structural || pc.sum == nil || frontier <= 0 {
+	if pc.sum == nil || frontier <= 0 {
 		return no
 	}
 	if !pc.probe(pat.Type, otp.Field) {

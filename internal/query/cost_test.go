@@ -26,8 +26,8 @@ const skewItems = 200
 
 // newSkewEnv loads a type where the "hot" category covers 60% of vertices
 // (the rest unique tail values) and score is unique, both secondary
-// indexed. Returns a cost-based engine and a structural-planner engine over
-// the same store.
+// indexed. Returns a cost-based engine and a structural-planner engine (no
+// statistics: the preference-order fallback) over the same store.
 func newSkewEnv(t *testing.T) (*Engine, *Engine, *core.Graph, *fabric.Ctx) {
 	t.Helper()
 	fab := fabric.New(fabric.DefaultConfig(6, fabric.Direct), nil)
@@ -70,9 +70,9 @@ func newSkewEnv(t *testing.T) (*Engine, *Engine, *core.Graph, *fabric.Ctx) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	structural := DefaultConfig()
-	structural.StructuralPlanner = true
-	return NewEngine(s, DefaultConfig()), NewEngine(s, structural), g, c
+	structural := NewEngine(s, DefaultConfig())
+	structural.noStats = true
+	return NewEngine(s, DefaultConfig()), structural, g, c
 }
 
 func TestCostBasedAccessPathOnSkew(t *testing.T) {

@@ -47,21 +47,6 @@ type Config struct {
 	PageSize int
 	// ResultTTL is how long continuation state is retained (paper: 60s).
 	ResultTTL time.Duration
-	// StructuralPlanner disables cost-based access-path selection: root
-	// candidates run in the fixed preference order and the traversal
-	// IndexFilter budget uses the structural formula — the pre-statistics
-	// planner, kept as an ablation and benchmark baseline.
-	StructuralPlanner bool
-	// NoPooling disables the executor's buffer reuse (frontier slices,
-	// row batches, value maps, sort keys, dedup sets): every query
-	// allocates fresh memory. Ablation knob for the allocs bench report
-	// and for bisecting suspected recycle-too-early bugs.
-	NoPooling bool
-	// NoGroupStreaming disables the streamed grouped-aggregate path:
-	// workers ship whole group maps and the coordinator accumulates every
-	// group before finalizing — the pre-streaming behavior, kept as the
-	// parity ablation and the groupcard benchmark baseline.
-	NoGroupStreaming bool
 	// GroupChunk is how many sorted group entries a worker ships per
 	// round: the first chunk rides the batch reply, the rest are pulled
 	// chunk by chunk as the coordinator's merge drains. It also sizes the
@@ -142,8 +127,8 @@ type Stats struct {
 	// objectstore (order-by-aggregate form past MaxWorkingSet).
 	GroupSpills int64
 	// PeakGroups is the peak number of group entries resident at the
-	// coordinator: the full group set on the map-accumulate path, merge
-	// buffers plus the page on the streaming path.
+	// coordinator: run-merge buffers plus the page, or the order-by-aggregate
+	// form's sort buffer.
 	PeakGroups int64
 	// PlanCacheHits is 1 when this execution's plan came from the engine's
 	// plan cache (a Prepared.Exec or a repeated document): the coordinator
@@ -191,6 +176,10 @@ type Engine struct {
 	// MaxWorkingSet (groupstream.go); spillSeq names the run tables.
 	spill    *objectstore.Store
 	spillSeq atomic.Uint64
+
+	// noStats plans as if the graph had no statistics: the preference-order
+	// fallback. Set only by tests that compare the cost-based choice with it.
+	noStats bool
 }
 
 // NewEngine creates an engine over a store.
@@ -256,29 +245,28 @@ func (e *Engine) Run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 }
 
 // run executes a bound query at the snapshot the coordinator picks: the
-// clock's current timestamp, which all workers will read at.
+// clock's current timestamp, pinned in the same step (Farm.PinCurrent) so
+// version GC cannot pass it before the pin lands. All workers read at it.
 func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
-	return e.runAt(c, g, q, e.store.Farm().Clock().Current())
+	if len(q.ParamNames) > 0 && !q.bound {
+		return nil, paramError("unbound parameter $%s", q.ParamNames[0])
+	}
+	ts, unpin := e.store.Farm().PinCurrent()
+	return e.runAt(c, g, q, ts, unpin)
 }
 
 // runAt executes a bound query against snapshot ts in four steps: plan (zip
 // the compiled plan with this execution's patterns), open the root access
-// path, drive the levels, and cut the first page.
-func (e *Engine) runAt(c *fabric.Ctx, g *core.Graph, q *Query, ts uint64) (*Result, error) {
-	if len(q.ParamNames) > 0 && !q.bound {
-		return nil, paramError("unbound parameter $%s", q.ParamNames[0])
-	}
+// path, drive the levels, and cut the first page. The caller has pinned ts;
+// unpin runs when the query returns, unless a page source that reads on
+// after the return (the `_recurse` pager) has taken the pin over.
+func (e *Engine) runAt(c *fabric.Ctx, g *core.Graph, q *Query, ts uint64, unpin func()) (*Result, error) {
 	var ops fabric.OpStats
 	qc := c.WithStats(&ops)
 	start := qc.Now()
 	if !q.fromCache {
 		qc.Work(e.cfg.CostParse)
 	}
-
-	// Versions at the snapshot are pinned until the query completes.
-	f := e.store.Farm()
-	unpin := f.PinSnapshot(ts)
-	defer unpin()
 
 	// The interpreter zips the compiled plan with the (possibly bound)
 	// pattern chain: the plan holds operator choices, the patterns hold the
@@ -291,13 +279,12 @@ func (e *Engine) runAt(c *fabric.Ctx, g *core.Graph, q *Query, ts uint64) (*Resu
 		engine:  e,
 		graph:   g,
 		ts:      ts,
+		unpin:   unpin,
 		hints:   q.Hints,
 		pc:      newPlanContext(qc, e, g),
 		targets: map[*EdgePattern]core.VertexPtr{},
 	}
-	if !e.cfg.NoPooling {
-		st.bufs = sharedBufs
-	}
+	defer func() { st.unpin() }()
 	tp := pats[len(pats)-1]
 	if tp.Limit > 0 && len(tp.Aggs) == 0 {
 		if len(tp.Orders) == 0 {
@@ -310,7 +297,7 @@ func (e *Engine) runAt(c *fabric.Ctx, g *core.Graph, q *Query, ts uint64) (*Resu
 			st.keep = tp.Limit + tp.Skip
 		}
 	}
-	ctx := f.CreateReadTransactionAt(qc, ts)
+	ctx := e.store.Farm().CreateReadTransactionAt(qc, ts)
 	if err := st.resolveMatchTargets(ctx, q.Root, false); err != nil {
 		return nil, err
 	}
@@ -377,14 +364,14 @@ func (st *execState) driveLevels(qc *fabric.Ctx, ctx *farm.Tx, frontier []core.V
 			}
 		}
 		out, err := st.runLevel(qc, frontier, level, pl, pats)
-		st.bufs.putAddrSet(st.member)
+		putAddrSet(st.member)
 		st.member = nil
 		if err != nil || lp.Terminal || lp.Recurse != nil {
 			return out, err
 		}
 		// Aggregate replies: dedup and repartition by pointer (§3.4).
 		qc.Work(time.Duration(len(out.next)) * e.cfg.CostMerge)
-		frontier = dedupPtrs(st.bufs, out.next)
+		frontier = dedupPtrs(out.next)
 		st.setActRows(level+1, len(frontier))
 		working += len(frontier)
 		if working > e.cfg.MaxWorkingSet {
@@ -437,7 +424,7 @@ func (st *execState) runLevel(qc *fabric.Ctx, frontier []core.VertexPtr, level i
 	// partials into per-machine runs; the cursor k-way merges them in key
 	// order as the result pages out, so the full group set is never
 	// resident at the coordinator.
-	if lp.Terminal && lp.Group != nil && !st.engine.cfg.NoGroupStreaming {
+	if lp.Terminal && lp.Group != nil {
 		cur, err := st.execGroupedLevel(qc, frontier, pat, lp)
 		if err != nil {
 			return nil, err
@@ -451,7 +438,7 @@ func (st *execState) runLevel(qc *fabric.Ctx, frontier []core.VertexPtr, level i
 	}
 	st.stats.Hops++
 	if lp.Terminal {
-		out.rows = dedupRows(st.bufs, out.rows)
+		out.rows = dedupRows(out.rows)
 	}
 	return out, nil
 }
@@ -466,31 +453,7 @@ func (st *execState) shape(qc *fabric.Ctx, out *levelOutput, tp *VertexPattern, 
 	case out.cursor != nil:
 		return st.streamGroups(qc, out.cursor, tp)
 	case len(tp.GroupBy) > 0:
-		// Map-accumulate path (Config.NoGroupStreaming): finalize the
-		// merged partial states into the sorted group list; `_having`
-		// filters finalized groups and an aggregate `_orderby` re-sorts
-		// them by their (now final) aggregate columns. The _limit cut is
-		// the top-K pruning — groups merge fully before any aggregate is
-		// final, so the coordinator is the earliest place to prune.
-		grows := finalizeGroups(out.groups, tp.GroupBy, tp.Aggs)
-		if n := int64(len(grows)); n > st.stats.PeakGroups {
-			st.stats.PeakGroups = n
-		}
-		if len(tp.Having) > 0 {
-			kept := grows[:0]
-			for _, gr := range grows {
-				if evalHavingRow(gr.Aggregates, tp.Having, tp.Aggs) {
-					kept = append(kept, gr)
-				} else {
-					st.stats.GroupsFiltered++
-				}
-			}
-			grows = kept
-		}
-		if len(tp.Orders) > 0 {
-			sortGroupsByAgg(grows, tp.Orders, tp.GroupOrder, tp.Aggs)
-		}
-		return groupPages(cut(grows, tp.Skip, tp.Limit)), nil
+		return groupPages(nil), nil // the frontier died out above the grouped terminal
 	}
 	if len(tp.Aggs) > 0 {
 		aggs := out.aggs
@@ -540,9 +503,10 @@ type execState struct {
 	rowsOut   atomic.Int64 // rows produced across all batches
 	keep      int          // _orderby+_limit: per-batch/merge top-K retention (0 = all)
 
-	// bufs is the executor's buffer pool handle (pool.go); nil when
-	// Config.NoPooling, and every use degrades to a fresh allocation.
-	bufs *execBufs
+	// unpin releases the snapshot pin on ts. runAt calls it on return; a
+	// page source that reads on after the return takes it over and leaves a
+	// no-op here.
+	unpin func()
 
 	// member, when non-nil, is the current level's index-membership filter:
 	// frontier vertices outside it are dropped before any read. Set by the
@@ -916,7 +880,7 @@ func (st *execState) orderedScan(qc *fabric.Ctx, tx *farm.Tx, pat *VertexPattern
 	// trim the boundary tie-run overshoot.
 	sortRows(rows, pat.Orders)
 	if len(rows) > target {
-		st.bufs.releaseRows(rows[target:])
+		releaseRows(rows[target:])
 		rows = rows[:target]
 	}
 	// The index holds no entry for vertices whose order field is null or
@@ -956,7 +920,7 @@ func (st *execState) orderedScan(qc *fabric.Ctx, tx *farm.Tx, pat *VertexPattern
 		}
 		sortRows(tail, pat.Orders) // keyless: stable address order
 		if len(tail) > target-len(rows) {
-			st.bufs.releaseRows(tail[target-len(rows):])
+			releaseRows(tail[target-len(rows):])
 			tail = tail[:target-len(rows)]
 		}
 		rows = append(rows, tail...)
@@ -1001,12 +965,12 @@ func (st *execState) execOrderedTraverse(qc *fabric.Ctx, frontier []core.VertexP
 	if err != nil || !served {
 		return nil, false, err
 	}
-	merged := mergeSortedRows(st.bufs, lists, pat.Orders, target)
+	merged := mergeSortedRows(lists, pat.Orders, target)
 	qc.Work(time.Duration(len(merged)) * st.engine.cfg.CostMerge)
 	// Per-machine list slices are dead once merged (their kept rows were
 	// copied into merged); recycle the headers.
 	for i := range lists {
-		st.bufs.putRows(lists[i])
+		putRows(lists[i])
 	}
 	return merged, true, nil
 }
@@ -1047,8 +1011,8 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 	if err != nil {
 		return nil, false, nil // unknown type: the fallback surfaces the error
 	}
-	members := st.bufs.getAddrSet()
-	defer st.bufs.putAddrSet(members)
+	members := getAddrSet()
+	defer putAddrSet(members)
 	for _, vp := range batch {
 		members.add(vp.Addr)
 	}
@@ -1075,8 +1039,8 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 	var rows []Row
 	var lastAttr []byte
 	var innerErr error
-	seen := st.bufs.getAddrSet()
-	defer st.bufs.putAddrSet(seen)
+	seen := getAddrSet()
+	defer putAddrSet(seen)
 	stopped := false
 	walked, err := g.IndexMemberScanDir(tx, pat.Type, otp.Field, lo, loInc, hi, hiInc, otp.Desc, members.has, func(attrKey []byte, vp core.VertexPtr) bool {
 		// Past the target, only key-ties with the boundary row still matter
@@ -1116,7 +1080,7 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 	// trim the boundary tie-run overshoot.
 	sortRows(rows, pat.Orders)
 	if len(rows) > target {
-		st.bufs.releaseRows(rows[target:])
+		releaseRows(rows[target:])
 		rows = rows[:target]
 	}
 	// Keyless top-up: when the walk exhausted the index (never stopped
@@ -1137,8 +1101,8 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 		// The unseen members live on this machine (the batch is the
 		// owner's slice of the frontier); read them in one multi-vertex
 		// pass instead of per-ID round trips through the read stack.
-		unseen := st.bufs.getPtrs()
-		defer st.bufs.putPtrs(unseen)
+		unseen := getPtrs()
+		defer putPtrs(unseen)
 		for _, vp := range batch {
 			if !seen.has(vp.Addr) {
 				unseen = append(unseen, vp)
@@ -1149,9 +1113,9 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 			if !pass {
 				return true, nil
 			}
-			row := newRow(st.bufs, v.Ptr, v.Data, pat, v.Schema)
+			row := newRow(v.Ptr, v.Data, pat, v.Schema)
 			if len(row.keys) > 0 && row.keys[0].ok {
-				st.bufs.releaseRow(&row) // keyed rows already came off the index
+				releaseRow(&row) // keyed rows already came off the index
 			} else {
 				tail = append(tail, row)
 			}
@@ -1162,7 +1126,7 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 		}
 		sortRows(tail, pat.Orders) // keyless: stable address order
 		if len(tail) > target-len(rows) {
-			st.bufs.releaseRows(tail[target-len(rows):])
+			releaseRows(tail[target-len(rows):])
 			tail = tail[:target-len(rows)]
 		}
 		rows = append(rows, tail...)
@@ -1176,7 +1140,7 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 func (st *execState) buildTerminalRow(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr, pat *VertexPattern, read ReadSet, bc *batchCounts) (row Row, ok bool, err error) {
 	err = st.materialize(sc, tx, []core.VertexPtr{vp}, pat, read, bc, func(v *core.VertexVisit, pass bool) (bool, error) {
 		if pass {
-			row, ok = newRow(st.bufs, vp, v.Data, pat, v.Schema), true
+			row, ok = newRow(vp, v.Data, pat, v.Schema), true
 		}
 		return false, nil
 	})
@@ -1190,10 +1154,10 @@ func (st *execState) buildTerminalRow(sc *fabric.Ctx, tx *farm.Tx, vp core.Verte
 // otherwise compare as a zero value). Every row producer — worker batches,
 // ordered scans, ordered traversals — funnels through here so the sort
 // fallback and the index-order paths agree byte for byte.
-func newRow(bufs *execBufs, vp core.VertexPtr, data bond.Value, pat *VertexPattern, schema *bond.Schema) Row {
+func newRow(vp core.VertexPtr, data bond.Value, pat *VertexPattern, schema *bond.Schema) Row {
 	row := Row{Vertex: vp}
 	if len(pat.Selects) > 0 {
-		row.Values = bufs.getValues(len(pat.Selects))
+		row.Values = getValues()
 		for _, sel := range pat.Selects {
 			if val, ok := resolvePath(data, sel, schema); ok {
 				row.Values[sel.Raw] = val
@@ -1201,7 +1165,7 @@ func newRow(bufs *execBufs, vp core.VertexPtr, data bond.Value, pat *VertexPatte
 		}
 	}
 	if len(pat.Orders) > 0 {
-		row.keys = bufs.getKeys(len(pat.Orders))
+		row.keys = getKeys(len(pat.Orders))
 		for i, ob := range pat.Orders {
 			val, ok := resolvePath(data, ob.Path, schema)
 			row.keys[i] = sortKey{val: val, ok: ok}
@@ -1234,7 +1198,7 @@ func (st *execState) buildMemberFilter(qc *fabric.Ctx, tx *farm.Tx, pat *VertexP
 		budget = int(2*est) + 64
 	}
 	collect := func(scan func(fn func(vp core.VertexPtr) bool) error) (*addrSet, bool, error) {
-		member := st.bufs.getAddrSet()
+		member := getAddrSet()
 		overflow := false
 		err := scan(func(vp core.VertexPtr) bool {
 			member.add(vp.Addr)
@@ -1245,7 +1209,7 @@ func (st *execState) buildMemberFilter(qc *fabric.Ctx, tx *farm.Tx, pat *VertexP
 			return true
 		})
 		if err != nil || overflow {
-			st.bufs.putAddrSet(member)
+			putAddrSet(member)
 			return nil, false, err
 		}
 		return member, true, nil
@@ -1302,7 +1266,7 @@ type levelOutput struct {
 	next   []core.VertexPtr
 	rows   []Row
 	aggs   []aggState             // partial aggregates, parallel to the level's Aggs
-	groups map[string]*groupState // grouped-aggregate partials (_groupby, map path)
+	groups map[string]*groupState // one owner's grouped-aggregate partials (buildGroupRun input)
 
 	accepted int // `_recurse`: candidates that survived the owners' visited filters
 
@@ -1319,8 +1283,8 @@ func (o *levelOutput) absorb(st *execState, in *levelOutput, pat *VertexPattern)
 	o.rows = append(o.rows, in.rows...)
 	// The reply's slices were copied out by the appends above; only the
 	// slice headers die here, never the rows' own buffers.
-	st.bufs.putPtrs(in.next)
-	st.bufs.putRows(in.rows)
+	putPtrs(in.next)
+	putRows(in.rows)
 	if in.aggs != nil {
 		if o.aggs == nil {
 			o.aggs = make([]aggState, len(pat.Aggs))
@@ -1329,7 +1293,7 @@ func (o *levelOutput) absorb(st *execState, in *levelOutput, pat *VertexPattern)
 	}
 	// Ordered-limit merge: never hold more than the top K(+skip) rows.
 	if st.keep > 0 && len(o.rows) > 2*st.keep {
-		o.rows = topK(st.bufs, o.rows, pat.Orders, st.keep)
+		o.rows = topK(o.rows, pat.Orders, st.keep)
 	}
 }
 
@@ -1373,7 +1337,8 @@ func (g *groupState) wireBytes(enc string) int {
 }
 
 // wire sizes one batch's reply: fat pointers for the next frontier,
-// Bond-encoded projected rows, and (grouped) aggregate partials.
+// Bond-encoded projected rows, and aggregate partials. Group partials never
+// ship in a levelOutput: they leave the owner as a run (runSource).
 func (o *levelOutput) wire() wireSize {
 	n := len(o.next) * ptrWireBytes
 	for i := range o.rows {
@@ -1381,9 +1346,6 @@ func (o *levelOutput) wire() wireSize {
 	}
 	for i := range o.aggs {
 		n += o.aggs[i].wireBytes()
-	}
-	for enc, gs := range o.groups {
-		n += gs.wireBytes(enc)
 	}
 	return wireSize{rows: len(o.rows), bytes: n}
 }
@@ -1424,7 +1386,7 @@ func scatter[T interface{ wire() wireSize }](st *execState, qc *fabric.Ctx, fron
 		if !ok {
 			i = len(batches)
 			slot[m] = i
-			batches = append(batches, ownerBatch{m: m, ptrs: st.bufs.getPtrs(), i: i})
+			batches = append(batches, ownerBatch{m: m, ptrs: getPtrs(), i: i})
 		}
 		batches[i].ptrs = append(batches[i].ptrs, vp)
 	}
@@ -1467,7 +1429,7 @@ func scatter[T interface{ wire() wireSize }](st *execState, qc *fabric.Ctx, fron
 	// Every batch finished and no reply aliases its batch; the per-owner
 	// frontier slices go back to the pool.
 	for _, b := range batches {
-		st.bufs.putPtrs(b.ptrs)
+		putPtrs(b.ptrs)
 	}
 	return firstErr
 }
@@ -1493,21 +1455,6 @@ func (st *execState) execLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *V
 		},
 		func(_ ownerBatch, out *levelOutput) error {
 			merged.absorb(st, out, pat)
-			if out.groups == nil {
-				return nil
-			}
-			if merged.groups == nil {
-				merged.groups = make(map[string]*groupState)
-			}
-			mergeGroupStates(merged.groups, out.groups, pat.Aggs)
-			if n := int64(len(merged.groups)); n > st.stats.PeakGroups {
-				st.stats.PeakGroups = n
-			}
-			// Incremental working-set cap: fail while merging, never after
-			// transiently holding an over-budget group map.
-			if len(merged.groups) > st.engine.cfg.MaxWorkingSet {
-				return fmt.Errorf("%w: %d groups", ErrWorkingSet, len(merged.groups))
-			}
 			return nil
 		})
 	if err != nil {
@@ -1588,16 +1535,16 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 			out.aggs = make([]aggState, len(pat.Aggs))
 		}
 		if buildRows = len(pat.Selects) > 0 || len(pat.Aggs) == 0; buildRows {
-			out.rows = st.bufs.getRows()
+			out.rows = getRows()
 		}
 	}
 	if op.edge != nil {
-		out.next = st.bufs.getPtrs()
+		out.next = getPtrs()
 	}
 	// Traversal-level pushdown: the index-membership filter runs first.
 	work := batch
 	if op.member != nil {
-		filtered := st.bufs.getPtrs()
+		filtered := getPtrs()
 		for _, vp := range batch {
 			if !op.member.has(vp.Addr) {
 				bc.indexFiltered++
@@ -1606,7 +1553,7 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 			filtered = append(filtered, vp)
 		}
 		work = filtered
-		defer st.bufs.putPtrs(filtered)
+		defer putPtrs(filtered)
 	}
 	// Unordered _limit short-circuit: once enough rows exist anywhere in
 	// the cluster, stop reading vertices.
@@ -1631,10 +1578,10 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 		if !buildRows {
 			return nil
 		}
-		row := newRow(st.bufs, vp, data, pat, schema)
+		row := newRow(vp, data, pat, schema)
 		if op.hops > 0 {
 			if row.Values == nil {
-				row.Values = st.bufs.getValues(1)
+				row.Values = getValues()
 			}
 			row.Values[HopsColumn] = bond.Int64(int64(op.hops))
 		}
@@ -1643,7 +1590,7 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 		// Ordered-limit pruning: keep this batch's working set at the top
 		// K(+skip) so large frontiers never ship large replies.
 		if st.keep > 0 && len(out.rows) >= 2*st.keep {
-			out.rows = topK(st.bufs, out.rows, pat.Orders, st.keep)
+			out.rows = topK(out.rows, pat.Orders, st.keep)
 		}
 		return nil
 	}
@@ -1694,7 +1641,7 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 		}
 	}
 	if st.keep > 0 && len(out.rows) > st.keep {
-		out.rows = topK(st.bufs, out.rows, pat.Orders, st.keep)
+		out.rows = topK(out.rows, pat.Orders, st.keep)
 	}
 	return out, nil
 }
@@ -1836,9 +1783,9 @@ func (st *execState) matchVertex(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr,
 	return matched, err
 }
 
-func dedupPtrs(bufs *execBufs, ptrs []core.VertexPtr) []core.VertexPtr {
-	seen := bufs.getAddrSet()
-	defer bufs.putAddrSet(seen)
+func dedupPtrs(ptrs []core.VertexPtr) []core.VertexPtr {
+	seen := getAddrSet()
+	defer putAddrSet(seen)
 	out := ptrs[:0]
 	for _, p := range ptrs {
 		if seen.add(p.Addr) {
@@ -1851,13 +1798,13 @@ func dedupPtrs(bufs *execBufs, ptrs []core.VertexPtr) []core.VertexPtr {
 // dedupRows compacts duplicate vertices out of the terminal row list.
 // Dropped duplicates are released back to the pool: each was built by its
 // own newRow call, so its buffers have no other referent.
-func dedupRows(bufs *execBufs, rows []Row) []Row {
-	seen := bufs.getAddrSet()
-	defer bufs.putAddrSet(seen)
+func dedupRows(rows []Row) []Row {
+	seen := getAddrSet()
+	defer putAddrSet(seen)
 	out := rows[:0]
 	for i := range rows {
 		if !seen.add(rows[i].Vertex.Addr) {
-			bufs.releaseRow(&rows[i])
+			releaseRow(&rows[i])
 			continue
 		}
 		out = append(out, rows[i])

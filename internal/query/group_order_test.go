@@ -26,8 +26,8 @@ func TestGroupByOrderByAggregate(t *testing.T) {
 	if n := res.Groups[0].Aggregates["_count(*)"].AsInt(); n != 120 {
 		t.Fatalf("top group count = %d, want 120", n)
 	}
-	// Ties (count 1) keep ascending key order: the stable sort preserves
-	// finalizeGroups' key ordering.
+	// Ties (count 1) keep ascending key order: the encoded group key breaks
+	// aggregate ties.
 	k1 := res.Groups[1].Keys["category"].AsString()
 	k2 := res.Groups[2].Keys["category"].AsString()
 	if k1 >= k2 {

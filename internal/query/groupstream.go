@@ -16,10 +16,9 @@ import (
 // streaming: each worker ships its partials as a *key-sorted run* (first
 // chunk inline in the RPC reply, the remainder parked in the worker's run
 // store and pulled chunk by chunk), and the coordinator k-way merges the
-// runs in encoded-key order — the same order finalizeGroups' sort.Strings
-// produces — so finalized groups flow out through continuation pages
-// without the full group set ever being resident. Coordinator residency is
-// O(page + machines·chunk) instead of O(groups).
+// runs in encoded-key order, so finalized groups flow out through
+// continuation pages without the full group set ever being resident.
+// Coordinator residency is O(page + machines·chunk) instead of O(groups).
 //
 // `_having` rides the runs: a worker whose local partial already proves a
 // group fails globally ships a key-only tombstone (group keys are spread
@@ -146,18 +145,6 @@ func evalHavingState(gs *groupState, having []HavingPred, aggs []Aggregate) bool
 	return true
 }
 
-// evalHavingRow is evalHavingState over an already-finalized GroupRow (the
-// map-accumulate ablation path filters after finalizeGroups).
-func evalHavingRow(aggVals map[string]bond.Value, having []HavingPred, aggs []Aggregate) bool {
-	for _, hp := range having {
-		v := aggVals[aggs[hp.AggIdx].Raw]
-		if v.IsNull() || !evalHavingOp(v, hp.Op, hp.Value) {
-			return false
-		}
-	}
-	return true
-}
-
 // havingProvesFail reports whether a *local* partial state already proves
 // the group fails a `_having` predicate globally, no matter what other
 // machines contribute. Only merge-monotone aggregates admit proofs:
@@ -219,8 +206,9 @@ func havingProvesFail(gs *groupState, having []HavingPred, aggs []Aggregate) boo
 
 // buildGroupRun serializes a worker batch's group map into a key-sorted run
 // and applies the `_having` pushdown. Emission order must be the encoded
-// keys ascending — the exact order finalizeGroups sorts into — so the runs
-// are collected and sorted, never emitted in map order (a1/maporder).
+// keys ascending — the order the coordinator's merge emits groups in — so
+// the runs are collected and sorted, never emitted in map order
+// (a1/maporder).
 // exact marks the single-machine case where local states are final: failing
 // groups are dropped outright instead of tombstoned. Returns the run and
 // the number of groups the pushdown pruned.
@@ -302,11 +290,7 @@ func (st *execState) execGroupedLevel(qc *fabric.Ctx, frontier []core.VertexPtr,
 		})
 	if err != nil {
 		// The cursor that would have drained the parked tails never exists.
-		for _, src := range srcs {
-			if src != nil && src.runID != 0 {
-				st.engine.dropRun(qc, src)
-			}
-		}
+		st.engine.dropRuns(qc, srcs)
 		return nil, err
 	}
 	cur := &groupCursor{
@@ -323,17 +307,30 @@ func (st *execState) execGroupedLevel(qc *fabric.Ctx, frontier []core.VertexPtr,
 	return cur, nil
 }
 
-// dropRun discards a run tail parked on src's machine. Best effort: a tail
-// the drop cannot reach lapses by TTL like any other.
-func (e *Engine) dropRun(c *fabric.Ctx, src *runSource) {
-	if src.m == c.M {
-		e.runs[src.m].claim(src.runID)
-		return
+// dropRuns discards the run tails still parked for srcs: one drop per
+// machine that holds one, sent in parallel. Best effort: a tail the drop
+// cannot reach lapses by TTL like any other.
+func (e *Engine) dropRuns(c *fabric.Ctx, srcs []*runSource) {
+	var held []*runSource
+	for _, src := range srcs {
+		if src != nil && src.runID != 0 {
+			held = append(held, src)
+		}
 	}
-	_ = c.RPC(src.m, 32, func(*fabric.Ctx) (int, error) {
-		e.runs[src.m].claim(src.runID)
-		return 0, nil
+	c.Parallel(len(held), func(i int, cc *fabric.Ctx) {
+		src := held[i]
+		if src.m == cc.M {
+			e.runs[src.m].claim(src.runID)
+			return
+		}
+		_ = cc.RPC(src.m, 32, func(*fabric.Ctx) (int, error) {
+			e.runs[src.m].claim(src.runID)
+			return 0, nil
+		})
 	})
+	for _, src := range held {
+		src.runID = 0
+	}
 }
 
 // buildGroupSource is the owner-side half: reduce the batch (runBatch
@@ -362,7 +359,7 @@ func (st *execState) buildGroupSource(sc *fabric.Ctx, batch []core.VertexPtr, pa
 
 // groupCursor k-way merges per-machine key-sorted runs into the stream of
 // globally merged groups, ascending by encoded key — byte-identical order
-// to sorting the accumulated map. Equal keys across machines merge their
+// to sorting every group's key. Equal keys across machines merge their
 // aggregate states; a tombstone from any machine kills its key.
 type groupCursor struct {
 	e      *Engine
@@ -475,7 +472,7 @@ func (cur *groupCursor) next(c *fabric.Ctx, stats *Stats) (string, *groupState, 
 type groupStream interface {
 	nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error)
 	resident() int64
-	close()
+	close(c *fabric.Ctx)
 }
 
 func (cur *groupCursor) nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error) {
@@ -486,10 +483,15 @@ func (cur *groupCursor) nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, er
 	return groupRowOf(gs, cur.by, cur.aggs), true, nil
 }
 
-// close is a no-op: parked run tails on the workers expire by TTL, exactly
-// like coordinator continuation state (a worker cannot rely on a crashed
-// coordinator to release it).
-func (cur *groupCursor) close() {}
+// close drops the run tails the merge never drained — a `_limit` cut,
+// Release, expiry. With no fabric context (the coordinator itself is gone,
+// DropResultsOn) nothing can be sent and the tails lapse by TTL, since a
+// worker cannot rely on a crashed coordinator to release them.
+func (cur *groupCursor) close(c *fabric.Ctx) {
+	if c != nil {
+		cur.e.dropRuns(c, cur.srcs)
+	}
+}
 
 // pager applies the terminal _skip/_limit to a group stream and cuts it
 // into continuation pages. It holds a one-row lookahead so a page knows
@@ -571,15 +573,14 @@ func (p *pager) nextPage(c *fabric.Ctx, n int, res *Result) (bool, error) {
 	return true, nil
 }
 
-func (p *pager) close() { p.stream.close() }
+func (p *pager) close(c *fabric.Ctx) { p.stream.close(c) }
 
 // Order-by-aggregate spill: the top-K-groups form needs every group before
 // any aggregate order is final. The coordinator drains the run merge into a
 // buffer; past MaxWorkingSet buffered groups the buffer is sorted by the
-// aggregate orders (encoded key ascending as the tie-break — exactly the
-// stable sort over key-sorted input the in-memory path runs) and written to
-// the engine's objectstore as one run, keyed by big-endian sequence number
-// so sorted-order reads are sequence reads. The runs merge back lazily with
+// aggregate orders (encoded key ascending as the tie-break, as in the
+// in-memory path) and written to the engine's objectstore as one run, keyed
+// by big-endian sequence number so sorted-order reads are sequence reads. The runs merge back lazily with
 // a Go comparator — byte order of the stored rows is never relied on.
 
 // spillRow is one finalized group with the encoded key that breaks
@@ -589,9 +590,9 @@ type spillRow struct {
 	gr  GroupRow
 }
 
-// spillRowLess orders finalized groups by the aggregate `_orderby` keys
-// (nulls last, exactly sortGroupsByAgg's comparator) with the encoded group
-// key as the final tie-break.
+// spillRowLess orders finalized groups by the aggregate `_orderby` keys,
+// nulls last, with the encoded group key as the final tie-break — the
+// order of the order-by-aggregate form, spilled or not.
 func spillRowLess(a, b *spillRow, orders []OrderBy, aggIdx []int, aggs []Aggregate) bool {
 	for k, ob := range orders {
 		col := aggs[aggIdx[k]].Raw
@@ -677,9 +678,8 @@ func (e *Engine) writeSpillRun(rows []spillRow, tp *VertexPattern) (string, erro
 
 // collectOrderedGroups drains the run merge for the order-by-aggregate
 // form. Groups buffer in memory up to MaxWorkingSet; overflow sorts and
-// spills the buffer as a run. With no overflow the buffer comes back
-// unsorted (memory path: one stable sort, identical to the ablation);
-// otherwise the final partial buffer is sorted too and rides as the
+// spills the buffer as a run. The final partial buffer is sorted too: with
+// no overflow it comes back as the whole result, otherwise it rides as the
 // in-memory run of the returned spill merge.
 func (st *execState) collectOrderedGroups(qc *fabric.Ctx, cur *groupCursor, tp *VertexPattern) ([]spillRow, *spillMerge, error) {
 	e := st.engine
@@ -715,13 +715,13 @@ func (st *execState) collectOrderedGroups(qc *fabric.Ctx, cur *groupCursor, tp *
 			buf = buf[:0]
 		}
 	}
+	sortSpillRows(buf, tp)
 	if len(tables) == 0 {
 		if int64(len(buf)) > st.stats.PeakGroups {
 			st.stats.PeakGroups = int64(len(buf))
 		}
 		return buf, nil, nil
 	}
-	sortSpillRows(buf, tp)
 	sm := &spillMerge{
 		e:      e,
 		tables: tables,
@@ -824,7 +824,7 @@ func (sm *spillMerge) resident() int64 {
 
 // close drops the spilled run tables — on stream exhaustion, Release,
 // expiry, or coordinator crash.
-func (sm *spillMerge) close() {
+func (sm *spillMerge) close(*fabric.Ctx) {
 	for _, name := range sm.tables {
 		sm.e.spill.DropTable(name)
 	}
@@ -835,15 +835,15 @@ func (sm *spillMerge) close() {
 // the source its pages come from. The unordered form pages the merge cursor
 // directly — later pages pull more of the runs. The aggregate-`_orderby`
 // form drains the cursor first (spilling sorted runs past MaxWorkingSet):
-// with no spill the buffer sorts and pages in memory exactly like the
-// map-accumulate path; with spill the runs merge back lazily behind the
-// continuation.
+// with no spill the sorted buffer pages from memory; with spill the runs
+// merge back lazily behind the continuation.
 func (st *execState) streamGroups(qc *fabric.Ctx, cur *groupCursor, tp *VertexPattern) (pageSource, error) {
 	if len(tp.Orders) == 0 {
 		return newPager(cur, tp), nil
 	}
 	mem, sm, err := st.collectOrderedGroups(qc, cur, tp)
 	if err != nil {
+		cur.close(qc)
 		return nil, err
 	}
 	if sm != nil {
@@ -853,6 +853,5 @@ func (st *execState) streamGroups(qc *fabric.Ctx, cur *groupCursor, tp *VertexPa
 	for i := range mem {
 		grows[i] = mem[i].gr
 	}
-	sortGroupsByAgg(grows, tp.Orders, tp.GroupOrder, tp.Aggs)
 	return groupPages(cut(grows, tp.Skip, tp.Limit)), nil
 }

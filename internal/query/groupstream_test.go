@@ -2,19 +2,22 @@ package query
 
 import (
 	"errors"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"a1/internal/bond"
+	"a1/internal/core"
+	"a1/internal/fabric"
 )
 
-// Streamed grouped aggregation: parity with the map-accumulate path,
-// `_having` surface + binding, continuation lifecycle for parked group
-// runs, and spill-backed completion of ordered queries past
+// Streamed grouped aggregation: parity with a brute-force oracle,
+// `_having` surface, binding and pushdown, continuation lifecycle for
+// parked group runs, and spill-backed completion of ordered queries past
 // MaxWorkingSet. The skew env has 81 groups by category: "hot" with 120
 // members and 80 singleton tails (tie-heavy on _count). Integer
-// aggregates only — float sums are merge-order sensitive on both paths.
+// aggregates only — float sums are merge-order sensitive.
 
 func sameGroups(t *testing.T, label string, got, want []GroupRow) {
 	t.Helper()
@@ -42,11 +45,136 @@ func sameGroups(t *testing.T, label string, got, want []GroupRow) {
 	}
 }
 
+// groupOracle answers a grouped document over the skew env by brute force:
+// it reads every product through the core API, groups and aggregates the
+// int64 fields in a Go map, then applies `_having`, the aggregate
+// `_orderby` (nulls last, encoded group key as the tie-break), `_skip` and
+// `_limit` by hand. Only the parser is shared with the engine.
+func groupOracle(t *testing.T, g *core.Graph, c *fabric.Ctx, doc string) []GroupRow {
+	t.Helper()
+	q, err := Parse([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := q.Root
+	field := func(v bond.Value, name string) bond.Value {
+		f, ok := skewSchema.FieldByName(name)
+		if !ok {
+			t.Fatalf("oracle: no field %q", name)
+		}
+		fv, _ := v.Field(f.ID)
+		return fv
+	}
+	type group struct {
+		enc  string
+		keys []bond.Value
+		aggs []bond.Value
+	}
+	groups := map[string]*group{}
+	tx := g.Store().Farm().CreateReadTransaction(c)
+	var ptrs []core.VertexPtr
+	if err := g.ScanVerticesByType(tx, "product", func(_ bond.Value, vp core.VertexPtr) bool {
+		ptrs = append(ptrs, vp)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, vp := range ptrs {
+		v, err := g.ReadVertex(tx, vp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc []byte
+		keys := make([]bond.Value, len(tp.GroupBy))
+		for i, fp := range tp.GroupBy {
+			keys[i] = field(v.Data, fp.Raw)
+			enc = bond.OrderedEncode(enc, keys[i])
+		}
+		gr := groups[string(enc)]
+		if gr == nil {
+			gr = &group{enc: string(enc), keys: keys, aggs: make([]bond.Value, len(tp.Aggs))}
+			groups[gr.enc] = gr
+		}
+		for i, a := range tp.Aggs {
+			if a.Kind == AggCount {
+				gr.aggs[i] = bond.Int64(gr.aggs[i].AsInt() + 1)
+				continue
+			}
+			x, prev := field(v.Data, a.Path.Raw).AsInt(), gr.aggs[i]
+			switch {
+			case a.Kind == AggSum:
+				gr.aggs[i] = bond.Int64(prev.AsInt() + x)
+			case prev.IsNull(),
+				a.Kind == AggMin && x < prev.AsInt(),
+				a.Kind == AggMax && x > prev.AsInt():
+				gr.aggs[i] = bond.Int64(x)
+			}
+		}
+	}
+	var out []*group
+	for _, gr := range groups {
+		keep := true
+		for _, hp := range tp.Having {
+			x, want := gr.aggs[hp.AggIdx].AsInt(), hp.Value.AsInt()
+			keep = keep && map[Op]bool{OpEq: x == want, OpNe: x != want, OpGt: x > want,
+				OpGe: x >= want, OpLt: x < want, OpLe: x <= want}[hp.Op]
+		}
+		if keep {
+			out = append(out, gr)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		for k, ob := range tp.Orders {
+			a, b := out[i].aggs[tp.GroupOrder[k]], out[j].aggs[tp.GroupOrder[k]]
+			if a.IsNull() != b.IsNull() {
+				return b.IsNull()
+			}
+			if a.AsInt() != b.AsInt() {
+				return (a.AsInt() > b.AsInt()) == ob.Desc
+			}
+		}
+		return out[i].enc < out[j].enc
+	})
+	out = cut(out, tp.Skip, tp.Limit)
+	rows := make([]GroupRow, len(out))
+	for i, gr := range out {
+		rows[i] = GroupRow{Keys: map[string]bond.Value{}, Aggregates: map[string]bond.Value{}}
+		for k, fp := range tp.GroupBy {
+			rows[i].Keys[fp.Raw] = gr.keys[k]
+		}
+		for k, a := range tp.Aggs {
+			rows[i].Aggregates[a.Raw] = gr.aggs[k]
+		}
+	}
+	return rows
+}
+
+// drainGroups executes doc and fetches every continuation page.
+func drainGroups(t *testing.T, e *Engine, g *core.Graph, c *fabric.Ctx, doc string) ([]GroupRow, Stats) {
+	t.Helper()
+	var groups []GroupRow
+	var total Stats
+	res, err := e.Execute(c, g, []byte(doc))
+	for {
+		if err != nil {
+			t.Fatalf("Execute(%s): %v", doc, err)
+		}
+		groups = append(groups, res.Groups...)
+		total.GroupsShipped += res.Stats.GroupsShipped
+		total.GroupsFiltered += res.Stats.GroupsFiltered
+		total.GroupSpills += res.Stats.GroupSpills
+		total.PeakGroups = max(total.PeakGroups, res.Stats.PeakGroups)
+		if res.Continuation == "" {
+			return groups, total
+		}
+		res, err = e.Fetch(c, res.Continuation)
+	}
+}
+
 func TestGroupStreamParity(t *testing.T) {
-	stream, mapAcc, g, c := newSkewEnv(t)
+	stream, _, g, c := newSkewEnv(t)
 	stream.cfg.PageSize = 7
 	stream.cfg.GroupChunk = 8
-	mapAcc.cfg.NoGroupStreaming = true
 
 	docs := []string{
 		// Unordered high-tie rollup.
@@ -63,68 +191,62 @@ func TestGroupStreamParity(t *testing.T) {
 		`{"_type": "product", "_groupby": "category", "_select": ["_count(*)"], "_having": {"_count(*)": {"_gt": 1}}}`,
 	}
 	for _, doc := range docs {
-		var fast []GroupRow
-		res, err := stream.Execute(c, g, []byte(doc))
-		for {
-			if err != nil {
-				t.Fatalf("stream Execute(%s): %v", doc, err)
-			}
-			fast = append(fast, res.Groups...)
-			if res.Continuation == "" {
-				break
-			}
-			res, err = stream.Fetch(c, res.Continuation)
-		}
-		slow, err := mapAcc.Execute(c, g, []byte(doc))
-		if err != nil {
-			t.Fatalf("map Execute(%s): %v", doc, err)
-		}
-		if slow.Continuation != "" {
-			t.Fatalf("map path paged unexpectedly (PageSize default); doc %s", doc)
-		}
-		sameGroups(t, doc, fast, slow.Groups)
+		got, _ := drainGroups(t, stream, g, c, doc)
+		sameGroups(t, doc, got, groupOracle(t, g, c, doc))
 	}
 }
 
-// TestGroupStreamResidency pins the tentpole claim: the streaming
-// coordinator never holds the full group set, the map path always does.
+// TestGroupedTerminalUnreached: a traversal whose frontier dies out before
+// the grouped terminal returns no groups — and no scalar aggregates.
+func TestGroupedTerminalUnreached(t *testing.T) {
+	e, _, g, c := newSkewEnv(t)
+	if err := g.CreateEdgeType(c, "rel", nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Execute(c, g, []byte(`{"_type": "product", "category": "hot", "_out_edge": {"_type": "rel",
+	  "_vertex": {"_groupby": "category", "_select": ["_count(*)"]}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Groups) != 0 || res.Aggregates != nil || res.HasCount {
+		t.Fatalf("groups %v, aggregates %v, has count %v: want none", res.Groups, res.Aggregates, res.HasCount)
+	}
+}
+
+// TestGroupStreamResidency pins the streaming claim: the coordinator never
+// holds the full group set.
 func TestGroupStreamResidency(t *testing.T) {
-	stream, mapAcc, g, c := newSkewEnv(t)
+	stream, _, g, c := newSkewEnv(t)
 	stream.cfg.PageSize = 10
 	stream.cfg.GroupChunk = 8
-	mapAcc.cfg.NoGroupStreaming = true
-	doc := `{"_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`
-
-	res, err := stream.Execute(c, g, []byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	peak := res.Stats.PeakGroups
-	shipped := res.Stats.GroupsShipped
-	for res.Continuation != "" {
-		if res, err = stream.Fetch(c, res.Continuation); err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.PeakGroups > peak {
-			peak = res.Stats.PeakGroups
-		}
-		shipped += res.Stats.GroupsShipped
-	}
-	slow, err := mapAcc.Execute(c, g, []byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow.Stats.PeakGroups != 81 {
-		t.Fatalf("map path PeakGroups = %d, want 81", slow.Stats.PeakGroups)
-	}
-	if peak <= 0 || peak >= 81 {
+	_, total := drainGroups(t, stream, g, c, `{"_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`)
+	if peak := total.PeakGroups; peak <= 0 || peak >= 81 {
 		t.Fatalf("streaming PeakGroups = %d, want in (0, 81): O(page + machines·chunk), not O(groups)", peak)
 	}
 	// Every group not wholly resident on the coordinator ships exactly one
 	// partial state per remote machine holding it; the coordinator's own
 	// partials never cross the fabric, so shipped < one-per-(machine,group).
-	if shipped == 0 || shipped > 5*81 {
+	if shipped := total.GroupsShipped; shipped == 0 || shipped > 5*81 {
 		t.Fatalf("GroupsShipped = %d, want in (0, %d]", shipped, 5*81)
+	}
+}
+
+// TestHavingPushdownCutsShipping: a `_having` a worker's local partial can
+// already prove failing — `_max` only grows under merge, so a local max at
+// or past the bound is final — ships a key-only tombstone instead of the
+// group's partial state.
+func TestHavingPushdownCutsShipping(t *testing.T) {
+	e, _, g, c := newSkewEnv(t)
+	base := `{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_max(score)"]}`
+	having := base[:len(base)-1] + `, "_having": {"_max(score)": {"_lt": 100}}}`
+	_, all := drainGroups(t, e, g, c, base)
+	got, cut := drainGroups(t, e, g, c, having)
+	sameGroups(t, having, got, groupOracle(t, g, c, having))
+	if cut.GroupsShipped >= all.GroupsShipped {
+		t.Errorf("GroupsShipped = %d with _having, %d without: want strictly fewer", cut.GroupsShipped, all.GroupsShipped)
+	}
+	if cut.GroupsFiltered == 0 {
+		t.Error("GroupsFiltered = 0, want the proven failures counted")
 	}
 }
 
@@ -244,47 +366,22 @@ func TestGroupRunStoreExpiry(t *testing.T) {
 }
 
 // TestGroupStreamSpill: an ordered grouped query whose full group set
-// exceeds MaxWorkingSet fast-fails on the map path but completes on the
-// streaming path by spilling sorted runs to the object store.
+// exceeds MaxWorkingSet completes by spilling sorted runs to the object
+// store, and matches the oracle.
 func TestGroupStreamSpill(t *testing.T) {
-	stream, mapAcc, g, c := newSkewEnv(t)
+	stream, _, g, c := newSkewEnv(t)
 	doc := `{"_type": "product", "_groupby": "category", "_select": ["_sum(score)"], "_orderby": "-_sum(score)"}`
-
-	// Reference: unconstrained map-accumulate ablation.
-	mapAcc.cfg.NoGroupStreaming = true
-	ref, err := mapAcc.Execute(c, g, []byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// 81 groups > 40: large enough that no single worker's partial set
 	// trips the per-batch check, small enough that the coordinator must
 	// spill the sorted buffer (twice) instead of holding all 81.
-	mapAcc.cfg.MaxWorkingSet = 40
-	if _, err := mapAcc.Execute(c, g, []byte(doc)); !errors.Is(err, ErrWorkingSet) {
-		t.Fatalf("map path past MaxWorkingSet = %v, want ErrWorkingSet", err)
-	}
-
 	stream.cfg.MaxWorkingSet = 40
 	stream.cfg.PageSize = 10
-	var got []GroupRow
-	var spills int64
-	res, err := stream.Execute(c, g, []byte(doc))
-	for {
-		if err != nil {
-			t.Fatalf("streaming spill query: %v", err)
-		}
-		got = append(got, res.Groups...)
-		spills += res.Stats.GroupSpills
-		if res.Continuation == "" {
-			break
-		}
-		res, err = stream.Fetch(c, res.Continuation)
-	}
-	if spills == 0 {
+	got, total := drainGroups(t, stream, g, c, doc)
+	if total.GroupSpills == 0 {
 		t.Fatal("GroupSpills = 0, want > 0 (the query must have spilled to complete)")
 	}
-	sameGroups(t, "spilled ordered groups", got, ref.Groups)
+	sameGroups(t, "spilled ordered groups", got, groupOracle(t, g, c, doc))
 	if names := stream.spill.TableNames(); len(names) != 0 {
 		t.Fatalf("spill tables leaked after drain: %v", names)
 	}

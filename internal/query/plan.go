@@ -30,7 +30,7 @@ import (
 // against live statistics (cost.go): each gets an estimated row count and a
 // cost from the engine's cost constants, the cheapest runs first, and the
 // structural preference order survives as the tiebreak (and as the whole
-// order when statistics are missing or Config.StructuralPlanner is set).
+// order when statistics are missing).
 // The interpreter still falls through on ErrNotFound, and Explain resolves
 // the same ranking against the live catalog and statistics so the printed
 // operator — annotated `est=N` — is the one that will actually run.

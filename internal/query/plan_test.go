@@ -396,6 +396,14 @@ func TestGroupByShipsPartialsNotRows(t *testing.T) {
 		t.Errorf("grouped BytesShipped = %d, want < row-shipping %d",
 			grouped.Stats.BytesShipped, rows.Stats.BytesShipped)
 	}
+	// Grouping the shipped rows client-side finds the same groups.
+	sensors := map[string]bool{}
+	for _, r := range rows.Rows {
+		sensors[r.Values["sensor"].AsString()] = true
+	}
+	if len(sensors) != len(grouped.Groups) || len(sensors) <= 1 {
+		t.Errorf("row twin holds %d sensors, grouped query %d groups", len(sensors), len(grouped.Groups))
+	}
 }
 
 func TestGroupByLimitSkipAndPaging(t *testing.T) {

@@ -24,17 +24,8 @@ import (
 //     merged list that will become either — are never released. The pool
 //     simply does not get those buffers back; the collector does.
 //
-// Config.NoPooling leaves execState.bufs nil; every method below treats a
-// nil receiver as "allocate fresh / do nothing", which restores the
-// pre-pooling allocation behavior exactly (the allocs bench report's
-// ablation column).
-
-type execBufs struct{}
-
-// sharedBufs is the process-wide marker handed to every pooling query;
-// the backing sync.Pools are package-level, so buffers recirculate across
-// queries and across the machines of a Direct-mode cluster.
-var sharedBufs = &execBufs{}
+// The pools are package-level, so buffers recirculate across queries and
+// across the machines of a Direct-mode cluster.
 
 // maxPooledCap bounds what the pools retain: a pathological query's huge
 // frontier or row batch should not stay pinned for the next small one.
@@ -48,25 +39,19 @@ var (
 	addrPool   = sync.Pool{New: func() any { return new(addrSet) }}
 )
 
-func (b *execBufs) getPtrs() []core.VertexPtr {
-	if b == nil {
-		return nil
-	}
+func getPtrs() []core.VertexPtr {
 	return (*ptrPool.Get().(*[]core.VertexPtr))[:0]
 }
 
-func (b *execBufs) putPtrs(s []core.VertexPtr) {
-	if b == nil || cap(s) == 0 || cap(s) > maxPooledCap {
+func putPtrs(s []core.VertexPtr) {
+	if cap(s) == 0 || cap(s) > maxPooledCap {
 		return
 	}
 	s = s[:0]
 	ptrPool.Put(&s)
 }
 
-func (b *execBufs) getRows() []Row {
-	if b == nil {
-		return nil
-	}
+func getRows() []Row {
 	return (*rowPool.Get().(*[]Row))[:0]
 }
 
@@ -74,8 +59,8 @@ func (b *execBufs) getRows() []Row {
 // rows' Values maps and key slices are NOT released: callers recycle batch
 // slices after appending the Row values elsewhere (execLevel's merge), so
 // the maps are still live in the copies.
-func (b *execBufs) putRows(s []Row) {
-	if b == nil || cap(s) == 0 || cap(s) > maxPooledCap {
+func putRows(s []Row) {
+	if cap(s) == 0 || cap(s) > maxPooledCap {
 		return
 	}
 	s = s[:0]
@@ -84,19 +69,13 @@ func (b *execBufs) putRows(s []Row) {
 
 // getValues returns an empty projection map. Pooled maps keep their bucket
 // arrays, so the steady state of a paging query writes into warm buckets.
-func (b *execBufs) getValues(sizeHint int) map[string]bond.Value {
-	if b == nil {
-		return make(map[string]bond.Value, sizeHint)
-	}
+func getValues() map[string]bond.Value {
 	return valuesPool.Get().(map[string]bond.Value)
 }
 
 // getKeys returns a length-n sort-key slice. Elements are NOT zeroed: the
 // single caller (newRow) assigns every index before the row is visible.
-func (b *execBufs) getKeys(n int) []sortKey {
-	if b == nil {
-		return make([]sortKey, n)
-	}
+func getKeys(n int) []sortKey {
 	s := *keyPool.Get().(*[]sortKey)
 	if cap(s) < n {
 		return make([]sortKey, n)
@@ -160,15 +139,12 @@ func (s *addrSet) add(a farm.Addr) bool {
 
 func (s *addrSet) len() int { return s.n }
 
-func (b *execBufs) getAddrSet() *addrSet {
-	if b == nil {
-		return new(addrSet)
-	}
+func getAddrSet() *addrSet {
 	return addrPool.Get().(*addrSet)
 }
 
-func (b *execBufs) putAddrSet(s *addrSet) {
-	if b == nil || s == nil || len(s.slots) > maxPooledCap {
+func putAddrSet(s *addrSet) {
+	if s == nil || len(s.slots) > maxPooledCap {
 		return
 	}
 	s.n = 0
@@ -182,10 +158,7 @@ func (b *execBufs) putAddrSet(s *addrSet) {
 // releaseRow returns one dropped row's buffers to the pools. The caller
 // asserts the row has no other referent — it was pruned or deduplicated
 // away before any copy of it could escape.
-func (b *execBufs) releaseRow(r *Row) {
-	if b == nil {
-		return
-	}
+func releaseRow(r *Row) {
 	if r.Values != nil {
 		clear(r.Values)
 		valuesPool.Put(r.Values)
@@ -201,11 +174,8 @@ func (b *execBufs) releaseRow(r *Row) {
 }
 
 // releaseRows releases every row in a dropped suffix (see releaseRow).
-func (b *execBufs) releaseRows(rows []Row) {
-	if b == nil {
-		return
-	}
+func releaseRows(rows []Row) {
 	for i := range rows {
-		b.releaseRow(&rows[i])
+		releaseRow(&rows[i])
 	}
 }

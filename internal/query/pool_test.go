@@ -148,7 +148,6 @@ func TestContinuationRowsOutlivePoolChurn(t *testing.T) {
 // large that fill was.
 func TestAddrSetVsMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	bufs := sharedBufs
 	var nilSet *addrSet
 	if nilSet.has(farm.MakeAddr(1, 64)) || new(addrSet).has(farm.MakeAddr(1, 64)) {
 		t.Fatal("nil or zero set reports a member")
@@ -180,8 +179,8 @@ func TestAddrSetVsMap(t *testing.T) {
 				t.Fatalf("round %d: has(%v) = %v, model %v", round, a, s.has(a), model[a])
 			}
 		}
-		bufs.putAddrSet(s)
-		s = bufs.getAddrSet() // this set again, or another goroutine's
+		putAddrSet(s)
+		s = getAddrSet() // this set again, or another goroutine's
 		if s.len() != 0 {
 			t.Fatalf("round %d: pooled set has len %d", round, s.len())
 		}

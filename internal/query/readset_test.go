@@ -486,7 +486,11 @@ func TestCountTerminalReadsSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := env.e.runAt(env.c, env.g, q, ts)
+		unpin, err := f.PinSnapshot(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := env.e.runAt(env.c, env.g, q, ts, unpin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -495,8 +499,7 @@ func TestCountTerminalReadsSnapshot(t *testing.T) {
 		}
 		return res.Count
 	}
-	before := f.Clock().Current()
-	unpin := f.PinSnapshot(before)
+	before, unpin := f.PinCurrent()
 	defer unpin()
 	was := map[string]int64{}
 	for _, name := range names {

@@ -55,10 +55,10 @@ type recurseRun struct {
 
 // recursePager is the page source of an unshaped `_recurse`: each page
 // steps the distributed expansion just far enough, so a deep reachable set
-// never sits fully resident behind a token. Parked in the continuation
-// store it holds its own snapshot pin, so the versions the expansion reads
-// survive the issuing query's return; close is idempotent, so the sweeper,
-// Release, and a failing page can all tear it down safely.
+// never sits fully resident behind a token. It takes over the issuing
+// query's snapshot pin, so the versions the expansion reads survive the
+// query's return; close is idempotent, so the sweeper, Release, and a
+// failing page can all tear it down safely.
 type recursePager struct {
 	rr    *recurseRun
 	rows  []Row // emitted but not yet returned
@@ -84,7 +84,7 @@ func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, leve
 	// Seed: the host level's residual filters pick the expansion roots;
 	// survivors are marked visited (distance 0) and enumerate the first
 	// hop's candidates.
-	roots := dedupPtrs(st.bufs, frontier)
+	roots := dedupPtrs(frontier)
 	rr.working = len(roots)
 	seed, err := rr.runPhase(qc, roots, 0)
 	if err != nil {
@@ -97,7 +97,11 @@ func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, leve
 		rr.done = true
 	}
 	if len(term.Orders) == 0 && len(term.Aggs) == 0 && len(term.GroupBy) == 0 && term.Limit == 0 && term.Skip == 0 {
-		return &levelOutput{pager: &recursePager{rr: rr, unpin: e.store.Farm().PinSnapshot(st.ts)}}, nil
+		// The pager reads on after the query returns: it takes over the
+		// query's snapshot pin.
+		pg := &recursePager{rr: rr, unpin: st.unpin}
+		st.unpin = func() {}
+		return &levelOutput{pager: pg}, nil
 	}
 	var rows []Row
 	for !rr.done {
@@ -110,7 +114,7 @@ func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, leve
 		// Ordered-limit accumulation: the visited sets emit each vertex
 		// once, so pruning to the top K(+skip) loses nothing.
 		if st.keep > 0 && len(rows) > 2*st.keep {
-			rows = topK(st.bufs, rows, term.Orders, st.keep)
+			rows = topK(rows, term.Orders, st.keep)
 		}
 	}
 	rr.release()
@@ -135,7 +139,7 @@ func (rr *recurseRun) step(qc *fabric.Ctx) ([]Row, error) {
 		rr.done = true
 		return nil, nil
 	}
-	cand := dedupPtrs(st.bufs, rr.cur)
+	cand := dedupPtrs(rr.cur)
 	out, err := rr.runPhase(qc, cand, k)
 	if err != nil {
 		return nil, err
@@ -147,7 +151,7 @@ func (rr *recurseRun) step(qc *fabric.Ctx) ([]Row, error) {
 		return nil, fmt.Errorf("%w: %d vertices visited", ErrWorkingSet, rr.working)
 	}
 	qc.Work(time.Duration(len(out.next)) * e.cfg.CostMerge)
-	st.bufs.putPtrs(rr.cur)
+	putPtrs(rr.cur)
 	rr.cur = out.next
 	if out.aggs != nil {
 		if rr.aggs == nil {
@@ -206,13 +210,13 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 	// Visited filter first, so the dedup saving shows up as vertices never
 	// read at all.
 	visited := rr.visitedFor(m)
-	work := st.bufs.getPtrs()
+	work := getPtrs()
 	for _, vp := range batch {
 		if visited.add(vp.Addr) {
 			work = append(work, vp)
 		}
 	}
-	defer st.bufs.putPtrs(work)
+	defer putPtrs(work)
 	op := levelOp{through: true}
 	if k < rr.rp.Max {
 		op.edge = rr.rp.Edge
@@ -236,7 +240,7 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 // sequence.
 func (rr *recurseRun) visitedFor(m fabric.MachineID) *addrSet {
 	if rr.visited[m] == nil {
-		rr.visited[m] = rr.st.bufs.getAddrSet()
+		rr.visited[m] = getAddrSet()
 	}
 	return rr.visited[m]
 }
@@ -249,12 +253,11 @@ func (rr *recurseRun) setIterAct(k, n int) {
 
 // release returns the run's cross-iteration state to the pools.
 func (rr *recurseRun) release() {
-	st := rr.st
-	st.bufs.putPtrs(rr.cur)
+	putPtrs(rr.cur)
 	rr.cur = nil
 	for i, v := range rr.visited {
 		if v != nil {
-			st.bufs.putAddrSet(v)
+			putAddrSet(v)
 			rr.visited[i] = nil
 		}
 	}
@@ -300,10 +303,10 @@ func (p *recursePager) nextPage(c *fabric.Ctx, n int, res *Result) (bool, error)
 
 // close releases the expansion's state: idempotent, so a failing page,
 // Release, the sweeper, and a coordinator drop can all call it.
-func (p *recursePager) close() {
+func (p *recursePager) close(*fabric.Ctx) {
 	p.once.Do(func() {
 		p.rr.release()
-		p.rr.st.bufs.releaseRows(p.rows)
+		releaseRows(p.rows)
 		p.rows = nil
 		p.unpin()
 	})

@@ -162,19 +162,6 @@ func accumGroup(groups map[string]*groupState, by []FieldPath, aggs []Aggregate,
 	return enc
 }
 
-// mergeGroupStates folds a batch's group partials into the coordinator's
-// running map.
-func mergeGroupStates(dst, src map[string]*groupState, aggs []Aggregate) {
-	for k, s := range src {
-		d := dst[k]
-		if d == nil {
-			dst[k] = s
-			continue
-		}
-		mergeAggStates(d.aggs, s.aggs, aggs)
-	}
-}
-
 // GroupRow is one `_groupby` result group: its key values (keyed by the
 // `_groupby` entry verbatim) and its finalized aggregates (keyed by the
 // `_select` entry verbatim).
@@ -193,51 +180,6 @@ func groupRowOf(gs *groupState, by []FieldPath, aggs []Aggregate) GroupRow {
 		gr.Keys[fp.Raw] = gs.keys[i]
 	}
 	return gr
-}
-
-// finalizeGroups converts merged group states into sorted result groups
-// (ascending by group key).
-func finalizeGroups(groups map[string]*groupState, by []FieldPath, aggs []Aggregate) []GroupRow {
-	encs := make([]string, 0, len(groups))
-	for k := range groups {
-		encs = append(encs, k)
-	}
-	sort.Strings(encs)
-	out := make([]GroupRow, 0, len(encs))
-	for _, enc := range encs {
-		out = append(out, groupRowOf(groups[enc], by, aggs))
-	}
-	return out
-}
-
-// sortGroupsByAgg orders finalized groups by aggregate columns — the
-// `_orderby`+`_groupby` top-K-groups form. Group partials must be fully
-// merged before any aggregate is final, so the sort (and the `_limit`
-// pruning that follows it) happens at the coordinator merge, never at the
-// workers. finalizeGroups produced the groups ascending by key and the
-// sort is stable, so aggregate ties keep key order — deterministic across
-// runs and machines. Null aggregates (empty _min/_max) sort last.
-func sortGroupsByAgg(groups []GroupRow, orders []OrderBy, aggIdx []int, aggs []Aggregate) {
-	sort.SliceStable(groups, func(i, j int) bool {
-		for k, ob := range orders {
-			col := aggs[aggIdx[k]].Raw
-			a, b := groups[i].Aggregates[col], groups[j].Aggregates[col]
-			an, bn := a.IsNull(), b.IsNull()
-			if an != bn {
-				return bn
-			}
-			if an {
-				continue
-			}
-			if cmp, ok := compareValues(a, b); ok && cmp != 0 {
-				if ob.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-		}
-		return false
-	})
 }
 
 // sortKey is one resolved `_orderby` key of a row.
@@ -286,10 +228,10 @@ func sortRows(rows []Row, orders []OrderBy) {
 // the buffer pool: every call site prunes rows it built itself (worker
 // batches) or rows whose only copies live in the list being pruned (the
 // coordinator merge), so the dropped rows have no other referent.
-func topK(bufs *execBufs, rows []Row, orders []OrderBy, k int) []Row {
+func topK(rows []Row, orders []OrderBy, k int) []Row {
 	sortRows(rows, orders)
 	if len(rows) > k {
-		bufs.releaseRows(rows[k:])
+		releaseRows(rows[k:])
 		rows = rows[:k]
 	}
 	return rows
@@ -316,7 +258,7 @@ func leastHead(n int, live func(i int) bool, less func(i, j int) bool) int {
 // vertex address, and addresses never repeat across machines), so
 // repeatedly taking the least head reproduces exactly what sorting the
 // concatenation would — without ever materializing it.
-func mergeSortedRows(bufs *execBufs, lists [][]Row, orders []OrderBy, k int) []Row {
+func mergeSortedRows(lists [][]Row, orders []OrderBy, k int) []Row {
 	pos := make([]int, len(lists))
 	total := 0
 	for _, l := range lists {
@@ -339,7 +281,7 @@ func mergeSortedRows(bufs *execBufs, lists [][]Row, orders []OrderBy, k int) []R
 	// Rows the merge never consumed can't reach the result; hand their
 	// buffers back. The consumed prefix escaped into out and is left alone.
 	for i := range lists {
-		bufs.releaseRows(lists[i][pos[i]:])
+		releaseRows(lists[i][pos[i]:])
 	}
 	return out
 }

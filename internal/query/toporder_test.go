@@ -37,8 +37,8 @@ var topSrcSchema = bond.MustSchema("src",
 // and 10 "src" roots, each linked to a disjoint block of 100 nodes. Every
 // 13th node has no score at all (keyless: missing from the index).
 // Returns one store with two engines over it: cost-based (OrderedTraverse
-// eligible) and structural (always the sort fallback) — same data, same
-// addresses, so results must be byte-identical.
+// eligible) and structural (planning without statistics: always the sort
+// fallback) — same data, same addresses, so results must be byte-identical.
 func newTopOrderEnv(t *testing.T, machines int) (cost, structural *Engine, g *core.Graph, c *fabric.Ctx) {
 	t.Helper()
 	fab := fabric.New(fabric.DefaultConfig(machines, fabric.Direct), nil)
@@ -117,9 +117,9 @@ func newTopOrderEnv(t *testing.T, machines int) (cost, structural *Engine, g *co
 			t.Fatal(err)
 		}
 	}
-	scfg := DefaultConfig()
-	scfg.StructuralPlanner = true
-	return NewEngine(s, DefaultConfig()), NewEngine(s, scfg), g, c
+	structural = NewEngine(s, DefaultConfig())
+	structural.noStats = true
+	return NewEngine(s, DefaultConfig()), structural, g, c
 }
 
 func nodeID(i int) string {
