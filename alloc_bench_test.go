@@ -145,8 +145,9 @@ func filmKG(b *testing.B) (*a1.DB, *a1.Graph, workload.Params) {
 
 // BenchmarkFilmPoint is the a1perf `point` op outside the harness, for
 // profiling (`-cpuprofile`): one ad-hoc untyped-`id` document per iteration
-// with a projection, ids cycling over the actor pool so the plan cache
-// mostly misses.
+// with a projection, ids cycling over the actor pool. The documents differ
+// only in their `id` literal, so after the first they all hit one cached
+// plan: the plan key lifts the literal and binds it into the cached shape.
 func BenchmarkFilmPoint(b *testing.B) {
 	db, g, p := filmKG(b)
 	db.Run(func(c *a1.Ctx) {
@@ -155,6 +156,26 @@ func BenchmarkFilmPoint(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			doc := fmt.Sprintf(`{"id":"actor.%05d","_select":["id","name[0]","popularity"]}`, i*7919%p.ActorPool)
 			if _, err := db.Query(c, g, doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkFilmPointPrepared is BenchmarkFilmPoint through a prepared
+// `"$id"` statement: the ceiling the ad-hoc path is measured against.
+func BenchmarkFilmPointPrepared(b *testing.B) {
+	db, g, p := filmKG(b)
+	db.Run(func(c *a1.Ctx) {
+		pq, err := db.Prepare(c, g, `{"id":"$id","_select":["id","name[0]","popularity"]}`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			id := fmt.Sprintf("actor.%05d", i*7919%p.ActorPool)
+			if _, err := pq.Exec(c, a1.Params{"id": id}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -255,26 +257,42 @@ type Query struct {
 	plan *Plan
 }
 
-// Parse parses an A1QL JSON document.
+// Parse parses an A1QL JSON document. The document is one JSON object:
+// a repeated key in any object, or anything but whitespace after it, is a
+// CodeParse error.
 func Parse(doc []byte) (*Query, error) {
+	raw, err := decodeDoc(doc)
+	if err != nil {
+		return nil, parseError(err)
+	}
+	return parseRaw(raw)
+}
+
+// decodeDoc decodes a document: one JSON object, with no key repeated in
+// any object and nothing but whitespace after it.
+func decodeDoc(doc []byte) (map[string]interface{}, error) {
 	dec := json.NewDecoder(bytes.NewReader(doc))
 	dec.UseNumber()
 	var raw map[string]interface{}
 	if err := dec.Decode(&raw); err != nil {
-		return nil, parseError(fmt.Errorf("a1ql: %w", err))
+		return nil, fmt.Errorf("a1ql: %w", err)
 	}
+	// encoding/json has reported all else; the plan-key pass in check mode
+	// reports a repeated key or trailing data.
+	k := keyScans.Get().(*keyScan)
+	defer keyScans.Put(k)
+	if err := k.run(doc, inOpaque, true); err != errDecline {
+		return raw, err
+	}
+	return raw, nil
+}
+
+// parseRaw builds a query from a decoded document or plan-key shape.
+func parseRaw(raw map[string]interface{}) (*Query, error) {
 	q := &Query{}
 	if h, ok := raw[keyHints]; ok {
-		hm, ok := h.(map[string]interface{})
-		if !ok {
-			return nil, parseError(errors.New("a1ql: _hints must be an object"))
-		}
-		if v, ok := hm["no_shipping"].(bool); ok {
-			q.Hints.NoShipping = v
-		}
-		if v, ok := hm["page_size"].(json.Number); ok {
-			n, _ := v.Int64()
-			q.Hints.PageSize = int(n)
+		if err := parseHints(h, &q.Hints); err != nil {
+			return nil, parseError(err)
 		}
 		delete(raw, keyHints)
 	}
@@ -286,9 +304,48 @@ func Parse(doc []byte) (*Query, error) {
 	if err := validateShaping(root); err != nil {
 		return nil, parseError(err)
 	}
-	q.ParamNames = collectParams(root)
+	if q.ParamNames, err = collectParams(root); err != nil {
+		return nil, parseError(err)
+	}
 	q.plan = compilePlan(q)
 	return q, nil
+}
+
+// parseHints reads `_hints`: `no_shipping` a boolean, `page_size` an
+// integer in 1..maxShapeCount, and no other key.
+func parseHints(v interface{}, h *Hints) error {
+	hm, ok := v.(map[string]interface{})
+	if !ok {
+		return errors.New("a1ql: _hints must be an object")
+	}
+	for _, k := range sortedKeys(hm) {
+		switch k {
+		case "no_shipping":
+			if h.NoShipping, ok = hm[k].(bool); !ok {
+				return errors.New("a1ql: _hints no_shipping must be a boolean")
+			}
+		case "page_size":
+			n, param, err := parseCount(k, hm[k])
+			if h.PageSize = n; err != nil || param != "" || n < 1 {
+				return fmt.Errorf("a1ql: _hints page_size must be an integer in 1..%d", maxShapeCount)
+			}
+		default:
+			return fmt.Errorf("a1ql: unknown _hints key %q", k)
+		}
+	}
+	return nil
+}
+
+// placeholder reports whether a bindable constant is a parameter: a
+// "$name" string, or a literal the plan key lifted.
+func placeholder(v interface{}) (string, bool, error) {
+	switch x := v.(type) {
+	case synthParam:
+		return string(x), true, nil
+	case string:
+		return paramRef(x)
+	}
+	return "", false, nil
 }
 
 // paramRef reports whether a JSON string constant is a parameter
@@ -321,58 +378,12 @@ func unescapeParam(s string) string {
 	return s
 }
 
-// collectParams gathers the distinct placeholder names of a pattern tree.
-func collectParams(root *VertexPattern) []string {
-	seen := map[string]bool{}
-	var walkEdge func(ep *EdgePattern)
-	var walkVertex func(vp *VertexPattern)
-	add := func(name string) {
-		if name != "" {
-			seen[name] = true
-		}
-	}
-	walkVertex = func(vp *VertexPattern) {
-		if vp == nil {
-			return
-		}
-		add(vp.IDParam)
-		add(vp.LimitParam)
-		add(vp.SkipParam)
-		for _, p := range vp.Preds {
-			add(p.Param)
-		}
-		for _, hp := range vp.Having {
-			add(hp.Param)
-		}
-		for _, m := range vp.Matches {
-			walkEdge(m)
-		}
-		if vp.Recurse != nil {
-			add(vp.Recurse.MinParam)
-			add(vp.Recurse.MaxParam)
-			walkEdge(vp.Recurse.Edge)
-		}
-		walkEdge(vp.Edge)
-	}
-	walkEdge = func(ep *EdgePattern) {
-		if ep == nil {
-			return
-		}
-		for _, p := range ep.Preds {
-			add(p.Param)
-		}
-		walkVertex(ep.Vertex)
-	}
-	walkVertex(root)
-	if len(seen) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+// collectParams gathers the distinct user placeholder names of a pattern
+// tree, sorted: a binder walk that binds nothing and records every name.
+func collectParams(root *VertexPattern) ([]string, error) {
+	b := binder{seen: map[string]bool{}}
+	_, err := b.vertex(root)
+	return slices.Sorted(maps.Keys(b.seen)), err
 }
 
 // validateShaping rejects result-shaping operators anywhere but the main
@@ -447,70 +458,53 @@ func isAggKey(raw string) bool {
 }
 
 // resolveGroupOrder maps the grouped form's `_orderby` keys to `_select`
-// aggregate columns: a key matches an aggregate by its verbatim entry
-// ("_count(*)") or by its bare function name ("_count") when exactly one
-// aggregate of that function exists.
+// aggregate columns, and resolveHaving each `_having` key.
 func resolveGroupOrder(vp *VertexPattern) error {
 	if len(vp.Orders) == 0 {
 		return nil
 	}
 	vp.GroupOrder = make([]int, len(vp.Orders))
 	for i, ob := range vp.Orders {
-		exact := -1
-		var short []int
-		for ai, agg := range vp.Aggs {
-			if ob.Path.Raw == agg.Raw {
-				exact = ai
-				break
-			}
-			if open := strings.IndexByte(agg.Raw, '('); open > 0 && ob.Path.Raw == agg.Raw[:open] {
-				short = append(short, ai)
-			}
-		}
-		switch {
-		case exact >= 0:
-			vp.GroupOrder[i] = exact
-		case len(short) == 1:
-			vp.GroupOrder[i] = short[0]
-		case len(short) > 1:
-			return fmt.Errorf("a1ql: _orderby %q is ambiguous; use the full aggregate entry", ob.Path.Raw)
-		default:
-			return fmt.Errorf("a1ql: _orderby with _groupby must name a _select aggregate column (got %q)", ob.Path.Raw)
+		var err error
+		if vp.GroupOrder[i], err = aggColumn(vp.Aggs, ob.Path.Raw, "_orderby", "_orderby with _groupby"); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// resolveHaving maps each `_having` key to a `_select` aggregate column,
-// with the same resolution rule as the grouped `_orderby`: the verbatim
-// aggregate entry ("_count(*)") or the bare function name ("_count") when
-// exactly one aggregate of that function exists.
 func resolveHaving(vp *VertexPattern) error {
 	for i := range vp.Having {
 		hp := &vp.Having[i]
-		exact := -1
-		var short []int
-		for ai, agg := range vp.Aggs {
-			if hp.Raw == agg.Raw {
-				exact = ai
-				break
-			}
-			if open := strings.IndexByte(agg.Raw, '('); open > 0 && hp.Raw == agg.Raw[:open] {
-				short = append(short, ai)
-			}
-		}
-		switch {
-		case exact >= 0:
-			hp.AggIdx = exact
-		case len(short) == 1:
-			hp.AggIdx = short[0]
-		case len(short) > 1:
-			return fmt.Errorf("a1ql: _having %q is ambiguous; use the full aggregate entry", hp.Raw)
-		default:
-			return fmt.Errorf("a1ql: _having must name a _select aggregate column (got %q)", hp.Raw)
+		var err error
+		if hp.AggIdx, err = aggColumn(vp.Aggs, hp.Raw, "_having", "_having"); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// aggColumn resolves a grouped `_orderby` or `_having` key to a `_select`
+// aggregate column: the verbatim aggregate entry ("_count(*)"), or the bare
+// function name ("_count") when exactly one aggregate of that function
+// exists.
+func aggColumn(aggs []Aggregate, raw, clause, form string) (int, error) {
+	col := -1
+	for ai, agg := range aggs {
+		if raw == agg.Raw {
+			return ai, nil
+		}
+		if open := strings.IndexByte(agg.Raw, '('); open > 0 && raw == agg.Raw[:open] {
+			if col >= 0 {
+				return 0, fmt.Errorf("a1ql: %s %q is ambiguous; use the full aggregate entry", clause, raw)
+			}
+			col = ai
+		}
+	}
+	if col < 0 {
+		return 0, fmt.Errorf("a1ql: %s must name a _select aggregate column (got %q)", form, raw)
+	}
+	return col, nil
 }
 
 // validateRecurse checks a level hosting `_recurse`: the recursion must be
@@ -603,19 +597,17 @@ func parseVertexPattern(raw map[string]interface{}, depth int) (*VertexPattern, 
 		v := raw[k]
 		switch k {
 		case keyID:
+			if name, ok, err := placeholder(v); err != nil {
+				return nil, err
+			} else if ok {
+				vp.IDParam = name
+				continue
+			}
 			s, ok := v.(string)
 			if !ok {
 				return nil, errors.New("a1ql: id must be a string")
 			}
-			name, isParam, err := paramRef(s)
-			if err != nil {
-				return nil, err
-			}
-			if isParam {
-				vp.IDParam = name
-			} else {
-				vp.ID = unescapeParam(s)
-			}
+			vp.ID = unescapeParam(s)
 		case keyType:
 			s, ok := v.(string)
 			if !ok {
@@ -626,15 +618,10 @@ func parseVertexPattern(raw map[string]interface{}, depth int) (*VertexPattern, 
 			if vp.Edge != nil {
 				return nil, errors.New("a1ql: a level may traverse a single edge pattern")
 			}
-			em, ok := v.(map[string]interface{})
-			if !ok {
-				return nil, fmt.Errorf("a1ql: %s must be an object", k)
-			}
-			ep, err := parseEdgePattern(em, k == keyOutEdge, depth)
-			if err != nil {
+			var err error
+			if vp.Edge, err = parseEdgeMember(k, v, depth); err != nil {
 				return nil, err
 			}
-			vp.Edge = ep
 		case keyRecurse:
 			rm, ok := v.(map[string]interface{})
 			if !ok {
@@ -673,35 +660,23 @@ func parseVertexPattern(raw map[string]interface{}, depth int) (*VertexPattern, 
 				vp.Selects = append(vp.Selects, fp)
 			}
 		case keyLimit:
-			if name, ok, err := countParam(v); err != nil {
-				return nil, err
-			} else if ok {
-				vp.LimitParam = name
-				continue
+			n, param, err := parseCount(k, v)
+			if err == nil && param == "" && n < 1 {
+				err = errors.New("a1ql: _limit must be >= 1")
 			}
-			n, err := parseCount(k, v)
 			if err != nil {
 				return nil, err
 			}
-			if n < 1 {
-				return nil, errors.New("a1ql: _limit must be >= 1")
-			}
-			vp.Limit = n
+			vp.Limit, vp.LimitParam = n, param
 		case keySkip:
-			if name, ok, err := countParam(v); err != nil {
-				return nil, err
-			} else if ok {
-				vp.SkipParam = name
-				continue
+			n, param, err := parseCount(k, v)
+			if err == nil && n < 0 {
+				err = errors.New("a1ql: _skip must be >= 0")
 			}
-			n, err := parseCount(k, v)
 			if err != nil {
 				return nil, err
 			}
-			if n < 0 {
-				return nil, errors.New("a1ql: _skip must be >= 0")
-			}
-			vp.Skip = n
+			vp.Skip, vp.SkipParam = n, param
 		case keyOrderBy:
 			obs, err := parseOrderBy(v)
 			if err != nil {
@@ -752,10 +727,14 @@ func parseMatchEntry(raw map[string]interface{}, depth int) (*EdgePattern, error
 		return nil, errors.New("a1ql: _match entry must contain exactly one edge pattern")
 	}
 	k := sortedKeys(raw)[0]
-	v := raw[k]
 	if k != keyOutEdge && k != keyInEdge {
 		return nil, fmt.Errorf("a1ql: _match entry key %q must be _out_edge or _in_edge", k)
 	}
+	return parseEdgeMember(k, raw[k], depth)
+}
+
+// parseEdgeMember parses an `_out_edge` or `_in_edge` member's value.
+func parseEdgeMember(k string, v interface{}, depth int) (*EdgePattern, error) {
 	em, ok := v.(map[string]interface{})
 	if !ok {
 		return nil, fmt.Errorf("a1ql: %s must be an object", k)
@@ -812,37 +791,24 @@ func parseRecurse(raw map[string]interface{}, depth int) (*RecursePattern, error
 		v := raw[k]
 		switch k {
 		case keyMin:
-			if name, ok, err := countParam(v); err != nil {
-				return nil, err
-			} else if ok {
-				rp.MinParam = name
-				rp.Min = 0
-				continue
+			n, param, err := parseCount(k, v)
+			if err == nil && param == "" && n < 1 {
+				err = recurseError("_min must be >= 1")
 			}
-			n, err := parseCount(k, v)
 			if err != nil {
 				return nil, err
 			}
-			if n < 1 {
-				return nil, recurseError("_min must be >= 1")
-			}
-			rp.Min = n
+			rp.Min, rp.MinParam = n, param
 		case keyMax:
 			sawMax = true
-			if name, ok, err := countParam(v); err != nil {
-				return nil, err
-			} else if ok {
-				rp.MaxParam = name
-				continue
+			n, param, err := parseCount(k, v)
+			if err == nil && param == "" {
+				err = checkRecurseMax(n)
 			}
-			n, err := parseCount(k, v)
 			if err != nil {
 				return nil, err
 			}
-			if err := checkRecurseMax(n); err != nil {
-				return nil, err
-			}
-			rp.Max = n
+			rp.Max, rp.MaxParam = n, param
 		case keyDir:
 			s, ok := v.(string)
 			if !ok || (s != "out" && s != "in") {
@@ -889,29 +855,24 @@ func checkRecurseMax(n int) error {
 // small enough that Limit+Skip (and 2x it) never overflows int.
 const maxShapeCount = 1 << 30
 
-// countParam recognizes a "$param" placeholder in a _limit/_skip position.
-func countParam(v interface{}) (string, bool, error) {
-	s, ok := v.(string)
-	if !ok {
-		return "", false, nil
+// parseCount extracts a small integer (_limit/_skip/_min/_max), or the
+// name of the placeholder standing for one.
+func parseCount(key string, v interface{}) (int, string, error) {
+	if name, ok, err := placeholder(v); err != nil || ok {
+		return 0, name, err
 	}
-	return paramRef(s)
-}
-
-// parseCount extracts a small non-negative integer (_limit/_skip).
-func parseCount(key string, v interface{}) (int, error) {
 	num, ok := v.(json.Number)
 	if !ok {
-		return 0, fmt.Errorf("a1ql: %s must be an integer", key)
+		return 0, "", fmt.Errorf("a1ql: %s must be an integer", key)
 	}
 	n, err := num.Int64()
 	if err != nil {
-		return 0, fmt.Errorf("a1ql: %s must be an integer: %v", key, err)
+		return 0, "", fmt.Errorf("a1ql: %s must be an integer: %v", key, err)
 	}
 	if n > maxShapeCount {
-		return 0, fmt.Errorf("a1ql: %s must be <= %d", key, maxShapeCount)
+		return 0, "", fmt.Errorf("a1ql: %s must be <= %d", key, maxShapeCount)
 	}
-	return int(n), nil
+	return int(n), "", nil
 }
 
 // parseAggSelect recognizes `_select` aggregate entries: "_count(*)",
@@ -1074,28 +1035,34 @@ func parseHaving(v interface{}) ([]HavingPred, error) {
 	}
 	var hps []HavingPred
 	for _, aggKey := range sortedKeys(obj) {
-		hv := obj[aggKey]
-		if opObj, ok := hv.(map[string]interface{}); ok {
-			for _, opKey := range sortedKeys(opObj) {
-				op, ok := opNames[opKey]
-				if !ok {
-					return nil, fmt.Errorf("a1ql: unknown operator %q", opKey)
-				}
-				hp, err := havingConstant(aggKey, op, opObj[opKey])
-				if err != nil {
-					return nil, err
-				}
-				hps = append(hps, hp)
-			}
-			continue
-		}
-		hp, err := havingConstant(aggKey, OpEq, hv)
-		if err != nil {
+		if err := comparisons(obj[aggKey], func(op Op, constant interface{}) error {
+			hp, err := havingConstant(aggKey, op, constant)
+			hps = append(hps, hp)
+			return err
+		}); err != nil {
 			return nil, err
 		}
-		hps = append(hps, hp)
 	}
 	return hps, nil
+}
+
+// comparisons calls f for each comparison a predicate value makes: one
+// per key of an operator object, or equality with a bare constant.
+func comparisons(v interface{}, f func(op Op, constant interface{}) error) error {
+	obj, ok := v.(map[string]interface{})
+	if !ok {
+		return f(OpEq, v)
+	}
+	for _, name := range sortedKeys(obj) {
+		op, ok := opNames[name]
+		if !ok {
+			return fmt.Errorf("a1ql: unknown operator %q", name)
+		}
+		if err := f(op, obj[name]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // havingConstant builds one `_having` predicate from a JSON constant,
@@ -1107,15 +1074,11 @@ func havingConstant(raw string, op Op, constant interface{}) (HavingPred, error)
 	if op == OpPrefix {
 		return hp, errors.New("a1ql: _having does not support _prefix")
 	}
+	if name, ok, err := placeholder(constant); err != nil || ok {
+		hp.Param = name
+		return hp, err
+	}
 	if s, ok := constant.(string); ok {
-		name, isParam, err := paramRef(s)
-		if err != nil {
-			return hp, err
-		}
-		if isParam {
-			hp.Param = name
-			return hp, nil
-		}
 		constant = unescapeParam(s)
 	}
 	val, err := jsonToBond(constant)
@@ -1134,40 +1097,27 @@ func parsePredicate(key string, v interface{}) ([]Predicate, error) {
 	if err != nil {
 		return nil, err
 	}
-	if obj, ok := v.(map[string]interface{}); ok {
-		var preds []Predicate
-		for _, opName := range sortedKeys(obj) {
-			constant := obj[opName]
-			op, ok := opNames[opName]
-			if !ok {
-				return nil, fmt.Errorf("a1ql: unknown operator %q", opName)
-			}
-			pred, err := predConstant(fp, op, constant)
-			if err != nil {
-				return nil, err
-			}
-			preds = append(preds, pred)
-		}
-		return preds, nil
-	}
-	pred, err := predConstant(fp, OpEq, v)
+	var preds []Predicate
+	err = comparisons(v, func(op Op, constant interface{}) error {
+		pred, err := predConstant(fp, op, constant)
+		preds = append(preds, pred)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return []Predicate{pred}, nil
+	return preds, nil
 }
 
 // predConstant builds one predicate from a JSON constant, recognizing
 // parameter placeholders.
 func predConstant(fp FieldPath, op Op, constant interface{}) (Predicate, error) {
+	if name, ok, err := placeholder(constant); err != nil {
+		return Predicate{}, err
+	} else if ok {
+		return Predicate{Path: fp, Op: op, Param: name}, nil
+	}
 	if s, ok := constant.(string); ok {
-		name, isParam, err := paramRef(s)
-		if err != nil {
-			return Predicate{}, err
-		}
-		if isParam {
-			return Predicate{Path: fp, Op: op, Param: name}, nil
-		}
 		constant = unescapeParam(s)
 	}
 	val, err := jsonToBond(constant)
@@ -1208,21 +1158,4 @@ func jsonToBond(v interface{}) (bond.Value, error) {
 	default:
 		return bond.Null, fmt.Errorf("a1ql: unsupported constant %T", v)
 	}
-}
-
-// Depth returns the number of traversal levels (hops + 1). A `_recurse`
-// terminal counts as one level regardless of its expansion bound.
-func (q *Query) Depth() int {
-	d := 0
-	for vp := q.Root; vp != nil; {
-		d++
-		if vp.Recurse != nil {
-			return d + 1
-		}
-		if vp.Edge == nil {
-			break
-		}
-		vp = vp.Edge.Vertex
-	}
-	return d
 }

@@ -170,7 +170,7 @@ type Engine struct {
 	cfg    Config
 	caches []*ttlStore[pageSource]   // per machine (coordinator-parked continuation sources)
 	runs   []*ttlStore[[]groupEntry] // per machine (worker-parked group-run tails)
-	plans  *planCache                // compiled plans keyed by canonical document hash
+	plans  *planCache                // parsed shapes keyed by plan key
 
 	// spill holds sorted group runs the order-by-aggregate form writes past
 	// MaxWorkingSet (groupstream.go); spillSeq names the run tables.
@@ -210,29 +210,21 @@ func NewEngine(store *core.Store, cfg Config) *Engine {
 // Store returns the engine's graph store.
 func (e *Engine) Store() *core.Store { return e.store }
 
-// Execute runs an A1QL document. The calling context's machine is the
-// query coordinator. Plans are served from the engine's plan cache when
-// a structurally identical document was executed (or prepared) before — a
-// cache hit performs zero parses. Documents with "$param" placeholders
-// must go through Prepare/Exec; executing one directly fails with
-// CodeBadParam.
+// Execute runs an A1QL document with the calling context's machine as
+// coordinator. A document whose shape — all but literals, whitespace and
+// key order — was executed or prepared before is a plan-cache hit: zero
+// parses. A "$param" document must go through Prepare/Exec; executing one
+// fails with CodeBadParam.
 func (e *Engine) Execute(c *fabric.Ctx, g *core.Graph, doc []byte) (*Result, error) {
 	q, cached, err := e.plan(doc, true)
+	if err == nil {
+		q, err = q.Bind(nil) // q is this execution's own copy
+	}
 	if err != nil {
 		return nil, err
 	}
-	bound, err := q.Bind(nil)
-	if err != nil {
-		return nil, err
-	}
-	if bound == q {
-		// Never write on the shared cached plan — concurrent executions of
-		// the same document read it.
-		copied := *q
-		bound = &copied
-	}
-	bound.fromCache = cached
-	return e.Run(c, g, bound)
+	q.fromCache = cached
+	return e.Run(c, g, q)
 }
 
 // Run executes a parsed query.

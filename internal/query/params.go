@@ -2,15 +2,18 @@ package query
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
+	"strconv"
 
 	"a1/internal/bond"
 )
 
 // Parameter binding: a parsed document may reference "$name" placeholders
-// in `id`, predicate constants, and `_limit`/`_skip`. Binding substitutes
-// concrete values into a copy of the cached AST — the shared plan is never
-// mutated, so one Prepared handle serves concurrent executions.
+// in `id`, predicate and `_having` constants, `_limit`/`_skip`, and
+// `_recurse` `_min`/`_max`. Binding substitutes concrete values into a
+// copy of the cached AST — the shared plan is never mutated, so one
+// Prepared handle serves concurrent executions.
 
 // Params maps parameter names to bind values. Values may be Go natives
 // (string, bool, int, int64, float64, nil), json.Number, []interface{}, or
@@ -28,16 +31,7 @@ func bondParam(name string, v interface{}) (bond.Value, error) {
 		return bond.Int64(x), nil
 	case float64:
 		return bond.Double(x), nil
-	case json.Number:
-		if i, err := x.Int64(); err == nil {
-			return bond.Int64(i), nil
-		}
-		f, err := x.Float64()
-		if err != nil {
-			return bond.Null, paramError("parameter $%s: %v", name, err)
-		}
-		return bond.Double(f), nil
-	case nil, bool, string, []interface{}:
+	case nil, bool, string, json.Number, []interface{}:
 		bv, err := jsonToBond(v)
 		if err != nil {
 			return bond.Null, paramError("parameter $%s: %v", name, err)
@@ -52,9 +46,16 @@ func bondParam(name string, v interface{}) (bond.Value, error) {
 // executable copy. Queries without placeholders are returned as-is (the
 // cached AST is read-only at execution time). Missing and unreferenced
 // parameters are both errors, so typos fail loudly.
-func (q *Query) Bind(params Params) (*Query, error) {
-	if len(q.ParamNames) == 0 {
-		if len(params) > 0 {
+func (q *Query) Bind(params Params) (*Query, error) { return q.bind(params, false) }
+
+// bind with loose set resolves the placeholders present in params and
+// leaves the rest unbound — the Explain path, where a partially-bound
+// document must still render (absent names print as placeholders and
+// estimate as average values). Names the document does not reference are
+// ignored rather than rejected, and the result is NOT marked executable.
+func (q *Query) bind(params Params, loose bool) (*Query, error) {
+	if len(q.ParamNames) == 0 || (loose && len(params) == 0) {
+		if len(params) > 0 && !loose {
 			return nil, paramError("query declares no parameters, got %d bind values", len(params))
 		}
 		return q, nil
@@ -68,111 +69,100 @@ func (q *Query) Bind(params Params) (*Query, error) {
 	sort.Strings(names)
 	vals := make(map[string]bond.Value, len(params))
 	for _, name := range names {
-		bv, err := bondParam(name, params[name])
-		if err != nil {
-			return nil, err
-		}
-		known := false
-		for _, n := range q.ParamNames {
-			if n == name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, paramError("unknown parameter $%s", name)
-		}
-		vals[name] = bv
-	}
-	b := binder{vals: vals}
-	root, err := b.vertex(q.Root)
-	if err != nil {
-		return nil, err
-	}
-	// The compiled plan is structural (operator choices + predicate
-	// positions), so the bound copy reuses it as-is.
-	return &Query{Root: root, Hints: q.Hints, ParamNames: q.ParamNames, fromCache: q.fromCache, bound: true, plan: q.plan}, nil
-}
-
-// bindLoose resolves the placeholders present in params and leaves the
-// rest unbound — the Explain path, where a partially-bound document must
-// still render (absent names print as placeholders and estimate as average
-// values). Names the document does not reference are ignored rather than
-// rejected. The result is NOT marked executable.
-func (q *Query) bindLoose(params Params) (*Query, error) {
-	if len(q.ParamNames) == 0 || len(params) == 0 {
-		return q, nil
-	}
-	names := make([]string, 0, len(params))
-	for name := range params {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	vals := make(map[string]bond.Value, len(params))
-	for _, name := range names {
-		known := false
-		for _, n := range q.ParamNames {
-			if n == name {
-				known = true
-				break
-			}
-		}
-		if !known {
+		known := slices.Contains(q.ParamNames, name)
+		if loose && !known {
 			continue
 		}
 		bv, err := bondParam(name, params[name])
 		if err != nil {
 			return nil, err
 		}
+		if !known {
+			return nil, paramError("unknown parameter $%s", name)
+		}
 		vals[name] = bv
 	}
-	b := binder{vals: vals, loose: true}
-	root, err := b.vertex(q.Root)
-	if err != nil {
-		return nil, err
-	}
-	return &Query{Root: root, Hints: q.Hints, ParamNames: q.ParamNames, fromCache: q.fromCache, plan: q.plan}, nil
+	return (&binder{vals: vals, loose: loose}).query(q)
+}
+
+// bindLits binds a plan-key shape's synthetic placeholders to one
+// document's lifted literals: the result is the query Parse builds from
+// that document (sharing the shape's plan), user placeholders unbound.
+func (q *Query) bindLits(lits []bond.Value) (*Query, error) {
+	return (&binder{lits: lits, loose: true}).query(q)
 }
 
 type binder struct {
 	vals map[string]bond.Value
+	lits []bond.Value // bound to the synthetic names "0", "1", ...
 	// loose: a missing bind value leaves its placeholder in place instead
 	// of failing (the Explain path).
 	loose bool
+	// seen, when set, records each user placeholder and binds nothing.
+	seen map[string]bool
 }
 
-func (b *binder) value(name string) (bond.Value, error) {
-	v, ok := b.vals[name]
-	if !ok {
-		return bond.Null, paramError("unbound parameter $%s", name)
-	}
-	return v, nil
-}
-
-// lookup resolves one placeholder; in loose mode a missing value reports
-// ok=false instead of an error.
-func (b *binder) lookup(name string) (bond.Value, bool, error) {
-	v, ok := b.vals[name]
-	if !ok {
-		if b.loose {
-			return bond.Null, false, nil
-		}
-		return bond.Null, false, paramError("unbound parameter $%s", name)
-	}
-	return v, true, nil
-}
-
-// countOpt resolves one integer placeholder; in loose mode a missing value
-// reports ok=false instead of an error.
-func (b *binder) countOpt(name string) (int, bool, error) {
-	if _, ok := b.vals[name]; !ok && b.loose {
-		return 0, false, nil
-	}
-	n, err := b.count(name)
+// query returns a copy of q with its patterns bound, executable unless
+// loose. The compiled plan is structural (operator choices + predicate
+// positions), so the copy reuses it as-is.
+func (b *binder) query(q *Query) (*Query, error) {
+	root, err := b.vertex(q.Root)
 	if err != nil {
-		return 0, false, err
+		return nil, err
 	}
-	return n, true, nil
+	return &Query{Root: root, Hints: q.Hints, ParamNames: q.ParamNames, fromCache: q.fromCache, bound: !b.loose, plan: q.plan}, nil
+}
+
+// lookup resolves the placeholder *name. A synthetic name binds its lifted
+// literal and is erased, so the pattern reads as the document did before
+// the plan key lifted it; in loose mode a missing user value reports
+// ok=false instead of an error.
+func (b *binder) lookup(name *string) (bond.Value, bool, error) {
+	if b.seen != nil {
+		if !isSynthetic(*name) {
+			b.seen[*name] = true
+		}
+		return bond.Null, false, nil
+	}
+	if isSynthetic(*name) {
+		if i, _ := strconv.Atoi(*name); i < len(b.lits) {
+			*name = ""
+			return b.lits[i], true, nil
+		}
+	} else if v, ok := b.vals[*name]; ok || b.loose {
+		return v, ok, nil
+	}
+	return bond.Null, false, paramError("unbound parameter $%s", *name)
+}
+
+// bindCount binds the count placeholder *name, if set, into *dst if valid.
+func (b *binder) bindCount(name *string, dst *int, valid func(param string, n int) error) error {
+	param := *name
+	if param == "" {
+		return nil
+	}
+	v, ok, err := b.lookup(name)
+	if !ok {
+		return err
+	}
+	n, err := count(param, v)
+	if err == nil {
+		err = valid(param, n)
+	}
+	if err == nil {
+		*dst = n
+	}
+	return err
+}
+
+// atLeast checks a bound count against its floor.
+func atLeast(lo int, key string, fail func(string, ...interface{}) error) func(string, int) error {
+	return func(param string, n int) error {
+		if n < lo {
+			return fail("parameter $%s: %s must be >= %d", param, key, lo)
+		}
+		return nil
+	}
 }
 
 func (b *binder) vertex(vp *VertexPattern) (*VertexPattern, error) {
@@ -181,7 +171,7 @@ func (b *binder) vertex(vp *VertexPattern) (*VertexPattern, error) {
 	}
 	out := *vp
 	if vp.IDParam != "" {
-		v, ok, err := b.lookup(vp.IDParam)
+		v, ok, err := b.lookup(&out.IDParam)
 		if err != nil {
 			return nil, err
 		}
@@ -192,56 +182,20 @@ func (b *binder) vertex(vp *VertexPattern) (*VertexPattern, error) {
 			out.ID = v.AsString()
 		}
 	}
-	if vp.LimitParam != "" {
-		n, ok, err := b.countOpt(vp.LimitParam)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			if n < 1 {
-				return nil, paramError("parameter $%s: _limit must be >= 1", vp.LimitParam)
-			}
-			out.Limit = n
-		}
+	if err := b.bindCount(&out.LimitParam, &out.Limit, atLeast(1, "_limit", paramError)); err != nil {
+		return nil, err
 	}
-	if vp.SkipParam != "" {
-		n, ok, err := b.countOpt(vp.SkipParam)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			if n < 0 {
-				return nil, paramError("parameter $%s: _skip must be >= 0", vp.SkipParam)
-			}
-			out.Skip = n
-		}
+	if err := b.bindCount(&out.SkipParam, &out.Skip, atLeast(0, "_skip", paramError)); err != nil {
+		return nil, err
 	}
 	var err error
 	if vp.Recurse != nil {
 		rp := *vp.Recurse
-		if rp.MinParam != "" {
-			n, ok, err := b.countOpt(rp.MinParam)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				if n < 1 {
-					return nil, recurseError("parameter $%s: _min must be >= 1", rp.MinParam)
-				}
-				rp.Min = n
-			}
+		if err := b.bindCount(&rp.MinParam, &rp.Min, atLeast(1, "_min", recurseError)); err != nil {
+			return nil, err
 		}
-		if rp.MaxParam != "" {
-			n, ok, err := b.countOpt(rp.MaxParam)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				if err := checkRecurseMax(n); err != nil {
-					return nil, err
-				}
-				rp.Max = n
-			}
+		if err := b.bindCount(&rp.MaxParam, &rp.Max, func(_ string, n int) error { return checkRecurseMax(n) }); err != nil {
+			return nil, err
 		}
 		if rp.Max > 0 && rp.Min > rp.Max {
 			return nil, recurseError("_min %d > _max %d", rp.Min, rp.Max)
@@ -296,7 +250,7 @@ func (b *binder) preds(preds []Predicate) ([]Predicate, error) {
 		if out[i].Param == "" {
 			continue
 		}
-		v, ok, err := b.lookup(out[i].Param)
+		v, ok, err := b.lookup(&out[i].Param)
 		if err != nil {
 			return nil, err
 		}
@@ -317,7 +271,7 @@ func (b *binder) having(hps []HavingPred) ([]HavingPred, error) {
 		if out[i].Param == "" {
 			continue
 		}
-		v, ok, err := b.lookup(out[i].Param)
+		v, ok, err := b.lookup(&out[i].Param)
 		if err != nil {
 			return nil, err
 		}
@@ -328,11 +282,8 @@ func (b *binder) having(hps []HavingPred) ([]HavingPred, error) {
 	return out, nil
 }
 
-func (b *binder) count(name string) (int, error) {
-	v, err := b.value(name)
-	if err != nil {
-		return 0, err
-	}
+// count converts the value bound to an integer placeholder.
+func count(name string, v bond.Value) (int, error) {
 	var n int64
 	switch v.Kind() {
 	case bond.KindInt32, bond.KindInt64:

@@ -418,7 +418,7 @@ func (e *Engine) ExplainPlan(c *fabric.Ctx, g *core.Graph, doc []byte, params Pa
 		return nil, err
 	}
 	if len(params) > 0 {
-		if q, err = q.bindLoose(params); err != nil {
+		if q, err = q.bind(params, true); err != nil {
 			return nil, err
 		}
 	}

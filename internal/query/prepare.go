@@ -1,9 +1,6 @@
 package query
 
 import (
-	"bytes"
-	"encoding/json"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -13,116 +10,89 @@ import (
 
 // Prepared queries and the engine-side plan cache (paper §2.2 motivation:
 // frontends parse and plan the same query shapes on every request; caching
-// the compiled plan keyed by document hash removes that work). Both entry
-// points share the cache: Execute consults it transparently, and Prepare
-// returns a handle that re-executes with new bind values and zero parses.
-//
-// Cache keys are *structural*: the document is canonicalized (JSON
-// re-serialized with sorted object keys and no insignificant whitespace)
-// before hashing, so ad-hoc clients that format the same query differently
-// — extra whitespace, reordered keys — still hit the cached plan.
+// the compiled plan removes that work). Execute, Prepare and ExplainPlan
+// share one path: the plan key (plankey.go) reduces a document to its shape
+// and lifts its literals, the cache maps the shape to its parsed Query, and
+// binding the literals back yields the document's own query. So
+// `db.Query(doc)` runs as `Prepare(shape).Exec(literals)`: documents that
+// differ in an `id`, a predicate constant or a `_limit` share one entry. A
+// hit costs the key pass, a map probe and a bind — no decode, no parse, no
+// CostParse. What the fast path cannot serve is parsed as written.
 
 // planCacheCap bounds the cache; eviction is FIFO (query workloads are a
 // small set of shapes executed many times, so recency hardly matters).
 const planCacheCap = 1024
 
-type planEntry struct {
-	doc string // canonical document, compared on lookup so hash collisions miss
-	q   *Query
-}
-
-// canonicalDoc reduces a document to its structural identity: decoded as
-// JSON (numbers kept verbatim via json.Number) and re-serialized, which
-// sorts object keys and strips whitespace. Anything that fails to decode —
-// malformed documents, trailing garbage — keys by its raw bytes, so the
-// cache still serves (and the parse error is still reported per shape).
-func canonicalDoc(doc []byte) []byte {
-	dec := json.NewDecoder(bytes.NewReader(doc))
-	dec.UseNumber()
-	var v interface{}
-	if err := dec.Decode(&v); err != nil {
-		return doc
-	}
-	if dec.More() {
-		return doc
-	}
-	canon, err := json.Marshal(v)
-	if err != nil {
-		return doc
-	}
-	return canon
-}
-
 type planCache struct {
 	mu      sync.Mutex
-	entries map[uint64]*planEntry
-	order   []uint64 // insertion order for FIFO eviction
+	entries map[string]*Query // shape key -> the shape's parsed query
+	order   []string          // insertion order for FIFO eviction
 	hits    atomic.Int64
 	misses  atomic.Int64
 }
 
 func newPlanCache() *planCache {
-	return &planCache{entries: make(map[uint64]*planEntry)}
+	return &planCache{entries: make(map[string]*Query)}
 }
 
-func docHash(doc []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(doc)
-	return h.Sum64()
-}
-
-// lookup finds a cached plan by a document's canonical form; the caller
-// accounts hits/misses (a hit is counted per *execution* served without a
-// parse, so Prepare lookups stay silent and Bind counts instead).
-func (pc *planCache) lookup(canon []byte) (*Query, bool) {
-	key := docHash(canon)
+// lookup finds a cached shape by its plan key; the caller accounts hits
+// (per *execution* served without a parse) and misses.
+func (pc *planCache) lookup(key []byte) (*Query, bool) {
 	pc.mu.Lock()
-	e, ok := pc.entries[key]
+	q, ok := pc.entries[string(key)]
 	pc.mu.Unlock()
-	if ok && e.doc == string(canon) {
-		return e.q, true
-	}
-	return nil, false
+	return q, ok
 }
 
-func (pc *planCache) store(canon []byte, q *Query) {
-	key := docHash(canon)
+func (pc *planCache) store(key []byte, q *Query) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if _, ok := pc.entries[key]; ok {
-		pc.entries[key] = &planEntry{doc: string(canon), q: q}
-		return
+	k := string(key)
+	if _, ok := pc.entries[k]; !ok {
+		for len(pc.entries) >= planCacheCap {
+			delete(pc.entries, pc.order[0])
+			pc.order = pc.order[1:]
+		}
+		pc.order = append(pc.order, k)
 	}
-	for len(pc.entries) >= planCacheCap {
-		oldest := pc.order[0]
-		pc.order = pc.order[1:]
-		delete(pc.entries, oldest)
-	}
-	pc.entries[key] = &planEntry{doc: string(canon), q: q}
-	pc.order = append(pc.order, key)
+	pc.entries[k] = q
 }
 
-// plan resolves a document to a compiled query through the cache, keyed by
-// the document's canonical (whitespace- and key-order-insensitive) form.
-// cached reports whether the plan was served without parsing. countHit is
-// true for execution paths (Execute); Prepare passes false because its
-// hits are counted per Exec by Bind, so one prepared execution never
-// counts twice.
+// plan resolves a document to its query through the plan cache: a hit
+// binds the lifted literals into the cached shape, a miss parses the shape
+// once and stores it. A document the key pass declines, a shape that does
+// not parse and literals that do not bind fall back to Parse, uncached.
+// The query is the caller's own, user placeholders unbound; cached reports
+// a hit. countHit is false for Prepare, whose hits Bind counts per Exec.
 func (e *Engine) plan(doc []byte, countHit bool) (q *Query, cached bool, err error) {
-	canon := canonicalDoc(doc)
-	if q, ok := e.plans.lookup(canon); ok {
-		if countHit {
-			e.plans.hits.Add(1)
+	k := keyScans.Get().(*keyScan)
+	defer keyScans.Put(k)
+	if k.run(doc, inPattern, false) == nil {
+		shape, hit := e.plans.lookup(k.key)
+		if !hit {
+			// The shape: the document with each literal the key lifted
+			// replaced by its synthetic placeholder.
+			if raw, err := decodeDoc(doc); err == nil {
+				liftTree(raw, inPattern, 0)
+				if shape, err = parseRaw(raw); err == nil {
+					e.plans.store(k.key, shape)
+				}
+			}
 		}
-		return q, true, nil
+		if shape != nil {
+			if q, err := shape.bindLits(k.lits); err == nil {
+				if !hit {
+					e.plans.misses.Add(1)
+				} else if countHit {
+					e.plans.hits.Add(1)
+				}
+				return q, hit, nil
+			}
+		}
 	}
 	e.plans.misses.Add(1)
 	q, err = Parse(doc)
-	if err != nil {
-		return nil, false, err
-	}
-	e.plans.store(canon, q)
-	return q, false, nil
+	return q, false, err
 }
 
 // PlanCacheStats reports engine-wide plan cache hits and misses.
@@ -140,7 +110,7 @@ type Prepared struct {
 }
 
 // Prepare parses and validates an A1QL document once, caching the plan.
-// Re-preparing an identical document reuses the cached AST.
+// Preparing another document of a cached shape reuses its AST.
 func (e *Engine) Prepare(c *fabric.Ctx, g *core.Graph, doc []byte) (*Prepared, error) {
 	q, _, err := e.plan(doc, false)
 	if err != nil {
@@ -152,9 +122,6 @@ func (e *Engine) Prepare(c *fabric.Ctx, g *core.Graph, doc []byte) (*Prepared, e
 // ParamNames lists the placeholders the document references, sorted.
 func (p *Prepared) ParamNames() []string { return p.q.ParamNames }
 
-// Graph returns the graph the statement was prepared against.
-func (p *Prepared) Graph() *core.Graph { return p.graph }
-
 // Bind resolves placeholders and returns the executable query; the calling
 // layer (engine or frontend tier) chooses where it runs.
 func (p *Prepared) Bind(params Params) (*Query, error) {
@@ -162,9 +129,8 @@ func (p *Prepared) Bind(params Params) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Exec never parses — the plan was built at Prepare time — so every
-	// execution counts as served-from-cache even if Bind returned the
-	// shared AST itself (parameterless statement).
+	// Exec never parses, so every execution counts as served-from-cache,
+	// even when Bind returned the shared AST itself (no parameters).
 	if bound == p.q {
 		copied := *p.q
 		bound = &copied

@@ -175,9 +175,10 @@ func TestPreparedExecZeroParses(t *testing.T) {
 		}
 	}
 	_, missesAfter := env.engine.PlanCacheStats()
-	// Only the literal oracle documents parsed; the prepared execs did not.
-	if parses := missesAfter - missesBefore; parses != 3 {
-		t.Errorf("parses during exec loop = %d, want 3 (oracles only)", parses)
+	// Only the first literal oracle parsed: the others share its shape, and
+	// the prepared execs never parse.
+	if parses := missesAfter - missesBefore; parses != 1 {
+		t.Errorf("parses during exec loop = %d, want 1 (the first oracle only)", parses)
 	}
 
 	// An unbound execution of a parameterized document fails loudly.
@@ -300,9 +301,9 @@ func TestSimPlanCacheSkipsCostParse(t *testing.T) {
 	if warmErr != nil {
 		t.Fatal(warmErr)
 	}
-	// Evict the plan (by its canonical key) so the same document misses.
+	// Evict the plan (by its plan key) so the same document misses.
 	simEnv.engine.plans.mu.Lock()
-	delete(simEnv.engine.plans.entries, docHash(canonicalDoc([]byte(doc))))
+	delete(simEnv.engine.plans.entries, string(testPlanKey(t, doc)))
 	simEnv.engine.plans.mu.Unlock()
 	simEnv.run(func(c *fabric.Ctx) {
 		res, err := simEnv.engine.Execute(c, simEnv.graph, []byte(doc))
@@ -327,23 +328,23 @@ func TestSimPlanCacheSkipsCostParse(t *testing.T) {
 
 func TestPlanCacheEviction(t *testing.T) {
 	pc := newPlanCache()
+	// Distinct shapes: the predicate field differs, not a literal.
+	doc := func(i int) string { return fmt.Sprintf(`{"id": "v", "f%d": 1}`, i) }
 	for i := 0; i < planCacheCap+10; i++ {
-		doc := []byte(fmt.Sprintf(`{"id": "v%d"}`, i))
-		q, err := Parse(doc)
+		q, err := Parse([]byte(doc(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc.store(doc, q)
+		pc.store(testPlanKey(t, doc(i)), q)
 	}
 	if len(pc.entries) != planCacheCap {
 		t.Errorf("cache size = %d, want %d", len(pc.entries), planCacheCap)
 	}
 	// The oldest entries were evicted FIFO; the newest survive.
-	if _, ok := pc.lookup([]byte(`{"id": "v0"}`)); ok {
+	if _, ok := pc.lookup(testPlanKey(t, doc(0))); ok {
 		t.Error("oldest entry survived eviction")
 	}
-	newest := []byte(fmt.Sprintf(`{"id": "v%d"}`, planCacheCap+9))
-	if _, ok := pc.lookup(newest); !ok {
+	if _, ok := pc.lookup(testPlanKey(t, doc(planCacheCap+9))); !ok {
 		t.Error("newest entry evicted")
 	}
 }

@@ -105,8 +105,8 @@ func TestParseQ1Structure(t *testing.T) {
 	if q.Root.ID != "steven.spielberg" {
 		t.Errorf("root id = %q", q.Root.ID)
 	}
-	if q.Depth() != 3 {
-		t.Errorf("depth = %d, want 3", q.Depth())
+	if d := len(patternChain(q.Root)); d != 3 {
+		t.Errorf("depth = %d, want 3", d)
 	}
 	if q.Root.Edge == nil || q.Root.Edge.Type != "director.film" || !q.Root.Edge.Out {
 		t.Errorf("first edge = %+v", q.Root.Edge)
@@ -306,7 +306,7 @@ func TestComparisonOperators(t *testing.T) {
 	if len(res.Rows) != 0 {
 		t.Errorf("impossible predicate matched %d rows", len(res.Rows))
 	}
-	doc = []byte(`{"id": "war", "id": "war", "_select": ["id"], "str_str_map[kind]": {"_prefix": "gen"}}`)
+	doc = []byte(`{"id": "war", "_select": ["id"], "str_str_map[kind]": {"_prefix": "gen"}}`)
 	res, err = env.engine.Execute(env.c, env.graph, doc)
 	if err != nil {
 		t.Fatal(err)
@@ -515,6 +515,32 @@ func TestHintsParsing(t *testing.T) {
 	}
 	if !q.Hints.NoShipping || q.Hints.PageSize != 7 {
 		t.Errorf("hints = %+v", q.Hints)
+	}
+}
+
+func TestHintsRejectMalformed(t *testing.T) {
+	cases := []struct{ hints, want string }{
+		{`{"page_size": 1.5}`, "page_size must be an integer"},
+		{`{"page_size": -3}`, "page_size must be an integer"},
+		{`{"page_size": 0}`, "page_size must be an integer"},
+		{`{"page_size": 1073741825}`, "page_size must be an integer"},
+		{`{"page_size": "7"}`, "page_size must be an integer"},
+		{`{"no_shipping": "yes"}`, "no_shipping must be a boolean"},
+		{`{"no_shipping": 1}`, "no_shipping must be a boolean"},
+		{`{"pagesize": 7}`, `unknown _hints key "pagesize"`},
+		{`[]`, "_hints must be an object"},
+	}
+	for _, c := range cases {
+		doc := `{"_hints": ` + c.hints + `, "id": "x"}`
+		_, err := Parse([]byte(doc))
+		var qe *Error
+		if !errors.As(err, &qe) || qe.Code != CodeParse || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%s) = %v, want CodeParse %q", doc, err, c.want)
+		}
+	}
+	q, err := Parse([]byte(`{"_hints": {"page_size": 1073741824, "no_shipping": false}, "id": "x"}`))
+	if err != nil || q.Hints.PageSize != maxShapeCount || q.Hints.NoShipping {
+		t.Errorf("boundary hints = %+v, %v", q, err)
 	}
 }
 
