@@ -195,12 +195,30 @@ func BenchmarkFilmTraverse(b *testing.B) {
 		}
 	}
 	cycle = append(cycle, bench.Q4)
+	filmClients(b, db, g, cycle)
+}
+
+// BenchmarkFilmQuery runs each template of BenchmarkFilmTraverse's cycle
+// alone over one shared film KG, the same clients per core: ns/op times a
+// template's count in the cycle is its share of a `traverse` op, which
+// names the template a `traverse` change has to move.
+func BenchmarkFilmQuery(b *testing.B) {
+	db, g, _ := filmKG(b)
+	for _, q := range []struct{ name, doc string }{
+		{"Q1", bench.Q1}, {"Q2", bench.Q2}, {"Q3", bench.Q3}, {"Q4", bench.Q4},
+	} {
+		b.Run(q.name, func(b *testing.B) { filmClients(b, db, g, []string{q.doc}) })
+	}
+}
+
+// filmClients runs docs round-robin from one closed-loop client per core.
+func filmClients(b *testing.B, db *a1.DB, g *a1.Graph, docs []string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		db.Run(func(c *a1.Ctx) {
 			for i := 0; pb.Next(); i++ {
-				if _, err := db.Query(c, g, cycle[i%len(cycle)]); err != nil {
+				if _, err := db.Query(c, g, docs[i%len(docs)]); err != nil {
 					b.Error(err)
 					return
 				}

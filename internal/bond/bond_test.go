@@ -2,6 +2,7 @@ package bond
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -425,5 +426,207 @@ func TestMarshalSizeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// unmarshalStructFieldsByDecode is UnmarshalStructFields as it was before it
+// located fields in place — decode each wanted field, then check it — kept
+// as the oracle for the locate walk's checks and errors.
+func unmarshalStructFieldsByDecode(s *Schema, data []byte, ids []uint16) (Value, error) {
+	v, err := Unmarshal(data)
+	if err != nil && (len(data) == 0 || Kind(data[0]) != KindStruct) {
+		return Null, err
+	}
+	if err == nil && v.Kind() != KindStruct {
+		return Null, fmt.Errorf("bond: schema %q: decoded %v, want struct", s.Name, v.Kind())
+	}
+	n, rest, err := readUvarint(data[1:])
+	if err != nil {
+		return Null, err
+	}
+	if n > maxDecodeLen {
+		return Null, errTruncated
+	}
+	var fields []FieldValue
+	want, prev := ids, -1
+	for i := uint64(0); i < n; i++ {
+		var id uint64
+		if id, rest, err = readUvarint(rest); err != nil {
+			return Null, err
+		}
+		if id > math.MaxUint16 || int(id) <= prev {
+			return Null, fmt.Errorf("bond: struct field ids not strictly ascending")
+		}
+		prev = int(id)
+		var fv Value
+		if fv, rest, err = decodeValue(rest); err != nil {
+			return Null, err
+		}
+		for len(want) > 0 && uint64(want[0]) < id {
+			want = want[1:]
+		}
+		f, known := s.FieldByID(uint16(id))
+		if len(want) == 0 || uint64(want[0]) != id || !known {
+			continue
+		}
+		if err := checkType(f.Type, fv); err != nil {
+			return Null, fmt.Errorf("bond: schema %q field %q: %w", s.Name, f.Name, err)
+		}
+		fields = append(fields, FieldValue{ID: uint16(id), Value: fv})
+	}
+	if len(rest) != 0 {
+		return Null, fmt.Errorf("bond: %d trailing bytes", len(rest))
+	}
+	v = Value{kind: KindStruct, fields: fields}
+	for _, id := range ids {
+		if f, ok := s.FieldByID(id); ok && f.Required {
+			if fv, ok := v.Field(id); !ok || fv.IsZero() {
+				return Null, fmt.Errorf("bond: schema %q: required field %q missing or null", s.Name, f.Name)
+			}
+		}
+	}
+	return v, nil
+}
+
+// TestLocateMatchesDecode: over random records — conforming, mistyped,
+// with unknown fields, or not structs at all — and their truncations, bit
+// flips and trailing bytes, each locate walk fails exactly where the decode
+// it stands in for fails, with the same error, and what it locates decodes
+// to what that decode returns.
+func TestLocateMatchesDecode(t *testing.T) {
+	inner := MustSchema("Inner", FReq(0, "x", TInt64), F(1, "y", TString))
+	s := MustSchema("Rec",
+		FReq(0, "name", TString),
+		F(1, "tags", TListOf(TString)),
+		F(2, "attrs", TMapOf(TString, TInt64)),
+		F(3, "inner", TStructOf(inner)),
+		F(4, "score", TDouble),
+		F(5, "n", TInt32),
+	)
+	typed := map[uint16]func(r *rand.Rand) Value{
+		0: func(r *rand.Rand) Value { return String([]string{"", "a", "tom"}[r.Intn(3)]) },
+		2: func(r *rand.Rand) Value { return Map(MapEntry{String("k"), Int64(r.Int63n(3))}) },
+		3: func(r *rand.Rand) Value { return Struct(FV(0, Int64(r.Int63n(2))), FV(1, String("z"))) },
+		4: func(r *rand.Rand) Value { return Double(float64(r.Intn(3))) },
+		5: func(r *rand.Rand) Value { return Int32(int32(r.Intn(3))) },
+	}
+	typed[1] = func(r *rand.Rand) Value {
+		elems := make([]Value, r.Intn(3))
+		for i := range elems {
+			elems[i] = String("e")
+		}
+		return List(elems...)
+	}
+	r := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 4000; iter++ {
+		var v Value
+		if r.Intn(10) == 0 {
+			v = randomValue(r, 2)
+		} else {
+			var fs []FieldValue
+			for id := uint16(0); id <= 5; id++ {
+				switch r.Intn(6) {
+				case 0:
+				case 1:
+					fs = append(fs, FV(id, randomValue(r, 1)))
+				default:
+					fs = append(fs, FV(id, typed[id](r)))
+				}
+			}
+			if r.Intn(4) == 0 {
+				fs = append(fs, FV(9, randomValue(r, 1)))
+			}
+			v = Struct(fs...)
+		}
+		data := Marshal(v)
+		switch r.Intn(4) {
+		case 1:
+			data = data[:r.Intn(len(data)+1)]
+		case 2:
+			data[r.Intn(len(data))] ^= byte(1 + r.Intn(255))
+		case 3:
+			data = append(data, byte(r.Intn(256)))
+		}
+		var ids []uint16
+		for _, id := range []uint16{0, 1, 2, 3, 4, 5, 9} {
+			if r.Intn(2) == 0 {
+				ids = append(ids, id)
+			}
+		}
+
+		want, wantErr := unmarshalStructFieldsByDecode(s, data, ids)
+		got, err := UnmarshalStructFields(s, data, ids)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil && !got.Equal(want)) {
+			t.Fatalf("%x ids %v: LocateFields %v, %v; decode %v, %v", data, ids, got, err, want, wantErr)
+		}
+
+		full, fullErr := UnmarshalStruct(s, data)
+		enc := make([][]byte, len(s.Fields))
+		err = LocateStruct(s, data, enc)
+		if fmt.Sprint(err) != fmt.Sprint(fullErr) {
+			t.Fatalf("%x: LocateStruct %v, UnmarshalStruct %v", data, err, fullErr)
+		}
+		if err == nil {
+			if got, _ := DecodeFields(s.ids, enc); !got.Equal(full) {
+				t.Fatalf("%x: LocateStruct decodes to %v, UnmarshalStruct %v", data, got, full)
+			}
+		}
+
+		plain, plainErr := Unmarshal(data)
+		enc = make([][]byte, len(ids))
+		if err := Locate(data, ids, enc); fmt.Sprint(err) != fmt.Sprint(plainErr) {
+			t.Fatalf("%x: Locate %v, Unmarshal %v", data, err, plainErr)
+		} else if err == nil {
+			for i, id := range ids {
+				fv, ok := plain.Field(id)
+				if ok != (enc[i] != nil) {
+					t.Fatalf("%x: field %d located %v, present %v", data, id, enc[i] != nil, ok)
+				}
+				if dv, _ := Unmarshal(enc[i]); ok && !dv.Equal(fv) {
+					t.Fatalf("%x: field %d located as %v, decoded %v", data, id, dv, fv)
+				}
+			}
+		}
+	}
+}
+
+// TestInPlaceNavigation: MapValue, ListElem and BytesOf find what MapGet,
+// Index and the decoded payloads find, and nothing in values of another
+// kind.
+func TestInPlaceNavigation(t *testing.T) {
+	m := Marshal(Map(MapEntry{String("a"), Int32(1)}, MapEntry{Int32(7), String("b")}, MapEntry{String("c"), Null}))
+	if e, ok := MapValue(m, "a"); !ok || !bytes.Equal(e, Marshal(Int32(1))) {
+		t.Errorf("MapValue a = %x, %v", e, ok)
+	}
+	if e, ok := MapValue(m, "c"); !ok || !bytes.Equal(e, Marshal(Null)) {
+		t.Errorf("MapValue c = %x, %v", e, ok)
+	}
+	for _, key := range []string{"b", "7", ""} {
+		if _, ok := MapValue(m, key); ok {
+			t.Errorf("MapValue found %q", key)
+		}
+	}
+	l := Marshal(List(String("x"), Null, List(Int64(5))))
+	for i, want := range []Value{String("x"), Null, List(Int64(5))} {
+		if e, ok := ListElem(l, i); !ok || !bytes.Equal(e, Marshal(want)) {
+			t.Errorf("ListElem %d = %x, %v", i, e, ok)
+		}
+	}
+	for _, i := range []int{-1, 3} {
+		if _, ok := ListElem(l, i); ok {
+			t.Errorf("ListElem %d found", i)
+		}
+	}
+	if _, ok := ListElem(m, 0); ok {
+		t.Error("ListElem of a map")
+	}
+	if _, ok := MapValue(l, "x"); ok {
+		t.Error("MapValue of a list")
+	}
+	for _, v := range []Value{String("tom"), String(""), Blob([]byte{0, 1}), Int64(3), Null} {
+		b, k := BytesOf(Marshal(v))
+		if k != v.Kind() || (k == KindString && string(b) != v.AsString()) || (k == KindBlob && !bytes.Equal(b, v.AsBlob())) {
+			t.Errorf("BytesOf(%v) = %q, %v", v, b, k)
+		}
 	}
 }

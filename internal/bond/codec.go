@@ -144,70 +144,11 @@ func UnmarshalStruct(s *Schema, data []byte) (Value, error) {
 // where the full decode fails; schema validation covers the decoded fields
 // only (stored payloads were validated whole when written).
 func UnmarshalStructFields(s *Schema, data []byte, ids []uint16) (Value, error) {
-	if len(data) == 0 {
-		return Null, errTruncated
-	}
-	if Kind(data[0]) != KindStruct {
-		v, err := Unmarshal(data)
-		if err != nil {
-			return Null, err
-		}
-		return Null, fmt.Errorf("bond: schema %q: decoded %v, want struct", s.Name, v.Kind())
-	}
-	n, rest, err := readUvarint(data[1:])
-	if err != nil {
+	enc := make([][]byte, len(ids))
+	if err := LocateFields(s, data, ids, enc); err != nil {
 		return Null, err
 	}
-	if n > maxDecodeLen {
-		return Null, errTruncated
-	}
-	fields := make([]FieldValue, 0, len(ids))
-	want := ids
-	prev := -1
-	for i := uint64(0); i < n; i++ {
-		var id uint64
-		id, rest, err = readUvarint(rest)
-		if err != nil {
-			return Null, err
-		}
-		if id > math.MaxUint16 || int(id) <= prev {
-			return Null, fmt.Errorf("bond: struct field ids not strictly ascending")
-		}
-		prev = int(id)
-		for len(want) > 0 && uint64(want[0]) < id {
-			want = want[1:]
-		}
-		f, known := Field{}, false
-		if len(want) > 0 && uint64(want[0]) == id {
-			f, known = s.FieldByID(uint16(id))
-		}
-		if !known {
-			if rest, err = skipValue(rest); err != nil {
-				return Null, err
-			}
-			continue
-		}
-		var fv Value
-		if fv, rest, err = decodeValue(rest); err != nil {
-			return Null, err
-		}
-		if err := checkType(f.Type, fv); err != nil {
-			return Null, fmt.Errorf("bond: schema %q field %q: %w", s.Name, f.Name, err)
-		}
-		fields = append(fields, FieldValue{ID: uint16(id), Value: fv})
-	}
-	if len(rest) != 0 {
-		return Null, fmt.Errorf("bond: %d trailing bytes", len(rest))
-	}
-	v := Value{kind: KindStruct, fields: fields}
-	for _, id := range ids {
-		if f, ok := s.FieldByID(id); ok && f.Required {
-			if fv, ok := v.Field(id); !ok || fv.IsZero() {
-				return Null, fmt.Errorf("bond: schema %q: required field %q missing or null", s.Name, f.Name)
-			}
-		}
-	}
-	return v, nil
+	return DecodeFields(ids, enc)
 }
 
 // skipValue walks past one encoded value with decodeValue's structural
@@ -408,7 +349,9 @@ func decodeValue(b []byte) (Value, []byte, error) {
 		if n > maxDecodeLen {
 			return Null, nil, errTruncated
 		}
-		elems := make([]Value, 0, n)
+		// Every element takes at least a byte, so a corrupt count reserves
+		// no more than the input left could hold (maps and structs alike).
+		elems := make([]Value, 0, min(n, uint64(len(rest))))
 		for i := uint64(0); i < n; i++ {
 			var e Value
 			e, rest, err = decodeValue(rest)
@@ -426,7 +369,7 @@ func decodeValue(b []byte) (Value, []byte, error) {
 		if n > maxDecodeLen {
 			return Null, nil, errTruncated
 		}
-		kv := make([]MapEntry, 0, n)
+		kv := make([]MapEntry, 0, min(n, uint64(len(rest))))
 		for i := uint64(0); i < n; i++ {
 			var k, v Value
 			k, rest, err = decodeValue(rest)
@@ -448,7 +391,7 @@ func decodeValue(b []byte) (Value, []byte, error) {
 		if n > maxDecodeLen {
 			return Null, nil, errTruncated
 		}
-		fields := make([]FieldValue, 0, n)
+		fields := make([]FieldValue, 0, min(n, uint64(len(rest))))
 		prev := -1
 		for i := uint64(0); i < n; i++ {
 			var id uint64

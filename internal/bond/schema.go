@@ -111,6 +111,7 @@ func FReq(id uint16, name string, t Type) Field {
 type Schema struct {
 	Name   string
 	Fields []Field
+	ids    []uint16 // Fields' ids, ascending
 	byID   map[uint16]int
 	byName map[string]int
 }
@@ -134,6 +135,7 @@ func NewSchema(name string, fields ...Field) (*Schema, error) {
 		}
 		s.byID[f.ID] = i
 		s.byName[f.Name] = i
+		s.ids = append(s.ids, f.ID)
 	}
 	return s, nil
 }
@@ -155,6 +157,10 @@ func (s *Schema) FieldByID(id uint16) (Field, bool) {
 	}
 	return s.Fields[i], true
 }
+
+// FieldIDs returns the fields' ids, ascending (shared slice; do not
+// modify).
+func (s *Schema) FieldIDs() []uint16 { return s.ids }
 
 // FieldByName returns the field with the given name.
 func (s *Schema) FieldByName(name string) (Field, bool) {

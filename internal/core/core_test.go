@@ -689,7 +689,7 @@ func TestSnapshotTraversalDuringUpdates(t *testing.T) {
 }
 
 // TestVisitVertices: the batched visitor reads what it is asked for and no
-// more — one header per vertex, the data object only under a projection,
+// more — one header per vertex, the data object only past VisitHeader,
 // each inline edge list once per visit however often it is enumerated —
 // across mixed types, a spilled list, and a vertex deleted under the batch.
 func TestVisitVertices(t *testing.T) {
@@ -718,10 +718,10 @@ func TestVisitVertices(t *testing.T) {
 
 	// Header only: type and degrees, no data, one read per live vertex.
 	var seen []int
-	reads := visit(Projection{}, func(v *VertexVisit) (bool, error) {
+	reads := visit(VisitHeader, func(v *VertexVisit) (bool, error) {
 		seen = append(seen, v.Index)
-		if !v.Data.IsNull() {
-			t.Errorf("vertex %d: data %v under an empty projection", v.Index, v.Data)
+		if !v.Data.IsNull() || v.Encoded != nil {
+			t.Errorf("vertex %d: data %v (%d bytes) from a header-only visit", v.Index, v.Data, len(v.Encoded))
 		}
 		if v.Index == 0 && (v.TypeName != "actor" || v.InCount != 2 || v.OutCount != 1) {
 			t.Errorf("hanks: type %q in %d out %d", v.TypeName, v.InCount, v.OutCount)
@@ -732,21 +732,25 @@ func TestVisitVertices(t *testing.T) {
 		t.Errorf("header-only: visited %v with %d reads, want [0 2 3] with 4", seen, reads)
 	}
 
-	// A projection decodes exactly its fields, resolved per vertex type.
-	reads = visit(Projection{Fields: []string{"genre", "origin"}}, func(v *VertexVisit) (bool, error) {
-		want := bond.Struct(bond.FV(1, bond.String(map[int]string{0: "usa", 2: "war", 3: "drama"}[v.Index])))
-		if !v.Data.Equal(want) {
-			t.Errorf("vertex %d: projected %v, want %v", v.Index, v.Data, want)
+	// An encoded visit reads the data object and decodes nothing of it.
+	reads = visit(VisitEncoded, func(v *VertexVisit) (bool, error) {
+		if !v.Data.IsNull() {
+			t.Errorf("vertex %d: data %v decoded by an encoded visit", v.Index, v.Data)
 		}
-		if _, ok := v.PK(); ok {
-			t.Errorf("vertex %d: primary key decoded though not projected", v.Index)
+		want := map[int]string{0: "usa", 2: "war", 3: "drama"}[v.Index]
+		got, err := bond.UnmarshalStructFields(v.Schema, v.Encoded, []uint16{1})
+		if err != nil || !got.Equal(bond.Struct(bond.FV(1, bond.String(want)))) {
+			t.Errorf("vertex %d: field 1 of the encoding = %v, %v; want %q", v.Index, got, err, want)
+		}
+		if pk, _ := bond.UnmarshalStructFields(v.Schema, v.Encoded, []uint16{v.PKField()}); pk.Len() != 1 {
+			t.Errorf("vertex %d: primary-key field %d not in the encoding", v.Index, v.PKField())
 		}
 		return true, nil
 	})
 	if reads != 7 {
-		t.Errorf("projected: %d reads, want 7 (4 headers + 3 data objects)", reads)
+		t.Errorf("encoded: %d reads, want 7 (4 headers + 3 data objects)", reads)
 	}
-	visit(Projection{All: true}, func(v *VertexVisit) (bool, error) {
+	visit(VisitDecoded, func(v *VertexVisit) (bool, error) {
 		if pk, ok := v.PK(); !ok || (v.Index == 0 && pk.AsString() != "tom.hanks") {
 			t.Errorf("vertex %d: pk %v %v", v.Index, pk, ok)
 		}
@@ -754,7 +758,7 @@ func TestVisitVertices(t *testing.T) {
 	})
 
 	// Edges come off the visit's own header; a list is read once per visit.
-	reads = visit(Projection{}, func(v *VertexVisit) (bool, error) {
+	reads = visit(VisitHeader, func(v *VertexVisit) (bool, error) {
 		if v.Index != 0 {
 			return true, nil
 		}
@@ -783,7 +787,7 @@ func TestVisitVertices(t *testing.T) {
 	if reads != 6 {
 		t.Errorf("edges: %d reads, want 6 (4 headers + hanks's two lists)", reads)
 	}
-	if err := g.VisitVertices(s.Farm().CreateReadTransaction(c), batch[:1], Projection{}, func(v *VertexVisit) (bool, error) {
+	if err := g.VisitVertices(s.Farm().CreateReadTransaction(c), batch[:1], VisitHeader, func(v *VertexVisit) (bool, error) {
 		return true, v.Edges(DirOut, "no.such.edge", func(HalfEdge) bool { return true })
 	}); !errors.Is(err, ErrNoSuchType) {
 		t.Errorf("unknown edge type: err = %v", err)
@@ -795,7 +799,7 @@ func TestVisitVertices(t *testing.T) {
 		mustCreateEdge(t, g, c, ryan, "film.actor", a, bond.Null)
 	}
 	cast := 0
-	visit(Projection{}, func(v *VertexVisit) (bool, error) {
+	visit(VisitHeader, func(v *VertexVisit) (bool, error) {
 		if v.Index != 2 {
 			return true, nil
 		}

@@ -542,7 +542,7 @@ func (g *Graph) GetEdge(tx *farm.Tx, src VertexPtr, etypeName string, dst Vertex
 // read, enumeration costs one extra read for inline lists — usually a
 // local memory access thanks to locality (§3.2).
 func (g *Graph) EnumerateEdges(tx *farm.Tx, vp VertexPtr, dir Direction, etypeName string, fn func(HalfEdge) bool) error {
-	return g.readOne(tx, vp, Projection{}, func(v *VertexVisit) error {
+	return g.readOne(tx, vp, VisitHeader, func(v *VertexVisit) error {
 		return v.Edges(dir, etypeName, fn)
 	})
 }

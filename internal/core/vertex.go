@@ -259,7 +259,7 @@ func (g *Graph) readHeader(tx *farm.Tx, vp VertexPtr) (*farm.ObjBuf, *vertexHdr,
 // consecutive RDMA reads of §3.2.
 func (g *Graph) ReadVertex(tx *farm.Tx, vp VertexPtr) (*Vertex, error) {
 	var out *Vertex
-	err := g.readOne(tx, vp, Projection{All: true}, func(v *VertexVisit) error {
+	err := g.readOne(tx, vp, VisitDecoded, func(v *VertexVisit) error {
 		out = v.vertex()
 		return nil
 	})
@@ -272,7 +272,7 @@ func (g *Graph) ReadVertex(tx *farm.Tx, vp VertexPtr) (*Vertex, error) {
 // nil slot rather than failing the batch.
 func (g *Graph) ReadVertices(tx *farm.Tx, vps []VertexPtr) ([]*Vertex, error) {
 	out := make([]*Vertex, len(vps))
-	err := g.VisitVertices(tx, vps, Projection{All: true}, func(v *VertexVisit) (bool, error) {
+	err := g.VisitVertices(tx, vps, VisitDecoded, func(v *VertexVisit) (bool, error) {
 		out[v.Index] = v.vertex()
 		return true, nil
 	})
@@ -544,7 +544,7 @@ func (g *Graph) freeEdgeData(tx *farm.Tx, p farm.Ptr, seen map[farm.Addr]bool) e
 func (g *Graph) VertexPK(tx *farm.Tx, vp VertexPtr) (string, bond.Value, error) {
 	var typeName string
 	var pk bond.Value
-	err := g.readOne(tx, vp, Projection{All: true}, func(v *VertexVisit) error {
+	err := g.readOne(tx, vp, VisitDecoded, func(v *VertexVisit) error {
 		typeName = v.TypeName
 		pk, _ = v.PK()
 		return nil

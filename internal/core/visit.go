@@ -11,24 +11,25 @@ import (
 // The batched vertex visitor: the one read path every materializing caller
 // goes through (paper §3.2: a vertex is a header object plus a data object,
 // and its edge lists hang off the header). A visit reads each header
-// exactly once, reads and decodes the data object only when the caller's
-// projection names fields, and enumerates half-edges off that same header
-// — so a reader pays for the FaRM objects it consumes and nothing else.
-// The type directory is resolved once per batch; the graph meta (needed
-// for spilled edge lists) and the edge type on the batch's first
-// enumeration.
+// exactly once, reads the data object only when the caller's projection
+// asks for it, and enumerates half-edges off that same header — so a
+// reader pays for the FaRM objects it consumes and nothing else. The type
+// directory is resolved once per batch; the graph meta (needed for spilled
+// edge lists) and the edge type on the batch's first enumeration.
 
-// Projection names what a visit decodes of each vertex's data object. The
-// zero Projection decodes nothing: the visit costs the header read alone.
-type Projection struct {
-	// All decodes every field of the vertex type's schema.
-	All bool
-	// Fields lists top-level field names to decode; every other field is
-	// skipped without being built. Names a vertex's type lacks are ignored.
-	Fields []string
-}
+// Projection names what a visit reads of each vertex.
+type Projection uint8
 
-func (p Projection) empty() bool { return !p.All && len(p.Fields) == 0 }
+const (
+	// VisitHeader reads the header object alone: type, degrees, edge lists.
+	VisitHeader Projection = iota
+	// VisitEncoded also reads the data object and hands it over undecoded
+	// (VertexVisit.Encoded): the caller tests and decodes what it needs in
+	// place (bond.LocateFields).
+	VisitEncoded
+	// VisitDecoded also decodes the whole data object into VertexVisit.Data.
+	VisitDecoded
+)
 
 // VertexVisit is one vertex as the visitor presents it. It is valid only
 // during the callback it is handed to.
@@ -38,8 +39,11 @@ type VertexVisit struct {
 	TypeID   uint32
 	TypeName string
 	Schema   *bond.Schema
-	// Data holds the projected fields of the data object; Null when the
-	// projection was empty and the data object was never read.
+	// Encoded is the data object's encoding under VisitEncoded and
+	// VisitDecoded, aliasing a scratch buffer the next vertex reuses.
+	Encoded []byte
+	// Data is the decoded data object under VisitDecoded; Null otherwise,
+	// unless the caller stores what it decoded of Encoded here.
 	Data     bond.Value
 	OutCount int
 	InCount  int
@@ -53,7 +57,8 @@ type VertexVisit struct {
 // visitState is the batch-scoped half of a visit: resolved metadata and
 // the scratch buffers every vertex of the batch decodes out of. Decoding
 // copies everything out of the buffers (bond values own their strings and
-// blobs, half-edges are values), so the scratch never escapes.
+// blobs, half-edges are values), and a visit's Encoded lives only as long
+// as its callback, so the scratch never escapes.
 type visitState struct {
 	g     *Graph
 	tx    *farm.Tx
@@ -64,10 +69,7 @@ type visitState struct {
 	lists     [2][]byte   // inline half-edge lists of the current vertex, per direction
 	cur       VertexVisit // the visit handed to the callback (pooled with the state)
 
-	// One-entry caches: batches are overwhelmingly single-type and
-	// enumerate a single edge label.
-	projType  *vertexTypeMeta
-	projIDs   []uint16
+	// One-entry cache: batches overwhelmingly enumerate a single edge label.
 	edgeName  string
 	edgeID    uint32
 	edgeKnown bool
@@ -87,12 +89,12 @@ func (g *Graph) newVisitState(tx *farm.Tx) (*visitState, error) {
 
 // release returns the state to the pool, keeping only the scratch buffers.
 func (vs *visitState) release() {
-	*vs = visitState{hdr: vs.hdr, data: vs.data, lists: vs.lists, projIDs: vs.projIDs[:0]}
+	*vs = visitState{hdr: vs.hdr, data: vs.data, lists: vs.lists}
 	visitStatePool.Put(vs)
 }
 
-// read fills v from vp's header and, for a non-empty projection, its data
-// object. ok=false means the vertex no longer exists at the snapshot.
+// read fills v from vp's header and, past VisitHeader, its data object.
+// ok=false means the vertex no longer exists at the snapshot.
 func (vs *visitState) read(vp VertexPtr, proj Projection, v *VertexVisit) (ok bool, err error) {
 	hb, err := vs.tx.ReadSizedInto(vp.Addr, vertexHdrSize, vs.hdr)
 	if err != nil {
@@ -121,42 +123,18 @@ func (vs *visitState) read(vp VertexPtr, proj Projection, v *VertexVisit) (ok bo
 		vt:       vt,
 		hdr:      hdr,
 	}
-	if proj.empty() {
+	if proj == VisitHeader {
 		return true, nil
 	}
 	db, err := vs.tx.ReadSizedInto(hdr.data.Addr, hdr.data.Size, vs.data)
 	if err != nil {
 		return false, err
 	}
-	vs.data = db
-	if proj.All {
+	vs.data, v.Encoded = db, db
+	if proj == VisitDecoded {
 		v.Data, err = bond.UnmarshalStruct(vt.Schema, db)
-	} else {
-		v.Data, err = bond.UnmarshalStructFields(vt.Schema, db, vs.fieldIDs(vt, proj.Fields))
 	}
 	return err == nil, err
-}
-
-// fieldIDs resolves a projection's names against a vertex type, ascending.
-func (vs *visitState) fieldIDs(vt *vertexTypeMeta, names []string) []uint16 {
-	if vs.projType == vt {
-		return vs.projIDs
-	}
-	ids := vs.projIDs[:0]
-	for _, name := range names {
-		f, ok := vt.Schema.FieldByName(name)
-		if !ok {
-			continue
-		}
-		// Insertion sort: projections name a handful of fields.
-		i := len(ids)
-		ids = append(ids, f.ID)
-		for ; i > 0 && ids[i-1] > f.ID; i-- {
-			ids[i], ids[i-1] = ids[i-1], ids[i]
-		}
-	}
-	vs.projType, vs.projIDs = vt, ids
-	return ids
 }
 
 // edgeTypeID resolves an edge label to its filter id (0 = all types).
@@ -179,8 +157,11 @@ func (vs *visitState) edgeTypeID(name string) (uint32, error) {
 	return et.ID, nil
 }
 
-// PK returns the vertex's primary key when the projection decoded it.
+// PK returns the vertex's primary key when Data holds it.
 func (v *VertexVisit) PK() (bond.Value, bool) { return v.Data.Field(v.vt.PKField) }
+
+// PKField returns the id of the vertex type's primary-key field.
+func (v *VertexVisit) PKField() uint16 { return v.vt.PKField }
 
 // Edges enumerates the vertex's half-edges in one direction off the header
 // the visit already read, optionally filtered by edge type name ("" = all
@@ -218,7 +199,7 @@ func (v *VertexVisit) Edges(dir Direction, etypeName string, fn func(HalfEdge) b
 }
 
 // VisitVertices runs fn over a batch of vertices: one header read each,
-// plus the data-object read and projected decode when proj names fields;
+// plus the data-object read (and, under VisitDecoded, its decode);
 // fn enumerates edges through the visit. A vertex that no longer exists at
 // the transaction's snapshot is skipped. fn returning more=false ends the
 // batch before the next vertex is read. Reads are sequential within the
@@ -251,7 +232,7 @@ func (g *Graph) VisitVertices(tx *farm.Tx, vps []VertexPtr, proj Projection, fn 
 	return nil
 }
 
-// vertex materializes the visit as a Vertex (full-projection reads).
+// vertex materializes the visit as a Vertex (VisitDecoded reads).
 func (v *VertexVisit) vertex() *Vertex {
 	return &Vertex{
 		Ptr:      v.Ptr,

@@ -439,7 +439,8 @@ func (c *Ctx) Datagram(target MachineID, bytes int) (delivered bool) {
 
 // Parallel runs n bodies concurrently — simulated processes in Sim mode,
 // goroutines in Direct mode — and waits for all of them. Each body receives
-// a context bound to its own process.
+// a context bound to its own process. In Direct mode body 0 runs on the
+// caller and every other body on a pooled worker goroutine (fanWorker).
 func (c *Ctx) Parallel(n int, fn func(i int, c *Ctx)) {
 	if n == 0 {
 		return
@@ -457,16 +458,55 @@ func (c *Ctx) Parallel(n int, fn func(i int, c *Ctx)) {
 		return
 	}
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		go func() {
-			defer wg.Done()
-			nc := *c
-			fn(i, &nc)
-		}()
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		t := fanTask{fn: fn, i: i, c: *c, wg: &wg}
+		select {
+		case w := <-idleFanWorkers:
+			w <- t
+		default:
+			go fanWorker(t)
+		}
 	}
+	nc := *c
+	fn(0, &nc)
 	wg.Wait()
+}
+
+// fanTask is one Direct-mode Parallel body handed to a worker goroutine.
+type fanTask struct {
+	fn func(i int, c *Ctx)
+	i  int
+	c  Ctx
+	wg *sync.WaitGroup
+}
+
+// maxIdleFanWorkers bounds the goroutines parked between fan-outs: enough
+// for a few concurrent queries' scatters over a cluster's machines.
+const maxIdleFanWorkers = 64
+
+// idleFanWorkers holds one hand-off channel per parked worker; Parallel
+// sends into a taken channel's one-slot buffer, so neither side blocks and
+// a body that fans out again (a scatter inside an RPC handler) never waits
+// for a worker. A reused worker keeps the stack an earlier body grew.
+var idleFanWorkers = make(chan chan fanTask, maxIdleFanWorkers)
+
+// fanWorker runs t, then parks for the next task, or exits when the idle
+// set is full.
+func fanWorker(t fanTask) {
+	next := make(chan fanTask, 1)
+	for {
+		nc := t.c
+		t.fn(t.i, &nc)
+		t.wg.Done()
+		t = fanTask{} // a parked worker holds nothing of the fan-out it served
+		select {
+		case idleFanWorkers <- next:
+		default:
+			return
+		}
+		t = <-next
+	}
 }
 
 // Go spawns a detached background activity (task workers, replication

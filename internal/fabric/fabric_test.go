@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,18 +167,112 @@ func TestCPUQueueingUnderLoad(t *testing.T) {
 	}
 }
 
+// TestParallelDirectMode: every body runs exactly once, with its own index
+// and — when there are several — its own copy of the caller's context.
 func TestParallelDirectMode(t *testing.T) {
 	f := New(DefaultConfig(4, Direct), nil)
+	c := f.NewCtx(2, nil)
+	ran := 0
+	c.Parallel(1, func(i int, cc *Ctx) { ran++ })
+	if ran != 1 {
+		t.Errorf("a single body ran %d times", ran)
+	}
+	for _, n := range []int{2, 16} {
+		runs := make([]atomic.Int32, n)
+		c.Parallel(n, func(i int, cc *Ctx) {
+			runs[i].Add(1)
+			if cc == c || cc.M != 2 {
+				t.Errorf("body %d: context %p on %v, caller's %p on m2", i, cc, cc.M, c)
+			}
+			cc.M = 3 // a body's context is its own
+		})
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Errorf("n=%d: body %d ran %d times", n, i, got)
+			}
+		}
+	}
+	if c.M != 2 {
+		t.Errorf("caller's context moved to %v", c.M)
+	}
+}
+
+// TestParallelNested: fan-out three deep and eight wide from bodies that
+// run on reused workers completes, every leaf once — Parallel never waits
+// for a worker, so a body fanning out cannot deadlock the pool.
+func TestParallelNested(t *testing.T) {
+	f := New(DefaultConfig(8, Direct), nil)
 	c := f.NewCtx(0, nil)
-	var mu sync.Mutex
-	seen := map[int]bool{}
-	c.Parallel(16, func(i int, cc *Ctx) {
-		mu.Lock()
-		seen[i] = true
-		mu.Unlock()
+	c.Parallel(8, func(int, *Ctx) {}) // park workers for the bursts below to reuse
+	if len(idleFanWorkers) == 0 {
+		t.Fatal("no worker parked after a fan-out")
+	}
+	for round := 0; round < 20; round++ {
+		var leaves [8 * 8 * 8]atomic.Int32
+		c.Parallel(8, func(i int, c1 *Ctx) {
+			c1.Parallel(8, func(j int, c2 *Ctx) {
+				c2.Parallel(8, func(k int, _ *Ctx) { leaves[i*64+j*8+k].Add(1) })
+			})
+		})
+		for i := range leaves {
+			if got := leaves[i].Load(); got != 1 {
+				t.Fatalf("round %d: leaf %d ran %d times", round, i, got)
+			}
+		}
+	}
+}
+
+// TestParallelWorkersBounded: after a thousand bursts the goroutines left
+// over are the parked workers, never more than the idle bound.
+func TestParallelWorkersBounded(t *testing.T) {
+	f := New(DefaultConfig(8, Direct), nil)
+	c := f.NewCtx(0, nil)
+	base := runtime.NumGoroutine()
+	var done sync.WaitGroup
+	for client := 0; client < 4; client++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			for i := 0; i < 250; i++ {
+				c.Parallel(8, func(int, *Ctx) {})
+			}
+		}()
+	}
+	done.Wait()
+	// A worker that finds the idle set full exits after its last Done:
+	// give the exiting ones a moment.
+	bound := base + maxIdleFanWorkers
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > bound && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > bound {
+		t.Errorf("%d goroutines after the bursts, want at most %d (baseline %d + idle bound %d)", n, bound, base, maxIdleFanWorkers)
+	}
+}
+
+// TestParallelSimMode: in Sim every body is its own simulated process, and
+// the bodies overlap in virtual time.
+func TestParallelSimMode(t *testing.T) {
+	f, env := simFabric(t, 4)
+	var elapsed time.Duration
+	procs := map[*sim.Proc]int{}
+	env.Run(func(p *sim.Proc) {
+		c := f.NewCtx(1, p)
+		start := c.Now()
+		c.Parallel(4, func(i int, cc *Ctx) {
+			procs[cc.P]++
+			if cc.M != 1 {
+				t.Errorf("body %d on %v, want m1", i, cc.M)
+			}
+			cc.Sleep(time.Millisecond)
+		})
+		elapsed = c.Now() - start
 	})
-	if len(seen) != 16 {
-		t.Errorf("ran %d bodies, want 16", len(seen))
+	if len(procs) != 4 {
+		t.Errorf("4 bodies ran on %d processes", len(procs))
+	}
+	if elapsed != time.Millisecond {
+		t.Errorf("4 concurrent 1ms bodies took %v of virtual time, want 1ms", elapsed)
 	}
 }
 

@@ -205,14 +205,7 @@ type startCandidate struct {
 // without statistics gets the preference order untouched.
 func rankStartCandidates(sp *StartPlan, pat *VertexPattern, pc *planContext) []startCandidate {
 	if sp.ByID {
-		// A bound copy keeps IDParam alongside the substituted ID, so the
-		// placeholder renders only while the value is still unbound.
-		id := pat.ID
-		if id == "" && pat.IDParam != "" {
-			id = "$" + pat.IDParam
-		}
-		return []startCandidate{{kind: srcIDLookup, est: 1,
-			label: fmt.Sprintf("IDLookup(id=%q)", id)}}
+		return []startCandidate{{kind: srcIDLookup, est: 1, label: fmt.Sprintf("IDLookup(id=%q)", idLabel(pat))}}
 	}
 	read, merge, pred := pc.costModel()
 	tc, haveTC := pc.typeCount(pat.Type)

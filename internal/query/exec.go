@@ -622,9 +622,6 @@ func (st *execState) resolveMatchTargets(tx *farm.Tx, vp *VertexPattern, sub boo
 	}
 	if sub {
 		rs := readSetOf(vp, false)
-		if vp.ID != "" { // the key field is the type directory's to name
-			rs.Kind, rs.All = ReadFields, true
-		}
 		if st.matchReads == nil {
 			st.matchReads = map[*VertexPattern]ReadSet{}
 		}
@@ -1101,7 +1098,7 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 			}
 		}
 		var tail []Row
-		err := st.materialize(sc, tx, unseen, pat, read, &bc, func(v *core.VertexVisit, pass bool) (bool, error) {
+		err := st.materialize(sc, tx, unseen, pat, read, true, &bc, func(v *core.VertexVisit, pass bool) (bool, error) {
 			if !pass {
 				return true, nil
 			}
@@ -1130,7 +1127,7 @@ func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, p
 // applies the terminal level's residual filters (type, predicates, _match),
 // and materializes its row with projections and sort keys.
 func (st *execState) buildTerminalRow(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr, pat *VertexPattern, read ReadSet, bc *batchCounts) (row Row, ok bool, err error) {
-	err = st.materialize(sc, tx, []core.VertexPtr{vp}, pat, read, bc, func(v *core.VertexVisit, pass bool) (bool, error) {
+	err = st.materialize(sc, tx, []core.VertexPtr{vp}, pat, read, true, bc, func(v *core.VertexVisit, pass bool) (bool, error) {
 		if pass {
 			row, ok = newRow(vp, v.Data, pat, v.Schema), true
 		}
@@ -1592,7 +1589,12 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 			break
 		}
 		tx := e.store.Farm().CreateReadTransactionAt(sc, st.ts)
-		err := st.materialize(sc, tx, work, pat, op.read, &bc, func(v *core.VertexVisit, pass bool) (bool, error) {
+		var ef *inPlace // edge predicates' filter, shared by the batch
+		if op.edge != nil && len(op.edge.Preds) > 0 {
+			ef = getInPlace()
+			defer putInPlace(ef)
+		}
+		err := st.materialize(sc, tx, work, pat, op.read, op.emit, &bc, func(v *core.VertexVisit, pass bool) (bool, error) {
 			if pass {
 				if op.emit {
 					if err := emit(v.Ptr, v.Data, v.Schema); err != nil {
@@ -1606,7 +1608,7 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 			}
 			if op.edge != nil && (pass || op.through) {
 				var err error
-				if out.next, err = st.traverse(sc, tx, v, op.edge, out.next, &bc); err != nil {
+				if out.next, err = st.traverse(sc, tx, v, op.edge, ef, out.next, &bc); err != nil {
 					return false, err
 				}
 			}
@@ -1643,24 +1645,41 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 // candidates, `_match` subpattern endpoints — is read here, through the
 // store's batched visitor, with exactly the read set its pattern consumes.
 // Each visited vertex is tested against pat's residual filters (type,
-// predicates, `_match`; nil pat: none) and handed to each with the
+// predicates, `id`, `_match`; nil pat: none) and handed to each with the
 // verdict; each returning more=false ends the batch before the next read.
+// Predicates and the `id` test run on the encoded data object; a vertex
+// that passes has the fields pat's shaping operators read decoded into
+// v.Data when emit is set, and a vertex that fails has nothing decoded.
 // Stats.VerticesRead counts the headers read here, and CostVertexRead is
-// charged exactly when a data object is decoded.
-func (st *execState) materialize(sc *fabric.Ctx, tx *farm.Tx, batch []core.VertexPtr, pat *VertexPattern, read ReadSet, bc *batchCounts,
+// charged exactly when a data object is read.
+func (st *execState) materialize(sc *fabric.Ctx, tx *farm.Tx, batch []core.VertexPtr, pat *VertexPattern, read ReadSet, emit bool, bc *batchCounts,
 	each func(v *core.VertexVisit, pass bool) (more bool, err error)) error {
 	cfg := &st.engine.cfg
+	var f *inPlace
+	if read.Kind == ReadFields {
+		f = getInPlace()
+		defer putInPlace(f)
+	}
 	return st.graph.VisitVertices(tx, batch, read.projection(), func(v *core.VertexVisit) (bool, error) {
 		bc.vertices++
-		if read.Kind == ReadFields {
+		if f != nil {
 			sc.Work(cfg.CostVertexRead)
+			if f.filterLayout == nil || f.schema != v.Schema || f.pk != v.PKField() {
+				f.use(read.layout(v, pat))
+			}
+			if err := f.locate(v.Encoded); err != nil {
+				return false, err
+			}
 		}
 		pass := true
 		if pat != nil {
 			pass = pat.Type == "" || v.TypeName == pat.Type
 			if pass && len(pat.Preds) > 0 {
 				sc.Work(time.Duration(len(pat.Preds)) * cfg.CostPredEval)
-				pass = evalPredicates(v.Data, pat.Preds, v.Schema)
+				pass = f.holds(pat.Preds)
+			}
+			if pass && read.Key {
+				pass = f.keyIs(pat.ID)
 			}
 			// `_match`: every subpattern (conjunction) must find an edge —
 			// the star patterns of Q3 (§6).
@@ -1671,43 +1690,49 @@ func (st *execState) materialize(sc *fabric.Ctx, tx *farm.Tx, batch []core.Verte
 				}
 			}
 		}
+		if pass && emit && f != nil {
+			var err error
+			if v.Data, err = f.decode(); err != nil {
+				return false, err
+			}
+		}
 		return each(v, pass)
 	})
 }
 
 // traverse appends to next the far endpoints of v's half-edges matching
-// the pattern, enumerated off the header the visit already read.
-// Edge-data predicates are applied in place.
-func (st *execState) traverse(sc *fabric.Ctx, tx *farm.Tx, v *core.VertexVisit, ep *EdgePattern, next []core.VertexPtr, bc *batchCounts) ([]core.VertexPtr, error) {
+// the pattern, enumerated off the header the visit already read. Edge-data
+// predicates run in place through ef, the batch's edge filter (nil when
+// the pattern has none).
+func (st *execState) traverse(sc *fabric.Ctx, tx *farm.Tx, v *core.VertexVisit, ep *EdgePattern, ef *inPlace, next []core.VertexPtr, bc *batchCounts) ([]core.VertexPtr, error) {
 	cfg := &st.engine.cfg
-	var edgeSchema *bond.Schema
-	if len(ep.Preds) > 0 {
+	if ef != nil {
 		s, err := st.graph.EdgeTypeSchema(sc, ep.Type)
 		if err != nil {
 			return next, err
 		}
-		edgeSchema = s
+		if ef.filterLayout == nil || ef.schema != s {
+			ef.use(edgeLayout(s, ep.Preds))
+		}
 	}
 	var innerErr error
 	err := v.Edges(edgeDir(ep), ep.Type, func(he core.HalfEdge) bool {
 		bc.edges++
 		sc.Work(cfg.CostEdgeEnum)
-		if len(ep.Preds) > 0 {
+		if ef != nil {
 			if he.Data.IsNil() {
 				return true
 			}
 			buf, err := tx.Read(he.Data)
-			if err != nil {
-				innerErr = err
-				return false
+			if err == nil {
+				err = ef.locate(buf.Data())
 			}
-			val, err := bond.Unmarshal(buf.Data())
 			if err != nil {
 				innerErr = err
 				return false
 			}
 			sc.Work(time.Duration(len(ep.Preds)) * cfg.CostPredEval)
-			if !evalPredicates(val, ep.Preds, edgeSchema) {
+			if !ef.holds(ep.Preds) {
 				return true
 			}
 		}
@@ -1760,11 +1785,7 @@ func (st *execState) matchVertex(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr,
 		return true, nil
 	}
 	matched := false
-	err := st.materialize(sc, tx, []core.VertexPtr{vp}, pat, read, bc, func(v *core.VertexVisit, pass bool) (bool, error) {
-		if pass && pat.ID != "" {
-			pk, _ := v.PK()
-			pass = pk.AsString() == pat.ID
-		}
+	err := st.materialize(sc, tx, []core.VertexPtr{vp}, pat, read, false, bc, func(v *core.VertexVisit, pass bool) (bool, error) {
 		var err error
 		if pass && pat.Edge != nil {
 			pass, err = st.evalMatchEdge(sc, tx, v, pat.Edge, bc)

@@ -101,44 +101,13 @@ func finalAggValue(s *aggState, a Aggregate) bond.Value {
 	return bond.Null
 }
 
-// evalHavingOp applies one `_having` comparison to a finalized aggregate
-// value. Incomparable kinds satisfy only (in)equality by deep equality,
-// mirroring predicate evaluation.
-func evalHavingOp(v bond.Value, op Op, want bond.Value) bool {
-	cmp, ok := compareValues(v, want)
-	if !ok {
-		switch op {
-		case OpEq:
-			return v.Equal(want)
-		case OpNe:
-			return !v.Equal(want)
-		}
-		return false
-	}
-	switch op {
-	case OpEq:
-		return cmp == 0
-	case OpNe:
-		return cmp != 0
-	case OpGt:
-		return cmp > 0
-	case OpGe:
-		return cmp >= 0
-	case OpLt:
-		return cmp < 0
-	case OpLe:
-		return cmp <= 0
-	}
-	return false
-}
-
 // evalHavingState tests a fully merged group state against the `_having`
 // conjunction. A null aggregate (empty _min/_max, _avg over no values)
 // fails every comparison.
 func evalHavingState(gs *groupState, having []HavingPred, aggs []Aggregate) bool {
 	for _, hp := range having {
 		v := finalAggValue(&gs.aggs[hp.AggIdx], aggs[hp.AggIdx])
-		if v.IsNull() || !evalHavingOp(v, hp.Op, hp.Value) {
+		if v.IsNull() || !evalValue(v, hp.Op, &hp.Value) {
 			return false
 		}
 	}

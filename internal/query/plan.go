@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"a1/internal/bond"
 	"a1/internal/core"
@@ -134,27 +135,33 @@ const (
 
 // ReadSet is the part of a vertex a pattern's operators consume, derived
 // from the pattern alone: `_type` and `_match` need the header (type id,
-// edge lists); predicates, `_select` paths, field aggregates and
-// `_orderby`/`_groupby` keys need their top-level fields; `_count(*)`
-// needs nothing. The executor's one materialize step reads exactly this:
-// no header for ReadNone (following an edge still reads it — the edge
-// lists hang off the header), no data object short of ReadFields, and a
-// projected decode of Fields only.
+// edge lists); predicates, an `id` test below the root, `_select` paths,
+// field aggregates and `_orderby`/`_groupby` keys need their top-level
+// fields; `_count(*)` needs nothing. The executor's one materialize step
+// reads exactly this: no header for ReadNone (following an edge still reads
+// it — the edge lists hang off the header), no data object short of
+// ReadFields. The data object is filtered in place and decoded only for
+// survivors, and only in the fields their shaping operators emit.
 type ReadSet struct {
 	Kind ReadKind
 	// Fields holds the consumed top-level field names, sorted and distinct.
 	Fields []string
-	// All: a "*" path (or a primary-key test, whose field only the type
-	// directory knows) consumes the whole value.
+	// All: a "*" path consumes the whole value.
 	All bool
+	// Key: an `id` test reads the primary-key field, which only the type
+	// directory names.
+	Key bool
+	// layouts caches the in-place filter's layout per vertex schema, shared
+	// by every copy of the read set (set for ReadFields).
+	layouts *sync.Map
 }
 
-// readSetOf derives a pattern's read set. typeImplied marks the root
-// level, whose access path already proves `_type`: every root source reads
-// an index of the pattern's own type.
-func readSetOf(vp *VertexPattern, typeImplied bool) ReadSet {
+// readSetOf derives a pattern's read set. root marks the root level, whose
+// access path already proves `_type` and `id`: every root source reads an
+// index of the pattern's own type, and an `id` root is its key's lookup.
+func readSetOf(vp *VertexPattern, root bool) ReadSet {
 	var rs ReadSet
-	add := func(fp FieldPath) {
+	add := func(fp *FieldPath) {
 		rs.Kind = ReadFields
 		if fp.Wildcard {
 			rs.All = true
@@ -162,39 +169,66 @@ func readSetOf(vp *VertexPattern, typeImplied bool) ReadSet {
 			rs.Fields = append(rs.Fields, fp.Field)
 		}
 	}
-	if (vp.Type != "" && !typeImplied) || len(vp.Matches) > 0 {
+	if (vp.Type != "" && !root) || len(vp.Matches) > 0 {
 		rs.Kind = ReadHeader
 	}
-	for _, p := range vp.Preds {
-		add(p.Path)
+	if hasID(vp) && !root {
+		rs.Kind, rs.Key = ReadFields, true
 	}
-	for _, sel := range vp.Selects {
-		add(sel)
+	for i := range vp.Preds {
+		add(&vp.Preds[i].Path)
 	}
-	for _, a := range vp.Aggs {
-		if a.Kind != AggCount {
-			add(a.Path)
-		}
-	}
-	for _, fp := range vp.GroupBy {
-		add(fp)
-	}
-	if len(vp.GroupBy) == 0 { // grouped `_orderby` keys name aggregate columns
-		for _, ob := range vp.Orders {
-			add(ob.Path)
-		}
-	}
+	emittedPaths(vp, add)
 	slices.Sort(rs.Fields)
 	rs.Fields = slices.Compact(rs.Fields)
+	if rs.Kind == ReadFields {
+		rs.layouts = new(sync.Map)
+	}
 	return rs
 }
 
-// projection is the read set as the store's visitor takes it.
+// emittedPaths calls fn with each field path a level's shaping operators
+// read from a vertex that passed its filters: `_select` paths, field
+// aggregates, `_groupby` keys and plain `_orderby` keys.
+func emittedPaths(vp *VertexPattern, fn func(fp *FieldPath)) {
+	for i := range vp.Selects {
+		fn(&vp.Selects[i])
+	}
+	for i := range vp.Aggs {
+		if vp.Aggs[i].Kind != AggCount {
+			fn(&vp.Aggs[i].Path)
+		}
+	}
+	for i := range vp.GroupBy {
+		fn(&vp.GroupBy[i])
+	}
+	if len(vp.GroupBy) == 0 { // grouped `_orderby` keys name aggregate columns
+		for i := range vp.Orders {
+			fn(&vp.Orders[i].Path)
+		}
+	}
+}
+
+// hasID reports whether a pattern carries an `id`, literal or "$param".
+func hasID(vp *VertexPattern) bool { return vp.ID != "" || vp.IDParam != "" }
+
+// idLabel renders a pattern's `id` for Explain. A bound copy keeps IDParam
+// alongside the substituted ID, so the "$param" placeholder renders only
+// while the value is still unbound.
+func idLabel(vp *VertexPattern) string {
+	if vp.ID == "" && vp.IDParam != "" {
+		return "$" + vp.IDParam
+	}
+	return vp.ID
+}
+
+// projection is the read set as the store's visitor takes it: the data
+// object stays encoded for the in-place filter.
 func (rs ReadSet) projection() core.Projection {
 	if rs.Kind != ReadFields {
-		return core.Projection{}
+		return core.VisitHeader
 	}
-	return core.Projection{All: rs.All, Fields: rs.Fields}
+	return core.VisitEncoded
 }
 
 func (rs ReadSet) String() string {
@@ -206,7 +240,11 @@ func (rs ReadSet) String() string {
 	case rs.All:
 		return "fields{*}"
 	}
-	return "fields{" + strings.Join(rs.Fields, ", ") + "}"
+	names := rs.Fields
+	if rs.Key {
+		names = append([]string{"<key>"}, names...)
+	}
+	return "fields{" + strings.Join(names, ", ") + "}"
 }
 
 // RecursePlan is the compiled form of a `_recurse` expansion. Bounds live
@@ -289,7 +327,7 @@ func compilePlan(q *Query) *Plan {
 		lp := &LevelPlan{
 			Depth:     depth,
 			Terminal:  vp.Edge == nil && vp.Recurse == nil,
-			HasFilter: len(vp.Preds) > 0 || len(vp.Matches) > 0 || vp.Type != "",
+			HasFilter: len(vp.Preds) > 0 || len(vp.Matches) > 0 || vp.Type != "" || (depth > 0 && hasID(vp)),
 			Traverse:  vp.Edge != nil,
 		}
 		lp.Read = readSetOf(vp, depth == 0)
@@ -475,7 +513,7 @@ func (pl *Plan) Tree(q *Query, pc *planContext) *PlanTree {
 		}
 		if lp.HasFilter {
 			lv.Children = append(lv.Children, &PlanNode{
-				Op: "Filter", Detail: describeFilter(vp), Est: estUnknown, Act: estUnknown,
+				Op: "Filter", Detail: describeFilter(vp, i == 0), Est: estUnknown, Act: estUnknown,
 			})
 		}
 		lv.Children = append(lv.Children, &PlanNode{
@@ -598,11 +636,15 @@ func describeIndexFilter(ifp *IndexFilterPlan, vp *VertexPattern, indexed indexP
 	return "no usable index; full reads"
 }
 
-// describeFilter summarizes a level's residual predicates.
-func describeFilter(vp *VertexPattern) string {
+// describeFilter summarizes a level's residual predicates. The root's `id`
+// is its access path's (IDLookup), not a filter.
+func describeFilter(vp *VertexPattern, root bool) string {
 	var parts []string
 	if vp.Type != "" {
 		parts = append(parts, "_type="+vp.Type)
+	}
+	if hasID(vp) && !root {
+		parts = append(parts, "id="+strconv.Quote(idLabel(vp)))
 	}
 	for _, p := range vp.Preds {
 		parts = append(parts, fmt.Sprintf("%s %s %s", p.Path.Raw, opName(p.Op), predValue(p)))
