@@ -110,6 +110,26 @@ func (f *Farm) PrimaryOf(c *fabric.Ctx, a Addr) (fabric.MachineID, error) {
 	return f.cm.lookup(c, a.Region())
 }
 
+// Directory is a snapshot of the region directory: it resolves a batch of
+// addresses' owners with no directory load per address.
+type Directory struct {
+	f   *Farm
+	dir []dirEntry
+}
+
+// Directory snapshots the region directory.
+func (f *Farm) Directory() Directory { return Directory{f: f, dir: *f.cm.dir.Load()} }
+
+// PrimaryOf is Farm.PrimaryOf as of the snapshot. A region the snapshot
+// marks lost, or does not know, goes through Farm.PrimaryOf, which waits
+// out the region's fast restart.
+func (d Directory) PrimaryOf(c *fabric.Ctx, a Addr) (fabric.MachineID, error) {
+	if id := a.Region(); id > 0 && int(id) < len(d.dir) && !d.dir[id].lost {
+		return d.dir[id].primary, nil
+	}
+	return d.f.PrimaryOf(c, a)
+}
+
 // regionAt returns the replica of region id hosted on machine m.
 func (f *Farm) regionAt(m fabric.MachineID, id RegionID) (*Region, bool) {
 	return f.drivers[m].Get(id)

@@ -661,6 +661,54 @@ func TestFastRestartRecoversLostRegion(t *testing.T) {
 	})
 }
 
+// TestDirectorySnapshot: a Directory answers as of its snapshot — the
+// promoted primary only for a snapshot taken after the failover — and a
+// region it holds as lost waits out the fast restart, as PrimaryOf does.
+func TestDirectorySnapshot(t *testing.T) {
+	simFarmRun(t, 9, func(f *Farm, c *fabric.Ctx) {
+		p := allocCounter(t, f, c, 0)
+		primary, err := f.PrimaryOf(c, p.Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := f.Directory()
+		f.KillMachine(c, primary)
+		promoted, err := f.PrimaryOf(c, p.Addr)
+		if err != nil || promoted == primary {
+			t.Fatalf("PrimaryOf after failover = %v, %v", promoted, err)
+		}
+		if m, err := before.PrimaryOf(c, p.Addr); m != primary || err != nil {
+			t.Errorf("snapshot before the failover = %v, %v; want %v", m, err, primary)
+		}
+		if m, err := f.Directory().PrimaryOf(c, p.Addr); m != promoted || err != nil {
+			t.Errorf("snapshot after the failover = %v, %v; want %v", m, err, promoted)
+		}
+		if _, err := f.Directory().PrimaryOf(c, MakeAddr(RegionID(1<<20), 0)); !errors.Is(err, ErrBadAddr) {
+			t.Errorf("unknown region: err = %v, want ErrBadAddr", err)
+		}
+		replicas := f.CM().replicasOf(p.Addr.Region())
+		for _, m := range replicas {
+			f.CrashProcess(c, m)
+		}
+		lost := f.Directory()
+		got := make(chan fabric.MachineID, 1)
+		w := c.Go("blocked-lookup", func(rc *fabric.Ctx) {
+			m, err := lost.PrimaryOf(rc, p.Addr)
+			if err != nil {
+				t.Error(err)
+			}
+			got <- m
+		})
+		c.Sleep(50 * time.Millisecond)
+		f.RestartProcess(c, replicas[0])
+		w.Wait(c)
+		want, err := f.PrimaryOf(c, p.Addr)
+		if m := <-got; err != nil || m != want {
+			t.Errorf("lost region resolved to %v, want the restarted region's primary %v (%v)", m, want, err)
+		}
+	})
+}
+
 func TestRebootLosesDriverMemory(t *testing.T) {
 	simFarmRun(t, 9, func(f *Farm, c *fabric.Ctx) {
 		p := Ptr{}

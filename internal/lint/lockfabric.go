@@ -31,13 +31,15 @@ var LockFabric = &analysis.Analyzer{
 	Run: runLockFabric,
 }
 
-// fabric.Ctx operations that cross the wire (or fan out work that does).
+// fabric.Ctx operations that cross the wire (or fan out work that does),
+// and Work, which in Sim mode parks the caller on a CPU worker.
 var fabricRemoteOps = map[string]bool{
 	"RPC":         true,
 	"ReadRemote":  true,
 	"WriteRemote": true,
 	"CASRemote":   true,
 	"Parallel":    true,
+	"Work":        true,
 }
 
 // farm entry points that may perform remote reads, writes, or commits.

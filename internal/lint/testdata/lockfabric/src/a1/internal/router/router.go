@@ -47,6 +47,15 @@ func (r *Router) Fan(c *fabric.Ctx) {
 	r.rw.RUnlock()
 }
 
+// Bad: in Sim mode Work parks the process on a CPU worker, so a lock held
+// across it blocks every contender for that long.
+func (r *Router) Merge(c *fabric.Ctx, n int) {
+	r.mu.Lock()
+	r.peers[fabric.MachineID(n)] = true
+	c.Work(n) // want `Merge calls Work while holding r.mu`
+	r.mu.Unlock()
+}
+
 type Table struct {
 	sync.Mutex
 }

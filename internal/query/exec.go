@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -339,15 +340,24 @@ func (e *Engine) runAt(c *fabric.Ctx, g *core.Graph, q *Query, ts uint64, unpin 
 
 // driveLevels walks the plan's levels from the root frontier to the
 // terminal's product: each level builds its index-membership filter, runs
-// its operator, and either ends the chain or hands the deduplicated next
-// frontier to the level below.
-func (st *execState) driveLevels(qc *fabric.Ctx, ctx *farm.Tx, frontier []core.VertexPtr, pl *Plan, pats []*VertexPattern) (*levelOutput, error) {
+// its operator, and either ends the chain or hands the next frontier — its
+// replies merged into per-owner sets as they arrived, so already distinct
+// and split by owner — to the level below.
+func (st *execState) driveLevels(qc *fabric.Ctx, ctx *farm.Tx, root []core.VertexPtr, pl *Plan, pats []*VertexPattern) (*levelOutput, error) {
 	e := st.engine
-	working := len(frontier)
+	fr := newFrontier(e.store.Farm())
+	defer func() { fr.release() }()
+	for _, vp := range root {
+		if err := fr.add(qc, vp); err != nil {
+			return nil, err
+		}
+	}
+	batches, n := fr.seal()
+	working := n
 	for level := 0; ; level++ {
 		lp, pat := pl.Levels[level], pats[level]
-		if lp.IndexFilter != nil && len(frontier) > 0 {
-			member, ok, err := st.buildMemberFilter(qc, ctx, pat, lp.IndexFilter, len(frontier))
+		if lp.IndexFilter != nil && n > 0 {
+			member, ok, err := st.buildMemberFilter(qc, ctx, pat, lp.IndexFilter, n)
 			if err != nil {
 				return nil, err
 			}
@@ -355,52 +365,52 @@ func (st *execState) driveLevels(qc *fabric.Ctx, ctx *farm.Tx, frontier []core.V
 				st.member = member
 			}
 		}
-		out, err := st.runLevel(qc, frontier, level, pl, pats)
+		out, err := st.runLevel(qc, batches, n, level, pl, pats)
 		putAddrSet(st.member)
 		st.member = nil
 		if err != nil || lp.Terminal || lp.Recurse != nil {
 			return out, err
 		}
-		// Aggregate replies: dedup and repartition by pointer (§3.4).
-		qc.Work(time.Duration(len(out.next)) * e.cfg.CostMerge)
-		frontier = dedupPtrs(out.next)
-		st.setActRows(level+1, len(frontier))
-		working += len(frontier)
-		if working > e.cfg.MaxWorkingSet {
+		fr.release()
+		fr = out.next
+		batches, n = fr.seal()
+		st.setActRows(level+1, n)
+		if working += n; working > e.cfg.MaxWorkingSet {
 			return nil, fmt.Errorf("%w: %d vertices", ErrWorkingSet, working)
 		}
-		if len(frontier) == 0 {
+		if n == 0 {
 			return &levelOutput{}, nil
 		}
 	}
 }
 
-// runLevel picks and runs one level's physical operator over its frontier.
-func (st *execState) runLevel(qc *fabric.Ctx, frontier []core.VertexPtr, level int, pl *Plan, pats []*VertexPattern) (*levelOutput, error) {
+// runLevel picks and runs one level's physical operator over its frontier:
+// n vertices in owner batches.
+func (st *execState) runLevel(qc *fabric.Ctx, batches []ownerBatch, n, level int, pl *Plan, pats []*VertexPattern) (*levelOutput, error) {
 	lp, pat := pl.Levels[level], pats[level]
 	// Recursive frontier expansion: `_recurse` consumes the rest of the
 	// chain (host + `_vertex` terminal) in one bounded-depth BFS.
 	if lp.Recurse != nil {
-		return st.execRecurse(qc, frontier, level, pl, pats)
+		return st.execRecurse(qc, batches, n, level, pl, pats)
 	}
 	// Ordered traversal terminal: when the statistics say per-machine
 	// index-order partial scans beat materializing the frontier, each owner
 	// walks the order field's index restricted to its slice of the frontier
 	// and ships its top limit+skip rows; the coordinator k-way merges them.
 	// Falls through to the sort path when no index exists (served=false).
-	if lp.Terminal && lp.OrderedTraverse != nil && len(frontier) > 0 {
-		eligible := frontier
+	if lp.Terminal && lp.OrderedTraverse != nil && n > 0 {
+		eligible, en := batches, n
 		if st.member != nil {
-			eligible = memberSubset(frontier, st.member)
+			eligible, en = memberSubset(batches, st.member)
 		}
-		choice := st.pc.rankOrderedTraverse(pat, lp.OrderedTraverse, float64(len(eligible)))
+		choice := st.pc.rankOrderedTraverse(pat, lp.OrderedTraverse, float64(en))
 		if choice.use {
 			rows, served, err := st.execOrderedTraverse(qc, eligible, pat, lp)
 			if err != nil {
 				return nil, err
 			}
 			if served {
-				st.stats.IndexFiltered += int64(len(frontier) - len(eligible))
+				st.stats.IndexFiltered += int64(n - en)
 				st.stats.Hops++
 				// The terminal level reports the operator that ran with its
 				// own estimated-vs-actual output rows.
@@ -417,21 +427,18 @@ func (st *execState) runLevel(qc *fabric.Ctx, frontier []core.VertexPtr, level i
 	// order as the result pages out, so the full group set is never
 	// resident at the coordinator.
 	if lp.Terminal && lp.Group != nil {
-		cur, err := st.execGroupedLevel(qc, frontier, pat, lp)
+		cur, err := st.execGroupedLevel(qc, batches, pat, lp)
 		if err != nil {
 			return nil, err
 		}
 		st.stats.Hops++
 		return &levelOutput{cursor: cur}, nil
 	}
-	out, err := st.execLevel(qc, frontier, pat, lp)
+	out, err := st.execLevel(qc, batches, pat, lp)
 	if err != nil {
 		return nil, err
 	}
 	st.stats.Hops++
-	if lp.Terminal {
-		out.rows = dedupRows(out.rows)
-	}
 	return out, nil
 }
 
@@ -599,15 +606,22 @@ func (st *execState) setLevelEst(level int, est float64) {
 }
 
 // memberSubset returns the frontier vertices inside an index-membership
-// set, preserving order.
-func memberSubset(frontier []core.VertexPtr, member *addrSet) []core.VertexPtr {
-	out := make([]core.VertexPtr, 0, len(frontier))
-	for _, vp := range frontier {
-		if member.has(vp.Addr) {
-			out = append(out, vp)
+// set, preserving order and dropping owners left with none, and their
+// number.
+func memberSubset(batches []ownerBatch, member *addrSet) (out []ownerBatch, n int) {
+	for _, b := range batches {
+		var ptrs []core.VertexPtr
+		for _, vp := range b.ptrs {
+			if member.has(vp.Addr) {
+				ptrs = append(ptrs, vp)
+			}
+		}
+		if len(ptrs) > 0 {
+			out = append(out, ownerBatch{m: b.m, ptrs: ptrs})
+			n += len(ptrs)
 		}
 	}
-	return out
+	return out, n
 }
 
 // resolveMatchTargets walks the pattern tree once, before any level runs:
@@ -931,27 +945,23 @@ func (st *execState) orderedScan(qc *fabric.Ctx, tx *farm.Tx, pat *VertexPattern
 // rows beyond its top limit+skip can never enter the global top limit+skip
 // — they are dominated by that machine's own shipped rows — so the merge
 // of the shipped prefixes equals the fallback's global sort prefix.
-func (st *execState) execOrderedTraverse(qc *fabric.Ctx, frontier []core.VertexPtr, pat *VertexPattern, lp *LevelPlan) ([]Row, bool, error) {
+func (st *execState) execOrderedTraverse(qc *fabric.Ctx, batches []ownerBatch, pat *VertexPattern, lp *LevelPlan) ([]Row, bool, error) {
 	if pat.Limit <= 0 {
 		return nil, false, nil
 	}
 	target := pat.Limit + pat.Skip
-	var lists [][]Row
-	served := true
-	err := scatter(st, qc, frontier,
+	lists := make([][]Row, len(batches))
+	served := make([]bool, len(batches))
+	err := scatter(st, qc, batches,
 		func(sc *fabric.Ctx, b ownerBatch) (orderedReply, error) {
 			rows, ok, err := st.orderedMemberScan(sc, b.ptrs, pat, lp.OrderedTraverse, lp.Read, target)
 			return orderedReply{rows: rows, served: ok}, err
 		},
-		func(b ownerBatch, out orderedReply) error {
-			if lists == nil {
-				lists = make([][]Row, b.n)
-			}
-			lists[b.i] = out.rows
-			served = served && out.served
+		func(_ *fabric.Ctx, b ownerBatch, out orderedReply) error {
+			lists[b.i], served[b.i] = out.rows, out.served
 			return nil
 		})
-	if err != nil || !served {
+	if err != nil || slices.Contains(served, false) {
 		return nil, false, err
 	}
 	merged := mergeSortedRows(lists, pat.Orders, target)
@@ -1252,7 +1262,7 @@ func (st *execState) buildMemberFilter(qc *fabric.Ctx, tx *farm.Tx, pat *VertexP
 // levelOutput is the product of one level: what one owner's batch replies
 // with, and what the coordinator merges those replies into.
 type levelOutput struct {
-	next   []core.VertexPtr
+	next   *frontier // next hops: a reply's raw ones, or the merged frontier
 	rows   []Row
 	aggs   []aggState             // partial aggregates, parallel to the level's Aggs
 	groups map[string]*groupState // one owner's grouped-aggregate partials (buildGroupRun input)
@@ -1262,17 +1272,34 @@ type levelOutput struct {
 	// A terminal level may leave a live producer instead of rows.
 	cursor *groupCursor  // streamed groups: the k-way merge over the owners' runs
 	pager  *recursePager // unshaped `_recurse`: the expansion, seeded, not yet stepped
+
+	mu sync.Mutex // absorb: replies merge concurrently
 }
 
-// absorb merges one owner's reply into the coordinator's running product.
-// pat is the pattern whose Aggs and Orders shaped the reply's rows.
-func (o *levelOutput) absorb(st *execState, in *levelOutput, pat *VertexPattern) {
+// release returns a dropped output's frontier to the pool.
+func (o *levelOutput) release() {
+	if o != nil {
+		o.next.release()
+	}
+}
+
+// absorb merges one owner's reply into the coordinator's running product,
+// in the scatter body cc that received it. The next hops go straight into
+// their owners' sets, each under its owner's lock alone, and the merge's
+// CostMerge per raw pointer is charged afterwards, holding no lock. pat is
+// the pattern whose Aggs and Orders shaped the reply's rows.
+func (o *levelOutput) absorb(cc *fabric.Ctx, st *execState, in *levelOutput, pat *VertexPattern) {
+	if in.next != nil {
+		raw := in.next.raw
+		o.next.merge(in.next)
+		cc.Work(time.Duration(raw) * st.engine.cfg.CostMerge)
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	o.accepted += in.accepted
-	o.next = append(o.next, in.next...)
 	o.rows = append(o.rows, in.rows...)
-	// The reply's slices were copied out by the appends above; only the
-	// slice headers die here, never the rows' own buffers.
-	putPtrs(in.next)
+	// The reply's rows were copied out by the append above; only the slice
+	// header dies here, never the rows' own buffers.
 	putRows(in.rows)
 	if in.aggs != nil {
 		if o.aggs == nil {
@@ -1329,7 +1356,10 @@ func (g *groupState) wireBytes(enc string) int {
 // Bond-encoded projected rows, and aggregate partials. Group partials never
 // ship in a levelOutput: they leave the owner as a run (runSource).
 func (o *levelOutput) wire() wireSize {
-	n := len(o.next) * ptrWireBytes
+	n := 0
+	if o.next != nil {
+		n = o.next.raw * ptrWireBytes
+	}
 	for i := range o.rows {
 		n += o.rows[i].wireBytes()
 	}
@@ -1339,11 +1369,11 @@ func (o *levelOutput) wire() wireSize {
 	return wireSize{rows: len(o.rows), bytes: n}
 }
 
-// ownerBatch is one owner's share of a scattered frontier.
+// ownerBatch is one owner's share of a frontier.
 type ownerBatch struct {
 	m    fabric.MachineID
 	ptrs []core.VertexPtr
-	i, n int // position among the n owners, in first-seen frontier order
+	i, n int // scatter: position among the n owners
 }
 
 // wireSize is what one shipped reply put on the fabric: its bytes, and the
@@ -1351,39 +1381,25 @@ type ownerBatch struct {
 type wireSize struct{ rows, groups, bytes int }
 
 // scatter is the engine's one distributed mechanism (paper §3.4, Figure
-// 9). It partitions a frontier by primary host and runs work near the
-// data, concurrently per owner: an owner holding at least ShipThreshold of
-// the frontier receives its batch as one RPC (query shipping) and work
-// runs there; stragglers, the coordinator's own share, and everything
-// under the no_shipping hint run work from the coordinator over one-sided
-// reads. Each reply is merged at the coordinator under scatter's lock, in
-// completion order — b.i gives callers the stable owner order when it
-// matters. The first error from work, the fabric, or merge is the
-// scatter's error; replies that arrive after it are still merged so their
-// owners' state stays accounted for.
-func scatter[T interface{ wire() wireSize }](st *execState, qc *fabric.Ctx, frontier []core.VertexPtr,
-	work func(sc *fabric.Ctx, b ownerBatch) (T, error), merge func(b ownerBatch, out T) error) error {
-	f := st.engine.store.Farm()
-	slot := make(map[fabric.MachineID]int)
-	var batches []ownerBatch
-	for _, vp := range frontier {
-		m, err := f.PrimaryOf(qc, vp.Addr)
-		if err != nil {
-			return err
-		}
-		i, ok := slot[m]
-		if !ok {
-			i = len(batches)
-			slot[m] = i
-			batches = append(batches, ownerBatch{m: m, ptrs: getPtrs(), i: i})
-		}
-		batches[i].ptrs = append(batches[i].ptrs, vp)
-	}
+// 9). It runs work near the data of a frontier already split by owner,
+// concurrently per owner: an owner holding at least ShipThreshold of the
+// frontier receives its batch as one RPC (query shipping) and work runs
+// there; stragglers, the coordinator's own share, and everything under the
+// no_shipping hint run work from the coordinator over one-sided reads.
+// Each reply is merged in the coordinator-side body cc that received it, as
+// soon as it arrives and concurrently with the other bodies, so merge
+// guards whatever its replies share; b.i is the owner's position in
+// batches, the stable order when it matters. The first error from work,
+// the fabric, or merge is the scatter's error; replies that arrive after it
+// are still merged so their owners' state stays accounted for, and a reply
+// the fabric lost after its work ran is released.
+func scatter[T interface{ wire() wireSize }](st *execState, qc *fabric.Ctx, batches []ownerBatch,
+	work func(sc *fabric.Ctx, b ownerBatch) (T, error), merge func(cc *fabric.Ctx, b ownerBatch, out T) error) error {
 	var mu sync.Mutex
 	var firstErr error
 	qc.Parallel(len(batches), func(i int, cc *fabric.Ctx) {
 		b := batches[i]
-		b.n = len(batches)
+		b.i, b.n = i, len(batches)
 		var out T
 		var err error
 		if !st.hints.NoShipping && b.m != cc.M && len(b.ptrs) >= st.engine.cfg.ShipThreshold {
@@ -1406,47 +1422,62 @@ func scatter[T interface{ wire() wireSize }](st *execState, qc *fabric.Ctx, fron
 		} else {
 			out, err = work(cc, b)
 		}
+		if err == nil {
+			err = merge(cc, b, out)
+		} else if r, ok := any(out).(interface{ release() }); ok {
+			r.release()
+		}
 		mu.Lock()
 		defer mu.Unlock()
-		if err == nil {
-			err = merge(b, out)
-		}
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	})
-	// Every batch finished and no reply aliases its batch; the per-owner
-	// frontier slices go back to the pool.
-	for _, b := range batches {
-		putPtrs(b.ptrs)
-	}
 	return firstErr
 }
 
-// execLevel scatters the frontier and runs the level's operators near the
-// data (runBatch), merging next-hop pointers, rows and aggregate partials
-// at the coordinator. A level that consumes nothing of its vertices and
-// follows no edge — a bare `_count(*)` or pointer-row terminal — has no
-// data to be near: the coordinator answers it from the deduplicated
-// frontier with no scatter, no RPC and no read. That is sound because
-// DeleteVertex removes every incident half-edge and index entry in the
-// vertex's own transaction and the query reads one pinned snapshot, so
-// every pointer the frontier holds names a vertex alive at that snapshot.
-func (st *execState) execLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *VertexPattern, lp *LevelPlan) (*levelOutput, error) {
+// execLevel runs the level's operators near the data (runBatch) and merges
+// rows, aggregate partials and the next frontier at the coordinator. A
+// level that consumes nothing of its vertices and follows no edge — a bare
+// `_count(*)` or pointer-row terminal — has no data to be near: the
+// coordinator answers it from the frontier's batches with no scatter, no
+// RPC and no read. That is sound because DeleteVertex removes every
+// incident half-edge and index entry in the vertex's own transaction and
+// the query reads one pinned snapshot, so every pointer the frontier holds
+// names a vertex alive at that snapshot.
+func (st *execState) execLevel(qc *fabric.Ctx, batches []ownerBatch, pat *VertexPattern, lp *LevelPlan) (*levelOutput, error) {
 	op := st.opFor(pat, lp)
 	if op.pointerOnly() && op.member == nil {
-		return st.runBatch(qc, frontier, op)
+		merged := &levelOutput{}
+		for _, b := range batches {
+			out, err := st.runBatch(qc, b.ptrs, op)
+			if err != nil {
+				return nil, err
+			}
+			merged.absorb(qc, st, out, pat)
+		}
+		return merged, nil
 	}
+	return st.expand(qc, batches, pat, op.edge != nil, func(sc *fabric.Ctx, b ownerBatch) (*levelOutput, error) {
+		return st.runBatch(sc, b.ptrs, op)
+	})
+}
+
+// expand scatters batches and merges the replies of work: rows and
+// aggregate partials into one output, next hops (when next) into its
+// per-owner next frontier.
+func (st *execState) expand(qc *fabric.Ctx, batches []ownerBatch, pat *VertexPattern, next bool,
+	work func(sc *fabric.Ctx, b ownerBatch) (*levelOutput, error)) (*levelOutput, error) {
 	merged := &levelOutput{}
-	err := scatter(st, qc, frontier,
-		func(sc *fabric.Ctx, b ownerBatch) (*levelOutput, error) {
-			return st.runBatch(sc, b.ptrs, op)
-		},
-		func(_ ownerBatch, out *levelOutput) error {
-			merged.absorb(st, out, pat)
-			return nil
-		})
+	if next {
+		merged.next = newFrontier(st.engine.store.Farm())
+	}
+	err := scatter(st, qc, batches, work, func(cc *fabric.Ctx, _ ownerBatch, out *levelOutput) error {
+		merged.absorb(cc, st, out, pat)
+		return nil
+	})
 	if err != nil {
+		merged.release()
 		return nil, err
 	}
 	return merged, nil
@@ -1528,7 +1559,7 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 		}
 	}
 	if op.edge != nil {
-		out.next = getPtrs()
+		out.next = newFrontier(e.store.Farm())
 	}
 	// Traversal-level pushdown: the index-membership filter runs first.
 	work := batch
@@ -1607,14 +1638,14 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 				}
 			}
 			if op.edge != nil && (pass || op.through) {
-				var err error
-				if out.next, err = st.traverse(sc, tx, v, op.edge, ef, out.next, &bc); err != nil {
+				if err := st.traverse(sc, tx, v, op.edge, ef, out.next, &bc); err != nil {
 					return false, err
 				}
 			}
 			return !full(), nil
 		})
 		if err != nil {
+			out.next.release()
 			return nil, err
 		}
 	case buildRows:
@@ -1700,16 +1731,16 @@ func (st *execState) materialize(sc *fabric.Ctx, tx *farm.Tx, batch []core.Verte
 	})
 }
 
-// traverse appends to next the far endpoints of v's half-edges matching
-// the pattern, enumerated off the header the visit already read. Edge-data
-// predicates run in place through ef, the batch's edge filter (nil when
-// the pattern has none).
-func (st *execState) traverse(sc *fabric.Ctx, tx *farm.Tx, v *core.VertexVisit, ep *EdgePattern, ef *inPlace, next []core.VertexPtr, bc *batchCounts) ([]core.VertexPtr, error) {
+// traverse adds to next, split by owner, the far endpoints of v's
+// half-edges matching the pattern, enumerated off the header the visit
+// already read. Edge-data predicates run in place through ef, the batch's
+// edge filter (nil when the pattern has none).
+func (st *execState) traverse(sc *fabric.Ctx, tx *farm.Tx, v *core.VertexVisit, ep *EdgePattern, ef *inPlace, next *frontier, bc *batchCounts) error {
 	cfg := &st.engine.cfg
 	if ef != nil {
 		s, err := st.graph.EdgeTypeSchema(sc, ep.Type)
 		if err != nil {
-			return next, err
+			return err
 		}
 		if ef.filterLayout == nil || ef.schema != s {
 			ef.use(edgeLayout(s, ep.Preds))
@@ -1736,13 +1767,13 @@ func (st *execState) traverse(sc *fabric.Ctx, tx *farm.Tx, v *core.VertexVisit, 
 				return true
 			}
 		}
-		next = append(next, he.Other)
-		return true
+		innerErr = next.add(sc, he.Other)
+		return innerErr == nil
 	})
 	if err == nil {
 		err = innerErr
 	}
-	return next, err
+	return err
 }
 
 func edgeDir(ep *EdgePattern) core.Direction {
@@ -1794,33 +1825,4 @@ func (st *execState) matchVertex(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr,
 		return false, err
 	})
 	return matched, err
-}
-
-func dedupPtrs(ptrs []core.VertexPtr) []core.VertexPtr {
-	seen := getAddrSet()
-	defer putAddrSet(seen)
-	out := ptrs[:0]
-	for _, p := range ptrs {
-		if seen.add(p.Addr) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// dedupRows compacts duplicate vertices out of the terminal row list.
-// Dropped duplicates are released back to the pool: each was built by its
-// own newRow call, so its buffers have no other referent.
-func dedupRows(rows []Row) []Row {
-	seen := getAddrSet()
-	defer putAddrSet(seen)
-	out := rows[:0]
-	for i := range rows {
-		if !seen.add(rows[i].Vertex.Addr) {
-			releaseRow(&rows[i])
-			continue
-		}
-		out = append(out, rows[i])
-	}
-	return out
 }

@@ -239,21 +239,19 @@ func runWire(entries []groupEntry) wireSize {
 // reduces its scattered batch to group partials and sorts them into a run,
 // and the returned cursor k-way merges the runs lazily — pulling parked run
 // tails chunk by chunk as the result pages out.
-func (st *execState) execGroupedLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *VertexPattern, lp *LevelPlan) (*groupCursor, error) {
-	// Sources stay in first-seen owner order: equal keys merge their float
-	// sums in source order, and results must not depend on batch timing.
-	var srcs []*runSource
-	err := scatter(st, qc, frontier,
+func (st *execState) execGroupedLevel(qc *fabric.Ctx, batches []ownerBatch, pat *VertexPattern, lp *LevelPlan) (*groupCursor, error) {
+	// Sources stay in the frontier's owner order: equal keys merge their
+	// float sums in source order, and results must not depend on batch
+	// timing.
+	srcs := make([]*runSource, len(batches))
+	err := scatter(st, qc, batches,
 		func(sc *fabric.Ctx, b ownerBatch) (*runSource, error) {
 			// One machine owns the whole terminal frontier: its partial
 			// states are the final states, so `_having` evaluates exactly at
 			// the worker and the coordinator re-check is redundant.
 			return st.buildGroupSource(sc, b.ptrs, pat, lp, b.n == 1)
 		},
-		func(b ownerBatch, src *runSource) error {
-			if srcs == nil {
-				srcs = make([]*runSource, b.n)
-			}
+		func(_ *fabric.Ctx, b ownerBatch, src *runSource) error {
 			srcs[b.i] = src
 			return nil
 		})

@@ -142,6 +142,50 @@ func TestContinuationRowsOutlivePoolChurn(t *testing.T) {
 	}
 }
 
+// TestOwnerBuffersSurviveErrorChurn: concurrent traversals of every shape
+// churn the frontier pool, some failing partway — a level past
+// MaxWorkingSet, a level whose batches fail — and every frontier a query
+// took is back in the pool when it returns, while the queries that
+// succeed stay exact.
+func TestOwnerBuffersSurviveErrorChurn(t *testing.T) {
+	pg := newPropGraph(6, 160)
+	pe := newPropEnvs(t, pg, 8)[0]
+	cases := append(pg.cases(pe.ptrs), propCase{name: "failing level",
+		doc: `{"_type": "node", "cat": "a", "_out_edge": {"_type": "link", "_vertex": {"_out_edge": {"_type": "nosuch", "w": 1, "_vertex": {"_select": ["_count(*)"]}}}}}`})
+	tight := DefaultConfig()
+	tight.MaxWorkingSet = len(pg.ofCat("a")) + 1
+	shipAll := DefaultConfig()
+	shipAll.ShipThreshold = 1
+	engines := []*Engine{NewEngine(pe.s, DefaultConfig()), NewEngine(pe.s, shipAll), NewEngine(pe.s, tight)}
+	bufs := ownerBufsOut.Load()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := pe.fab.NewCtx(0, nil)
+			for i := 0; i < 3*len(cases); i++ {
+				e, pc := engines[i%len(engines)], cases[(w+i)%len(cases)]
+				res, err := e.Execute(c, pe.g, []byte(pc.doc))
+				switch {
+				case e == engines[2] || pc.digest == "":
+					if err == nil {
+						t.Errorf("%s: no error", pc.name)
+					}
+				case err != nil:
+					t.Errorf("%s: %v", pc.name, err)
+				case propDigest(res, pc.source != "") != pc.digest:
+					t.Errorf("%s: %s, want %s", pc.name, propDigest(res, pc.source != ""), pc.digest)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := ownerBufsOut.Load() - bufs; n != 0 {
+		t.Errorf("frontiers left out of the pool: %d", n)
+	}
+}
+
 // TestAddrSetVsMap checks addrSet against a plain map through fills,
 // pooled resets (generation bumps), growth, and the generation counter's
 // wrap: after a reset nothing of the previous fill reads as present, however

@@ -3,20 +3,21 @@ package query
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"a1/internal/core"
 	"a1/internal/fabric"
 )
 
 // Recursive traversal (`_recurse`): bounded-depth BFS executed as a
-// distributed frontier expansion. Each iteration ships only frontier
-// pointers across the fabric; the machines owning the data expand their
-// slice through the batched read path, and a per-machine visited set
-// drops re-entries before any vertex read — expansion cost tracks the
-// size of the reachable set, not the number of paths into it. Ownership
-// is address-determined (PrimaryOf), so the union of the per-machine
-// sets is a global visited set with no cross-machine coordination.
+// distributed frontier expansion, an iteration at a time, each one a plan
+// level's scatter and merge (expand): the machines owning the data expand
+// their batch through the batched read path and reply with the next hops
+// split by owner, which the coordinator merges into per-owner sets as the
+// replies arrive. A per-machine visited set then drops re-entries before
+// any vertex read — expansion cost tracks the size of the reachable set,
+// not the number of paths into it. Ownership is address-determined
+// (PrimaryOf), so the union of the per-machine sets is a global visited
+// set with no cross-machine coordination.
 //
 // Semantics are distance-based: a vertex is emitted iff its BFS hop
 // distance d from a surviving root satisfies `_min <= d <= _max`, at
@@ -43,13 +44,13 @@ type recurseRun struct {
 	// sequential, so no lock is needed.
 	visited []*addrSet
 
-	cur       []core.VertexPtr // candidates for iteration k
-	k         int              // next iteration, 1-based
-	working   int              // visited-budget spent (MaxWorkingSet)
-	emitted   int              // rows emitted so far (terminal act)
-	termLevel int              // st.levels index of the terminal entry
-	iterBase  int              // st.levels index of "Iter 1/max"; -1 = none
-	aggs      []aggState       // terminal aggregate partials across iterations
+	cur       *frontier  // candidates for iteration k
+	k         int        // next iteration, 1-based
+	working   int        // visited-budget spent (MaxWorkingSet)
+	emitted   int        // rows emitted so far (terminal act)
+	termLevel int        // st.levels index of the terminal entry
+	iterBase  int        // st.levels index of "Iter 1/max"; -1 = none
+	aggs      []aggState // terminal aggregate partials across iterations
 	done      bool
 }
 
@@ -70,7 +71,7 @@ type recursePager struct {
 // (ordering, aggregation, _limit/_skip) expands to completion and comes
 // back as rows and aggregate partials; an unshaped one can stream in
 // discovery order, so it comes back as a pager seeded but not yet stepped.
-func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, level int, pl *Plan, pats []*VertexPattern) (*levelOutput, error) {
+func (st *execState) execRecurse(qc *fabric.Ctx, roots []ownerBatch, n, level int, pl *Plan, pats []*VertexPattern) (*levelOutput, error) {
 	e := st.engine
 	host, term := pats[level], pats[level+1]
 	rp := host.Recurse
@@ -84,8 +85,7 @@ func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, leve
 	// Seed: the host level's residual filters pick the expansion roots;
 	// survivors are marked visited (distance 0) and enumerate the first
 	// hop's candidates.
-	roots := dedupPtrs(frontier)
-	rr.working = len(roots)
+	rr.working = n
 	seed, err := rr.runPhase(qc, roots, 0)
 	if err != nil {
 		rr.release()
@@ -93,7 +93,7 @@ func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, leve
 	}
 	st.stats.Hops++
 	rr.cur = seed.next
-	if len(rr.cur) == 0 || rp.Max < 1 {
+	if rr.cur.empty() || rp.Max < 1 {
 		rr.done = true
 	}
 	if len(term.Orders) == 0 && len(term.Aggs) == 0 && len(term.GroupBy) == 0 && term.Limit == 0 && term.Skip == 0 {
@@ -122,14 +122,13 @@ func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, leve
 	return &levelOutput{rows: rows, aggs: rr.aggs}, nil
 }
 
-// step runs one expansion iteration: coordinator-side frontier dedup,
-// owner-partitioned batches, and the merge of their emissions and next
-// candidates. It reports the rows this iteration emitted.
+// step runs one expansion iteration over the candidates' owner batches
+// and merges their emissions and next candidates. It reports the rows this
+// iteration emitted.
 func (rr *recurseRun) step(qc *fabric.Ctx) ([]Row, error) {
 	st := rr.st
-	e := st.engine
 	k := rr.k
-	if rr.done || k > rr.rp.Max || len(rr.cur) == 0 {
+	if rr.done || k > rr.rp.Max || rr.cur.empty() {
 		rr.done = true
 		return nil, nil
 	}
@@ -139,20 +138,20 @@ func (rr *recurseRun) step(qc *fabric.Ctx) ([]Row, error) {
 		rr.done = true
 		return nil, nil
 	}
-	cand := dedupPtrs(rr.cur)
+	cand, _ := rr.cur.seal()
 	out, err := rr.runPhase(qc, cand, k)
+	rr.cur.release()
+	rr.cur = nil
 	if err != nil {
 		return nil, err
 	}
+	rr.cur = out.next
 	st.stats.Hops++
 	rr.setIterAct(k, out.accepted)
 	rr.working += out.accepted
-	if rr.working > e.cfg.MaxWorkingSet {
+	if rr.working > st.engine.cfg.MaxWorkingSet {
 		return nil, fmt.Errorf("%w: %d vertices visited", ErrWorkingSet, rr.working)
 	}
-	qc.Work(time.Duration(len(out.next)) * e.cfg.CostMerge)
-	putPtrs(rr.cur)
-	rr.cur = out.next
 	if out.aggs != nil {
 		if rr.aggs == nil {
 			rr.aggs = make([]aggState, len(rr.term.Aggs))
@@ -162,40 +161,25 @@ func (rr *recurseRun) step(qc *fabric.Ctx) ([]Row, error) {
 	rr.emitted += len(out.rows)
 	st.setActRows(rr.termLevel, rr.emitted)
 	rr.k++
-	if rr.k > rr.rp.Max || len(rr.cur) == 0 {
+	if rr.k > rr.rp.Max || rr.cur.empty() {
 		rr.done = true
 	}
 	return out.rows, nil
 }
 
 // runPhase scatters one iteration's frontier to its owners — seed (k=0) or
-// expansion (k>=1) — and merges their emissions, next candidates and
-// accepted counts (the candidates that survived the visited filters).
-func (rr *recurseRun) runPhase(qc *fabric.Ctx, frontier []core.VertexPtr, k int) (*levelOutput, error) {
-	merged := &levelOutput{}
-	err := scatter(rr.st, qc, frontier,
-		func(sc *fabric.Ctx, b ownerBatch) (*levelOutput, error) {
-			if k == 0 {
-				return rr.seedBatch(sc, b.m, b.ptrs)
-			}
-			return rr.expandBatch(sc, b.m, b.ptrs, k)
-		},
-		func(_ ownerBatch, out *levelOutput) error {
-			merged.absorb(rr.st, out, rr.term)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return merged, nil
-}
-
-// seedBatch applies the host level's residual filters to this owner's
-// slice of the root frontier, marks survivors visited at distance 0, and
-// enumerates their first-hop candidates.
-func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr) (*levelOutput, error) {
-	return rr.st.runBatch(sc, batch, levelOp{
-		pat: rr.host, read: rr.hostRead, member: rr.st.member, edge: rr.rp.Edge, mark: rr.visitedFor(m),
+// expansion (k>=1) — and merges their emissions, next candidates (while
+// the depth bound allows another hop) and accepted counts (the candidates
+// that survived the visited filters).
+// The seed applies the host level's residual filters to an owner's slice
+// of the roots, marks survivors visited at distance 0, and enumerates
+// their first-hop candidates.
+func (rr *recurseRun) runPhase(qc *fabric.Ctx, batches []ownerBatch, k int) (*levelOutput, error) {
+	return rr.st.expand(qc, batches, rr.term, k == 0 || k < rr.rp.Max, func(sc *fabric.Ctx, b ownerBatch) (*levelOutput, error) {
+		if k == 0 {
+			return rr.st.runBatch(sc, b.ptrs, levelOp{pat: rr.host, read: rr.hostRead, member: rr.st.member, edge: rr.rp.Edge, mark: rr.visitedFor(b.m)})
+		}
+		return rr.expandBatch(sc, b.m, b.ptrs, k)
 	})
 }
 
@@ -253,7 +237,7 @@ func (rr *recurseRun) setIterAct(k, n int) {
 
 // release returns the run's cross-iteration state to the pools.
 func (rr *recurseRun) release() {
-	putPtrs(rr.cur)
+	rr.cur.release()
 	rr.cur = nil
 	for i, v := range rr.visited {
 		if v != nil {

@@ -194,6 +194,7 @@ func TestScatterOwnerError(t *testing.T) {
 	for _, caller := range scatterCallers {
 		for _, hub := range []string{"at", "wide"} {
 			t.Run(caller.name+"/"+hub, func(t *testing.T) {
+				bufs := ownerBufsOut.Load()
 				env.run(func(c *fabric.Ctx) {
 					res, err := env.e.Execute(c, env.g, []byte(fmt.Sprintf(caller.doc, "", hub)))
 					if !errors.Is(err, fabric.ErrUnreachable) {
@@ -211,7 +212,30 @@ func TestScatterOwnerError(t *testing.T) {
 				if n := env.e.store.Farm().PinnedSnapshots(); n != 0 {
 					t.Errorf("snapshot pins left behind: %d", n)
 				}
+				if n := ownerBufsOut.Load() - bufs; n != 0 {
+					t.Errorf("owner splits and frontiers left out of their pools: %d", n)
+				}
 			})
 		}
+	}
+}
+
+// TestScatterLevelErrorReleasesFrontiers: a level whose batches fail
+// after taking their reply frontiers — on every owner, shipped or read
+// from the coordinator — fails the query and returns every frontier it
+// took, the replies' and the merge's, to the pool.
+func TestScatterLevelErrorReleasesFrontiers(t *testing.T) {
+	env := newScatterEnv(t)
+	doc := `{"id": %q, "_out_edge": {"_type": "link", "_vertex": {"_out_edge": {"_type": "nosuch", "w": 1, "_vertex": {"_select": ["_count(*)"]}}}}}`
+	bufs := ownerBufsOut.Load()
+	env.run(func(c *fabric.Ctx) {
+		for _, hub := range []string{"below", "at", "wide"} {
+			if res, err := env.e.Execute(c, env.g, []byte(fmt.Sprintf(doc, hub))); err == nil {
+				t.Errorf("%s: Execute = %+v, want an error", hub, res.Stats)
+			}
+		}
+	})
+	if n := ownerBufsOut.Load() - bufs; n != 0 {
+		t.Errorf("frontiers left out of the pool: %d", n)
 	}
 }
