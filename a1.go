@@ -400,12 +400,15 @@ func (pq *PreparedQuery) ExecRows(c *Ctx, params Params) (*Rows, error) {
 
 // Explain renders the compiled operator tree for an A1QL document without
 // executing it: the frontier source (IDLookup / IndexScan /
-// OrderedIndexScan / IndexRangeScan / TypeScan), per-level filters and
-// index pushdown, traversals, and terminal shaping/grouping. Index-using
-// operators are resolved against the graph's live catalog and ranked
-// against live statistics, so the printed operator — annotated with its
-// estimated cardinality (`est=N`) — is the one that will run. After
-// execution, QueryStats.Levels carries the matching actuals.
+// OrderedIndexScan / IndexRangeScan / TypeScan — every index-using one
+// implemented once in internal/query/access.go, where the root
+// OrderedIndexScan and an OrderedTraverse terminal share one ordered index
+// walk), per-level filters and index pushdown, traversals, and terminal
+// shaping/grouping. Index-using operators are resolved against the graph's
+// live catalog and ranked against live statistics, so the printed operator
+// — annotated with its estimated cardinality (`est=N`) — is the one that
+// will run. After execution, QueryStats.Levels carries the matching
+// actuals.
 func (db *DB) Explain(c *Ctx, g *Graph, doc string) (string, error) {
 	return db.engine.Explain(c, g, []byte(doc))
 }

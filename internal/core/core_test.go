@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -418,6 +419,8 @@ func TestScanVerticesByType(t *testing.T) {
 	}
 }
 
+// TestIndexRangeScan checks the ordered secondary-index walk over a
+// half-open [lo, hi) range whose bounds fall between stored values.
 func TestIndexRangeScan(t *testing.T) {
 	_, g, c := testGraph(t, 5)
 	for i, origin := range []string{"argentina", "brazil", "chile", "denmark"} {
@@ -425,7 +428,7 @@ func TestIndexRangeScan(t *testing.T) {
 	}
 	rtx := g.store.farm.CreateReadTransaction(c)
 	count := 0
-	err := g.IndexRangeScan(rtx, "actor", "origin", bond.String("b"), bond.String("d"), func(VertexPtr) bool {
+	err := g.IndexRangeScanBoundsDir(rtx, "actor", "origin", bond.String("b"), true, bond.String("d"), false, false, func([]byte, VertexPtr) bool {
 		count++
 		return true
 	})
@@ -437,63 +440,9 @@ func TestIndexRangeScan(t *testing.T) {
 	}
 }
 
-func TestIndexMemberScanDir(t *testing.T) {
-	_, g, c := testGraph(t, 5)
-	origins := []string{"argentina", "brazil", "chile", "denmark", "ecuador", "france"}
-	ptrs := make([]VertexPtr, len(origins))
-	for i, origin := range origins {
-		ptrs[i] = mustCreateVertex(t, g, c, "actor", actorVal(fmt.Sprintf("m%d", i), origin))
-	}
-	rtx := g.store.farm.CreateReadTransaction(c)
-	// Membership covers brazil, denmark, france; the walk must surface only
-	// those, in index order, while still counting every entry passed over.
-	members := func(a farm.Addr) bool {
-		return a == ptrs[1].Addr || a == ptrs[3].Addr || a == ptrs[5].Addr
-	}
-	var got []string
-	walked, err := g.IndexMemberScanDir(rtx, "actor", "origin", bond.Null, false, bond.Null, false, true, members, func(_ []byte, vp VertexPtr) bool {
-		v, err := g.ReadVertex(rtx, vp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o, _ := v.Data.Field(1)
-		got = append(got, o.AsString())
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"france", "denmark", "brazil"}
-	if len(got) != len(want) {
-		t.Fatalf("member scan visited %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("member scan order = %v, want %v", got, want)
-		}
-	}
-	if walked != len(origins) {
-		t.Errorf("walked = %d entries, want %d (non-members counted)", walked, len(origins))
-	}
-	// Early stop: the callback's false halts the walk; walked reflects only
-	// the entries actually passed.
-	got = nil
-	walked, err = g.IndexMemberScanDir(rtx, "actor", "origin", bond.Null, false, bond.Null, false, false, members, func(_ []byte, vp VertexPtr) bool {
-		got = append(got, "x")
-		return false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || walked >= len(origins) {
-		t.Errorf("early stop visited %d members over %d entries, want 1 over <%d", len(got), walked, len(origins))
-	}
-	// No index on the field: ErrNotFound like the other index scans.
-	if _, err := g.IndexMemberScanDir(rtx, "actor", "birth_date", bond.Null, false, bond.Null, false, false, members, func(_ []byte, vp VertexPtr) bool { return true }); !errors.Is(err, ErrNotFound) {
-		t.Errorf("unindexed field err = %v, want ErrNotFound", err)
-	}
-}
-
+// TestIndexRangeScanDescending covers the rest of the ordered
+// secondary-index walk: bound inclusivity per side, both directions,
+// early stop, and ErrNotFound on a field without an index.
 func TestIndexRangeScanDescending(t *testing.T) {
 	_, g, c := testGraph(t, 5)
 	origins := []string{"argentina", "brazil", "chile", "denmark", "ecuador", "france"}
@@ -501,69 +450,57 @@ func TestIndexRangeScanDescending(t *testing.T) {
 		mustCreateVertex(t, g, c, "actor", actorVal(fmt.Sprintf("r%d", i), origin))
 	}
 	rtx := g.store.farm.CreateReadTransaction(c)
-	readOrigin := func(vp VertexPtr) string {
-		v, err := g.ReadVertex(rtx, vp)
+	// walk returns the origins visited, stopping after max hits (0: all).
+	walk := func(lo bond.Value, loInc bool, hi bond.Value, hiInc bool, desc bool, max int) []string {
+		t.Helper()
+		var got []string
+		err := g.IndexRangeScanBoundsDir(rtx, "actor", "origin", lo, loInc, hi, hiInc, desc, func(_ []byte, vp VertexPtr) bool {
+			v, err := g.ReadVertex(rtx, vp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, _ := v.Data.Field(1)
+			got = append(got, o.AsString())
+			return max == 0 || len(got) < max
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, _ := v.Data.Field(1)
-		return o.AsString()
+		return got
 	}
-	// Unbounded descending scan visits every entry high to low.
-	var desc []string
-	err := g.IndexRangeScanBoundsDir(rtx, "actor", "origin", bond.Null, false, bond.Null, false, true, func(_ []byte, vp VertexPtr) bool {
-		desc = append(desc, readOrigin(vp))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		lo    bond.Value
+		loInc bool
+		hi    bond.Value
+		hiInc bool
+		desc  bool
+		max   int
+		want  []string
+	}{
+		// Unbounded: every entry, high to low or low to high.
+		{"desc", bond.Null, false, bond.Null, false, true, 0, []string{"france", "ecuador", "denmark", "chile", "brazil", "argentina"}},
+		{"asc", bond.Null, false, bond.Null, false, false, 0, origins},
+		// Bounds between stored values: [b, d) holds brazil and chile.
+		{"[b,d)", bond.String("b"), true, bond.String("d"), false, false, 0, []string{"brazil", "chile"}},
+		// Bounds on stored values: each side's inclusivity decides.
+		{"[brazil,denmark]", bond.String("brazil"), true, bond.String("denmark"), true, false, 0, []string{"brazil", "chile", "denmark"}},
+		{"(brazil,denmark)", bond.String("brazil"), false, bond.String("denmark"), false, false, 0, []string{"chile"}},
+		{"[brazil,ecuador) desc", bond.String("brazil"), true, bond.String("ecuador"), false, true, 0, []string{"denmark", "chile", "brazil"}},
+		// Early stop: the reverse walk reads only the high end.
+		{"desc stop", bond.Null, false, bond.Null, false, true, 2, []string{"france", "ecuador"}},
+		{"asc stop", bond.Null, false, bond.Null, false, false, 1, []string{"argentina"}},
 	}
-	want := []string{"france", "ecuador", "denmark", "chile", "brazil", "argentina"}
-	if len(desc) != len(want) {
-		t.Fatalf("desc scan visited %d, want %d", len(desc), len(want))
-	}
-	for i := range want {
-		if desc[i] != want[i] {
-			t.Fatalf("desc scan order = %v, want %v", desc, want)
+	for _, tc := range cases {
+		if got := walk(tc.lo, tc.loInc, tc.hi, tc.hiInc, tc.desc, tc.max); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: walk = %v, want %v", tc.name, got, tc.want)
 		}
 	}
-	// Bounded descending: [brazil, ecuador) high to low.
-	desc = nil
-	err = g.IndexRangeScanBoundsDir(rtx, "actor", "origin", bond.String("brazil"), true, bond.String("ecuador"), false, true, func(_ []byte, vp VertexPtr) bool {
-		desc = append(desc, readOrigin(vp))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(desc) != 3 || desc[0] != "denmark" || desc[2] != "brazil" {
-		t.Errorf("bounded desc scan = %v, want [denmark chile brazil]", desc)
-	}
-	// Early stop: the reverse walk reads only the high end.
-	desc = nil
-	err = g.IndexRangeScanBoundsDir(rtx, "actor", "origin", bond.Null, false, bond.Null, false, true, func(_ []byte, vp VertexPtr) bool {
-		desc = append(desc, readOrigin(vp))
-		return len(desc) < 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(desc) != 2 || desc[0] != "france" || desc[1] != "ecuador" {
-		t.Errorf("early-stop desc scan = %v, want [france ecuador]", desc)
-	}
-	// desc=false through the same entry point matches the forward scan.
-	var asc []string
-	err = g.IndexRangeScanBoundsDir(rtx, "actor", "origin", bond.Null, false, bond.Null, false, false, func(_ []byte, vp VertexPtr) bool {
-		asc = append(asc, readOrigin(vp))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range asc {
-		if asc[i] != want[len(want)-1-i] {
-			t.Fatalf("asc scan order = %v, want reverse of %v", asc, want)
-		}
+	// No index on the field: ErrNotFound, which the query layer's access
+	// paths fall through on.
+	err := g.IndexRangeScanBoundsDir(rtx, "actor", "birth_date", bond.Null, false, bond.Null, false, false, func([]byte, VertexPtr) bool { return true })
+	if !errors.Is(err, ErrNotFound) {
+		t.Errorf("unindexed field err = %v, want ErrNotFound", err)
 	}
 }
 

@@ -576,128 +576,82 @@ func (g *Graph) ScanVerticesByType(tx *farm.Tx, typeName string, fn func(pk bond
 
 // IndexScan visits vertices whose secondary-indexed attribute equals value.
 func (g *Graph) IndexScan(tx *farm.Tx, typeName, fieldName string, value bond.Value, fn func(vp VertexPtr) bool) error {
-	vt, err := g.vertexType(tx.Ctx(), typeName)
+	tree, err := g.secondaryIndex(tx, typeName, fieldName)
 	if err != nil {
 		return err
 	}
-	f, ok := vt.Schema.FieldByName(fieldName)
-	if !ok {
-		return fmt.Errorf("%w: field %q", ErrBadSchema, fieldName)
-	}
-	for _, si := range vt.Secondary {
-		if si.FieldID != f.ID {
-			continue
-		}
-		st := farm.OpenBTree(g.store.farm, si.Tree)
-		prefix := bond.OrderedEncode(nil, value)
-		return st.Scan(tx, prefix, prefixEnd(prefix), func(_, v []byte) bool {
-			return fn(valuePtr(v))
-		})
-	}
-	return fmt.Errorf("%w: no secondary index on %s.%s", ErrNotFound, typeName, fieldName)
+	st := farm.OpenBTree(g.store.farm, tree)
+	prefix := bond.OrderedEncode(nil, value)
+	return st.Scan(tx, prefix, prefixEnd(prefix), func(_, v []byte) bool {
+		return fn(valuePtr(v))
+	})
 }
 
-// IndexRangeScan visits vertices whose secondary-indexed attribute lies in
-// [lo, hi) — an extension beyond the paper's equality lookups.
-func (g *Graph) IndexRangeScan(tx *farm.Tx, typeName, fieldName string, lo, hi bond.Value, fn func(vp VertexPtr) bool) error {
-	return g.IndexRangeScanBounds(tx, typeName, fieldName, lo, true, hi, false, fn)
-}
-
-// IndexRangeScanBounds visits vertices whose secondary-indexed attribute
-// lies between lo and hi with explicit inclusivity per side; a Null bound
-// is unbounded. Bound values must match the indexed field's stored kind
-// (the ordered key encoding is kind-tagged), which the query layer
-// guarantees by coercion. Secondary keys carry the vertex address as a
-// suffix, so inclusive/exclusive edges are realized by starting or
-// stopping at the key-prefix boundary.
-func (g *Graph) IndexRangeScanBounds(tx *farm.Tx, typeName, fieldName string, lo bond.Value, loInc bool, hi bond.Value, hiInc bool, fn func(vp VertexPtr) bool) error {
-	return g.IndexRangeScanBoundsDir(tx, typeName, fieldName, lo, loInc, hi, hiInc, false,
-		func(_ []byte, vp VertexPtr) bool { return fn(vp) })
-}
-
-// IndexRangeScanBoundsDir is IndexRangeScanBounds with an explicit
-// iteration direction: desc=true visits the range in descending attribute
-// order (the B-tree's reverse scan), so ordered top-K readers can stop at
-// the high end after a handful of hits. The callback also receives the
-// entry's ordered-encoded attribute key (the index key minus its vertex
-// address suffix), so callers can detect attribute ties without reading
+// IndexRangeScanBoundsDir visits, in attribute order, the vertices whose
+// secondary-indexed attribute lies between lo and hi with explicit
+// inclusivity per side; a Null bound is unbounded. desc=true walks the
+// range high to low (the B-tree's reverse scan), so ordered top-K readers
+// can stop at the high end after a handful of hits. Bound values must
+// match the indexed field's stored kind (the ordered key encoding is
+// kind-tagged), which the query layer guarantees by coercion. Secondary
+// keys carry the vertex address as a suffix, so inclusive/exclusive edges
+// are realized by starting or stopping at the key-prefix boundary, and
+// the callback receives the entry's ordered-encoded attribute key (the
+// index key minus that suffix) to detect attribute ties without reading
 // the vertex.
 func (g *Graph) IndexRangeScanBoundsDir(tx *farm.Tx, typeName, fieldName string, lo bond.Value, loInc bool, hi bond.Value, hiInc bool, desc bool, fn func(attrKey []byte, vp VertexPtr) bool) error {
-	_, err := g.indexWalkDir(tx, typeName, fieldName, lo, loInc, hi, hiInc, desc, nil, fn)
-	return err
+	tree, err := g.secondaryIndex(tx, typeName, fieldName)
+	if err != nil {
+		return err
+	}
+	st := farm.OpenBTree(g.store.farm, tree)
+	var from, to []byte
+	if !lo.IsNull() {
+		enc := bond.OrderedEncode(nil, lo)
+		if loInc {
+			from = enc // every key with attr == lo sorts after the bare prefix
+		} else {
+			from = prefixEnd(enc) // skip all keys with attr == lo
+		}
+	}
+	if !hi.IsNull() {
+		enc := bond.OrderedEncode(nil, hi)
+		if hiInc {
+			to = prefixEnd(enc) // include all keys with attr == hi
+		} else {
+			to = enc
+		}
+	}
+	visit := func(k, v []byte) bool {
+		attr := k
+		if len(attr) >= 8 {
+			attr = attr[:len(attr)-8] // strip the address suffix
+		}
+		return fn(attr, valuePtr(v))
+	}
+	if desc {
+		return st.ScanDesc(tx, from, to, visit)
+	}
+	return st.Scan(tx, from, to, visit)
 }
 
-// IndexMemberScanDir walks a secondary index in attribute order like
-// IndexRangeScanBoundsDir, but restricted to a membership set of vertex
-// addresses, given as its test: entries whose vertex fails member are
-// skipped inside the walk without surfacing to the callback. This is the owner-side half of an
-// ordered traversal terminal — each machine walks the index in result order
-// but only its slice of the query frontier is eligible, so the expensive
-// per-vertex work touches frontier members only. Returns the number of
-// index entries passed over (skipped non-members plus accepted members), so
-// callers can account the walk's length against a full frontier
-// materialization.
-func (g *Graph) IndexMemberScanDir(tx *farm.Tx, typeName, fieldName string, lo bond.Value, loInc bool, hi bond.Value, hiInc bool, desc bool, member func(farm.Addr) bool, fn func(attrKey []byte, vp VertexPtr) bool) (int, error) {
-	return g.indexWalkDir(tx, typeName, fieldName, lo, loInc, hi, hiInc, desc, member, fn)
-}
-
-// indexWalkDir is the shared ordered secondary-index walk: bounds realize
-// inclusive/exclusive edges at key-prefix boundaries, a non-nil membership
-// test filters entries before the callback, and the entry count walked is
-// returned.
-func (g *Graph) indexWalkDir(tx *farm.Tx, typeName, fieldName string, lo bond.Value, loInc bool, hi bond.Value, hiInc bool, desc bool, member func(farm.Addr) bool, fn func(attrKey []byte, vp VertexPtr) bool) (int, error) {
+// secondaryIndex returns the B-tree descriptor of a type's secondary index
+// on a field; ErrNotFound when the field has none.
+func (g *Graph) secondaryIndex(tx *farm.Tx, typeName, fieldName string) (farm.Ptr, error) {
 	vt, err := g.vertexType(tx.Ctx(), typeName)
 	if err != nil {
-		return 0, err
+		return farm.Ptr{}, err
 	}
 	f, ok := vt.Schema.FieldByName(fieldName)
 	if !ok {
-		return 0, fmt.Errorf("%w: field %q", ErrBadSchema, fieldName)
+		return farm.Ptr{}, fmt.Errorf("%w: field %q", ErrBadSchema, fieldName)
 	}
 	for _, si := range vt.Secondary {
-		if si.FieldID != f.ID {
-			continue
+		if si.FieldID == f.ID {
+			return si.Tree, nil
 		}
-		st := farm.OpenBTree(g.store.farm, si.Tree)
-		var from, to []byte
-		if !lo.IsNull() {
-			enc := bond.OrderedEncode(nil, lo)
-			if loInc {
-				from = enc // every key with attr == lo sorts after the bare prefix
-			} else {
-				from = prefixEnd(enc) // skip all keys with attr == lo
-			}
-		}
-		if !hi.IsNull() {
-			enc := bond.OrderedEncode(nil, hi)
-			if hiInc {
-				to = prefixEnd(enc) // include all keys with attr == hi
-			} else {
-				to = enc
-			}
-		}
-		walked := 0
-		visit := func(k, v []byte) bool {
-			walked++
-			vp := valuePtr(v)
-			if member != nil && !member(vp.Addr) {
-				return true
-			}
-			attr := k
-			if len(attr) >= 8 {
-				attr = attr[:len(attr)-8] // strip the address suffix
-			}
-			return fn(attr, vp)
-		}
-		var scanErr error
-		if desc {
-			scanErr = st.ScanDesc(tx, from, to, visit)
-		} else {
-			scanErr = st.Scan(tx, from, to, visit)
-		}
-		return walked, scanErr
 	}
-	return 0, fmt.Errorf("%w: no secondary index on %s.%s", ErrNotFound, typeName, fieldName)
+	return farm.Ptr{}, fmt.Errorf("%w: no secondary index on %s.%s", ErrNotFound, typeName, fieldName)
 }
 
 // CountVertices returns the number of vertices of a type (primary index

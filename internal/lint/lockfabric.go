@@ -58,8 +58,7 @@ var coreRemoteOps = map[string]bool{
 	"CreateVertex": true, "UpdateVertex": true, "DeleteVertex": true,
 	"CreateEdge": true, "DeleteEdge": true, "EnumerateHalfEdges": true,
 	"ScanVerticesByType": true, "CountVertices": true,
-	"IndexScan": true, "IndexRangeScan": true, "IndexRangeScanBounds": true,
-	"IndexRangeScanBoundsDir": true, "IndexMemberScanDir": true,
+	"IndexScan": true, "IndexRangeScanBoundsDir": true,
 	"Analyze": true,
 }
 

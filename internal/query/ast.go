@@ -75,6 +75,10 @@ type FieldPath struct {
 	Wildcard bool // "*": the whole value
 }
 
+// plain reports whether the path names a top-level field as a whole — the
+// only shape a secondary index serves.
+func (fp FieldPath) plain() bool { return !fp.IsMap && !fp.IsList && !fp.Wildcard }
+
 // parseFieldPath parses a select/predicate path.
 func parseFieldPath(s string) (FieldPath, error) {
 	fp := FieldPath{Raw: s, ListIdx: -1}

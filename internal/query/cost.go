@@ -192,6 +192,7 @@ const (
 type startCandidate struct {
 	kind    sourceKind
 	predIdx int     // Preds position for srcIndexScan
+	field   string  // the predicate field an index scan serves: residual selectivity excludes it
 	est     float64 // estimated frontier rows produced (estUnknown without stats)
 	cost    float64 // estimated cost (estUnknown without stats)
 	label   string  // operator rendering for Explain and Stats.Levels
@@ -216,7 +217,7 @@ func rankStartCandidates(sp *StartPlan, pat *VertexPattern, pc *planContext) []s
 		if !pc.probe(pat.Type, p.Path.Field) {
 			continue
 		}
-		c := startCandidate{kind: srcIndexScan, predIdx: pi, est: estUnknown, cost: estUnknown,
+		c := startCandidate{kind: srcIndexScan, predIdx: pi, field: p.Path.Field, est: estUnknown, cost: estUnknown,
 			label: fmt.Sprintf("IndexScan(%s.%s = %s)", pat.Type, p.Path.Field, predValue(p))}
 		if rows, ok := pc.eqRows(pat.Type, p); ok {
 			c.est = rows
@@ -262,25 +263,14 @@ func rankStartCandidates(sp *StartPlan, pat *VertexPattern, pc *planContext) []s
 		cands = append(cands, c)
 	}
 
-	if sp.HasRange {
-		for _, p := range pat.Preds {
-			switch p.Op {
-			case OpGt, OpGe, OpLt, OpLe:
-			default:
-				continue
-			}
-			if p.Path.IsMap || p.Path.IsList || p.Path.Wildcard || !pc.probe(pat.Type, p.Path.Field) {
-				continue
-			}
-			c := startCandidate{kind: srcRangeScan, est: estUnknown, cost: estUnknown,
-				label: fmt.Sprintf("IndexRangeScan(%s.%s)", pat.Type, p.Path.Field)}
-			if rows, ok := pc.rangeRows(pat.Type, p.Path.Field); ok {
-				c.est = rows
-				c.cost = rows * (merge + read)
-			}
-			cands = append(cands, c)
-			break
+	if f, ok := indexedRangeField(pat, pc.probe); ok {
+		c := startCandidate{kind: srcRangeScan, field: f, est: estUnknown, cost: estUnknown,
+			label: fmt.Sprintf("IndexRangeScan(%s.%s)", pat.Type, f)}
+		if rows, ok := pc.rangeRows(pat.Type, f); ok {
+			c.est = rows
+			c.cost = rows * (merge + read)
 		}
+		cands = append(cands, c)
 	}
 
 	ts := startCandidate{kind: srcTypeScan, est: estUnknown, cost: estUnknown,
@@ -419,41 +409,10 @@ func (pc *planContext) filterEstimate(pat *VertexPattern, ifp *IndexFilterPlan) 
 		}
 		return pc.eqRows(pat.Type, p)
 	}
-	if ifp.HasRange {
-		for _, p := range pat.Preds {
-			switch p.Op {
-			case OpGt, OpGe, OpLt, OpLe:
-			default:
-				continue
-			}
-			if p.Path.IsMap || p.Path.IsList || p.Path.Wildcard || !pc.probe(pat.Type, p.Path.Field) {
-				continue
-			}
-			return pc.rangeRows(pat.Type, p.Path.Field)
-		}
+	if f, ok := indexedRangeField(pat, pc.probe); ok {
+		return pc.rangeRows(pat.Type, f)
 	}
 	return 0, false
-}
-
-// consumedField names the predicate field a start candidate serves, so
-// level-0 residual selectivity excludes it.
-func (c *startCandidate) consumedField(pat *VertexPattern) string {
-	switch c.kind {
-	case srcIndexScan:
-		return pat.Preds[c.predIdx].Path.Field
-	case srcRangeScan:
-		// The label embeds the field; recover it from the first indexed
-		// range predicate (same iteration order as ranking).
-		for _, p := range pat.Preds {
-			switch p.Op {
-			case OpGt, OpGe, OpLt, OpLe:
-				if !p.Path.IsMap && !p.Path.IsList && !p.Path.Wildcard {
-					return p.Path.Field
-				}
-			}
-		}
-	}
-	return ""
 }
 
 // estimateLevels chains the chosen start estimate through the traversal:
@@ -473,7 +432,7 @@ func estimateLevels(pl *Plan, pats []*VertexPattern, pc *planContext, start *sta
 		pat := pats[i]
 		exclude := ""
 		if i == 0 {
-			exclude = start.consumedField(pat)
+			exclude = start.field
 		}
 		if pat.Recurse != nil {
 			_, emitted := pc.recurseEstimates(pat.Recurse, pats[i+1], cur*pc.residualSelectivity(pat, exclude))

@@ -1,10 +1,8 @@
 package query
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +19,9 @@ import (
 // residual filtering, traversal, shaping, grouping — and this file supplies
 // the distributed *how*: partitioning frontiers by primary host, shipping
 // batched operators to the machines owning the data, and merging replies at
-// the coordinator (paper §3.4, Figure 9).
+// the coordinator (paper §3.4, Figure 9). The index access paths — root
+// start candidates, the ordered top-K walk, index-membership filters — are
+// in access.go.
 
 // Errors surfaced by the engine.
 var (
@@ -357,7 +357,7 @@ func (st *execState) driveLevels(qc *fabric.Ctx, ctx *farm.Tx, root []core.Verte
 	for level := 0; ; level++ {
 		lp, pat := pl.Levels[level], pats[level]
 		if lp.IndexFilter != nil && n > 0 {
-			member, ok, err := st.buildMemberFilter(qc, ctx, pat, lp.IndexFilter, n)
+			member, ok, err := st.buildMemberFilter(ctx, pat, lp.IndexFilter, n)
 			if err != nil {
 				return nil, err
 			}
@@ -568,7 +568,7 @@ func (st *execState) initLevels(pl *Plan, pats []*VertexPattern) {
 		}
 		exclude := ""
 		if i == 0 {
-			exclude = st.chosen.consumedField(vp)
+			exclude = st.chosen.field
 		}
 		roots := float64(estUnknown)
 		if ests[i] >= 0 {
@@ -603,25 +603,6 @@ func (st *execState) setLevelEst(level int, est float64) {
 	if level < len(st.levels) && est >= 0 {
 		st.levels[level].EstRows = roundEst(est)
 	}
-}
-
-// memberSubset returns the frontier vertices inside an index-membership
-// set, preserving order and dropping owners left with none, and their
-// number.
-func memberSubset(batches []ownerBatch, member *addrSet) (out []ownerBatch, n int) {
-	for _, b := range batches {
-		var ptrs []core.VertexPtr
-		for _, vp := range b.ptrs {
-			if member.has(vp.Addr) {
-				ptrs = append(ptrs, vp)
-			}
-		}
-		if len(ptrs) > 0 {
-			out = append(out, ownerBatch{m: b.m, ptrs: ptrs})
-			n += len(ptrs)
-		}
-	}
-	return out, n
 }
 
 // resolveMatchTargets walks the pattern tree once, before any level runs:
@@ -663,476 +644,6 @@ func (st *execState) resolveMatchTargets(tx *farm.Tx, vp *VertexPattern, sub boo
 	return nil
 }
 
-// lookupByID resolves a pattern's `id` against the primary index of the
-// pattern's type, or of every type when unspecified (the knowledge graph
-// uses a single `entity` type, §5).
-func (st *execState) lookupByID(tx *farm.Tx, vp *VertexPattern) (core.VertexPtr, bool, error) {
-	pk := bond.String(vp.ID)
-	if vp.Type != "" {
-		return st.graph.LookupVertex(tx, vp.Type, pk)
-	}
-	return st.graph.LookupVertexAnyType(tx, pk)
-}
-
-// execStart interprets the root level's StartPlan. Candidates run in
-// cost-ranked order (rankStartCandidates): cheapest estimated access path
-// first, the structural preference order — IDLookup, IndexScan (equality),
-// OrderedIndexScan, IndexRangeScan, TypeScan — as tiebreak and
-// statistics-free fallback. Each index-using candidate falls through when
-// its index does not exist. OrderedIndexScan is the one source that
-// produces terminal *rows* (ordered=true) instead of a frontier.
-func (st *execState) execStart(qc *fabric.Ctx, tx *farm.Tx, root *VertexPattern, lp *LevelPlan) (frontier []core.VertexPtr, rows []Row, ordered bool, err error) {
-	sp := lp.Start
-	if !sp.ByID && root.Type == "" {
-		return nil, nil, false, errors.New("a1ql: root pattern requires id or _type")
-	}
-	cands := rankStartCandidates(sp, root, st.pc)
-	for i := range cands {
-		cand := &cands[i]
-		switch cand.kind {
-		case srcIDLookup:
-			ptr, ok, err := st.lookupByID(tx, root)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if !ok {
-				return nil, nil, false, fmt.Errorf("%w: id %q", ErrNoStart, root.ID)
-			}
-			st.chosen = cand
-			return []core.VertexPtr{ptr}, nil, false, nil
-		case srcIndexScan:
-			// Secondary-index equality scan.
-			p := root.Preds[cand.predIdx]
-			var hits []core.VertexPtr
-			err := st.graph.IndexScan(tx, root.Type, p.Path.Field, p.Value, func(vp core.VertexPtr) bool {
-				hits = append(hits, vp)
-				return true
-			})
-			if err == nil {
-				st.chosen = cand
-				return hits, nil, false, nil
-			}
-			if !errors.Is(err, core.ErrNotFound) {
-				return nil, nil, false, err
-			}
-		case srcOrderedScan:
-			// Ordered index scan: result order off the index, top-K early
-			// stop.
-			rows, served, err := st.orderedScan(qc, tx, root, lp)
-			if err != nil {
-				return nil, rows, served, err
-			}
-			if served {
-				st.chosen = cand
-				return nil, rows, true, nil
-			}
-		case srcRangeScan:
-			// Secondary-index range scan for inequality predicates: the
-			// index B-trees are ordered, so `{"f": {"_ge": lo, "_lt": hi}}`
-			// reads only the matching key range instead of the whole type.
-			// Bounds are coerced (widening) to the field's stored kind;
-			// every predicate is still re-evaluated per vertex, so the
-			// frontier may over-approximate but never misses.
-			hits, served, err := st.rangeStart(tx, root)
-			if served {
-				st.chosen = cand
-				return hits, nil, false, err
-			}
-			if err != nil {
-				return nil, nil, false, err
-			}
-		case srcTypeScan:
-			// Full primary-index scan of the type. When the plan marked the
-			// scan cappable (unfiltered, unordered, limited terminal), any K
-			// vertices of the type answer the query — stop scanning as soon
-			// as enough are found.
-			scanCap := 0
-			if sp.ScanCapped && root.Limit > 0 {
-				scanCap = root.Limit + root.Skip
-			}
-			var hits []core.VertexPtr
-			err = st.graph.ScanVerticesByType(tx, root.Type, func(_ bond.Value, vp core.VertexPtr) bool {
-				hits = append(hits, vp)
-				return scanCap == 0 || len(hits) < scanCap
-			})
-			st.chosen = cand
-			return hits, nil, false, err
-		}
-	}
-	// Unreachable: TypeScan is always enumerated last.
-	return nil, nil, false, errors.New("a1ql: no runnable access path")
-}
-
-// rangeStart attempts to serve the root frontier from a secondary-index
-// range scan. served=false means no usable indexed range predicate exists
-// and the caller should fall back to a full type scan.
-func (st *execState) rangeStart(tx *farm.Tx, root *VertexPattern) ([]core.VertexPtr, bool, error) {
-	specs := rangeSpecs(root.Preds)
-	if len(specs) == 0 {
-		return nil, false, nil
-	}
-	schema, err := st.graph.VertexTypeSchema(tx.Ctx(), root.Type)
-	if err != nil {
-		// Unknown type: let the full scan surface the error.
-		return nil, false, nil
-	}
-	for _, spec := range specs {
-		f, ok := schema.FieldByName(spec.field)
-		if !ok {
-			continue
-		}
-		lo, loInc, hi, hiInc, ok, empty := coerceRange(spec, f.Type.Kind)
-		if !ok {
-			continue
-		}
-		if empty {
-			return nil, true, nil
-		}
-		var hits []core.VertexPtr
-		err := st.graph.IndexRangeScanBounds(tx, root.Type, spec.field, lo, loInc, hi, hiInc, func(vp core.VertexPtr) bool {
-			hits = append(hits, vp)
-			return true
-		})
-		if err == nil {
-			return hits, true, nil
-		}
-		if !errors.Is(err, core.ErrNotFound) {
-			return nil, true, err
-		}
-	}
-	return nil, false, nil
-}
-
-// orderedScan serves a root-terminal ordered top-K straight off the
-// `_orderby` field's secondary index: the index walks in result order
-// (descending via the B-tree's reverse scan), each hit is read and
-// residually filtered, and the scan stops after _limit+_skip surviving
-// rows — O(limit) vertex reads instead of the type's cardinality. Range
-// predicates on the order field bound the walk itself. served=false means
-// the field has no index and the caller falls through.
-func (st *execState) orderedScan(qc *fabric.Ctx, tx *farm.Tx, pat *VertexPattern, lp *LevelPlan) ([]Row, bool, error) {
-	if pat.Limit <= 0 {
-		// Unbounded ordered scans would re-scan the type for keyless
-		// vertices; the sort-based path is no worse there.
-		return nil, false, nil
-	}
-	osp := lp.Start.Ordered
-	var bc batchCounts
-	defer st.fold(&bc)
-	g := st.graph
-	schema, err := g.VertexTypeSchema(qc, pat.Type)
-	if err != nil {
-		return nil, false, nil // unknown type: the type scan surfaces the error
-	}
-	lo, loInc, hi, hiInc := bond.Null, false, bond.Null, false
-	for _, spec := range rangeSpecs(pat.Preds) {
-		if spec.field != osp.Field {
-			continue
-		}
-		f, ok := schema.FieldByName(spec.field)
-		if !ok {
-			break
-		}
-		clo, cloInc, chi, chiInc, cok, empty := coerceRange(spec, f.Type.Kind)
-		if empty {
-			// The range excludes every stored value, and a range predicate
-			// never matches a missing field: no rows.
-			return nil, true, nil
-		}
-		if cok {
-			lo, loInc, hi, hiInc = clo, cloInc, chi, chiInc
-		}
-		break
-	}
-	target := pat.Limit + pat.Skip
-	var rows []Row
-	var lastAttr []byte
-	var innerErr error
-	err = g.IndexRangeScanBoundsDir(tx, pat.Type, osp.Field, lo, loInc, hi, hiInc, osp.Desc, func(attrKey []byte, vp core.VertexPtr) bool {
-		// Past the target, only key-ties with the boundary row still
-		// matter: the sort-based path breaks ties on ascending vertex
-		// address, while a descending index walk yields them
-		// address-descending, so the whole boundary tie-run must be
-		// collected before the final sort picks the same winners. The
-		// attribute key decides without reading the vertex.
-		if len(rows) >= target && !bytes.Equal(attrKey, lastAttr) {
-			return false
-		}
-		row, ok, err := st.buildTerminalRow(qc, tx, vp, pat, lp.Read, &bc)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		if !ok {
-			return true
-		}
-		rows = append(rows, row)
-		lastAttr = append(lastAttr[:0], attrKey...)
-		return true
-	})
-	if errors.Is(err, core.ErrNotFound) {
-		return nil, false, nil // no index on the order field
-	}
-	if err == nil {
-		err = innerErr
-	}
-	if err != nil {
-		return nil, true, err
-	}
-	// Restore the sort path's exact order (ties ascending by address) and
-	// trim the boundary tie-run overshoot.
-	sortRows(rows, pat.Orders)
-	if len(rows) > target {
-		releaseRows(rows[target:])
-		rows = rows[:target]
-	}
-	// The index holds no entry for vertices whose order field is null or
-	// missing; those sort after every keyed row, so they only matter when
-	// the index under-filled the target — and never when a predicate
-	// constrains the order field (a missing field fails every predicate).
-	// Top up from a type scan, emitting only keyless survivors in stable
-	// address order.
-	needTail := len(rows) < target
-	if needTail {
-		for _, p := range pat.Preds {
-			if p.Path.Field == osp.Field {
-				needTail = false
-				break
-			}
-		}
-	}
-	if needTail {
-		var tail []Row
-		err := g.ScanVerticesByType(tx, pat.Type, func(_ bond.Value, vp core.VertexPtr) bool {
-			row, ok, err := st.buildTerminalRow(qc, tx, vp, pat, lp.Read, &bc)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			if !ok || (len(row.keys) > 0 && row.keys[0].ok) {
-				return true // keyed rows already came off the index
-			}
-			tail = append(tail, row)
-			return true
-		})
-		if err == nil {
-			err = innerErr
-		}
-		if err != nil {
-			return nil, true, err
-		}
-		sortRows(tail, pat.Orders) // keyless: stable address order
-		if len(tail) > target-len(rows) {
-			releaseRows(tail[target-len(rows):])
-			tail = tail[:target-len(rows)]
-		}
-		rows = append(rows, tail...)
-	}
-	return rows, true, nil
-}
-
-// execOrderedTraverse runs an ordered traversal terminal: the frontier is
-// partitioned by primary host, each machine walks the `_orderby` field's
-// secondary index in result order restricted to its slice of the frontier
-// (orderedMemberScan) and ships only its top limit+skip rows, and the
-// coordinator k-way merges the per-machine ordered lists. served=false
-// means the order field has no index (or the type is unknown) and the
-// caller falls back to materialize-and-sort.
-//
-// Exact parity with the sort fallback: each machine resolves boundary
-// tie-runs locally before trimming (see orderedMemberScan), per-machine
-// lists are totally ordered by rowLess (address tiebreak), and a machine's
-// rows beyond its top limit+skip can never enter the global top limit+skip
-// — they are dominated by that machine's own shipped rows — so the merge
-// of the shipped prefixes equals the fallback's global sort prefix.
-func (st *execState) execOrderedTraverse(qc *fabric.Ctx, batches []ownerBatch, pat *VertexPattern, lp *LevelPlan) ([]Row, bool, error) {
-	if pat.Limit <= 0 {
-		return nil, false, nil
-	}
-	target := pat.Limit + pat.Skip
-	lists := make([][]Row, len(batches))
-	served := make([]bool, len(batches))
-	err := scatter(st, qc, batches,
-		func(sc *fabric.Ctx, b ownerBatch) (orderedReply, error) {
-			rows, ok, err := st.orderedMemberScan(sc, b.ptrs, pat, lp.OrderedTraverse, lp.Read, target)
-			return orderedReply{rows: rows, served: ok}, err
-		},
-		func(_ *fabric.Ctx, b ownerBatch, out orderedReply) error {
-			lists[b.i], served[b.i] = out.rows, out.served
-			return nil
-		})
-	if err != nil || slices.Contains(served, false) {
-		return nil, false, err
-	}
-	merged := mergeSortedRows(lists, pat.Orders, target)
-	qc.Work(time.Duration(len(merged)) * st.engine.cfg.CostMerge)
-	// Per-machine list slices are dead once merged (their kept rows were
-	// copied into merged); recycle the headers.
-	for i := range lists {
-		putRows(lists[i])
-	}
-	return merged, true, nil
-}
-
-// orderedReply is one owner's ordered partial result; served=false means
-// no index serves the order field there.
-type orderedReply struct {
-	rows   []Row
-	served bool
-}
-
-func (r orderedReply) wire() wireSize {
-	w := wireSize{rows: len(r.rows)}
-	for i := range r.rows {
-		w.bytes += r.rows[i].wireBytes()
-	}
-	return w
-}
-
-// orderedMemberScan is the owner-side half of an ordered traversal
-// terminal: walk the order field's index in result order, skip entries
-// outside this machine's frontier slice without reading them, residually
-// filter and materialize member hits, and stop once limit+skip survive —
-// O(limit) vertex reads per machine instead of its whole frontier share.
-// Mirrors orderedScan's correctness machinery: range predicates on the
-// order field bound the walk, boundary tie-runs are collected whole so the
-// final sort breaks ties exactly like the fallback (ascending address),
-// and members the index never listed (null/missing order key) top up an
-// under-filled result in fallback order. served=false means no index
-// serves the field.
-func (st *execState) orderedMemberScan(sc *fabric.Ctx, batch []core.VertexPtr, pat *VertexPattern, otp *OrderedScanPlan, read ReadSet, target int) ([]Row, bool, error) {
-	e := st.engine
-	g := st.graph
-	var bc batchCounts
-	defer st.fold(&bc)
-	tx := e.store.Farm().CreateReadTransactionAt(sc, st.ts)
-	schema, err := g.VertexTypeSchema(sc, pat.Type)
-	if err != nil {
-		return nil, false, nil // unknown type: the fallback surfaces the error
-	}
-	members := getAddrSet()
-	defer putAddrSet(members)
-	for _, vp := range batch {
-		members.add(vp.Addr)
-	}
-	lo, loInc, hi, hiInc := bond.Null, false, bond.Null, false
-	for _, spec := range rangeSpecs(pat.Preds) {
-		if spec.field != otp.Field {
-			continue
-		}
-		fdef, ok := schema.FieldByName(spec.field)
-		if !ok {
-			break
-		}
-		clo, cloInc, chi, chiInc, cok, empty := coerceRange(spec, fdef.Type.Kind)
-		if empty {
-			// The range excludes every stored value, and a range predicate
-			// never matches a missing field: no rows from this machine.
-			return nil, true, nil
-		}
-		if cok {
-			lo, loInc, hi, hiInc = clo, cloInc, chi, chiInc
-		}
-		break
-	}
-	var rows []Row
-	var lastAttr []byte
-	var innerErr error
-	seen := getAddrSet()
-	defer putAddrSet(seen)
-	stopped := false
-	walked, err := g.IndexMemberScanDir(tx, pat.Type, otp.Field, lo, loInc, hi, hiInc, otp.Desc, members.has, func(attrKey []byte, vp core.VertexPtr) bool {
-		// Past the target, only key-ties with the boundary row still matter
-		// (the fallback breaks ties ascending by address; a descending walk
-		// yields them address-descending, so the whole boundary tie-run must
-		// be in hand before the final sort picks the same winners).
-		if len(rows) >= target && !bytes.Equal(attrKey, lastAttr) {
-			stopped = true
-			return false
-		}
-		seen.add(vp.Addr)
-		row, ok, err := st.buildTerminalRow(sc, tx, vp, pat, read, &bc)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		if !ok {
-			return true
-		}
-		rows = append(rows, row)
-		lastAttr = append(lastAttr[:0], attrKey...)
-		return true
-	})
-	// Index entries passed over (members and non-members alike) are priced
-	// as enumeration work, not vertex reads — the saving the operator buys.
-	sc.Work(time.Duration(walked) * e.cfg.CostEdgeEnum)
-	if errors.Is(err, core.ErrNotFound) {
-		return nil, false, nil // no index on the order field
-	}
-	if err == nil {
-		err = innerErr
-	}
-	if err != nil {
-		return nil, true, err
-	}
-	// Restore the fallback's exact order (ties ascending by address) and
-	// trim the boundary tie-run overshoot.
-	sortRows(rows, pat.Orders)
-	if len(rows) > target {
-		releaseRows(rows[target:])
-		rows = rows[:target]
-	}
-	// Keyless top-up: when the walk exhausted the index (never stopped
-	// early) and still under-filled the target, the unseen members are
-	// exactly those without an indexed order key; they sort after every
-	// keyed row, so they only matter here — and never when a predicate
-	// constrains the order field (a missing field fails every predicate).
-	needTail := !stopped && len(rows) < target
-	if needTail {
-		for _, p := range pat.Preds {
-			if p.Path.Field == otp.Field {
-				needTail = false
-				break
-			}
-		}
-	}
-	if needTail {
-		// The unseen members live on this machine (the batch is the
-		// owner's slice of the frontier); read them in one multi-vertex
-		// pass instead of per-ID round trips through the read stack.
-		unseen := getPtrs()
-		defer putPtrs(unseen)
-		for _, vp := range batch {
-			if !seen.has(vp.Addr) {
-				unseen = append(unseen, vp)
-			}
-		}
-		var tail []Row
-		err := st.materialize(sc, tx, unseen, pat, read, true, &bc, func(v *core.VertexVisit, pass bool) (bool, error) {
-			if !pass {
-				return true, nil
-			}
-			row := newRow(v.Ptr, v.Data, pat, v.Schema)
-			if len(row.keys) > 0 && row.keys[0].ok {
-				releaseRow(&row) // keyed rows already came off the index
-			} else {
-				tail = append(tail, row)
-			}
-			return true, nil
-		})
-		if err != nil {
-			return nil, true, err
-		}
-		sortRows(tail, pat.Orders) // keyless: stable address order
-		if len(tail) > target-len(rows) {
-			releaseRows(tail[target-len(rows):])
-			tail = tail[:target-len(rows)]
-		}
-		rows = append(rows, tail...)
-	}
-	return rows, true, nil
-}
-
 // buildTerminalRow reads one candidate vertex with the level's read set,
 // applies the terminal level's residual filters (type, predicates, _match),
 // and materializes its row with projections and sort keys.
@@ -1171,92 +682,6 @@ func newRow(vp core.VertexPtr, data bond.Value, pat *VertexPattern, schema *bond
 		}
 	}
 	return row
-}
-
-// buildMemberFilter interprets a traversal level's IndexFilter: it resolves
-// the first servable indexed predicate into a membership set of vertex
-// addresses, so the frontier is filtered before any vertex read. The set
-// may over-approximate (range coercion widens); residual predicate
-// evaluation still runs per surviving vertex. ok=false means no index was
-// usable — or the matching side outweighs the frontier, where reading the
-// frontier directly is cheaper than enumerating the index.
-//
-// The scan budget is sized from estimated selectivity when statistics
-// cover the predicate: an indexed side estimated to dwarf the frontier is
-// skipped without touching the index at all, and an indexed side estimated
-// small gets a budget of twice its estimate (slack for sketch error). The
-// structural 4·frontier+64 formula survives as the statistics-free
-// fallback and overflow guard.
-func (st *execState) buildMemberFilter(qc *fabric.Ctx, tx *farm.Tx, pat *VertexPattern, ifp *IndexFilterPlan, frontier int) (*addrSet, bool, error) {
-	g := st.graph
-	budget := 4*frontier + 64
-	if est, ok := st.pc.filterEstimate(pat, ifp); ok {
-		if est > float64(budget) {
-			return nil, false, nil
-		}
-		budget = int(2*est) + 64
-	}
-	collect := func(scan func(fn func(vp core.VertexPtr) bool) error) (*addrSet, bool, error) {
-		member := getAddrSet()
-		overflow := false
-		err := scan(func(vp core.VertexPtr) bool {
-			member.add(vp.Addr)
-			if member.len() > budget {
-				overflow = true
-				return false
-			}
-			return true
-		})
-		if err != nil || overflow {
-			putAddrSet(member)
-			return nil, false, err
-		}
-		return member, true, nil
-	}
-	for _, pi := range ifp.EqPreds {
-		p := pat.Preds[pi]
-		m, ok, err := collect(func(fn func(core.VertexPtr) bool) error {
-			return g.IndexScan(tx, pat.Type, p.Path.Field, p.Value, fn)
-		})
-		if err != nil {
-			if errors.Is(err, core.ErrNotFound) {
-				continue
-			}
-			return nil, false, err
-		}
-		return m, ok, nil
-	}
-	if ifp.HasRange {
-		specs := rangeSpecs(pat.Preds)
-		schema, err := g.VertexTypeSchema(qc, pat.Type)
-		if err != nil {
-			return nil, false, nil // unknown type: residual filtering drops everything
-		}
-		for _, spec := range specs {
-			f, ok := schema.FieldByName(spec.field)
-			if !ok {
-				continue
-			}
-			lo, loInc, hi, hiInc, cok, empty := coerceRange(spec, f.Type.Kind)
-			if !cok {
-				continue
-			}
-			if empty {
-				return new(addrSet), true, nil
-			}
-			m, ok, err := collect(func(fn func(core.VertexPtr) bool) error {
-				return g.IndexRangeScanBounds(tx, pat.Type, spec.field, lo, loInc, hi, hiInc, fn)
-			})
-			if err != nil {
-				if errors.Is(err, core.ErrNotFound) {
-					continue
-				}
-				return nil, false, err
-			}
-			return m, ok, nil
-		}
-	}
-	return nil, false, nil
 }
 
 // levelOutput is the product of one level: what one owner's batch replies

@@ -39,10 +39,11 @@ import (
 // StartPlan chooses how the root frontier is produced, from five source
 // operators: IDLookup (primary key), IndexScan (secondary-index equality),
 // OrderedIndexScan (index walk in `_orderby` order with top-K early stop),
-// IndexRangeScan (secondary-index inequality bounds), and TypeScan (full
-// primary-index scan). Candidate operators are ordered by preference; the
-// interpreter falls through when the index an operator needs does not
-// exist.
+// IndexRangeScan (secondary-index inequality bounds on the first indexed
+// range-predicated field, resolved at ranking: indexedRangeField), and
+// TypeScan (full primary-index scan). Candidate operators are ordered by
+// preference; the interpreter falls through when the index an operator
+// needs does not exist.
 type StartPlan struct {
 	// ByID: the root is a primary-key lookup (id or "$id" param).
 	ByID bool
@@ -53,8 +54,6 @@ type StartPlan struct {
 	// terminal `_orderby` key is a plain field of the root type, so index
 	// order is result order and top-K can stop the scan early.
 	Ordered *OrderedScanPlan
-	// HasRange: plain inequality predicates exist — range-scan candidate.
-	HasRange bool
 	// ScanCapped: unfiltered, unordered, limited terminal — a full type
 	// scan may stop after _limit+_skip hits.
 	ScanCapped bool
@@ -297,25 +296,34 @@ func patternChain(root *VertexPattern) []*VertexPattern {
 func plainEqPreds(preds []Predicate) []int {
 	var out []int
 	for i, p := range preds {
-		if p.Op == OpEq && !p.Path.IsMap && !p.Path.IsList && !p.Path.Wildcard {
+		if p.Op == OpEq && p.Path.plain() {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// plainRangePreds reports whether any inequality predicate addresses a
-// plain top-level field (range-scan candidate).
-func plainRangePreds(preds []Predicate) bool {
-	for _, p := range preds {
-		switch p.Op {
-		case OpGt, OpGe, OpLt, OpLe:
-			if !p.Path.IsMap && !p.Path.IsList && !p.Path.Wildcard {
-				return true
-			}
-		}
+// rangePred reports whether p is an inequality on a plain top-level field —
+// a bound a secondary-index range walk can serve.
+func rangePred(p Predicate) bool {
+	switch p.Op {
+	case OpGt, OpGe, OpLt, OpLe:
+		return p.Path.plain()
 	}
 	return false
+}
+
+// orderedCandidate is the index-order candidate of a terminal pattern: a
+// single plain `_orderby` key, a `_limit` to stop at, and no aggregation —
+// the top-K shape whose result order the key's secondary index supplies.
+// nil when the pattern is not of that shape.
+func orderedCandidate(vp *VertexPattern) *OrderedScanPlan {
+	if len(vp.Orders) != 1 || len(vp.Aggs) > 0 || len(vp.GroupBy) > 0 ||
+		(vp.Limit <= 0 && vp.LimitParam == "") || !vp.Orders[0].Path.plain() {
+		return nil
+	}
+	ob := vp.Orders[0]
+	return &OrderedScanPlan{Field: ob.Path.Field, Desc: ob.Desc}
 }
 
 // compilePlan lowers a parsed query into its physical plan.
@@ -344,21 +352,14 @@ func compilePlan(q *Query) *Plan {
 			// filter the frontier by membership before any vertex read. The
 			// type constraint is required — it names the index to consult.
 			eq := plainEqPreds(vp.Preds)
-			hasRange := plainRangePreds(vp.Preds)
+			hasRange := slices.ContainsFunc(vp.Preds, rangePred)
 			if len(eq) > 0 || hasRange {
 				lp.IndexFilter = &IndexFilterPlan{EqPreds: eq, HasRange: hasRange}
 			}
-			// Ordered traversal terminal: same shape gate as the root
-			// OrderedIndexScan (single plain `_orderby` key, a limit to stop
-			// at, no aggregation), but the frontier arrives from a traversal
-			// instead of an index.
-			if lp.Terminal && len(vp.Orders) == 1 &&
-				len(vp.Aggs) == 0 && len(vp.GroupBy) == 0 &&
-				(vp.Limit > 0 || vp.LimitParam != "") {
-				ob := vp.Orders[0]
-				if !ob.Path.IsMap && !ob.Path.IsList && !ob.Path.Wildcard {
-					lp.OrderedTraverse = &OrderedScanPlan{Field: ob.Path.Field, Desc: ob.Desc}
-				}
+			// Ordered traversal terminal: the root OrderedIndexScan's shape,
+			// but the frontier arrives from a traversal instead of an index.
+			if lp.Terminal {
+				lp.OrderedTraverse = orderedCandidate(vp)
 			}
 		}
 		pl.Levels = append(pl.Levels, lp)
@@ -374,18 +375,12 @@ func compileStart(root *VertexPattern) *StartPlan {
 		return sp
 	}
 	sp.EqPreds = plainEqPreds(root.Preds)
-	sp.HasRange = plainRangePreds(root.Preds)
 	terminal := root.Edge == nil && root.Recurse == nil
 	// Ordered index scan: only worthwhile (and only correct without a
 	// second pass for every keyless vertex) when a limit bounds the walk —
 	// the top-K case the operator exists for.
-	if terminal && len(root.Orders) == 1 && root.Type != "" &&
-		len(root.Aggs) == 0 && len(root.GroupBy) == 0 &&
-		(root.Limit > 0 || root.LimitParam != "") {
-		ob := root.Orders[0]
-		if !ob.Path.IsMap && !ob.Path.IsList && !ob.Path.Wildcard {
-			sp.Ordered = &OrderedScanPlan{Field: ob.Path.Field, Desc: ob.Desc}
-		}
+	if terminal && root.Type != "" {
+		sp.Ordered = orderedCandidate(root)
 	}
 	if terminal && len(root.Orders) == 0 && len(root.Aggs) == 0 &&
 		len(root.GroupBy) == 0 && len(root.Preds) == 0 && len(root.Matches) == 0 &&
@@ -525,7 +520,7 @@ func (pl *Plan) Tree(q *Query, pc *planContext) *PlanTree {
 			if i < len(ests) && ests[i] >= 0 && pc.sum != nil {
 				exclude := ""
 				if i == 0 {
-					exclude = start.consumedField(vp)
+					exclude = start.field
 				}
 				rootsEst = ests[i] * pc.residualSelectivity(vp, exclude)
 			}
@@ -623,15 +618,8 @@ func describeIndexFilter(ifp *IndexFilterPlan, vp *VertexPattern, indexed indexP
 			return fmt.Sprintf("%s.%s = %s", vp.Type, p.Path.Field, predValue(p))
 		}
 	}
-	if ifp.HasRange {
-		for _, p := range vp.Preds {
-			switch p.Op {
-			case OpGt, OpGe, OpLt, OpLe:
-				if !p.Path.IsMap && !p.Path.IsList && !p.Path.Wildcard && indexed(vp.Type, p.Path.Field) {
-					return fmt.Sprintf("%s.%s range", vp.Type, p.Path.Field)
-				}
-			}
-		}
+	if f, ok := indexedRangeField(vp, indexed); ok {
+		return fmt.Sprintf("%s.%s range", vp.Type, f)
 	}
 	return "no usable index; full reads"
 }

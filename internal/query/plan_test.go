@@ -206,6 +206,11 @@ func TestOrderedScanKeylessTail(t *testing.T) {
 			t.Errorf("keyless tail contains %q", id)
 		}
 	}
+	// The walk read every keyed item; the top-up reads only the vertices
+	// it did not see — the three keyless ones — not the whole type again.
+	if res.Stats.VerticesRead != rangeItems+3 {
+		t.Errorf("VerticesRead = %d, want %d (index hits + keyless top-up)", res.Stats.VerticesRead, rangeItems+3)
+	}
 }
 
 func TestMultiKeyOrderBy(t *testing.T) {

@@ -146,6 +146,47 @@ func TestRangeWithResidualPredicates(t *testing.T) {
 	}
 }
 
+func TestRangeStartResidualExcludesScannedField(t *testing.T) {
+	// An IndexRangeScan start consumes the field it scans, so the next
+	// level's estimate applies the other predicates' selectivity: here the
+	// unindexed bulk field's two bounds, not the scanned score bound.
+	e, g, c := newRangeEnv(t)
+	if err := g.CreateEdgeType(c, "next", nil); err != nil {
+		t.Fatal(err)
+	}
+	err := farm.RunTransaction(c, e.store.Farm(), func(tx *farm.Tx) error {
+		for i := 0; i+1 < rangeItems; i++ {
+			a, _, err := g.LookupVertex(tx, "item", bond.String(fmt.Sprintf("item.%03d", i)))
+			if err != nil {
+				return err
+			}
+			b, _, err := g.LookupVertex(tx, "item", bond.String(fmt.Sprintf("item.%03d", i+1)))
+			if err != nil {
+				return err
+			}
+			if err := g.CreateEdge(tx, a, "next", b, bond.Null); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runRange(t, e, g, c, `{"_type": "item", "bulk": {"_ge": 0, "_lt": 50}, "score": {"_lt": 10},
+		"_out_edge": {"_type": "next", "_vertex": {"_select": ["_count(*)"]}}}`)
+	lv := res.Stats.Levels
+	if len(lv) != 2 || lv[0].Source != "IndexRangeScan(item.score)" {
+		t.Fatalf("levels = %+v, want an IndexRangeScan(item.score) start and one hop", lv)
+	}
+	pc := newPlanContext(c, e, g)
+	start, _ := pc.rangeRows("item", "score")
+	want := roundEst(start * defaultRangeSel * defaultRangeSel * pc.fanout(&EdgePattern{Type: "next", Out: true}))
+	if lv[1].EstRows != want {
+		t.Errorf("hop estimate = %d, want %d (residual: the two bulk bounds)", lv[1].EstRows, want)
+	}
+}
+
 func TestPreparedRangeParamsHitIndexPath(t *testing.T) {
 	// Prepared queries with bound range parameters use the same B-tree
 	// range scan as literal constants.

@@ -29,7 +29,7 @@ func rangeSpecs(preds []Predicate) []*rangeSpec {
 	var specs []*rangeSpec
 	byField := map[string]*rangeSpec{}
 	for _, p := range preds {
-		if p.Path.IsMap || p.Path.IsList || p.Path.Wildcard {
+		if !p.Path.plain() {
 			continue
 		}
 		var isLo, inc bool

@@ -33,47 +33,56 @@ var topSrcSchema = bond.MustSchema("src",
 	bond.FReq(0, "id", bond.TString),
 )
 
-// newTopOrderEnv loads 1000 "node" vertices with tie-heavy indexed scores
-// and 10 "src" roots, each linked to a disjoint block of 100 nodes. Every
-// 13th node has no score at all (keyless: missing from the index).
-// Returns one store with two engines over it: cost-based (OrderedTraverse
-// eligible) and structural (planning without statistics: always the sort
-// fallback) — same data, same addresses, so results must be byte-identical.
+// newTopOrderEnv loads the top-order graph (loadTopOrder) into a Direct
+// cluster and returns one store with two engines over it: cost-based
+// (OrderedTraverse eligible) and structural (planning without statistics:
+// always the sort fallback) — same data, same addresses, so results must
+// be byte-identical.
 func newTopOrderEnv(t *testing.T, machines int) (cost, structural *Engine, g *core.Graph, c *fabric.Ctx) {
 	t.Helper()
 	fab := fabric.New(fabric.DefaultConfig(machines, fabric.Direct), nil)
 	f := farm.Open(fab, farm.Config{RegionSize: 16 << 20})
 	c = fab.NewCtx(0, nil)
+	s, g, err := loadTopOrder(c, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	structural = NewEngine(s, DefaultConfig())
+	structural.noStats = true
+	return NewEngine(s, DefaultConfig()), structural, g, c
+}
+
+// loadTopOrder loads 1000 "node" vertices with tie-heavy indexed scores
+// and 10 "src" roots, each linked to a disjoint block of 100 nodes. Every
+// 13th node has no score at all (keyless: missing from the index).
+func loadTopOrder(c *fabric.Ctx, f *farm.Farm) (*core.Store, *core.Graph, error) {
 	s, err := core.Open(c, f, core.DefaultConfig())
+	if err == nil {
+		err = s.CreateTenant(c, "t")
+	}
+	if err == nil {
+		err = s.CreateGraph(c, "t", "g")
+	}
+	var g *core.Graph
+	if err == nil {
+		g, err = s.OpenGraph(c, "t", "g")
+	}
+	if err == nil {
+		err = g.CreateVertexType(c, "node", topNodeSchema, "id", "score")
+	}
+	if err == nil {
+		err = g.CreateVertexType(c, "src", topSrcSchema, "id")
+	}
+	if err == nil {
+		err = g.CreateEdgeType(c, "link", nil)
+	}
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreateTenant(c, "t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreateGraph(c, "t", "g"); err != nil {
-		t.Fatal(err)
-	}
-	g, err = s.OpenGraph(c, "t", "g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.CreateVertexType(c, "node", topNodeSchema, "id", "score"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.CreateVertexType(c, "src", topSrcSchema, "id"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.CreateEdgeType(c, "link", nil); err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	nodes := make([]core.VertexPtr, topNodes)
 	const batch = 128
 	for lo := 0; lo < topNodes; lo += batch {
-		hi := lo + batch
-		if hi > topNodes {
-			hi = topNodes
-		}
+		hi := min(lo+batch, topNodes)
 		err = farm.RunTransaction(c, f, func(tx *farm.Tx) error {
 			for i := lo; i < hi; i++ {
 				parity := "even"
@@ -96,7 +105,7 @@ func newTopOrderEnv(t *testing.T, machines int) (cost, structural *Engine, g *co
 			return nil
 		})
 		if err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
 	}
 	for sIdx := 0; sIdx < topSrcs; sIdx++ {
@@ -114,12 +123,10 @@ func newTopOrderEnv(t *testing.T, machines int) (cost, structural *Engine, g *co
 			return nil
 		})
 		if err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
 	}
-	structural = NewEngine(s, DefaultConfig())
-	structural.noStats = true
-	return NewEngine(s, DefaultConfig()), structural, g, c
+	return s, g, nil
 }
 
 func nodeID(i int) string {
@@ -234,6 +241,52 @@ func TestOrderedTraverseKeylessTopUp(t *testing.T) {
 	if keyless == 0 {
 		t.Error("no keyless rows surfaced; top-up coverage is vacuous")
 	}
+}
+
+func TestOrderedTraverseSimCharges(t *testing.T) {
+	// Each owner walks the score index restricted to its frontier slice:
+	// only members are read, and every entry walked — member or not — is
+	// charged as enumeration work. Both show on the Sim clock and the read
+	// count, pinned here to the values of the owner-side walk these
+	// documents were first measured on (8 machines, sim seed 13).
+	cases := []struct {
+		doc     string
+		elapsed time.Duration
+		read    int64
+	}{
+		{`{"_type": "src", "_out_edge": {"_type": "link", "_vertex": {
+			"_type": "node", "_select": ["id", "score"], "_orderby": "-score", "_limit": 25}}}`, 549824 * time.Nanosecond, 273},
+		{`{"_type": "src", "_out_edge": {"_type": "link", "_vertex": {
+			"_type": "node", "_select": ["id"], "_orderby": "score", "_limit": 10, "_skip": 17}}}`, 472914 * time.Nanosecond, 274},
+		{`{"_type": "src", "_out_edge": {"_type": "link", "_vertex": {
+			"_type": "node", "parity": "odd", "_select": ["id"], "_orderby": "-score", "_limit": 5}}}`, 387855 * time.Nanosecond, 141},
+		{`{"_type": "src", "_out_edge": {"_type": "link", "_vertex": {
+			"_type": "node", "score": {"_ge": 2, "_lt": 6}, "_select": ["id", "score"], "_orderby": "score", "_limit": 9}}}`, 363204 * time.Nanosecond, 142},
+	}
+	sc := simNew(t, 8)
+	sc.run(func(p simProc) {
+		c := sc.fab.NewCtx(0, p.p)
+		s, g, err := loadTopOrder(c, sc.farm)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		e := NewEngine(s, DefaultConfig())
+		for _, tc := range cases {
+			res, err := e.Execute(c, g, []byte(tc.doc))
+			if err != nil {
+				t.Errorf("%s: %v", tc.doc, err)
+				continue
+			}
+			if src := terminalSource(res); !strings.HasPrefix(src, "OrderedTraverse") {
+				t.Errorf("%s: terminal source %q, want OrderedTraverse", tc.doc, src)
+			}
+			if res.Stats.Elapsed != tc.elapsed || res.Stats.VerticesRead != tc.read {
+				t.Errorf("%s: Elapsed %v, VerticesRead %d; want %v, %d",
+					tc.doc, res.Stats.Elapsed, res.Stats.VerticesRead, tc.elapsed, tc.read)
+			}
+		}
+	})
 }
 
 func TestOrderedTraverseExplain(t *testing.T) {
