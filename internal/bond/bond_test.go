@@ -312,6 +312,45 @@ func TestQuickOrderedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOrderedSkipMatchesDecode: OrderedSkip leaves the same rest and fails
+// with the same error as OrderedDecode, on every scalar's encoding followed
+// by more key bytes, on each of its prefixes, and with each byte damaged.
+func TestOrderedSkipMatchesDecode(t *testing.T) {
+	same := func(b []byte) bool {
+		_, wantRest, wantErr := OrderedDecode(b)
+		rest, err := OrderedSkip(b)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !bytes.Equal(rest, wantRest) {
+			t.Errorf("OrderedSkip(%x) = %x, %v; OrderedDecode leaves %x, %v", b, rest, err, wantRest, wantErr)
+			return false
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		enc := OrderedEncode(nil, randomValue(r, 0))
+		if r.Intn(3) == 0 {
+			enc = append(enc, 0x00, 0x00, 0xFF, 0x00, 0x01) // escape bytes in the string case
+		}
+		enc = OrderedEncode(enc, Int64(r.Int63()))
+		for i := 0; i <= len(enc); i++ {
+			if !same(enc[:i]) {
+				return false
+			}
+		}
+		for i := range enc {
+			damaged := bytes.Clone(enc)
+			damaged[i] = byte(r.Intn(256))
+			if !same(damaged) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestOrderedEncodeCompositeKeys(t *testing.T) {
 	// Multi-component keys: (string, int64) pairs must order
 	// component-wise, including strings with embedded zero bytes.

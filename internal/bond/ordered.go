@@ -101,7 +101,7 @@ func OrderedDecode(b []byte) (Value, []byte, error) {
 		}
 		return Double(f), b[8:], nil
 	case KindString, KindBlob:
-		data, rest, err := decodeEscaped(b)
+		data, rest, err := decodeEscaped(b, true)
 		if err != nil {
 			return Null, nil, err
 		}
@@ -114,10 +114,26 @@ func OrderedDecode(b []byte) (Value, []byte, error) {
 	}
 }
 
-func decodeEscaped(b []byte) (data, rest []byte, err error) {
+// OrderedSkip steps over one scalar produced by OrderedEncode, with
+// OrderedDecode's checks and errors, without building the value: for
+// callers that only need the key well-formed.
+func OrderedSkip(b []byte) ([]byte, error) {
+	if len(b) > 0 && (Kind(b[0]) == KindString || Kind(b[0]) == KindBlob) {
+		_, rest, err := decodeEscaped(b[1:], false)
+		return rest, err
+	}
+	_, rest, err := OrderedDecode(b)
+	return rest, err
+}
+
+// decodeEscaped undoes appendEscaped; keep=false checks the escapes
+// without collecting the bytes.
+func decodeEscaped(b []byte, keep bool) (data, rest []byte, err error) {
 	for i := 0; i < len(b); i++ {
 		if b[i] != 0x00 {
-			data = append(data, b[i])
+			if keep {
+				data = append(data, b[i])
+			}
 			continue
 		}
 		if i+1 >= len(b) {
@@ -125,7 +141,9 @@ func decodeEscaped(b []byte) (data, rest []byte, err error) {
 		}
 		switch b[i+1] {
 		case 0xFF:
-			data = append(data, 0x00)
+			if keep {
+				data = append(data, 0x00)
+			}
 			i++
 		case 0x00:
 			return data, b[i+2:], nil

@@ -417,6 +417,41 @@ func TestScanVerticesByType(t *testing.T) {
 	if err != nil || n != 10 {
 		t.Errorf("CountVertices = %d, %v", n, err)
 	}
+	// The pointer-only scan visits the same vertices in the same order.
+	scan := func(tx *farm.Tx) (ptrs, bare []VertexPtr, err, bareErr error) {
+		err = g.ScanVerticesByType(tx, "actor", func(_ bond.Value, vp VertexPtr) bool {
+			ptrs = append(ptrs, vp)
+			return true
+		})
+		bareErr = g.ScanVertexPtrsByType(tx, "actor", func(vp VertexPtr) bool {
+			bare = append(bare, vp)
+			return true
+		})
+		return ptrs, bare, err, bareErr
+	}
+	ptrs, bare, err, bareErr := scan(rtx)
+	if err != nil || bareErr != nil || len(ptrs) != 10 || !slices.Equal(bare, ptrs) {
+		t.Errorf("ScanVertexPtrsByType = %v, %v; ScanVerticesByType %v, %v", bare, bareErr, ptrs, err)
+	}
+	// A key that is not an ordered encoding fails both scans alike, after
+	// the vertices before it.
+	vt, err := g.vertexType(c, "actor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = farm.RunTransaction(c, g.store.farm, func(tx *farm.Tx) error {
+		// "a05", then the escape 0x00 0x01: a bad escape byte, sorting
+		// between a05 and a06.
+		bad := append(bond.OrderedEncode(nil, bond.String("a05"))[:4], 0x00, 0x01)
+		return farm.OpenBTree(g.store.farm, vt.Primary).Put(tx, bad, ptrValue(ptrs[0]))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptrs, bare, err, bareErr = scan(g.store.farm.CreateReadTransaction(c))
+	if err == nil || fmt.Sprint(bareErr) != fmt.Sprint(err) || len(ptrs) != 6 || !slices.Equal(bare, ptrs) {
+		t.Errorf("corrupt key: ScanVertexPtrsByType visited %d, %v; ScanVerticesByType %d, %v", len(bare), bareErr, len(ptrs), err)
+	}
 }
 
 // TestIndexRangeScan checks the ordered secondary-index walk over a

@@ -188,7 +188,7 @@ func (g *Graph) Analyze(c *fabric.Ctx) (*stats.GraphSummary, error) {
 			return nil, err
 		}
 		var ptrs []VertexPtr
-		if err := g.ScanVerticesByType(tx, typeName, func(_ bond.Value, vp VertexPtr) bool {
+		if err := g.ScanVertexPtrsByType(tx, typeName, func(vp VertexPtr) bool {
 			ptrs = append(ptrs, vp)
 			return true
 		}); err != nil {

@@ -554,6 +554,30 @@ func (g *Graph) VertexPK(tx *farm.Tx, vp VertexPtr) (string, bond.Value, error) 
 
 // ScanVerticesByType visits every vertex of a type in primary key order.
 func (g *Graph) ScanVerticesByType(tx *farm.Tx, typeName string, fn func(pk bond.Value, vp VertexPtr) bool) error {
+	return g.scanPrimary(tx, typeName, func(k []byte, vp VertexPtr) (bool, error) {
+		pk, _, err := bond.OrderedDecode(k)
+		if err != nil {
+			return false, err
+		}
+		return fn(pk, vp), nil
+	})
+}
+
+// ScanVertexPtrsByType is ScanVerticesByType for callers that discard the
+// primary key: each key's encoding is still checked, with the same error,
+// but no value is built.
+func (g *Graph) ScanVertexPtrsByType(tx *farm.Tx, typeName string, fn func(vp VertexPtr) bool) error {
+	return g.scanPrimary(tx, typeName, func(k []byte, vp VertexPtr) (bool, error) {
+		if _, err := bond.OrderedSkip(k); err != nil {
+			return false, err
+		}
+		return fn(vp), nil
+	})
+}
+
+// scanPrimary walks a type's primary index in key order; fn's error stops
+// the walk and is returned.
+func (g *Graph) scanPrimary(tx *farm.Tx, typeName string, fn func(k []byte, vp VertexPtr) (bool, error)) error {
 	vt, err := g.vertexType(tx.Ctx(), typeName)
 	if err != nil {
 		return err
@@ -561,12 +585,9 @@ func (g *Graph) ScanVerticesByType(tx *farm.Tx, typeName string, fn func(pk bond
 	primary := farm.OpenBTree(g.store.farm, vt.Primary)
 	var scanErr error
 	err = primary.Scan(tx, nil, nil, func(k, v []byte) bool {
-		pk, _, err := bond.OrderedDecode(k)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		return fn(pk, valuePtr(v))
+		var more bool
+		more, scanErr = fn(k, valuePtr(v))
+		return more
 	})
 	if err == nil {
 		err = scanErr

@@ -473,6 +473,22 @@ func (c *Ctx) Parallel(n int, fn func(i int, c *Ctx)) {
 	wg.Wait()
 }
 
+// Overlap runs n bodies that only wait — one-sided reads — so that their
+// waits overlap: concurrent processes in Sim mode, as Parallel runs them;
+// inline and in order on the caller in Direct mode, where a read is a
+// synchronous copy with no latency to hide and a hand-off to another
+// goroutine would only add cost. A body's context is the caller's own
+// whenever it runs on the caller.
+func (c *Ctx) Overlap(n int, fn func(i int, c *Ctx)) {
+	if c.F.cfg.Mode == Sim {
+		c.Parallel(n, fn)
+		return
+	}
+	for i := 0; i < n; i++ {
+		fn(i, c)
+	}
+}
+
 // fanTask is one Direct-mode Parallel body handed to a worker goroutine.
 type fanTask struct {
 	fn func(i int, c *Ctx)

@@ -640,46 +640,138 @@ func (bt *BTree) Delete(tx *Tx, key []byte) (bool, error) {
 	return true, bt.writeNode(tx, leaf.ptr, leaf.v.splice(i, i+1, nil, nil))
 }
 
-// Scan visits entries with from <= key < to in order (nil to = +infinity),
-// following leaf sibling pointers. fn returns false to stop early; the
-// slices it receives are valid until it returns.
+// Scan visits entries with from <= key < to in order (nil to = +infinity).
+// It descends to the leaf covering from, then takes the leaves to its right
+// from their parent's child list, moving to the parent's right sibling when
+// the list runs out, and reads them in scanLeaves' windows. fn returns false
+// to stop early; the slices it receives are valid until it returns.
 func (bt *BTree) Scan(tx *Tx, from, to []byte, fn func(key, val []byte) bool) error {
+	visit := func(v *nodeView) bool {
+		for i, _ := v.leafIndex(from); i < v.n; i++ {
+			k := v.key(i)
+			if to != nil && bytes.Compare(k, to) >= 0 || !fn(k, v.val(i)) {
+				return false
+			}
+		}
+		return true
+	}
 	p, err := bt.rootPtr(tx)
 	if err != nil {
 		return err
 	}
-	v, err := bt.readNode(tx, p)
+	up, err := bt.readNode(tx, p)
 	if err != nil {
 		return err
 	}
-	defer v.release()
-	for depth := 1; !v.leaf; depth++ {
+	if up.leaf {
+		visit(up)
+		up.release()
+		return nil
+	}
+	down := viewPool.Get().(*nodeView)
+	defer func() { up.release(); down.release() }()
+	var i int
+	for depth := 1; ; depth++ {
 		if depth >= 64 {
 			return errTooDeep
 		}
-		if err := bt.fill(tx, v.child(v.childIndex(from)), v); err != nil {
+		i = up.childIndex(from)
+		if err := bt.fill(tx, up.child(i), down); err != nil {
 			return err
 		}
+		if down.leaf {
+			break
+		}
+		up, down = down, up
 	}
-	for {
-		start, _ := v.leafIndex(from)
-		for i := start; i < v.n; i++ {
-			k := v.key(i)
-			if to != nil && bytes.Compare(k, to) >= 0 {
-				return nil
+	// Child i covers [key(i-1), key(i)), and a leaf parent's fence is its
+	// last child's: the next leaf is in range while the bound below it is.
+	_, err = bt.scanLeaves(tx, down, func() (Ptr, bool, error) {
+		for i >= up.n {
+			if up.next.IsNil() || up.hasHi && to != nil && bytes.Compare(up.hi, to) >= 0 {
+				return NilPtr, false, nil
 			}
-			if !fn(k, v.val(i)) {
-				return nil
+			if err := bt.fill(tx, up.next, up); err != nil {
+				return NilPtr, false, err
+			}
+			i = -1
+		}
+		i++
+		if i > 0 && to != nil && bytes.Compare(up.key(i-1), to) >= 0 {
+			return NilPtr, false, nil
+		}
+		return up.child(i), true, nil
+	}, visit)
+	return err
+}
+
+// maxLeafWindow caps the leaf reads a range scan keeps in flight.
+const maxLeafWindow = 32
+
+// scanLeaves visits first, then the leaves next yields, in key order, until
+// visit returns false (cont=false) or next runs out. The leaves after first
+// are read in windows of 2, 4, … maxLeafWindow. A read-only transaction
+// issues each window's reads together through Overlap, so a long scan waits
+// one round trip per window rather than per leaf, and a scan that stops
+// early has read at most twice the leaves it visited. An update transaction
+// reads each leaf only when visit reaches it: its tracked read set must not
+// be shared between processes, and a leaf it never visits must not join its
+// commit-time validation. Errors surface in key order, after every leaf
+// before the failed read has been visited.
+func (bt *BTree) scanLeaves(tx *Tx, first *nodeView, next func() (Ptr, bool, error), visit func(*nodeView) bool) (cont bool, err error) {
+	if !visit(first) {
+		return false, nil
+	}
+	var win struct {
+		ptrs  [maxLeafWindow]Ptr
+		views [maxLeafWindow]*nodeView
+		errs  [maxLeafWindow]error
+	}
+	read := func(i int, c *fabric.Ctx) {
+		rtx := tx
+		if c != tx.c { // another process: read through a copy bound to it
+			cp := *tx
+			cp.c = c
+			rtx = &cp
+		}
+		win.views[i], win.errs[i] = bt.readNode(rtx, win.ptrs[i])
+	}
+	defer func() {
+		for _, v := range win.views {
+			if v != nil {
+				v.release()
 			}
 		}
-		if v.next.IsNil() {
-			return nil
+	}()
+	for w := 2; ; w = min(2*w, maxLeafWindow) {
+		n, ok := 0, true
+		var tail error
+		for ; n < w; n++ {
+			var p Ptr
+			if p, ok, tail = next(); !ok || tail != nil {
+				break
+			}
+			win.ptrs[n] = p
 		}
-		if v.hasHi && to != nil && bytes.Compare(v.hi, to) >= 0 {
-			return nil
+		if tx.readOnly {
+			tx.c.Overlap(n, read)
 		}
-		if err := bt.fill(tx, v.next, v); err != nil {
-			return err
+		for i := 0; i < n; i++ {
+			if !tx.readOnly {
+				read(i, tx.c)
+			}
+			if win.errs[i] != nil {
+				return false, win.errs[i]
+			}
+			more := visit(win.views[i])
+			win.views[i].release()
+			win.views[i] = nil
+			if !more {
+				return false, nil
+			}
+		}
+		if !ok || tail != nil {
+			return tail == nil, tail
 		}
 	}
 }
@@ -693,55 +785,74 @@ func (bt *BTree) Scan(tx *Tx, from, to []byte, fn func(key, val []byte) bool) er
 // so no fence walks are needed. fn returns false to stop early; the slices
 // it receives are valid until it returns.
 func (bt *BTree) ScanDesc(tx *Tx, from, to []byte, fn func(key, val []byte) bool) error {
-	p, err := bt.rootPtr(tx)
-	if err != nil {
-		return err
-	}
-	_, err = bt.scanDescNode(tx, p, from, to, fn, 0)
-	return err
-}
-
-// scanDescNode recursively visits a subtree right-to-left. cont=false
-// propagates an early stop.
-func (bt *BTree) scanDescNode(tx *Tx, p Ptr, from, to []byte, fn func(key, val []byte) bool, depth int) (cont bool, err error) {
-	if depth >= 64 {
-		return false, errTooDeep
-	}
-	v, err := bt.readNode(tx, p)
-	if err != nil {
-		return false, err
-	}
-	defer v.release()
-	if v.leaf {
+	visit := func(v *nodeView) bool {
 		for i := v.n - 1; i >= 0; i-- {
 			k := v.key(i)
 			if to != nil && bytes.Compare(k, to) >= 0 {
 				continue
 			}
-			if from != nil && bytes.Compare(k, from) < 0 {
-				return false, nil
-			}
-			if !fn(k, v.val(i)) {
-				return false, nil
+			if from != nil && bytes.Compare(k, from) < 0 || !fn(k, v.val(i)) {
+				return false
 			}
 		}
-		return true, nil
+		return true
 	}
-	for i := v.n; i >= 0; i-- {
-		// Child i covers [key(i-1), key(i)): skip subtrees entirely above
-		// the range, stop once entirely below it.
-		if to != nil && i > 0 && bytes.Compare(v.key(i-1), to) >= 0 {
-			continue
-		}
-		if from != nil && i < v.n && bytes.Compare(v.key(i), from) <= 0 {
-			return false, nil
-		}
-		cont, err := bt.scanDescNode(tx, v.child(i), from, to, fn, depth+1)
-		if err != nil || !cont {
+	p, err := bt.rootPtr(tx)
+	if err != nil {
+		return err
+	}
+	v, err := bt.readNode(tx, p)
+	if err != nil {
+		return err
+	}
+	defer v.release()
+	_, err = bt.scanDescNode(tx, v, from, to, visit, 1)
+	return err
+}
+
+// scanDescNode visits the subtree under v right to left. cont=false
+// propagates an early stop. Under a leaf parent the rightmost in-range leaf
+// is read alone and the rest of the parent's in-range children, right to
+// left, in scanLeaves' windows.
+func (bt *BTree) scanDescNode(tx *Tx, v *nodeView, from, to []byte, visit func(*nodeView) bool, depth int) (cont bool, err error) {
+	if v.leaf {
+		return visit(v), nil
+	}
+	if depth >= 64 {
+		return false, errTooDeep
+	}
+	// Child i covers [key(i-1), key(i)): children above hi lie entirely
+	// above the range, children below lo entirely below it.
+	lo, hi := v.childIndex(from), v.n
+	if to != nil {
+		hi, _ = v.leafIndex(to) // the separators < to
+	}
+	if hi < lo {
+		return false, nil
+	}
+	c, err := bt.readNode(tx, v.child(hi))
+	if err != nil {
+		return false, err
+	}
+	defer c.release()
+	if c.leaf {
+		i := hi
+		return bt.scanLeaves(tx, c, func() (Ptr, bool, error) {
+			if i == lo {
+				return NilPtr, false, nil
+			}
+			i--
+			return v.child(i), true, nil
+		}, visit)
+	}
+	for i := hi; ; i-- {
+		if cont, err := bt.scanDescNode(tx, c, from, to, visit, depth+1); err != nil || !cont || i == lo {
 			return cont, err
 		}
+		if err := bt.fill(tx, v.child(i-1), c); err != nil {
+			return false, err
+		}
 	}
-	return true, nil
 }
 
 // Count returns the number of entries in [from, to).

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -440,41 +441,67 @@ func TestBTreeConcurrentInserters(t *testing.T) {
 	}
 }
 
+// TestBTreeSnapshotScanDuringInserts: a snapshot's scans, in both
+// directions, see the tree as it was, while later transactions split its
+// leaves and leaf parents and replace values. Each tree shape is deep
+// enough that the scans cross leaf parents and read leaves in windows.
 func TestBTreeSnapshotScanDuringInserts(t *testing.T) {
-	f, c := directFarm(t, 5)
-	bt := newTestBTree(t, f, c)
-	err := RunTransaction(c, f, func(tx *Tx) error {
-		for i := 0; i < 50; i++ {
-			if err := bt.Put(tx, []byte(fmt.Sprintf("s%03d", i)), []byte("old")); err != nil {
-				return err
+	for _, tree := range []scanTree{wideTree, deepTree} {
+		f, c := directFarm(t, 5)
+		bt, keys, err := tree.build(f, c)
+		var shape scanShape
+		if err == nil {
+			shape, err = shapeOf(f, c, bt)
+		}
+		if err == nil {
+			err = checkTreeShape(shape)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, unpin := f.PinCurrent()
+		snap := f.CreateReadTransactionAt(c, ts)
+		// Growth after the snapshot: a key between every two, and every
+		// third old key's value replaced.
+		for start := 0; start < tree.n; start += 500 {
+			err := RunTransaction(c, f, func(tx *Tx) error {
+				for i := start; i < min(start+500, tree.n); i++ {
+					if err := bt.Put(tx, []byte(tree.key(2*i+1)), []byte("new")); err != nil {
+						return err
+					}
+					if i%3 == 0 {
+						if err := bt.Put(tx, []byte(keys[i]), []byte("new")); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, unpin := f.PinCurrent()
-	defer unpin()
-	snap := f.CreateReadTransactionAt(c, ts)
-	// Concurrent growth after the snapshot.
-	err = RunTransaction(c, f, func(tx *Tx) error {
-		for i := 50; i < 150; i++ {
-			if err := bt.Put(tx, []byte(fmt.Sprintf("s%03d", i)), []byte("new")); err != nil {
-				return err
+		for _, sc := range []scanCase{{}, {desc: true}, {stop: tree.n / 3}, {desc: true, stop: tree.n / 3}} {
+			var got []string
+			walk := bt.Scan
+			if sc.desc {
+				walk = bt.ScanDesc
+			}
+			err := walk(snap, nil, nil, func(k, v []byte) bool {
+				if string(v) == "new" {
+					t.Errorf("%d-byte keys, %v: snapshot scan saw %.7s = new", tree.keyLen, sc, k)
+				}
+				got = append(got, string(k))
+				return sc.stop == 0 || len(got) < sc.stop
+			})
+			if err != nil {
+				t.Fatalf("%d-byte keys, %v: snapshot scan: %v", tree.keyLen, sc, err)
+			}
+			if want := sc.want(keys); !slices.Equal(got, want) {
+				t.Errorf("%d-byte keys, %v: snapshot scan saw %d keys, want %d (inserts after the snapshot invisible)", tree.keyLen, sc, len(got), len(want))
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := bt.Count(snap, nil, nil)
-	if err != nil {
-		t.Fatalf("snapshot scan: %v", err)
-	}
-	if n != 50 {
-		t.Errorf("snapshot scan saw %d keys, want 50 (inserts after snapshot invisible)", n)
+		unpin()
 	}
 }
 

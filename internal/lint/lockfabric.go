@@ -57,7 +57,7 @@ var coreRemoteOps = map[string]bool{
 	"ReadVertex": true, "LookupVertex": true, "VertexPK": true,
 	"CreateVertex": true, "UpdateVertex": true, "DeleteVertex": true,
 	"CreateEdge": true, "DeleteEdge": true, "EnumerateHalfEdges": true,
-	"ScanVerticesByType": true, "CountVertices": true,
+	"ScanVerticesByType": true, "ScanVertexPtrsByType": true, "CountVertices": true,
 	"IndexScan": true, "IndexRangeScanBoundsDir": true,
 	"Analyze": true,
 }

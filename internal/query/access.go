@@ -95,7 +95,7 @@ func (st *execState) execStart(qc *fabric.Ctx, tx *farm.Tx, root *VertexPattern,
 			if sp.ScanCapped && root.Limit > 0 {
 				scanCap = root.Limit + root.Skip
 			}
-			err = st.graph.ScanVerticesByType(tx, root.Type, func(_ bond.Value, vp core.VertexPtr) bool {
+			err = st.graph.ScanVertexPtrsByType(tx, root.Type, func(vp core.VertexPtr) bool {
 				frontier = append(frontier, vp)
 				return scanCap == 0 || len(frontier) < scanCap
 			})
@@ -278,7 +278,7 @@ func (st *execState) orderedWalk(c *fabric.Ctx, tx *farm.Tx, pat *VertexPattern,
 	unseen := getPtrs()
 	defer putPtrs(unseen)
 	if batch == nil {
-		err = g.ScanVerticesByType(tx, pat.Type, func(_ bond.Value, vp core.VertexPtr) bool {
+		err = g.ScanVertexPtrsByType(tx, pat.Type, func(vp core.VertexPtr) bool {
 			if !seen.has(vp.Addr) {
 				unseen = append(unseen, vp)
 			}

@@ -247,21 +247,22 @@ func TestOrderedTraverseSimCharges(t *testing.T) {
 	// Each owner walks the score index restricted to its frontier slice:
 	// only members are read, and every entry walked — member or not — is
 	// charged as enumeration work. Both show on the Sim clock and the read
-	// count, pinned here to the values of the owner-side walk these
-	// documents were first measured on (8 machines, sim seed 13).
+	// count, pinned here for 8 machines, sim seed 13. Elapsed also carries
+	// the root type scan's and the owners' index walks' leaf reads, which
+	// overlap in windows (farm.BTree.Scan), so it moves with that schedule.
 	cases := []struct {
 		doc     string
 		elapsed time.Duration
 		read    int64
 	}{
 		{`{"_type": "src", "_out_edge": {"_type": "link", "_vertex": {
-			"_type": "node", "_select": ["id", "score"], "_orderby": "-score", "_limit": 25}}}`, 549824 * time.Nanosecond, 273},
+			"_type": "node", "_select": ["id", "score"], "_orderby": "-score", "_limit": 25}}}`, 451854 * time.Nanosecond, 273},
 		{`{"_type": "src", "_out_edge": {"_type": "link", "_vertex": {
-			"_type": "node", "_select": ["id"], "_orderby": "score", "_limit": 10, "_skip": 17}}}`, 472914 * time.Nanosecond, 274},
+			"_type": "node", "_select": ["id"], "_orderby": "score", "_limit": 10, "_skip": 17}}}`, 397929 * time.Nanosecond, 274},
 		{`{"_type": "src", "_out_edge": {"_type": "link", "_vertex": {
-			"_type": "node", "parity": "odd", "_select": ["id"], "_orderby": "-score", "_limit": 5}}}`, 387855 * time.Nanosecond, 141},
+			"_type": "node", "parity": "odd", "_select": ["id"], "_orderby": "-score", "_limit": 5}}}`, 321134 * time.Nanosecond, 141},
 		{`{"_type": "src", "_out_edge": {"_type": "link", "_vertex": {
-			"_type": "node", "score": {"_ge": 2, "_lt": 6}, "_select": ["id", "score"], "_orderby": "score", "_limit": 9}}}`, 363204 * time.Nanosecond, 142},
+			"_type": "node", "score": {"_ge": 2, "_lt": 6}, "_select": ["id", "score"], "_orderby": "score", "_limit": 9}}}`, 328798 * time.Nanosecond, 142},
 	}
 	sc := simNew(t, 8)
 	sc.run(func(p simProc) {

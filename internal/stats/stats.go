@@ -154,10 +154,12 @@ func (h *heavy) add(key string, v bond.Value) {
 		h.m[key] = &hhEntry{val: v, count: 1}
 		return
 	}
+	// Ties evict the smallest key, so the sketch does not depend on map
+	// iteration order and a rebuild from the same data is repeatable.
 	var minKey string
 	var min *hhEntry
 	for k, e := range h.m {
-		if min == nil || e.count < min.count {
+		if min == nil || e.count < min.count || e.count == min.count && k < minKey {
 			minKey, min = k, e
 		}
 	}

@@ -3,7 +3,6 @@ package task
 import (
 	"strconv"
 
-	"a1/internal/bond"
 	"a1/internal/core"
 	"a1/internal/fabric"
 	"a1/internal/farm"
@@ -112,7 +111,7 @@ func (w *Workflows) deleteVertexType(c *fabric.Ctx, rt *Runtime, t *Task) error 
 	// Collect one batch of vertex pointers.
 	var victims []core.VertexPtr
 	rtx := w.store.Farm().CreateReadTransaction(c)
-	err = g.ScanVerticesByType(rtx, typ, func(_ bond.Value, vp core.VertexPtr) bool {
+	err = g.ScanVertexPtrsByType(rtx, typ, func(vp core.VertexPtr) bool {
 		victims = append(victims, vp)
 		return len(victims) < batch
 	})
