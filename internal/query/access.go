@@ -63,8 +63,9 @@ func (st *execState) execStart(qc *fabric.Ctx, tx *farm.Tx, root *VertexPattern,
 			return []core.VertexPtr{ptr}, nil, false, nil
 		case srcIndexScan:
 			// Secondary-index equality scan.
-			p := root.Preds[cand.predIdx]
-			err := st.graph.IndexScan(tx, root.Type, p.Path.Field, p.Value, collect)
+			p := &root.Preds[cand.predIdx]
+			key, _ := st.pc.eqConst(root.Type, p)
+			err := st.graph.IndexScan(tx, root.Type, p.Path.Field, key, collect)
 			if !errors.Is(err, core.ErrNotFound) {
 				st.chosen = cand
 				return frontier, nil, false, err
@@ -143,10 +144,11 @@ func indexedRangeField(pat *VertexPattern, indexed indexProbe) (string, bool) {
 // that can bound them, trying fields in first-predicate order and passing
 // over any the type lacks, whose bounds do not coerce to its stored kind,
 // or that have no index. fn sees each hit in ascending key order and may
-// stop the walk. Coercion only widens and every predicate is still
-// re-evaluated per vertex, so the hits may over-approximate but never
-// miss. served=false means no index could bound the predicates; a range
-// that excludes every stored value is served with no hits.
+// stop the walk. Coercion is exact, so the hits are the vertices whose
+// field satisfies its range predicates; the caller still evaluates every
+// predicate per vertex. served=false means no index could bound the
+// predicates; a range that excludes every stored value is served with no
+// hits.
 func (st *execState) walkRange(tx *farm.Tx, pat *VertexPattern, fn func(core.VertexPtr) bool) (served bool, err error) {
 	schema, err := st.graph.VertexTypeSchema(tx.Ctx(), pat.Type)
 	if err != nil {
@@ -380,11 +382,11 @@ func (r orderedReply) wire() wireSize {
 // buildMemberFilter interprets a traversal level's IndexFilter: it resolves
 // the first servable indexed predicate — equality candidates in document
 // order, then the range resolver — into a membership set of vertex
-// addresses, so the frontier is filtered before any vertex read. The set
-// may over-approximate (range coercion widens); residual predicate
-// evaluation still runs per surviving vertex. ok=false means no index was
-// usable — or the matching side outweighs the frontier, where reading the
-// frontier directly is cheaper than enumerating the index.
+// addresses, so the frontier is filtered before any vertex read. Both
+// coerce their constants exactly to the field's stored kind; residual
+// predicate evaluation still runs per surviving vertex. ok=false means no
+// index was usable — or the matching side outweighs the frontier, where
+// reading the frontier directly is cheaper than enumerating the index.
 //
 // The scan budget is sized from estimated selectivity when statistics
 // cover the predicate: an indexed side estimated to dwarf the frontier is
@@ -410,8 +412,9 @@ func (st *execState) buildMemberFilter(tx *farm.Tx, pat *VertexPattern, ifp *Ind
 	served := false
 	var err error
 	for _, pi := range ifp.EqPreds {
-		p := pat.Preds[pi]
-		if e := st.graph.IndexScan(tx, pat.Type, p.Path.Field, p.Value, add); !errors.Is(e, core.ErrNotFound) {
+		p := &pat.Preds[pi]
+		key, _ := st.pc.eqConst(pat.Type, p)
+		if e := st.graph.IndexScan(tx, pat.Type, p.Path.Field, key, add); !errors.Is(e, core.ErrNotFound) {
 			served, err = true, e
 			break
 		}

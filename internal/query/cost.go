@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 
+	"a1/internal/bond"
 	"a1/internal/core"
 	"a1/internal/fabric"
 	"a1/internal/stats"
@@ -30,11 +31,13 @@ const estUnknown = -1
 
 // planContext carries one execution's planner inputs: the cluster-wide
 // stats summary (nil without statistics: the structural fallback), the live
-// index probe, the cluster size (per-machine partial scans fan out across
-// it), and the cost model.
+// index probe and catalog, the cluster size (per-machine partial scans fan
+// out across it), and the cost model.
 type planContext struct {
 	sum      *stats.GraphSummary
 	probe    indexProbe
+	c        *fabric.Ctx
+	graph    *core.Graph
 	cfg      *Config
 	machines int
 }
@@ -44,6 +47,8 @@ func newPlanContext(c *fabric.Ctx, e *Engine, g *core.Graph) *planContext {
 	pc := &planContext{
 		cfg:      &e.cfg,
 		probe:    indexProbeFor(c, g),
+		c:        c,
+		graph:    g,
 		machines: e.store.Farm().Fabric().Machines(),
 	}
 	if !e.noStats {
@@ -101,7 +106,8 @@ func (pc *planContext) typeCount(typ string) (float64, bool) {
 // eqRows estimates how many vertices of a type match an equality predicate.
 // Unbound parameters ("$name" before Bind — the Explain path) estimate as
 // an average value; fields without recorded values fall back to the default
-// equality selectivity.
+// equality selectivity. The constant is looked up as the index probes it
+// (eqConst), and one no stored value can equal matches nothing.
 func (pc *planContext) eqRows(typ string, p Predicate) (float64, bool) {
 	tc, ok := pc.typeCount(typ)
 	if !ok {
@@ -118,7 +124,33 @@ func (pc *planContext) eqRows(typ string, p Predicate) (float64, bool) {
 		}
 		return float64(fs.Count) / float64(d), true
 	}
-	return fs.EqEstimate(p.Value), true
+	v, ok := pc.eqConst(typ, &p)
+	if !ok {
+		return 0, true
+	}
+	return fs.EqEstimate(v), true
+}
+
+// eqConst is an equality predicate's constant as its field's secondary
+// index is probed with: coerced to the field's stored kind as the range
+// [v, v], so `"f": 3` on a double field finds 3.0. ok=false means no value
+// of that kind equals it; the constant comes back as written, and its
+// foreign kind tag matches no index key.
+func (pc *planContext) eqConst(typ string, p *Predicate) (bond.Value, bool) {
+	v := p.Value
+	schema, err := pc.graph.VertexTypeSchema(pc.c, typ)
+	if err != nil {
+		return v, true
+	}
+	f, ok := schema.FieldByName(p.Path.Field)
+	if !ok || v.Kind() == f.Type.Kind {
+		return v, true
+	}
+	lo, _, st := coerceBound(v, true, f.Type.Kind, true)
+	if c, ok := compareValues(lo, v); st == boundOK && ok && c == 0 {
+		return lo, true
+	}
+	return v, false
 }
 
 // rangeRows estimates how many vertices an indexed range predicate admits.

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"cmp"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -46,20 +48,19 @@ func resolvePath(v bond.Value, fp FieldPath, schema *bond.Schema) (bond.Value, b
 	}
 }
 
-// compareValues orders two scalars across compatible kinds: all numeric
-// kinds compare numerically (A1QL constants arrive as int64/double
-// regardless of the stored width), strings and blobs lexically.
+// compareValues orders two scalars across compatible kinds: strings and
+// blobs lexically, and all numeric kinds by exact value (A1QL constants
+// arrive as int64/double regardless of the stored width). Integers compare
+// as integers across int32, int64, date and uint64; an integer against a
+// float compares the float's integer part, then its fraction; floats
+// compare as float64. A NaN compares equal to every number. The secondary
+// index orders one kind's keys the same way, so an index walk and a sort
+// or predicate agree.
 func compareValues(a, b bond.Value) (int, bool) {
-	if isNumeric(a.Kind()) && isNumeric(b.Kind()) {
-		af, bf := asFloat(a), asFloat(b)
-		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		default:
-			return 0, true
-		}
+	ac, an := unpackNum(&a)
+	bc, bn := unpackNum(&b)
+	if ac != bond.KindNone && bc != bond.KindNone {
+		return compareNums(ac, an, bc, bn), true
 	}
 	if a.Kind() == bond.KindBool && b.Kind() == bond.KindBool {
 		switch {
@@ -77,6 +78,74 @@ func compareValues(a, b bond.Value) (int, bool) {
 		return strings.Compare(as, bs), true
 	}
 	return 0, false
+}
+
+// unpackNum reads v's kind and payload once (v is a pointer: a bond.Value
+// is too large to copy per comparison). The kind is the one the number
+// compares as: Int64 for every signed integer kind, UInt64, or Double with
+// the float64's bits; KindNone for a non-number.
+func unpackNum(v *bond.Value) (bond.Kind, uint64) {
+	switch v.Kind() {
+	case bond.KindInt32, bond.KindInt64, bond.KindDate:
+		return bond.KindInt64, v.AsUint()
+	case bond.KindUInt64:
+		return bond.KindUInt64, v.AsUint()
+	case bond.KindFloat, bond.KindDouble:
+		return bond.KindDouble, math.Float64bits(v.AsFloat())
+	}
+	return bond.KindNone, 0
+}
+
+// compareNums orders two unpacked numbers exactly.
+func compareNums(ac bond.Kind, a uint64, bc bond.Kind, b uint64) int {
+	switch {
+	case ac == bond.KindDouble && bc == bond.KindDouble:
+		af, bf := math.Float64frombits(a), math.Float64frombits(b)
+		switch {
+		case af < bf:
+			return -1
+		case af > bf:
+			return 1
+		}
+		return 0 // equal, or a NaN
+	case ac == bond.KindDouble:
+		return -compareNums(bc, b, ac, a)
+	case bc == bond.KindDouble:
+		return compareIntFloat(ac, a, math.Float64frombits(b))
+	}
+	// Two integers: a negative one is below every other, and integers of
+	// one sign order as their bits.
+	aNeg, bNeg := ac == bond.KindInt64 && int64(a) < 0, bc == bond.KindInt64 && int64(b) < 0
+	if aNeg != bNeg {
+		if aNeg {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a, b)
+}
+
+// compareIntFloat orders the integer n against f: by f's integer part,
+// then by its fraction. A float beyond every integer kind is decided by
+// its sign.
+func compareIntFloat(nc bond.Kind, n uint64, f float64) int {
+	switch {
+	case math.IsNaN(f):
+		return 0
+	case f >= 1<<64:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	}
+	t := math.Trunc(f)
+	tc, tn := bond.KindUInt64, uint64(t)
+	if t < 0 {
+		tc, tn = bond.KindInt64, uint64(int64(t))
+	}
+	if c := compareNums(nc, n, tc, tn); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f)
 }
 
 func isNumeric(k bond.Kind) bool {

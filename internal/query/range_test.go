@@ -253,42 +253,129 @@ func TestRangeBoundCoercion(t *testing.T) {
 }
 
 func TestRangeBoundDomainEdgesMatchEvaluator(t *testing.T) {
-	// Inclusive bounds at the lossy float domain edges must widen, never
-	// empty: the per-vertex evaluator compares float64 images, so e.g.
-	// `_ge 2^63` matches every int64 attr whose float image rounds up to
-	// 2^63 (MaxInt64 included). The index scan may not disagree.
+	// Bounds at the domain edges coerce exactly, as compareValues orders
+	// them: an int64 never reaches 2^63, MaxInt64 and MinInt64 are bounds
+	// as written, and a double bound onto an int is stepped past the
+	// nearest representable value only when it lies on the wrong side.
 	mkSpec := func(lo bond.Value, loInc bool, hi bond.Value, hiInc bool) *rangeSpec {
 		return &rangeSpec{field: "f", lo: lo, loInc: loInc, hi: hi, hiInc: hiInc}
 	}
 	edge := float64(math.MaxInt64) // rounds up to 2^63 exactly
-	lo, loInc, _, _, ok, empty := coerceRange(mkSpec(bond.Double(edge), true, bond.Null, false), bond.KindInt64)
-	if !ok || empty {
-		t.Fatalf("ge 2^63 on int64: ok=%v empty=%v, want served non-empty", ok, empty)
+	for _, inc := range []bool{true, false} {
+		_, _, _, _, ok, empty := coerceRange(mkSpec(bond.Double(edge), inc, bond.Null, false), bond.KindInt64)
+		if !ok || !empty {
+			t.Errorf("ge/gt(%v) 2^63 on int64: ok=%v empty=%v, want served empty", inc, ok, empty)
+		}
 	}
-	if !loInc || lo.AsInt() > math.MaxInt64-512 {
-		t.Errorf("ge 2^63 lo = %d/%v, want <= MaxInt64-512 inclusive (covers float-equal attrs)", lo.AsInt(), loInc)
+	lo, loInc, _, _, ok, empty := coerceRange(mkSpec(bond.Int64(math.MaxInt64), true, bond.Null, false), bond.KindInt64)
+	if !ok || empty || !loInc || lo.AsInt() != math.MaxInt64 {
+		t.Errorf("ge MaxInt64 lo = %d/%v ok=%v empty=%v, want MaxInt64 inclusive", lo.AsInt(), loInc, ok, empty)
 	}
-	// Exclusive at the same edge is genuinely empty (float compare can
-	// never exceed 2^63 for an int64 attr).
-	_, _, _, _, ok, empty = coerceRange(mkSpec(bond.Double(edge), false, bond.Null, false), bond.KindInt64)
-	if !ok || !empty {
-		t.Errorf("gt 2^63 on int64: ok=%v empty=%v, want empty", ok, empty)
-	}
-	// An exact huge int constant is lossy in the evaluator too: ge
-	// MaxInt64 must widen below MaxInt64.
-	lo, loInc, _, _, ok, empty = coerceRange(mkSpec(bond.Int64(math.MaxInt64), true, bond.Null, false), bond.KindInt64)
-	if !ok || empty || !loInc || lo.AsInt() > math.MaxInt64-512 {
-		t.Errorf("ge MaxInt64 lo = %d/%v ok=%v empty=%v, want widened inclusive", lo.AsInt(), loInc, ok, empty)
-	}
-	// le MinInt64 mirrors upward (float64(MinInt64) is exact but attrs
-	// just above it share the image).
 	_, _, hi, hiInc, ok, empty := coerceRange(mkSpec(bond.Null, false, bond.Int64(math.MinInt64), true), bond.KindInt64)
-	if !ok || empty || !hiInc || hi.AsInt() < math.MinInt64+512 {
-		t.Errorf("le MinInt64 hi = %d/%v ok=%v empty=%v, want widened inclusive", hi.AsInt(), hiInc, ok, empty)
+	if !ok || empty || !hiInc || hi.AsInt() != math.MinInt64 {
+		t.Errorf("le MinInt64 hi = %d/%v ok=%v empty=%v, want MinInt64 inclusive", hi.AsInt(), hiInc, ok, empty)
 	}
-	// UInt64 edge: ge 2^64 widens below MaxUint64.
-	lo, loInc, _, _, ok, empty = coerceRange(mkSpec(bond.Double(float64(math.MaxUint64)), true, bond.Null, false), bond.KindUInt64)
-	if !ok || empty || !loInc || lo.AsUint() > math.MaxUint64-1024 {
-		t.Errorf("ge 2^64 on uint64 lo = %d/%v ok=%v empty=%v, want widened inclusive", lo.AsUint(), loInc, ok, empty)
+	_, _, _, _, ok, empty = coerceRange(mkSpec(bond.Double(float64(math.MaxUint64)), true, bond.Null, false), bond.KindUInt64)
+	if !ok || !empty {
+		t.Errorf("ge 2^64 on uint64: ok=%v empty=%v, want served empty", ok, empty)
 	}
+	// An int above 2^53 onto a double: 2^53+1 lies between 2^53 and
+	// 2^53+2, so gt becomes ge 2^53+2 and lt becomes le 2^53.
+	lo, loInc, hi, hiInc, ok, empty = coerceRange(mkSpec(bond.Int64(1<<53+1), false, bond.Int64(1<<53+1), false), bond.KindDouble)
+	if !ok || empty || lo.AsFloat() != 1<<53+2 || !loInc || hi.AsFloat() != 1<<53 || !hiInc {
+		t.Errorf("2^53+1 onto double: lo=%v/%v hi=%v/%v ok=%v empty=%v", lo, loInc, hi, hiInc, ok, empty)
+	}
+}
+
+// fuzzNumKinds are the numeric kinds FuzzCoerceBound draws constants and
+// stored fields from.
+var fuzzNumKinds = []bond.Kind{bond.KindInt32, bond.KindInt64, bond.KindDate, bond.KindUInt64, bond.KindFloat, bond.KindDouble}
+
+// fuzzNum builds a value of kind k from raw bits; ok=false for a NaN.
+func fuzzNum(k bond.Kind, bits uint64) (bond.Value, bool) {
+	switch k {
+	case bond.KindInt32:
+		return bond.Int32(int32(bits)), true
+	case bond.KindUInt64:
+		return bond.UInt64(bits), true
+	case bond.KindFloat:
+		f := math.Float32frombits(uint32(bits))
+		return bond.Float(f), !math.IsNaN(float64(f))
+	case bond.KindDouble:
+		f := math.Float64frombits(bits)
+		return bond.Double(f), !math.IsNaN(f)
+	}
+	return intOfKind(k, int64(bits)), true
+}
+
+// FuzzCoerceBound is a differential check of range-bound coercion: for a
+// constant of any numeric kind, a stored kind, an operator and its
+// inclusivity, every probed stored value lies inside the coerced range
+// exactly when the predicate accepts it under compareValues, and
+// compareValues agrees with exact big.Float arithmetic. The probes are the
+// coerced bound, the kind's domain edges, zero and the constant's own
+// conversion to the kind, each with both neighbours.
+func FuzzCoerceBound(f *testing.F) {
+	f.Add(byte(1), uint64(1<<53+1), byte(5), byte(0))         // 2^53+1 > double
+	f.Add(byte(5), math.Float64bits(1<<63), byte(1), byte(1)) // double 2^63 >= int64
+	f.Add(byte(3), uint64(math.MaxUint64), byte(5), byte(3))  // MaxUint64 <= double
+	f.Add(byte(5), math.Float64bits(-0.5), byte(3), byte(2))  // -0.5 < uint64
+	f.Add(byte(5), math.Float64bits(1e300), byte(4), byte(3)) // 1e300 <= float
+	f.Add(byte(1), uint64(1<<63), byte(0), byte(1))           // MinInt64 >= int32
+	f.Fuzz(func(t *testing.T, ck byte, bits uint64, sk byte, op byte) {
+		c, ok := fuzzNum(fuzzNumKinds[int(ck)%len(fuzzNumKinds)], bits)
+		if !ok {
+			return // NaN compares equal to every number; not a bound
+		}
+		k := fuzzNumKinds[int(sk)%len(fuzzNumKinds)]
+		o := []Op{OpGt, OpGe, OpLt, OpLe}[op%4]
+		spec := &rangeSpec{field: "f"}
+		if o == OpGt || o == OpGe {
+			spec.lo, spec.loInc = c, o == OpGe
+		} else {
+			spec.hi, spec.hiInc = c, o == OpLe
+		}
+		lo, loInc, hi, hiInc, ok, empty := coerceRange(spec, k)
+		inside := func(x bond.Value) bool {
+			switch {
+			case empty:
+				return false
+			case !ok:
+				return true // the bound admits the whole domain
+			}
+			if !lo.IsNull() {
+				if cmp, _ := compareValues(x, lo); cmp < 0 || (cmp == 0 && !loInc) {
+					return false
+				}
+			}
+			if !hi.IsNull() {
+				if cmp, _ := compareValues(x, hi); cmp > 0 || (cmp == 0 && !hiInc) {
+					return false
+				}
+			}
+			return true
+		}
+		if ok && !empty && (!lo.IsNull() && lo.Kind() != k || !hi.IsNull() && hi.Kind() != k) {
+			t.Fatalf("%v %v onto %v: bounds %v/%v not of the stored kind", o, c, k, lo, hi)
+		}
+		min, max, _ := kindEdges(k)
+		var probes []bond.Value
+		for _, p := range []bond.Value{lo, hi, min, max, bond.Int64(0), c} {
+			if p.IsNull() {
+				continue
+			}
+			p = nearest(p, k)
+			probes = append(probes, p, step(p, true), step(p, false))
+		}
+		for _, x := range probes {
+			cmp, _ := compareValues(x, c)
+			if want := exactCmp(x, c); cmp != want {
+				t.Fatalf("compareValues(%v %v, %v %v) = %d, exact %d", x.Kind(), x, c.Kind(), c, cmp, want)
+			}
+			if got, want := inside(x), holds(o, cmp); got != want {
+				t.Fatalf("%v %v onto %v: stored %v inside [%v/%v, %v/%v] ok=%v empty=%v is %v, predicate says %v",
+					o, c, k, x, lo, loInc, hi, hiInc, ok, empty, got, want)
+			}
+		}
+	})
 }
