@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"a1/internal/fabric"
@@ -64,12 +65,10 @@ func localToken(c *fabric.Ctx, token string) (tokenPayload, error) {
 	return p, err
 }
 
-// pageSource produces what remains of a paged result. A materialized row
-// or group slice is the trivial source; the streamed-group pager pulls
-// worker run tails or spilled runs, and the `_recurse` pager steps a
-// parked frontier expansion. The engine treats them alike: run cuts page 0
-// and Fetch page N through turnPage, and Release, expiry and a coordinator
-// drop all end in close.
+// pageSource is what remains of a paged result: the pager over rows or
+// over groups. The engine treats both alike: run cuts page 0 and Fetch
+// page N through turnPage, and Release, expiry and a coordinator drop all
+// end in close.
 type pageSource interface {
 	// nextPage sets up to n rows or groups on res, adds the work it did
 	// to res.Stats, and reports whether more remain.
@@ -81,44 +80,80 @@ type pageSource interface {
 	close(c *fabric.Ctx)
 }
 
-// slicePages pages a fully materialized result.
-type slicePages[T any] struct {
-	rest []T
-	into func(*Result) *[]T
+// itemSource streams a result's items one at a time into a pager: the
+// owners' group-run merge, the spill merge, or a `_recurse` expansion.
+type itemSource[T any] interface {
+	// next returns the next item, ok=false once the source is exhausted,
+	// and adds the work it did to stats.
+	next(c *fabric.Ctx, stats *Stats) (item T, ok bool, err error)
+	// close is pageSource.close for what the source holds.
+	close(c *fabric.Ctx)
 }
 
-func rowPages(rows []Row) pageSource {
-	return &slicePages[Row]{rest: rows, into: func(r *Result) *[]Row { return &r.Rows }}
+// pager is the one pageSource. It holds the items pulled but not yet
+// paged out — the whole answer of a materialized result, a page plus one
+// item of lookahead of a streamed one — lets the terminal's _skip/_limit
+// through once, and cuts pages from the front. The lookahead lets an
+// exactly-full last page end the result instead of issuing a continuation
+// whose page is empty.
+type pager[T any] struct {
+	buf   []T
+	src   itemSource[T] // nil for a materialized result
+	done  bool          // src is nil or exhausted, or the limit is reached
+	skip  int
+	limit int // items still to emit, buf included
+	into  func(*Result) *[]T
+	// groups is a streamed group source's run merge: the entries it
+	// buffers join the pager's own in PeakGroups. Nil for every other
+	// source, so no other result's Stats move.
+	groups interface{ resident() int64 }
 }
 
-func groupPages(groups []GroupRow) pageSource {
-	return &slicePages[GroupRow]{rest: groups, into: func(r *Result) *[]GroupRow { return &r.Groups }}
-}
-
-func (s *slicePages[T]) nextPage(_ *fabric.Ctx, n int, res *Result) (bool, error) {
-	page := s.rest
-	if len(page) > n {
-		page = page[:n]
+// newPager pages items, then src's, under tp's _skip and _limit.
+func newPager[T any](items []T, src itemSource[T], tp *VertexPattern, into func(*Result) *[]T) *pager[T] {
+	p := &pager[T]{buf: items, src: src, done: src == nil, skip: tp.Skip, limit: tp.Limit, into: into}
+	if p.limit == 0 {
+		p.limit = math.MaxInt
 	}
-	s.rest = s.rest[len(page):]
-	*s.into(res) = page
-	return len(s.rest) > 0, nil
+	return p
 }
 
-func (*slicePages[T]) close(*fabric.Ctx) {}
+func rowsOf(r *Result) *[]Row        { return &r.Rows }
+func groupsOf(r *Result) *[]GroupRow { return &r.Groups }
 
-// cut applies a terminal's _skip/_limit to a materialized, ordered result.
-func cut[T any](s []T, skip, limit int) []T {
-	if skip > 0 {
-		if skip >= len(s) {
-			return nil
+func (p *pager[T]) nextPage(c *fabric.Ctx, n int, res *Result) (bool, error) {
+	for {
+		d := min(p.skip, len(p.buf))
+		p.buf, p.skip = p.buf[d:], p.skip-d
+		if len(p.buf) >= p.limit {
+			p.buf, p.done = p.buf[:p.limit], true
 		}
-		s = s[skip:]
+		if p.done || len(p.buf) > n {
+			break
+		}
+		item, ok, err := p.src.next(c, &res.Stats)
+		if err != nil {
+			return false, err
+		}
+		if ok {
+			p.buf = append(p.buf, item)
+		} else {
+			p.done = true
+		}
 	}
-	if limit > 0 && len(s) > limit {
-		s = s[:limit]
+	if p.groups != nil {
+		res.Stats.PeakGroups = max(res.Stats.PeakGroups, int64(len(p.buf))+p.groups.resident())
 	}
-	return s
+	k := min(n, len(p.buf))
+	*p.into(res) = p.buf[:k:k]
+	p.buf, p.limit = p.buf[k:], p.limit-k
+	return len(p.buf) > 0, nil
+}
+
+func (p *pager[T]) close(c *fabric.Ctx) {
+	if p.src != nil {
+		p.src.close(c)
+	}
 }
 
 // turnPage draws one page from src into res. The caller holds src
@@ -159,6 +194,7 @@ func closeAll(c *fabric.Ctx, srcs []pageSource) {
 // claimed for the duration of the call, and a racing Fetch of the same
 // token gets ErrBadToken — the same answer as racing its expiry.
 func (e *Engine) Fetch(c *fabric.Ctx, token string) (*Result, error) {
+	start := c.Now()
 	p, err := localToken(c, token)
 	if err != nil {
 		return nil, classify(err)
@@ -181,6 +217,7 @@ func (e *Engine) Fetch(c *fabric.Ctx, token string) (*Result, error) {
 		return nil, classify(err)
 	}
 	res.Stats.setOps(&ops)
+	res.Stats.Elapsed = c.Now() - start
 	return res, nil
 }
 

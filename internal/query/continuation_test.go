@@ -1,6 +1,8 @@
 package query
 
 import (
+	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -401,4 +403,89 @@ func TestTTLStoreSweepsAtMostOncePerQuarterTTL(t *testing.T) {
 	if got := s.drain(); len(got) != 2 || s.len() != 0 {
 		t.Fatalf("drain = %v, len %d", got, s.len())
 	}
+}
+
+// FuzzContinuationToken feeds arbitrary strings as continuation tokens to
+// Coordinator, Fetch (on the caller's machine and on the machine the token
+// names) and Release, beside one live cursor. Tokens are unauthenticated
+// client input, so: nothing panics; every error is CodeBadToken;
+// Coordinator accepts exactly the tokens that decode and name a machine
+// inside the cluster; and the live cursor still pages to its end
+// afterwards, unless the input named its exact coordinator and id.
+func FuzzContinuationToken(f *testing.F) {
+	for _, tok := range []string{
+		"",
+		"not a token",
+		encodeToken(0, 1, 0),
+		encodeToken(0, 1, 7),
+		encodeToken(3, 1, 0),
+		encodeToken(5, 99, 1),
+		encodeToken(6, 1, 0),
+		base64.URLEncoding.EncodeToString([]byte(`{"m": -1, "id": 1}`)),
+		base64.URLEncoding.EncodeToString([]byte(`{"m": 0, "id": 1, "ps": -3}`)),
+		base64.URLEncoding.EncodeToString([]byte(`{"m": 4294967296, "id": 1}`)),
+		base64.URLEncoding.EncodeToString([]byte(`{"m": 0, "id": 18446744073709551615, "ps": 9223372036854775807}`)),
+		base64.URLEncoding.EncodeToString([]byte(`[1, 2]`)),
+		base64.StdEncoding.EncodeToString([]byte(`{"m": 0, "id": 1}`)),
+	} {
+		f.Add(tok)
+	}
+	e, g, c := newRangeEnv(f)
+	machines := e.store.Farm().Fabric().Machines()
+	const doc = `{"_hints": {"page_size": 40}, "_type": "item", "_select": ["id"]}`
+	badToken := func(t *testing.T, op string, err error) {
+		t.Helper()
+		var qe *Error
+		if err != nil && (!errors.As(err, &qe) || qe.Code != CodeBadToken) {
+			t.Fatalf("%s: %v, want CodeBadToken", op, err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, tok string) {
+		res, err := e.Execute(c, g, []byte(doc))
+		if err != nil || res.Continuation == "" {
+			t.Fatalf("Execute: continuation %q, err %v", res.Continuation, err)
+		}
+		live, err := decodeToken(res.Continuation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := len(res.Rows)
+
+		var p tokenPayload
+		raw, err := base64.URLEncoding.DecodeString(tok)
+		decodes := err == nil && json.Unmarshal(raw, &p) == nil && p.M >= 0 && p.PS >= 0
+		m, err := e.Coordinator(tok)
+		badToken(t, "Coordinator", err)
+		if want := decodes && int(p.M) < machines; (err == nil) != want || (want && m != fabric.MachineID(p.M)) {
+			t.Fatalf("Coordinator(%q) = %v, %v; the token decodes to %+v (%v)", tok, m, err, p, decodes)
+		}
+		_, ferr := e.Fetch(c, tok)
+		badToken(t, "Fetch", ferr)
+		if err == nil {
+			_, ferr = e.Fetch(c.At(m), tok)
+			badToken(t, "Fetch on the token's machine", ferr)
+			badToken(t, "Release", e.Release(c.At(m), tok))
+		}
+
+		if decodes && p.M == live.M && p.ID == live.ID {
+			// The input reached the live cursor: it may have paged or
+			// released it. Either way nothing may stay parked.
+			badToken(t, "Release(live)", e.Release(c, res.Continuation))
+		} else {
+			for res.Continuation != "" {
+				if res, err = e.Fetch(c, res.Continuation); err != nil {
+					t.Fatalf("live cursor after %q: %v", tok, err)
+				}
+				rows += len(res.Rows)
+			}
+			if rows != rangeItems {
+				t.Fatalf("live cursor paged %d rows after %q, want %d", rows, tok, rangeItems)
+			}
+		}
+		for m := 0; m < machines; m++ {
+			if n := e.PendingResults(fabric.MachineID(m)); n != 0 {
+				t.Fatalf("PendingResults(m%d) = %d after %q", m, n, tok)
+			}
+		}
+	})
 }

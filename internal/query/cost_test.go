@@ -33,22 +33,24 @@ func newSkewEnv(t *testing.T) (*Engine, *Engine, *core.Graph, *fabric.Ctx) {
 	fab := fabric.New(fabric.DefaultConfig(6, fabric.Direct), nil)
 	f := farm.Open(fab, farm.Config{RegionSize: 16 << 20})
 	c := fab.NewCtx(0, nil)
-	s, err := core.Open(c, f, core.DefaultConfig())
+	s, g, err := loadSkew(c, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateTenant(c, "t"); err != nil {
-		t.Fatal(err)
+	structural := NewEngine(s, DefaultConfig())
+	structural.noStats = true
+	return NewEngine(s, DefaultConfig()), structural, g, c
+}
+
+// loadSkew loads newSkewEnv's products into a fresh store on f. It fails
+// by error, not t.Fatal, so a Sim process can load it too.
+func loadSkew(c *fabric.Ctx, f *farm.Farm) (*core.Store, *core.Graph, error) {
+	s, g, err := openTestGraph(c, f)
+	if err == nil {
+		err = g.CreateVertexType(c, "product", skewSchema, "id", "category", "score")
 	}
-	if err := s.CreateGraph(c, "t", "g"); err != nil {
-		t.Fatal(err)
-	}
-	g, err := s.OpenGraph(c, "t", "g")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.CreateVertexType(c, "product", skewSchema, "id", "category", "score"); err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	err = farm.RunTransaction(c, f, func(tx *farm.Tx) error {
 		for i := 0; i < skewItems; i++ {
@@ -67,12 +69,23 @@ func newSkewEnv(t *testing.T) (*Engine, *Engine, *core.Graph, *fabric.Ctx) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	return s, g, err
+}
+
+// openTestGraph opens a store on f with tenant "t" and graph "g".
+func openTestGraph(c *fabric.Ctx, f *farm.Farm) (*core.Store, *core.Graph, error) {
+	s, err := core.Open(c, f, core.DefaultConfig())
+	if err == nil {
+		err = s.CreateTenant(c, "t")
 	}
-	structural := NewEngine(s, DefaultConfig())
-	structural.noStats = true
-	return NewEngine(s, DefaultConfig()), structural, g, c
+	if err == nil {
+		err = s.CreateGraph(c, "t", "g")
+	}
+	var g *core.Graph
+	if err == nil {
+		g, err = s.OpenGraph(c, "t", "g")
+	}
+	return s, g, err
 }
 
 func TestCostBasedAccessPathOnSkew(t *testing.T) {

@@ -252,7 +252,7 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 // the compiled plan with this execution's patterns), open the root access
 // path, drive the levels, and cut the first page. The caller has pinned ts;
 // unpin runs when the query returns, unless a page source that reads on
-// after the return (the `_recurse` pager) has taken the pin over.
+// after the return (a `_recurse` expansion) has taken the pin over.
 func (e *Engine) runAt(c *fabric.Ctx, g *core.Graph, q *Query, ts uint64, unpin func()) (*Result, error) {
 	var ops fabric.OpStats
 	qc := c.WithStats(&ops)
@@ -314,13 +314,8 @@ func (e *Engine) runAt(c *fabric.Ctx, g *core.Graph, q *Query, ts uint64, unpin 
 		}
 	}
 
-	res := &Result{}
-	src, err := st.shape(qc, out, tp, res)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = st.stats
-	if src != nil {
+	res := &Result{Stats: st.stats}
+	if src := st.shape(out, tp, res); src != nil {
 		pageSize := e.cfg.PageSize
 		if q.Hints.PageSize > 0 {
 			pageSize = q.Hints.PageSize
@@ -423,16 +418,16 @@ func (st *execState) runLevel(qc *fabric.Ctx, batches []ownerBatch, n, level int
 		}
 	}
 	// Streaming grouped terminal: workers reduce and sort their group
-	// partials into per-machine runs; the cursor k-way merges them in key
+	// partials into per-machine runs; a cursor k-way merges them in key
 	// order as the result pages out, so the full group set is never
 	// resident at the coordinator.
 	if lp.Terminal && lp.Group != nil {
-		cur, err := st.execGroupedLevel(qc, batches, pat, lp)
+		src, err := st.execGroupedLevel(qc, batches, pat, lp)
 		if err != nil {
 			return nil, err
 		}
 		st.stats.Hops++
-		return &levelOutput{cursor: cur}, nil
+		return &levelOutput{page: src}, nil
 	}
 	out, err := st.execLevel(qc, batches, pat, lp)
 	if err != nil {
@@ -445,14 +440,12 @@ func (st *execState) runLevel(qc *fabric.Ctx, batches []ownerBatch, n, level int
 // shape turns the levels' product into the Result's scalar parts (count,
 // aggregates) and the source its rows or groups page out of — nil when the
 // terminal is aggregate-only.
-func (st *execState) shape(qc *fabric.Ctx, out *levelOutput, tp *VertexPattern, res *Result) (pageSource, error) {
+func (st *execState) shape(out *levelOutput, tp *VertexPattern, res *Result) pageSource {
 	switch {
-	case out.pager != nil:
-		return out.pager, nil
-	case out.cursor != nil:
-		return st.streamGroups(qc, out.cursor, tp)
+	case out.page != nil:
+		return out.page
 	case len(tp.GroupBy) > 0:
-		return groupPages(nil), nil // the frontier died out above the grouped terminal
+		return newPager[GroupRow](nil, nil, tp, groupsOf) // the frontier died out above the grouped terminal
 	}
 	if len(tp.Aggs) > 0 {
 		aggs := out.aggs
@@ -471,13 +464,13 @@ func (st *execState) shape(qc *fabric.Ctx, out *levelOutput, tp *VertexPattern, 
 		}
 		// Rows are materialized unless the terminal is aggregate-only.
 		if len(tp.Selects) == 0 {
-			return nil, nil
+			return nil
 		}
 	}
 	if len(tp.Orders) > 0 && !st.preOrdered {
 		sortRows(out.rows, tp.Orders)
 	}
-	return rowPages(cut(out.rows, tp.Skip, tp.Limit)), nil
+	return newPager(out.rows, nil, tp, rowsOf)
 }
 
 // execState carries one query's execution through its hops.
@@ -694,9 +687,9 @@ type levelOutput struct {
 
 	accepted int // `_recurse`: candidates that survived the owners' visited filters
 
-	// A terminal level may leave a live producer instead of rows.
-	cursor *groupCursor  // streamed groups: the k-way merge over the owners' runs
-	pager  *recursePager // unshaped `_recurse`: the expansion, seeded, not yet stepped
+	// A terminal level may leave a live producer instead of rows: the
+	// pager over streamed groups or an unshaped `_recurse` expansion.
+	page pageSource
 
 	mu sync.Mutex // absorb: replies merge concurrently
 }
@@ -779,7 +772,7 @@ func (g *groupState) wireBytes(enc string) int {
 
 // wire sizes one batch's reply: fat pointers for the next frontier,
 // Bond-encoded projected rows, and aggregate partials. Group partials never
-// ship in a levelOutput: they leave the owner as a run (runSource).
+// ship in a levelOutput: they leave the owner as a run (workerRun).
 func (o *levelOutput) wire() wireSize {
 	n := 0
 	if o.next != nil {

@@ -77,102 +77,6 @@ func (e *Engine) pullRun(c *fabric.Ctx, id uint64) (chunk []groupEntry, more boo
 	return run, false, nil
 }
 
-// finalAggValue converts one merged aggregate state into its result value.
-func finalAggValue(s *aggState, a Aggregate) bond.Value {
-	switch a.Kind {
-	case AggCount:
-		return bond.Int64(s.count)
-	case AggSum:
-		if s.fracSum {
-			return bond.Double(s.sum)
-		}
-		return bond.Int64(s.isum)
-	case AggAvg:
-		if s.count == 0 {
-			return bond.Null
-		}
-		return bond.Double(s.sum / float64(s.count))
-	case AggMin, AggMax:
-		if !s.seenMM {
-			return bond.Null
-		}
-		return s.mm
-	}
-	return bond.Null
-}
-
-// evalHavingState tests a fully merged group state against the `_having`
-// conjunction. A null aggregate (empty _min/_max, _avg over no values)
-// fails every comparison.
-func evalHavingState(gs *groupState, having []HavingPred, aggs []Aggregate) bool {
-	for _, hp := range having {
-		v := finalAggValue(&gs.aggs[hp.AggIdx], aggs[hp.AggIdx])
-		if v.IsNull() || !evalValue(v, hp.Op, &hp.Value) {
-			return false
-		}
-	}
-	return true
-}
-
-// havingProvesFail reports whether a *local* partial state already proves
-// the group fails a `_having` predicate globally, no matter what other
-// machines contribute. Only merge-monotone aggregates admit proofs:
-// _count(*) and _max only grow under merge, so a local value at or past an
-// upper bound is final; _min only shrinks, so a local value at or below a
-// lower bound is final. Sums and averages prove nothing (values may be
-// negative; averages move both ways).
-func havingProvesFail(gs *groupState, having []HavingPred, aggs []Aggregate) bool {
-	for _, hp := range having {
-		a := aggs[hp.AggIdx]
-		s := &gs.aggs[hp.AggIdx]
-		var v bond.Value
-		var grows bool // true: global >= local; false: global <= local
-		switch a.Kind {
-		case AggCount:
-			v, grows = bond.Int64(s.count), true
-		case AggMax:
-			if !s.seenMM {
-				continue
-			}
-			v, grows = s.mm, true
-		case AggMin:
-			if !s.seenMM {
-				continue
-			}
-			v, grows = s.mm, false
-		default:
-			continue
-		}
-		cmp, ok := compareValues(v, hp.Value)
-		if !ok {
-			continue
-		}
-		switch hp.Op {
-		case OpLt:
-			if grows && cmp >= 0 {
-				return true
-			}
-		case OpLe:
-			if grows && cmp > 0 {
-				return true
-			}
-		case OpGt:
-			if !grows && cmp <= 0 {
-				return true
-			}
-		case OpGe:
-			if !grows && cmp < 0 {
-				return true
-			}
-		case OpEq:
-			if (grows && cmp > 0) || (!grows && cmp < 0) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // buildGroupRun serializes a worker batch's group map into a key-sorted run
 // and applies the `_having` pushdown. Emission order must be the encoded
 // keys ascending — the order the coordinator's merge emits groups in — so
@@ -210,19 +114,18 @@ func buildGroupRun(groups map[string]*groupState, pat *VertexPattern, exact bool
 	return entries, filtered
 }
 
-// runSource is the coordinator's view of one machine's sorted run: the
-// buffered chunk plus the run id to pull the rest from (0 = fully
-// delivered).
-type runSource struct {
+// workerRun is one owner's sorted group run as its reply names it: the
+// first chunk, shipped inline, and the id its tail is parked under on
+// machine m (0 = nothing left parked).
+type workerRun struct {
 	m     fabric.MachineID
-	buf   []groupEntry
-	pos   int
-	runID uint64
+	first []groupEntry
+	id    uint64
 }
 
 // wire sizes a shipped run chunk: full (non-tombstone) partial states
 // count as shipped groups, tombstones ship their key alone.
-func (s *runSource) wire() wireSize { return runWire(s.buf) }
+func (r workerRun) wire() wireSize { return runWire(r.first) }
 
 func runWire(entries []groupEntry) wireSize {
 	var w wireSize
@@ -237,77 +140,74 @@ func runWire(entries []groupEntry) wireSize {
 
 // execGroupedLevel runs a grouped terminal level streaming: each owner
 // reduces its scattered batch to group partials and sorts them into a run,
-// and the returned cursor k-way merges the runs lazily — pulling parked run
-// tails chunk by chunk as the result pages out.
-func (st *execState) execGroupedLevel(qc *fabric.Ctx, batches []ownerBatch, pat *VertexPattern, lp *LevelPlan) (*groupCursor, error) {
-	// Sources stay in the frontier's owner order: equal keys merge their
-	// float sums in source order, and results must not depend on batch
+// and the cursor k-way merges the runs lazily. The unordered form pages the
+// cursor directly, pulling parked run tails chunk by chunk as the result
+// pages out; the aggregate-`_orderby` form drains it first (orderGroups).
+func (st *execState) execGroupedLevel(qc *fabric.Ctx, batches []ownerBatch, pat *VertexPattern, lp *LevelPlan) (pageSource, error) {
+	// Runs stay in the frontier's owner order: equal keys merge their
+	// float sums in run order, and results must not depend on batch
 	// timing.
-	srcs := make([]*runSource, len(batches))
+	runs := make([]workerRun, len(batches))
 	err := scatter(st, qc, batches,
-		func(sc *fabric.Ctx, b ownerBatch) (*runSource, error) {
+		func(sc *fabric.Ctx, b ownerBatch) (workerRun, error) {
 			// One machine owns the whole terminal frontier: its partial
 			// states are the final states, so `_having` evaluates exactly at
 			// the worker and the coordinator re-check is redundant.
-			return st.buildGroupSource(sc, b.ptrs, pat, lp, b.n == 1)
+			return st.buildWorkerRun(sc, b.ptrs, pat, lp, b.n == 1)
 		},
-		func(_ *fabric.Ctx, b ownerBatch, src *runSource) error {
-			srcs[b.i] = src
+		func(_ *fabric.Ctx, b ownerBatch, r workerRun) error {
+			runs[b.i] = r
 			return nil
 		})
 	if err != nil {
 		// The cursor that would have drained the parked tails never exists.
-		st.engine.dropRuns(qc, srcs)
+		st.engine.dropRuns(qc, runs)
 		return nil, err
 	}
-	cur := &groupCursor{
-		e:      st.engine,
-		srcs:   srcs,
-		by:     pat.GroupBy,
-		aggs:   pat.Aggs,
-		having: pat.Having,
-		exact:  len(srcs) == 1,
+	cur := newGroupCursor(st.engine, runs, pat)
+	st.stats.PeakGroups = max(st.stats.PeakGroups, cur.merge.resident())
+	if len(pat.Orders) > 0 {
+		return st.orderGroups(qc, cur, pat)
 	}
-	if r := cur.resident(); r > st.stats.PeakGroups {
-		st.stats.PeakGroups = r
-	}
-	return cur, nil
+	p := newPager[GroupRow](nil, cur, pat, groupsOf)
+	p.groups = &cur.merge
+	return p, nil
 }
 
-// dropRuns discards the run tails still parked for srcs: one drop per
+// dropRuns discards the run tails still parked for runs: one drop per
 // machine that holds one, sent in parallel. Best effort: a tail the drop
 // cannot reach lapses by TTL like any other.
-func (e *Engine) dropRuns(c *fabric.Ctx, srcs []*runSource) {
-	var held []*runSource
-	for _, src := range srcs {
-		if src != nil && src.runID != 0 {
-			held = append(held, src)
+func (e *Engine) dropRuns(c *fabric.Ctx, runs []workerRun) {
+	var held []*workerRun
+	for i := range runs {
+		if runs[i].id != 0 {
+			held = append(held, &runs[i])
 		}
 	}
 	c.Parallel(len(held), func(i int, cc *fabric.Ctx) {
-		src := held[i]
-		if src.m == cc.M {
-			e.runs[src.m].claim(src.runID)
+		r := held[i]
+		if r.m == cc.M {
+			e.runs[r.m].claim(r.id)
 			return
 		}
-		_ = cc.RPC(src.m, 32, func(*fabric.Ctx) (int, error) {
-			e.runs[src.m].claim(src.runID)
+		_ = cc.RPC(r.m, 32, func(*fabric.Ctx) (int, error) {
+			e.runs[r.m].claim(r.id)
 			return 0, nil
 		})
 	})
-	for _, src := range held {
-		src.runID = 0
+	for _, r := range held {
+		r.id = 0
 	}
 }
 
-// buildGroupSource is the owner-side half: reduce the batch (runBatch
+// buildWorkerRun is the owner-side half: reduce the batch (runBatch
 // enforces the per-machine working-set cap incrementally), sort the group
 // map into a run, ship the first chunk inline and park the tail in this
 // machine's run store under the continuation TTL.
-func (st *execState) buildGroupSource(sc *fabric.Ctx, batch []core.VertexPtr, pat *VertexPattern, lp *LevelPlan, exact bool) (*runSource, error) {
+func (st *execState) buildWorkerRun(sc *fabric.Ctx, batch []core.VertexPtr, pat *VertexPattern, lp *LevelPlan, exact bool) (workerRun, error) {
 	out, err := st.runBatch(sc, batch, st.opFor(pat, lp))
 	if err != nil {
-		return nil, err
+		return workerRun{}, err
 	}
 	entries, filtered := buildGroupRun(out.groups, pat, exact)
 	if filtered > 0 {
@@ -315,102 +215,57 @@ func (st *execState) buildGroupSource(sc *fabric.Ctx, batch []core.VertexPtr, pa
 		st.stats.GroupsFiltered += int64(filtered)
 		st.mu.Unlock()
 	}
-	e := st.engine
-	src := &runSource{m: sc.M, buf: entries}
-	if len(entries) > e.cfg.GroupChunk {
-		src.buf = entries[:e.cfg.GroupChunk]
-		src.runID = e.parkRun(sc, entries[e.cfg.GroupChunk:])
+	r := workerRun{m: sc.M, first: entries}
+	if n := st.engine.cfg.GroupChunk; len(entries) > n {
+		r.first = entries[:n]
+		r.id = st.engine.parkRun(sc, entries[n:])
 	}
-	return src, nil
+	return r, nil
 }
 
-// groupCursor k-way merges per-machine key-sorted runs into the stream of
-// globally merged groups, ascending by encoded key — byte-identical order
-// to sorting every group's key. Equal keys across machines merge their
-// aggregate states; a tombstone from any machine kills its key.
+// groupCursor coalesces the merge of per-machine key-sorted runs into the
+// stream of globally merged groups, ascending by encoded key —
+// byte-identical order to sorting every group's key. Equal keys across
+// machines merge their aggregate states; a tombstone from any machine
+// kills its key.
 type groupCursor struct {
-	e      *Engine
-	srcs   []*runSource
-	by     []FieldPath
-	aggs   []Aggregate
-	having []HavingPred
-	exact  bool
-	done   bool
+	e     *Engine
+	runs  []workerRun // the merge's inputs, in owner order
+	merge runMerge[groupEntry]
+	pat   *VertexPattern // the grouped terminal
+	exact bool
 }
 
-// fill ensures a source has a buffered head, pulling the next chunk of its
-// parked run when the buffer drains. Remote pulls account their reply bytes
-// and shipped states like any worker RPC.
-func (cur *groupCursor) fill(c *fabric.Ctx, s *runSource, stats *Stats) error {
-	if s.pos < len(s.buf) || s.runID == 0 {
-		return nil
+func newGroupCursor(e *Engine, runs []workerRun, pat *VertexPattern) *groupCursor {
+	cur := &groupCursor{e: e, runs: runs, pat: pat, exact: len(runs) == 1}
+	cur.merge = runMerge[groupEntry]{
+		runs: make([]sortedRun[groupEntry], len(runs)),
+		less: func(a, b *groupEntry) bool { return a.enc < b.enc },
 	}
-	e := cur.e
-	var entries []groupEntry
-	var more bool
-	var err error
-	if s.m == c.M {
-		entries, more, err = e.pullRun(c, s.runID)
-	} else {
-		err = c.RPC(s.m, 32, func(sc *fabric.Ctx) (int, error) {
-			var perr error
-			entries, more, perr = e.pullRun(sc, s.runID)
-			return runWire(entries).bytes, perr
-		})
-		if err == nil {
-			w := runWire(entries)
-			stats.GroupsShipped += int64(w.groups)
-			stats.BytesShipped += int64(w.bytes)
-		}
+	for i, r := range runs {
+		cur.merge.runs[i] = sortedRun[groupEntry]{buf: r.first, more: r.id != 0}
 	}
-	if err != nil {
-		return err
-	}
-	s.buf, s.pos = entries, 0
-	if !more {
-		s.runID = 0
-	}
-	if r := cur.resident(); r > stats.PeakGroups {
-		stats.PeakGroups = r
-	}
-	return nil
+	return cur
 }
 
-// resident counts the group entries currently buffered at the coordinator.
-func (cur *groupCursor) resident() int64 {
-	var n int64
-	for _, s := range cur.srcs {
-		n += int64(len(s.buf) - s.pos)
-	}
-	return n
-}
-
-// next returns the next merged group in encoded-key order, or ok=false when
-// the runs are exhausted.
-func (cur *groupCursor) next(c *fabric.Ctx, stats *Stats) (string, *groupState, bool, error) {
-	srcs := cur.srcs
-	for !cur.done {
-		for _, s := range srcs {
-			if err := cur.fill(c, s, stats); err != nil {
-				return "", nil, false, err
-			}
+// merged returns the next merged group in encoded-key order, or ok=false
+// when the runs are exhausted.
+func (cur *groupCursor) merged(c *fabric.Ctx, stats *Stats) (string, *groupState, bool, error) {
+	for {
+		best, err := cur.merge.head(c, stats, cur)
+		if err != nil || best < 0 {
+			return "", nil, false, err
 		}
-		best := leastHead(len(srcs),
-			func(i int) bool { return srcs[i].pos < len(srcs[i].buf) },
-			func(i, j int) bool { return srcs[i].buf[srcs[i].pos].enc < srcs[j].buf[srcs[j].pos].enc })
-		if best < 0 {
-			cur.done = true
-			break
-		}
-		enc := srcs[best].buf[srcs[best].pos].enc
+		// best is the first run holding the least key: the runs after it
+		// that hold the key too pop in owner order.
+		enc := cur.merge.peek(best).enc
 		var merged *groupState
 		dead := false
-		for _, s := range srcs {
-			if s.pos >= len(s.buf) || s.buf[s.pos].enc != enc {
+		for i := best; i < len(cur.merge.runs); i++ {
+			if ge := cur.merge.peek(i); ge == nil || ge.enc != enc {
 				continue
 			}
-			ge := s.buf[s.pos]
-			s.pos++
+			ge := cur.merge.pop(i)
 			c.Work(cur.e.cfg.CostMerge)
 			switch {
 			case ge.gs == nil:
@@ -418,137 +273,75 @@ func (cur *groupCursor) next(c *fabric.Ctx, stats *Stats) (string, *groupState, 
 			case merged == nil:
 				merged = ge.gs
 			default:
-				mergeAggStates(merged.aggs, ge.gs.aggs, cur.aggs)
+				mergeAggStates(merged.aggs, ge.gs.aggs, cur.pat.Aggs)
 			}
 		}
 		if dead || merged == nil {
 			continue
 		}
-		if len(cur.having) > 0 && !cur.exact && !evalHavingState(merged, cur.having, cur.aggs) {
+		if len(cur.pat.Having) > 0 && !cur.exact && !evalHavingState(merged, cur.pat.Having, cur.pat.Aggs) {
 			stats.GroupsFiltered++
 			continue
 		}
 		return enc, merged, true, nil
 	}
-	return "", nil, false, nil
 }
 
-// groupStream is a source of finalized groups the pager pages out: the live
-// run merge (unordered `_groupby`) or the spill merge (order-by-aggregate
-// past the working-set cap).
-type groupStream interface {
-	nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error)
-	resident() int64
-	close(c *fabric.Ctx)
-}
-
-func (cur *groupCursor) nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error) {
-	_, gs, ok, err := cur.next(c, stats)
+func (cur *groupCursor) next(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error) {
+	_, gs, ok, err := cur.merged(c, stats)
 	if err != nil || !ok {
 		return GroupRow{}, false, err
 	}
-	return groupRowOf(gs, cur.by, cur.aggs), true, nil
+	return groupRowOf(gs, cur.pat.GroupBy, cur.pat.Aggs), true, nil
+}
+
+// pull fetches the next chunk of owner i's parked run tail, locally or by
+// RPC. Remote pulls account their reply bytes and shipped states like any
+// worker RPC.
+func (cur *groupCursor) pull(c *fabric.Ctx, stats *Stats, i int) ([]groupEntry, bool, error) {
+	r, e := &cur.runs[i], cur.e
+	var chunk []groupEntry
+	var more bool
+	var err error
+	if r.m == c.M {
+		chunk, more, err = e.pullRun(c, r.id)
+	} else {
+		err = c.RPC(r.m, 32, func(sc *fabric.Ctx) (int, error) {
+			var perr error
+			chunk, more, perr = e.pullRun(sc, r.id)
+			return runWire(chunk).bytes, perr
+		})
+		if err == nil {
+			w := runWire(chunk)
+			stats.GroupsShipped += int64(w.groups)
+			stats.BytesShipped += int64(w.bytes)
+		}
+	}
+	if err == nil && !more {
+		r.id = 0
+	}
+	return chunk, more, err
 }
 
 // close drops the run tails the merge never drained — a `_limit` cut,
-// Release, expiry. With no fabric context (the coordinator itself is gone,
-// DropResultsOn) nothing can be sent and the tails lapse by TTL, since a
-// worker cannot rely on a crashed coordinator to release them.
+// Release, expiry, a failed pull. With no fabric context (the coordinator
+// itself is gone, DropResultsOn) nothing can be sent and the tails lapse
+// by TTL, since a worker cannot rely on a crashed coordinator to release
+// them.
 func (cur *groupCursor) close(c *fabric.Ctx) {
 	if c != nil {
-		cur.e.dropRuns(c, cur.srcs)
+		cur.e.dropRuns(c, cur.runs)
 	}
 }
-
-// pager applies the terminal _skip/_limit to a group stream and cuts it
-// into continuation pages. It holds a one-row lookahead so a page knows
-// whether a continuation must be issued without an empty final page.
-type pager struct {
-	stream  groupStream
-	skip    int
-	limit   int // remaining _limit; -1 = unbounded
-	pending *GroupRow
-	done    bool
-}
-
-func newPager(stream groupStream, tp *VertexPattern) *pager {
-	pg := &pager{stream: stream, skip: tp.Skip, limit: -1}
-	if tp.Limit > 0 {
-		pg.limit = tp.Limit
-	}
-	return pg
-}
-
-func (p *pager) pull(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error) {
-	if p.pending != nil {
-		gr := *p.pending
-		p.pending = nil
-		return gr, true, nil
-	}
-	if p.done || p.limit == 0 {
-		p.done = true
-		return GroupRow{}, false, nil
-	}
-	for {
-		gr, ok, err := p.stream.nextRow(c, stats)
-		if err != nil {
-			return GroupRow{}, false, err
-		}
-		if !ok {
-			p.done = true
-			return GroupRow{}, false, nil
-		}
-		if p.skip > 0 {
-			p.skip--
-			continue
-		}
-		if p.limit > 0 {
-			p.limit--
-		}
-		return gr, true, nil
-	}
-}
-
-// nextPage emits up to n groups and reports whether more remain.
-func (p *pager) nextPage(c *fabric.Ctx, n int, res *Result) (bool, error) {
-	stats := &res.Stats
-	var out []GroupRow
-	for len(out) < n {
-		gr, ok, err := p.pull(c, stats)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, gr)
-	}
-	res.Groups = out
-	if r := int64(len(out)) + p.stream.resident(); r > stats.PeakGroups {
-		stats.PeakGroups = r
-	}
-	if p.done {
-		return false, nil
-	}
-	// Look one group ahead so an exactly-full page with nothing behind it
-	// ends the stream instead of issuing a dead continuation.
-	gr, ok, err := p.pull(c, stats)
-	if err != nil || !ok {
-		return false, err
-	}
-	p.pending = &gr
-	return true, nil
-}
-
-func (p *pager) close(c *fabric.Ctx) { p.stream.close(c) }
 
 // Order-by-aggregate spill: the top-K-groups form needs every group before
 // any aggregate order is final. The coordinator drains the run merge into a
 // buffer; past MaxWorkingSet buffered groups the buffer is sorted by the
 // aggregate orders (encoded key ascending as the tie-break, as in the
 // in-memory path) and written to the engine's objectstore as one run, keyed
-// by big-endian sequence number so sorted-order reads are sequence reads. The runs merge back lazily with
-// a Go comparator — byte order of the stored rows is never relied on.
+// by big-endian sequence number so sorted-order reads are sequence reads.
+// The runs merge back lazily with a Go comparator — byte order of the
+// stored rows is never relied on.
 
 // spillRow is one finalized group with the encoded key that breaks
 // aggregate-order ties.
@@ -557,34 +350,30 @@ type spillRow struct {
 	gr  GroupRow
 }
 
-// spillRowLess orders finalized groups by the aggregate `_orderby` keys,
+// spillOrder orders finalized groups by tp's aggregate `_orderby` keys,
 // nulls last, with the encoded group key as the final tie-break — the
 // order of the order-by-aggregate form, spilled or not.
-func spillRowLess(a, b *spillRow, orders []OrderBy, aggIdx []int, aggs []Aggregate) bool {
-	for k, ob := range orders {
-		col := aggs[aggIdx[k]].Raw
-		av, bv := a.gr.Aggregates[col], b.gr.Aggregates[col]
-		an, bn := av.IsNull(), bv.IsNull()
-		if an != bn {
-			return bn
-		}
-		if an {
-			continue
-		}
-		if cmp, ok := compareValues(av, bv); ok && cmp != 0 {
-			if ob.Desc {
-				return cmp > 0
+func spillOrder(tp *VertexPattern) func(a, b *spillRow) bool {
+	return func(a, b *spillRow) bool {
+		for k, ob := range tp.Orders {
+			col := tp.Aggs[tp.GroupOrder[k]].Raw
+			av, bv := a.gr.Aggregates[col], b.gr.Aggregates[col]
+			an, bn := av.IsNull(), bv.IsNull()
+			if an != bn {
+				return bn
 			}
-			return cmp < 0
+			if an {
+				continue
+			}
+			if cmp, ok := compareValues(av, bv); ok && cmp != 0 {
+				if ob.Desc {
+					return cmp > 0
+				}
+				return cmp < 0
+			}
 		}
+		return a.enc < b.enc
 	}
-	return a.enc < b.enc
-}
-
-func sortSpillRows(rows []spillRow, tp *VertexPattern) {
-	sort.Slice(rows, func(i, j int) bool {
-		return spillRowLess(&rows[i], &rows[j], tp.Orders, tp.GroupOrder, tp.Aggs)
-	})
 }
 
 // marshal encodes one spilled group: [enc, key values..., aggregate
@@ -631,194 +420,125 @@ func spillSeqKey(i int) []byte {
 }
 
 // writeSpillRun persists one sorted buffer as an objectstore run table.
-func (e *Engine) writeSpillRun(rows []spillRow, tp *VertexPattern) (string, error) {
+func (e *Engine) writeSpillRun(rows []spillRow, tp *VertexPattern) (*objectstore.Table, error) {
 	name := fmt.Sprintf("a1ql-spill-%d", e.spillSeq.Add(1))
 	t := e.spill.CreateTable(name, objectstore.BestEffort)
 	for i := range rows {
 		if err := t.UpsertIfNewer(spillSeqKey(i), rows[i].marshal(tp.GroupBy, tp.Aggs), 1); err != nil {
 			e.spill.DropTable(name)
-			return "", err
+			return nil, err
 		}
 	}
-	return name, nil
+	return t, nil
 }
 
-// collectOrderedGroups drains the run merge for the order-by-aggregate
-// form. Groups buffer in memory up to MaxWorkingSet; overflow sorts and
-// spills the buffer as a run. The final partial buffer is sorted too: with
-// no overflow it comes back as the whole result, otherwise it rides as the
-// in-memory run of the returned spill merge.
-func (st *execState) collectOrderedGroups(qc *fabric.Ctx, cur *groupCursor, tp *VertexPattern) ([]spillRow, *spillMerge, error) {
+// orderGroups drains the run merge for the order-by-aggregate form and
+// returns the pager of its ordered groups. Groups buffer in memory up to
+// MaxWorkingSet; overflow sorts and spills the buffer as a run. The final
+// partial buffer is sorted too: with no overflow it pages from memory as
+// the whole result, otherwise it rides as the in-memory run of a spill
+// merge that pages the runs back lazily behind the continuation.
+func (st *execState) orderGroups(qc *fabric.Ctx, cur *groupCursor, tp *VertexPattern) (_ pageSource, err error) {
 	e := st.engine
-	var buf []spillRow
-	var tables []string
-	drop := func() {
-		for _, name := range tables {
-			e.spill.DropTable(name)
-		}
-	}
-	for {
-		enc, gs, ok, err := cur.next(qc, &st.stats)
+	sm := &spillMerge{e: e, tp: tp, merge: runMerge[spillRow]{less: spillOrder(tp)}}
+	defer func() {
 		if err != nil {
-			drop()
-			return nil, nil, err
+			sm.close(qc)
+			cur.close(qc)
+		}
+	}()
+	var buf []spillRow
+	sortBuf := func() { sort.Slice(buf, func(i, j int) bool { return sm.merge.less(&buf[i], &buf[j]) }) }
+	for {
+		enc, gs, ok, err := cur.merged(qc, &st.stats)
+		if err != nil {
+			return nil, err
 		}
 		if !ok {
 			break
 		}
 		buf = append(buf, spillRow{enc: enc, gr: groupRowOf(gs, tp.GroupBy, tp.Aggs)})
 		if len(buf) >= e.cfg.MaxWorkingSet {
-			sortSpillRows(buf, tp)
-			name, err := e.writeSpillRun(buf, tp)
+			sortBuf()
+			t, err := e.writeSpillRun(buf, tp)
 			if err != nil {
-				drop()
-				return nil, nil, err
+				return nil, err
 			}
-			tables = append(tables, name)
+			sm.tables = append(sm.tables, spillTable{t: t})
+			sm.merge.runs = append(sm.merge.runs, sortedRun[spillRow]{more: true})
 			st.stats.GroupSpills++
-			if int64(len(buf)) > st.stats.PeakGroups {
-				st.stats.PeakGroups = int64(len(buf))
-			}
+			st.stats.PeakGroups = max(st.stats.PeakGroups, int64(len(buf)))
 			buf = buf[:0]
 		}
 	}
-	sortSpillRows(buf, tp)
-	if len(tables) == 0 {
-		if int64(len(buf)) > st.stats.PeakGroups {
-			st.stats.PeakGroups = int64(len(buf))
+	sortBuf()
+	if len(sm.tables) == 0 {
+		st.stats.PeakGroups = max(st.stats.PeakGroups, int64(len(buf)))
+		grows := make([]GroupRow, len(buf))
+		for i := range buf {
+			grows[i] = buf[i].gr
 		}
-		return buf, nil, nil
+		return newPager(grows, nil, tp, groupsOf), nil
 	}
-	sm := &spillMerge{
-		e:      e,
-		tables: tables,
-		orders: tp.Orders,
-		aggIdx: tp.GroupOrder,
-		aggs:   tp.Aggs,
-		by:     tp.GroupBy,
-	}
-	for _, name := range tables {
-		t, err := e.spill.Table(name)
-		if err != nil {
-			drop()
-			return nil, nil, err
-		}
-		sm.srcs = append(sm.srcs, &spillSource{table: t, n: t.Len()})
-	}
-	sm.srcs = append(sm.srcs, &spillSource{buf: buf})
-	return nil, sm, nil
+	sm.merge.runs = append(sm.merge.runs, sortedRun[spillRow]{buf: buf})
+	p := newPager[GroupRow](nil, sm, tp, groupsOf)
+	p.groups = &sm.merge
+	return p, nil
 }
 
-// spillSource reads one spilled run back in chunks of sequence keys. The
-// in-memory tail run is a source with nothing left to read (n = 0) and its
-// rows already buffered.
-type spillSource struct {
-	table *objectstore.Table
-	n     int // total rows in the run's table
-	next  int // next sequence number to read
-	buf   []spillRow
-	pos   int
-}
-
-// spillMerge k-way merges spilled runs plus the in-memory tail run into the
+// spillMerge merges the spilled runs plus the in-memory tail run into the
 // globally ordered group stream, decoding one chunk per run at a time.
 type spillMerge struct {
 	e      *Engine
-	tables []string
-	srcs   []*spillSource
-	orders []OrderBy
-	aggIdx []int
-	aggs   []Aggregate
-	by     []FieldPath
+	tp     *VertexPattern
+	tables []spillTable // the spilled runs, in spill order; the tail run follows them
+	merge  runMerge[spillRow]
 }
 
-func (sm *spillMerge) fill(s *spillSource) error {
-	if s.pos < len(s.buf) || s.next >= s.n {
-		return nil
-	}
-	end := s.next + sm.e.cfg.GroupChunk
-	if end > s.n {
-		end = s.n
-	}
-	s.buf = s.buf[:0]
-	for i := s.next; i < end; i++ {
-		row, ok, err := s.table.Get(spillSeqKey(i))
+// spillTable is one spilled run and how far it has been read back.
+type spillTable struct {
+	t    *objectstore.Table
+	next int
+	buf  []spillRow // the chunk last read, decoded: reused by the next
+}
+
+// pull reads spilled run i's next GroupChunk rows back in sequence order.
+func (sm *spillMerge) pull(_ *fabric.Ctx, _ *Stats, i int) ([]spillRow, bool, error) {
+	r := &sm.tables[i]
+	n := r.t.Len()
+	end := min(r.next+sm.e.cfg.GroupChunk, n)
+	r.buf = r.buf[:0]
+	for ; r.next < end; r.next++ {
+		row, ok, err := r.t.Get(spillSeqKey(r.next))
 		if err != nil {
-			return err
+			return nil, false, err
 		}
 		if !ok {
-			return fmt.Errorf("a1ql: spill run missing row %d", i)
+			return nil, false, fmt.Errorf("a1ql: spill run missing row %d", r.next)
 		}
-		sr, err := unmarshalSpillRow(row.Value, sm.by, sm.aggs)
+		sr, err := unmarshalSpillRow(row.Value, sm.tp.GroupBy, sm.tp.Aggs)
 		if err != nil {
-			return err
+			return nil, false, err
 		}
-		s.buf = append(s.buf, sr)
+		r.buf = append(r.buf, sr)
 	}
-	s.next = end
-	s.pos = 0
-	return nil
+	return r.buf, r.next < n, nil
 }
 
-func (sm *spillMerge) nextRow(c *fabric.Ctx, _ *Stats) (GroupRow, bool, error) {
-	srcs := sm.srcs
-	for _, s := range srcs {
-		if err := sm.fill(s); err != nil {
-			return GroupRow{}, false, err
-		}
-	}
-	best := leastHead(len(srcs),
-		func(i int) bool { return srcs[i].pos < len(srcs[i].buf) },
-		func(i, j int) bool {
-			return spillRowLess(&srcs[i].buf[srcs[i].pos], &srcs[j].buf[srcs[j].pos], sm.orders, sm.aggIdx, sm.aggs)
-		})
-	if best < 0 {
-		return GroupRow{}, false, nil
+func (sm *spillMerge) next(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error) {
+	best, err := sm.merge.head(c, stats, sm)
+	if err != nil || best < 0 {
+		return GroupRow{}, false, err
 	}
 	c.Work(sm.e.cfg.CostMerge)
-	s := srcs[best]
-	s.pos++
-	return s.buf[s.pos-1].gr, true, nil
-}
-
-func (sm *spillMerge) resident() int64 {
-	var n int64
-	for _, s := range sm.srcs {
-		n += int64(len(s.buf) - s.pos)
-	}
-	return n
+	return sm.merge.pop(best).gr, true, nil
 }
 
 // close drops the spilled run tables — on stream exhaustion, Release,
-// expiry, or coordinator crash.
+// expiry, coordinator crash, or a failure while collecting.
 func (sm *spillMerge) close(*fabric.Ctx) {
-	for _, name := range sm.tables {
-		sm.e.spill.DropTable(name)
+	for _, r := range sm.tables {
+		sm.e.spill.DropTable(r.t.Name())
 	}
 	sm.tables = nil
-}
-
-// streamGroups turns the run-merge cursor of a streamed grouped result into
-// the source its pages come from. The unordered form pages the merge cursor
-// directly — later pages pull more of the runs. The aggregate-`_orderby`
-// form drains the cursor first (spilling sorted runs past MaxWorkingSet):
-// with no spill the sorted buffer pages from memory; with spill the runs
-// merge back lazily behind the continuation.
-func (st *execState) streamGroups(qc *fabric.Ctx, cur *groupCursor, tp *VertexPattern) (pageSource, error) {
-	if len(tp.Orders) == 0 {
-		return newPager(cur, tp), nil
-	}
-	mem, sm, err := st.collectOrderedGroups(qc, cur, tp)
-	if err != nil {
-		cur.close(qc)
-		return nil, err
-	}
-	if sm != nil {
-		return newPager(sm, tp), nil
-	}
-	grows := make([]GroupRow, len(mem))
-	for i := range mem {
-		grows[i] = mem[i].gr
-	}
-	return groupPages(cut(grows, tp.Skip, tp.Limit)), nil
 }

@@ -135,7 +135,10 @@ func groupOracle(t *testing.T, g *core.Graph, c *fabric.Ctx, doc string) []Group
 		}
 		return out[i].enc < out[j].enc
 	})
-	out = cut(out, tp.Skip, tp.Limit)
+	out = out[min(tp.Skip, len(out)):]
+	if tp.Limit > 0 && len(out) > tp.Limit {
+		out = out[:tp.Limit]
+	}
 	rows := make([]GroupRow, len(out))
 	for i, gr := range out {
 		rows[i] = GroupRow{Keys: map[string]bond.Value{}, Aggregates: map[string]bond.Value{}}
@@ -332,7 +335,7 @@ func TestHavingExplain(t *testing.T) {
 // tails a crashed or slow coordinator never pulls must die by TTL, and a
 // pull after expiry is a restartable ErrBadToken.
 func TestGroupRunStoreExpiry(t *testing.T) {
-	e, _, _, c := newSkewEnv(t)
+	e, _, g, c := newSkewEnv(t)
 	e.cfg.ResultTTL = 20 * time.Millisecond
 	e.cfg.GroupChunk = 1
 	gs := &groupState{}
@@ -362,6 +365,76 @@ func TestGroupRunStoreExpiry(t *testing.T) {
 	}
 	if n := e.PendingRuns(c.M); n != 0 {
 		t.Fatalf("PendingRuns after drain = %d, want 0", n)
+	}
+
+	// A tail that lapses while its query pages fails the page that pulls
+	// it with a restartable CodeBadToken, and the failed page closes the
+	// merge: every other owner's tail is dropped at once, not left to its
+	// TTL.
+	res, err := e.Execute(c, g, []byte(`{"_hints": {"page_size": 10}, "_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`))
+	if err != nil || res.Continuation == "" {
+		t.Fatalf("Execute: continuation %q, err %v", res.Continuation, err)
+	}
+	machines := e.store.Farm().Fabric().Machines()
+	lapsed := -1
+	for m := machines - 1; m > 0 && lapsed < 0; m-- {
+		if e.PendingRuns(fabric.MachineID(m)) > 0 {
+			lapsed = m
+		}
+	}
+	if lapsed < 0 {
+		t.Fatal("no remote machine parked a run tail")
+	}
+	e.runs[lapsed].drain()
+	for err == nil && res.Continuation != "" {
+		res, err = e.Fetch(c, res.Continuation)
+	}
+	var qe *Error
+	if !errors.As(err, &qe) || qe.Code != CodeBadToken {
+		t.Fatalf("paging past m%d's lapsed tail: err %v, want CodeBadToken", lapsed, err)
+	}
+	for m := 0; m < machines; m++ {
+		if n := e.PendingRuns(fabric.MachineID(m)); n != 0 {
+			t.Errorf("PendingRuns(m%d) after the failed page = %d, want 0", m, n)
+		}
+		if n := e.PendingResults(fabric.MachineID(m)); n != 0 {
+			t.Errorf("PendingResults(m%d) after the failed page = %d, want 0", m, n)
+		}
+	}
+}
+
+// TestGroupMergeOwnerOrder: equal keys from several runs pop in run
+// (owner) order, so float `_sum` partials fold in one fixed order whatever
+// order the owners' replies arrived in.
+func TestGroupMergeOwnerOrder(t *testing.T) {
+	e, _, _, c := newSkewEnv(t)
+	pat := &VertexPattern{Aggs: []Aggregate{{Kind: AggSum, Raw: "_sum(x)"}}}
+	partial := func(x float64) *groupState {
+		return &groupState{aggs: []aggState{{count: 1, sum: x, fracSum: true}}}
+	}
+	// Folded in owner order the sum is (1e16 + -1e16) + 1 = 1; any order
+	// that takes the 1 before either large partial rounds it away to 0.
+	var runs []workerRun
+	for _, x := range []float64{1e16, -1e16, 1} {
+		runs = append(runs, workerRun{first: []groupEntry{{enc: "a", gs: partial(x)}, {enc: "b", gs: partial(x)}}})
+	}
+	cur := newGroupCursor(e, runs, pat)
+	for i := range cur.merge.runs {
+		if best, err := cur.merge.head(c, &Stats{}, cur); err != nil || best != i {
+			t.Fatalf("head = %d, %v; want run %d, the first of the equal heads left", best, err, i)
+		}
+		cur.merge.pop(i)
+	}
+	var stats Stats
+	enc, gs, ok, err := cur.merged(c, &stats)
+	if err != nil || !ok || enc != "b" {
+		t.Fatalf("merged = %q, %v, %v; want group b", enc, ok, err)
+	}
+	if got := finalAggValue(&gs.aggs[0], pat.Aggs[0]).AsFloat(); got != 1 {
+		t.Fatalf("_sum over equal heads = %v, want 1 (the owner-order fold)", got)
+	}
+	if _, _, ok, _ := cur.merged(c, &stats); ok {
+		t.Fatal("merge yields a group past the last key")
 	}
 }
 

@@ -27,7 +27,7 @@ var itemSchema = bond.MustSchema("item",
 	bond.F(4, "bulk", bond.TInt64),
 )
 
-func newRangeEnv(t *testing.T) (*Engine, *core.Graph, *fabric.Ctx) {
+func newRangeEnv(t testing.TB) (*Engine, *core.Graph, *fabric.Ctx) {
 	t.Helper()
 	fab := fabric.New(fabric.DefaultConfig(6, fabric.Direct), nil)
 	f := farm.Open(fab, farm.Config{RegionSize: 16 << 20})

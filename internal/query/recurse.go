@@ -28,7 +28,7 @@ import (
 // expansion walks through non-matching vertices.
 
 // recurseRun carries one expansion across its iterations. It survives a
-// run() return inside a recursePager when the result pages out
+// run() return inside a recurseRows when the result pages out
 // mid-expansion, so everything an iteration needs hangs off it.
 type recurseRun struct {
 	st   *execState
@@ -54,15 +54,15 @@ type recurseRun struct {
 	done      bool
 }
 
-// recursePager is the page source of an unshaped `_recurse`: each page
-// steps the distributed expansion just far enough, so a deep reachable set
-// never sits fully resident behind a token. It takes over the issuing
-// query's snapshot pin, so the versions the expansion reads survive the
-// query's return; close is idempotent, so the sweeper, Release, and a
-// failing page can all tear it down safely.
-type recursePager struct {
+// recurseRows streams an unshaped `_recurse` into its pager: it steps
+// the distributed expansion only when the rows it holds run out, so a deep
+// reachable set never sits fully resident behind a token. It takes over
+// the issuing query's snapshot pin, so the versions the expansion reads
+// survive the query's return; close is idempotent, so the sweeper,
+// Release, and a failing page can all tear it down safely.
+type recurseRows struct {
 	rr    *recurseRun
-	rows  []Row // emitted but not yet returned
+	rows  []Row // emitted by the last step, not yet pulled
 	unpin func()
 	once  sync.Once
 }
@@ -70,7 +70,8 @@ type recursePager struct {
 // execRecurse runs the `_recurse` hosted at pats[level]. A shaped result
 // (ordering, aggregation, _limit/_skip) expands to completion and comes
 // back as rows and aggregate partials; an unshaped one can stream in
-// discovery order, so it comes back as a pager seeded but not yet stepped.
+// discovery order, so it comes back as a row source seeded but not yet
+// stepped.
 func (st *execState) execRecurse(qc *fabric.Ctx, roots []ownerBatch, n, level int, pl *Plan, pats []*VertexPattern) (*levelOutput, error) {
 	e := st.engine
 	host, term := pats[level], pats[level+1]
@@ -97,11 +98,11 @@ func (st *execState) execRecurse(qc *fabric.Ctx, roots []ownerBatch, n, level in
 		rr.done = true
 	}
 	if len(term.Orders) == 0 && len(term.Aggs) == 0 && len(term.GroupBy) == 0 && term.Limit == 0 && term.Skip == 0 {
-		// The pager reads on after the query returns: it takes over the
+		// The source reads on after the query returns: it takes over the
 		// query's snapshot pin.
-		pg := &recursePager{rr: rr, unpin: st.unpin}
+		src := &recurseRows{rr: rr, unpin: st.unpin}
 		st.unpin = func() {}
-		return &levelOutput{pager: pg}, nil
+		return &levelOutput{page: newPager[Row](nil, src, term, rowsOf)}, nil
 	}
 	var rows []Row
 	for !rr.done {
@@ -248,50 +249,45 @@ func (rr *recurseRun) release() {
 	rr.done = true
 }
 
-// nextPage steps the expansion until a page (plus one row of lookahead,
-// so an exactly-full final page ends the stream) is buffered or the
-// expansion dries up. The execution counters the steps move are added to
-// the page's own Stats: the execState outlives the query that built it.
-func (p *recursePager) nextPage(c *fabric.Ctx, n int, res *Result) (bool, error) {
-	st := p.rr.st
-	st.mu.Lock()
-	prev := st.stats
-	st.mu.Unlock()
-	defer func() {
+// next steps the expansion once the last step's rows are all pulled. The
+// execution counters a step moves are added to the page's own Stats: the
+// execState outlives the query that built it.
+func (s *recurseRows) next(c *fabric.Ctx, stats *Stats) (Row, bool, error) {
+	st := s.rr.st
+	for len(s.rows) == 0 {
+		if s.rr.done {
+			return Row{}, false, nil
+		}
+		st.mu.Lock()
+		prev := st.stats
+		st.mu.Unlock()
+		rows, err := s.rr.step(c)
 		st.mu.Lock()
 		cur := st.stats
 		st.mu.Unlock()
-		stats := &res.Stats
 		stats.Hops += cur.Hops - prev.Hops
 		stats.VerticesRead += cur.VerticesRead - prev.VerticesRead
 		stats.EdgesVisited += cur.EdgesVisited - prev.EdgesVisited
 		stats.RowsShipped += cur.RowsShipped - prev.RowsShipped
 		stats.BytesShipped += cur.BytesShipped - prev.BytesShipped
 		stats.IndexFiltered += cur.IndexFiltered - prev.IndexFiltered
-	}()
-	for len(p.rows) <= n && !p.rr.done {
-		out, err := p.rr.step(c)
 		if err != nil {
-			return false, err
+			return Row{}, false, err
 		}
-		p.rows = append(p.rows, out...)
+		s.rows = rows
 	}
-	page := p.rows
-	if len(page) > n {
-		page = page[:n]
-	}
-	p.rows = p.rows[len(page):]
-	res.Rows = page
-	return len(p.rows) > 0 || !p.rr.done, nil
+	row := s.rows[0]
+	s.rows = s.rows[1:]
+	return row, true, nil
 }
 
 // close releases the expansion's state: idempotent, so a failing page,
 // Release, the sweeper, and a coordinator drop can all call it.
-func (p *recursePager) close(*fabric.Ctx) {
-	p.once.Do(func() {
-		p.rr.release()
-		releaseRows(p.rows)
-		p.rows = nil
-		p.unpin()
+func (s *recurseRows) close(*fabric.Ctx) {
+	s.once.Do(func() {
+		s.rr.release()
+		releaseRows(s.rows)
+		s.rows = nil
+		s.unpin()
 	})
 }

@@ -112,25 +112,25 @@ func newRecurseEnv(t *testing.T, cfg Config) (*Engine, *core.Graph, *fabric.Ctx)
 	fab := fabric.New(fabric.DefaultConfig(6, fabric.Direct), nil)
 	f := farm.Open(fab, farm.Config{RegionSize: 16 << 20})
 	c := fab.NewCtx(0, nil)
-	s, err := core.Open(c, f, core.DefaultConfig())
+	s, g, err := loadRecurse(c, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateTenant(c, "t"); err != nil {
-		t.Fatal(err)
+	return NewEngine(s, cfg), g, c
+}
+
+// loadRecurse loads newRecurseEnv's pages and refs into a fresh store on
+// f. It fails by error, not t.Fatal, so a Sim process can load it too.
+func loadRecurse(c *fabric.Ctx, f *farm.Farm) (*core.Store, *core.Graph, error) {
+	s, g, err := openTestGraph(c, f)
+	if err == nil {
+		err = g.CreateVertexType(c, "page", pageSchema, "id")
 	}
-	if err := s.CreateGraph(c, "t", "g"); err != nil {
-		t.Fatal(err)
+	if err == nil {
+		err = g.CreateEdgeType(c, "ref", refSchema)
 	}
-	g, err := s.OpenGraph(c, "t", "g")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.CreateVertexType(c, "page", pageSchema, "id"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.CreateEdgeType(c, "ref", refSchema); err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	ptrs := make([]core.VertexPtr, recurseN)
 	err = farm.RunTransaction(c, f, func(tx *farm.Tx) error {
@@ -152,10 +152,7 @@ func newRecurseEnv(t *testing.T, cfg Config) (*Engine, *core.Graph, *fabric.Ctx)
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewEngine(s, cfg), g, c
+	return s, g, err
 }
 
 // collectRecurse drains a query (first page + continuations) into an

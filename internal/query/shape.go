@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"a1/internal/bond"
+	"a1/internal/fabric"
 )
 
 // Result shaping: distributed partial aggregation (scalar and grouped) and
@@ -100,6 +101,102 @@ func finalizeAggs(states []aggState, aggs []Aggregate) map[string]bond.Value {
 		out[a.Raw] = finalAggValue(&states[i], a)
 	}
 	return out
+}
+
+// finalAggValue converts one merged aggregate state into its result value.
+func finalAggValue(s *aggState, a Aggregate) bond.Value {
+	switch a.Kind {
+	case AggCount:
+		return bond.Int64(s.count)
+	case AggSum:
+		if s.fracSum {
+			return bond.Double(s.sum)
+		}
+		return bond.Int64(s.isum)
+	case AggAvg:
+		if s.count == 0 {
+			return bond.Null
+		}
+		return bond.Double(s.sum / float64(s.count))
+	case AggMin, AggMax:
+		if !s.seenMM {
+			return bond.Null
+		}
+		return s.mm
+	}
+	return bond.Null
+}
+
+// evalHavingState tests a fully merged group state against the `_having`
+// conjunction. A null aggregate (empty _min/_max, _avg over no values)
+// fails every comparison.
+func evalHavingState(gs *groupState, having []HavingPred, aggs []Aggregate) bool {
+	for _, hp := range having {
+		v := finalAggValue(&gs.aggs[hp.AggIdx], aggs[hp.AggIdx])
+		if v.IsNull() || !evalValue(v, hp.Op, &hp.Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// havingProvesFail reports whether a *local* partial state already proves
+// the group fails a `_having` predicate globally, no matter what other
+// machines contribute. Only merge-monotone aggregates admit proofs:
+// _count(*) and _max only grow under merge, so a local value at or past an
+// upper bound is final; _min only shrinks, so a local value at or below a
+// lower bound is final. Sums and averages prove nothing (values may be
+// negative; averages move both ways).
+func havingProvesFail(gs *groupState, having []HavingPred, aggs []Aggregate) bool {
+	for _, hp := range having {
+		a := aggs[hp.AggIdx]
+		s := &gs.aggs[hp.AggIdx]
+		var v bond.Value
+		var grows bool // true: global >= local; false: global <= local
+		switch a.Kind {
+		case AggCount:
+			v, grows = bond.Int64(s.count), true
+		case AggMax:
+			if !s.seenMM {
+				continue
+			}
+			v, grows = s.mm, true
+		case AggMin:
+			if !s.seenMM {
+				continue
+			}
+			v, grows = s.mm, false
+		default:
+			continue
+		}
+		cmp, ok := compareValues(v, hp.Value)
+		if !ok {
+			continue
+		}
+		switch hp.Op {
+		case OpLt:
+			if grows && cmp >= 0 {
+				return true
+			}
+		case OpLe:
+			if grows && cmp > 0 {
+				return true
+			}
+		case OpGt:
+			if !grows && cmp <= 0 {
+				return true
+			}
+		case OpGe:
+			if !grows && cmp < 0 {
+				return true
+			}
+		case OpEq:
+			if (grows && cmp > 0) || (!grows && cmp < 0) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Grouped aggregates: workers reduce their batches to per-group partial
@@ -237,19 +334,77 @@ func topK(rows []Row, orders []OrderBy, k int) []Row {
 	return rows
 }
 
-// leastHead picks the next element of a k-way merge: the index of the
-// least live head among n sources (the first of equals), or -1 when every
-// source is drained. The scan is linear on purpose: n is bounded by the
-// cluster size (or the spilled-run count) and every merge here emits a
-// page or a query limit at a time, so a heap would not pay for itself.
-func leastHead(n int, live func(i int) bool, less func(i, j int) bool) int {
+// sortedRun is one input of a runMerge: a buffered chunk of an ordered
+// run, and whether more of the run is still parked elsewhere.
+type sortedRun[T any] struct {
+	buf  []T
+	pos  int
+	more bool
+}
+
+// runTails pulls the next chunk of run i's parked tail; more=false marks
+// the run's last chunk.
+type runTails[T any] interface {
+	pull(c *fabric.Ctx, stats *Stats, i int) (chunk []T, more bool, err error)
+}
+
+// runMerge is the coordinator's one k-way merge over sorted runs: the
+// owners' group runs, spilled group runs, and OrderedTraverse's per-owner
+// row lists. The scan for the least head is linear on purpose: the run
+// count is bounded by the cluster size (or the spilled-run count) and
+// every merge here emits a page or a query limit at a time, so a heap
+// would not pay for itself.
+type runMerge[T any] struct {
+	runs []sortedRun[T]
+	less func(a, b *T) bool
+}
+
+// head refills from tails every drained run that has more to pull, in run
+// order, and returns the run holding the least head — the first of equal
+// heads, so equal keys pop in run (owner) order — or -1 once every run is
+// exhausted. Only group runs pull, so each refill reports the merge's
+// residency as PeakGroups.
+func (m *runMerge[T]) head(c *fabric.Ctx, stats *Stats, tails runTails[T]) (int, error) {
 	best := -1
-	for i := 0; i < n; i++ {
-		if live(i) && (best < 0 || less(i, best)) {
+	for i := range m.runs {
+		r := &m.runs[i]
+		if r.pos == len(r.buf) && r.more {
+			chunk, more, err := tails.pull(c, stats, i)
+			if err != nil {
+				return -1, err
+			}
+			r.buf, r.pos, r.more = chunk, 0, more
+			stats.PeakGroups = max(stats.PeakGroups, m.resident())
+		}
+		if r.pos < len(r.buf) && (best < 0 || m.less(&r.buf[r.pos], m.peek(best))) {
 			best = i
 		}
 	}
-	return best
+	return best, nil
+}
+
+// peek returns run i's buffered head, nil when its buffer is drained.
+func (m *runMerge[T]) peek(i int) *T {
+	if r := &m.runs[i]; r.pos < len(r.buf) {
+		return &r.buf[r.pos]
+	}
+	return nil
+}
+
+// pop consumes run i's buffered head.
+func (m *runMerge[T]) pop(i int) T {
+	r := &m.runs[i]
+	r.pos++
+	return r.buf[r.pos-1]
+}
+
+// resident counts the items buffered across the runs.
+func (m *runMerge[T]) resident() int64 {
+	var n int64
+	for i := range m.runs {
+		n += int64(len(m.runs[i].buf) - m.runs[i].pos)
+	}
+	return n
 }
 
 // mergeSortedRows streams the coordinator's k-way merge over per-machine
@@ -259,29 +414,27 @@ func leastHead(n int, live func(i int) bool, less func(i, j int) bool) int {
 // repeatedly taking the least head reproduces exactly what sorting the
 // concatenation would — without ever materializing it.
 func mergeSortedRows(lists [][]Row, orders []OrderBy, k int) []Row {
-	pos := make([]int, len(lists))
+	m := runMerge[Row]{
+		runs: make([]sortedRun[Row], len(lists)),
+		less: func(a, b *Row) bool { return rowLess(a, b, orders) },
+	}
 	total := 0
-	for _, l := range lists {
+	for i, l := range lists {
+		m.runs[i].buf = l
 		total += len(l)
 	}
-	if total > k {
-		total = k
-	}
-	out := make([]Row, 0, total)
-	live := func(i int) bool { return pos[i] < len(lists[i]) }
-	less := func(i, j int) bool { return rowLess(&lists[i][pos[i]], &lists[j][pos[j]], orders) }
+	out := make([]Row, 0, min(total, k))
 	for len(out) < k {
-		best := leastHead(len(lists), live, less)
+		best, _ := m.head(nil, nil, nil) // the lists are whole: nothing to pull
 		if best < 0 {
 			break
 		}
-		out = append(out, lists[best][pos[best]])
-		pos[best]++
+		out = append(out, m.pop(best))
 	}
 	// Rows the merge never consumed can't reach the result; hand their
 	// buffers back. The consumed prefix escaped into out and is left alone.
-	for i := range lists {
-		releaseRows(lists[i][pos[i]:])
+	for _, r := range m.runs {
+		releaseRows(r.buf[r.pos:])
 	}
 	return out
 }
