@@ -282,21 +282,6 @@ func (g *Graph) ReadVertices(tx *farm.Tx, vps []VertexPtr) ([]*Vertex, error) {
 	return out, nil
 }
 
-// VertexPKOf extracts the primary key of an already-materialized vertex
-// without any further object reads.
-func (g *Graph) VertexPKOf(c *fabric.Ctx, v *Vertex) (bond.Value, error) {
-	dir, err := g.types(c)
-	if err != nil {
-		return bond.Null, err
-	}
-	vt, ok := dir.vByID[v.TypeID]
-	if !ok {
-		return bond.Null, fmt.Errorf("%w: vertex type id %d", ErrNoSuchType, v.TypeID)
-	}
-	pk, _ := v.Data.Field(vt.PKField)
-	return pk, nil
-}
-
 // UpdateVertex replaces a vertex's attribute data. The primary key must not
 // change. Secondary index entries are kept consistent transactionally.
 func (g *Graph) UpdateVertex(tx *farm.Tx, vp VertexPtr, newVal bond.Value) error {

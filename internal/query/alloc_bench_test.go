@@ -156,3 +156,47 @@ func BenchmarkAllocGroupRun(b *testing.B) {
 		}
 	}
 }
+
+// benchShapedDoc is a top-K document with a predicate operator object, a
+// `_having`-free shaping tail and a `_hints` object: the clauses q1–q4
+// leave out.
+const benchShapedDoc = `{"_type": "entity", "str_str_map[kind]": "film", "popularity": {"_gt": 2, "_lt": 90},
+	"_orderby": ["-popularity", "id"], "_limit": 10, "_skip": 5, "_select": ["id", "name[0]"],
+	"_hints": {"page_size": 50}}`
+
+// BenchmarkParse is one document parsed as written: the path every
+// document took before the plan cache, and the one a shape that fails to
+// parse still falls back to.
+func BenchmarkParse(b *testing.B) {
+	for _, c := range []struct{ name, doc string }{
+		{"q1", q1}, {"q2", q2}, {"q3", q3}, {"q4", q4}, {"shaped", benchShapedDoc},
+	} {
+		doc := []byte(c.doc)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Parse(doc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlanMiss is a plan-cache miss: each op's document has a
+// `_type` the cache has not seen (4,096 of them cycle through the
+// 1,024-entry FIFO), so it is keyed, parsed as a shape, stored and bound.
+func BenchmarkPlanMiss(b *testing.B) {
+	docs := make([][]byte, 4096)
+	for i := range docs {
+		docs[i] = []byte(fmt.Sprintf(`{"_type": "t%04d", "name": "x", "popularity": {"_gt": 2}, "_limit": 5, "_select": ["id"]}`, i))
+	}
+	e := &Engine{plans: newPlanCache()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, cached, err := e.plan(docs[i%len(docs)], true); err != nil || cached {
+			b.Fatalf("plan: cached %v, err %v", cached, err)
+		}
+	}
+}

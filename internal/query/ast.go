@@ -9,13 +9,11 @@
 package query
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -262,37 +260,24 @@ type Query struct {
 }
 
 // Parse parses an A1QL JSON document. The document is one JSON object:
-// a repeated key in any object, or anything but whitespace after it, is a
-// CodeParse error.
+// invalid JSON, a repeated key in any object, or anything but whitespace
+// after it, is a CodeParse error.
 func Parse(doc []byte) (*Query, error) {
-	raw, err := decodeDoc(doc)
+	k := keyScans.Get().(*keyScan)
+	defer keyScans.Put(k)
+	tree, err := k.run(doc, inOpaque, true)
 	if err != nil {
 		return nil, parseError(err)
 	}
-	return parseRaw(raw)
-}
-
-// decodeDoc decodes a document: one JSON object, with no key repeated in
-// any object and nothing but whitespace after it.
-func decodeDoc(doc []byte) (map[string]interface{}, error) {
-	dec := json.NewDecoder(bytes.NewReader(doc))
-	dec.UseNumber()
-	var raw map[string]interface{}
-	if err := dec.Decode(&raw); err != nil {
-		return nil, fmt.Errorf("a1ql: %w", err)
-	}
-	// encoding/json has reported all else; the plan-key pass in check mode
-	// reports a repeated key or trailing data.
-	k := keyScans.Get().(*keyScan)
-	defer keyScans.Put(k)
-	if err := k.run(doc, inOpaque, true); err != errDecline {
-		return raw, err
-	}
-	return raw, nil
+	return parseRaw(tree)
 }
 
 // parseRaw builds a query from a decoded document or plan-key shape.
-func parseRaw(raw map[string]interface{}) (*Query, error) {
+func parseRaw(doc interface{}) (*Query, error) {
+	raw, ok := doc.(map[string]interface{})
+	if !ok {
+		return nil, parseError(errors.New("a1ql: a document must be a JSON object"))
+	}
 	q := &Query{}
 	if h, ok := raw[keyHints]; ok {
 		if err := parseHints(h, &q.Hints); err != nil {
@@ -310,6 +295,9 @@ func parseRaw(raw map[string]interface{}) (*Query, error) {
 	}
 	if q.ParamNames, err = collectParams(root); err != nil {
 		return nil, parseError(err)
+	}
+	if root.ID == "" && root.IDParam == "" && root.Type == "" {
+		return nil, parseError(errors.New("a1ql: root pattern requires id or _type"))
 	}
 	q.plan = compilePlan(q)
 	return q, nil
@@ -344,8 +332,8 @@ func parseHints(v interface{}, h *Hints) error {
 // "$name" string, or a literal the plan key lifted.
 func placeholder(v interface{}) (string, bool, error) {
 	switch x := v.(type) {
-	case synthParam:
-		return string(x), true, nil
+	case *synthParam:
+		return string(*x), true, nil
 	case string:
 		return paramRef(x)
 	}
@@ -584,11 +572,8 @@ const maxDepth = 16
 // run for the same document (a1/maporder); every object walk in the
 // parser iterates these sorted keys instead.
 func sortedKeys(m map[string]interface{}) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
+	ks := slices.AppendSeq(make([]string, 0, len(m)), maps.Keys(m))
+	slices.Sort(ks)
 	return ks
 }
 

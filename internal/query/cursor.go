@@ -137,7 +137,3 @@ func (e *Engine) QueryRows(c *fabric.Ctx, g *core.Graph, doc []byte) (*Rows, err
 	}
 	return NewRows(res, engineFetcher{e}), nil
 }
-
-// RowsOf wraps an already-executed result in a cursor driven directly
-// against the engine.
-func (e *Engine) RowsOf(res *Result) *Rows { return NewRows(res, engineFetcher{e}) }

@@ -458,11 +458,6 @@ func (e *Engine) ExplainPlan(c *fabric.Ctx, g *core.Graph, doc []byte, params Pa
 	return q.Plan().Tree(q, newPlanContext(c, e, g)), nil
 }
 
-// Explain formats the plan as an indented operator tree.
-func (pl *Plan) Explain(q *Query, pc *planContext) string {
-	return pl.Tree(q, pc).String()
-}
-
 // Tree resolves the plan's candidate operators against the live catalog and
 // statistics and returns the structured operator tree.
 func (pl *Plan) Tree(q *Query, pc *planContext) *PlanTree {

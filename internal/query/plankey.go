@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -14,16 +15,15 @@ import (
 	"a1/internal/bond"
 )
 
-// The plan key: one pass over a document's raw bytes reduces it to its
-// *shape* — object keys sorted, whitespace dropped — and lifts the literals
-// in bindable positions (the `id` string, predicate and `_having`
-// constants, `_limit`/`_skip`, `_recurse` `_min`/`_max`) out of the key. A
-// lifted literal leaves a marker naming its JSON kind; its value joins a
-// list, in key order, that binds the shape's synthetic placeholders "$0",
-// "$1", ... — names paramRef rejects, so no user placeholder collides with
-// one. The pass reads JSON exactly as encoding/json does and declines
-// (errDecline) what it does not accept; such a document is parsed as
-// written.
+// The A1QL reader and the plan key: one pass over a document's raw bytes
+// reads it as JSON and reduces it to its *shape* — object keys sorted,
+// whitespace dropped — lifting the literals in bindable positions (the `id`
+// string, predicate and `_having` constants, `_limit`/`_skip`, `_recurse`
+// `_min`/`_max`) out of the key. A lifted literal leaves a marker naming its
+// JSON kind; its value joins a list, in key order, that binds the shape's
+// synthetic placeholders "$0", "$1", ... — names paramRef rejects, so no
+// user placeholder collides with one. The same pass, asked for the decoded
+// tree, is the only reader the parser has.
 
 // liftCtx is where a value sits in the A1QL grammar: whether it lifts.
 type liftCtx uint8
@@ -106,67 +106,55 @@ func lift(ctx liftCtx, v interface{}) (bond.Value, byte, bool) {
 	return bond.Null, 0, false
 }
 
-// synthParam is a lifted literal's placeholder in a shape's decoded tree.
+// synthParam is a lifted literal's placeholder in a shape's decoded tree:
+// "0", "1", ..., its literal's index in key order.
 type synthParam string
 
 // isSynthetic reports whether a placeholder name is a lifted literal's.
 func isSynthetic(name string) bool { return name != "" && name[0] <= '9' }
 
-// liftTree replaces the literals lift accepts in a decoded document with
-// synthParams numbered from n in sorted-key order, the plan key's order.
-func liftTree(v interface{}, ctx liftCtx, n int) (interface{}, int) {
-	switch x := v.(type) {
-	case map[string]interface{}:
-		for _, k := range sortedKeys(x) {
-			x[k], n = liftTree(x[k], memberCtx(ctx, k), n)
-		}
-	case []interface{}:
-		for i := range x {
-			x[i], n = liftTree(x[i], elemCtx(ctx), n)
-		}
-	default:
-		if _, _, ok := lift(ctx, x); ok {
-			return synthParam(strconv.Itoa(n)), n + 1
-		}
-	}
-	return v, n
-}
-
-// errDecline: not valid JSON, or nested deeper than the pass follows.
-var errDecline = errors.New("a1ql: document declined by the plan key")
-
-// keyScan is one plan-key pass. Its buffers are pooled.
+// keyScan is one pass of the reader. Its buffers are pooled.
 type keyScan struct {
 	doc   []byte
 	pos   int
-	check bool         // Parse's duplicate and trailing-data check: no reordering
-	key   []byte       // the shape key
-	lits  []bond.Value // the lifted literals, in key order
-	names []byte       // decoded member names of the objects open on the walk
-	mems  []keyMember  // members of the objects open on the walk
-	buf   []byte       // scratch: a decoded string, or an object body being reordered
-	ltmp  []bond.Value // scratch: an object's literals being reordered
+	tree  bool          // also decode the document
+	key   []byte        // the shape key
+	lits  []bond.Value  // the lifted literals, in key order
+	synth []*synthParam // each literal's placeholder in the tree (nil without one)
+	names []byte        // decoded member names of the objects open on the walk
+	mems  []keyMember   // members of the objects open on the walk
+	buf   []byte        // scratch: a decoded string, or an object body being reordered
+	ltmp  []bond.Value  // scratch: an object's literals being reordered
+	stmp  []*synthParam // scratch: their placeholders
 }
 
 // keyMember spans one object member's decoded name, key bytes and literals.
-type keyMember struct {
-	name, nameEnd, key, keyEnd, lit, litEnd int
-}
+type keyMember struct{ name, nameEnd, key, keyEnd, lit, litEnd int }
 
 var keyScans = sync.Pool{New: func() interface{} { return new(keyScan) }}
 
-// run scans doc as a value in ctx. Besides errDecline it reports the
-// document's own faults: a duplicate key, or data after the document.
-func (k *keyScan) run(doc []byte, ctx liftCtx, check bool) error {
-	k.doc, k.pos, k.check = doc, 0, check
-	k.key, k.lits, k.names, k.mems = k.key[:0], k.lits[:0], k.names[:0], k.mems[:0]
-	if err := k.value(ctx, 0); err != nil {
-		return err
+// run reads doc as a value in ctx into its plan key and lifted literals;
+// with tree set it also returns doc as encoding/json decodes it with
+// UseNumber, lifted literals as *synthParams. A repeated key is an error.
+func (k *keyScan) run(doc []byte, ctx liftCtx, tree bool) (interface{}, error) {
+	k.doc, k.pos, k.tree = doc, 0, tree
+	k.key, k.lits, k.synth, k.names, k.mems = k.key[:0], k.lits[:0], k.synth[:0], k.names[:0], k.mems[:0]
+	v, err := k.value(ctx, 0)
+	if err != nil {
+		return nil, err
 	}
 	if k.space(); k.pos < len(k.doc) {
-		return errors.New("a1ql: trailing data after the document")
+		return nil, errors.New("a1ql: trailing data after the document")
 	}
-	return nil
+	for i := 0; k.tree && i < len(k.synth); i++ {
+		*k.synth[i] = synthParam(strconv.Itoa(i))
+	}
+	return v, nil
+}
+
+// syntax reports invalid JSON at byte at.
+func (k *keyScan) syntax(at int) error {
+	return fmt.Errorf("a1ql: invalid JSON at byte %d of %d", at, len(k.doc))
 }
 
 func (k *keyScan) space() {
@@ -184,63 +172,83 @@ func (k *keyScan) accept(c byte) bool {
 }
 
 // lifted appends v's kind marker and value, if v lifts at ctx.
-func (k *keyScan) lifted(ctx liftCtx, v interface{}) bool {
+func (k *keyScan) lifted(ctx liftCtx, v interface{}) (interface{}, bool) {
 	val, kind, ok := lift(ctx, v)
-	if ok {
-		k.key = append(k.key, '?', kind)
-		k.lits = append(k.lits, val)
+	if !ok {
+		return nil, false
 	}
-	return ok
+	var p *synthParam
+	if k.tree {
+		p = new(synthParam)
+	}
+	k.key = append(k.key, '?', kind)
+	k.lits = append(k.lits, val)
+	k.synth = append(k.synth, p)
+	return p, true
 }
 
-// value scans one value nested in depth containers.
-func (k *keyScan) value(ctx liftCtx, depth int) error {
+// value reads one value inside depth containers; only a tree run keeps it.
+func (k *keyScan) value(ctx liftCtx, depth int) (interface{}, error) {
 	if k.space(); k.pos >= len(k.doc) {
-		return errDecline
-	}
-	// No A1QL document nests past 128; encoding/json stops at 10000.
-	if depth > 128 && (!k.check || depth > 10000) {
-		return errDecline
+		return nil, k.syntax(k.pos)
 	}
 	switch c := k.doc[k.pos]; c {
-	case '{':
-		return k.object(ctx, depth+1)
-	case '[':
+	case '{', '[':
+		if depth == 10000 { // encoding/json's limit
+			return nil, fmt.Errorf("a1ql: invalid JSON: nested deeper than 10000 at byte %d", k.pos)
+		}
+		if c == '{' {
+			return k.object(ctx, depth+1)
+		}
 		return k.array(ctx, depth+1)
 	case '"':
 		s, err := k.str(k.buf[:0])
 		if k.buf = s; err != nil {
-			return err
+			return nil, err
 		}
-		if ctx == inOpaque || !k.lifted(ctx, string(s)) {
-			k.key = strconv.AppendQuote(k.key, string(s))
+		if ctx != inOpaque {
+			if p, ok := k.lifted(ctx, string(s)); ok {
+				return p, nil
+			}
 		}
+		if k.key = strconv.AppendQuote(k.key, string(s)); k.tree {
+			return string(s), nil
+		}
+		return nil, nil
 	default:
 		// A number, true, false or null runs to the first byte none can
-		// hold, where valid JSON has a delimiter; json.Valid checks it.
+		// hold, where valid JSON has a delimiter.
 		start := k.pos
 		for k.pos < len(k.doc) && strings.IndexByte("+-.0123456789Eeaflnrstu", k.doc[k.pos]) >= 0 {
 			k.pos++
 		}
 		tok := k.doc[start:k.pos]
-		if !json.Valid(tok) {
-			return errDecline
-		}
 		v, word := jsonWords[string(tok)]
-		if !word && ctx != inOpaque {
+		if !word && !jsonNumber.Match(tok) {
+			return nil, k.syntax(start)
+		}
+		if lit := v; ctx != inOpaque {
+			if !word {
+				lit = json.Number(tok)
+			}
+			if p, ok := k.lifted(ctx, lit); ok {
+				return p, nil
+			}
+		}
+		if k.key = append(k.key, tok...); !word && k.tree {
 			v = json.Number(tok)
 		}
-		if ctx == inOpaque || !k.lifted(ctx, v) {
-			k.key = append(k.key, tok...)
-		}
+		return v, nil
 	}
-	return nil
 }
 
-// jsonWords are the literals as encoding/json decodes them.
-var jsonWords = map[string]interface{}{"true": true, "false": false, "null": nil}
+// jsonWords decode as encoding/json decodes them; jsonNumber is JSON's number.
+var (
+	jsonWords  = map[string]interface{}{"true": true, "false": false, "null": nil}
+	jsonNumber = regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
+)
 
-// items scans the comma-separated items of the container at pos.
+// items reads the comma-separated items of the container at pos.
 func (k *keyScan) items(end byte, item func() error) error {
 	k.pos++
 	if k.space(); k.accept(end) {
@@ -254,31 +262,43 @@ func (k *keyScan) items(end byte, item func() error) error {
 			return nil
 		}
 		if !k.accept(',') {
-			return errDecline
+			return k.syntax(k.pos)
 		}
 	}
 }
 
-func (k *keyScan) array(ctx liftCtx, depth int) error {
+func (k *keyScan) array(ctx liftCtx, depth int) (interface{}, error) {
+	var list []interface{}
+	if k.tree {
+		list = []interface{}{} // encoding/json's empty list is not nil
+	}
 	k.key = append(k.key, '[')
 	err := k.items(']', func() error {
 		if k.key[len(k.key)-1] != '[' { // only an array opens with '['
 			k.key = append(k.key, ',')
 		}
-		return k.value(elemCtx(ctx), depth)
+		v, err := k.value(elemCtx(ctx), depth)
+		if k.tree {
+			list = append(list, v)
+		}
+		return err
 	})
 	k.key = append(k.key, ']')
-	return err
+	return list, err
 }
 
-// object scans an object's members in document order, then puts their key
+// object reads an object's members in document order, then puts their key
 // bytes and literals in name order; equal names are a duplicate key.
-func (k *keyScan) object(ctx liftCtx, depth int) error {
+func (k *keyScan) object(ctx liftCtx, depth int) (interface{}, error) {
+	var obj map[string]interface{}
+	if k.tree {
+		obj = map[string]interface{}{}
+	}
 	k.key = append(k.key, '{')
 	body, lits, first, names := len(k.key), len(k.lits), len(k.mems), len(k.names)
 	err := k.items('}', func() error {
 		if k.space(); k.pos >= len(k.doc) || k.doc[k.pos] != '"' {
-			return errDecline
+			return k.syntax(k.pos)
 		}
 		m := keyMember{name: len(k.names), key: len(k.key), lit: len(k.lits)}
 		var err error
@@ -289,10 +309,14 @@ func (k *keyScan) object(ctx liftCtx, depth int) error {
 		name := k.names[m.name:m.nameEnd]
 		k.key = strconv.AppendQuote(k.key, string(name))
 		if k.space(); !k.accept(':') {
-			return errDecline
+			return k.syntax(k.pos)
 		}
-		if err := k.value(memberCtx(ctx, string(name)), depth); err != nil {
+		v, err := k.value(memberCtx(ctx, string(name)), depth)
+		if err != nil {
 			return err
+		}
+		if obj != nil {
+			obj[string(name)] = v
 		}
 		m.keyEnd, m.litEnd = len(k.key), len(k.lits)
 		k.mems = append(k.mems, m)
@@ -303,7 +327,7 @@ func (k *keyScan) object(ctx liftCtx, depth int) error {
 	}
 	k.mems, k.names = k.mems[:first], k.names[:names]
 	k.key = append(k.key, '}')
-	return err
+	return obj, err
 }
 
 func (k *keyScan) order(ms []keyMember, body, lits int) error {
@@ -316,21 +340,20 @@ func (k *keyScan) order(ms []keyMember, body, lits int) error {
 			return fmt.Errorf("a1ql: duplicate key %q", k.names[ms[i].name:ms[i].nameEnd])
 		}
 	}
-	if k.check {
-		return nil
-	}
 	k.buf = append(k.buf[:0], k.key[body:]...)
 	k.ltmp = append(k.ltmp[:0], k.lits[lits:]...)
-	k.key, k.lits = k.key[:body], k.lits[:lits]
+	k.stmp = append(k.stmp[:0], k.synth[lits:]...)
+	k.key, k.lits, k.synth = k.key[:body], k.lits[:lits], k.synth[:lits]
 	for _, m := range ms {
 		k.key = append(k.key, k.buf[m.key-body:m.keyEnd-body]...)
 		k.lits = append(k.lits, k.ltmp[m.lit-lits:m.litEnd-lits]...)
+		k.synth = append(k.synth, k.stmp[m.lit-lits:m.litEnd-lits]...)
 	}
 	return nil
 }
 
 // str decodes the string at pos onto dst: plain ASCII as itself, anything
-// else through encoding/json, so it reads exactly as Parse reads it.
+// else through encoding/json's unquoting.
 func (k *keyScan) str(dst []byte) ([]byte, error) {
 	plain := true
 	for i := k.pos + 1; i < len(k.doc); i++ {
@@ -342,17 +365,17 @@ func (k *keyScan) str(dst []byte) ([]byte, error) {
 			}
 			var s string
 			if json.Unmarshal(raw, &s) != nil {
-				return dst, errDecline
+				return dst, k.syntax(i + 1 - len(raw))
 			}
 			return append(dst, s...), nil
 		case c == '\\':
 			plain = false
 			i++
 		case c < ' ':
-			return dst, errDecline
+			return dst, k.syntax(i)
 		case c >= utf8.RuneSelf:
 			plain = false
 		}
 	}
-	return dst, errDecline
+	return dst, k.syntax(len(k.doc))
 }

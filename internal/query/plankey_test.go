@@ -2,28 +2,38 @@ package query
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 )
 
+// decodeJSON is the reader's oracle: doc decoded by encoding/json with
+// UseNumber, and ok as json.Valid reports it — one value, and nothing but
+// whitespace after it.
+func decodeJSON(doc []byte) (v interface{}, ok bool) {
+	if !json.Valid(doc) {
+		return nil, false
+	}
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	return v, dec.Decode(&v) == nil
+}
+
 // canonicalDoc is the plan cache's former key: the document decoded as JSON
 // (numbers kept verbatim) and re-serialized, which sorts object keys and
 // strips whitespace; anything that fails to decode keys by its raw bytes.
-// It stays as the oracle the plan key is checked against: documents it maps
-// to equal bytes must get equal plan keys.
+// It stays as an oracle: documents it maps to equal bytes must get equal
+// plan keys, and a document and its canonical form must parse alike.
 func canonicalDoc(doc []byte) []byte {
-	dec := json.NewDecoder(bytes.NewReader(doc))
-	dec.UseNumber()
-	var v interface{}
-	if err := dec.Decode(&v); err != nil {
-		return doc
-	}
-	if dec.More() {
+	v, ok := decodeJSON(doc)
+	if !ok {
 		return doc
 	}
 	canon, err := json.Marshal(v)
@@ -36,7 +46,7 @@ func canonicalDoc(doc []byte) []byte {
 // planKeyOf runs the plan-key pass over doc.
 func planKeyOf(doc []byte) ([]byte, error) {
 	var k keyScan
-	err := k.run(doc, inPattern, false)
+	_, err := k.run(doc, inPattern, false)
 	return k.key, err
 }
 
@@ -109,12 +119,14 @@ func mutateLits(v interface{}, ctx liftCtx) interface{} {
 	return v
 }
 
-// FuzzPlanKey is the plan cache's differential test. For any document:
+// FuzzPlanKey is the plan cache's differential test, with encoding/json
+// as the reader's oracle. For any document:
 //   - the cached path (plan key, shape, bind) resolves it exactly as Parse
 //     does, on the miss that parses its shape and on the hit after;
-//   - the key pass accepts only valid JSON, and all valid JSON but
-//     duplicate keys;
-//   - documents the old canonicalDoc maps to equal bytes get equal keys;
+//   - the reader accepts exactly what encoding/json accepts, except
+//     duplicate keys, and decodes it to encoding/json's tree;
+//   - a document and its canonicalDoc parse to the same query and get
+//     equal keys;
 //   - a document with every lifted literal changed gets the same key, and
 //     served from the first document's shape it still resolves as Parse
 //     resolves it: equal keys imply queries that differ only in lifted
@@ -128,26 +140,33 @@ func FuzzPlanKey(f *testing.F) {
 		samePlanResult(t, e, doc)
 		samePlanResult(t, e, doc)
 
-		key, err := planKeyOf(doc)
-		if err == nil && !json.Valid(doc) {
-			t.Fatalf("%q: key pass accepted invalid JSON", doc)
-		}
 		var k keyScan
-		if cerr := k.run(doc, inOpaque, true); json.Valid(doc) && cerr != nil && !strings.Contains(cerr.Error(), "duplicate key") {
-			t.Fatalf("%q: check pass rejected valid JSON: %v", doc, cerr)
-		}
-		if err != nil {
+		tree, err := k.run(doc, inOpaque, true)
+		want, valid := decodeJSON(doc)
+		switch {
+		case err == nil && !valid:
+			t.Fatalf("%q: reader accepted invalid JSON", doc)
+		case err != nil && valid && !strings.Contains(err.Error(), "duplicate key"):
+			t.Fatalf("%q: reader rejected valid JSON: %v", doc, err)
+		case err == nil && !reflect.DeepEqual(tree, want):
+			t.Fatalf("%q: reader decoded %#v, encoding/json %#v", doc, tree, want)
+		case err != nil:
 			return
 		}
 		canon := canonicalDoc(doc)
-		if ckey, err := planKeyOf(canon); err == nil && !bytes.Equal(key, ckey) {
-			t.Fatalf("%q and its canonical form %q: keys %q and %q", doc, canon, key, ckey)
+		if q, err := Parse(doc); err == nil {
+			if cq, cerr := Parse(canon); cerr != nil || !sameQuery(q, cq) {
+				t.Fatalf("%q and its canonical form %q parse differently (%v)", doc, canon, cerr)
+			}
 		}
-		raw, err := decodeDoc(doc)
+		key, err := planKeyOf(doc)
 		if err != nil {
-			return
+			t.Fatalf("%q: key pass failed where the reader did not: %v", doc, err)
 		}
-		variant, err := json.Marshal(mutateLits(raw, inPattern))
+		if ckey, err := planKeyOf(canon); err != nil || !bytes.Equal(key, ckey) {
+			t.Fatalf("%q and its canonical form %q: keys %q and %q (%v)", doc, canon, key, ckey, err)
+		}
+		variant, err := json.Marshal(mutateLits(want, inPattern))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,6 +175,74 @@ func FuzzPlanKey(f *testing.F) {
 		}
 		samePlanResult(t, e, variant)
 	})
+}
+
+// corpusDoc reads one FuzzPlanKey corpus file's document.
+func corpusDoc(tb testing.TB, path string) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lines := strings.SplitN(string(raw), "\n", 3)
+	if len(lines) < 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+		tb.Fatalf("%s: not a []byte corpus entry", path)
+	}
+	doc, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		tb.Fatalf("%s: %v", path, err)
+	}
+	return []byte(doc)
+}
+
+// TestPlanKeyCorpusGolden holds every FuzzPlanKey corpus entry's Parse
+// outcome ("ok" or the error code) and plan key (hex, "-" where the key
+// pass fails) to testdata/plankey_golden.txt, recorded when the parser
+// still decoded documents with encoding/json. changed lists the entries
+// whose outcome has changed since, and why.
+func TestPlanKeyCorpusGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/plankey_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		name, outcome, _ := strings.Cut(line, " ")
+		want[name] = outcome
+	}
+	// Parse accepted these, and executing them failed: the root names
+	// neither an id nor a _type (top_null is not an object at all).
+	for _, name := range []string{"deep_list", "internal_query_plankey_test_18", "internal_query_plankey_test_27",
+		"internal_query_plankey_test_7", "internal_query_plankey_test_8", "internal_query_readset_test_2",
+		"internal_query_readset_test_4", "internal_query_readset_test_5", "internal_query_readset_test_6",
+		"internal_query_readset_test_9", "top_null"} {
+		want[name] = "parse" + strings.TrimPrefix(want[name], "ok")
+	}
+	// The key pass declined documents nested deeper than 128; it now keys
+	// everything encoding/json reads.
+	want["nested_10000"] = "parse " + hex.EncodeToString([]byte(`{"_select"`+strings.Repeat("[", 9999)+strings.Repeat("]", 9999)+"}"))
+	files, err := filepath.Glob("testdata/fuzz/FuzzPlanKey/*")
+	if err != nil || len(files) != len(want) {
+		t.Fatalf("%d corpus entries, %d golden rows (%v)", len(files), len(want), err)
+	}
+	for _, f := range files {
+		doc := corpusDoc(t, f)
+		code, key := "ok", "-"
+		if _, err := Parse(doc); err != nil {
+			var qe *Error
+			if !errors.As(err, &qe) {
+				t.Errorf("%s: unclassified error %v", f, err)
+				continue
+			}
+			code = qe.Code.String()
+		}
+		if k, err := planKeyOf(doc); err == nil {
+			key = hex.EncodeToString(k)
+		}
+		if got, w := code+" "+key, want[filepath.Base(f)]; got != w {
+			t.Errorf("%s (%q):\n got %s\nwant %s", filepath.Base(f), doc, got, w)
+		}
+	}
 }
 
 func TestPlanKeyShapes(t *testing.T) {
@@ -192,7 +279,9 @@ func TestPlanKeyShapes(t *testing.T) {
 }
 
 // TestDocumentFraming: a document is exactly one JSON object with distinct
-// keys; a repeated key or trailing data is a parse error, on every path.
+// keys whose root names an id or a _type; invalid JSON, a repeated key,
+// trailing data, any other value and a root with neither are parse errors,
+// on every path.
 func TestDocumentFraming(t *testing.T) {
 	env := newTestEnv(t, 3)
 	cases := []struct{ doc, want string }{
@@ -201,6 +290,14 @@ func TestDocumentFraming(t *testing.T) {
 		{`{"id": "tom.hanks", "id": "war"}`, `duplicate key "id"`},
 		{`{"id": "tom.hanks", "\u0069d": "war"}`, `duplicate key "id"`},
 		{`{"id": "x", "_out_edge": {"_type": "a", "_type": "b"}}`, `duplicate key "_type"`},
+		{`{"id": "x", "_limit": }`, "invalid JSON at byte 22 of 23"},
+		{`{"id": "x"`, "invalid JSON at byte 10 of 10"},
+		{`{"_select": ` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + "}", "nested deeper than 10000"},
+		{`null`, "a document must be a JSON object"},
+		{`["id"]`, "a document must be a JSON object"},
+		{`{}`, "root pattern requires id or _type"},
+		{`{"name": "x"}`, "root pattern requires id or _type"},
+		{`{"id": ""}`, "root pattern requires id or _type"},
 	}
 	for _, c := range cases {
 		for name, run := range map[string]func() error{

@@ -59,40 +59,40 @@ func (pc *planCache) store(key []byte, q *Query) {
 }
 
 // plan resolves a document to its query through the plan cache: a hit
-// binds the lifted literals into the cached shape, a miss parses the shape
-// once and stores it. A document the key pass declines, a shape that does
-// not parse and literals that do not bind fall back to Parse, uncached.
-// The query is the caller's own, user placeholders unbound; cached reports
-// a hit. countHit is false for Prepare, whose hits Bind counts per Exec.
-func (e *Engine) plan(doc []byte, countHit bool) (q *Query, cached bool, err error) {
+// binds the lifted literals into the cached shape, a miss reads and parses
+// the shape once. A shape that does not parse and literals that do not
+// bind fall back to Parse, uncached, so errors read as the document was
+// written. The query is the caller's own, user placeholders unbound.
+// countHit is false for Prepare, whose hits Bind counts per Exec.
+func (e *Engine) plan(doc []byte, countHit bool) (q *Query, hit bool, err error) {
 	k := keyScans.Get().(*keyScan)
 	defer keyScans.Put(k)
-	if k.run(doc, inPattern, false) == nil {
-		shape, hit := e.plans.lookup(k.key)
-		if !hit {
-			// The shape: the document with each literal the key lifted
-			// replaced by its synthetic placeholder.
-			if raw, err := decodeDoc(doc); err == nil {
-				liftTree(raw, inPattern, 0)
-				if shape, err = parseRaw(raw); err == nil {
-					e.plans.store(k.key, shape)
-				}
-			}
-		}
-		if shape != nil {
-			if q, err := shape.bindLits(k.lits); err == nil {
-				if !hit {
-					e.plans.misses.Add(1)
-				} else if countHit {
-					e.plans.hits.Add(1)
-				}
-				return q, hit, nil
-			}
+	if _, err := k.run(doc, inPattern, false); err != nil {
+		e.plans.misses.Add(1)
+		return nil, false, parseError(err)
+	}
+	shape, hit := e.plans.lookup(k.key)
+	if !hit {
+		// The shape: the document with each literal the key lifted
+		// replaced by its synthetic placeholder.
+		tree, _ := k.run(doc, inPattern, true) // the key pass has read doc
+		if shape, err = parseRaw(tree); err == nil {
+			e.plans.store(k.key, shape)
 		}
 	}
-	e.plans.misses.Add(1)
-	q, err = Parse(doc)
-	return q, false, err
+	if shape != nil {
+		q, err = shape.bindLits(k.lits)
+	}
+	if err != nil {
+		hit = false
+		q, err = Parse(doc)
+	}
+	if !hit {
+		e.plans.misses.Add(1)
+	} else if countHit {
+		e.plans.hits.Add(1)
+	}
+	return q, hit, err
 }
 
 // PlanCacheStats reports engine-wide plan cache hits and misses.
