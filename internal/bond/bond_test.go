@@ -2,10 +2,13 @@ package bond
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -278,18 +281,139 @@ func TestQuickOrderedEncodePreservesOrder(t *testing.T) {
 		a, b := gen(r), gen(r)
 		ea := OrderedEncode(nil, a)
 		eb := OrderedEncode(nil, b)
-		cmp := bytes.Compare(ea, eb)
-		switch {
-		case a.Less(b):
-			return cmp < 0
-		case b.Less(a):
-			return cmp > 0
-		default:
-			return cmp == 0
-		}
+		c, _ := Compare(a, b)
+		return bytes.Compare(ea, eb) == c
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fuzzKinds are the scalar kinds FuzzValueOrder builds values of.
+var fuzzKinds = []Kind{KindBool, KindInt32, KindInt64, KindDate, KindUInt64, KindFloat, KindDouble, KindString, KindBlob}
+
+// fuzzValue builds a scalar from raw bits: k's low nibble picks the kind,
+// its high nibble a string's or blob's length, taken from bits' big-endian
+// bytes (so it holds 0x00 as often as not). Floats take the bits as they
+// are: NaNs of either sign and any payload, ±0, ±Inf, subnormals.
+func fuzzValue(k byte, bits uint64) Value {
+	var raw [8]byte
+	binary.BigEndian.PutUint64(raw[:], bits)
+	text := raw[:int(k>>4)%9]
+	switch kind := fuzzKinds[int(k&0xF)%len(fuzzKinds)]; kind {
+	case KindBool:
+		return Bool(bits&1 == 1)
+	case KindInt32:
+		return Int32(int32(bits))
+	case KindFloat:
+		return Float(math.Float32frombits(uint32(bits)))
+	case KindDouble:
+		return Double(math.Float64frombits(bits))
+	case KindString:
+		return String(string(text))
+	case KindBlob:
+		return Blob(text)
+	default:
+		return Value{kind: kind, num: bits}
+	}
+}
+
+// exactCmp is FuzzValueOrder's oracle for two numbers: NaN equals NaN and
+// sorts above every other number; the rest compare as big.Float, which
+// holds every int64, uint64 and float64 exactly (±Inf included).
+func exactCmp(a, b Value) int {
+	isNaN := func(v Value) bool { return (v.kind == KindFloat || v.kind == KindDouble) && math.IsNaN(v.AsFloat()) }
+	an, bn := isNaN(a), isNaN(b)
+	switch {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	case bn:
+		return -1
+	}
+	toBig := func(v Value) *big.Float {
+		x := new(big.Float)
+		switch v.kind {
+		case KindUInt64:
+			return x.SetUint64(v.num)
+		case KindFloat, KindDouble:
+			return x.SetFloat64(v.AsFloat())
+		}
+		return x.SetInt64(int64(v.num))
+	}
+	return toBig(a).Cmp(toBig(b))
+}
+
+// FuzzValueOrder holds Compare to its contract over three scalars: it is
+// antisymmetric and transitive; within a kind it is the byte order of
+// OrderedEncode; across numeric kinds it is the exact big.Float order with
+// NaN above every number.
+func FuzzValueOrder(f *testing.F) {
+	const (
+		boolK, int32K, int64K, dateK, uint64K, floatK, doubleK, stringK, blobK = 0, 1, 2, 3, 4, 5, 6, 7, 8
+	)
+	negZero, nan := math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.NaN())
+	f.Add(byte(doubleK), negZero, byte(doubleK), uint64(0), byte(int64K), uint64(0))
+	f.Add(byte(doubleK), nan, byte(doubleK), nan|1<<63|5, byte(doubleK), math.Float64bits(math.Inf(1)))
+	f.Add(byte(floatK), uint64(0xFFC00001), byte(doubleK), nan, byte(uint64K), uint64(math.MaxUint64))
+	f.Add(byte(doubleK), uint64(1), byte(doubleK), uint64(1)|1<<63, byte(int32K), uint64(0))                     // subnormals
+	f.Add(byte(int64K), uint64(1<<53+1), byte(doubleK), math.Float64bits(1<<53), byte(uint64K), uint64(1<<53+1)) // past float64's integers
+	f.Add(byte(int64K), uint64(math.MaxUint64), byte(uint64K), uint64(math.MaxUint64), byte(doubleK), math.Float64bits(math.Inf(-1)))
+	f.Add(byte(stringK|3<<4), uint64(0x61000000), byte(stringK|1<<4), uint64(0x61000000), byte(blobK|2<<4), uint64(0x6100<<48))
+	f.Add(byte(boolK), uint64(1), byte(dateK), uint64(1), byte(stringK), uint64(0))
+	f.Fuzz(func(t *testing.T, ka byte, a uint64, kb byte, b uint64, kc byte, c uint64) {
+		vs := []Value{fuzzValue(ka, a), fuzzValue(kb, b), fuzzValue(kc, c)}
+		for _, x := range vs {
+			for _, y := range vs {
+				cxy, sxy := Compare(x, y)
+				cyx, syx := Compare(y, x)
+				if cxy != -cyx || sxy != syx {
+					t.Fatalf("Compare(%v %v, %v %v) = %d/%v, reversed %d/%v", x.kind, x, y.kind, y, cxy, sxy, cyx, syx)
+				}
+				if x.kind == y.kind {
+					if got := bytes.Compare(OrderedEncode(nil, x), OrderedEncode(nil, y)); got != cxy {
+						t.Fatalf("%v: encodings of %v, %v order %d, Compare %d", x.kind, x, y, got, cxy)
+					}
+				}
+				if rank(x.kind) == rankNumber && rank(y.kind) == rankNumber {
+					if want := exactCmp(x, y); cxy != want {
+						t.Fatalf("Compare(%v %v, %v %v) = %d, exact %d", x.kind, x, y.kind, y, cxy, want)
+					}
+				}
+			}
+		}
+		slices.SortFunc(vs, func(x, y Value) int { c, _ := Compare(x, y); return c })
+		for i := range vs {
+			for j := i + 1; j < len(vs); j++ {
+				if c, _ := Compare(vs[i], vs[j]); c > 0 {
+					t.Fatalf("not transitive: sorted %v, yet Compare(%v, %v) = %d", vs, vs[i], vs[j], c)
+				}
+			}
+		}
+	})
+}
+
+// compareSink keeps BenchmarkCompareValues' results live.
+var compareSink int
+
+// BenchmarkCompareValues times one numeric comparison per operand pair:
+// the sort, aggregate and `_having` inner loop.
+func BenchmarkCompareValues(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		a, c Value
+	}{
+		{"int64", Int64(1<<53 + 1), Int64(1 << 53)},
+		{"int-double", Int64(1<<53 + 1), Double(1<<53 + 0.5)},
+		{"double", Double(2.5), Double(3.5)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for b.Loop() {
+				n, _ := Compare(bc.a, bc.c)
+				compareSink += n
+			}
+		})
 	}
 }
 

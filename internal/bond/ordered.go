@@ -1,15 +1,141 @@
 package bond
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 )
 
+// Compare is the engine's one order over values: predicates, sort keys,
+// merges, _min/_max, _having, group keys and index bounds all order by it.
+//   - Numbers compare exactly across int32, int64, date, uint64, float and
+//     double: integers as integers, an integer against a float by the
+//     float's integer part, then its fraction. −0.0 equals 0.0; NaN equals
+//     NaN and sorts above every other number.
+//   - Bools order false < true; strings and blobs compare bytewise, with
+//     each other too.
+//   - Values of different classes order by rank: null < bool < number <
+//     string/blob < composites, and composites tie with each other.
+//
+// c is therefore a total order, and sorts over it are deterministic.
+// sameClass reports whether a and b share a comparable class (bool, number
+// or string/blob); when false, c is the rank order alone, and a predicate
+// holds only as deep (in)equality.
+func Compare(a, b Value) (c int, sameClass bool) { return compare(&a, &b) }
+
+// compare is Compare over pointers, for callers that sort values in place.
+func compare(a, b *Value) (int, bool) {
+	ra, rb := rank(a.kind), rank(b.kind)
+	switch {
+	case ra != rb || ra == rankNull || ra == rankComposite:
+		return cmp.Compare(ra, rb), false
+	case ra == rankNumber:
+		return compareNums(a, b), true
+	case ra == rankBytes:
+		as, _ := a.Text()
+		bs, _ := b.Text()
+		return strings.Compare(as, bs), true
+	}
+	return cmp.Compare(a.num, b.num), true // bools
+}
+
+// Compare's classes, in its cross-class order.
+const (
+	rankNull = iota
+	rankBool
+	rankNumber
+	rankBytes
+	rankComposite
+)
+
+// Numeric reports whether k is a number kind, which Compare orders by
+// value across kinds.
+func (k Kind) Numeric() bool { return rank(k) == rankNumber }
+
+func rank(k Kind) int {
+	switch k {
+	case KindNone:
+		return rankNull
+	case KindBool:
+		return rankBool
+	case KindInt32, KindInt64, KindDate, KindUInt64, KindFloat, KindDouble:
+		return rankNumber
+	case KindString, KindBlob:
+		return rankBytes
+	}
+	return rankComposite
+}
+
+// Text returns a string's or blob's payload; ok is false for other kinds.
+func (v Value) Text() (s string, ok bool) {
+	switch v.kind {
+	case KindString:
+		return v.str, true
+	case KindBlob:
+		return string(v.blob), true
+	}
+	return "", false
+}
+
+// compareNums orders two numbers exactly.
+func compareNums(a, b *Value) int {
+	af, bf := a.kind == KindFloat || a.kind == KindDouble, b.kind == KindFloat || b.kind == KindDouble
+	switch {
+	case af && bf:
+		// cmp.Compare ranks NaN lowest; on the negations it ranks it highest.
+		return cmp.Compare(-b.AsFloat(), -a.AsFloat())
+	case af:
+		return -compareIntFloat(b.num, b.kind != KindUInt64, a.AsFloat())
+	case bf:
+		return compareIntFloat(a.num, a.kind != KindUInt64, b.AsFloat())
+	}
+	return compareInts(a.num, a.kind != KindUInt64, b.num, b.kind != KindUInt64)
+}
+
+// compareInts orders two integers given as payload bits and whether each
+// is of a signed kind: a negative one is below every other, and integers
+// of one sign order as their bits.
+func compareInts(a uint64, aSigned bool, b uint64, bSigned bool) int {
+	aNeg, bNeg := aSigned && int64(a) < 0, bSigned && int64(b) < 0
+	if aNeg != bNeg {
+		if aNeg {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a, b)
+}
+
+// compareIntFloat orders the integer n against f: by f's integer part,
+// then by its fraction. NaN and a float beyond every integer kind are
+// decided without it.
+func compareIntFloat(n uint64, signed bool, f float64) int {
+	switch {
+	case math.IsNaN(f), f >= 1<<64:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	}
+	t := math.Trunc(f)
+	tn := uint64(t)
+	if t < 0 {
+		tn = uint64(int64(t))
+	}
+	if c := compareInts(n, signed, tn, t < 0); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f)
+}
+
 // Order-preserving key encoding for scalar values, used by primary and
-// secondary B-tree indexes: for any two scalars a, b of the same kind,
-// a.Less(b) iff bytes.Compare(OrderedEncode(a), OrderedEncode(b)) < 0.
-// Values of different kinds order by kind tag, matching Value.Less.
+// secondary B-tree indexes: OrderedEncode is Compare's byte image within a
+// kind. For two scalars a, b of one kind, bytes.Compare of their encodings
+// equals Compare(a, b): −0.0 encodes as 0.0 and every NaN as one NaN,
+// above +Inf. Values of different kinds order by kind tag, which Compare
+// does not follow; an index holds one stored kind per field, and the query
+// layer coerces its bounds to that kind.
 
 // OrderedEncode appends the order-preserving encoding of a scalar value.
 // It panics on composite kinds, which cannot be index keys.
@@ -25,9 +151,15 @@ func OrderedEncode(b []byte, v Value) []byte {
 	case KindUInt64:
 		b = binary.BigEndian.AppendUint64(b, v.num)
 	case KindFloat, KindDouble:
-		bits := math.Float64bits(v.AsFloat())
-		// IEEE754 total order: flip all bits of negatives, sign bit of
-		// positives.
+		f := v.AsFloat()
+		switch {
+		case math.IsNaN(f):
+			f = math.NaN()
+		case f == 0:
+			f = 0 // −0.0
+		}
+		bits := math.Float64bits(f)
+		// IEEE754 order: flip all bits of negatives, sign bit of positives.
 		if bits&(1<<63) != 0 {
 			bits = ^bits
 		} else {

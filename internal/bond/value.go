@@ -1,6 +1,7 @@
 package bond
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -70,11 +71,15 @@ func Date(days int64) Value { return Value{kind: KindDate, num: uint64(days)} }
 // List returns a list value over the given elements.
 func List(elems ...Value) Value { return Value{kind: KindList, list: elems} }
 
-// Map returns a map value; entries are sorted by encoded key so equal maps
-// encode identically.
+// Map returns a map value; entries are sorted by key kind, then by Compare,
+// so equal maps encode identically.
 func Map(entries ...MapEntry) Value {
 	es := append([]MapEntry(nil), entries...)
-	sort.SliceStable(es, func(i, j int) bool { return es[i].Key.Less(es[j].Key) })
+	sort.SliceStable(es, func(i, j int) bool {
+		a, b := &es[i].Key, &es[j].Key
+		c, _ := compare(a, b)
+		return cmp.Or(cmp.Compare(a.kind, b.kind), c) < 0
+	})
 	return Value{kind: KindMap, kv: es}
 }
 
@@ -141,12 +146,18 @@ func (v Value) AsInt() int64 { return int64(v.num) }
 // AsUint returns the uint64 payload.
 func (v Value) AsUint() uint64 { return v.num }
 
-// AsFloat returns the floating-point payload of Float or Double values.
+// AsFloat returns a number as float64: the payload of Float or Double
+// values, the nearest float64 of an integer.
 func (v Value) AsFloat() float64 {
-	if v.kind == KindFloat {
+	switch v.kind {
+	case KindFloat:
 		return float64(math.Float32frombits(uint32(v.num)))
+	case KindDouble:
+		return math.Float64frombits(v.num)
+	case KindUInt64:
+		return float64(v.num)
 	}
-	return math.Float64frombits(v.num)
+	return float64(int64(v.num))
 }
 
 // AsString returns the string payload.
@@ -272,28 +283,6 @@ func (v Value) Equal(o Value) bool {
 			}
 		}
 		return true
-	}
-	return false
-}
-
-// Less defines a total order across values of the same kind (and orders
-// differing kinds by kind); it backs map canonicalization and secondary
-// index comparisons.
-func (v Value) Less(o Value) bool {
-	if v.kind != o.kind {
-		return v.kind < o.kind
-	}
-	switch v.kind {
-	case KindBool, KindUInt64:
-		return v.num < o.num
-	case KindInt32, KindInt64, KindDate:
-		return int64(v.num) < int64(o.num)
-	case KindFloat, KindDouble:
-		return v.AsFloat() < o.AsFloat()
-	case KindString:
-		return v.str < o.str
-	case KindBlob:
-		return string(v.blob) < string(o.blob)
 	}
 	return false
 }

@@ -147,7 +147,7 @@ func (pc *planContext) eqConst(typ string, p *Predicate) (bond.Value, bool) {
 		return v, true
 	}
 	lo, _, st := coerceBound(v, true, f.Type.Kind, true)
-	if c, ok := compareValues(lo, v); st == boundOK && ok && c == 0 {
+	if c, _ := bond.Compare(lo, v); st == boundOK && c == 0 {
 		return lo, true
 	}
 	return v, false

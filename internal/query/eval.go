@@ -1,8 +1,6 @@
 package query
 
 import (
-	"cmp"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -16,7 +14,7 @@ import (
 // in a vertex's data object or an edge's value, and each predicate compares
 // the scalar its path addresses in the encoding — only a composite operand
 // is decoded, and only that sub-value. A vertex that survives has just the
-// fields its shaping operators read decoded. resolvePath and compareValues
+// fields its shaping operators read decoded. resolvePath and bond.Compare
 // over decoded values serve that shaping: projections, sort and group keys,
 // aggregates.
 
@@ -48,135 +46,6 @@ func resolvePath(v bond.Value, fp FieldPath, schema *bond.Schema) (bond.Value, b
 	}
 }
 
-// compareValues orders two scalars across compatible kinds: strings and
-// blobs lexically, and all numeric kinds by exact value (A1QL constants
-// arrive as int64/double regardless of the stored width). Integers compare
-// as integers across int32, int64, date and uint64; an integer against a
-// float compares the float's integer part, then its fraction; floats
-// compare as float64. A NaN compares equal to every number. The secondary
-// index orders one kind's keys the same way, so an index walk and a sort
-// or predicate agree.
-func compareValues(a, b bond.Value) (int, bool) {
-	ac, an := unpackNum(&a)
-	bc, bn := unpackNum(&b)
-	if ac != bond.KindNone && bc != bond.KindNone {
-		return compareNums(ac, an, bc, bn), true
-	}
-	if a.Kind() == bond.KindBool && b.Kind() == bond.KindBool {
-		switch {
-		case a.AsBool() == b.AsBool():
-			return 0, true
-		case !a.AsBool():
-			return -1, true
-		default:
-			return 1, true
-		}
-	}
-	as, aok := stringish(a)
-	bs, bok := stringish(b)
-	if aok && bok {
-		return strings.Compare(as, bs), true
-	}
-	return 0, false
-}
-
-// unpackNum reads v's kind and payload once (v is a pointer: a bond.Value
-// is too large to copy per comparison). The kind is the one the number
-// compares as: Int64 for every signed integer kind, UInt64, or Double with
-// the float64's bits; KindNone for a non-number.
-func unpackNum(v *bond.Value) (bond.Kind, uint64) {
-	switch v.Kind() {
-	case bond.KindInt32, bond.KindInt64, bond.KindDate:
-		return bond.KindInt64, v.AsUint()
-	case bond.KindUInt64:
-		return bond.KindUInt64, v.AsUint()
-	case bond.KindFloat, bond.KindDouble:
-		return bond.KindDouble, math.Float64bits(v.AsFloat())
-	}
-	return bond.KindNone, 0
-}
-
-// compareNums orders two unpacked numbers exactly.
-func compareNums(ac bond.Kind, a uint64, bc bond.Kind, b uint64) int {
-	switch {
-	case ac == bond.KindDouble && bc == bond.KindDouble:
-		af, bf := math.Float64frombits(a), math.Float64frombits(b)
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0 // equal, or a NaN
-	case ac == bond.KindDouble:
-		return -compareNums(bc, b, ac, a)
-	case bc == bond.KindDouble:
-		return compareIntFloat(ac, a, math.Float64frombits(b))
-	}
-	// Two integers: a negative one is below every other, and integers of
-	// one sign order as their bits.
-	aNeg, bNeg := ac == bond.KindInt64 && int64(a) < 0, bc == bond.KindInt64 && int64(b) < 0
-	if aNeg != bNeg {
-		if aNeg {
-			return -1
-		}
-		return 1
-	}
-	return cmp.Compare(a, b)
-}
-
-// compareIntFloat orders the integer n against f: by f's integer part,
-// then by its fraction. A float beyond every integer kind is decided by
-// its sign.
-func compareIntFloat(nc bond.Kind, n uint64, f float64) int {
-	switch {
-	case math.IsNaN(f):
-		return 0
-	case f >= 1<<64:
-		return -1
-	case f < -(1 << 63):
-		return 1
-	}
-	t := math.Trunc(f)
-	tc, tn := bond.KindUInt64, uint64(t)
-	if t < 0 {
-		tc, tn = bond.KindInt64, uint64(int64(t))
-	}
-	if c := compareNums(nc, n, tc, tn); c != 0 {
-		return c
-	}
-	return cmp.Compare(t, f)
-}
-
-func isNumeric(k bond.Kind) bool {
-	switch k {
-	case bond.KindInt32, bond.KindInt64, bond.KindUInt64, bond.KindFloat, bond.KindDouble, bond.KindDate:
-		return true
-	}
-	return false
-}
-
-func asFloat(v bond.Value) float64 {
-	switch v.Kind() {
-	case bond.KindFloat, bond.KindDouble:
-		return v.AsFloat()
-	case bond.KindUInt64:
-		return float64(v.AsUint())
-	default:
-		return float64(v.AsInt())
-	}
-}
-
-func stringish(v bond.Value) (string, bool) {
-	switch v.Kind() {
-	case bond.KindString:
-		return v.AsString(), true
-	case bond.KindBlob:
-		return string(v.AsBlob()), true
-	}
-	return "", false
-}
-
 // holds reports whether a comparison outcome satisfies op.
 func holds(op Op, cmp int) bool {
 	switch op {
@@ -200,11 +69,11 @@ func holds(op Op, cmp int) bool {
 // (which never has op `_prefix`) — to the decoded value it addresses.
 func evalValue(fv bond.Value, op Op, want *bond.Value) bool {
 	if op == OpPrefix {
-		fs, fok := stringish(fv)
-		ps, pok := stringish(*want)
+		fs, fok := fv.Text()
+		ps, pok := want.Text()
 		return fok && pok && strings.HasPrefix(fs, ps)
 	}
-	cmp, ok := compareValues(fv, *want)
+	cmp, ok := bond.Compare(fv, *want)
 	if !ok {
 		// Incomparable kinds: only (in)equality by deep-equal is meaningful.
 		switch op {
@@ -227,7 +96,7 @@ func evalEncoded(enc []byte, p *Predicate) bool {
 		fv, err := bond.Unmarshal(enc)
 		return err == nil && evalValue(fv, p.Op, &p.Value)
 	}
-	ps, ok := stringish(p.Value)
+	ps, ok := p.Value.Text()
 	switch {
 	case p.Op == OpPrefix:
 		return ok && len(b) >= len(ps) && string(b[:len(ps)]) == ps

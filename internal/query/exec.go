@@ -751,7 +751,8 @@ func (r *Row) wireBytes() int {
 }
 
 // wireBytes is the encoded width of one aggregate partial: count, the two
-// running sums, the fraction flag, and the min/max value when present.
+// running sums, one byte for the float flag and the overflow carry (zero
+// unless the sum leaves int64), and the min/max value when present.
 func (a *aggState) wireBytes() int {
 	n := 17
 	if a.seenMM {

@@ -365,7 +365,7 @@ func spillOrder(tp *VertexPattern) func(a, b *spillRow) bool {
 			if an {
 				continue
 			}
-			if cmp, ok := compareValues(av, bv); ok && cmp != 0 {
+			if cmp, _ := bond.Compare(av, bv); cmp != 0 {
 				if ob.Desc {
 					return cmp > 0
 				}

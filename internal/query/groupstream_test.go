@@ -410,7 +410,7 @@ func TestGroupMergeOwnerOrder(t *testing.T) {
 	e, _, _, c := newSkewEnv(t)
 	pat := &VertexPattern{Aggs: []Aggregate{{Kind: AggSum, Raw: "_sum(x)"}}}
 	partial := func(x float64) *groupState {
-		return &groupState{aggs: []aggState{{count: 1, sum: x, fracSum: true}}}
+		return &groupState{aggs: []aggState{{count: 1, sum: x, floatSum: true}}}
 	}
 	// Folded in owner order the sum is (1e16 + -1e16) + 1 = 1; any order
 	// that takes the 1 before either large partial rounds it away to 0.

@@ -20,11 +20,11 @@ func evalPredicate(v bond.Value, p Predicate, schema *bond.Schema) bool {
 		return false
 	}
 	if p.Op == OpPrefix {
-		fs, fok := stringish(fv)
-		ps, pok := stringish(p.Value)
+		fs, fok := fv.Text()
+		ps, pok := p.Value.Text()
 		return fok && pok && strings.HasPrefix(fs, ps)
 	}
-	cmp, ok := compareValues(fv, p.Value)
+	cmp, ok := bond.Compare(fv, p.Value)
 	if !ok {
 		// Incomparable kinds: only (in)equality by deep-equal is meaningful.
 		switch p.Op {

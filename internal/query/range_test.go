@@ -253,7 +253,7 @@ func TestRangeBoundCoercion(t *testing.T) {
 }
 
 func TestRangeBoundDomainEdgesMatchEvaluator(t *testing.T) {
-	// Bounds at the domain edges coerce exactly, as compareValues orders
+	// Bounds at the domain edges coerce exactly, as bond.Compare orders
 	// them: an int64 never reaches 2^63, MaxInt64 and MinInt64 are bounds
 	// as written, and a double bound onto an int is stepped past the
 	// nearest representable value only when it lies on the wrong side.
@@ -291,42 +291,42 @@ func TestRangeBoundDomainEdgesMatchEvaluator(t *testing.T) {
 // stored fields from.
 var fuzzNumKinds = []bond.Kind{bond.KindInt32, bond.KindInt64, bond.KindDate, bond.KindUInt64, bond.KindFloat, bond.KindDouble}
 
-// fuzzNum builds a value of kind k from raw bits; ok=false for a NaN.
-func fuzzNum(k bond.Kind, bits uint64) (bond.Value, bool) {
+// fuzzNum builds a value of kind k from raw bits.
+func fuzzNum(k bond.Kind, bits uint64) bond.Value {
 	switch k {
 	case bond.KindInt32:
-		return bond.Int32(int32(bits)), true
+		return bond.Int32(int32(bits))
 	case bond.KindUInt64:
-		return bond.UInt64(bits), true
+		return bond.UInt64(bits)
 	case bond.KindFloat:
-		f := math.Float32frombits(uint32(bits))
-		return bond.Float(f), !math.IsNaN(float64(f))
+		return bond.Float(math.Float32frombits(uint32(bits)))
 	case bond.KindDouble:
-		f := math.Float64frombits(bits)
-		return bond.Double(f), !math.IsNaN(f)
+		return bond.Double(math.Float64frombits(bits))
 	}
-	return intOfKind(k, int64(bits)), true
+	return intOfKind(k, int64(bits))
 }
 
 // FuzzCoerceBound is a differential check of range-bound coercion: for a
 // constant of any numeric kind, a stored kind, an operator and its
 // inclusivity, every probed stored value lies inside the coerced range
-// exactly when the predicate accepts it under compareValues, and
-// compareValues agrees with exact big.Float arithmetic. The probes are the
+// exactly when the predicate accepts it under bond.Compare, and
+// bond.Compare agrees with exactCmp (big.Float arithmetic, NaN above every
+// number). The probes are the
 // coerced bound, the kind's domain edges, zero and the constant's own
 // conversion to the kind, each with both neighbours.
 func FuzzCoerceBound(f *testing.F) {
-	f.Add(byte(1), uint64(1<<53+1), byte(5), byte(0))         // 2^53+1 > double
-	f.Add(byte(5), math.Float64bits(1<<63), byte(1), byte(1)) // double 2^63 >= int64
-	f.Add(byte(3), uint64(math.MaxUint64), byte(5), byte(3))  // MaxUint64 <= double
-	f.Add(byte(5), math.Float64bits(-0.5), byte(3), byte(2))  // -0.5 < uint64
-	f.Add(byte(5), math.Float64bits(1e300), byte(4), byte(3)) // 1e300 <= float
-	f.Add(byte(1), uint64(1<<63), byte(0), byte(1))           // MinInt64 >= int32
+	f.Add(byte(1), uint64(1<<53+1), byte(5), byte(0))                        // 2^53+1 > double
+	f.Add(byte(5), math.Float64bits(1<<63), byte(1), byte(1))                // double 2^63 >= int64
+	f.Add(byte(3), uint64(math.MaxUint64), byte(5), byte(3))                 // MaxUint64 <= double
+	f.Add(byte(5), math.Float64bits(-0.5), byte(3), byte(2))                 // -0.5 < uint64
+	f.Add(byte(5), math.Float64bits(1e300), byte(4), byte(3))                // 1e300 <= float
+	f.Add(byte(1), uint64(1<<63), byte(0), byte(1))                          // MinInt64 >= int32
+	f.Add(byte(5), math.Float64bits(math.NaN()), byte(5), byte(1))           // NaN >= double
+	f.Add(byte(4), uint64(0xFFC00001), byte(1), byte(3))                     // float NaN <= int64
+	f.Add(byte(5), math.Float64bits(math.Copysign(0, -1)), byte(4), byte(0)) // -0.0 > float
+	f.Add(byte(5), math.Float64bits(math.Inf(1)), byte(5), byte(0))          // +Inf > double
 	f.Fuzz(func(t *testing.T, ck byte, bits uint64, sk byte, op byte) {
-		c, ok := fuzzNum(fuzzNumKinds[int(ck)%len(fuzzNumKinds)], bits)
-		if !ok {
-			return // NaN compares equal to every number; not a bound
-		}
+		c := fuzzNum(fuzzNumKinds[int(ck)%len(fuzzNumKinds)], bits)
 		k := fuzzNumKinds[int(sk)%len(fuzzNumKinds)]
 		o := []Op{OpGt, OpGe, OpLt, OpLe}[op%4]
 		spec := &rangeSpec{field: "f"}
@@ -344,12 +344,12 @@ func FuzzCoerceBound(f *testing.F) {
 				return true // the bound admits the whole domain
 			}
 			if !lo.IsNull() {
-				if cmp, _ := compareValues(x, lo); cmp < 0 || (cmp == 0 && !loInc) {
+				if cmp, _ := bond.Compare(x, lo); cmp < 0 || (cmp == 0 && !loInc) {
 					return false
 				}
 			}
 			if !hi.IsNull() {
-				if cmp, _ := compareValues(x, hi); cmp > 0 || (cmp == 0 && !hiInc) {
+				if cmp, _ := bond.Compare(x, hi); cmp > 0 || (cmp == 0 && !hiInc) {
 					return false
 				}
 			}
@@ -368,9 +368,9 @@ func FuzzCoerceBound(f *testing.F) {
 			probes = append(probes, p, step(p, true), step(p, false))
 		}
 		for _, x := range probes {
-			cmp, _ := compareValues(x, c)
+			cmp, _ := bond.Compare(x, c)
 			if want := exactCmp(x, c); cmp != want {
-				t.Fatalf("compareValues(%v %v, %v %v) = %d, exact %d", x.Kind(), x, c.Kind(), c, cmp, want)
+				t.Fatalf("bond.Compare(%v %v, %v %v) = %d, exact %d", x.Kind(), x, c.Kind(), c, cmp, want)
 			}
 			if got, want := inside(x), holds(o, cmp); got != want {
 				t.Fatalf("%v %v onto %v: stored %v inside [%v/%v, %v/%v] ok=%v empty=%v is %v, predicate says %v",

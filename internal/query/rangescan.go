@@ -11,8 +11,8 @@ import (
 // of a full type scan. The index stores OrderedEncode(attr)+addr keys, and
 // OrderedEncode is kind-tagged, so scan bounds must be coerced to the
 // indexed field's exact stored kind. Coercion is exact under
-// compareValues: the coerced range holds precisely the values of that
-// kind the predicates accept, so every access path returns the same rows.
+// bond.Compare: the coerced range holds precisely the values of that kind
+// the predicates accept, so every access path returns the same rows.
 
 // rangeSpec accumulates the bounds inequality predicates place on one
 // field. A Null bound is unbounded on that side.
@@ -23,26 +23,14 @@ type rangeSpec struct {
 }
 
 // rangeSpecs folds a pattern's inequality predicates into per-field bound
-// sets, in first-appearance order. Incomparable duplicate bounds keep the
-// wider one (safe: predicates still filter per vertex).
+// sets, in first-appearance order. Of two comparable bounds on one side
+// the tighter wins; of incomparable ones the first (safe: predicates still
+// filter per vertex).
 func rangeSpecs(preds []Predicate) []*rangeSpec {
 	var specs []*rangeSpec
 	byField := map[string]*rangeSpec{}
 	for _, p := range preds {
-		if !p.Path.plain() {
-			continue
-		}
-		var isLo, inc bool
-		switch p.Op {
-		case OpGt:
-			isLo, inc = true, false
-		case OpGe:
-			isLo, inc = true, true
-		case OpLt:
-			isLo, inc = false, false
-		case OpLe:
-			isLo, inc = false, true
-		default:
+		if !rangePred(p) {
 			continue
 		}
 		s := byField[p.Path.Field]
@@ -51,16 +39,17 @@ func rangeSpecs(preds []Predicate) []*rangeSpec {
 			byField[p.Path.Field] = s
 			specs = append(specs, s)
 		}
-		if isLo {
+		inc := p.Op == OpGe || p.Op == OpLe
+		if p.Op == OpGt || p.Op == OpGe {
 			if s.lo.IsNull() {
 				s.lo, s.loInc = p.Value, inc
-			} else if cmp, ok := compareValues(p.Value, s.lo); ok && (cmp > 0 || (cmp == 0 && !inc)) {
+			} else if cmp, ok := bond.Compare(p.Value, s.lo); ok && (cmp > 0 || (cmp == 0 && !inc)) {
 				s.lo, s.loInc = p.Value, inc
 			}
 		} else {
 			if s.hi.IsNull() {
 				s.hi, s.hiInc = p.Value, inc
-			} else if cmp, ok := compareValues(p.Value, s.hi); ok && (cmp < 0 || (cmp == 0 && !inc)) {
+			} else if cmp, ok := bond.Compare(p.Value, s.hi); ok && (cmp < 0 || (cmp == 0 && !inc)) {
 				s.hi, s.hiInc = p.Value, inc
 			}
 		}
@@ -98,7 +87,7 @@ func coerceRange(s *rangeSpec, k bond.Kind) (lo bond.Value, loInc bool, hi bond.
 
 // coerceBound converts one bound to kind k. A lower bound becomes the
 // least value of kind k the predicate accepts, an upper bound the
-// greatest, found with compareValues itself: take v's nearest value of
+// greatest, found with bond.Compare itself: take v's nearest value of
 // kind k and step it once if it lies on the wrong side. An exact hit keeps
 // inc, so a bound already of kind k passes through as written. A Null
 // bound, or one beyond the domain on its open side, comes back Null: no
@@ -123,11 +112,11 @@ func coerceBound(v bond.Value, inc bool, k bond.Kind, isLo bool) (bond.Value, bo
 		return v, inc, boundFail
 	}
 	min, max, ok := kindEdges(k)
-	if !ok || !isNumeric(v.Kind()) || math.IsNaN(asFloat(v)) {
+	if !ok || !v.Kind().Numeric() {
 		return v, inc, boundFail
 	}
-	below, _ := compareValues(v, min)
-	above, _ := compareValues(v, max)
+	below, _ := bond.Compare(v, min)
+	above, _ := bond.Compare(v, max)
 	switch {
 	case below < 0 && isLo, above > 0 && !isLo:
 		return bond.Null, false, boundOK
@@ -135,14 +124,15 @@ func coerceBound(v bond.Value, inc bool, k bond.Kind, isLo bool) (bond.Value, bo
 		return v, inc, boundEmpty
 	}
 	c := nearest(v, k)
-	side, _ := compareValues(c, v)
+	side, _ := bond.Compare(c, v)
 	if (isLo && side < 0) || (!isLo && side > 0) {
 		c = step(c, isLo)
 	}
 	return c, inc || side != 0, boundOK
 }
 
-// kindEdges returns numeric kind k's least and greatest values.
+// kindEdges returns numeric kind k's least and greatest values; NaN is
+// the greatest float.
 func kindEdges(k bond.Kind) (min, max bond.Value, ok bool) {
 	switch k {
 	case bond.KindInt32:
@@ -152,7 +142,7 @@ func kindEdges(k bond.Kind) (min, max bond.Value, ok bool) {
 	case bond.KindUInt64:
 		return bond.UInt64(0), bond.UInt64(math.MaxUint64), true
 	case bond.KindFloat, bond.KindDouble:
-		return bond.Double(math.Inf(-1)), bond.Double(math.Inf(1)), true
+		return bond.Double(math.Inf(-1)), bond.Double(math.NaN()), true
 	}
 	return bond.Null, bond.Null, false
 }
@@ -160,7 +150,7 @@ func kindEdges(k bond.Kind) (min, max bond.Value, ok bool) {
 // nearest converts v, which lies within numeric kind k's domain, to k:
 // integer kinds truncate, float kinds round.
 func nearest(v bond.Value, k bond.Kind) bond.Value {
-	f, isFloat := asFloat(v), v.Kind() == bond.KindFloat || v.Kind() == bond.KindDouble
+	f, isFloat := v.AsFloat(), v.Kind() == bond.KindFloat || v.Kind() == bond.KindDouble
 	switch {
 	case k == bond.KindFloat:
 		return bond.Float(float32(f))

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"sort"
 
 	"a1/internal/bond"
@@ -20,9 +21,10 @@ import (
 type aggState struct {
 	count int64 // rows counted (AggCount) or numeric values seen (AggSum/AggAvg)
 
-	sum     float64 // running sum as float
-	isum    int64   // exact integer sum while no fractional value was seen
-	fracSum bool    // a float/double contributed; report the float sum
+	sum      float64 // running sum as float
+	isum     int64   // exact integer sum is hi·2^64 + isum
+	hi       int64   // carries out of isum; nonzero: the sum overflows int64
+	floatSum bool    // a float contributed: report the float sum
 
 	mm     bond.Value // current min or max
 	seenMM bool
@@ -40,31 +42,45 @@ func accumAgg(st *aggState, a Aggregate, data bond.Value, schema *bond.Schema) {
 	}
 	switch a.Kind {
 	case AggSum, AggAvg:
-		if !isNumeric(v.Kind()) {
+		if !v.Kind().Numeric() {
 			return
 		}
 		st.count++
-		st.sum += asFloat(v)
+		st.sum += v.AsFloat()
 		switch v.Kind() {
 		case bond.KindFloat, bond.KindDouble:
-			st.fracSum = true
+			st.floatSum = true
 		case bond.KindUInt64:
-			st.isum += int64(v.AsUint())
+			st.addInt(int64(v.AsUint()))
+			if v.AsUint() > math.MaxInt64 {
+				st.hi++ // int64(u) is u − 2^64
+			}
 		default:
-			st.isum += v.AsInt()
+			st.addInt(v.AsInt())
 		}
-	case AggMin:
-		if !st.seenMM {
-			st.mm, st.seenMM = v, true
-		} else if cmp, ok := compareValues(v, st.mm); ok && cmp < 0 {
-			st.mm = v
-		}
-	case AggMax:
-		if !st.seenMM {
-			st.mm, st.seenMM = v, true
-		} else if cmp, ok := compareValues(v, st.mm); ok && cmp > 0 {
-			st.mm = v
-		}
+	case AggMin, AggMax:
+		st.foldMM(a.Kind, v)
+	}
+}
+
+// addInt adds n to the exact integer sum, carrying an overflow of isum
+// into hi, so the sum depends only on the values, not on their order.
+func (st *aggState) addInt(n int64) {
+	s := st.isum + n
+	if n > 0 && s < st.isum {
+		st.hi++
+	} else if n < 0 && s > st.isum {
+		st.hi--
+	}
+	st.isum = s
+}
+
+// foldMM folds v into a _min (kind AggMin) or _max state under
+// bond.Compare's total order, so the result is the same in every input
+// order.
+func (st *aggState) foldMM(kind AggKind, v bond.Value) {
+	if c, _ := bond.Compare(v, st.mm); !st.seenMM || (kind == AggMin && c < 0) || (kind == AggMax && c > 0) {
+		st.mm, st.seenMM = v, true
 	}
 }
 
@@ -75,21 +91,11 @@ func mergeAggStates(dst, src []aggState, aggs []Aggregate) {
 		d, s := &dst[i], &src[i]
 		d.count += s.count
 		d.sum += s.sum
-		d.isum += s.isum
-		d.fracSum = d.fracSum || s.fracSum
-		if !s.seenMM {
-			continue
-		}
-		if !d.seenMM {
-			d.mm, d.seenMM = s.mm, true
-			continue
-		}
-		cmp, ok := compareValues(s.mm, d.mm)
-		if !ok {
-			continue
-		}
-		if (aggs[i].Kind == AggMin && cmp < 0) || (aggs[i].Kind == AggMax && cmp > 0) {
-			d.mm = s.mm
+		d.floatSum = d.floatSum || s.floatSum
+		d.hi += s.hi
+		d.addInt(s.isum)
+		if s.seenMM {
+			d.foldMM(aggs[i].Kind, s.mm)
 		}
 	}
 }
@@ -109,7 +115,7 @@ func finalAggValue(s *aggState, a Aggregate) bond.Value {
 	case AggCount:
 		return bond.Int64(s.count)
 	case AggSum:
-		if s.fracSum {
+		if s.floatSum || s.hi != 0 {
 			return bond.Double(s.sum)
 		}
 		return bond.Int64(s.isum)
@@ -169,7 +175,7 @@ func havingProvesFail(gs *groupState, having []HavingPred, aggs []Aggregate) boo
 		default:
 			continue
 		}
-		cmp, ok := compareValues(v, hp.Value)
+		cmp, ok := bond.Compare(v, hp.Value)
 		if !ok {
 			continue
 		}
@@ -212,7 +218,10 @@ type groupState struct {
 
 // appendGroupKey appends one key component's canonical encoding. Scalar
 // kinds use the order-preserving index encoding, so byte-sorting encoded
-// keys yields value-sorted groups; composite values (lists, maps) group by
+// keys yields value-sorted groups, and values bond.Compare calls equal
+// within a kind (−0.0 and 0.0, every NaN) share one group, the first
+// vertex seen giving its key value, while equal values of different kinds
+// (Int64 3, Double 3.0) group apart; composite values (lists, maps) group by
 // their serialized image — deterministic, though byte order is not value
 // order for them.
 func appendGroupKey(b []byte, v bond.Value) []byte {
@@ -286,9 +295,10 @@ type sortKey struct {
 }
 
 // rowLess orders terminal rows by their `_orderby` keys, most significant
-// first. Rows missing a key sort after keyed rows on that component; ties
-// (and incomparable kinds) fall through to the next key and finally break
-// on the stable vertex address so distributed merges are deterministic.
+// first, under bond.Compare (a total order: values of different classes
+// order by class). Rows missing a key sort after keyed rows on that
+// component; ties fall through to the next key and finally break on the
+// stable vertex address so distributed merges are deterministic.
 func rowLess(a, b *Row, orders []OrderBy) bool {
 	for i := range orders {
 		var ak, bk sortKey
@@ -304,7 +314,7 @@ func rowLess(a, b *Row, orders []OrderBy) bool {
 		if !ak.ok {
 			continue
 		}
-		if cmp, ok := compareValues(ak.val, bk.val); ok && cmp != 0 {
+		if cmp, _ := bond.Compare(ak.val, bk.val); cmp != 0 {
 			if orders[i].Desc {
 				return cmp > 0
 			}

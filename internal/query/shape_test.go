@@ -4,6 +4,8 @@ import (
 	"encoding/base64"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"a1/internal/bond"
 	"a1/internal/core"
 	"a1/internal/fabric"
+	"a1/internal/farm"
 )
 
 // Result shaping: _limit / _skip / _orderby / aggregates, and their
@@ -299,6 +302,161 @@ func TestAggregates(t *testing.T) {
 	}
 	if !empty.Aggregates["_min(popularity)"].IsNull() || !empty.Aggregates["_avg(popularity)"].IsNull() {
 		t.Errorf("empty min/avg should be null: %+v", empty.Aggregates)
+	}
+}
+
+// TestSortRowsOneOrder: sortRows gives one order however its input is
+// shuffled, for float keys holding NaN, ±0.0 and ±Inf and for keys of
+// mixed kinds (a terminal without `_type` over types that share a field
+// name): bond.Compare is total, and ties break on the vertex address.
+func TestSortRowsOneOrder(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		keys []bond.Value
+	}{
+		{"floats", []bond.Value{bond.Double(math.Inf(-1)), bond.Double(-1), bond.Double(math.Copysign(0, -1)),
+			bond.Double(0), bond.Double(1), bond.Double(math.Inf(1)), bond.Double(nan), bond.Double(-nan)}},
+		{"mixed", []bond.Value{bond.Bool(false), bond.Bool(true), bond.Int64(-1), bond.Double(2.5), bond.Int64(3),
+			bond.String("a"), bond.String("b")}},
+	} {
+		for _, desc := range []bool{false, true} {
+			orders := []OrderBy{{Desc: desc}}
+			var rows []Row
+			for copies := 0; copies < 4; copies++ { // past insertion sort's 12 rows
+				for _, k := range tc.keys {
+					rows = append(rows, Row{Vertex: core.VertexPtr{Addr: farm.Addr(len(rows) + 1)}, keys: []sortKey{{val: k, ok: true}}})
+				}
+			}
+			r := rand.New(rand.NewSource(1))
+			var want []farm.Addr
+			for shuffle := 0; shuffle < 20; shuffle++ {
+				r.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+				sortRows(rows, orders)
+				var got []farm.Addr
+				for _, row := range rows {
+					got = append(got, row.Vertex.Addr)
+				}
+				if want == nil {
+					want = got
+					for i := 1; i < len(rows); i++ {
+						a, b := &rows[i-1], &rows[i]
+						c, _ := bond.Compare(a.keys[0].val, b.keys[0].val)
+						if desc {
+							c = -c
+						}
+						if c > 0 || c == 0 && a.Vertex.Addr > b.Vertex.Addr {
+							t.Errorf("%s desc=%v: %v (addr %d) sorts before %v (addr %d)", tc.name, desc,
+								a.keys[0].val, a.Vertex.Addr, b.keys[0].val, b.Vertex.Addr)
+						}
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s desc=%v: shuffle %d sorts %v, shuffle 0 %v", tc.name, desc, shuffle, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestGroupKeyWithinKind: values bond.Compare calls equal share a group
+// key within a kind (−0.0 and 0.0, two NaN payloads); equal values of
+// different kinds group apart, as README documents.
+func TestGroupKeyWithinKind(t *testing.T) {
+	key := func(v bond.Value) string { return string(appendGroupKey(nil, v)) }
+	for _, pair := range [][2]bond.Value{
+		{bond.Double(math.Copysign(0, -1)), bond.Double(0)},
+		{bond.Double(math.NaN()), bond.Double(math.Float64frombits(0xFFF8000000000001))},
+	} {
+		if key(pair[0]) != key(pair[1]) {
+			t.Errorf("%v and %v: different group keys", pair[0], pair[1])
+		}
+	}
+	if key(bond.Int64(3)) == key(bond.Double(3)) || key(bond.Int32(3)) == key(bond.Int64(3)) {
+		t.Error("equal values of different kinds share a group key")
+	}
+}
+
+// TestMinMaxOneAnswer: _min/_max over {NaN, 1, −1} give one answer in
+// every input order and every split into merged partials: −1 and NaN,
+// which sorts above every number.
+func TestMinMaxOneAnswer(t *testing.T) {
+	vals := []bond.Value{bond.Double(math.NaN()), bond.Int64(1), bond.Int64(-1)}
+	aggs := []Aggregate{{Kind: AggMin, Path: FieldPath{Wildcard: true}}, {Kind: AggMax, Path: FieldPath{Wildcard: true}}}
+	for _, perm := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		for split := 0; split <= len(perm); split++ {
+			parts := [2][]aggState{make([]aggState, 2), make([]aggState, 2)}
+			for i, vi := range perm {
+				part := parts[0]
+				if i >= split {
+					part = parts[1]
+				}
+				for a := range aggs {
+					accumAgg(&part[a], aggs[a], vals[vi], nil)
+				}
+			}
+			mergeAggStates(parts[0], parts[1], aggs)
+			lo, hi := finalAggValue(&parts[0][0], aggs[0]), finalAggValue(&parts[0][1], aggs[1])
+			if !lo.Equal(bond.Int64(-1)) || !math.IsNaN(hi.AsFloat()) {
+				t.Errorf("order %v split %d: _min %v, _max %v; want -1, NaN", perm, split, lo, hi)
+			}
+		}
+	}
+}
+
+// TestSumIntegerOverflow: an integer _sum is Int64 when its exact total
+// fits in int64 and the float sum when it does not, or when a double
+// contributes, whatever order the values arrive and merge in.
+func TestSumIntegerOverflow(t *testing.T) {
+	sum := func(parts ...[]bond.Value) bond.Value {
+		agg := []Aggregate{{Kind: AggSum, Path: FieldPath{Wildcard: true}}}
+		total := make([]aggState, 1)
+		for _, part := range parts {
+			st := make([]aggState, 1)
+			for _, v := range part {
+				accumAgg(&st[0], agg[0], v, nil)
+			}
+			mergeAggStates(total, st, agg)
+		}
+		return finalAggValue(&total[0], agg[0])
+	}
+	for _, tc := range []struct {
+		name  string
+		parts [][]bond.Value
+		want  bond.Value
+	}{
+		{"uint64 2^63", [][]bond.Value{{bond.UInt64(1 << 63)}}, bond.Double(1 << 63)},
+		{"MaxInt64+1", [][]bond.Value{{bond.Int64(math.MaxInt64), bond.Int64(1)}}, bond.Double(1 << 63)},
+		{"MinInt64-1", [][]bond.Value{{bond.Int64(math.MinInt64), bond.Int32(-1)}}, bond.Double(-(1 << 63))},
+		{"merged MaxInt64+1", [][]bond.Value{{bond.Int64(math.MaxInt64)}, {bond.UInt64(1)}}, bond.Double(1 << 63)},
+		{"exact", [][]bond.Value{{bond.Int64(math.MaxInt64), bond.Int64(-2)}, {bond.UInt64(1)}}, bond.Int64(math.MaxInt64 - 1)},
+		{"double", [][]bond.Value{{bond.Int64(3), bond.Double(0.5)}}, bond.Double(3.5)},
+	} {
+		if got := sum(tc.parts...); !got.Equal(tc.want) {
+			t.Errorf("%s: _sum = %v %v, want %v %v", tc.name, got.Kind(), got, tc.want.Kind(), tc.want)
+		}
+	}
+	// Partial sums that leave int64 and come back: every order, in one
+	// batch and one value per batch, gives the exact total.
+	for _, tc := range []struct {
+		vals []bond.Value
+		want bond.Value
+	}{
+		{[]bond.Value{bond.Int64(math.MaxInt64), bond.Int64(1), bond.Int64(-1)}, bond.Int64(math.MaxInt64)},
+		{[]bond.Value{bond.Int64(math.MinInt64), bond.Int64(-1), bond.Int64(1)}, bond.Int64(math.MinInt64)},
+		{[]bond.Value{bond.UInt64(1<<63 + 5), bond.Int64(-7), bond.Int64(math.MinInt64)}, bond.Int64(-2)},
+		{[]bond.Value{bond.UInt64(math.MaxUint64), bond.UInt64(math.MaxUint64), bond.Int64(math.MinInt64)}, bond.Double(3 << 63)},
+	} {
+		for _, perm := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+			vals := []bond.Value{tc.vals[perm[0]], tc.vals[perm[1]], tc.vals[perm[2]]}
+			one := sum(vals)
+			each := sum(vals[:1], vals[1:2], vals[2:])
+			for _, got := range []bond.Value{one, each} {
+				if !got.Equal(tc.want) {
+					t.Errorf("_sum%v = %v %v, want %v %v", vals, got.Kind(), got, tc.want.Kind(), tc.want)
+				}
+			}
+		}
 	}
 }
 

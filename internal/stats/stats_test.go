@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -44,6 +45,28 @@ func TestVertexAndFieldCounts(t *testing.T) {
 	}
 	if fs.Distinct < 20 || fs.Distinct > 80 {
 		t.Fatalf("Distinct = %d, want ≈41", fs.Distinct)
+	}
+}
+
+// TestEqualValuesShareKey: the sketches key a value by its index encoding,
+// so −0.0 and 0.0 count as one value, as every NaN does, and an equality
+// estimate counts each one's whole class, as the index probe finds it.
+func TestEqualValuesShareKey(t *testing.T) {
+	tr := NewTracker(1, time.Second)
+	for _, f := range []float64{math.Copysign(0, -1), 0, 0, math.NaN(), -math.NaN(), 1} {
+		tr.Local(0).FieldValueAdded("t/g", "node", "d", bond.Double(f))
+	}
+	fs, _ := tr.Summary(0, 0, "t/g").FieldStats("node", "d")
+	if fs.Distinct != 3 {
+		t.Errorf("Distinct = %d, want 3", fs.Distinct)
+	}
+	for _, tc := range []struct {
+		v    float64
+		want float64
+	}{{0, 3}, {math.Copysign(0, -1), 3}, {math.NaN(), 2}} {
+		if got := fs.EqEstimate(bond.Double(tc.v)); got != tc.want {
+			t.Errorf("EqEstimate(%v) = %v, want %v", tc.v, got, tc.want)
+		}
 	}
 }
 
