@@ -325,7 +325,9 @@ func (db *DB) Transaction(c *Ctx, fn func(tx *Tx) error) error {
 }
 
 // ReadTransaction opens a read-only snapshot transaction; it never
-// conflicts with updates (§5.2).
+// conflicts with updates (§5.2). Its snapshot is not pinned: it holds until
+// the next GCVersions sweep, after which reads of versions overwritten
+// since it opened may fail with farm.ErrTooOld.
 func (db *DB) ReadTransaction(c *Ctx) *Tx { return db.farm.CreateReadTransaction(c) }
 
 // Queries.
@@ -516,7 +518,9 @@ func (db *DB) Engine() *query.Engine { return db.engine }
 // Tasks returns the workflow runtime.
 func (db *DB) Tasks() *task.Runtime { return db.tasks }
 
-// GCVersions reclaims dead object versions cluster-wide.
+// GCVersions reclaims cluster-wide what commits leave behind: deleted
+// objects' tombstones and version records kept for snapshots since
+// released.
 func (db *DB) GCVersions(c *Ctx) int { return db.farm.GCVersions(c) }
 
 // UsedBytes reports allocated primary-replica bytes.

@@ -58,7 +58,8 @@ func (b *TwoTier) shardOf(key string) int {
 // vertex, adjacency flattened by edge type (this is the nightly map-reduce
 // rebuild of the old knowledge-graph stack).
 func (b *TwoTier) LoadFromGraph(c *fabric.Ctx, g *core.Graph, vertexType string) (int, error) {
-	tx := g.Store().Farm().CreateReadTransaction(c)
+	tx := g.Store().Farm().CreatePinnedReadTransaction(c)
+	defer tx.Abort()
 	type vert struct {
 		id string
 		vp core.VertexPtr

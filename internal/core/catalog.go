@@ -91,7 +91,8 @@ func (s *Store) proxyGet(c *fabric.Ctx, key string, decode func([]byte) (interfa
 		return e.decoded, nil
 	}
 	// Miss or expired: read the authoritative entry.
-	tx := s.farm.CreateReadTransaction(c)
+	tx := s.farm.CreatePinnedReadTransaction(c)
+	defer tx.Abort()
 	raw, found, err := s.catGet(tx, key)
 	if err != nil {
 		return nil, err

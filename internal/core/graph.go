@@ -219,7 +219,8 @@ func (g *Graph) VertexTypeIndexInfo(c *fabric.Ctx, name string) (pkField string,
 
 // VertexTypeNames lists the graph's vertex types.
 func (g *Graph) VertexTypeNames(c *fabric.Ctx) ([]string, error) {
-	tx := g.store.farm.CreateReadTransaction(c)
+	tx := g.store.farm.CreatePinnedReadTransaction(c)
+	defer tx.Abort()
 	prefix := vtypePrefix(g.tenant, g.name)
 	var names []string
 	err := g.store.catScanPrefix(tx, prefix, func(key string, _ []byte) bool {
@@ -231,7 +232,8 @@ func (g *Graph) VertexTypeNames(c *fabric.Ctx) ([]string, error) {
 
 // EdgeTypeNames lists the graph's edge types.
 func (g *Graph) EdgeTypeNames(c *fabric.Ctx) ([]string, error) {
-	tx := g.store.farm.CreateReadTransaction(c)
+	tx := g.store.farm.CreatePinnedReadTransaction(c)
+	defer tx.Abort()
 	prefix := etypePrefix(g.tenant, g.name)
 	var names []string
 	err := g.store.catScanPrefix(tx, prefix, func(key string, _ []byte) bool {
@@ -378,7 +380,8 @@ func (s *Store) SetGraphState(c *fabric.Ctx, tenant, graph string, state GraphSt
 
 // GraphNames lists graphs under a tenant.
 func (s *Store) GraphNames(c *fabric.Ctx, tenant string) ([]string, error) {
-	tx := s.farm.CreateReadTransaction(c)
+	tx := s.farm.CreatePinnedReadTransaction(c)
+	defer tx.Abort()
 	prefix := catGraph + tenant + "/"
 	var names []string
 	err := s.catScanPrefix(tx, prefix, func(key string, _ []byte) bool {
@@ -393,8 +396,9 @@ func (s *Store) GraphNames(c *fabric.Ctx, tenant string) ([]string, error) {
 // delete the vertices at the same time" — vertices are drained first here,
 // then the trees are dismantled in batches).
 func (s *Store) DropVertexTypeTrees(c *fabric.Ctx, tenant, graph, name string) error {
-	tx := s.farm.CreateReadTransaction(c)
+	tx := s.farm.CreatePinnedReadTransaction(c)
 	raw, ok, err := s.catGet(tx, vtypeKey(tenant, graph, name))
+	tx.Abort()
 	if err != nil || !ok {
 		return err
 	}
@@ -415,8 +419,9 @@ func (s *Store) DropVertexTypeTrees(c *fabric.Ctx, tenant, graph, name string) e
 
 // DropGraphTrees frees the graph's global edge B-trees.
 func (s *Store) DropGraphTrees(c *fabric.Ctx, tenant, graph string) error {
-	tx := s.farm.CreateReadTransaction(c)
+	tx := s.farm.CreatePinnedReadTransaction(c)
 	raw, ok, err := s.catGet(tx, graphKey(tenant, graph))
+	tx.Abort()
 	if err != nil || !ok {
 		return err
 	}

@@ -181,7 +181,8 @@ func (g *Graph) Analyze(c *fabric.Ctx) (*stats.GraphSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	tx := s.farm.CreateReadTransaction(c)
+	tx := s.farm.CreatePinnedReadTransaction(c)
+	defer tx.Abort()
 	for _, typeName := range names {
 		vt, err := g.vertexType(c, typeName)
 		if err != nil {

@@ -52,7 +52,8 @@ func (s *Store) typeDirByKey(c *fabric.Ctx, cacheKey, tenant, graph string) (*ty
 		eByName: make(map[string]*edgeTypeMeta),
 		expires: now + s.cfg.ProxyTTL,
 	}
-	tx := s.farm.CreateReadTransaction(c)
+	tx := s.farm.CreatePinnedReadTransaction(c)
+	defer tx.Abort()
 	var decodeErr error
 	err := s.catScanPrefix(tx, vtypePrefix(tenant, graph), func(_ string, raw []byte) bool {
 		m, err := decodeVertexTypeMeta(raw)

@@ -663,7 +663,8 @@ func (g *Graph) secondaryIndex(tx *farm.Tx, typeName, fieldName string) (farm.Pt
 // CountVertices returns the number of vertices of a type (primary index
 // cardinality).
 func (g *Graph) CountVertices(c *fabric.Ctx, typeName string) (int, error) {
-	tx := g.store.farm.CreateReadTransaction(c)
+	tx := g.store.farm.CreatePinnedReadTransaction(c)
+	defer tx.Abort()
 	vt, err := g.vertexType(c, typeName)
 	if err != nil {
 		return 0, err

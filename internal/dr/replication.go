@@ -461,7 +461,8 @@ func (r *Replicator) FlushPending(c *fabric.Ctx) (int, error) {
 
 // oldestEntry reads the head of the log.
 func (r *Replicator) oldestEntry(c *fabric.Ctx) (uint64, *Entry, bool, error) {
-	tx := r.farm.CreateReadTransaction(c)
+	tx := r.farm.CreatePinnedReadTransaction(c)
+	defer tx.Abort()
 	var seq uint64
 	var raw []byte
 	err := r.logIdx.Scan(tx, nil, nil, func(k, v []byte) bool {
@@ -506,7 +507,8 @@ func (r *Replicator) updateWatermark(c *fabric.Ctx) {
 // PendingEntries returns the replication-log backlog (age monitoring,
 // paper: "we closely monitor the age of entries in the replication log").
 func (r *Replicator) PendingEntries(c *fabric.Ctx) (int, error) {
-	tx := r.farm.CreateReadTransaction(c)
+	tx := r.farm.CreatePinnedReadTransaction(c)
+	defer tx.Abort()
 	return r.logIdx.Count(tx, nil, nil)
 }
 

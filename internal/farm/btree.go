@@ -873,27 +873,9 @@ func (bt *BTree) Drop(c *fabric.Ctx, batch int) error {
 	if batch <= 0 {
 		batch = 64
 	}
-	// Collect node pointers level by level in one read-only pass.
-	var all []Ptr
-	rtx := bt.farm.CreateReadTransaction(c)
-	level, err := bt.rootPtr(rtx)
+	all, err := bt.nodePtrs(c)
 	if err != nil {
 		return err
-	}
-	v := viewPool.Get().(*nodeView)
-	defer v.release()
-	for !level.IsNil() {
-		var nextLevel Ptr
-		for p := level; !p.IsNil(); p = v.next {
-			if err := bt.fill(rtx, p, v); err != nil {
-				return err
-			}
-			all = append(all, p)
-			if nextLevel.IsNil() && !v.leaf {
-				nextLevel = v.child(0)
-			}
-		}
-		level = nextLevel
 	}
 	all = append(all, bt.desc)
 	for start := 0; start < len(all); start += batch {
@@ -925,4 +907,32 @@ func (bt *BTree) Drop(c *fabric.Ctx, batch int) error {
 		bt.farm.machines[c.M].cacheDrop(p.Addr)
 	}
 	return nil
+}
+
+// nodePtrs collects the tree's node pointers level by level in one
+// read-only pass.
+func (bt *BTree) nodePtrs(c *fabric.Ctx) ([]Ptr, error) {
+	rtx := bt.farm.CreatePinnedReadTransaction(c)
+	defer rtx.Abort()
+	level, err := bt.rootPtr(rtx)
+	if err != nil {
+		return nil, err
+	}
+	v := viewPool.Get().(*nodeView)
+	defer v.release()
+	var all []Ptr
+	for !level.IsNil() {
+		var nextLevel Ptr
+		for p := level; !p.IsNil(); p = v.next {
+			if err := bt.fill(rtx, p, v); err != nil {
+				return nil, err
+			}
+			all = append(all, p)
+			if nextLevel.IsNil() && !v.leaf {
+				nextLevel = v.child(0)
+			}
+		}
+		level = nextLevel
+	}
+	return all, nil
 }

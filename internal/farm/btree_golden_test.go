@@ -167,22 +167,38 @@ func checkGolden(t *testing.T, name, got string) {
 
 // TestBTreeWireFormatGolden holds node images byte-for-byte against the ones
 // the decode/encode representation produced: every image of a small tree in
-// hex, and count + digest + allocated bytes of a three-level one.
+// hex, and count + digest + allocated bytes of a three-level one. Each farm
+// holds a pin from before its first write, so every superseded version is
+// kept as it was when the files were recorded and allocation — hence every
+// address in the images — runs as it did then.
 func TestBTreeWireFormatGolden(t *testing.T) {
 	f, c := directFarm(t, 5)
+	_, unpin := f.PinCurrent()
 	var sb strings.Builder
 	for _, img := range treeImages(t, f, c, goldenSmallTree(t, f, c)) {
 		sb.WriteString(hex.EncodeToString(img))
 		sb.WriteByte('\n')
 	}
+	unpin()
 	checkGolden(t, "btree_small.golden", sb.String())
 
 	f, c = directFarm(t, 5)
+	_, unpin = f.PinCurrent()
 	imgs := treeImages(t, f, c, goldenLargeTree(t, f, c))
+	unpin()
 	h := sha256.New()
 	for _, img := range imgs {
 		h.Write(img)
 	}
 	checkGolden(t, "btree_large.golden",
 		fmt.Sprintf("nodes %d\nsha256 %x\nused_bytes %d\n", len(imgs), h.Sum(nil), f.UsedBytes()))
+
+	// With no reader, each commit frees the versions it supersedes: the same
+	// tree is left holding one slot per node and per value, not 5,200,992
+	// bytes of version records.
+	f, c = directFarm(t, 5)
+	imgs = treeImages(t, f, c, goldenLargeTree(t, f, c))
+	if got := f.UsedBytes(); len(imgs) != 213 || got != 654400 {
+		t.Errorf("large tree without a reader: %d nodes, %d used bytes; want 213, 654400", len(imgs), got)
+	}
 }

@@ -18,18 +18,20 @@ import (
 //     above every issued read timestamp, and wait out the clock
 //     uncertainty (strict serializability).
 //  4. APPLY     — install new versions at primaries, pushing the prior
-//     version onto the object's chain for snapshot readers, and
-//     replicate the same mutations to every backup with
-//     one-sided writes. Unlock is the version-word store itself.
+//     version onto the object's chain when a snapshot may still read
+//     it and freeing what none can, and replicate the same mutations
+//     to every backup with one-sided writes. Unlock is the
+//     version-word store itself.
 //
 // Read-only transactions commit trivially: they validated nothing and hold
-// no locks.
+// no locks; a pinned one releases its snapshot pin.
 func (tx *Tx) Commit() error {
 	if err := tx.checkActive(); err != nil {
 		return err
 	}
 	if tx.readOnly || len(tx.writes) == 0 {
 		tx.status = txCommitted
+		tx.release()
 		for _, hook := range tx.doneHooks {
 			hook()
 		}
@@ -159,8 +161,12 @@ func (tx *Tx) Commit() error {
 	// replica set as it exists now, so a backup that joined during the wire
 	// waits above (CM re-replication) still receives this commit; the op
 	// images are idempotent raw writes, making double-apply harmless.
+	// Versions no snapshot at or above the watermark can read are freed
+	// as they are superseded (paper §2.2: a version lives only as long as
+	// a query may need it).
+	watermark := f.watermark(false)
 	for _, pa := range pending {
-		ops := applyToPrimary(pa.region, pa.bufs, commitTs)
+		ops := applyToPrimary(pa.region, pa.bufs, commitTs, watermark)
 		for _, b := range f.cm.replicasOf(pa.id) {
 			if br, ok := f.regionAt(b, pa.id); ok && br != pa.region {
 				applyToBackup(br, ops)
@@ -190,7 +196,8 @@ func (tx *Tx) unlock(locked []Addr) {
 }
 
 // regionOp is one replicated mutation: an optional slot reservation plus a
-// raw byte image, mirroring the one-sided writes FaRM pushes to backups.
+// raw byte image, or a slot free, mirroring the one-sided writes FaRM
+// pushes to backups.
 type regionOp struct {
 	allocOff  uint32
 	allocSize uint32 // total slot bytes (0 = no allocation)
@@ -200,9 +207,16 @@ type regionOp struct {
 	isFree    bool
 }
 
+// nilOlder is the header image of an empty older-version pointer.
+var nilOlder = make([]byte, 12)
+
 // applyToPrimary installs the write set into the primary region and returns
-// the byte-level ops to mirror onto backups.
-func applyToPrimary(r *Region, bufs []*ObjBuf, commitTs uint64) []regionOp {
+// the byte-level ops to mirror onto backups, in install order. An
+// overwritten object keeps its prior version as a chain record only when a
+// snapshot below commitTs may still read it (watermark < commitTs); its
+// chain is then trimmed below the newest record visible at the watermark.
+// Otherwise no record is written and the whole old chain is freed.
+func applyToPrimary(r *Region, bufs []*ObjBuf, commitTs, watermark uint64) []regionOp {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var ops []regionOp
@@ -217,49 +231,59 @@ func applyToPrimary(r *Region, bufs []*ObjBuf, commitTs uint64) []regionOp {
 			r.setOlder(off, NilPtr)
 			r.setPayloadLen(off, uint32(len(w.data)))
 			copy(r.data[off+hdrBytes:], w.data)
-			img := make([]byte, hdrBytes+len(w.data))
-			copy(img, r.data[off:off+hdrBytes+uint32(len(w.data))])
-			ops = append(ops, regionOp{
-				allocOff: off, allocSize: r.alloc.slotSize(off),
-				off: off, bytes: img,
-			})
+			ops = append(ops, imageOp(r, off, uint32(len(w.data)), true))
 			continue
 		}
-		// Preserve the prior committed version for snapshot readers.
-		prevWord := r.versionWord(off) &^ lockBit
-		prevLen := r.payloadLen(off)
-		prevOlder := r.older(off)
-		oldPtr := NilPtr
-		if recOff, err := r.allocLocked(prevLen); err == nil {
-			r.setVersionWord(recOff, prevWord)
-			r.setOlder(recOff, prevOlder)
-			r.setPayloadLen(recOff, prevLen)
-			copy(r.data[recOff+hdrBytes:], r.data[off+hdrBytes:off+hdrBytes+prevLen])
-			oldPtr = Ptr{Addr: MakeAddr(r.id, recOff), Size: prevLen}
-			img := make([]byte, hdrBytes+prevLen)
-			copy(img, r.data[recOff:recOff+hdrBytes+prevLen])
-			ops = append(ops, regionOp{
-				allocOff: recOff, allocSize: r.alloc.slotSize(recOff),
-				off: recOff, bytes: img,
-			})
+		older := r.older(off)
+		recOff, kept := uint32(0), false
+		if watermark >= commitTs {
+			// No snapshot can read the prior version: drop it and its chain.
+			ops = appendChainFrees(r, older, ops)
+			older = NilPtr
+		} else {
+			// Preserve the prior committed version for snapshot readers.
+			prevLen := r.payloadLen(off)
+			var err error
+			if recOff, err = r.allocLocked(prevLen); err == nil {
+				r.setVersionWord(recOff, r.versionWord(off)&^lockBit)
+				r.setOlder(recOff, older)
+				r.setPayloadLen(recOff, prevLen)
+				copy(r.data[recOff+hdrBytes:], r.data[off+hdrBytes:off+hdrBytes+prevLen])
+				older, kept = Ptr{Addr: MakeAddr(r.id, recOff), Size: prevLen}, true
+				ops = append(ops, imageOp(r, recOff, prevLen, true))
+			} else {
+				// The region is full, so the chain is truncated: readers
+				// below this version see ErrTooOld, which pinned snapshots
+				// prevent. The records cut off stay allocated.
+				older = NilPtr
+			}
 		}
-		// If allocation failed the chain is truncated: readers below this
-		// version see ErrTooOld, which pinned snapshots prevent.
 		if w.freed {
 			r.setVersionWord(off, packVersion(commitTs, false, true))
-			r.setOlder(off, oldPtr)
+			r.setOlder(off, older)
 			r.setPayloadLen(off, 0)
 		} else {
 			r.setVersionWord(off, packVersion(commitTs, false, false))
-			r.setOlder(off, oldPtr)
+			r.setOlder(off, older)
 			r.setPayloadLen(off, uint32(len(w.data)))
 			copy(r.data[off+hdrBytes:], w.data)
 		}
-		img := make([]byte, hdrBytes+len(w.data))
-		copy(img, r.data[off:off+hdrBytes+uint32(len(w.data))])
-		ops = append(ops, regionOp{off: off, bytes: img})
+		ops = append(ops, imageOp(r, off, uint32(len(w.data)), false))
+		if kept {
+			ops = trimChain(r, recOff, watermark, ops)
+		}
 	}
 	return ops
+}
+
+// imageOp copies the header and first n payload bytes of the slot at off
+// into a replication op; alloc marks a slot the backup must reserve first.
+func imageOp(r *Region, off, n uint32, alloc bool) regionOp {
+	op := regionOp{off: off, bytes: append([]byte(nil), r.data[off:off+hdrBytes+n]...)}
+	if alloc {
+		op.allocOff, op.allocSize = off, r.alloc.slotSize(off)
+	}
+	return op
 }
 
 // applyToBackup mirrors primary mutations onto a backup replica.

@@ -56,10 +56,14 @@ type Farm struct {
 	drivers  []*Driver
 	machines []*Machine
 
-	pinMu   sync.Mutex
-	pins    map[uint64]int // snapshot ts -> active query count (blocks GC)
-	gcFloor uint64         // highest watermark a GC pass has used: older snapshots may be freed
+	pinMu    sync.Mutex
+	pins     map[uint64]int // snapshot ts -> active query count (blocks GC)
+	unpinned uint64         // oldest unpinned snapshot handed out since the last sweep (noSnapshot: none)
+	gcFloor  uint64         // highest watermark reclamation has used: older snapshots may be freed
 }
+
+// noSnapshot marks that no unpinned snapshot is outstanding.
+const noSnapshot = ^uint64(0)
 
 // Open creates a FaRM cluster over the fabric.
 func Open(fab *fabric.Fabric, cfg Config) *Farm {
@@ -73,9 +77,10 @@ func Open(fab *fabric.Fabric, cfg Config) *Farm {
 		cfg.Replicas = fab.Machines()
 	}
 	f := &Farm{
-		fab:  fab,
-		cfg:  cfg,
-		pins: make(map[uint64]int),
+		fab:      fab,
+		cfg:      cfg,
+		pins:     make(map[uint64]int),
+		unpinned: noSnapshot,
 	}
 	f.cm = newCM(f)
 	f.clock = NewClock(fab, cfg.ClockUncertainty)
@@ -185,8 +190,8 @@ func (f *Farm) allocSlot(c *fabric.Ctx, near fabric.MachineID, payload uint32) (
 // PinCurrent picks a read snapshot and pins it in one step, so version GC
 // will not collect versions the reader may still need (paper §2.2:
 // snapshot versions are not garbage collected until the query runs to
-// completion). The clock is read under the pin lock: a concurrent
-// GCVersions either took its watermark first — no later than the ts
+// completion). The clock is read under the pin lock: a concurrent commit
+// or GCVersions either took its watermark first — no later than the ts
 // returned here — or sees the pin. The returned function releases it.
 func (f *Farm) PinCurrent() (ts uint64, unpin func()) {
 	f.pinMu.Lock()
@@ -196,8 +201,9 @@ func (f *Farm) PinCurrent() (ts uint64, unpin func()) {
 }
 
 // PinSnapshot pins a snapshot the caller chose earlier. It fails with
-// ErrTooOld when version GC has already run past ts, since the versions
-// ts reads may be gone; a ts the caller still holds pinned never fails.
+// ErrTooOld when reclamation (a commit or GCVersions) has already run past
+// ts, since the versions ts reads may be gone; a ts the caller still holds
+// pinned never fails.
 func (f *Farm) PinSnapshot(ts uint64) (unpin func(), err error) {
 	f.pinMu.Lock()
 	defer f.pinMu.Unlock()
@@ -234,29 +240,35 @@ func (f *Farm) PinnedSnapshots() int {
 	return n
 }
 
-// gcWatermark returns the highest timestamp below which old versions are
-// reclaimable: the minimum pinned snapshot, or the current clock if no
-// reader is active. It records the watermark, so no snapshot below it can
-// be pinned afterwards.
-func (f *Farm) gcWatermark() uint64 {
+// watermark returns the highest timestamp below which old versions are
+// reclaimable: the minimum of the pinned snapshots and the clock and, for a
+// commit, of the oldest unpinned snapshot handed out since the last sweep.
+// A sweep (GCVersions) honours unpinned snapshots no longer and forgets
+// them. The watermark is recorded, so no snapshot below it can be pinned
+// afterwards.
+func (f *Farm) watermark(sweep bool) uint64 {
 	f.pinMu.Lock()
 	defer f.pinMu.Unlock()
-	min := f.clock.Current()
-	for ts := range f.pins {
-		if ts < min {
-			min = ts
-		}
+	w := f.clock.Current()
+	if sweep {
+		f.unpinned = noSnapshot
 	}
-	f.gcFloor = max(f.gcFloor, min)
-	return min
+	w = min(w, f.unpinned)
+	for ts := range f.pins {
+		w = min(w, ts)
+	}
+	f.gcFloor = max(f.gcFloor, w)
+	return w
 }
 
-// GCVersions reclaims version-chain records that no active or future reader
-// can need, and fully reclaims objects whose visible version is a
-// tombstone. It returns the number of slots freed. GC decisions are made at
-// each region's primary and mirrored to backups.
+// GCVersions collects what commits leave behind: objects whose visible
+// version is a tombstone, and version records retained for a snapshot that
+// has since been released — pinned, or unpinned and handed out before this
+// sweep (a commit frees every other superseded version itself). It returns
+// the number of slots freed. GC decisions are made at each region's
+// primary and mirrored to backups, chain cuts included.
 func (f *Farm) GCVersions(c *fabric.Ctx) int {
-	before := f.gcWatermark()
+	before := f.watermark(true)
 	freedTotal := 0
 	for _, id := range f.cm.regionIDs() {
 		replicas := f.cm.replicasOf(id)
@@ -268,32 +280,31 @@ func (f *Farm) GCVersions(c *fabric.Ctx) int {
 		if !ok {
 			continue
 		}
-		freed := gcRegion(r, before)
-		freedTotal += len(freed)
-		if len(freed) == 0 {
+		ops := gcRegion(r, before)
+		if len(ops) == 0 {
 			continue
+		}
+		for _, op := range ops {
+			if op.isFree {
+				freedTotal++
+			}
 		}
 		for _, b := range replicas[1:] {
 			if br, ok := f.regionAt(b, id); ok {
-				br.mu.Lock()
-				for _, off := range freed {
-					br.freeLocked(off)
-				}
-				br.mu.Unlock()
+				applyToBackup(br, ops)
 			}
 		}
 	}
 	return freedTotal
 }
 
-// gcRegion trims version chains in one region. For each live object it
-// keeps the newest version visible at `before` and everything newer, frees
-// strictly older records, and reclaims whole objects whose visible version
-// is a tombstone. It returns the freed offsets (for backup mirroring).
-func gcRegion(r *Region, before uint64) []uint32 {
+// gcRegion sweeps one region: it reclaims objects whose visible version is
+// a tombstone, chain included, and trims every other object's chain. It
+// returns the frees and chain cuts for backup mirroring.
+func gcRegion(r *Region, before uint64) []regionOp {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var freed []uint32
+	var ops []regionOp
 	heads := r.alloc.liveOffsets()
 	isChainRec := markChainRecords(r, heads)
 	for _, off := range heads {
@@ -301,46 +312,39 @@ func gcRegion(r *Region, before uint64) []uint32 {
 			continue // version record, handled via its head
 		}
 		vw := r.versionWord(off)
-		ts := versionTs(vw)
 		if versionLocked(vw) {
 			continue // commit in progress
 		}
-		if versionTombed(vw) && ts <= before {
+		if versionTombed(vw) && versionTs(vw) <= before {
 			// Deleted and visible to nobody current: reclaim object + chain.
-			freed = appendChainFrees(r, r.older(off), freed)
-			r.setOlder(off, NilPtr)
+			ops = appendChainFrees(r, r.older(off), ops)
 			r.freeLocked(off)
-			freed = append(freed, off)
+			ops = append(ops, regionOp{freeOff: off, isFree: true})
 			continue
 		}
-		if ts <= before {
-			// Head itself is visible at the watermark: entire chain dead.
-			old := r.older(off)
-			if !old.IsNil() {
-				freed = appendChainFrees(r, old, freed)
-				r.setOlder(off, NilPtr)
-			}
-			continue
-		}
-		// Walk to the newest record with ts <= before; keep it, free tail.
-		p := r.older(off)
-		for !p.IsNil() && p.Addr.Region() == r.id {
-			recOff := p.Addr.Offset()
-			if !r.alloc.isLive(recOff) {
-				break
-			}
-			if versionTs(r.versionWord(recOff)) <= before {
-				tail := r.older(recOff)
-				if !tail.IsNil() {
-					freed = appendChainFrees(r, tail, freed)
-					r.setOlder(recOff, NilPtr)
-				}
-				break
-			}
-			p = r.older(recOff)
-		}
+		ops = trimChain(r, off, before, ops)
 	}
-	return freed
+	return ops
+}
+
+// trimChain keeps, of the version chain starting at the slot off, the
+// newest version visible at `before` and everything newer, and frees the
+// strictly older records. It appends the frees and the chain cut to ops.
+func trimChain(r *Region, off uint32, before uint64, ops []regionOp) []regionOp {
+	for versionTs(r.versionWord(off)) > before {
+		p := r.older(off)
+		if p.IsNil() || p.Addr.Region() != r.id || !r.alloc.isLive(p.Addr.Offset()) {
+			return ops
+		}
+		off = p.Addr.Offset()
+	}
+	tail := r.older(off)
+	if tail.IsNil() {
+		return ops
+	}
+	r.setOlder(off, NilPtr)
+	ops = append(ops, regionOp{off: off + 8, bytes: nilOlder})
+	return appendChainFrees(r, tail, ops)
 }
 
 // markChainRecords identifies which live slots are old-version records
@@ -361,18 +365,19 @@ func markChainRecords(r *Region, heads []uint32) map[uint32]bool {
 	return rec
 }
 
-func appendChainFrees(r *Region, p Ptr, freed []uint32) []uint32 {
+// appendChainFrees frees the in-region chain starting at p and appends
+// the frees to ops.
+func appendChainFrees(r *Region, p Ptr, ops []regionOp) []regionOp {
 	for !p.IsNil() && p.Addr.Region() == r.id {
 		off := p.Addr.Offset()
 		if !r.alloc.isLive(off) {
 			break
 		}
-		next := r.older(off)
+		p = r.older(off)
 		r.freeLocked(off)
-		freed = append(freed, off)
-		p = next
+		ops = append(ops, regionOp{freeOff: off, isFree: true})
 	}
-	return freed
+	return ops
 }
 
 // KillMachine simulates a machine-level failure (power loss): the machine

@@ -10,12 +10,17 @@ import (
 )
 
 // TestPinnedReadsSurviveUngatedGC runs one reader loop, one writer loop and
-// one GCVersions loop with nothing gating GC against the readers. The
-// reader picks its snapshot with PinCurrent, which reads the clock and pins
-// in one step, so no GC pass can free a version the snapshot needs: no read
-// may fail, ErrTooOld included. Picking the clock first and pinning after
-// leaves a window in which GC frees the chain; PinSnapshot refuses such a
-// stale ts instead of pinning it. Meaningful under -race.
+// one GCVersions loop with nothing gating GC against the readers, while
+// every commit frees what no snapshot can see. The reader picks its
+// snapshot with PinCurrent, which reads the clock and pins in one step, so
+// no commit or GC pass can free a version the snapshot needs: no read may
+// fail, ErrTooOld included, and every snapshot is consistent. Picking the
+// clock first and pinning after leaves a window in which GC frees the
+// chain; PinSnapshot refuses such a stale ts instead of pinning it. A
+// second reader loop opens unpinned read transactions: commits keep their
+// versions, so one no sweep began during reads exactly like a pinned one,
+// and one a sweep overlapped may only fail with ErrTooOld. The GC loop
+// pauses between passes so both kinds occur. Meaningful under -race.
 func TestPinnedReadsSurviveUngatedGC(t *testing.T) {
 	f, c := directFarm(t, 3)
 	ptrs := make([]Ptr, 8)
@@ -40,7 +45,29 @@ func TestPinnedReadsSurviveUngatedGC(t *testing.T) {
 			}
 		}()
 	}
-	var writes, passes, reads atomic.Int64
+	// The writer bumps the counters round-robin, so any snapshot has them
+	// non-increasing in index, first and last at most one apart.
+	consistent := func(vals []uint64) bool {
+		for i := 1; i < len(vals); i++ {
+			if vals[i] > vals[i-1] {
+				return false
+			}
+		}
+		return vals[0]-vals[len(vals)-1] <= 1
+	}
+	readAll := func(tx *Tx) ([]uint64, error) {
+		vals := make([]uint64, len(ptrs))
+		for i, p := range ptrs {
+			buf, err := tx.Read(p)
+			if err != nil {
+				return nil, err
+			}
+			vals[i] = binary.LittleEndian.Uint64(buf.Data())
+		}
+		return vals, nil
+	}
+	var writes, passes, reads, cleanUnpinned atomic.Int64
+	var sweepsBegun, sweepsDone atomic.Int64
 	wc := f.Fabric().NewCtx(1, nil)
 	i := 0
 	loop(func() bool {
@@ -67,29 +94,53 @@ func TestPinnedReadsSurviveUngatedGC(t *testing.T) {
 	})
 	gc := f.Fabric().NewCtx(2, nil)
 	loop(func() bool {
+		sweepsBegun.Add(1)
 		f.GCVersions(gc)
+		sweepsDone.Add(1)
 		passes.Add(1)
+		time.Sleep(50 * time.Microsecond)
 		return true
 	})
 	rc := f.Fabric().NewCtx(0, nil)
 	loop(func() bool {
-		ts, unpin := f.PinCurrent()
-		defer unpin()
-		tx := f.CreateReadTransactionAt(rc, ts)
-		for _, p := range ptrs {
-			if _, err := tx.Read(p); err != nil {
-				t.Errorf("read at pinned snapshot %d: %v", ts, err)
+		tx := f.CreatePinnedReadTransaction(rc)
+		defer tx.Abort()
+		vals, err := readAll(tx)
+		if err != nil {
+			t.Errorf("read at pinned snapshot %d: %v", tx.ReadTs(), err)
+			return false
+		}
+		if !consistent(vals) {
+			t.Errorf("pinned snapshot %d is inconsistent: %v", tx.ReadTs(), vals)
+			return false
+		}
+		reads.Add(int64(len(vals)))
+		return true
+	})
+	uc := f.Fabric().NewCtx(0, nil)
+	loop(func() bool {
+		done := sweepsDone.Load()
+		idle := sweepsBegun.Load() == done
+		tx := f.CreateReadTransaction(uc)
+		vals, err := readAll(tx)
+		if idle && sweepsBegun.Load() == done {
+			if err != nil || !consistent(vals) {
+				t.Errorf("unpinned snapshot %d with no sweep since it opened: %v, %v", tx.ReadTs(), vals, err)
 				return false
 			}
-			reads.Add(1)
+			cleanUnpinned.Add(1)
+		} else if err != nil && !errors.Is(err, ErrTooOld) {
+			t.Errorf("unpinned snapshot %d across a sweep: %v, want ErrTooOld or a value", tx.ReadTs(), err)
+			return false
 		}
 		return true
 	})
 	time.Sleep(300 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	if writes.Load() == 0 || passes.Load() == 0 || reads.Load() == 0 {
-		t.Fatalf("loops did not overlap: %d writes, %d GC passes, %d reads", writes.Load(), passes.Load(), reads.Load())
+	if writes.Load() == 0 || passes.Load() == 0 || reads.Load() == 0 || cleanUnpinned.Load() == 0 {
+		t.Fatalf("loops did not overlap: %d writes, %d GC passes, %d pinned reads, %d clean unpinned snapshots",
+			writes.Load(), passes.Load(), reads.Load(), cleanUnpinned.Load())
 	}
 	if n := f.PinnedSnapshots(); n != 0 {
 		t.Errorf("pins left behind: %d", n)

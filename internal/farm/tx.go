@@ -32,6 +32,7 @@ type Tx struct {
 	tsHooks   []func(ts uint64)
 	doneHooks []func()
 	commitTs  uint64
+	unpin     func() // releases a pinned read snapshot at Commit or Abort
 }
 
 // OnCommitted registers fn to run synchronously after the transaction
@@ -123,9 +124,27 @@ func (f *Farm) CreateTransaction(c *fabric.Ctx) *Tx {
 }
 
 // CreateReadTransaction starts a read-only snapshot transaction at the
-// current global time. It never conflicts with updates.
+// current global time. It never conflicts with updates. The snapshot is
+// not pinned: commits keep the versions it reads until the next
+// GCVersions sweep, which may then free them (reads fail with ErrTooOld).
+// Readers that may outlive a sweep use CreatePinnedReadTransaction.
 func (f *Farm) CreateReadTransaction(c *fabric.Ctx) *Tx {
-	return f.CreateReadTransactionAt(c, f.clock.Current())
+	f.pinMu.Lock()
+	ts := f.clock.Current()
+	f.unpinned = min(f.unpinned, ts)
+	f.pinMu.Unlock()
+	return f.CreateReadTransactionAt(c, ts)
+}
+
+// CreatePinnedReadTransaction starts a read-only transaction at a pinned
+// current snapshot (see PinCurrent): every version it can read survives
+// commits and sweeps until the transaction ends. Commit or Abort releases
+// the pin, and the caller must reach one of them on every path.
+func (f *Farm) CreatePinnedReadTransaction(c *fabric.Ctx) *Tx {
+	ts, unpin := f.PinCurrent()
+	tx := f.CreateReadTransactionAt(c, ts)
+	tx.unpin = unpin
+	return tx
 }
 
 // CreateReadTransactionAt starts a read-only transaction at an explicit
@@ -518,10 +537,19 @@ func (tx *Tx) Abort() {
 		return
 	}
 	tx.status = txAborted
+	tx.release()
 	for addr, w := range tx.writes {
 		if w.isNew {
 			tx.releaseSlot(addr)
 		}
+	}
+}
+
+// release drops the transaction's snapshot pin, if it holds one.
+func (tx *Tx) release() {
+	if tx.unpin != nil {
+		tx.unpin()
+		tx.unpin = nil
 	}
 }
 

@@ -8,11 +8,14 @@ import (
 	"a1/internal/lint/analysis"
 )
 
-// Release is a CFG-based leak check for the two resources whose lifetime
-// the engine manages by hand: a *query.Rows cursor (open continuation
-// state — owner-side pages and fetch slots — pinned until Close) and an
-// update transaction from farm.CreateTransaction (slot reservations held
-// until Commit or Abort). A function that acquires either must, on every
+// Release is a CFG-based leak check for the resources whose lifetime the
+// engine manages by hand: a *query.Rows cursor (open continuation state —
+// owner-side pages and fetch slots — pinned until Close), an update
+// transaction from farm.CreateTransaction (slot reservations held until
+// Commit or Abort) and a pinned read transaction from
+// farm.CreatePinnedReadTransaction (a snapshot pin, which keeps every
+// version the snapshot can see from being reclaimed, held until Commit or
+// Abort). A function that acquires any of them must, on every
 // control-flow path out of the function, release it, hand it off, or
 // crash; a path that reaches the function exit with the resource still
 // held is reported at the acquisition site.
@@ -27,12 +30,13 @@ import (
 // results are zero: after `x, err := acquire(...)`, branches where
 // err != nil (or x == nil) hold nothing to release. Panic paths are
 // exempt — deferred releases still run, and direct ones never could.
-// Read transactions (farm.CreateReadTransaction*) reserve nothing and
-// are not tracked.
+// Unpinned read transactions (farm.CreateReadTransaction and
+// CreateReadTransactionAt) hold nothing — a version sweep retires their
+// snapshot — and are not tracked.
 var Release = &analysis.Analyzer{
 	Name: "a1/release",
-	Doc: "acquired *query.Rows cursors and farm update transactions must reach " +
-		"Close / Commit-or-Abort on every path, or escape to the caller",
+	Doc: "acquired *query.Rows cursors, farm update transactions and pinned read " +
+		"transactions must reach Close / Commit-or-Abort on every path, or escape to the caller",
 	Run: runRelease,
 }
 
@@ -43,7 +47,8 @@ type acquisition struct {
 	obj     types.Object
 	errObj  types.Object
 	release map[string]bool
-	kind    string // "cursor" or "transaction"
+	kind    string // "cursor", "transaction" or "read transaction"
+	held    string // what a leak keeps held
 }
 
 var rowsRelease = map[string]bool{"Close": true}
@@ -84,16 +89,14 @@ func checkReleaseUnit(pass *analysis.Pass, info *types.Info, name string, body *
 			}
 			if leakFrom(info, cfg, b, i+1, acq) {
 				verb := "reach Close"
-				held := "an open cursor pins owner-side pages and fetch-slot continuation state until closed"
-				if acq.kind == "transaction" {
+				if acq.kind != "cursor" {
 					verb = "reach Commit or Abort"
-					held = "an unresolved transaction holds its slot reservations and blocks later allocations"
 				}
 				pass.Reportf(call.Pos(),
 					"%s %q acquired in %s does not %s on every path: %s; "+
 						"defer the release right after the error check, release before "+
 						"each early return, or hand the resource to the caller",
-					acq.kind, acq.obj.Name(), name, verb, held)
+					acq.kind, acq.obj.Name(), name, verb, acq.held)
 			}
 		}
 	}
@@ -105,11 +108,25 @@ func checkReleaseUnit(pass *analysis.Pass, info *types.Info, name string, body *
 // through non-local lvalues are hand-offs; discards are a different,
 // rarer bug this analyzer does not chase).
 func classifyAcquisition(info *types.Info, as *ast.AssignStmt, call *ast.CallExpr) *acquisition {
-	isTx := false
-	if fn := calleeOf(info, call); fn != nil {
-		isTx = funcPkgPath(fn) == farmPath && fn.Name() == "CreateTransaction"
+	// Any call may return a cursor; only the farm constructors return a
+	// tracked transaction.
+	acq := &acquisition{
+		release: rowsRelease, kind: "cursor",
+		held: "an open cursor pins owner-side pages and fetch-slot continuation state until closed",
 	}
-	acq := &acquisition{}
+	typePkg, typeName := queryPath, "Rows"
+	if fn := calleeOf(info, call); fn != nil && funcPkgPath(fn) == farmPath {
+		switch fn.Name() {
+		case "CreateTransaction":
+			acq.release, acq.kind = txRelease, "transaction"
+			acq.held = "an unresolved transaction holds its slot reservations and blocks later allocations"
+			typePkg, typeName = farmPath, "Tx"
+		case "CreatePinnedReadTransaction":
+			acq.release, acq.kind = txRelease, "read transaction"
+			acq.held = "its snapshot pin keeps every version the snapshot can see from being reclaimed"
+			typePkg, typeName = farmPath, "Tx"
+		}
+	}
 	for _, l := range as.Lhs {
 		id, ok := ast.Unparen(l).(*ast.Ident)
 		if !ok || id.Name == "_" {
@@ -123,10 +140,8 @@ func classifyAcquisition(info *types.Info, as *ast.AssignStmt, call *ast.CallExp
 			continue
 		}
 		switch {
-		case acq.obj == nil && isTx && isNamedType(obj.Type(), farmPath, "Tx"):
-			acq.obj, acq.release, acq.kind = obj, txRelease, "transaction"
-		case acq.obj == nil && !isTx && isNamedType(obj.Type(), queryPath, "Rows"):
-			acq.obj, acq.release, acq.kind = obj, rowsRelease, "cursor"
+		case acq.obj == nil && isNamedType(obj.Type(), typePkg, typeName):
+			acq.obj = obj
 		case types.Identical(obj.Type(), types.Universe.Lookup("error").Type()):
 			acq.errObj = obj
 		}

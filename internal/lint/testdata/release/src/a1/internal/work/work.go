@@ -149,7 +149,7 @@ func UpdateSafe(k string) error {
 	return tx.Commit()
 }
 
-// Good: read transactions reserve nothing and are not tracked, so
+// Good: unpinned read transactions hold nothing and are not tracked, so
 // dropping one without Commit is fine by design.
 func ReadOnly(k string) ([]byte, error) {
 	tx, err := farm.CreateReadTransaction()
@@ -157,6 +157,37 @@ func ReadOnly(k string) ([]byte, error) {
 		return nil, err
 	}
 	return tx.Get(k)
+}
+
+// Bad: the pinned snapshot is never released, so no version it can see is
+// ever reclaimed.
+func ReadPinnedLeaky(k string) ([]byte, error) {
+	tx, err := farm.CreatePinnedReadTransaction() // want `read transaction "tx" acquired in ReadPinnedLeaky does not reach Commit or Abort on every path`
+	if err != nil {
+		return nil, err
+	}
+	return tx.Get(k)
+}
+
+// Good: a deferred Abort releases the pin on every path.
+func ReadPinnedSafe(k string) ([]byte, error) {
+	tx, err := farm.CreatePinnedReadTransaction()
+	if err != nil {
+		return nil, err
+	}
+	defer tx.Abort()
+	return tx.Get(k)
+}
+
+// Good: the pin is released right after the read, before the early return.
+func ReadPinnedThenCheck(k string) ([]byte, error) {
+	tx, _ := farm.CreatePinnedReadTransaction()
+	v, err := tx.Get(k)
+	tx.Abort()
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 func validate(q string) error {

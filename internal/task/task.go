@@ -342,6 +342,7 @@ func (rt *Runtime) workerLoop(c *fabric.Ctx) {
 
 // QueueLen reports the number of queued tasks.
 func (rt *Runtime) QueueLen(c *fabric.Ctx) (int, error) {
-	tx := rt.farm.CreateReadTransaction(c)
+	tx := rt.farm.CreatePinnedReadTransaction(c)
+	defer tx.Abort()
 	return rt.queue.Count(tx, nil, nil)
 }

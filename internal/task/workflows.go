@@ -110,11 +110,12 @@ func (w *Workflows) deleteVertexType(c *fabric.Ctx, rt *Runtime, t *Task) error 
 	}
 	// Collect one batch of vertex pointers.
 	var victims []core.VertexPtr
-	rtx := w.store.Farm().CreateReadTransaction(c)
+	rtx := w.store.Farm().CreatePinnedReadTransaction(c)
 	err = g.ScanVertexPtrsByType(rtx, typ, func(vp core.VertexPtr) bool {
 		victims = append(victims, vp)
 		return len(victims) < batch
 	})
+	rtx.Abort()
 	if err != nil {
 		return err
 	}

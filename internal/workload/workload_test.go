@@ -12,9 +12,13 @@ import (
 // openTestGraph opens an empty graph on a fresh 8-machine Direct cluster.
 func openTestGraph(t *testing.T) (*core.Graph, *fabric.Ctx, *farm.Farm) {
 	t.Helper()
-	fab := fabric.New(fabric.DefaultConfig(8, fabric.Direct), nil)
-	f := farm.Open(fab, farm.Config{RegionSize: 16 << 20})
-	c := fab.NewCtx(0, nil)
+	return openGraphOn(t, farm.Open(fabric.New(fabric.DefaultConfig(8, fabric.Direct), nil), farm.Config{RegionSize: 16 << 20}))
+}
+
+// openGraphOn is openTestGraph on a farm the caller opened.
+func openGraphOn(t *testing.T, f *farm.Farm) (*core.Graph, *fabric.Ctx, *farm.Farm) {
+	t.Helper()
+	c := f.Fabric().NewCtx(0, nil)
 	s, err := core.Open(c, f, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -120,18 +124,41 @@ func TestUniformGraphShape(t *testing.T) {
 // nodes (PR 13): the load goes through every index mutation path, so any
 // change to a node image's length, a split point or an allocation size shows
 // here. It is a wire-format guard, not a budget — a deliberate format change
-// re-records it and says so.
+// re-records it and says so. A pin taken right after farm.Open keeps every
+// superseded version, as every commit did when the figures were recorded.
+// Without it, commits free the versions no reader can see, and the
+// reclaimed figures are checked beside the recorded ones.
 func TestLoadedBytesUnchanged(t *testing.T) {
-	_, _, _, f := loadKG(t, TestParams())
-	if got := f.UsedBytes(); got != 231200 {
-		t.Errorf("film KG at TestParams: UsedBytes = %d, recorded 231200", got)
-	}
+	for _, tc := range []struct {
+		pinned    bool
+		kg, zipf  uint64
+		recording string
+	}{
+		{true, 231200, 2517184, "recorded"},
+		{false, 157600, 1602816, "reclaimed"},
+	} {
+		open := func() (*core.Graph, *fabric.Ctx, *farm.Farm) {
+			f := farm.Open(fabric.New(fabric.DefaultConfig(8, fabric.Direct), nil), farm.Config{RegionSize: 16 << 20})
+			if tc.pinned {
+				_, unpin := f.PinCurrent()
+				t.Cleanup(unpin)
+			}
+			return openGraphOn(t, f)
+		}
+		g, c, f := open()
+		if err := NewFilmKG(TestParams()).Load(c, g); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.UsedBytes(); got != tc.kg {
+			t.Errorf("film KG at TestParams, pinned %v: UsedBytes = %d, %s %d", tc.pinned, got, tc.recording, tc.kg)
+		}
 
-	g, c, f := openTestGraph(t)
-	if err := NewZipfGraph(1000, 2000, 1).Load(c, g); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.UsedBytes(); got != 2517184 {
-		t.Errorf("Zipf graph 1000/2000 seed 1: UsedBytes = %d, recorded 2517184", got)
+		g, c, f = open()
+		if err := NewZipfGraph(1000, 2000, 1).Load(c, g); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.UsedBytes(); got != tc.zipf {
+			t.Errorf("Zipf graph 1000/2000 seed 1, pinned %v: UsedBytes = %d, %s %d", tc.pinned, got, tc.recording, tc.zipf)
+		}
 	}
 }
