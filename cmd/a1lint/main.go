@@ -3,8 +3,8 @@
 // contracts — stats commit hooks on write paths, deterministic map
 // handling in output paths, no machine-local lock spanning a fabric round
 // trip, one global lock-acquisition order, batched frontier reads,
-// cursors and transactions released on every path, and HTTP-mapped error
-// codes — enforced as build failures.
+// byte accounting without throwaway encodings, and cursors and
+// transactions released on every path — enforced as build failures.
 //
 // Usage:
 //

@@ -3,12 +3,14 @@ package main
 import (
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"testing"
 
 	"a1"
+	"a1/internal/query"
 )
 
 // TestFetchRejectsForgedTokens: GET and DELETE /fetch take the token from
@@ -39,6 +41,20 @@ func TestFetchRejectsForgedTokens(t *testing.T) {
 			if w.Code != http.StatusGone || body.Code != "bad_token" {
 				t.Errorf("%s %s: status %d code %q, want 410 bad_token", method, name, w.Code, body.Code)
 			}
+		}
+	}
+}
+
+// TestEveryCodeHasStatus: every query error code but the blanket
+// CodeInternal maps to a status of its own and goes out under its own
+// wire name, so a new failure class cannot regress to a 500 — whether or
+// not anything constructs it yet.
+func TestEveryCodeHasStatus(t *testing.T) {
+	for c := query.Code(1); c < query.NumCodes; c++ {
+		status, code := classifyError(&a1.QueryError{Code: c, Err: errors.New("failed")})
+		if status == http.StatusInternalServerError || code != c.String() || code == "" || code == "internal" {
+			t.Errorf("code %d (named %q): status %d, wire code %q; want a non-500 status and the code's own, non-empty name",
+				c, c.String(), status, code)
 		}
 	}
 }

@@ -173,16 +173,22 @@ func (tx *Tx) checkActive() error {
 	return nil
 }
 
+// checkWritable is checkActive for a mutation, which a read-only
+// transaction may not make.
+func (tx *Tx) checkWritable() error {
+	if err := tx.checkActive(); err != nil || !tx.readOnly {
+		return err
+	}
+	return ErrReadOnly
+}
+
 // Alloc allocates a new object of the given payload size. The hint places
 // the object in the same region as an existing object — and therefore on
 // the same machine through failures — implementing A1's locality principle
 // (paper §2.1/§2.2). A nil hint allocates near the coordinator.
 func (tx *Tx) Alloc(size uint32, hint Addr) (*ObjBuf, error) {
-	if err := tx.checkActive(); err != nil {
+	if err := tx.checkWritable(); err != nil {
 		return nil, err
-	}
-	if tx.readOnly {
-		return nil, ErrReadOnly
 	}
 	near := tx.c.M
 	if !hint.IsNil() {
@@ -190,38 +196,15 @@ func (tx *Tx) Alloc(size uint32, hint Addr) (*ObjBuf, error) {
 			near = m
 		}
 	}
-	if near != tx.c.M {
-		// Remote allocation is a small control message to the region owner.
-		if err := tx.c.RPC(near, 32, func(*fabric.Ctx) (int, error) { return 16, nil }); err != nil {
-			near = tx.c.M
-		}
-	}
-	addr, err := tx.farm.allocSlot(tx.c, near, size)
-	if err != nil {
-		return nil, err
-	}
-	class, _ := classFor(size + hdrBytes)
-	buf := &ObjBuf{
-		tx:       tx,
-		addr:     addr,
-		data:     make([]byte, size),
-		writable: true,
-		isNew:    true,
-		slotCap:  class - hdrBytes,
-	}
-	tx.writes[addr] = buf
-	return buf, nil
+	return tx.AllocOn(near, size)
 }
 
 // AllocOn allocates a new object with its region primary on an explicit
 // machine. A1 uses this to place vertices at random across the whole
 // cluster (paper §3.2) instead of near the coordinator.
 func (tx *Tx) AllocOn(m fabric.MachineID, size uint32) (*ObjBuf, error) {
-	if err := tx.checkActive(); err != nil {
+	if err := tx.checkWritable(); err != nil {
 		return nil, err
-	}
-	if tx.readOnly {
-		return nil, ErrReadOnly
 	}
 	if m != tx.c.M {
 		if err := tx.c.RPC(m, 32, func(*fabric.Ctx) (int, error) { return 16, nil }); err != nil {
@@ -422,11 +405,8 @@ func (tx *Tx) OpenForWrite(buf *ObjBuf) (*ObjBuf, error) {
 // from here on), which spares copying bytes the caller is about to replace
 // whole.
 func (tx *Tx) openForWrite(buf *ObjBuf, data []byte) (*ObjBuf, error) {
-	if err := tx.checkActive(); err != nil {
+	if err := tx.checkWritable(); err != nil {
 		return nil, err
-	}
-	if tx.readOnly {
-		return nil, ErrReadOnly
 	}
 	if buf.tx != tx {
 		return nil, errors.New("farm: OpenForWrite on buffer from another transaction")
@@ -494,11 +474,8 @@ func (tx *Tx) slotCapOf(addr Addr, fallback uint32) uint32 {
 // active snapshot can still see it; until then readers at older snapshots
 // continue to read the prior version.
 func (tx *Tx) Free(buf *ObjBuf) error {
-	if err := tx.checkActive(); err != nil {
+	if err := tx.checkWritable(); err != nil {
 		return err
-	}
-	if tx.readOnly {
-		return ErrReadOnly
 	}
 	if buf.tx != tx {
 		return errors.New("farm: Free on buffer from another transaction")

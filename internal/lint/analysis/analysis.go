@@ -11,11 +11,13 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Package is one type-checked package under analysis.
@@ -39,38 +41,6 @@ type Program struct {
 	callGraph *CallGraph // built lazily by CallGraph()
 }
 
-// DependencyOrder returns the program's packages with every package
-// after all packages it imports (ties broken by path), so facts exported
-// while analyzing a dependency are importable by its dependents.
-func (prog *Program) DependencyOrder() []*Package {
-	byPath := make(map[string]*Package, len(prog.Packages))
-	for _, pkg := range prog.Packages {
-		byPath[pkg.Path] = pkg
-	}
-	state := map[*Package]int{} // 0 unvisited, 1 visiting, 2 done
-	out := make([]*Package, 0, len(prog.Packages))
-	var visit func(*Package)
-	visit = func(pkg *Package) {
-		if state[pkg] != 0 {
-			return // done, or a cycle (impossible for valid Go) — skip
-		}
-		state[pkg] = 1
-		if pkg.Types != nil {
-			for _, imp := range pkg.Types.Imports() {
-				if dep, ok := byPath[imp.Path()]; ok {
-					visit(dep)
-				}
-			}
-		}
-		state[pkg] = 2
-		out = append(out, pkg)
-	}
-	for _, pkg := range prog.Packages { // Packages is sorted by path
-		visit(pkg)
-	}
-	return out
-}
-
 // Pass carries one analyzer's view of one package (or, for program-level
 // analyzers, of the whole program).
 type Pass struct {
@@ -82,7 +52,6 @@ type Pass struct {
 	Program *Program
 
 	diags *[]Diagnostic
-	facts *factSet // shared across every pass of one analyzer's run
 }
 
 // Reportf records a diagnostic at pos.
@@ -124,8 +93,8 @@ type Analyzer struct {
 	// Run analyzes one package. Package-scoped analyzers check
 	// pass.Pkg.Path themselves and return nil for out-of-scope packages.
 	Run func(*Pass) error
-	// RunProgram analyzes the whole program at once (cross-package
-	// contracts like a1/errcode).
+	// RunProgram analyzes the whole program at once (interprocedural
+	// contracts like a1/locks).
 	RunProgram func(*Pass) error
 }
 
@@ -147,24 +116,19 @@ type Result struct {
 // loudly.
 func Run(prog *Program, analyzers []*Analyzer, checkUnused bool) (*Result, error) {
 	var raw []Diagnostic
-	depOrder := prog.DependencyOrder()
 	for _, a := range analyzers {
 		if (a.Run == nil) == (a.RunProgram == nil) {
 			return nil, fmt.Errorf("analyzer %s: exactly one of Run or RunProgram must be set", a.Name)
 		}
-		// One fact namespace per analyzer run, shared by all its passes.
-		facts := factSet{}
 		if a.RunProgram != nil {
-			pass := &Pass{Analyzer: a, Program: prog, diags: &raw, facts: &facts}
+			pass := &Pass{Analyzer: a, Program: prog, diags: &raw}
 			if err := a.RunProgram(pass); err != nil {
 				return nil, fmt.Errorf("%s: %w", a.Name, err)
 			}
 			continue
 		}
-		// Packages run in dependency order so facts exported while
-		// analyzing a dependency are visible to its dependents' passes.
-		for _, pkg := range depOrder {
-			pass := &Pass{Analyzer: a, Pkg: pkg, Program: prog, diags: &raw, facts: &facts}
+		for _, pkg := range prog.Packages {
+			pass := &Pass{Analyzer: a, Pkg: pkg, Program: prog, diags: &raw}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s (%s): %w", a.Name, pkg.Path, err)
 			}
@@ -202,18 +166,21 @@ func Run(prog *Program, analyzers []*Analyzer, checkUnused bool) (*Result, error
 	return res, nil
 }
 
+// sortDiags orders findings by position, then analyzer and message, so
+// output is stable however the analyzers emitted them.
 func sortDiags(ds []Diagnostic) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := ds[i], ds[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(ds, func(a, b Diagnostic) int {
+		return cmp.Or(
+			ComparePos(a.Pos, b.Pos),
+			strings.Compare(a.Analyzer, b.Analyzer),
+			strings.Compare(a.Message, b.Message))
 	})
+}
+
+// ComparePos orders positions by file, line and column.
+func ComparePos(a, b token.Position) int {
+	return cmp.Or(
+		strings.Compare(a.Filename, b.Filename),
+		cmp.Compare(a.Line, b.Line),
+		cmp.Compare(a.Column, b.Column))
 }

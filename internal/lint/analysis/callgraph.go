@@ -16,7 +16,7 @@ import (
 //
 // Function literals are attributed to their enclosing declaration: a
 // call made inside a closure appears as an edge from the declaring
-// function, which is the conservative reading for "may perform" facts
+// function, which is the conservative reading for "may perform" summaries
 // (the closure may run while the caller's state — locks, transactions —
 // is live).
 type CallGraph struct {
@@ -173,82 +173,82 @@ func implementations(named []*types.Named, iface *types.Interface, name string) 
 	return out
 }
 
-// SCCs condenses the call graph into strongly connected components and
-// returns them callees-first: every component is emitted after all
-// components it calls into, so bottom-up summary propagation can process
-// the slice in order. Mutually recursive functions share a component.
-func (g *CallGraph) SCCs() [][]*CallNode {
-	// Tarjan's algorithm, iterative over the deterministic node order.
-	index := map[*CallNode]int{}
-	low := map[*CallNode]int{}
-	onStack := map[*CallNode]bool{}
-	var stack []*CallNode
-	var sccs [][]*CallNode
-	next := 0
+// callees returns the graph nodes n calls, in edge order; external
+// callees have no node and are left out.
+func (g *CallGraph) callees(n *CallNode) []*CallNode {
+	var out []*CallNode
+	for _, e := range n.Out {
+		if w := g.Nodes[e.Callee]; w != nil {
+			out = append(out, w)
+		}
+	}
+	return out
+}
 
-	type frame struct {
-		n    *CallNode
-		edge int
-	}
-	var visit func(root *CallNode)
-	visit = func(root *CallNode) {
-		frames := []frame{{n: root}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			advanced := false
-			for f.edge < len(f.n.Out) {
-				e := f.n.Out[f.edge]
-				f.edge++
-				w := g.Nodes[e.Callee]
-				if w == nil {
-					continue // external callee: no node, no SCC membership
-				}
-				if _, seen := index[w]; !seen {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{n: w})
-					advanced = true
-					break
-				} else if onStack[w] && index[w] < low[f.n] {
-					low[f.n] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// f.n is finished.
-			if low[f.n] == index[f.n] {
-				var comp []*CallNode
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == f.n {
-						break
-					}
-				}
-				sccs = append(sccs, comp)
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].n
-				if low[f.n] < low[p] {
-					low[p] = low[f.n]
+// BottomUp visits the call graph callees-first, for summaries computed
+// from what a function's callees do: each strongly connected component
+// is visited after every component it calls into, and its members are
+// revisited until no visit reports a change (mutual recursion). Analyzers
+// keep their summaries in their own map[*types.Func]T; visit reads the
+// callees' entries, which are final unless the callee shares n's
+// component.
+func BottomUp(g *CallGraph, visit func(n *CallNode) (changed bool)) {
+	for _, comp := range SCCs(g.order, g.callees) {
+		for changed := true; changed; {
+			changed = false
+			for _, n := range comp {
+				if visit(n) {
+					changed = true
 				}
 			}
 		}
 	}
-	for _, n := range g.order {
-		if _, seen := index[n]; !seen {
-			visit(n)
+}
+
+// SCCs condenses a directed graph into strongly connected components
+// with Tarjan's algorithm and returns them sinks-first: every component
+// is emitted after all components it has edges into. Nodes are visited
+// in the given order and successors in the order succs returns them, so
+// the result is deterministic.
+func SCCs[N comparable](nodes []N, succs func(N) []N) [][]N {
+	index := map[N]int{}
+	low := map[N]int{}
+	onStack := map[N]bool{}
+	var stack []N
+	var out [][]N
+
+	var visit func(v N)
+	visit = func(v N) {
+		index[v], low[v] = len(index), len(index)
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, w := range succs(v) {
+			if _, seen := index[w]; !seen {
+				visit(w)
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
+			}
+		}
+		if low[v] != index[v] {
+			return
+		}
+		var comp []N
+		for {
+			w := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			onStack[w] = false
+			comp = append(comp, w)
+			if w == v {
+				break
+			}
+		}
+		out = append(out, comp)
+	}
+	for _, v := range nodes {
+		if _, seen := index[v]; !seen {
+			visit(v)
 		}
 	}
-	return sccs
+	return out
 }

@@ -148,7 +148,7 @@ func D() {}
 `},
 	})
 	g := prog.CallGraph()
-	sccs := g.SCCs()
+	sccs := SCCs(g.Functions(), g.callees)
 
 	pos := map[string]int{} // function name → SCC index
 	size := map[string]int{}
@@ -167,56 +167,39 @@ func D() {}
 	}
 }
 
-func TestDependencyOrder(t *testing.T) {
+// TestBottomUp: a summary set at a leaf reaches every transitive caller,
+// through a mutually recursive pair, and nothing that does not call it.
+func TestBottomUp(t *testing.T) {
 	prog := checkProgram(t, [][2]string{
-		{"base", `package base
-func F() {}
-`},
-		{"mid", `package mid
-import "base"
-func G() { base.F() }
-`},
-		{"top", `package top
-import "mid"
-func H() { mid.G() }
+		{"rec", `package rec
+func Top() { A() }
+func A() { B() }
+func B() { A(); Leaf() }
+func Leaf() {}
+func Other() {}
 `},
 	})
-	// Packages are stored sorted by path (base, mid, top happens to be
-	// alphabetical too); scramble to prove ordering is computed.
-	prog.Packages[0], prog.Packages[2] = prog.Packages[2], prog.Packages[0]
-	order := prog.DependencyOrder()
-	idx := map[string]int{}
-	for i, pkg := range order {
-		idx[pkg.Path] = i
-	}
-	if !(idx["base"] < idx["mid"] && idx["mid"] < idx["top"]) {
-		t.Errorf("dependency order wrong: %v", idx)
-	}
-}
-
-func TestFactsExportImport(t *testing.T) {
-	prog := checkProgram(t, [][2]string{
-		{"p", `package p
-func F() {}
-`},
+	g := prog.CallGraph()
+	reaches := map[*types.Func]bool{}
+	BottomUp(g, func(n *CallNode) bool {
+		if reaches[n.Func] {
+			return false
+		}
+		for _, e := range n.Out {
+			if reaches[e.Callee] || e.Callee.Name() == "Leaf" {
+				reaches[n.Func] = true
+				return true
+			}
+		}
+		return false
 	})
-	facts := factSet{}
-	pass := &Pass{Program: prog, facts: &facts, Analyzer: &Analyzer{Name: "a1/test"}}
-	obj := prog.Packages[0].Types.Scope().Lookup("F")
-
-	var in tFact
-	if pass.ImportFact(obj, &in) {
-		t.Fatal("ImportFact on empty store returned true")
+	var got []string
+	for _, n := range g.Functions() {
+		if reaches[n.Func] {
+			got = append(got, n.Func.Name())
+		}
 	}
-	pass.ExportFact(obj, &tFact{N: 7})
-	if !pass.ImportFact(obj, &in) || in.N != 7 {
-		t.Fatalf("ImportFact = %+v, want N=7", in)
-	}
-	if !pass.HasFact(obj, &tFact{}) {
-		t.Fatal("HasFact missed an exported fact")
+	if fmt.Sprint(got) != "[Top A B]" {
+		t.Errorf("functions reaching Leaf = %v, want [Top A B]", got)
 	}
 }
-
-type tFact struct{ N int }
-
-func (*tFact) AFact() {}

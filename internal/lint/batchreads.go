@@ -14,7 +14,7 @@ import (
 // owner (farm.PrimaryOf) and evaluated near the data in batched RPCs, the
 // way execLevel/runBatch do.
 //
-// The check is fact-driven over the module-wide call graph: a helper
+// The check is interprocedural over the module-wide call graph: a helper
 // that performs a per-ID read any number of calls below the loop body is
 // flagged at the loop's call site, with the chain to the primitive named
 // in the message. A per-ID read site carrying a justified
@@ -44,13 +44,6 @@ var batchReadsExempt = map[string]bool{
 	corePath:          true, // the implementation layer under the batch APIs
 }
 
-// perIDReadFact summarizes "calling this function performs at least one
-// per-ID vertex/object read"; Chain spells the call path down to the
-// primitive, for the diagnostic.
-type perIDReadFact struct{ Chain string }
-
-func (*perIDReadFact) AFact() {}
-
 func runBatchReads(pass *analysis.Pass) error {
 	prog := pass.Program
 	cg := prog.CallGraph()
@@ -67,41 +60,35 @@ func runBatchReads(pass *analysis.Pass) error {
 		return false
 	}
 
-	// Bottom-up facts: a non-exempt function that calls a per-ID
+	// Bottom-up summaries: a non-exempt function that calls a per-ID
 	// primitive (at an unsanctioned site), or calls a non-exempt helper
-	// that does, performs per-ID reads itself. Facts do not propagate
-	// through exempt packages: those are the implementation layers under
-	// the batch APIs, already outside the contract's scope.
-	for _, comp := range cg.SCCs() {
-		for changed := true; changed; {
-			changed = false
-			for _, n := range comp {
-				if batchReadsExempt[n.Pkg.Path] || pass.HasFact(n.Func, &perIDReadFact{}) {
-					continue
+	// that does, performs per-ID reads itself; chain spells the call path
+	// down to the primitive, for the diagnostic. Summaries do not
+	// propagate through exempt packages: those are the implementation
+	// layers under the batch APIs, already outside the contract's scope.
+	chain := map[*types.Func]string{}
+	analysis.BottomUp(cg, func(n *analysis.CallNode) bool {
+		if _, done := chain[n.Func]; done || batchReadsExempt[n.Pkg.Path] {
+			return false
+		}
+		for _, e := range n.Out {
+			if e.Abstract {
+				continue
+			}
+			if perIDAPI(e.Callee) {
+				if analysis.SuppressedAt(sups, pass.Analyzer.Name, prog.Fset.Position(e.Site.Pos())) {
+					continue // sanctioned machine-local site
 				}
-				for _, e := range n.Out {
-					if e.Abstract {
-						continue
-					}
-					sitePos := prog.Fset.Position(e.Site.Pos())
-					if perIDAPI(e.Callee) {
-						if analysis.SuppressedAt(sups, pass.Analyzer.Name, sitePos) {
-							continue // sanctioned machine-local site
-						}
-						pass.ExportFact(n.Func, &perIDReadFact{Chain: calleeLabel(e.Callee)})
-						changed = true
-						break
-					}
-					var f perIDReadFact
-					if fpkg := funcPkgPath(e.Callee); !batchReadsExempt[fpkg] && pass.ImportFact(e.Callee, &f) {
-						pass.ExportFact(n.Func, &perIDReadFact{Chain: e.Callee.Name() + " → " + f.Chain})
-						changed = true
-						break
-					}
-				}
+				chain[n.Func] = calleeLabel(e.Callee)
+				return true
+			}
+			if c, ok := chain[e.Callee]; ok && !batchReadsExempt[funcPkgPath(e.Callee)] {
+				chain[n.Func] = e.Callee.Name() + " → " + c
+				return true
 			}
 		}
-	}
+		return false
+	})
 
 	// Report: calls inside loops over frontier/ID slices, in non-exempt
 	// packages, that directly or transitively perform per-ID reads.
@@ -124,7 +111,7 @@ func runBatchReads(pass *analysis.Pass) error {
 					if !ok {
 						return true
 					}
-					fn := calleeOf(info, call)
+					fn := analysis.StaticCallee(info, call)
 					if fn == nil {
 						return true
 					}
@@ -136,14 +123,13 @@ func runBatchReads(pass *analysis.Pass) error {
 							fn.Name(), types.ExprString(rs.X))
 						return true
 					}
-					var f perIDReadFact
-					if fpkg := funcPkgPath(fn); !batchReadsExempt[fpkg] && pass.ImportFact(fn, &f) {
+					if c, ok := chain[fn]; ok && !batchReadsExempt[funcPkgPath(fn)] {
 						pass.Reportf(call.Pos(),
 							"per-ID read hidden below %s inside a loop over %s (%s → %s): each "+
 								"iteration is a potential fabric round trip; partition the frontier by "+
 								"owner and ship a batched RPC (see execLevel/runBatch), or justify "+
 								"machine-locality",
-							fn.Name(), types.ExprString(rs.X), fn.Name(), f.Chain)
+							fn.Name(), types.ExprString(rs.X), fn.Name(), c)
 					}
 					return true
 				})

@@ -2,11 +2,11 @@
 // distributed-correctness contracts the codebase relies on — stats commit
 // hooks on every write path, deterministic coordinator merges, the
 // paper's local/remote access gap priced into lock and read discipline,
-// a single global lock-acquisition order, cursors and transactions
-// released on every path, and error codes that always map to an HTTP
-// status — expressed as build failures instead of prose. The checks are
+// a single global lock-acquisition order, byte accounting without
+// throwaway encodings, and cursors and transactions released on every
+// path — expressed as build failures instead of prose. The checks are
 // interprocedural where the contract demands it, built on the call
-// graph, facts, and CFG kernel in internal/lint/analysis. See
+// graph, bottom-up pass, and CFG kernel in internal/lint/analysis. See
 // docs/lint.md for the contract behind each analyzer and the
 // suppression policy.
 package lint
@@ -23,12 +23,10 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		StatsHook,
 		MapOrder,
-		LockFabric,
-		LockOrder,
+		Locks,
 		BatchReads,
 		MarshalSize,
 		Release,
-		ErrCode,
 	}
 }
 
@@ -50,23 +48,6 @@ func ByName(names []string) ([]*analysis.Analyzer, bool) {
 		}
 	}
 	return out, true
-}
-
-// calleeOf resolves a call expression to the *types.Func it invokes
-// (function, method, or qualified identifier); nil for builtins, calls of
-// function-typed variables, and conversions.
-func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
 }
 
 // funcPkgPath returns the import path of fn's defining package ("" for

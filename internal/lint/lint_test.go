@@ -30,9 +30,11 @@ func TestMapOrder(t *testing.T) {
 		"a1/internal/query", "a1/internal/other")
 }
 
+// TestLockFabric covers a1/locks' remote-call rule (and its interplay
+// with ordering inside function literals).
 func TestLockFabric(t *testing.T) {
 	needGo(t)
-	analysistest.Run(t, "testdata/lockfabric", lint.LockFabric,
+	analysistest.Run(t, "testdata/locks", lint.Locks,
 		"a1/internal/router", "a1/internal/sim")
 }
 
@@ -48,21 +50,16 @@ func TestMarshalSize(t *testing.T) {
 		"a1/internal/query", "a1/internal/codec")
 }
 
+// TestLockOrder covers a1/locks' lock-order rule.
 func TestLockOrder(t *testing.T) {
 	needGo(t)
-	analysistest.Run(t, "testdata/lockorder", lint.LockOrder,
+	analysistest.Run(t, "testdata/locks", lint.Locks,
 		"a1/internal/alpha", "a1/internal/beta")
 }
 
 func TestRelease(t *testing.T) {
 	needGo(t)
 	analysistest.Run(t, "testdata/release", lint.Release, "a1/internal/work")
-}
-
-func TestErrCode(t *testing.T) {
-	needGo(t)
-	analysistest.Run(t, "testdata/errcode", lint.ErrCode,
-		"a1/internal/query", "a1/cmd/a1server")
 }
 
 func TestByName(t *testing.T) {

@@ -156,7 +156,7 @@ func sortedAfter(info *types.Info, body *ast.BlockStmt, pos token.Pos, obj types
 		if !ok || call.Pos() < pos {
 			return true
 		}
-		fn := calleeOf(info, call)
+		fn := analysis.StaticCallee(info, call)
 		if fn == nil {
 			return true
 		}

@@ -16,24 +16,17 @@ import (
 // on the per-row query path, where that garbage is exactly what the
 // allocs bench report is meant to keep out.
 //
-// The check is fact-driven: a helper whose every return is itself a fresh
-// bond.Marshal encoding (directly or through another such helper) carries
-// a fact, so len(helper(v)) and append(b, helper(v)...) are flagged with
-// the chain to the primitive named in the message. The bond package
-// itself is exempt — it implements the sizing primitives.
+// The check is interprocedural: a helper whose every return is itself a
+// fresh bond.Marshal encoding (directly or through another such helper)
+// is summarized bottom-up, so len(helper(v)) and append(b, helper(v)...)
+// are flagged with the chain to the primitive named in the message. The
+// bond package itself is exempt — it implements the sizing primitives.
 var MarshalSize = &analysis.Analyzer{
 	Name: "a1/marshalsize",
 	Doc: "sizing or splicing a throwaway bond.Marshal buffer must use " +
 		"bond.MarshalSize / bond.AppendMarshal instead",
 	RunProgram: runMarshalSize,
 }
-
-// freshMarshalFact marks a function every return of which is a freshly
-// allocated bond.Marshal encoding; Chain names the call path down to the
-// primitive for diagnostics.
-type freshMarshalFact struct{ Chain string }
-
-func (*freshMarshalFact) AFact() {}
 
 func runMarshalSize(pass *analysis.Pass) error {
 	prog := pass.Program
@@ -43,71 +36,60 @@ func runMarshalSize(pass *analysis.Pass) error {
 		return funcPkgPath(fn) == bondPath && fn.Name() == "Marshal"
 	}
 
+	// fresh maps a function every return of which is a freshly allocated
+	// bond.Marshal encoding to the call path down to the primitive.
+	fresh := map[*types.Func]string{}
+
 	// freshCall resolves a call expression that returns a fresh Marshal
-	// encoding: the primitive itself, or a fact-carrying wrapper. The
-	// second result is the chain for the diagnostic.
+	// encoding: the primitive itself, or a wrapper in fresh. The second
+	// result is the chain for the diagnostic.
 	freshCall := func(info *types.Info, e ast.Expr) (*types.Func, string, bool) {
 		call, ok := ast.Unparen(e).(*ast.CallExpr)
 		if !ok {
 			return nil, "", false
 		}
-		fn := calleeOf(info, call)
+		fn := analysis.StaticCallee(info, call)
 		if fn == nil {
 			return nil, "", false
 		}
 		if isMarshal(fn) {
 			return fn, "", true
 		}
-		var f freshMarshalFact
-		if funcPkgPath(fn) != bondPath && pass.ImportFact(fn, &f) {
-			return fn, f.Chain, true
+		if chain, ok := fresh[fn]; ok && funcPkgPath(fn) != bondPath {
+			return fn, chain, true
 		}
 		return nil, "", false
 	}
 
-	// Bottom-up facts, to fixpoint so wrapper-of-wrapper chains resolve.
-	// A function is a fresh-Marshal source when it has at least one return
-	// and every return's single result is a fresh-Marshal call. Returns
-	// inside nested function literals belong to the literal, not the
+	// Bottom-up, so wrapper-of-wrapper chains resolve. A function is a
+	// fresh-Marshal source when it has at least one return and every
+	// return's single result is a fresh-Marshal call. Returns inside
+	// nested function literals belong to the literal, not the
 	// declaration, and are skipped.
-	for changed := true; changed; {
-		changed = false
-		for _, pkg := range prog.Packages {
-			if pkg.Path == bondPath {
-				continue
-			}
-			info := pkg.TypesInfo
-			eachFunc(pkg, func(name string, decl ast.Node, body *ast.BlockStmt) {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					return
-				}
-				fn, ok := info.Defs[fd.Name].(*types.Func)
-				if fn == nil || !ok || pass.HasFact(fn, &freshMarshalFact{}) {
-					return
-				}
-				chain, fresh := "", false
-				for _, ret := range ownReturns(body) {
-					if len(ret.Results) != 1 {
-						return
-					}
-					callee, sub, ok := freshCall(info, ret.Results[0])
-					if !ok {
-						return
-					}
-					fresh = true
-					chain = calleeLabel(callee)
-					if sub != "" {
-						chain = callee.Name() + " → " + sub
-					}
-				}
-				if fresh {
-					pass.ExportFact(fn, &freshMarshalFact{Chain: chain})
-					changed = true
-				}
-			})
+	analysis.BottomUp(prog.CallGraph(), func(n *analysis.CallNode) bool {
+		if _, done := fresh[n.Func]; done || n.Pkg.Path == bondPath {
+			return false
 		}
-	}
+		chain := ""
+		for _, ret := range ownReturns(n.Decl.Body) {
+			if len(ret.Results) != 1 {
+				return false
+			}
+			callee, sub, ok := freshCall(n.Pkg.TypesInfo, ret.Results[0])
+			if !ok {
+				return false
+			}
+			chain = calleeLabel(callee)
+			if sub != "" {
+				chain = callee.Name() + " → " + sub
+			}
+		}
+		if chain == "" {
+			return false
+		}
+		fresh[n.Func] = chain
+		return true
+	})
 
 	// Report: len() and append(..., x...) over fresh encodings.
 	for _, pkg := range prog.Packages {

@@ -115,7 +115,7 @@ func classifyAcquisition(info *types.Info, as *ast.AssignStmt, call *ast.CallExp
 		held: "an open cursor pins owner-side pages and fetch-slot continuation state until closed",
 	}
 	typePkg, typeName := queryPath, "Rows"
-	if fn := calleeOf(info, call); fn != nil && funcPkgPath(fn) == farmPath {
+	if fn := analysis.StaticCallee(info, call); fn != nil && funcPkgPath(fn) == farmPath {
 		switch fn.Name() {
 		case "CreateTransaction":
 			acq.release, acq.kind = txRelease, "transaction"

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"go/types"
+
 	"a1/internal/lint/analysis"
 )
 
@@ -75,101 +77,64 @@ var statsLocalHooks = map[string]bool{
 	"EdgeRemoved":       true,
 }
 
-// mutatesFact summarizes "this function (transitively) performs a
-// farm-level mutation the statistics tracker counts"; Reason names the
-// primitive or the call chain that introduced it.
-type mutatesFact struct{ Reason string }
-
-func (*mutatesFact) AFact() {}
-
-// hooksFact summarizes "this function (transitively) reaches a stats
-// commit hook".
-type hooksFact struct{}
-
-func (*hooksFact) AFact() {}
-
 func runStatsHook(pass *analysis.Pass) error {
 	cg := pass.Program.CallGraph()
-
-	// Bottom-up over the SCC condensation: each component is processed
-	// after everything it calls, so callee facts are final; within a
-	// component, iterate to a fixpoint (mutual recursion).
-	for _, comp := range cg.SCCs() {
-		for changed := true; changed; {
-			changed = false
-			for _, n := range comp {
-				m := statsHookApply(pass, n)
-				changed = changed || m
+	// mutates maps a function that (transitively) performs a farm-level
+	// mutation the statistics tracker counts to the primitive or call
+	// chain that introduced it; hooks marks the functions that
+	// (transitively) reach a stats commit hook.
+	mutates := map[*types.Func]string{}
+	hooks := map[*types.Func]bool{}
+	analysis.BottomUp(cg, func(n *analysis.CallNode) bool {
+		_, hadMut := mutates[n.Func]
+		hadHook := hooks[n.Func]
+		mut, hook := hadMut, hadHook
+		var reason string
+		for _, e := range n.Out {
+			if e.Abstract {
+				continue // interface fan-out is too coarse for this contract
 			}
+			name := e.Callee.Name()
+			switch funcPkgPath(e.Callee) {
+			case farmPath:
+				if farmMutators[name] && !mut {
+					mut, reason = true, "farm."+name
+				}
+				continue
+			case statsPath:
+				hook = hook || statsLocalHooks[name]
+				continue
+			case corePath:
+				hook = hook || coreStatsHooks[name]
+				if coreCatalogPlane[name] {
+					continue // catalog plane: deliberately not followed
+				}
+			}
+			// Propagate the callee's summaries (cross-package included).
+			if r, ok := mutates[e.Callee]; ok && !mut {
+				mut, reason = true, "call to "+name+" ("+r+")"
+			}
+			hook = hook || hooks[e.Callee]
 		}
-	}
+		if mut && !hadMut {
+			mutates[n.Func] = reason
+		}
+		hooks[n.Func] = hook
+		return (mut && !hadMut) || (hook && !hadHook)
+	})
 
 	// Report: exported functions in internal/core that mutate tracked
 	// state without reaching any hook.
 	for _, n := range cg.Functions() {
-		if n.Pkg.Path != corePath || !n.Decl.Name.IsExported() {
-			continue
-		}
-		var mf mutatesFact
-		if !pass.ImportFact(n.Func, &mf) || pass.HasFact(n.Func, &hooksFact{}) {
+		reason, mut := mutates[n.Func]
+		if n.Pkg.Path != corePath || !n.Decl.Name.IsExported() || !mut || hooks[n.Func] {
 			continue
 		}
 		pass.Reportf(n.Decl.Name.Pos(),
 			"%s mutates graph state (%s) but never reaches a stats commit hook; "+
 				"committed mutations must feed the planner's statistics (statsVertex*/statsEdge*) "+
 				"or the cost model silently rots",
-			n.Decl.Name.Name, mf.Reason)
+			n.Decl.Name.Name, reason)
 	}
 	return nil
-}
-
-// statsHookApply recomputes n's facts from its direct calls and its
-// callees' current facts; it reports whether anything changed.
-func statsHookApply(pass *analysis.Pass, n *analysis.CallNode) bool {
-	hadMut := pass.HasFact(n.Func, &mutatesFact{})
-	hadHook := pass.HasFact(n.Func, &hooksFact{})
-	mutates, hooks := hadMut, hadHook
-	var reason string
-
-	for _, e := range n.Out {
-		if e.Abstract {
-			continue // interface fan-out is too coarse for this contract
-		}
-		name := e.Callee.Name()
-		switch funcPkgPath(e.Callee) {
-		case farmPath:
-			if farmMutators[name] && !mutates {
-				mutates, reason = true, "farm."+name
-			}
-			continue
-		case statsPath:
-			if statsLocalHooks[name] {
-				hooks = true
-			}
-			continue
-		case corePath:
-			if coreStatsHooks[name] {
-				hooks = true
-			}
-			if coreCatalogPlane[name] {
-				continue // catalog plane: deliberately not followed
-			}
-		}
-		// Propagate the callee's summaries (cross-package included).
-		var mf mutatesFact
-		if !mutates && pass.ImportFact(e.Callee, &mf) {
-			mutates, reason = true, "call to "+name+" ("+mf.Reason+")"
-		}
-		if !hooks && pass.HasFact(e.Callee, &hooksFact{}) {
-			hooks = true
-		}
-	}
-
-	if mutates && !hadMut {
-		pass.ExportFact(n.Func, &mutatesFact{Reason: reason})
-	}
-	if hooks && !hadHook {
-		pass.ExportFact(n.Func, &hooksFact{})
-	}
-	return (mutates && !hadMut) || (hooks && !hadHook)
 }

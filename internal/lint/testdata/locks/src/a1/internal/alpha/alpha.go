@@ -1,8 +1,8 @@
-// Fixture for a1/lockorder: the store half of a cross-package
+// Fixture for a1/locks: the store half of a cross-package
 // lock-order cycle. Store embeds its mutex so other packages can take
 // part in acquisition chains, and Bump buries a Store acquisition one
-// call below its callers — only the fact-driven analyzer sees it from
-// beta.
+// call below its callers — only the bottom-up acquisition summary shows
+// it to beta.
 package alpha
 
 import "sync"
@@ -13,7 +13,7 @@ type Store struct {
 }
 
 // Bump acquires the store lock; callers holding other locks pick this
-// acquisition up through the a1/lockorder facts layer.
+// acquisition up through Bump's acquisition summary.
 func (s *Store) Bump() {
 	s.Lock()
 	s.n++

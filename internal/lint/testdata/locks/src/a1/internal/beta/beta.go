@@ -1,9 +1,10 @@
-// Fixture for a1/lockorder: lock-acquisition-order cycles are potential
-// deadlocks. The Registry/Store cycle crosses a package boundary with
-// one of its two edges hidden below a call (alpha.Store.Bump), proving
-// the facts layer; the A/B cycle is suppressed at its anchor site; the
-// Cache ordering is consistent and silent; Coupled re-acquires one
-// class (instance ordering) and is exempt by design.
+// Fixture for a1/locks, lock-order rule: lock-acquisition-order cycles
+// are potential deadlocks. The Registry/Store cycle crosses a package
+// boundary with one of its two edges hidden below a call
+// (alpha.Store.Bump), proving the bottom-up acquisition summaries; the
+// A/B cycle is suppressed at its anchor site; the Cache ordering is
+// consistent and silent; Coupled re-acquires one class (instance
+// ordering) and is exempt by design.
 package beta
 
 import (
@@ -18,7 +19,8 @@ type Registry struct {
 }
 
 // Publish orders Registry.mu before Store — the Store acquisition is
-// one call below, in another package, visible only through facts. This
+// one call below, in another package, visible only through its
+// callee's acquisition summary. This
 // call site is the cycle's anchor (lexicographically first edge).
 func (r *Registry) Publish() {
 	r.mu.Lock()
@@ -65,7 +67,7 @@ type B struct{ mu sync.Mutex }
 // anchor site (the lexicographically first contributing acquisition).
 func Sanctioned(a *A, b *B) {
 	a.mu.Lock()
-	//lint:ignore a1/lockorder fixture: sanctioned legacy ordering kept until the A/B merge lands
+	//lint:ignore a1/locks fixture: sanctioned legacy ordering kept until the A/B merge lands
 	b.mu.Lock()
 	b.mu.Unlock()
 	a.mu.Unlock()

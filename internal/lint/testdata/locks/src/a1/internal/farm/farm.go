@@ -14,3 +14,5 @@ type Tx struct{}
 
 func (*Tx) Read(p Ptr) (*ObjBuf, error) { return nil, nil }
 func (*Tx) Commit() error               { return nil }
+
+func (*Tx) ReadSizedInto(a Addr, size uint32, scratch []byte) ([]byte, error) { return nil, nil }

@@ -1,10 +1,11 @@
-// Fixture for a1/lockfabric: no fabric/farm remote call while a
-// machine-local mutex acquired in the same function is held.
+// Fixture for a1/locks, remote-call rule: no fabric/farm/core remote call
+// while a machine-local mutex acquired in the same function is held.
 package router
 
 import (
 	"sync"
 
+	"a1/internal/core"
 	"a1/internal/fabric"
 	"a1/internal/farm"
 )
@@ -84,11 +85,67 @@ func (r *Router) Later(c *fabric.Ctx) {
 	r.mu.Unlock()
 }
 
+// Bad: an exported core function handed a transaction reaches farm, and
+// VisitVertices is the engine's one read step.
+func (r *Router) Visit(g *core.Graph, tx *farm.Tx, vps []core.VertexPtr) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return g.VisitVertices(tx, vps, func(core.VertexPtr) bool { return true }) // want `Visit calls VisitVertices while holding r.mu`
+}
+
+// Good: a core call handed neither a transaction nor a fabric context
+// stays on the machine.
+func (r *Router) GraphName(g *core.Graph) string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return g.Name()
+}
+
+// Bad: a read into a caller's scratch buffer is still a farm read.
+func (r *Router) Scratch(tx *farm.Tx, p farm.Ptr, buf []byte) ([]byte, error) {
+	r.rw.RLock()
+	defer r.rw.RUnlock()
+	return tx.ReadSizedInto(p.Addr, p.Size, buf) // want `Scratch calls ReadSizedInto while holding r.rw`
+}
+
+// Bad: Overlap fans out remote work like Parallel.
+func (r *Router) Prefetch(c *fabric.Ctx) {
+	r.mu.Lock()
+	c.Overlap(2, func(int, *fabric.Ctx) {}) // want `Prefetch calls Overlap while holding r.mu`
+	r.mu.Unlock()
+}
+
+type Queue struct {
+	mu sync.Mutex
+}
+
+// Mixed: the literal is defined under r.mu. Its RPC is no remote-call
+// finding — r.mu was not taken inside the literal, which may run after
+// Handoff returns — but its own acquisition of q.mu still orders after
+// r.mu, and Drain orders the two the other way.
+func (r *Router) Handoff(c *fabric.Ctx, q *Queue) func() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return func() error {
+		q.mu.Lock() // want `lock-order cycle router\.Queue\.mu → router\.Router\.mu → router\.Queue\.mu .*Handoff \(func literal\) locks router\.Queue\.mu while holding router\.Router\.mu`
+		q.mu.Unlock()
+		return c.RPC(1, 0, func(*fabric.Ctx) error { return nil })
+	}
+}
+
+// Drain takes Router.mu while holding Queue.mu.
+func (q *Queue) Drain(r *Router) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	r.mu.Lock()
+	r.mu.Unlock()
+}
+
 // Suppressed: justified //lint:ignore, so no want comment here.
 func (r *Router) Pinned(tx *farm.Tx, p farm.Ptr) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	//lint:ignore a1/lockfabric startup path before the fabric goes live; Read is loopback here
+	//lint:ignore a1/locks startup path before the fabric goes live; Read is loopback here
 	_, err := tx.Read(p)
 	return err
 }

@@ -33,26 +33,28 @@ const (
 	// bound past the traversal cap, or `_recurse` combined with clauses
 	// that have no recursive semantics.
 	CodeRecurse
+	// NumCodes counts the codes above. Every code below it has a wire name
+	// in codeNames, and cmd/a1server maps every one but CodeInternal to a
+	// status of its own (TestEveryCodeHasStatus).
+	NumCodes
 )
 
-// String names the code.
+var codeNames = [NumCodes]string{
+	CodeInternal:   "internal",
+	CodeParse:      "parse",
+	CodeBadParam:   "bad_param",
+	CodeNoStart:    "no_start",
+	CodeBadToken:   "bad_token",
+	CodeWorkingSet: "working_set",
+	CodeRecurse:    "recurse",
+}
+
+// String names the code; an unknown code reads as "internal".
 func (c Code) String() string {
-	switch c {
-	case CodeParse:
-		return "parse"
-	case CodeBadParam:
-		return "bad_param"
-	case CodeNoStart:
-		return "no_start"
-	case CodeBadToken:
-		return "bad_token"
-	case CodeWorkingSet:
-		return "working_set"
-	case CodeRecurse:
-		return "recurse"
-	default:
-		return "internal"
+	if c < 0 || c >= NumCodes {
+		return codeNames[CodeInternal]
 	}
+	return codeNames[c]
 }
 
 // Error is a classified query error.

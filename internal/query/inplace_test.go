@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -90,7 +91,7 @@ var (
 	}
 	fuzzOps     = []Op{OpEq, OpNe, OpGt, OpGe, OpLt, OpLe, OpPrefix}
 	fuzzInts    = []int64{-1, 0, 1, 2, 1 << 40}
-	fuzzFloats  = []float64{-1.5, 0, 1, 2.5}
+	fuzzFloats  = []float64{-1.5, 0, 1, 2.5, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
 	fuzzStrings = []string{"", "a", "ab", "b", "Batman"}
 )
 
@@ -109,6 +110,10 @@ func (g *fuzzGen) next() byte {
 
 func (g *fuzzGen) pick(n int) int { return (int(g.next())<<8 | int(g.next())) % n }
 
+// float draws from fuzzFloats on its own pick, so −0.0, NaN and the
+// infinities are all reachable.
+func (g *fuzzGen) float() float64 { return fuzzFloats[g.pick(len(fuzzFloats))] }
+
 func (g *fuzzGen) scalar(k bond.Kind) bond.Value {
 	i := g.pick(len(fuzzInts))
 	s := fuzzStrings[i]
@@ -122,9 +127,9 @@ func (g *fuzzGen) scalar(k bond.Kind) bond.Value {
 	case bond.KindUInt64:
 		return bond.UInt64(uint64(fuzzInts[i]))
 	case bond.KindFloat:
-		return bond.Float(float32(fuzzFloats[i%len(fuzzFloats)]))
+		return bond.Float(float32(g.float()))
 	case bond.KindDouble:
-		return bond.Double(fuzzFloats[i%len(fuzzFloats)])
+		return bond.Double(g.float())
 	case bond.KindString:
 		return bond.String(s)
 	case bond.KindBlob:
@@ -231,7 +236,7 @@ func (g *fuzzGen) predicate(t *testing.T) Predicate {
 	case 0:
 		p.Value = bond.Int64(fuzzInts[i])
 	case 1:
-		p.Value = bond.Double(fuzzFloats[i%len(fuzzFloats)])
+		p.Value = bond.Double(g.float())
 	case 2, 3:
 		p.Value = bond.String(fuzzStrings[i])
 	case 4:
