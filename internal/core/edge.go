@@ -118,26 +118,6 @@ func (h *vertexHdr) setListRef(dir Direction, list farm.Ptr, count uint32, spill
 	}
 }
 
-// enumerateHalfEdges walks one direction of a vertex's edge list through
-// tracked transactional reads (the write paths' form; readers go through
-// VertexVisit.Edges), optionally filtered by edge type id (0 = all; type
-// ids start at 1).
-func (g *Graph) enumerateHalfEdges(tx *farm.Tx, gm *graphMeta, vp VertexPtr, hdr *vertexHdr, dir Direction, etypeFilter uint32, fn func(HalfEdge) bool) error {
-	list, count, spilled := hdr.listRef(dir)
-	if spilled {
-		return g.scanSpilledEdges(tx, gm, vp, dir, etypeFilter, fn)
-	}
-	if count == 0 || list.IsNil() {
-		return nil
-	}
-	buf, err := tx.Read(list)
-	if err != nil {
-		return err
-	}
-	walkInlineEdges(buf.Data(), etypeFilter, fn)
-	return nil
-}
-
 // scanSpilledEdges enumerates a spilled edge list: a prefix scan of the
 // graph's global edge tree.
 func (g *Graph) scanSpilledEdges(tx *farm.Tx, gm *graphMeta, vp VertexPtr, dir Direction, etypeFilter uint32, fn func(HalfEdge) bool) error {
@@ -447,17 +427,7 @@ func (g *Graph) CreateEdge(tx *farm.Tx, src VertexPtr, etypeName string, dst Ver
 	if err := g.addHalfEdge(tx, gm, dst, DirIn, et.ID, src, dataPtr); err != nil {
 		return err
 	}
-	g.statsEdgeAdded(tx, src, etypeName)
-	if l := g.store.updateLogger(); l != nil {
-		key, err := g.edgeKeyOf(tx, src, etypeName, dst)
-		if err != nil {
-			return err
-		}
-		if err := l.LogEdgePut(tx, g.tenant, g.name, key, val); err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.edgeChanged(tx, src, etypeName, dst, val, false)
 }
 
 // DeleteEdge removes the ⟨src, etype, dst⟩ edge, reporting whether it
@@ -479,15 +449,6 @@ func (g *Graph) DeleteEdge(tx *farm.Tx, src VertexPtr, etypeName string, dst Ver
 	if _, exists, err := g.findHalfEdge(tx, gm, src, srcHdr, DirOut, et.ID, dst); err != nil || !exists {
 		return false, err
 	}
-	var key EdgeKey
-	if l := g.store.updateLogger(); l != nil {
-		if key, err = g.edgeKeyOf(tx, src, etypeName, dst); err != nil {
-			return false, err
-		}
-		defer func() {
-			_ = l.LogEdgeDelete(tx, g.tenant, g.name, key)
-		}()
-	}
 	dataPtr, err := g.removeHalfEdgeData(tx, gm, src, DirOut, et.ID, dst)
 	if err != nil {
 		return false, err
@@ -500,7 +461,9 @@ func (g *Graph) DeleteEdge(tx *farm.Tx, src VertexPtr, etypeName string, dst Ver
 			return false, err
 		}
 	}
-	g.statsEdgeRemoved(tx, src, etypeName)
+	if err := g.edgeChanged(tx, src, etypeName, dst, bond.Null, true); err != nil {
+		return false, err
+	}
 	return true, nil
 }
 
@@ -567,37 +530,4 @@ func (g *Graph) EdgeTypeNameByID(tx *farm.Tx, id uint32) (string, error) {
 		return "", fmt.Errorf("%w: edge type id %d", ErrNoSuchType, id)
 	}
 	return et.Name, nil
-}
-
-// edgeKeyOf builds the durable identity of an edge from its endpoints.
-func (g *Graph) edgeKeyOf(tx *farm.Tx, src VertexPtr, etypeName string, dst VertexPtr) (EdgeKey, error) {
-	srcType, srcPK, err := g.VertexPK(tx, src)
-	if err != nil {
-		return EdgeKey{}, err
-	}
-	dstType, dstPK, err := g.VertexPK(tx, dst)
-	if err != nil {
-		return EdgeKey{}, err
-	}
-	return EdgeKey{
-		SrcType: srcType, SrcPK: srcPK,
-		EdgeTyp: etypeName,
-		DstType: dstType, DstPK: dstPK,
-	}, nil
-}
-
-// edgeIdentity builds an EdgeKey from a half-edge during vertex deletion.
-func (g *Graph) edgeIdentity(tx *farm.Tx, dir *typeDirectory, vp VertexPtr, vt *vertexTypeMeta, pk bond.Value, he HalfEdge, direction Direction) (EdgeKey, error) {
-	et, ok := dir.eByID[he.TypeID]
-	if !ok {
-		return EdgeKey{}, fmt.Errorf("%w: edge type id %d", ErrNoSuchType, he.TypeID)
-	}
-	otherType, otherPK, err := g.VertexPK(tx, he.Other)
-	if err != nil {
-		return EdgeKey{}, err
-	}
-	if direction == DirOut {
-		return EdgeKey{SrcType: vt.Name, SrcPK: pk, EdgeTyp: et.Name, DstType: otherType, DstPK: otherPK}, nil
-	}
-	return EdgeKey{SrcType: otherType, SrcPK: otherPK, EdgeTyp: et.Name, DstType: vt.Name, DstPK: pk}, nil
 }

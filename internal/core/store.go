@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"a1/internal/bond"
 	"a1/internal/fabric"
 	"a1/internal/farm"
 	"a1/internal/stats"
@@ -55,26 +54,6 @@ func DefaultConfig() Config {
 		RandomPlacement:    true,
 		Seed:               1,
 	}
-}
-
-// UpdateLogger receives data-plane mutations inside their transaction so
-// the disaster-recovery layer can append replication-log entries
-// transactionally (§4). Implemented by internal/dr.
-type UpdateLogger interface {
-	LogVertexPut(tx *farm.Tx, tenant, graph, vtype string, pk bond.Value, data bond.Value) error
-	LogVertexDelete(tx *farm.Tx, tenant, graph, vtype string, pk bond.Value) error
-	LogEdgePut(tx *farm.Tx, tenant, graph string, key EdgeKey, data bond.Value) error
-	LogEdgeDelete(tx *farm.Tx, tenant, graph string, key EdgeKey) error
-}
-
-// EdgeKey is the durable identity of an edge: endpoint identities rather
-// than FaRM addresses, which do not survive recovery.
-type EdgeKey struct {
-	SrcType string
-	SrcPK   bond.Value
-	EdgeTyp string
-	DstType string
-	DstPK   bond.Value
 }
 
 // Store is the A1 graph store over a FaRM cluster.

@@ -151,8 +151,7 @@ func (g *Graph) CreateVertex(tx *farm.Tx, typeName string, val bond.Value) (Vert
 		return farm.NilPtr, err
 	}
 	primary := farm.OpenBTree(g.store.farm, vt.Primary)
-	pkKey := pkIndexKey(pk)
-	if _, exists, err := primary.Get(tx, pkKey); err != nil {
+	if _, exists, err := primary.Get(tx, pkIndexKey(pk)); err != nil {
 		return farm.NilPtr, err
 	} else if exists {
 		return farm.NilPtr, fmt.Errorf("%w: %s %v", ErrExists, typeName, pk)
@@ -172,24 +171,8 @@ func (g *Graph) CreateVertex(tx *farm.Tx, typeName string, val bond.Value) (Vert
 	hdr := &vertexHdr{typeID: vt.ID, data: dataBuf.Ptr()}
 	hdr.encode(hdrBuf.Data())
 	vp := hdrBuf.Ptr()
-	if err := primary.Put(tx, pkKey, ptrValue(vp)); err != nil {
+	if err := g.vertexChanged(tx, vp, vt, bond.Null, val); err != nil {
 		return farm.NilPtr, err
-	}
-	for _, si := range vt.Secondary {
-		attr, ok := val.Field(si.FieldID)
-		if !ok || attr.IsNull() {
-			continue
-		}
-		st := farm.OpenBTree(g.store.farm, si.Tree)
-		if err := st.Put(tx, secIndexKey(attr, vp), ptrValue(vp)); err != nil {
-			return farm.NilPtr, err
-		}
-	}
-	g.statsVertexAdded(tx, target, vt, val)
-	if l := g.store.updateLogger(); l != nil {
-		if err := l.LogVertexPut(tx, g.tenant, g.name, typeName, pk, val); err != nil {
-			return farm.NilPtr, err
-		}
 	}
 	return vp, nil
 }
@@ -353,32 +336,7 @@ func (g *Graph) UpdateVertex(tx *farm.Tx, vp VertexPtr, newVal bond.Value) error
 		hdr.data = newDataPtr
 		hdr.encode(w.Data())
 	}
-	// Reconcile secondary indexes for changed attributes.
-	for _, si := range vt.Secondary {
-		oldAttr, oldOK := oldVal.Field(si.FieldID)
-		newAttr, newOK := newVal.Field(si.FieldID)
-		if oldOK == newOK && (!oldOK || oldAttr.Equal(newAttr)) {
-			continue
-		}
-		st := farm.OpenBTree(g.store.farm, si.Tree)
-		if oldOK && !oldAttr.IsNull() {
-			if _, err := st.Delete(tx, secIndexKey(oldAttr, vp)); err != nil {
-				return err
-			}
-		}
-		if newOK && !newAttr.IsNull() {
-			if err := st.Put(tx, secIndexKey(newAttr, vp), ptrValue(vp)); err != nil {
-				return err
-			}
-		}
-	}
-	g.statsVertexUpdated(tx, vp, vt, oldVal, newVal)
-	if l := g.store.updateLogger(); l != nil {
-		if err := l.LogVertexPut(tx, g.tenant, g.name, vt.Name, newPK, newVal); err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.vertexChanged(tx, vp, vt, oldVal, newVal)
 }
 
 // DeleteVertex removes a vertex and every edge attached to it: the
@@ -388,7 +346,8 @@ func (g *Graph) DeleteVertex(tx *farm.Tx, vp VertexPtr) error {
 	c := tx.Ctx()
 	// Deletes stay legal while the graph is in the Deleting state: the
 	// asynchronous DeleteGraph workflow itself drains vertices (§3.3).
-	if _, err := g.meta(c); err != nil {
+	gm, err := g.meta(c)
+	if err != nil {
 		return err
 	}
 	hdrBuf, hdr, err := g.readHeader(tx, vp)
@@ -411,102 +370,59 @@ func (g *Graph) DeleteVertex(tx *farm.Tx, vp VertexPtr) error {
 	if err != nil {
 		return err
 	}
-	pk, _ := val.Field(vt.PKField)
-
-	gm, err := g.meta(c)
-	if err != nil {
-		return err
-	}
 	// Collect both half-edge lists, then detach the remote ends.
-	var outs, ins []HalfEdge
-	if err := g.enumerateHalfEdges(tx, gm, vp, hdr, DirOut, 0, func(he HalfEdge) bool {
-		outs = append(outs, he)
-		return true
-	}); err != nil {
-		return err
-	}
-	if err := g.enumerateHalfEdges(tx, gm, vp, hdr, DirIn, 0, func(he HalfEdge) bool {
-		ins = append(ins, he)
-		return true
+	var lists [2][]HalfEdge
+	if err := g.readOne(tx, vp, VisitHeader, func(v *VertexVisit) error {
+		for _, d := range []Direction{DirOut, DirIn} {
+			if err := v.Edges(d, "", func(he HalfEdge) bool {
+				lists[d] = append(lists[d], he)
+				return true
+			}); err != nil {
+				return err
+			}
+		}
+		return nil
 	}); err != nil {
 		return err
 	}
 	freedData := map[farm.Addr]bool{}
-	for _, he := range outs {
-		if he.Other.Addr != vp.Addr {
-			if err := g.removeHalfEdge(tx, gm, he.Other, DirIn, he.TypeID, vp); err != nil {
+	for d, hes := range lists {
+		for _, he := range hes {
+			if he.Other.Addr == vp.Addr && Direction(d) == DirIn {
+				continue // a self-loop left with the out-list
+			}
+			src, dst, far := vp, he.Other, DirIn
+			if Direction(d) == DirIn {
+				src, dst, far = he.Other, vp, DirOut
+			}
+			if he.Other.Addr != vp.Addr {
+				if err := g.removeHalfEdge(tx, gm, he.Other, far, he.TypeID, vp); err != nil {
+					return err
+				}
+			}
+			if err := g.freeEdgeData(tx, he.Data, freedData); err != nil {
 				return err
 			}
-		}
-		if et, ok := dir.eByID[he.TypeID]; ok {
-			g.statsEdgeRemoved(tx, vp, et.Name)
-		}
-		if err := g.freeEdgeData(tx, he.Data, freedData); err != nil {
-			return err
-		}
-		if l := g.store.updateLogger(); l != nil {
-			key, kerr := g.edgeIdentity(tx, dir, vp, vt, pk, he, DirOut)
-			if kerr == nil {
-				if err := l.LogEdgeDelete(tx, g.tenant, g.name, key); err != nil {
+			// An edge type can be gone only while DeleteGraph drains the
+			// graph; its edges then leave without a record.
+			if et, ok := dir.eByID[he.TypeID]; ok {
+				if err := g.edgeChanged(tx, src, et.Name, dst, bond.Null, true); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	for _, he := range ins {
-		if he.Other.Addr != vp.Addr {
-			if err := g.removeHalfEdge(tx, gm, he.Other, DirOut, he.TypeID, vp); err != nil {
-				return err
-			}
-			if et, ok := dir.eByID[he.TypeID]; ok {
-				g.statsEdgeRemoved(tx, he.Other, et.Name)
-			}
-			if l := g.store.updateLogger(); l != nil {
-				key, kerr := g.edgeIdentity(tx, dir, vp, vt, pk, he, DirIn)
-				if kerr == nil {
-					if err := l.LogEdgeDelete(tx, g.tenant, g.name, key); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		if err := g.freeEdgeData(tx, he.Data, freedData); err != nil {
-			return err
-		}
-	}
-	// Drop this vertex's own edge-list storage.
+	// Drop this vertex's own edge-list storage, data and header.
 	if err := g.dropEdgeLists(tx, gm, vp, hdr); err != nil {
 		return err
 	}
-	// Remove index entries.
-	primary := farm.OpenBTree(g.store.farm, vt.Primary)
-	if _, err := primary.Delete(tx, pkIndexKey(pk)); err != nil {
-		return err
-	}
-	for _, si := range vt.Secondary {
-		attr, ok := val.Field(si.FieldID)
-		if !ok || attr.IsNull() {
-			continue
-		}
-		st := farm.OpenBTree(g.store.farm, si.Tree)
-		if _, err := st.Delete(tx, secIndexKey(attr, vp)); err != nil {
-			return err
-		}
-	}
-	// Free data + header.
 	if err := tx.Free(dataBuf); err != nil {
 		return err
 	}
 	if err := tx.Free(hdrBuf); err != nil {
 		return err
 	}
-	g.statsVertexRemoved(tx, vp, vt, val)
-	if l := g.store.updateLogger(); l != nil {
-		if err := l.LogVertexDelete(tx, g.tenant, g.name, vt.Name, pk); err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.vertexChanged(tx, vp, vt, val, bond.Null)
 }
 
 // freeEdgeData frees an edge's data object exactly once.

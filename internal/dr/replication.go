@@ -45,7 +45,7 @@ func (m Mode) String() string {
 	return "best-effort"
 }
 
-// entry kinds.
+// entry kinds; each delete kind follows its put kind.
 const (
 	kVertexPut uint64 = iota
 	kVertexDel
@@ -312,34 +312,20 @@ func unptr12(b []byte) farm.Ptr {
 	}
 }
 
-// core.UpdateLogger implementation — called inside data-plane transactions.
-
-// LogVertexPut records a vertex create/update.
-func (r *Replicator) LogVertexPut(tx *farm.Tx, tenant, graph, vtype string, pk, data bond.Value) error {
-	return r.appendEntry(tx, &Entry{Kind: kVertexPut, Tenant: tenant, Graph: graph, VType: vtype, PK: pk, Data: data})
-}
-
-// LogVertexDelete records a vertex deletion.
-func (r *Replicator) LogVertexDelete(tx *farm.Tx, tenant, graph, vtype string, pk bond.Value) error {
-	return r.appendEntry(tx, &Entry{Kind: kVertexDel, Tenant: tenant, Graph: graph, VType: vtype, PK: pk})
-}
-
-// LogEdgePut records an edge creation.
-func (r *Replicator) LogEdgePut(tx *farm.Tx, tenant, graph string, key core.EdgeKey, data bond.Value) error {
+// LogChange implements core.UpdateLogger: it appends the change's entry
+// inside the data-plane transaction that made it.
+func (r *Replicator) LogChange(tx *farm.Tx, ch *core.Change) error {
+	kind := kVertexPut
+	if ch.EType != "" {
+		kind = kEdgePut
+	}
+	if ch.Deleted {
+		kind++ // kVertexDel, kEdgeDel
+	}
 	return r.appendEntry(tx, &Entry{
-		Kind: kEdgePut, Tenant: tenant, Graph: graph,
-		VType: key.SrcType, PK: key.SrcPK,
-		EType: key.EdgeTyp, DstTyp: key.DstType, DstPK: key.DstPK,
-		Data: data,
-	})
-}
-
-// LogEdgeDelete records an edge deletion.
-func (r *Replicator) LogEdgeDelete(tx *farm.Tx, tenant, graph string, key core.EdgeKey) error {
-	return r.appendEntry(tx, &Entry{
-		Kind: kEdgeDel, Tenant: tenant, Graph: graph,
-		VType: key.SrcType, PK: key.SrcPK,
-		EType: key.EdgeTyp, DstTyp: key.DstType, DstPK: key.DstPK,
+		Kind: kind, Tenant: ch.Tenant, Graph: ch.Graph,
+		VType: ch.VType, PK: ch.PK, Data: ch.Data,
+		EType: ch.EType, DstTyp: ch.DstType, DstPK: ch.DstPK,
 	})
 }
 

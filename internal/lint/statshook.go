@@ -8,14 +8,14 @@ import (
 
 // StatsHook enforces the live-statistics contract from the cost-based
 // planner work (PR 4): every exported function in internal/core that
-// mutates vertex/edge/index state must reach a stats commit hook
-// (statsVertexAdded/Removed/Updated, statsEdgeAdded/Removed, or a
-// stats.Local delta method) somewhere on its call path, so committed
-// mutations always feed the tracker and the planner's estimates never
-// silently rot. The check is interprocedural over the module-wide call
-// graph: both the mutation and the hook may sit any number of calls
-// below the exported entry point, in any package — a mutator that
-// reaches its hook through a cross-package helper needs no exemption.
+// mutates vertex/edge/index state must reach a stats commit hook (one of
+// the mutation funnels vertexChanged and edgeChanged, or a stats.Local
+// delta method) somewhere on its call path, so committed mutations always
+// feed the tracker and the planner's estimates never silently rot. The
+// check is interprocedural over the module-wide call graph: both the
+// mutation and the hook may sit any number of calls below the exported
+// entry point, in any package — a mutator that reaches its hook through a
+// cross-package helper needs no exemption.
 // Catalog/schema-plane mutations that the statistics subsystem
 // deliberately ignores are suppressed inline with a rationale.
 var StatsHook = &analysis.Analyzer{
@@ -57,13 +57,10 @@ var coreCatalogPlane = map[string]bool{
 	"catDelete": true,
 }
 
-// in-package stats commit hooks.
+// in-package stats commit hooks: the mutation funnels.
 var coreStatsHooks = map[string]bool{
-	"statsVertexAdded":   true,
-	"statsVertexRemoved": true,
-	"statsVertexUpdated": true,
-	"statsEdgeAdded":     true,
-	"statsEdgeRemoved":   true,
+	"vertexChanged": true,
+	"edgeChanged":   true,
 }
 
 // stats.Local delta methods, accepted as commit hooks wherever they are
@@ -132,7 +129,7 @@ func runStatsHook(pass *analysis.Pass) error {
 		}
 		pass.Reportf(n.Decl.Name.Pos(),
 			"%s mutates graph state (%s) but never reaches a stats commit hook; "+
-				"committed mutations must feed the planner's statistics (statsVertex*/statsEdge*) "+
+				"committed mutations must feed the planner's statistics (vertexChanged/edgeChanged) "+
 				"or the cost model silently rots",
 			n.Decl.Name.Name, reason)
 	}

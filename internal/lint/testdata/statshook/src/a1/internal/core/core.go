@@ -13,16 +13,17 @@ type Graph struct {
 	stats *stats.Local
 }
 
-// The in-package commit hooks the analyzer recognizes.
-func (g *Graph) statsVertexAdded(typeID uint16)   { g.stats.VertexAdded(typeID) }
-func (g *Graph) statsVertexRemoved(typeID uint16) { g.stats.VertexRemoved(typeID) }
+// The in-package commit hooks the analyzer recognizes: the mutation
+// funnels.
+func (g *Graph) vertexChanged(typeID uint16) { g.stats.VertexAdded(typeID) }
+func (g *Graph) edgeChanged(typeID uint16)   { g.stats.EdgeRemoved(typeID) }
 
 // Good: mutation plus a direct hook call.
 func (g *Graph) CreateThing(tx *farm.Tx, k, v []byte) error {
 	if err := g.bt.Put(tx, k, v); err != nil {
 		return err
 	}
-	g.statsVertexAdded(1)
+	g.vertexChanged(1)
 	return nil
 }
 
@@ -43,7 +44,7 @@ func (g *Graph) DeleteThing(tx *farm.Tx, k []byte) error {
 	if err := g.dropRow(tx, k); err != nil {
 		return err
 	}
-	g.statsVertexRemoved(1)
+	g.edgeChanged(1)
 	return nil
 }
 
