@@ -114,13 +114,14 @@ const (
 
 // Query error codes (QueryError.Code) for transport-level mapping.
 const (
-	CodeInternal   = query.CodeInternal
-	CodeParse      = query.CodeParse
-	CodeBadParam   = query.CodeBadParam
-	CodeNoStart    = query.CodeNoStart
-	CodeBadToken   = query.CodeBadToken
-	CodeWorkingSet = query.CodeWorkingSet
-	CodeRecurse    = query.CodeRecurse
+	CodeInternal    = query.CodeInternal
+	CodeParse       = query.CodeParse
+	CodeBadParam    = query.CodeBadParam
+	CodeNoStart     = query.CodeNoStart
+	CodeBadToken    = query.CodeBadToken
+	CodeWorkingSet  = query.CodeWorkingSet
+	CodeRecurse     = query.CodeRecurse
+	CodeUnavailable = query.CodeUnavailable
 )
 
 // Common query errors, surfaced for errors.Is.

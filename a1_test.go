@@ -528,3 +528,50 @@ func TestGraphStatisticsAndAnalyze(t *testing.T) {
 		}
 	})
 }
+
+// TestLostRegionIsUnavailable: with one replica per region, killing every
+// machine but the coordinator loses regions for good. A query that needs
+// one fails as CodeUnavailable, a class the client can act on, rather than
+// as an internal error.
+func TestLostRegionIsUnavailable(t *testing.T) {
+	db := openTestDB(t, Options{Machines: 6, Replicas: 1, Mode: Sim})
+	db.Run(func(c *Ctx) {
+		err := db.CreateTenant(c, "bing")
+		if err == nil {
+			err = db.CreateGraph(c, "bing", "films")
+		}
+		var g *Graph
+		if err == nil {
+			g, err = db.OpenGraph(c, "bing", "films")
+		}
+		if err == nil {
+			err = g.CreateVertexType(c, "movie", movieSchema, "title", "year")
+		}
+		if err == nil {
+			err = db.Transaction(c, func(tx *Tx) error {
+				for i := 0; i < 60; i++ {
+					if _, err := g.CreateVertex(tx, "movie", Record(FV(0, Str(fmt.Sprintf("m%02d", i))), FV(1, I64(int64(1990+i%5))))); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		db.KillMachines(c, 1, 2, 3, 4, 5)
+		for _, doc := range []string{
+			`{"_type": "movie", "_select": ["title"]}`,
+			`{"_type": "movie", "year": 1992, "_select": ["title"]}`,
+			`{"_type": "movie", "_select": ["_sum(year)"]}`,
+		} {
+			_, err := db.QueryAt(c, g, doc)
+			var qe *QueryError
+			if !errors.As(err, &qe) || qe.Code != CodeUnavailable {
+				t.Errorf("%s: err %v (%#v), want code unavailable", doc, err, qe)
+			}
+		}
+	})
+}

@@ -137,6 +137,8 @@ func classifyError(err error) (status int, code string) {
 			return http.StatusGone, qe.Code.String()
 		case a1.CodeWorkingSet:
 			return http.StatusRequestEntityTooLarge, qe.Code.String()
+		case a1.CodeUnavailable:
+			return http.StatusServiceUnavailable, qe.Code.String()
 		}
 		return http.StatusInternalServerError, qe.Code.String()
 	}

@@ -269,7 +269,7 @@ func (st *execState) orderedWalk(c *fabric.Ctx, tx *farm.Tx, pat *VertexPattern,
 	if err != nil {
 		return nil, true, err
 	}
-	rows = trimRows(rows, pat.Orders, target)
+	rows = topK(rows, pat.Orders, target)
 	// A walk that stopped early holds the target; an under-filled one saw
 	// every keyed eligible vertex, so the unseen ones are keyless — unless a
 	// predicate constrains the order field (a missing field fails every
@@ -312,18 +312,7 @@ func (st *execState) orderedWalk(c *fabric.Ctx, tx *farm.Tx, pat *VertexPattern,
 		releaseRows(tail)
 		return nil, true, err
 	}
-	return append(rows, trimRows(tail, pat.Orders, target-len(rows))...), true, nil
-}
-
-// trimRows sorts rows into result order (key ties, and keyless rows,
-// ascending by address) and releases all but the first n.
-func trimRows(rows []Row, orders []OrderBy, n int) []Row {
-	sortRows(rows, orders)
-	if len(rows) > n {
-		releaseRows(rows[n:])
-		rows = rows[:n]
-	}
-	return rows
+	return append(rows, topK(tail, pat.Orders, target-len(rows))...), true, nil
 }
 
 // execOrderedTraverse runs an ordered traversal terminal: each owner walks

@@ -139,7 +139,7 @@ func BenchmarkAllocGroupRun(b *testing.B) {
 	pat := &VertexPattern{
 		GroupBy: by,
 		Aggs:    aggs,
-		Having:  []HavingPred{{Raw: "_max(score)", AggIdx: 1, Op: OpLt, Value: bond.Int64(128)}},
+		Having:  []HavingPred{{Raw: "_max(score)", AggIdx: 1, comparison: comparison{Op: OpLt, Value: bond.Int64(128)}}},
 	}
 	data := benchData(256)
 	groups := make(map[string]*groupState)

@@ -250,7 +250,7 @@ func rankStartCandidates(sp *StartPlan, pat *VertexPattern, pc *planContext) []s
 			continue
 		}
 		c := startCandidate{kind: srcIndexScan, predIdx: pi, field: p.Path.Field, est: estUnknown, cost: estUnknown,
-			label: fmt.Sprintf("IndexScan(%s.%s = %s)", pat.Type, p.Path.Field, predValue(p))}
+			label: fmt.Sprintf("IndexScan(%s.%s = %s)", pat.Type, p.Path.Field, p.valueLabel())}
 		if rows, ok := pc.eqRows(pat.Type, p); ok {
 			c.est = rows
 			c.cost = rows * (merge + read)
@@ -450,14 +450,17 @@ func (pc *planContext) filterEstimate(pat *VertexPattern, ifp *IndexFilterPlan) 
 // estimateLevels chains the chosen start estimate through the traversal:
 // each hop multiplies the surviving rows by the level's residual predicate
 // selectivity and the edge label's mean fan-out. A level without usable
-// statistics poisons the rest of the chain to estUnknown.
-func estimateLevels(pl *Plan, pats []*VertexPattern, pc *planContext, start *startCandidate) []float64 {
-	out := make([]float64, len(pl.Levels))
+// statistics poisons the rest of the chain to estUnknown. iters is the
+// chain's `_recurse` expansion, one newly-visited estimate per iteration
+// (nil without one, or without an estimate for its roots). Explain and
+// Stats.Levels both render this one walk.
+func estimateLevels(pl *Plan, pats []*VertexPattern, pc *planContext, start *startCandidate) (levels, iters []float64) {
+	levels = make([]float64, len(pl.Levels))
 	cur := start.est
-	out[0] = cur
+	levels[0] = cur
 	for i := 0; i+1 < len(pl.Levels); i++ {
 		if cur < 0 || pc.sum == nil {
-			out[i+1] = estUnknown
+			levels[i+1] = estUnknown
 			cur = estUnknown
 			continue
 		}
@@ -467,15 +470,14 @@ func estimateLevels(pl *Plan, pats []*VertexPattern, pc *planContext, start *sta
 			exclude = start.field
 		}
 		if pat.Recurse != nil {
-			_, emitted := pc.recurseEstimates(pat.Recurse, pats[i+1], cur*pc.residualSelectivity(pat, exclude))
-			out[i+1] = emitted
-			cur = emitted
+			iters, cur = pc.recurseEstimates(pat.Recurse, pats[i+1], cur*pc.residualSelectivity(pat, exclude))
+			levels[i+1] = cur
 			continue
 		}
 		cur = cur * pc.residualSelectivity(pat, exclude) * pc.fanout(pat.Edge)
-		out[i+1] = cur
+		levels[i+1] = cur
 	}
-	return out
+	return levels, iters
 }
 
 // recurseEstimates predicts a `_recurse` expansion from the edge label's

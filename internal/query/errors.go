@@ -3,11 +3,14 @@ package query
 import (
 	"errors"
 	"fmt"
+
+	"a1/internal/fabric"
+	"a1/internal/farm"
 )
 
 // Structured errors: every error the engine surfaces to a client carries a
 // Code so transport layers (cmd/a1server) can map failure classes to
-// protocol-level statuses (400/404/410/413) instead of blanket 500s. The
+// protocol-level statuses (400/404/410/413/503) instead of blanket 500s. The
 // sentinel errors (ErrNoStart, ErrBadToken, ...) stay `errors.Is`-able
 // through the wrapping.
 
@@ -33,6 +36,9 @@ const (
 	// bound past the traversal cap, or `_recurse` combined with clauses
 	// that have no recursive semantics.
 	CodeRecurse
+	// CodeUnavailable means the query needed data it cannot reach: a
+	// region lost with every replica, or a machine the fabric cannot reach.
+	CodeUnavailable
 	// NumCodes counts the codes above. Every code below it has a wire name
 	// in codeNames, and cmd/a1server maps every one but CodeInternal to a
 	// status of its own (TestEveryCodeHasStatus).
@@ -40,13 +46,14 @@ const (
 )
 
 var codeNames = [NumCodes]string{
-	CodeInternal:   "internal",
-	CodeParse:      "parse",
-	CodeBadParam:   "bad_param",
-	CodeNoStart:    "no_start",
-	CodeBadToken:   "bad_token",
-	CodeWorkingSet: "working_set",
-	CodeRecurse:    "recurse",
+	CodeInternal:    "internal",
+	CodeParse:       "parse",
+	CodeBadParam:    "bad_param",
+	CodeNoStart:     "no_start",
+	CodeBadToken:    "bad_token",
+	CodeWorkingSet:  "working_set",
+	CodeRecurse:     "recurse",
+	CodeUnavailable: "unavailable",
 }
 
 // String names the code; an unknown code reads as "internal".
@@ -85,6 +92,8 @@ func classify(err error) error {
 		return &Error{Code: CodeBadToken, Err: err}
 	case errors.Is(err, ErrWorkingSet):
 		return &Error{Code: CodeWorkingSet, Err: err}
+	case errors.Is(err, farm.ErrRegionLost), errors.Is(err, fabric.ErrUnreachable):
+		return &Error{Code: CodeUnavailable, Err: err}
 	default:
 		return &Error{Code: CodeInternal, Err: err}
 	}

@@ -16,12 +16,15 @@ import (
 
 // Execution: exec.go interprets the compiled Plan (plan.go). The planner
 // decides *what* runs at each level — frontier source, index filters,
-// residual filtering, traversal, shaping, grouping — and this file supplies
-// the distributed *how*: partitioning frontiers by primary host, shipping
-// batched operators to the machines owning the data, and merging replies at
-// the coordinator (paper §3.4, Figure 9). The index access paths — root
-// start candidates, the ordered top-K walk, index-membership filters — are
-// in access.go.
+// residual filtering, traversal, shaping, grouping — and the executor
+// supplies the distributed *how*: partitioning frontiers by primary host,
+// shipping batched operators to the machines owning the data, and merging
+// replies at the coordinator (paper §3.4, Figure 9). This file drives the
+// levels and dispatches each to its operator, one file each: access.go
+// (root access paths, the ordered top-K walk, index-membership filters),
+// expand.go (read, filter, traverse), match.go (`_match`), recurse.go,
+// groupstream.go and shape.go. scatter.go ships an operator to the owners
+// and merges their replies; explain.go keeps the per-level est/act records.
 
 // Errors surfaced by the engine.
 var (
@@ -409,8 +412,7 @@ func (st *execState) runLevel(qc *fabric.Ctx, batches []ownerBatch, n, level int
 				st.stats.Hops++
 				// The terminal level reports the operator that ran with its
 				// own estimated-vs-actual output rows.
-				st.setLevelSource(level, choice.label)
-				st.setLevelEst(level, choice.est)
+				st.setLevelSource(level, choice.label, choice.est)
 				st.setActRows(level, len(rows))
 				st.preOrdered = true
 				return &levelOutput{rows: rows}, nil
@@ -520,728 +522,4 @@ func (s *Stats) setOps(ops *fabric.OpStats) {
 	s.LocalFrac = ops.LocalFraction()
 	s.RDMATime = time.Duration(ops.RDMAReadTime.Load())
 	s.RPCs = ops.RPCs.Load()
-}
-
-// initLevels builds the per-level estimated-vs-actual records once the
-// start candidate is known: estimates chain the chosen source's cardinality
-// through residual selectivities and edge fan-outs.
-func (st *execState) initLevels(pl *Plan, pats []*VertexPattern) {
-	if st.chosen == nil {
-		return
-	}
-	ests := estimateLevels(pl, pats, st.pc, st.chosen)
-	st.levels = make([]LevelStats, len(pl.Levels))
-	for i := range pl.Levels {
-		src := "Frontier"
-		if i == 0 {
-			src = st.chosen.label
-		} else if ep := pats[i-1].Edge; ep != nil {
-			dir := "out"
-			if !ep.Out {
-				dir = "in"
-			}
-			src = fmt.Sprintf("Traverse(%s %s)", dir, ep.Type)
-		} else if rp := pats[i-1].Recurse; rp != nil {
-			dir := "out"
-			if !rp.Edge.Out {
-				dir = "in"
-			}
-			src = fmt.Sprintf("Recurse(%s %s)", dir, rp.Edge.Type)
-		}
-		st.levels[i] = LevelStats{Depth: i, Source: src, EstRows: roundEst(ests[i])}
-	}
-	// A `_recurse` chain appends one record per iteration after the level
-	// entries — the est half of the per-iteration est/act feedback; the
-	// expansion fills act as iterations run (never-reached iterations
-	// report 0 new vertices).
-	for i, vp := range pats {
-		rp := vp.Recurse
-		if rp == nil || rp.Max < 1 {
-			continue
-		}
-		exclude := ""
-		if i == 0 {
-			exclude = st.chosen.field
-		}
-		roots := float64(estUnknown)
-		if ests[i] >= 0 {
-			roots = ests[i] * st.pc.residualSelectivity(vp, exclude)
-		}
-		iters, _ := st.pc.recurseEstimates(rp, pats[i+1], roots)
-		for k := 1; k <= rp.Max; k++ {
-			est := float64(estUnknown)
-			if k-1 < len(iters) {
-				est = iters[k-1]
-			}
-			st.levels = append(st.levels, LevelStats{Depth: i + k, Source: fmt.Sprintf("Iter %d/%d", k, rp.Max), EstRows: roundEst(est)})
-		}
-	}
-}
-
-func (st *execState) setActRows(level, n int) {
-	if level < len(st.levels) {
-		st.levels[level].ActRows = int64(n)
-	}
-}
-
-// setLevelSource overrides a level's reported access path once a runtime
-// decision (e.g. OrderedTraverse) replaces the structural default.
-func (st *execState) setLevelSource(level int, src string) {
-	if level < len(st.levels) {
-		st.levels[level].Source = src
-	}
-}
-
-func (st *execState) setLevelEst(level int, est float64) {
-	if level < len(st.levels) && est >= 0 {
-		st.levels[level].EstRows = roundEst(est)
-	}
-}
-
-// resolveMatchTargets walks the pattern tree once, before any level runs:
-// `_match` subpatterns that terminate in a primary-key lookup are
-// pre-resolved so workers test star-pattern membership by pointer
-// comparison instead of remote reads, and every other subpattern vertex
-// (sub=true: vp sits inside a `_match`) gets the read set matchVertex will
-// visit it with.
-func (st *execState) resolveMatchTargets(tx *farm.Tx, vp *VertexPattern, sub bool) error {
-	if vp == nil {
-		return nil
-	}
-	if sub {
-		rs := readSetOf(vp, false)
-		if st.matchReads == nil {
-			st.matchReads = map[*VertexPattern]ReadSet{}
-		}
-		st.matchReads[vp] = rs
-	}
-	for _, m := range vp.Matches {
-		if m.Vertex != nil && m.Vertex.ID != "" && m.Vertex.Edge == nil &&
-			len(m.Vertex.Preds) == 0 && len(m.Vertex.Matches) == 0 {
-			ptr, ok, err := st.lookupByID(tx, m.Vertex)
-			if err != nil {
-				return err
-			}
-			if ok {
-				st.targets[m] = ptr
-			} else {
-				st.targets[m] = core.VertexPtr{} // unresolvable: never matches
-			}
-		} else if err := st.resolveMatchTargets(tx, m.Vertex, true); err != nil {
-			return err
-		}
-	}
-	if vp.Edge != nil {
-		return st.resolveMatchTargets(tx, vp.Edge.Vertex, sub)
-	}
-	return nil
-}
-
-// buildTerminalRow reads one candidate vertex with the level's read set,
-// applies the terminal level's residual filters (type, predicates, _match),
-// and materializes its row with projections and sort keys.
-func (st *execState) buildTerminalRow(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr, pat *VertexPattern, read ReadSet, bc *batchCounts) (row Row, ok bool, err error) {
-	err = st.materialize(sc, tx, []core.VertexPtr{vp}, pat, read, true, bc, func(v *core.VertexVisit, pass bool) (bool, error) {
-		if pass {
-			row, ok = newRow(vp, v.Data, pat, v.Schema), true
-		}
-		return false, nil
-	})
-	return row, ok, err
-}
-
-// newRow materializes one terminal row from a vertex's pre-shape data.
-// Projections and `_orderby` sort keys both resolve against the stored
-// vertex value, never against the shaped projection: a `_select` that
-// omits the order key must not change the ordering (a shaped-out key would
-// otherwise compare as a zero value). Every row producer — worker batches,
-// ordered scans, ordered traversals — funnels through here so the sort
-// fallback and the index-order paths agree byte for byte.
-func newRow(vp core.VertexPtr, data bond.Value, pat *VertexPattern, schema *bond.Schema) Row {
-	row := Row{Vertex: vp}
-	if len(pat.Selects) > 0 {
-		row.Values = getValues()
-		for _, sel := range pat.Selects {
-			if val, ok := resolvePath(data, sel, schema); ok {
-				row.Values[sel.Raw] = val
-			}
-		}
-	}
-	if len(pat.Orders) > 0 {
-		row.keys = getKeys(len(pat.Orders))
-		for i, ob := range pat.Orders {
-			val, ok := resolvePath(data, ob.Path, schema)
-			row.keys[i] = sortKey{val: val, ok: ok}
-		}
-	}
-	return row
-}
-
-// levelOutput is the product of one level: what one owner's batch replies
-// with, and what the coordinator merges those replies into.
-type levelOutput struct {
-	next   *frontier // next hops: a reply's raw ones, or the merged frontier
-	rows   []Row
-	aggs   []aggState             // partial aggregates, parallel to the level's Aggs
-	groups map[string]*groupState // one owner's grouped-aggregate partials (buildGroupRun input)
-
-	accepted int // `_recurse`: candidates that survived the owners' visited filters
-
-	// A terminal level may leave a live producer instead of rows: the
-	// pager over streamed groups or an unshaped `_recurse` expansion.
-	page pageSource
-
-	mu sync.Mutex // absorb: replies merge concurrently
-}
-
-// release returns a dropped output's frontier to the pool.
-func (o *levelOutput) release() {
-	if o != nil {
-		o.next.release()
-	}
-}
-
-// absorb merges one owner's reply into the coordinator's running product,
-// in the scatter body cc that received it. The next hops go straight into
-// their owners' sets, each under its owner's lock alone, and the merge's
-// CostMerge per raw pointer is charged afterwards, holding no lock. pat is
-// the pattern whose Aggs and Orders shaped the reply's rows.
-func (o *levelOutput) absorb(cc *fabric.Ctx, st *execState, in *levelOutput, pat *VertexPattern) {
-	if in.next != nil {
-		raw := in.next.raw
-		o.next.merge(in.next)
-		cc.Work(time.Duration(raw) * st.engine.cfg.CostMerge)
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.accepted += in.accepted
-	o.rows = append(o.rows, in.rows...)
-	// The reply's rows were copied out by the append above; only the slice
-	// header dies here, never the rows' own buffers.
-	putRows(in.rows)
-	if in.aggs != nil {
-		if o.aggs == nil {
-			o.aggs = make([]aggState, len(pat.Aggs))
-		}
-		mergeAggStates(o.aggs, in.aggs, pat.Aggs)
-	}
-	// Ordered-limit merge: never hold more than the top K(+skip) rows.
-	if st.keep > 0 && len(o.rows) > 2*st.keep {
-		o.rows = topK(o.rows, pat.Orders, st.keep)
-	}
-}
-
-// ptrWireBytes is the encoded size of a fat pointer (addr + size).
-const ptrWireBytes = 12
-
-// wireBytes is the Bond-encoded width of one row on the wire: the vertex
-// fat pointer, each projected value (field name + compact-binary value),
-// and the resolved _orderby keys when present.
-func (r *Row) wireBytes() int {
-	n := ptrWireBytes
-	for k, v := range r.Values {
-		n += len(k) + bond.MarshalSize(v)
-	}
-	for _, sk := range r.keys {
-		if sk.ok {
-			n += bond.MarshalSize(sk.val)
-		}
-	}
-	return n
-}
-
-// wireBytes is the encoded width of one aggregate partial: count, the two
-// running sums, one byte for the float flag and the overflow carry (zero
-// unless the sum leaves int64), and the min/max value when present.
-func (a *aggState) wireBytes() int {
-	n := 17
-	if a.seenMM {
-		n += bond.MarshalSize(a.mm)
-	}
-	return n
-}
-
-// wireBytes is the encoded width of one group partial: the encoded key
-// plus each aggregate's partial state.
-func (g *groupState) wireBytes(enc string) int {
-	n := len(enc)
-	for i := range g.aggs {
-		n += g.aggs[i].wireBytes()
-	}
-	return n
-}
-
-// wire sizes one batch's reply: fat pointers for the next frontier,
-// Bond-encoded projected rows, and aggregate partials. Group partials never
-// ship in a levelOutput: they leave the owner as a run (workerRun).
-func (o *levelOutput) wire() wireSize {
-	n := 0
-	if o.next != nil {
-		n = o.next.raw * ptrWireBytes
-	}
-	for i := range o.rows {
-		n += o.rows[i].wireBytes()
-	}
-	for i := range o.aggs {
-		n += o.aggs[i].wireBytes()
-	}
-	return wireSize{rows: len(o.rows), bytes: n}
-}
-
-// ownerBatch is one owner's share of a frontier.
-type ownerBatch struct {
-	m    fabric.MachineID
-	ptrs []core.VertexPtr
-	i, n int // scatter: position among the n owners
-}
-
-// wireSize is what one shipped reply put on the fabric: its bytes, and the
-// rows or group partials they carried.
-type wireSize struct{ rows, groups, bytes int }
-
-// scatter is the engine's one distributed mechanism (paper §3.4, Figure
-// 9). It runs work near the data of a frontier already split by owner,
-// concurrently per owner: an owner holding at least ShipThreshold of the
-// frontier receives its batch as one RPC (query shipping) and work runs
-// there; stragglers, the coordinator's own share, and everything under the
-// no_shipping hint run work from the coordinator over one-sided reads.
-// Each reply is merged in the coordinator-side body cc that received it, as
-// soon as it arrives and concurrently with the other bodies, so merge
-// guards whatever its replies share; b.i is the owner's position in
-// batches, the stable order when it matters. The first error from work,
-// the fabric, or merge is the scatter's error; replies that arrive after it
-// are still merged so their owners' state stays accounted for, and a reply
-// the fabric lost after its work ran is released.
-func scatter[T interface{ wire() wireSize }](st *execState, qc *fabric.Ctx, batches []ownerBatch,
-	work func(sc *fabric.Ctx, b ownerBatch) (T, error), merge func(cc *fabric.Ctx, b ownerBatch, out T) error) error {
-	var mu sync.Mutex
-	var firstErr error
-	qc.Parallel(len(batches), func(i int, cc *fabric.Ctx) {
-		b := batches[i]
-		b.i, b.n = i, len(batches)
-		var out T
-		var err error
-		if !st.hints.NoShipping && b.m != cc.M && len(b.ptrs) >= st.engine.cfg.ShipThreshold {
-			var w wireSize
-			err = cc.RPC(b.m, len(b.ptrs)*ptrWireBytes+128, func(sc *fabric.Ctx) (int, error) {
-				var err error
-				if out, err = work(sc, b); err != nil {
-					return 0, err
-				}
-				w = out.wire()
-				return w.bytes, nil
-			})
-			if err == nil {
-				st.mu.Lock()
-				st.stats.RowsShipped += int64(w.rows)
-				st.stats.GroupsShipped += int64(w.groups)
-				st.stats.BytesShipped += int64(w.bytes)
-				st.mu.Unlock()
-			}
-		} else {
-			out, err = work(cc, b)
-		}
-		if err == nil {
-			err = merge(cc, b, out)
-		} else if r, ok := any(out).(interface{ release() }); ok {
-			r.release()
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	})
-	return firstErr
-}
-
-// execLevel runs the level's operators near the data (runBatch) and merges
-// rows, aggregate partials and the next frontier at the coordinator. A
-// level that consumes nothing of its vertices and follows no edge — a bare
-// `_count(*)` or pointer-row terminal — has no data to be near: the
-// coordinator answers it from the frontier's batches with no scatter, no
-// RPC and no read. That is sound because DeleteVertex removes every
-// incident half-edge and index entry in the vertex's own transaction and
-// the query reads one pinned snapshot, so every pointer the frontier holds
-// names a vertex alive at that snapshot.
-func (st *execState) execLevel(qc *fabric.Ctx, batches []ownerBatch, pat *VertexPattern, lp *LevelPlan) (*levelOutput, error) {
-	op := st.opFor(pat, lp)
-	if op.pointerOnly() && op.member == nil {
-		merged := &levelOutput{}
-		for _, b := range batches {
-			out, err := st.runBatch(qc, b.ptrs, op)
-			if err != nil {
-				return nil, err
-			}
-			merged.absorb(qc, st, out, pat)
-		}
-		return merged, nil
-	}
-	return st.expand(qc, batches, pat, op.edge != nil, func(sc *fabric.Ctx, b ownerBatch) (*levelOutput, error) {
-		return st.runBatch(sc, b.ptrs, op)
-	})
-}
-
-// expand scatters batches and merges the replies of work: rows and
-// aggregate partials into one output, next hops (when next) into its
-// per-owner next frontier.
-func (st *execState) expand(qc *fabric.Ctx, batches []ownerBatch, pat *VertexPattern, next bool,
-	work func(sc *fabric.Ctx, b ownerBatch) (*levelOutput, error)) (*levelOutput, error) {
-	merged := &levelOutput{}
-	if next {
-		merged.next = newFrontier(st.engine.store.Farm())
-	}
-	err := scatter(st, qc, batches, work, func(cc *fabric.Ctx, _ ownerBatch, out *levelOutput) error {
-		merged.absorb(cc, st, out, pat)
-		return nil
-	})
-	if err != nil {
-		merged.release()
-		return nil, err
-	}
-	return merged, nil
-}
-
-// levelOp is what one owner does to each vertex of its batch: filter it
-// through pat, feed survivors to pat's terminal shaping, follow an edge out
-// of them. Plan levels, `_recurse` seeds and `_recurse` iterations are all
-// instances; runBatch is the one loop that executes them.
-type levelOp struct {
-	pat  *VertexPattern // residual filters and (emit) terminal shaping; nil: neither
-	read ReadSet        // what pat's operators consume of each vertex
-	// member, when non-nil, is the level's index-membership filter: batch
-	// vertices outside it are dropped before any read.
-	member *addrSet
-	emit   bool         // survivors feed pat's rows and aggregates...
-	group  bool         // ...or, with emit, its group partials
-	edge   *EdgePattern // half-edges to follow into the next frontier; nil: none
-	// through: vertices failing pat still follow edge — a `_recurse`
-	// iteration, whose terminal filters gate output only.
-	through bool
-	hops    int      // `_shortest`: the `_hops` value of emitted rows (0: no column)
-	mark    *addrSet // `_recurse` seed: survivors enter this visited set
-}
-
-// opFor is the op of a plan level over its pattern.
-func (st *execState) opFor(pat *VertexPattern, lp *LevelPlan) levelOp {
-	return levelOp{pat: pat, read: lp.Read, member: st.member, emit: lp.Terminal, group: lp.Group != nil, edge: pat.Edge}
-}
-
-// pointerOnly: the op consumes nothing of a vertex but its pointer.
-func (op levelOp) pointerOnly() bool { return op.read.Kind == ReadNone && op.edge == nil }
-
-// batchCounts is one batch's share of the execution counters, kept in
-// plain integers on the owner's goroutine and folded into the query's
-// stats once per batch.
-type batchCounts struct{ vertices, edges, indexFiltered int64 }
-
-func (st *execState) fold(bc *batchCounts) {
-	st.mu.Lock()
-	st.stats.VerticesRead += bc.vertices
-	st.stats.EdgesVisited += bc.edges
-	st.stats.IndexFiltered += bc.indexFiltered
-	st.mu.Unlock()
-}
-
-// runBatch runs one level op over a batch of vertices on whatever machine
-// the context lives on, inside a read-only transaction at the query's
-// snapshot timestamp.
-func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp) (*levelOutput, error) {
-	e := st.engine
-	if e.cfg.RDMASampler != nil {
-		// Measure this batch's one-sided reads separately, then fold them
-		// back into the query's stats.
-		local := &fabric.OpStats{}
-		parent := sc.Stats
-		sc = sc.WithStats(local)
-		defer func() {
-			e.cfg.RDMASampler(int(local.RemoteReads.Load()), time.Duration(local.RDMAReadTime.Load()))
-			if parent != nil {
-				parent.Merge(local)
-			}
-		}()
-	}
-	pat := op.pat
-	out := &levelOutput{}
-	var bc batchCounts
-	defer st.fold(&bc)
-	buildRows := false
-	switch {
-	case op.group:
-		out.groups = make(map[string]*groupState)
-	case op.emit:
-		if len(pat.Aggs) > 0 {
-			out.aggs = make([]aggState, len(pat.Aggs))
-		}
-		if buildRows = len(pat.Selects) > 0 || len(pat.Aggs) == 0; buildRows {
-			out.rows = getRows()
-		}
-	}
-	if op.edge != nil {
-		out.next = newFrontier(e.store.Farm())
-	}
-	// Traversal-level pushdown: the index-membership filter runs first.
-	work := batch
-	if op.member != nil {
-		filtered := getPtrs()
-		for _, vp := range batch {
-			if !op.member.has(vp.Addr) {
-				bc.indexFiltered++
-				continue
-			}
-			filtered = append(filtered, vp)
-		}
-		work = filtered
-		defer putPtrs(filtered)
-	}
-	// Unordered _limit short-circuit: once enough rows exist anywhere in
-	// the cluster, stop reading vertices.
-	full := func() bool {
-		return op.emit && st.rowTarget > 0 && st.rowsOut.Load() >= st.rowTarget
-	}
-	var gkScratch []byte
-	emit := func(vp core.VertexPtr, data bond.Value, schema *bond.Schema) error {
-		if op.group {
-			gkScratch = accumGroup(out.groups, pat.GroupBy, pat.Aggs, data, schema, gkScratch)
-			// Per-worker incremental cap: a single batch's partial map must
-			// respect the working-set budget too, checked as it grows
-			// rather than after the batch.
-			if len(out.groups) > e.cfg.MaxWorkingSet {
-				return fmt.Errorf("%w: %d group partials", ErrWorkingSet, len(out.groups))
-			}
-			return nil
-		}
-		for i := range out.aggs {
-			accumAgg(&out.aggs[i], pat.Aggs[i], data, schema)
-		}
-		if !buildRows {
-			return nil
-		}
-		row := newRow(vp, data, pat, schema)
-		if op.hops > 0 {
-			if row.Values == nil {
-				row.Values = getValues()
-			}
-			row.Values[HopsColumn] = bond.Int64(int64(op.hops))
-		}
-		out.rows = append(out.rows, row)
-		st.rowsOut.Add(1)
-		// Ordered-limit pruning: keep this batch's working set at the top
-		// K(+skip) so large frontiers never ship large replies.
-		if st.keep > 0 && len(out.rows) >= 2*st.keep {
-			out.rows = topK(out.rows, pat.Orders, st.keep)
-		}
-		return nil
-	}
-	switch {
-	case !op.pointerOnly():
-		if full() {
-			break
-		}
-		tx := e.store.Farm().CreateReadTransactionAt(sc, st.ts)
-		var ef *inPlace // edge predicates' filter, shared by the batch
-		if op.edge != nil && len(op.edge.Preds) > 0 {
-			ef = getInPlace()
-			defer putInPlace(ef)
-		}
-		err := st.materialize(sc, tx, work, pat, op.read, op.emit, &bc, func(v *core.VertexVisit, pass bool) (bool, error) {
-			if pass {
-				if op.emit {
-					if err := emit(v.Ptr, v.Data, v.Schema); err != nil {
-						return false, err
-					}
-				}
-				if op.mark != nil {
-					op.mark.add(v.Ptr.Addr)
-					out.accepted++
-				}
-			}
-			if op.edge != nil && (pass || op.through) {
-				if err := st.traverse(sc, tx, v, op.edge, ef, out.next, &bc); err != nil {
-					return false, err
-				}
-			}
-			return !full(), nil
-		})
-		if err != nil {
-			out.next.release()
-			return nil, err
-		}
-	case buildRows:
-		// Pointer-only rows: nothing of the vertex is consumed.
-		for _, vp := range work {
-			if full() {
-				break
-			}
-			if err := emit(vp, bond.Null, nil); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		// Pointer-only aggregates: a terminal that reads nothing can only
-		// hold `_count(*)` entries, and each counts the whole batch.
-		for i := range out.aggs {
-			out.aggs[i].count = int64(len(work))
-		}
-	}
-	if st.keep > 0 && len(out.rows) > st.keep {
-		out.rows = topK(out.rows, pat.Orders, st.keep)
-	}
-	return out, nil
-}
-
-// materialize is the engine's one read step: every vertex the executor
-// touches — level batches, `_recurse` seeds and iterations, ordered-scan
-// candidates, `_match` subpattern endpoints — is read here, through the
-// store's batched visitor, with exactly the read set its pattern consumes.
-// Each visited vertex is tested against pat's residual filters (type,
-// predicates, `id`, `_match`; nil pat: none) and handed to each with the
-// verdict; each returning more=false ends the batch before the next read.
-// Predicates and the `id` test run on the encoded data object; a vertex
-// that passes has the fields pat's shaping operators read decoded into
-// v.Data when emit is set, and a vertex that fails has nothing decoded.
-// Stats.VerticesRead counts the headers read here, and CostVertexRead is
-// charged exactly when a data object is read.
-func (st *execState) materialize(sc *fabric.Ctx, tx *farm.Tx, batch []core.VertexPtr, pat *VertexPattern, read ReadSet, emit bool, bc *batchCounts,
-	each func(v *core.VertexVisit, pass bool) (more bool, err error)) error {
-	cfg := &st.engine.cfg
-	var f *inPlace
-	if read.Kind == ReadFields {
-		f = getInPlace()
-		defer putInPlace(f)
-	}
-	return st.graph.VisitVertices(tx, batch, read.projection(), func(v *core.VertexVisit) (bool, error) {
-		bc.vertices++
-		if f != nil {
-			sc.Work(cfg.CostVertexRead)
-			if f.filterLayout == nil || f.schema != v.Schema || f.pk != v.PKField() {
-				f.use(read.layout(v, pat))
-			}
-			if err := f.locate(v.Encoded); err != nil {
-				return false, err
-			}
-		}
-		pass := true
-		if pat != nil {
-			pass = pat.Type == "" || v.TypeName == pat.Type
-			if pass && len(pat.Preds) > 0 {
-				sc.Work(time.Duration(len(pat.Preds)) * cfg.CostPredEval)
-				pass = f.holds(pat.Preds)
-			}
-			if pass && read.Key {
-				pass = f.keyIs(pat.ID)
-			}
-			// `_match`: every subpattern (conjunction) must find an edge —
-			// the star patterns of Q3 (§6).
-			for i := 0; pass && i < len(pat.Matches); i++ {
-				var err error
-				if pass, err = st.evalMatchEdge(sc, tx, v, pat.Matches[i], bc); err != nil {
-					return false, err
-				}
-			}
-		}
-		if pass && emit && f != nil {
-			var err error
-			if v.Data, err = f.decode(); err != nil {
-				return false, err
-			}
-		}
-		return each(v, pass)
-	})
-}
-
-// traverse adds to next, split by owner, the far endpoints of v's
-// half-edges matching the pattern, enumerated off the header the visit
-// already read. Edge-data predicates run in place through ef, the batch's
-// edge filter (nil when the pattern has none).
-func (st *execState) traverse(sc *fabric.Ctx, tx *farm.Tx, v *core.VertexVisit, ep *EdgePattern, ef *inPlace, next *frontier, bc *batchCounts) error {
-	cfg := &st.engine.cfg
-	if ef != nil {
-		s, err := st.graph.EdgeTypeSchema(sc, ep.Type)
-		if err != nil {
-			return err
-		}
-		if ef.filterLayout == nil || ef.schema != s {
-			ef.use(edgeLayout(s, ep.Preds))
-		}
-	}
-	var innerErr error
-	err := v.Edges(edgeDir(ep), ep.Type, func(he core.HalfEdge) bool {
-		bc.edges++
-		sc.Work(cfg.CostEdgeEnum)
-		if ef != nil {
-			if he.Data.IsNil() {
-				return true
-			}
-			buf, err := tx.Read(he.Data)
-			if err == nil {
-				err = ef.locate(buf.Data())
-			}
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			sc.Work(time.Duration(len(ep.Preds)) * cfg.CostPredEval)
-			if !ef.holds(ep.Preds) {
-				return true
-			}
-		}
-		innerErr = next.add(sc, he.Other)
-		return innerErr == nil
-	})
-	if err == nil {
-		err = innerErr
-	}
-	return err
-}
-
-func edgeDir(ep *EdgePattern) core.Direction {
-	if ep.Out {
-		return core.DirOut
-	}
-	return core.DirIn
-}
-
-// evalMatchEdge tests one `_match` subpattern against a visited vertex:
-// does any of its half-edges matching ep lead to a vertex matching
-// ep.Vertex? Pre-resolved targets compare by pointer.
-func (st *execState) evalMatchEdge(sc *fabric.Ctx, tx *farm.Tx, v *core.VertexVisit, ep *EdgePattern, bc *batchCounts) (bool, error) {
-	target, hasTarget := st.targets[ep]
-	matched := false
-	var innerErr error
-	err := v.Edges(edgeDir(ep), ep.Type, func(he core.HalfEdge) bool {
-		bc.edges++
-		sc.Work(st.engine.cfg.CostEdgeEnum)
-		if hasTarget {
-			matched = !target.IsNil() && he.Other.Addr == target.Addr
-		} else {
-			matched, innerErr = st.matchVertex(sc, tx, he.Other, ep.Vertex, bc)
-		}
-		return !matched && innerErr == nil
-	})
-	if err == nil {
-		err = innerErr
-	}
-	return matched, err
-}
-
-// matchVertex recursively tests an existence subpattern against a vertex.
-func (st *execState) matchVertex(sc *fabric.Ctx, tx *farm.Tx, vp core.VertexPtr, pat *VertexPattern, bc *batchCounts) (bool, error) {
-	if pat == nil {
-		return true, nil
-	}
-	read := st.matchReads[pat]
-	if read.Kind == ReadNone && pat.Edge == nil {
-		return true, nil
-	}
-	matched := false
-	err := st.materialize(sc, tx, []core.VertexPtr{vp}, pat, read, false, bc, func(v *core.VertexVisit, pass bool) (bool, error) {
-		var err error
-		if pass && pat.Edge != nil {
-			pass, err = st.evalMatchEdge(sc, tx, v, pat.Edge, bc)
-		}
-		matched = pass
-		return false, err
-	})
-	return matched, err
 }

@@ -231,7 +231,7 @@ func (g *fuzzGen) predicate(t *testing.T) Predicate {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Predicate{Path: fp, Op: fuzzOps[g.pick(len(fuzzOps))]}
+	p := Predicate{Path: fp, comparison: comparison{Op: fuzzOps[g.pick(len(fuzzOps))]}}
 	switch i := g.pick(len(fuzzInts)); g.pick(6) {
 	case 0:
 		p.Value = bond.Int64(fuzzInts[i])

@@ -205,10 +205,10 @@ func (b *binder) vertex(vp *VertexPattern) (*VertexPattern, error) {
 		}
 		out.Recurse = &rp
 	}
-	if out.Preds, err = b.preds(vp.Preds); err != nil {
+	if out.Preds, err = bindAll(b, vp.Preds, func(p *Predicate) *comparison { return &p.comparison }); err != nil {
 		return nil, err
 	}
-	if out.Having, err = b.having(vp.Having); err != nil {
+	if out.Having, err = bindAll(b, vp.Having, func(hp *HavingPred) *comparison { return &hp.comparison }); err != nil {
 		return nil, err
 	}
 	if out.Edge, err = b.edge(vp.Edge); err != nil {
@@ -231,7 +231,7 @@ func (b *binder) edge(ep *EdgePattern) (*EdgePattern, error) {
 	}
 	out := *ep
 	var err error
-	if out.Preds, err = b.preds(ep.Preds); err != nil {
+	if out.Preds, err = bindAll(b, ep.Preds, func(p *Predicate) *comparison { return &p.comparison }); err != nil {
 		return nil, err
 	}
 	if out.Vertex, err = b.vertex(ep.Vertex); err != nil {
@@ -240,43 +240,24 @@ func (b *binder) edge(ep *EdgePattern) (*EdgePattern, error) {
 	return &out, nil
 }
 
-func (b *binder) preds(preds []Predicate) ([]Predicate, error) {
-	if len(preds) == 0 {
-		return preds, nil
+// bindAll returns a copy of list with each comparison (cmp of an element)
+// bound to its placeholder's value.
+func bindAll[T any](b *binder, list []T, cmp func(*T) *comparison) ([]T, error) {
+	if len(list) == 0 {
+		return list, nil
 	}
-	out := make([]Predicate, len(preds))
-	copy(out, preds)
+	out := slices.Clone(list)
 	for i := range out {
-		if out[i].Param == "" {
+		c := cmp(&out[i])
+		if c.Param == "" {
 			continue
 		}
-		v, ok, err := b.lookup(&out[i].Param)
+		v, ok, err := b.lookup(&c.Param)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out[i].Value = v
-		}
-	}
-	return out, nil
-}
-
-func (b *binder) having(hps []HavingPred) ([]HavingPred, error) {
-	if len(hps) == 0 {
-		return hps, nil
-	}
-	out := make([]HavingPred, len(hps))
-	copy(out, hps)
-	for i := range out {
-		if out[i].Param == "" {
-			continue
-		}
-		v, ok, err := b.lookup(&out[i].Param)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out[i].Value = v
+			c.Value = v
 		}
 	}
 	return out, nil

@@ -329,12 +329,14 @@ func sortRows(rows []Row, orders []OrderBy) {
 	sort.Slice(rows, func(i, j int) bool { return rowLess(&rows[i], &rows[j], orders) })
 }
 
-// topK sorts rows and keeps the best k — the pruning step both workers
-// (before shipping) and the coordinator (while merging) apply when
-// _orderby and _limit are present. The pruned suffix is released back to
-// the buffer pool: every call site prunes rows it built itself (worker
-// batches) or rows whose only copies live in the list being pruned (the
-// coordinator merge), so the dropped rows have no other referent.
+// topK sorts rows into result order (key ties, and keyless rows, ascending
+// by address) and keeps the best k — the pruning step workers (before
+// shipping), the coordinator (while merging) and the ordered index walks
+// apply when _orderby and _limit are present. The pruned suffix is released
+// back to the buffer pool: every call site prunes rows it built itself
+// (worker batches, index walks) or rows whose only copies live in the list
+// being pruned (the coordinator merge), so the dropped rows have no other
+// referent.
 func topK(rows []Row, orders []OrderBy, k int) []Row {
 	sortRows(rows, orders)
 	if len(rows) > k {
