@@ -173,8 +173,6 @@ type Options struct {
 	DRMode dr.Mode
 	// QueryConfig overrides engine tuning (zero value = defaults).
 	QueryConfig query.Config
-	// ClockUncertainty is the synchronized clock error bound (§5.2).
-	ClockUncertainty time.Duration
 }
 
 // DB is an A1 database: a simulated cluster plus every service layered on
@@ -219,9 +217,8 @@ func Open(opts Options) (*DB, error) {
 	fcfg.Seed = opts.Seed
 	db.fab = fabric.New(fcfg, db.env)
 	db.farm = farm.Open(db.fab, farm.Config{
-		RegionSize:       opts.RegionSize,
-		Replicas:         opts.Replicas,
-		ClockUncertainty: opts.ClockUncertainty,
+		RegionSize: opts.RegionSize,
+		Replicas:   opts.Replicas,
 	})
 
 	ccfg := core.DefaultConfig()
@@ -515,9 +512,6 @@ func (db *DB) Fabric() *fabric.Fabric { return db.fab }
 
 // Engine returns the query engine.
 func (db *DB) Engine() *query.Engine { return db.engine }
-
-// Tasks returns the workflow runtime.
-func (db *DB) Tasks() *task.Runtime { return db.tasks }
 
 // GCVersions reclaims cluster-wide what commits leave behind: deleted
 // objects' tombstones and version records kept for snapshots since

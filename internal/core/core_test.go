@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"a1/internal/bond"
 	"a1/internal/fabric"
@@ -553,69 +552,6 @@ func TestGraphDeletingBlocksDataPlane(t *testing.T) {
 	}
 }
 
-func TestProxyCacheTTLRefresh(t *testing.T) {
-	// A data-plane machine keeps using its proxy until the TTL expires,
-	// then observes catalog changes.
-	fab := fabric.New(fabric.DefaultConfig(5, fabric.Direct), nil)
-	f := farm.Open(fab, farm.Config{RegionSize: 8 << 20})
-	c := fab.NewCtx(0, nil)
-	cfg := DefaultConfig()
-	cfg.ProxyTTL = 30 * time.Millisecond
-	s, err := Open(c, f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreateTenant(c, "t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreateGraph(c, "t", "g"); err != nil {
-		t.Fatal(err)
-	}
-	// Machine 1 warms its proxy.
-	c1 := fab.NewCtx(1, nil)
-	g1, err := s.OpenGraph(c1, "t", "g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g1.meta(c1); err != nil {
-		t.Fatal(err)
-	}
-	// Mutate state via the catalog directly, bypassing machine 1's cache
-	// invalidation (simulate the change coming from elsewhere).
-	gkey := graphKey("t", "g")
-	err = farm.RunTransaction(c, f, func(tx *farm.Tx) error {
-		raw, _, err := s.catGet(tx, gkey)
-		if err != nil {
-			return err
-		}
-		gm, err := decodeGraphMeta(raw)
-		if err != nil {
-			return err
-		}
-		gm.State = GraphDeleting
-		return s.catPut(tx, gkey, gm.encode())
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Within TTL: stale proxy still says active.
-	m, err := g1.meta(c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.State != GraphActive {
-		t.Log("proxy refreshed early (timing); acceptable but unexpected")
-	}
-	time.Sleep(40 * time.Millisecond)
-	m, err = g1.meta(c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.State != GraphDeleting {
-		t.Error("proxy not refreshed after TTL")
-	}
-}
-
 func TestSelfLoopEdge(t *testing.T) {
 	_, g, c := testGraph(t, 5)
 	v := mustCreateVertex(t, g, c, "actor", actorVal("ouroboros", "mars"))
@@ -816,9 +752,7 @@ func TestLookupVertexAnyType(t *testing.T) {
 
 	// A type created behind a stale directory is still found.
 	key := "bing/films"
-	s.typeDirs[1].mu.Lock()
-	stale := s.typeDirs[1].dirs[key]
-	s.typeDirs[1].mu.Unlock()
+	stale := s.proxy(c1, key).types.Load()
 	if stale == nil {
 		t.Fatal("machine 1 has no cached type directory after a lookup")
 	}
@@ -826,9 +760,7 @@ func TestLookupVertexAnyType(t *testing.T) {
 		t.Fatal(err)
 	}
 	amblin := mustCreateVertex(t, g, c, "studio", filmVal("amblin", ""))
-	s.typeDirs[1].mu.Lock()
-	s.typeDirs[1].dirs[key] = stale
-	s.typeDirs[1].mu.Unlock()
+	s.proxy(c1, key).types.Store(stale)
 	tx := s.Farm().CreateReadTransaction(c1)
 	if vp, ok, err := g.LookupVertexAnyType(tx, bond.String("amblin")); err != nil || !ok || vp != amblin {
 		t.Errorf("lookup behind a stale directory = %v, %v, %v; want %v", vp, ok, err, amblin)

@@ -518,16 +518,3 @@ func (g *Graph) EdgeCounts(tx *farm.Tx, vp VertexPtr) (out, in int, err error) {
 	}
 	return int(hdr.outCount), int(hdr.inCount), nil
 }
-
-// EdgeTypeNameByID resolves an edge type id (as found in a HalfEdge).
-func (g *Graph) EdgeTypeNameByID(tx *farm.Tx, id uint32) (string, error) {
-	dir, err := g.store.typeDir(tx.Ctx(), g.tenant, g.name)
-	if err != nil {
-		return "", err
-	}
-	et, ok := dir.eByID[id]
-	if !ok {
-		return "", fmt.Errorf("%w: edge type id %d", ErrNoSuchType, id)
-	}
-	return et.Name, nil
-}

@@ -68,17 +68,17 @@ func etypeKey(tenant, graph, t string) string { return catEdgeType + tenant + "/
 func vtypePrefix(tenant, graph string) string { return catVertexType + tenant + "/" + graph + "/" }
 func etypePrefix(tenant, graph string) string { return catEdgeType + tenant + "/" + graph + "/" }
 
-// Graph is a data-plane handle: the graph's metadata proxy plus lazily
-// resolved type proxies, all served from the per-machine catalog cache.
+// Graph is a data-plane handle on a graph, resolved through the
+// per-machine graph proxies (proxy.go).
 type Graph struct {
 	store  *Store
 	tenant string
 	name   string
-	// Catalog keys are precomputed once per handle: the data plane
-	// resolves meta and type directories on every vertex read, and the
-	// per-call key concatenation was a measurable hot-path allocation.
-	gKey   string // graphKey(tenant, name)
-	dirKey string // type-directory cache key (tenant/name)
+	// Keys are precomputed once per handle: the data plane resolves the
+	// proxy on every vertex read, and the per-call key concatenation was a
+	// measurable hot-path allocation.
+	gKey string // graphKey(tenant, name)
+	key  string // proxy key (tenant/name)
 }
 
 func newGraph(s *Store, tenant, graph string) *Graph {
@@ -87,14 +87,8 @@ func newGraph(s *Store, tenant, graph string) *Graph {
 		tenant: tenant,
 		name:   graph,
 		gKey:   graphKey(tenant, graph),
-		dirKey: tenant + "/" + graph,
+		key:    tenant + "/" + graph,
 	}
-}
-
-// types returns the graph's cached type directory (id- and name-keyed
-// schema map) without rebuilding the cache key per call.
-func (g *Graph) types(c *fabric.Ctx) (*typeDirectory, error) {
-	return g.store.typeDirByKey(c, g.dirKey, g.tenant, g.name)
 }
 
 // OpenGraph returns a handle on an existing graph.
@@ -115,17 +109,6 @@ func (g *Graph) Name() string { return g.name }
 // Store returns the owning store.
 func (g *Graph) Store() *Store { return g.store }
 
-// meta resolves the graph metadata through the proxy cache.
-func (g *Graph) meta(c *fabric.Ctx) (*graphMeta, error) {
-	v, err := g.store.proxyGet(c, g.gKey, func(raw []byte) (interface{}, error) {
-		return decodeGraphMeta(raw)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*graphMeta), nil
-}
-
 // requireActive fails data-plane operations once deletion has begun.
 func (g *Graph) requireActive(c *fabric.Ctx) (*graphMeta, error) {
 	m, err := g.meta(c)
@@ -136,48 +119,6 @@ func (g *Graph) requireActive(c *fabric.Ctx) (*graphMeta, error) {
 		return nil, ErrGraphDeleting
 	}
 	return m, nil
-}
-
-// vertexType resolves a vertex type proxy by name.
-func (g *Graph) vertexType(c *fabric.Ctx, name string) (*vertexTypeMeta, error) {
-	// Fast path: the type directory already holds every known type by
-	// name with the same TTL as the proxy cache, and costs no key
-	// allocation. A name it lacks may simply be newer than the cached
-	// directory, so misses fall through to the authoritative proxy read.
-	if dir, err := g.types(c); err == nil {
-		if m, ok := dir.vByName[name]; ok {
-			return m, nil
-		}
-	}
-	v, err := g.store.proxyGet(c, vtypeKey(g.tenant, g.name, name), func(raw []byte) (interface{}, error) {
-		return decodeVertexTypeMeta(raw)
-	})
-	if err != nil {
-		if err == ErrNotFound {
-			return nil, fmt.Errorf("%w: vertex type %q", ErrNoSuchType, name)
-		}
-		return nil, err
-	}
-	return v.(*vertexTypeMeta), nil
-}
-
-// edgeType resolves an edge type proxy by name.
-func (g *Graph) edgeType(c *fabric.Ctx, name string) (*edgeTypeMeta, error) {
-	if dir, err := g.types(c); err == nil {
-		if m, ok := dir.eByName[name]; ok {
-			return m, nil
-		}
-	}
-	v, err := g.store.proxyGet(c, etypeKey(g.tenant, g.name, name), func(raw []byte) (interface{}, error) {
-		return decodeEdgeTypeMeta(raw)
-	})
-	if err != nil {
-		if err == ErrNotFound {
-			return nil, fmt.Errorf("%w: edge type %q", ErrNoSuchType, name)
-		}
-		return nil, err
-	}
-	return v.(*edgeTypeMeta), nil
 }
 
 // VertexTypeSchema returns a vertex type's Bond schema.
@@ -262,7 +203,7 @@ func (g *Graph) CreateVertexType(c *fabric.Ctx, name string, schema *bond.Schema
 	}
 	key := vtypeKey(g.tenant, g.name, name)
 	gkey := graphKey(g.tenant, g.name)
-	err := farm.RunTransaction(c, g.store.farm, func(tx *farm.Tx) error {
+	return farm.RunTransaction(c, g.store.farm, func(tx *farm.Tx) error {
 		graw, exists, err := g.store.catGet(tx, gkey)
 		if err != nil {
 			return err
@@ -306,19 +247,13 @@ func (g *Graph) CreateVertexType(c *fabric.Ctx, name string, schema *bond.Schema
 		}
 		return g.store.catPut(tx, key, m.encode())
 	})
-	if err == nil {
-		g.store.invalidateProxy(gkey)
-		g.store.invalidateProxy(key)
-		g.store.invalidateTypeDir(g.tenant, g.name)
-	}
-	return err
 }
 
 // CreateEdgeType declares an edge type with an optional data schema.
 func (g *Graph) CreateEdgeType(c *fabric.Ctx, name string, schema *bond.Schema) error {
 	key := etypeKey(g.tenant, g.name, name)
 	gkey := graphKey(g.tenant, g.name)
-	err := farm.RunTransaction(c, g.store.farm, func(tx *farm.Tx) error {
+	return farm.RunTransaction(c, g.store.farm, func(tx *farm.Tx) error {
 		graw, exists, err := g.store.catGet(tx, gkey)
 		if err != nil {
 			return err
@@ -345,19 +280,13 @@ func (g *Graph) CreateEdgeType(c *fabric.Ctx, name string, schema *bond.Schema) 
 		}
 		return g.store.catPut(tx, key, m.encode())
 	})
-	if err == nil {
-		g.store.invalidateProxy(gkey)
-		g.store.invalidateProxy(key)
-		g.store.invalidateTypeDir(g.tenant, g.name)
-	}
-	return err
 }
 
 // SetGraphState transitions the graph's lifecycle state (used by the
 // asynchronous DeleteGraph workflow, §3.3).
 func (s *Store) SetGraphState(c *fabric.Ctx, tenant, graph string, state GraphState) error {
 	gkey := graphKey(tenant, graph)
-	err := farm.RunTransaction(c, s.farm, func(tx *farm.Tx) error {
+	return farm.RunTransaction(c, s.farm, func(tx *farm.Tx) error {
 		raw, exists, err := s.catGet(tx, gkey)
 		if err != nil {
 			return err
@@ -372,10 +301,6 @@ func (s *Store) SetGraphState(c *fabric.Ctx, tenant, graph string, state GraphSt
 		gm.State = state
 		return s.catPut(tx, gkey, gm.encode())
 	})
-	if err == nil {
-		s.invalidateProxy(gkey)
-	}
-	return err
 }
 
 // GraphNames lists graphs under a tenant.

@@ -81,15 +81,6 @@ func (m *tenantMeta) encode() []byte {
 	return bond.Marshal(bond.Struct(bond.FV(0, bond.String(m.Name))))
 }
 
-func decodeTenantMeta(raw []byte) (*tenantMeta, error) {
-	v, err := bond.Unmarshal(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: tenant: %v", ErrCatalogCorrupt, err)
-	}
-	name, _ := v.Field(0)
-	return &tenantMeta{Name: name.AsString()}, nil
-}
-
 func (m *graphMeta) encode() []byte {
 	return bond.Marshal(bond.Struct(
 		bond.FV(0, bond.String(m.Name)),

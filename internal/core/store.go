@@ -62,9 +62,8 @@ type Store struct {
 	cfg  Config
 
 	catalogDesc farm.Ptr
-	proxies     []*proxyCache   // per machine; dropped on process restart
-	typeDirs    []*typeDirCache // per machine type-id directories
-	stats       *stats.Tracker  // per machine live data-distribution stats
+	proxies     []proxyMap     // per machine catalog proxies (proxy.go)
+	stats       *stats.Tracker // per machine live data-distribution stats
 
 	randMu sync.Mutex
 	rand   *rand.Rand
@@ -88,12 +87,10 @@ func Open(c *fabric.Ctx, f *farm.Farm, cfg Config) (*Store, error) {
 		cfg:  cfg,
 		rand: rand.New(rand.NewSource(cfg.Seed)),
 	}
-	s.proxies = make([]*proxyCache, f.Fabric().Machines())
-	s.typeDirs = make([]*typeDirCache, f.Fabric().Machines())
+	s.proxies = make([]proxyMap, f.Fabric().Machines())
 	s.stats = stats.NewTracker(f.Fabric().Machines(), cfg.ProxyTTL)
 	for i := range s.proxies {
-		s.proxies[i] = newProxyCache()
-		s.typeDirs[i] = &typeDirCache{dirs: make(map[string]*typeDirectory)}
+		s.proxies[i].graphs = make(map[string]*graphProxy)
 	}
 	err := farm.RunTransaction(c, f, func(tx *farm.Tx) error {
 		bt, err := farm.CreateBTree(tx, farm.NilAddr)

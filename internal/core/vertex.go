@@ -195,8 +195,8 @@ func (g *Graph) LookupVertex(tx *farm.Tx, typeName string, pk bond.Value) (Verte
 // LookupVertexAnyType finds a vertex by primary key alone, trying every
 // vertex type of the graph in name order. The fan-out is served from the
 // per-machine type directory, so it costs no catalog read; only when every
-// cached type misses is the catalog re-read once, for types newer than the
-// cached directory (as vertexType does for an unknown name).
+// cached type misses is the directory re-read once, for types newer than
+// it (as vertexType does for an unknown name).
 func (g *Graph) LookupVertexAnyType(tx *farm.Tx, pk bond.Value) (VertexPtr, bool, error) {
 	dir, err := g.types(tx.Ctx())
 	if err != nil {
@@ -207,11 +207,11 @@ func (g *Graph) LookupVertexAnyType(tx *farm.Tx, pk bond.Value) (VertexPtr, bool
 			return vp, ok, err
 		}
 	}
-	names, err := g.VertexTypeNames(tx.Ctx())
+	newer, err := g.typesMissed(tx.Ctx())
 	if err != nil {
 		return farm.NilPtr, false, err
 	}
-	for _, name := range names {
+	for _, name := range newer.vNames {
 		if _, tried := dir.vByName[name]; tried {
 			continue
 		}
@@ -276,7 +276,7 @@ func (g *Graph) UpdateVertex(tx *farm.Tx, vp VertexPtr, newVal bond.Value) error
 	if err != nil {
 		return err
 	}
-	dir, err := g.store.typeDir(c, g.tenant, g.name)
+	dir, err := g.types(c)
 	if err != nil {
 		return err
 	}
@@ -354,7 +354,7 @@ func (g *Graph) DeleteVertex(tx *farm.Tx, vp VertexPtr) error {
 	if err != nil {
 		return err
 	}
-	dir, err := g.store.typeDir(c, g.tenant, g.name)
+	dir, err := g.types(c)
 	if err != nil {
 		return err
 	}

@@ -145,13 +145,9 @@ func (vs *visitState) edgeTypeID(name string) (uint32, error) {
 	if vs.edgeKnown && vs.edgeName == name {
 		return vs.edgeID, nil
 	}
-	et, ok := vs.types.eByName[name]
-	if !ok {
-		// Possibly newer than the cached directory: the authoritative read.
-		var err error
-		if et, err = vs.g.edgeType(vs.tx.Ctx(), name); err != nil {
-			return 0, err
-		}
+	et, err := vs.g.edgeType(vs.tx.Ctx(), name)
+	if err != nil {
+		return 0, err
 	}
 	vs.edgeName, vs.edgeID, vs.edgeKnown = name, et.ID, true
 	return et.ID, nil

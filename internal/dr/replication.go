@@ -2,7 +2,7 @@
 // transaction also inserts a log entry into a replication log stored in
 // FaRM; as soon as the transaction commits, the entry is flushed to the
 // durable ObjectStore synchronously with the customer request, falling back
-// to an asynchronous sweeper that drains the log in FIFO order. Entries
+// to a sweep (FlushPending) that drains the log in FIFO order. Entries
 // carry the transaction's commit timestamp, so ObjectStore applies them in
 // transaction order (idempotently) regardless of delays or replays.
 // Recovery rebuilds a fresh A1 cluster from ObjectStore in either of the
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"a1/internal/bond"
 	"a1/internal/core"
@@ -496,17 +495,4 @@ func (r *Replicator) PendingEntries(c *fabric.Ctx) (int, error) {
 	tx := r.farm.CreatePinnedReadTransaction(c)
 	defer tx.Abort()
 	return r.logIdx.Count(tx, nil, nil)
-}
-
-// StartSweeper launches the background sweeper that drains entries the
-// synchronous path failed to flush.
-func (r *Replicator) StartSweeper(c *fabric.Ctx, interval time.Duration) (stop func()) {
-	var stopping atomic.Bool
-	c.Go("dr-sweeper", func(sc *fabric.Ctx) {
-		for !stopping.Load() {
-			sc.Sleep(interval)
-			_, _ = r.FlushPending(sc)
-		}
-	})
-	return func() { stopping.Store(true) }
 }

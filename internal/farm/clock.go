@@ -2,7 +2,6 @@ package farm
 
 import (
 	"sync/atomic"
-	"time"
 
 	"a1/internal/fabric"
 )
@@ -15,19 +14,17 @@ import (
 // datagrams and exposes bounded uncertainty; commit waits out the
 // uncertainty before releasing locks so that timestamp order matches real
 // time (strict serializability). We model the synchronized clock as a
-// hybrid of fabric time and a shared logical counter — equivalent to
-// perfectly synchronized physical clocks — and keep the explicit
-// uncertainty wait, configurable through Config.ClockUncertainty.
+// hybrid of fabric time and a shared logical counter: the machines' clocks
+// are perfectly synchronized, the uncertainty is zero, and commit has
+// nothing to wait out.
 type Clock struct {
 	fab  *fabric.Fabric
 	last atomic.Uint64
-	// Uncertainty is the clock error bound waited out at commit.
-	Uncertainty time.Duration
 }
 
 // NewClock creates a clock over the fabric's notion of time.
-func NewClock(fab *fabric.Fabric, uncertainty time.Duration) *Clock {
-	return &Clock{fab: fab, Uncertainty: uncertainty}
+func NewClock(fab *fabric.Fabric) *Clock {
+	return &Clock{fab: fab}
 }
 
 // physical returns the synchronized physical component.
@@ -61,14 +58,5 @@ func (c *Clock) Next() uint64 {
 		if c.last.CompareAndSwap(last, ts) {
 			return ts
 		}
-	}
-}
-
-// CommitWait blocks the committing transaction until the clock uncertainty
-// interval around its write timestamp has passed, ensuring timestamp order
-// is consistent with real-time order across machines.
-func (c *Clock) CommitWait(ctx *fabric.Ctx) {
-	if c.Uncertainty > 0 {
-		ctx.Sleep(c.Uncertainty)
 	}
 }

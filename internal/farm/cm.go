@@ -71,9 +71,6 @@ func (cm *CM) publishLocked() {
 // Machine returns the machine hosting the CM role.
 func (cm *CM) Machine() fabric.MachineID { return 0 }
 
-// alive reports whether machine m is a live cluster member.
-func (cm *CM) alive(m fabric.MachineID) bool { return !cm.down[m] }
-
 // lookup returns the current primary of a region, spin-waiting (in fabric
 // time) while the region is lost — FaRM pauses the system when all replicas
 // of a region are gone and waits for fast restart (paper §5.3).

@@ -99,13 +99,12 @@ func (tx *Tx) Commit() error {
 		}
 	}
 
-	// Phase 3: write timestamp + uncertainty wait.
+	// Phase 3: write timestamp. The modelled clock has no uncertainty to
+	// wait out (clock.go).
 	commitTs := f.clock.Next()
-	tx.commitTs = commitTs
 	for _, hook := range tx.tsHooks {
 		hook(commitTs)
 	}
-	f.clock.CommitWait(tx.c)
 
 	// Phase 4: group mutations by region, charge replication wire time up
 	// front (locks stay held, so concurrent readers wait — exactly the

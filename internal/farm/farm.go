@@ -2,7 +2,6 @@ package farm
 
 import (
 	"sync"
-	"time"
 
 	"a1/internal/fabric"
 )
@@ -16,17 +15,13 @@ type Config struct {
 	// Replicas is the replication factor (3 in production: one primary and
 	// two backups across fault domains).
 	Replicas int
-	// ClockUncertainty is the synchronized-clock error bound waited out at
-	// commit (FaRMv2 §5.2).
-	ClockUncertainty time.Duration
 }
 
 // DefaultConfig returns production-shaped parameters scaled for simulation.
 func DefaultConfig() Config {
 	return Config{
-		RegionSize:       16 << 20,
-		Replicas:         3,
-		ClockUncertainty: 0,
+		RegionSize: 16 << 20,
+		Replicas:   3,
 	}
 }
 
@@ -83,7 +78,7 @@ func Open(fab *fabric.Fabric, cfg Config) *Farm {
 		unpinned: noSnapshot,
 	}
 	f.cm = newCM(f)
-	f.clock = NewClock(fab, cfg.ClockUncertainty)
+	f.clock = NewClock(fab)
 	f.drivers = make([]*Driver, fab.Machines())
 	f.machines = make([]*Machine, fab.Machines())
 	for i := range f.drivers {

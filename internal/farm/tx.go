@@ -31,7 +31,6 @@ type Tx struct {
 
 	tsHooks   []func(ts uint64)
 	doneHooks []func()
-	commitTs  uint64
 	unpin     func() // releases a pinned read snapshot at Commit or Abort
 }
 
@@ -51,9 +50,6 @@ func (tx *Tx) OnCommitted(fn func()) {
 func (tx *Tx) OnCommitTimestamp(fn func(ts uint64)) {
 	tx.tsHooks = append(tx.tsHooks, fn)
 }
-
-// CommitTs returns the transaction's write timestamp (0 until committed).
-func (tx *Tx) CommitTs() uint64 { return tx.commitTs }
 
 type txStatus int
 
@@ -156,9 +152,6 @@ func (f *Farm) CreateReadTransactionAt(c *fabric.Ctx, ts uint64) *Tx {
 
 // ReadTs returns the transaction's snapshot timestamp.
 func (tx *Tx) ReadTs() uint64 { return tx.readTs }
-
-// ReadOnly reports whether this is a read-only snapshot transaction.
-func (tx *Tx) ReadOnly() bool { return tx.readOnly }
 
 // Ctx returns the fabric context the transaction is coordinated from.
 func (tx *Tx) Ctx() *fabric.Ctx { return tx.c }

@@ -247,3 +247,49 @@ func TestDeleteGraphWorkflow(t *testing.T) {
 	}
 	_ = fmt.Sprint(usedBefore, usedAfter)
 }
+
+// TestRecreatedGraphForgetsDroppedTypes: a graph deleted by the workflow
+// and recreated under the same name starts with no types. Neither a new
+// handle nor a handle on the deleted graph may resolve a dropped type, whose
+// primary index was freed and whose storage the new graph may reuse.
+func TestRecreatedGraphForgetsDroppedTypes(t *testing.T) {
+	rt, s, c := newRuntime(t)
+	w := RegisterWorkflows(rt, s)
+	if err := s.CreateTenant(c, "bing"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateGraph(c, "bing", "kg"); err != nil {
+		t.Fatal(err)
+	}
+	old, err := s.OpenGraph(c, "bing", "kg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.NewFilmKG(workload.TestParams()).Load(c, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.DeleteGraphAsync(c, "bing", "kg"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.RunPending(c); err != nil {
+		t.Fatalf("workflow: %v", err)
+	}
+	if err := s.CreateGraph(c, "bing", "kg"); err != nil {
+		t.Fatal(err)
+	}
+	g, err := s.OpenGraph(c, "bing", "kg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = farm.RunTransaction(c, s.Farm(), func(tx *farm.Tx) error {
+		_, err := g.CreateVertex(tx, "entity", bond.Struct(bond.FV(0, bond.String("late"))))
+		return err
+	})
+	if !errors.Is(err, core.ErrNoSuchType) {
+		t.Errorf("CreateVertex(dropped type) on the recreated graph err = %v, want ErrNoSuchType", err)
+	}
+	_, _, err = old.LookupVertex(s.Farm().CreateReadTransaction(c), "entity", bond.String("late"))
+	if !errors.Is(err, core.ErrNoSuchType) {
+		t.Errorf("LookupVertex(dropped type) on the old handle err = %v, want ErrNoSuchType", err)
+	}
+}

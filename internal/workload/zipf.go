@@ -135,18 +135,3 @@ func (z *ZipfGraph) TopKNeighborsQuery(category string, k int) string {
 func (z *ZipfGraph) TopGroupsQuery(k int) string {
 	return fmt.Sprintf(`{"_type": "node", "_groupby": "category", "_select": ["_count(*)"], "_orderby": "-_count(*)", "_limit": %d}`, k)
 }
-
-// ReachableQuery is the recursive shape: everything within max hops of a
-// root along link edges. On the hub-skewed topology path counts explode
-// combinatorially with depth while the reachable set saturates, so the
-// visited-set dedup's saving over naive expansion grows superlinearly
-// with max.
-func (z *ZipfGraph) ReachableQuery(rootID string, max int) string {
-	return fmt.Sprintf(`{"id": %q, "_recurse": {"_type": "link", "_max": %d, "_vertex": {"_select": ["id"]}}}`, rootID, max)
-}
-
-// ReachableCountQuery is ReachableQuery reduced to a `_count(*)` — the
-// cheapest way to measure a reachable set's size.
-func (z *ZipfGraph) ReachableCountQuery(rootID string, max int) string {
-	return fmt.Sprintf(`{"id": %q, "_recurse": {"_type": "link", "_max": %d, "_vertex": {"_select": ["_count(*)"]}}}`, rootID, max)
-}
