@@ -179,7 +179,8 @@ func (g *Graph) findHalfEdge(tx *farm.Tx, gm *graphMeta, vp VertexPtr, hdr *vert
 }
 
 // addHalfEdge appends ⟨etype, other, data⟩ to one direction of a vertex's
-// edge list, growing the inline object geometrically and spilling to the
+// edge list: in place while the inline object's slot has room, moving it
+// to a slot of double the entries when it does not, and spilling to the
 // global B-tree past the threshold.
 func (g *Graph) addHalfEdge(tx *farm.Tx, gm *graphMeta, vp VertexPtr, dir Direction, etype uint32, other VertexPtr, dataPtr farm.Ptr) error {
 	hdrBuf, hdr, err := g.readHeader(tx, vp)
@@ -257,23 +258,17 @@ func (g *Graph) addHalfEdge(tx *farm.Tx, gm *graphMeta, vp VertexPtr, dir Direct
 		hdr.setListRef(dir, w.Ptr(), count+1, false)
 		return writeHeader()
 	}
-	// Geometric growth: double the entry capacity in a fresh object.
-	newCap := 2 * count * halfEdgeBytes
-	if newCap < newLen {
-		newCap = newLen
-	}
-	nb, err := tx.Alloc(newCap, vp.Addr)
+	// The slot is full: move the list into one with double the entries.
+	// The header is the list's only pointer and is rewritten below, so
+	// the old slot needs no tombstone.
+	nb, err := tx.Realloc(buf, max(2*count*halfEdgeBytes, newLen), vp.Addr)
 	if err != nil {
 		return err
 	}
 	if err := nb.Resize(newLen); err != nil {
 		return err
 	}
-	copy(nb.Data(), buf.Data())
 	encodeHalfEdge(nb.Data()[count*halfEdgeBytes:], he)
-	if err := tx.Free(buf); err != nil {
-		return err
-	}
 	hdr.setListRef(dir, nb.Ptr(), count+1, false)
 	return writeHeader()
 }

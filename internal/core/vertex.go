@@ -304,37 +304,31 @@ func (g *Graph) UpdateVertex(tx *farm.Tx, vp VertexPtr, newVal bond.Value) error
 		return ErrImmutablePK
 	}
 	newBytes := bond.Marshal(newVal)
-	newDataPtr := hdr.data
-	if uint32(len(newBytes)) <= oldBuf.Cap() {
-		w, err := tx.OpenForWrite(oldBuf)
-		if err != nil {
-			return err
+	n := uint32(len(newBytes))
+	var w *farm.ObjBuf
+	if n <= oldBuf.Cap() {
+		if w, err = tx.OpenForWrite(oldBuf); err == nil {
+			err = w.Resize(n)
 		}
-		if err := w.Resize(uint32(len(newBytes))); err != nil {
-			return err
-		}
-		copy(w.Data(), newBytes)
-		newDataPtr = w.Ptr()
 	} else {
-		// Grown beyond the slot: allocate a fresh data object in the same
-		// region and re-link the header (FaRM objects have fixed capacity).
-		nb, err := tx.Alloc(uint32(len(newBytes)), vp.Addr)
-		if err != nil {
-			return err
-		}
-		copy(nb.Data(), newBytes)
-		if err := tx.Free(oldBuf); err != nil {
-			return err
-		}
-		newDataPtr = nb.Ptr()
+		// Outgrown its slot, the data moves; the header, its only
+		// pointer, is rewritten below.
+		w, err = tx.Realloc(oldBuf, n, vp.Addr)
 	}
-	if newDataPtr != hdr.data {
-		w, err := tx.OpenForWrite(hdrBuf)
+	if err != nil {
+		return err
+	}
+	copy(w.Data(), newBytes)
+	// Resized in place, the data keeps its address, and the header is not
+	// rewritten: a pointer's size is only a transfer hint, as a B-tree's
+	// child pointers are after their nodes grow.
+	if w.Addr() != hdr.data.Addr {
+		hw, err := tx.OpenForWrite(hdrBuf)
 		if err != nil {
 			return err
 		}
-		hdr.data = newDataPtr
-		hdr.encode(w.Data())
+		hdr.data = w.Ptr()
+		hdr.encode(hw.Data())
 	}
 	return g.vertexChanged(tx, vp, vt, oldVal, newVal)
 }

@@ -81,21 +81,8 @@ func (tx *Tx) Commit() error {
 		if _, written := tx.writes[a]; written {
 			continue // covered by the CAS above
 		}
-		primary, err := f.cm.lookup(tx.c, a.Region())
-		if err != nil {
+		if err := tx.validateRead(a, seen); err != nil {
 			return abort(err)
-		}
-		if err := tx.c.ReadRemote(primary, 8); err != nil {
-			f.cm.handleFailure(tx.c, primary)
-			return abort(fmt.Errorf("%w: primary failed during validate", ErrConflict))
-		}
-		r, ok := f.regionAt(primary, a.Region())
-		if !ok {
-			return abort(fmt.Errorf("%w: region moved during validate", ErrConflict))
-		}
-		cur, err := r.readVersionWord(a.Offset())
-		if err != nil || cur != seen {
-			return abort(fmt.Errorf("%w: read version changed on %v", ErrConflict, a))
 		}
 	}
 
@@ -179,6 +166,29 @@ func (tx *Tx) Commit() error {
 	return nil
 }
 
+// validateRead re-reads at its primary the version word of an object the
+// transaction read at word seen. It fails, with ErrConflict when a retry
+// may succeed, if the object has changed since or is gone.
+func (tx *Tx) validateRead(a Addr, seen uint64) error {
+	f := tx.farm
+	primary, err := f.cm.lookup(tx.c, a.Region())
+	if err != nil {
+		return err
+	}
+	if err := tx.c.ReadRemote(primary, 8); err != nil {
+		f.cm.handleFailure(tx.c, primary)
+		return fmt.Errorf("%w: primary failed during validate", ErrConflict)
+	}
+	r, ok := f.regionAt(primary, a.Region())
+	if !ok {
+		return fmt.Errorf("%w: region moved during validate", ErrConflict)
+	}
+	if cur, err := r.readVersionWord(a.Offset()); err != nil || cur != seen {
+		return fmt.Errorf("%w: read version changed on %v", ErrConflict, a)
+	}
+	return nil
+}
+
 // unlock restores the pre-lock version words after an abort.
 func (tx *Tx) unlock(locked []Addr) {
 	f := tx.farm
@@ -214,7 +224,9 @@ var nilOlder = make([]byte, 12)
 // overwritten object keeps its prior version as a chain record only when a
 // snapshot below commitTs may still read it (watermark < commitTs); its
 // chain is then trimmed below the newest record visible at the watermark.
-// Otherwise no record is written and the whole old chain is freed.
+// Otherwise no record is written and the whole old chain is freed, and an
+// object that moved (Realloc) is freed with it: nothing can reach its slot,
+// so it needs no tombstone.
 func applyToPrimary(r *Region, bufs []*ObjBuf, commitTs, watermark uint64) []regionOp {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -233,6 +245,10 @@ func applyToPrimary(r *Region, bufs []*ObjBuf, commitTs, watermark uint64) []reg
 			ops = append(ops, imageOp(r, off, uint32(len(w.data)), true))
 			continue
 		}
+		if w.moved && watermark >= commitTs {
+			ops = appendChainFrees(r, Ptr{Addr: w.addr}, ops)
+			continue
+		}
 		older := r.older(off)
 		recOff, kept := uint32(0), false
 		if watermark >= commitTs {
@@ -244,7 +260,7 @@ func applyToPrimary(r *Region, bufs []*ObjBuf, commitTs, watermark uint64) []reg
 			prevLen := r.payloadLen(off)
 			var err error
 			if recOff, err = r.allocLocked(prevLen); err == nil {
-				r.setVersionWord(recOff, r.versionWord(off)&^lockBit)
+				r.setVersionWord(recOff, r.versionWord(off)&^lockBit|recordBit)
 				r.setOlder(recOff, older)
 				r.setPayloadLen(recOff, prevLen)
 				copy(r.data[recOff+hdrBytes:], r.data[off+hdrBytes:off+hdrBytes+prevLen])

@@ -757,3 +757,57 @@ func TestOpsStatsCountLocalVsRemote(t *testing.T) {
 		}
 	})
 }
+
+// TestReadBufferCapIsSlotCapacity: a read buffer, in an update or a
+// read-only transaction, reports its slot's class less the header as its
+// capacity — not its payload length — and a writable copy of it may grow
+// that far in place.
+func TestReadBufferCapIsSlotCapacity(t *testing.T) {
+	f, c := directFarm(t, 3)
+	sizes := []uint32{1, 8, 40, 41, 100, 1000, 5000}
+	ptrs := make([]Ptr, len(sizes))
+	err := RunTransaction(c, f, func(tx *Tx) error {
+		for i, n := range sizes {
+			buf, err := tx.Alloc(n, NilAddr)
+			if err != nil {
+				return err
+			}
+			ptrs[i] = buf.Ptr()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, update := range []bool{false, true} {
+		tx := f.CreateReadTransaction(c)
+		if update {
+			tx = f.CreateTransaction(c)
+		}
+		for i, p := range ptrs {
+			class, _ := classFor(sizes[i] + hdrBytes)
+			want := class - hdrBytes
+			buf, err := tx.Read(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if buf.Cap() != want {
+				t.Errorf("update=%v size %d: Cap() = %d, want %d", update, sizes[i], buf.Cap(), want)
+			}
+			if !update {
+				continue
+			}
+			w, err := tx.OpenForWrite(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Resize(want); err != nil || w.Cap() != want {
+				t.Errorf("size %d: Resize to Cap %d: %v (writable Cap %d)", sizes[i], want, err, w.Cap())
+			}
+			if err := w.Resize(want + 1); !errors.Is(err, ErrTooLarge) {
+				t.Errorf("size %d: Resize past Cap: %v, want ErrTooLarge", sizes[i], err)
+			}
+		}
+		tx.Abort()
+	}
+}

@@ -176,3 +176,324 @@ func TestReclaimSweepCutsChainsOnBackups(t *testing.T) {
 		}
 	}
 }
+
+// moveObject reallocates the committed object at p into one of size payload
+// bytes near it, and returns the new pointer.
+func moveObject(t *testing.T, f *Farm, c *fabric.Ctx, p Ptr, size uint32) Ptr {
+	t.Helper()
+	var q Ptr
+	err := RunTransaction(c, f, func(tx *Tx) error {
+		buf, err := tx.Read(p)
+		if err != nil {
+			return err
+		}
+		nb, err := tx.Realloc(buf, size, p.Addr)
+		if err != nil {
+			return err
+		}
+		q = nb.Ptr()
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("move %v: %v", p, err)
+	}
+	return q
+}
+
+// movedSlot is the slot class of a counter moved into a 100-byte payload.
+const movedSlot = 128
+
+// TestReclaimMoveFreesOldSlot: with no snapshot open, a move's commit frees
+// the old slot outright — its address is dead (ErrBadAddr), no tombstone
+// waits for a sweep — and the next allocation of that class reuses it.
+func TestReclaimMoveFreesOldSlot(t *testing.T) {
+	f, c := directFarm(t, 3)
+	p := allocCounter(t, f, c, 42)
+	q := moveObject(t, f, c, p, 100)
+	rtx := f.CreatePinnedReadTransaction(c)
+	if _, err := rtx.Read(p); !errors.Is(err, ErrBadAddr) {
+		t.Errorf("read of the moved-from address: %v, want ErrBadAddr", err)
+	}
+	if v, err := readCounter(rtx, q); err != nil || v != 42 {
+		t.Errorf("moved object = %d, %v; want 42", v, err)
+	}
+	rtx.Abort()
+	if got := f.UsedBytes(); got != movedSlot {
+		t.Errorf("after the move UsedBytes = %d, want %d (the new slot alone)", got, movedSlot)
+	}
+	if n := f.GCVersions(c); n != 0 {
+		t.Errorf("sweep after the move freed %d slots, want 0", n)
+	}
+	if r := allocCounter(t, f, c, 7); r.Addr != p.Addr {
+		t.Errorf("next allocation of the class took %v, want the freed %v", r.Addr, p.Addr)
+	}
+}
+
+// TestReclaimMovePinnedReaderReadsOldPayload: a snapshot pinned below the
+// move still reads the old payload at the old address, through the
+// tombstone the commit leaves for it; after the unpin a sweep frees the
+// tombstone and its version record.
+func TestReclaimMovePinnedReaderReadsOldPayload(t *testing.T) {
+	f, c := directFarm(t, 3)
+	p := allocCounter(t, f, c, 42)
+	rtx := f.CreatePinnedReadTransaction(c)
+	q := moveObject(t, f, c, p, 100)
+	if v, err := readCounter(rtx, p); err != nil || v != 42 {
+		t.Errorf("pinned read of the moved-from address = %d, %v; want 42", v, err)
+	}
+	if _, err := rtx.Read(q); !errors.Is(err, ErrTooOld) {
+		t.Errorf("pinned read of the new address: %v, want ErrTooOld (newer than the snapshot)", err)
+	}
+	fresh := f.CreatePinnedReadTransaction(c)
+	if _, err := fresh.Read(p); !errors.Is(err, ErrNotFound) {
+		t.Errorf("current read of the moved-from address: %v, want ErrNotFound (tombstone)", err)
+	}
+	fresh.Abort()
+	if want := uint64(2*counterSlot + movedSlot); f.UsedBytes() != want {
+		t.Errorf("with the pin held UsedBytes = %d, want %d (tombstone, record, new slot)", f.UsedBytes(), want)
+	}
+	if n := f.GCVersions(c); n != 0 {
+		t.Errorf("sweep under the pin freed %d slots, want 0", n)
+	}
+	if err := rtx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.GCVersions(c); n != 2 || f.UsedBytes() != movedSlot {
+		t.Errorf("sweep after the unpin freed %d slots leaving %d bytes, want 2 and %d", n, f.UsedBytes(), movedSlot)
+	}
+}
+
+// TestReclaimFreeTombstonesMoveDoesNot: in one transaction, a Free and a
+// move. The freed object keeps its tombstone for the sweep (ErrNotFound);
+// the moved one leaves none (ErrBadAddr).
+func TestReclaimFreeTombstonesMoveDoesNot(t *testing.T) {
+	f, c := directFarm(t, 3)
+	freed, moved := allocCounter(t, f, c, 1), allocCounter(t, f, c, 2)
+	err := RunTransaction(c, f, func(tx *Tx) error {
+		a, err := tx.Read(freed)
+		if err != nil {
+			return err
+		}
+		b, err := tx.Read(moved)
+		if err != nil {
+			return err
+		}
+		if err := tx.Free(a); err != nil {
+			return err
+		}
+		_, err = tx.Realloc(b, 100, moved.Addr)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtx := f.CreatePinnedReadTransaction(c)
+	if _, err := rtx.Read(freed); !errors.Is(err, ErrNotFound) {
+		t.Errorf("read of the freed object: %v, want ErrNotFound", err)
+	}
+	if _, err := rtx.Read(moved); !errors.Is(err, ErrBadAddr) {
+		t.Errorf("read of the moved object: %v, want ErrBadAddr", err)
+	}
+	rtx.Abort()
+	if n := f.GCVersions(c); n != 1 {
+		t.Errorf("sweep freed %d slots, want 1 (the tombstone)", n)
+	}
+}
+
+// moveHeld moves the counter at p, as moveObject does, and rewrites the
+// counter at holder, its one pointer, to the new address in the same
+// transaction.
+func moveHeld(t *testing.T, f *Farm, c *fabric.Ctx, p, holder Ptr) {
+	t.Helper()
+	err := RunTransaction(c, f, func(tx *Tx) error {
+		buf, err := tx.Read(p)
+		if err != nil {
+			return err
+		}
+		nb, err := tx.Realloc(buf, 100, p.Addr)
+		if err != nil {
+			return err
+		}
+		h, err := tx.Read(holder)
+		if err != nil {
+			return err
+		}
+		w, err := tx.OpenForWrite(h)
+		if err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint64(w.Data(), uint64(nb.Addr()))
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("move %v: %v", p, err)
+	}
+}
+
+// TestReclaimMoveStaleReaders: a transaction that followed a pointer
+// before the move committed finds the old slot gone. An update transaction
+// gets ErrConflict, so RunTransaction retries it, rather than ErrBadAddr;
+// an unpinned snapshot past a sweep gets ErrTooOld, as for any version a
+// sweep reclaimed.
+func TestReclaimMoveStaleReaders(t *testing.T) {
+	f, c := directFarm(t, 3)
+	p := allocCounter(t, f, c, 42)
+	holder := allocCounter(t, f, c, uint64(p.Addr)) // the object's one pointer
+	stale := f.CreateTransaction(c)
+	defer stale.Abort()
+	if _, err := readCounter(stale, holder); err != nil {
+		t.Fatal(err)
+	}
+	moveHeld(t, f, c, p, holder)
+	if _, err := stale.Read(p); !errors.Is(err, ErrConflict) {
+		t.Errorf("stale update transaction's read of the moved-from address: %v, want ErrConflict", err)
+	}
+
+	q := allocCounter(t, f, c, 7)
+	unpinned := f.CreateReadTransaction(c)
+	moveObject(t, f, c, q, 100)
+	if v, err := readCounter(unpinned, q); err != nil || v != 7 {
+		t.Errorf("unpinned read before the sweep = %d, %v; want 7", v, err)
+	}
+	f.GCVersions(c)
+	if _, err := unpinned.Read(q); !errors.Is(err, ErrTooOld) {
+		t.Errorf("unpinned read after the sweep: %v, want ErrTooOld", err)
+	}
+}
+
+// TestReclaimMoveMirroredToBackups: the frees of moves reach every backup,
+// so after the primary dies the promoted backup holds the same bytes.
+func TestReclaimMoveMirroredToBackups(t *testing.T) {
+	f, c := directFarm(t, 5)
+	var ps []Ptr
+	for i := 0; i < 8; i++ {
+		ps = append(ps, allocCounter(t, f, c, uint64(i)))
+	}
+	for i := 0; i < len(ps); i += 2 {
+		ps[i] = moveObject(t, f, c, ps[i], 100)
+	}
+	id := ps[0].Addr.Region()
+	reps := f.cm.replicasOf(id)
+	old, _ := f.regionAt(reps[0], id)
+	used := old.usedBytes()
+	for _, b := range reps[1:] {
+		if br, ok := f.regionAt(b, id); !ok || !sameAllocator(br.alloc, old.alloc) {
+			t.Errorf("backup on %v: allocator differs from the primary's", b)
+		}
+	}
+	f.KillMachine(c, reps[0])
+	np := f.cm.replicasOf(id)[0]
+	nr, ok := f.regionAt(np, id)
+	if np == reps[0] || !ok {
+		t.Fatalf("region %d not failed over (primary %v)", id, np)
+	}
+	if got := nr.usedBytes(); got != used {
+		t.Errorf("promoted backup's usedBytes = %d, old primary's %d", got, used)
+	}
+	rtx := f.CreatePinnedReadTransaction(f.Fabric().NewCtx(np, nil))
+	defer rtx.Abort()
+	for i, p := range ps {
+		if v, err := readCounter(rtx, p); err != nil || v != uint64(i) {
+			t.Errorf("counter %d after failover = %d, %v", i, v, err)
+		}
+	}
+}
+
+// TestReclaimMoveStaleReaderSkipsReusedSlot: the slot a move frees at once
+// is reused at once, here by a version record of another object and then
+// by an allocation not yet committed. An update transaction that read the
+// pointer before the move must get ErrConflict from the old address, never
+// the record's bytes (an older version of another object, visible at its
+// snapshot) and never a wait on the uncommitted slot.
+func TestReclaimMoveStaleReaderSkipsReusedSlot(t *testing.T) {
+	f, c := directFarm(t, 3)
+	p := allocCounter(t, f, c, 42)
+	other := allocCounter(t, f, c, 7)
+	holder := allocCounter(t, f, c, uint64(p.Addr))
+	stale := f.CreateTransaction(c)
+	defer stale.Abort()
+	if _, err := readCounter(stale, holder); err != nil {
+		t.Fatal(err)
+	}
+	moveHeld(t, f, c, p, holder)
+	pin := f.CreatePinnedReadTransaction(c)
+	defer pin.Abort()
+	addN(t, f, c, other, 1) // keeps other's prior version, 7, as a record
+	r, _ := f.regionAt(f.cm.replicasOf(p.Addr.Region())[0], p.Addr.Region())
+	r.mu.RLock()
+	rec := r.older(other.Addr.Offset()).Addr
+	r.mu.RUnlock()
+	if rec != p.Addr {
+		t.Fatalf("other's version record went to %v, not to the freed %v", rec, p.Addr)
+	}
+	if v, err := readCounter(stale, p); !errors.Is(err, ErrConflict) {
+		t.Errorf("stale read of a slot now holding a record = %d, %v; want ErrConflict", v, err)
+	}
+
+	p2 := allocCounter(t, f, c, 43)
+	holder2 := allocCounter(t, f, c, uint64(p2.Addr))
+	pin.Abort()
+	f.GCVersions(c) // frees other's record; p2's move below frees at once
+	stale2 := f.CreateTransaction(c)
+	defer stale2.Abort()
+	if _, err := readCounter(stale2, holder2); err != nil {
+		t.Fatal(err)
+	}
+	moveHeld(t, f, c, p2, holder2)
+	inflight := f.CreateTransaction(c)
+	defer inflight.Abort()
+	nb, err := inflight.Alloc(8, NilAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nb.Addr() != p2.Addr {
+		t.Fatalf("allocation took %v, not the freed %v", nb.Addr(), p2.Addr)
+	}
+	if v, err := readCounter(stale2, p2); !errors.Is(err, ErrConflict) {
+		t.Errorf("stale read of an uncommitted allocation = %d, %v; want ErrConflict", v, err)
+	}
+}
+
+// TestReclaimSweepSparesUncommittedAlloc: a sweep that runs while an
+// allocation in a reused slot is still uncommitted leaves the slot alone,
+// whatever word its last occupant, here a swept tombstone, left in it.
+func TestReclaimSweepSparesUncommittedAlloc(t *testing.T) {
+	f, c := directFarm(t, 3)
+	p := allocCounter(t, f, c, 1)
+	err := RunTransaction(c, f, func(tx *Tx) error {
+		buf, err := tx.Read(p)
+		if err != nil {
+			return err
+		}
+		return tx.Free(buf)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := f.GCVersions(c); n != 1 {
+		t.Fatalf("sweep freed %d slots, want 1 (the tombstone)", n)
+	}
+	tx := f.CreateTransaction(c)
+	nb, err := tx.Alloc(8, NilAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nb.Addr() != p.Addr {
+		t.Fatalf("allocation took %v, not the freed %v", nb.Addr(), p.Addr)
+	}
+	binary.LittleEndian.PutUint64(nb.Data(), 9)
+	if n := f.GCVersions(c); n != 0 {
+		t.Errorf("sweep during the allocating transaction freed %d slots, want 0", n)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.UsedBytes(); got != counterSlot {
+		t.Errorf("UsedBytes = %d, want %d (the new object)", got, counterSlot)
+	}
+	rtx := f.CreatePinnedReadTransaction(c)
+	defer rtx.Abort()
+	if v, err := readCounter(rtx, nb.Ptr()); err != nil || v != 9 {
+		t.Errorf("new object = %d, %v; want 9", v, err)
+	}
+}

@@ -10,7 +10,7 @@ import (
 // payload. The version word makes lock+version a single CAS-able 64-bit
 // value exactly as FaRM's object headers do.
 //
-//	[0:8)   version word: lock bit | tombstone bit | commit timestamp
+//	[0:8)   version word: lock bit | tombstone bit | record bit | commit timestamp
 //	[8:16)  older version address (Addr; 0 = end of chain)
 //	[16:20) older version payload size
 //	[20:24) payload length
@@ -19,7 +19,11 @@ const (
 
 	lockBit      = uint64(1) << 63
 	tombstoneBit = uint64(1) << 62
-	tsMask       = (uint64(1) << 62) - 1
+	// recordBit marks a slot that holds no object head: a version record,
+	// reachable only through its head's chain, or an allocation whose
+	// commit has not installed it yet (locked as well).
+	recordBit = uint64(1) << 61
+	tsMask    = (uint64(1) << 61) - 1
 )
 
 func packVersion(ts uint64, locked, tombstone bool) uint64 {
@@ -36,6 +40,7 @@ func packVersion(ts uint64, locked, tombstone bool) uint64 {
 func versionTs(v uint64) uint64   { return v & tsMask }
 func versionLocked(v uint64) bool { return v&lockBit != 0 }
 func versionTombed(v uint64) bool { return v&tombstoneBit != 0 }
+func versionRecord(v uint64) bool { return v&recordBit != 0 }
 
 // Region is one replica of a replicated memory region: a flat byte array
 // plus slab-allocator metadata. The same struct serves as primary and as
@@ -80,13 +85,18 @@ func (r *Region) ensure(n uint32) {
 }
 
 // allocLocked reserves a slot able to hold payload bytes plus the header
-// and returns its offset. Caller holds mu.
+// and returns its offset. Until a commit installs an object or a version
+// in it, the slot's header is locked, marked a record and chainless: a
+// sweep passes it over, and a read through a stale pointer fails, whatever
+// header the slot's last occupant left. Caller holds mu.
 func (r *Region) allocLocked(payload uint32) (uint32, error) {
 	off, err := r.alloc.alloc(payload + hdrBytes)
 	if err != nil {
 		return 0, err
 	}
 	r.ensure(off + payload + hdrBytes)
+	r.setVersionWord(off, lockBit|recordBit)
+	r.setOlder(off, NilPtr)
 	return off, nil
 }
 
@@ -140,6 +150,7 @@ type objectSnapshot struct {
 	version uint64 // full version word
 	older   Ptr
 	data    []byte // copied payload
+	cap     uint32 // payload capacity of the slot: its class size less hdrBytes (0 for a version record)
 }
 
 // readObject copies the object at off. It returns an error for addresses
@@ -159,6 +170,9 @@ func (r *Region) readObjectLocked(off uint32, scratch []byte) (objectSnapshot, e
 	snap := objectSnapshot{
 		version: r.versionWord(off),
 		older:   r.older(off),
+	}
+	if !versionRecord(snap.version) {
+		snap.cap = r.alloc.slotSize(off) - hdrBytes
 	}
 	snap.data = append(scratch[:0], r.payload(off)...)
 	return snap, nil

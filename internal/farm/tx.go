@@ -69,6 +69,7 @@ type ObjBuf struct {
 	writable bool
 	isNew    bool
 	freed    bool
+	moved    bool   // freed by Realloc: its commit may free the slot outright
 	baseVer  uint64 // committed version word observed (CAS expectation)
 	slotCap  uint32 // payload capacity of the allocated slot
 }
@@ -83,12 +84,16 @@ func (b *ObjBuf) Ptr() Ptr { return Ptr{Addr: b.addr, Size: uint32(len(b.data))}
 // modified; for writable buffers mutations are committed atomically.
 func (b *ObjBuf) Data() []byte { return b.data }
 
-// Cap returns the payload capacity of the object's slot.
+// Cap returns the payload capacity of the object's slot: its size class
+// less the object header, for read and writable buffers alike. A payload
+// may grow up to Cap in place (Resize after OpenForWrite); past it, the
+// object must move (Realloc). A read-only snapshot's read of an older
+// version, which comes from a version record, reports 0.
 func (b *ObjBuf) Cap() uint32 { return b.slotCap }
 
 // Resize changes the payload length within the slot's capacity. Growing an
-// object beyond its slot requires allocating a new object (FaRM objects
-// have fixed placement; A1 re-links pointers instead, §3.2).
+// object beyond its slot requires moving it (Realloc: FaRM objects have
+// fixed placement; A1 re-links pointers instead, §3.2).
 func (b *ObjBuf) Resize(n uint32) error {
 	if !b.writable {
 		return errors.New("farm: Resize on read-only buffer")
@@ -259,7 +264,7 @@ func (tx *Tx) ReadSized(addr Addr, sizeHint uint32) (*ObjBuf, error) {
 		addr:    addr,
 		data:    snap.data,
 		baseVer: snap.version,
-		slotCap: uint32(len(snap.data)),
+		slotCap: snap.cap,
 	}
 	if !tx.readOnly {
 		tx.reads[addr] = snap.version
@@ -345,7 +350,10 @@ func (tx *Tx) readVersioned(addr Addr, sizeHint uint32, scratch []byte) (objectS
 		}
 		snap, err := r.readObject(off, scratch)
 		if err != nil {
-			return objectSnapshot{}, err
+			return objectSnapshot{}, tx.deadAddr(err)
+		}
+		if versionRecord(snap.version) {
+			return objectSnapshot{}, tx.deadAddr(fmt.Errorf("%w: %v holds no object", ErrBadAddr, addr))
 		}
 		if versionLocked(snap.version) {
 			// Commit in progress; its timestamp may be below our snapshot.
@@ -364,6 +372,35 @@ func (tx *Tx) readVersioned(addr Addr, sizeHint uint32, scratch []byte) (objectS
 		}
 		return tx.walkVersionChain(primary, r, snap)
 	}
+}
+
+// deadAddr explains a read of an address that names no object head: a
+// free slot, or one holding a version record or an allocation not yet
+// committed. A commit that moves an object (Realloc) frees the old slot
+// outright when no snapshot below the commit can read it, and the slot may
+// be reused at once, so a transaction whose snapshot is below the
+// reclamation floor may hold a pointer to a slot that has since held
+// something else. For a read-only snapshot that is ErrTooOld; for an
+// update transaction that read the pointer before the move, a conflict to
+// retry. Any other such address is a bad address.
+func (tx *Tx) deadAddr(err error) error {
+	f := tx.farm
+	f.pinMu.Lock()
+	floor := f.gcFloor
+	f.pinMu.Unlock()
+	if tx.readTs >= floor {
+		return err
+	}
+	if tx.readOnly {
+		return fmt.Errorf("%w: %w", ErrTooOld, err)
+	}
+	for a, seen := range tx.reads {
+		if tx.validateRead(a, seen) != nil {
+			tx.Abort()
+			return fmt.Errorf("%w: %w", ErrConflict, err)
+		}
+	}
+	return err
 }
 
 // walkVersionChain follows older-version pointers — additional one-sided
@@ -418,7 +455,7 @@ func (tx *Tx) openForWrite(buf *ObjBuf, data []byte) (*ObjBuf, error) {
 			addr:     buf.addr,
 			writable: true,
 			baseVer:  buf.baseVer,
-			slotCap:  tx.slotCapOf(buf.addr, uint32(len(buf.data))),
+			slotCap:  buf.slotCap,
 		}
 		if data == nil {
 			data = make([]byte, len(buf.data))
@@ -444,29 +481,39 @@ func (tx *Tx) wrote(a Addr) bool {
 	return ok
 }
 
-// slotCapOf asks the primary's allocator for the slot capacity (local
-// metadata at the region owner; no data-path cost).
-func (tx *Tx) slotCapOf(addr Addr, fallback uint32) uint32 {
-	primary, err := tx.farm.cm.lookup(tx.c, addr.Region())
-	if err != nil {
-		return fallback
-	}
-	r, ok := tx.farm.regionAt(primary, addr.Region())
-	if !ok {
-		return fallback
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if cap := r.alloc.slotSize(addr.Offset()); cap > hdrBytes {
-		return cap - hdrBytes
-	}
-	return fallback
+// Free deletes an object. Its commit leaves a tombstone: a read of the
+// address is ErrNotFound, never ErrBadAddr, until a GCVersions sweep
+// reclaims the slot once no active snapshot can still see it; until then
+// readers at older snapshots continue to read the prior version.
+func (tx *Tx) Free(buf *ObjBuf) error {
+	return tx.free(buf, false)
 }
 
-// Free deletes an object. The slot is reclaimed by version GC once no
-// active snapshot can still see it; until then readers at older snapshots
-// continue to read the prior version.
-func (tx *Tx) Free(buf *ObjBuf) error {
+// Realloc moves an object into a new one of the given payload size,
+// allocated near hint (see Alloc), and returns the new object's writable
+// buffer with the old payload copied to its front. The old object is freed
+// as moved: when no snapshot below the commit can read it, the commit
+// frees its slot and version chain outright and leaves no tombstone;
+// otherwise it is tombstoned as by Free. The caller must therefore
+// rewrite every pointer to the old object in the same transaction. Only a
+// transaction from below the commit can then follow a pointer to the old
+// address, and its read fails with ErrConflict (an update transaction that
+// read the pointer) or ErrTooOld (read-only), never returning the bytes of
+// whatever the slot holds since.
+func (tx *Tx) Realloc(buf *ObjBuf, size uint32, hint Addr) (*ObjBuf, error) {
+	if err := tx.free(buf, true); err != nil {
+		return nil, err
+	}
+	nb, err := tx.Alloc(size, hint)
+	if err != nil {
+		return nil, err
+	}
+	copy(nb.data, buf.data)
+	return nb, nil
+}
+
+// free is Free, marking the freed object moved when Realloc frees it.
+func (tx *Tx) free(buf *ObjBuf, moved bool) error {
 	if err := tx.checkWritable(); err != nil {
 		return err
 	}
@@ -484,7 +531,7 @@ func (tx *Tx) Free(buf *ObjBuf) error {
 	if err != nil {
 		return err
 	}
-	w.freed = true
+	w.freed, w.moved = true, moved
 	return nil
 }
 

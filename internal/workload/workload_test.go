@@ -119,23 +119,25 @@ func TestUniformGraphShape(t *testing.T) {
 	}
 }
 
-// TestLoadedBytesUnchanged pins Farm.UsedBytes() after the seeded loads to
-// the values recorded at the last commit whose B-tree decoded and re-encoded
-// nodes (PR 13): the load goes through every index mutation path, so any
-// change to a node image's length, a split point or an allocation size shows
-// here. It is a wire-format guard, not a budget — a deliberate format change
-// re-records it and says so. A pin taken right after farm.Open keeps every
-// superseded version, as every commit did when the figures were recorded.
-// Without it, commits free the versions no reader can see, and the
-// reclaimed figures are checked beside the recorded ones.
+// TestLoadedBytesUnchanged pins Farm.UsedBytes() after the seeded loads:
+// the load goes through every index mutation path, so any change to a node
+// image's length, a split point or an allocation size shows here. It is a
+// wire-format guard, not a budget — a deliberate format or allocation change
+// re-records it and says so. The figures were last re-recorded when edge
+// lists and vertex data began to grow in place into their slot's slack and
+// a moved object stopped leaving a tombstone (231200 → 183520 and 2517184 →
+// 1685504 pinned, 157600 → 107616 and 1602816 → 711616 reclaimed). A pin
+// taken right after farm.Open keeps every superseded version and every
+// moved object's tombstone. Without it, commits free what no reader can
+// see, and the reclaimed figures are checked beside the pinned ones.
 func TestLoadedBytesUnchanged(t *testing.T) {
 	for _, tc := range []struct {
 		pinned    bool
 		kg, zipf  uint64
 		recording string
 	}{
-		{true, 231200, 2517184, "recorded"},
-		{false, 157600, 1602816, "reclaimed"},
+		{true, 183520, 1685504, "recorded"},
+		{false, 107616, 711616, "reclaimed"},
 	} {
 		open := func() (*core.Graph, *fabric.Ctx, *farm.Farm) {
 			f := farm.Open(fabric.New(fabric.DefaultConfig(8, fabric.Direct), nil), farm.Config{RegionSize: 16 << 20})
