@@ -240,7 +240,9 @@ func (g *Graph) addHalfEdge(tx *farm.Tx, gm *graphMeta, vp VertexPtr, dir Direct
 		if err := tree.Put(tx, edgeTreeKey(vp.Addr, etype, other.Addr), ptrValue(dataPtr)); err != nil {
 			return err
 		}
-		if err := tx.Free(buf); err != nil {
+		// The header is the inline list's only pointer and is rewritten
+		// below, so the list is unlinked, not tombstoned.
+		if err := tx.Unlink(buf); err != nil {
 			return err
 		}
 		hdr.setListRef(dir, farm.NilPtr, count+1, true)

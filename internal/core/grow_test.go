@@ -149,6 +149,31 @@ func TestUpdateVertexGrowsInPlace(t *testing.T) {
 	}
 }
 
+// TestEdgeSpillLeavesNoTombstone: an inline edge list that spills into the
+// edge B-tree is unlinked, not deleted — the header, its only pointer, is
+// rewritten in the same transaction — so a load whose lists spill leaves
+// nothing for a sweep to collect.
+func TestEdgeSpillLeavesNoTombstone(t *testing.T) {
+	_, g, c := testGraph(t, 5)
+	const hubs, fanout = 3, 40
+	if fanout <= g.store.cfg.EdgeSpillThreshold {
+		t.Fatalf("fanout %d does not pass the spill threshold %d", fanout, g.store.cfg.EdgeSpillThreshold)
+	}
+	for h := 0; h < hubs; h++ {
+		hub := mustCreateVertex(t, g, c, "film", filmVal(fmt.Sprintf("spill-%d", h), "epic"))
+		for i := 0; i < fanout; i++ {
+			a := mustCreateVertex(t, g, c, "actor", actorVal(fmt.Sprintf("spill-%d-%02d", h, i), "usa"))
+			mustCreateEdge(t, g, c, hub, "film.actor", a, bond.Null)
+		}
+		if _, count, spilled := headerAt(t, g, c, hub).listRef(DirOut); !spilled || count != fanout {
+			t.Fatalf("hub %d: count %d, spilled %v; want %d, true", h, count, spilled, fanout)
+		}
+	}
+	if freed := g.store.farm.GCVersions(c); freed != 0 {
+		t.Errorf("sweep after %d spills freed %d slots, want 0 (no tombstones)", hubs, freed)
+	}
+}
+
 // TestPinnedReadersBesideEdgeGrowth: pinned readers enumerate a hub's
 // in-list while writers append to it, both in place and across moves of
 // the list to bigger slots. Each reader sees exactly the edge count its

@@ -200,7 +200,10 @@ func (v *VertexVisit) Edges(dir Direction, etypeName string, fn func(HalfEdge) b
 // the transaction's snapshot is skipped. fn returning more=false ends the
 // batch before the next vertex is read. Reads are sequential within the
 // transaction — the fabric-level win comes from the caller shipping the
-// batch to the owner first.
+// batch to the owner first. The one caller that reads remote vertices
+// from the coordinator, the root ordered walk (query's orderedWalk),
+// overlaps them instead: it visits each vertex of a window in a body of
+// its own under fabric.Ctx.Overlap.
 func (g *Graph) VisitVertices(tx *farm.Tx, vps []VertexPtr, proj Projection, fn func(v *VertexVisit) (more bool, err error)) error {
 	if len(vps) == 0 {
 		return nil

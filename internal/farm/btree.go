@@ -728,13 +728,7 @@ func (bt *BTree) scanLeaves(tx *Tx, first *nodeView, next func() (Ptr, bool, err
 		errs  [maxLeafWindow]error
 	}
 	read := func(i int, c *fabric.Ctx) {
-		rtx := tx
-		if c != tx.c { // another process: read through a copy bound to it
-			cp := *tx
-			cp.c = c
-			rtx = &cp
-		}
-		win.views[i], win.errs[i] = bt.readNode(rtx, win.ptrs[i])
+		win.views[i], win.errs[i] = bt.readNode(tx.On(c), win.ptrs[i])
 	}
 	defer func() {
 		for _, v := range win.views {

@@ -225,8 +225,8 @@ var nilOlder = make([]byte, 12)
 // snapshot below commitTs may still read it (watermark < commitTs); its
 // chain is then trimmed below the newest record visible at the watermark.
 // Otherwise no record is written and the whole old chain is freed, and an
-// object that moved (Realloc) is freed with it: nothing can reach its slot,
-// so it needs no tombstone.
+// object unlinked (Unlink, Realloc) is freed with it: nothing can reach
+// its slot, so it needs no tombstone.
 func applyToPrimary(r *Region, bufs []*ObjBuf, commitTs, watermark uint64) []regionOp {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -131,6 +131,40 @@ func (s *readStore) probe(t *testing.T, a Addr, hint uint32, update bool) {
 	}
 }
 
+// TestTxOn: a read-only snapshot bound to another process's context reads
+// what the snapshot reads, on that context, and is tx itself on its own;
+// an update transaction is never shared.
+func TestTxOn(t *testing.T) {
+	f, c := directFarm(t, 3)
+	p := allocCounter(t, f, c, 5)
+	rtx := f.CreatePinnedReadTransaction(c)
+	defer rtx.Abort()
+	addN(t, f, c, p, 1) // after the snapshot: the bound copy must not see it
+	if rtx.On(c) != rtx {
+		t.Error("On(own context) is not the transaction itself")
+	}
+	other := f.Fabric().NewCtx(1, nil)
+	bound := rtx.On(other)
+	if bound == rtx || bound.Ctx() != other || bound.ReadTs() != rtx.ReadTs() {
+		t.Errorf("On(other) = ctx %p ts %d, want a copy on %p at %d", bound.Ctx(), bound.ReadTs(), other, rtx.ReadTs())
+	}
+	if v, err := readCounter(bound, p); err != nil || v != 5 {
+		t.Errorf("read through the bound copy = %d, %v; want 5", v, err)
+	}
+
+	utx := f.CreateTransaction(c)
+	defer utx.Abort()
+	if utx.On(c) != utx {
+		t.Error("On(own context) of an update transaction is not the transaction itself")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("On(other) shared an update transaction")
+		}
+	}()
+	utx.On(other)
+}
+
 func TestForgedAddrs(t *testing.T) {
 	s := forgedStore(t)
 	regions := map[RegionID]bool{}

@@ -300,6 +300,50 @@ func TestReclaimFreeTombstonesMoveDoesNot(t *testing.T) {
 	}
 }
 
+// TestReclaimUnlinkFreesSlot: Unlink frees as a move does. With no
+// snapshot open the commit frees the slot outright (ErrBadAddr, nothing
+// for a sweep); a snapshot pinned below the commit keeps reading the
+// object through a tombstone until it unpins and a sweep runs.
+func TestReclaimUnlinkFreesSlot(t *testing.T) {
+	f, c := directFarm(t, 3)
+	unlink := func(p Ptr) {
+		t.Helper()
+		err := RunTransaction(c, f, func(tx *Tx) error {
+			buf, err := tx.Read(p)
+			if err != nil {
+				return err
+			}
+			return tx.Unlink(buf)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := allocCounter(t, f, c, 1)
+	unlink(p)
+	rtx := f.CreatePinnedReadTransaction(c)
+	if _, err := rtx.Read(p); !errors.Is(err, ErrBadAddr) {
+		t.Errorf("read of the unlinked object: %v, want ErrBadAddr", err)
+	}
+	rtx.Abort()
+	if n := f.GCVersions(c); n != 0 || f.UsedBytes() != 0 {
+		t.Errorf("sweep freed %d slots leaving %d bytes, want 0 and 0", n, f.UsedBytes())
+	}
+
+	q := allocCounter(t, f, c, 2)
+	rtx = f.CreatePinnedReadTransaction(c)
+	unlink(q)
+	if v, err := readCounter(rtx, q); err != nil || v != 2 {
+		t.Errorf("pinned read of the unlinked object = %d, %v; want 2", v, err)
+	}
+	if err := rtx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.GCVersions(c); n != 2 || f.UsedBytes() != 0 {
+		t.Errorf("sweep after the unpin freed %d slots leaving %d bytes, want 2 (tombstone, record) and 0", n, f.UsedBytes())
+	}
+}
+
 // moveHeld moves the counter at p, as moveObject does, and rewrites the
 // counter at holder, its one pointer, to the new address in the same
 // transaction.

@@ -69,7 +69,7 @@ type ObjBuf struct {
 	writable bool
 	isNew    bool
 	freed    bool
-	moved    bool   // freed by Realloc: its commit may free the slot outright
+	moved    bool   // freed by Unlink: its commit may free the slot outright
 	baseVer  uint64 // committed version word observed (CAS expectation)
 	slotCap  uint32 // payload capacity of the allocated slot
 }
@@ -160,6 +160,24 @@ func (tx *Tx) ReadTs() uint64 { return tx.readTs }
 
 // Ctx returns the fabric context the transaction is coordinated from.
 func (tx *Tx) Ctx() *fabric.Ctx { return tx.c }
+
+// On returns tx bound to c, for a body that reads on a process of its own
+// (fabric.Ctx.Overlap, Parallel) so that its reads wait on that process's
+// clock: tx itself when c is tx's own context, otherwise a copy of a
+// read-only snapshot, which tracks nothing and can be read from anywhere.
+// An update transaction's read set, cache and write set belong to the
+// process that commits them, so On panics when asked to share one.
+func (tx *Tx) On(c *fabric.Ctx) *Tx {
+	if c == tx.c {
+		return tx
+	}
+	if !tx.readOnly {
+		panic("farm: an update transaction cannot be shared with another process")
+	}
+	cp := *tx
+	cp.c = c
+	return &cp
+}
 
 func (tx *Tx) checkActive() error {
 	switch tx.status {
@@ -489,19 +507,25 @@ func (tx *Tx) Free(buf *ObjBuf) error {
 	return tx.free(buf, false)
 }
 
+// Unlink frees an object whose every pointer the transaction rewrites:
+// when no snapshot below the commit can read it, the commit frees its
+// slot and version chain outright and leaves no tombstone; otherwise it is
+// tombstoned as by Free. Only a transaction from below the commit can then
+// follow a pointer to the old address, and its read fails with
+// ErrConflict (an update transaction that read the pointer) or ErrTooOld
+// (read-only), never returning the bytes of whatever the slot holds since.
+// An object that other objects may still point to must go through Free.
+func (tx *Tx) Unlink(buf *ObjBuf) error {
+	return tx.free(buf, true)
+}
+
 // Realloc moves an object into a new one of the given payload size,
 // allocated near hint (see Alloc), and returns the new object's writable
-// buffer with the old payload copied to its front. The old object is freed
-// as moved: when no snapshot below the commit can read it, the commit
-// frees its slot and version chain outright and leaves no tombstone;
-// otherwise it is tombstoned as by Free. The caller must therefore
-// rewrite every pointer to the old object in the same transaction. Only a
-// transaction from below the commit can then follow a pointer to the old
-// address, and its read fails with ErrConflict (an update transaction that
-// read the pointer) or ErrTooOld (read-only), never returning the bytes of
-// whatever the slot holds since.
+// buffer with the old payload copied to its front. The old object is
+// unlinked (see Unlink), so the caller must rewrite every pointer to it in
+// the same transaction.
 func (tx *Tx) Realloc(buf *ObjBuf, size uint32, hint Addr) (*ObjBuf, error) {
-	if err := tx.free(buf, true); err != nil {
+	if err := tx.Unlink(buf); err != nil {
 		return nil, err
 	}
 	nb, err := tx.Alloc(size, hint)
@@ -512,7 +536,7 @@ func (tx *Tx) Realloc(buf *ObjBuf, size uint32, hint Addr) (*ObjBuf, error) {
 	return nb, nil
 }
 
-// free is Free, marking the freed object moved when Realloc frees it.
+// free is Free, marking the freed object moved when Unlink frees it.
 func (tx *Tx) free(buf *ObjBuf, moved bool) error {
 	if err := tx.checkWritable(); err != nil {
 		return err

@@ -171,6 +171,20 @@ func (st *execState) walkRange(tx *farm.Tx, pat *VertexPattern, fn func(core.Ver
 	return false, nil
 }
 
+// maxWalkWindow caps the index hits a root ordered walk reads together.
+const maxWalkWindow = 64
+
+// walkHit is one index hit an ordered walk buffered and, once its window
+// is read, what reading it gave.
+type walkHit struct {
+	vp   core.VertexPtr
+	attr []byte // the hit's index attribute key (a copy)
+	row  Row
+	ok   bool
+	err  error
+	bc   batchCounts
+}
+
 // orderedWalk is the ordered top-K access path: walk the `_orderby`
 // field's secondary index in result order (descending via the B-tree's
 // reverse scan), read and residually filter each hit, and stop once
@@ -181,6 +195,18 @@ func (st *execState) walkRange(tx *farm.Tx, pat *VertexPattern, fn func(core.Ver
 // other vertices are passed over without a read. Range predicates on the
 // order field bound the walk. served=false means no index serves the
 // field (or the type is unknown) and the caller falls back.
+//
+// The root walk buffers its hits in windows and issues each window's
+// vertex reads together through Overlap, each body reading the query's
+// read-only snapshot on a process of its own (farm.Tx.On), so a walk that
+// filters out most of its hits waits one round trip per window rather than
+// per hit. The first window holds the hits the target still needs, each
+// later one twice the last, up to maxWalkWindow. A window's hits are then taken strictly in index
+// order by the rules below, so the rows, their order and every error
+// surfaced are those of a walk that reads one hit at a time; the hits
+// read past the stop, at most one window, are released and their errors
+// dropped. An owner's walk reads its hits one at a time: its reads are
+// local, with no round trip to hide.
 //
 // Exact parity with materialize-and-sort: the sort breaks key ties
 // ascending by address while a descending walk yields them
@@ -230,30 +256,82 @@ func (st *execState) orderedWalk(c *fabric.Ctx, tx *farm.Tx, pat *VertexPattern,
 	var innerErr error
 	seen := getAddrSet()
 	defer putAddrSet(seen)
+	var hits []walkHit // the window buffered so far: hits[:n]
+	n, size := 0, 1
+	overlap := batch == nil
+	if overlap {
+		size = min(target, maxWalkWindow)
+	}
+	readHit := func(i int, c *fabric.Ctx, tx *farm.Tx) {
+		h := &hits[i]
+		h.row, h.ok, h.err = st.buildTerminalRow(c, tx, h.vp, pat, read, &h.bc)
+	}
+	// flush reads the window and takes its hits in index order; more=false
+	// means the walk stopped inside it.
+	flush := func() (more bool) {
+		if overlap {
+			c.Overlap(n, func(i int, c *fabric.Ctx) { readHit(i, c, tx.On(c)) })
+		} else {
+			readHit(0, c, tx)
+		}
+		more = true
+		for i := range hits[:n] {
+			h := &hits[i]
+			bc.add(h.bc)
+			// Past the target, only key-ties with the boundary row still
+			// matter.
+			if more && len(rows) >= target && !bytes.Equal(h.attr, lastAttr) {
+				more = false
+			}
+			kept := false
+			if more {
+				seen.add(h.vp.Addr)
+				if h.err != nil {
+					innerErr, more = h.err, false
+				} else if h.ok {
+					rows = append(rows, h.row)
+					lastAttr = append(lastAttr[:0], h.attr...)
+					kept = true
+				}
+			}
+			if h.ok && !kept {
+				releaseRow(&h.row)
+			}
+			h.row, h.ok, h.err, h.bc = Row{}, false, nil, batchCounts{}
+		}
+		n = 0
+		return more
+	}
 	walked := 0
 	err = g.IndexRangeScanBoundsDir(tx, pat.Type, osp.Field, b.lo, b.loInc, b.hi, b.hiInc, osp.Desc, func(attrKey []byte, vp core.VertexPtr) bool {
 		walked++
 		if members != nil && !members.has(vp.Addr) {
 			return true
 		}
-		// Past the target, only key-ties with the boundary row still
-		// matter; the attribute key decides without reading the vertex.
+		// The attribute key stops the walk without a read. rows and
+		// lastAttr stand as of the last window: every hit buffered since
+		// is a tie with the boundary row, which moves neither.
 		if len(rows) >= target && !bytes.Equal(attrKey, lastAttr) {
 			return false
 		}
-		seen.add(vp.Addr)
-		row, ok, err := st.buildTerminalRow(c, tx, vp, pat, read, &bc)
-		if err != nil {
-			innerErr = err
-			return false
+		if n == len(hits) {
+			hits = append(hits, walkHit{})
 		}
-		if !ok {
+		h := &hits[n]
+		h.vp, h.attr = vp, append(h.attr[:0], attrKey...)
+		if n++; n < size {
 			return true
 		}
-		rows = append(rows, row)
-		lastAttr = append(lastAttr[:0], attrKey...)
-		return true
+		if overlap {
+			size = min(2*size, maxWalkWindow)
+		}
+		return flush()
 	})
+	if n > 0 && !flush() {
+		// The walk stopped inside the last window, before whatever ended
+		// the scan: an error past the stop was never reached.
+		err = nil
+	}
 	if members != nil {
 		// A frontier slice's walk passes over other vertices' entries: each
 		// is priced as enumeration work, not a vertex read — the saving

@@ -135,6 +135,12 @@ func (op levelOp) pointerOnly() bool { return op.read.Kind == ReadNone && op.edg
 // stats once per batch.
 type batchCounts struct{ vertices, edges, indexFiltered int64 }
 
+func (bc *batchCounts) add(o batchCounts) {
+	bc.vertices += o.vertices
+	bc.edges += o.edges
+	bc.indexFiltered += o.indexFiltered
+}
+
 func (st *execState) fold(bc *batchCounts) {
 	st.mu.Lock()
 	st.stats.VerticesRead += bc.vertices
