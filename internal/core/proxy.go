@@ -126,6 +126,21 @@ func (g *Graph) types(c *fabric.Ctx) (*typeDirectory, error) {
 	return g.loadTypes(c, p)
 }
 
+// WarmProxy fills the halves of the graph's catalog proxy on c's machine
+// that a batch visit reads, where they are stale: the type directory, and
+// with edges the graph row that edge enumeration reads. Visits started
+// next on that machine, concurrently, then share one fill rather than each
+// reading the catalog.
+func (g *Graph) WarmProxy(c *fabric.Ctx, edges bool) error {
+	if edges {
+		if _, err := g.meta(c); err != nil {
+			return err
+		}
+	}
+	_, err := g.types(c)
+	return err
+}
+
 // typesMissed rebuilds the type directory for a caller that missed a name
 // in it: the name may be newer than the directory. It is the one miss path
 // of every lookup by type name.

@@ -198,12 +198,15 @@ func (v *VertexVisit) Edges(dir Direction, etypeName string, fn func(HalfEdge) b
 // plus the data-object read (and, under VisitDecoded, its decode);
 // fn enumerates edges through the visit. A vertex that no longer exists at
 // the transaction's snapshot is skipped. fn returning more=false ends the
-// batch before the next vertex is read. Reads are sequential within the
-// transaction — the fabric-level win comes from the caller shipping the
-// batch to the owner first. The one caller that reads remote vertices
-// from the coordinator, the root ordered walk (query's orderedWalk),
-// overlaps them instead: it visits each vertex of a window in a body of
-// its own under fabric.Ctx.Overlap.
+// batch before the next vertex is read. Reads are sequential within one
+// call — the fabric-level win comes from the caller shipping the batch to
+// the owner first. Callers that want a batch's reads to run concurrently
+// split it and visit each part in a body of its own: an owner runs a large
+// batch as morsels, one call per morsel on a process of its own
+// (query's runMorsels, under fabric.Ctx.Parallel), and the root ordered
+// walk (query's orderedWalk), the one caller that reads remote vertices
+// from the coordinator, visits each vertex of a window under
+// fabric.Ctx.Overlap.
 func (g *Graph) VisitVertices(tx *farm.Tx, vps []VertexPtr, proj Projection, fn func(v *VertexVisit) (more bool, err error)) error {
 	if len(vps) == 0 {
 		return nil

@@ -53,6 +53,9 @@ type Config struct {
 
 	// CPUWorkers is the number of worker threads per machine that execute
 	// RPC handlers and query operators (the FaRM coprocessor thread pool).
+	// Every Work charge occupies one; the query engine's owner-side loop
+	// (query's runBatch) splits a large batch into morsels across the
+	// ones idle when it starts (Ctx.IdleWorkers).
 	CPUWorkers int
 	// NICEngines is the number of concurrent one-sided operations a
 	// machine's NIC can service.
@@ -283,6 +286,17 @@ func (c *Ctx) Work(d time.Duration) {
 	c.F.cpu[c.M].Use(c.P, c.F.jitter(d), nil)
 }
 
+// IdleWorkers is the number of CPU workers on c's machine that are free
+// now with no activity queued for one: what bodies started now could run
+// on without waiting. Direct mode reports 0: its machines share the host's
+// cores, and a scatter already runs one goroutine per owner.
+func (c *Ctx) IdleWorkers() int {
+	if c.F.cfg.Mode != Sim {
+		return 0
+	}
+	return c.F.cpu[c.M].Idle()
+}
+
 // jitter applies a small deterministic random perturbation (+0..25%) so that
 // identical operations don't complete in lockstep.
 func (f *Fabric) jitter(d time.Duration) time.Duration {
@@ -488,6 +502,11 @@ func (c *Ctx) Overlap(n int, fn func(i int, c *Ctx)) {
 		fn(i, c)
 	}
 }
+
+// Overlaps reports whether Overlap runs its bodies concurrently, so that
+// their waits hide one another: true in Sim mode, false in Direct mode,
+// where they run inline, one after another.
+func (c *Ctx) Overlaps() bool { return c.F.cfg.Mode == Sim }
 
 // fanTask is one Direct-mode Parallel body handed to a worker goroutine.
 type fanTask struct {

@@ -167,6 +167,37 @@ func TestCPUQueueingUnderLoad(t *testing.T) {
 	}
 }
 
+// TestIdleWorkers: in Sim mode a machine's idle workers are its pool less
+// the ones a Work holds, and Overlap overlaps; Direct mode reports no idle
+// worker, and its Overlap runs inline.
+func TestIdleWorkers(t *testing.T) {
+	f, env := simFabric(t, 2)
+	var idle, during, other, after int
+	var overlaps bool
+	env.Run(func(p *sim.Proc) {
+		c := f.NewCtx(0, p)
+		idle, overlaps = c.IdleWorkers(), c.Overlaps()
+		c.Parallel(2, func(i int, cc *Ctx) {
+			if i == 0 {
+				cc.Work(10 * time.Microsecond)
+				return
+			}
+			cc.Sleep(time.Microsecond) // inside body 0's Work
+			during, other = cc.IdleWorkers(), cc.At(1).IdleWorkers()
+		})
+		after = c.IdleWorkers()
+	})
+	w := f.Config().CPUWorkers
+	if idle != w || during != w-1 || other != w || after != w || !overlaps {
+		t.Errorf("Sim: idle %d, during a Work %d (other machine %d), after %d, overlaps %v; want %d, %d (%d), %d, true",
+			idle, during, other, after, overlaps, w, w-1, w, w)
+	}
+	d := New(DefaultConfig(2, Direct), nil).NewCtx(0, nil)
+	if n := d.IdleWorkers(); n != 0 || d.Overlaps() {
+		t.Errorf("Direct: idle %d, overlaps %v; want 0, false", n, d.Overlaps())
+	}
+}
+
 // TestParallelDirectMode: every body runs exactly once, with its own index
 // and — when there are several — its own copy of the caller's context.
 func TestParallelDirectMode(t *testing.T) {

@@ -206,7 +206,9 @@ type walkHit struct {
 // surfaced are those of a walk that reads one hit at a time; the hits
 // read past the stop, at most one window, are released and their errors
 // dropped. An owner's walk reads its hits one at a time: its reads are
-// local, with no round trip to hide.
+// local, with no round trip to hide. So does the root walk where Overlap
+// runs its bodies inline (Direct mode): there a window would hide no
+// latency and only read past the stop.
 //
 // Exact parity with materialize-and-sort: the sort breaks key ties
 // ascending by address while a descending walk yields them
@@ -258,7 +260,7 @@ func (st *execState) orderedWalk(c *fabric.Ctx, tx *farm.Tx, pat *VertexPattern,
 	defer putAddrSet(seen)
 	var hits []walkHit // the window buffered so far: hits[:n]
 	n, size := 0, 1
-	overlap := batch == nil
+	overlap := batch == nil && c.Overlaps()
 	if overlap {
 		size = min(target, maxWalkWindow)
 	}

@@ -150,8 +150,10 @@ func (st *execState) fold(bc *batchCounts) {
 }
 
 // runBatch runs one level op over a batch of vertices on whatever machine
-// the context lives on, inside a read-only transaction at the query's
-// snapshot timestamp.
+// the context lives on, inside read-only transactions at the query's
+// snapshot timestamp: the batch's vertices in one run of the loop
+// (runMorsel), or a large batch split into morsels across the machine's
+// idle CPU workers (runMorsels).
 func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp) (*levelOutput, error) {
 	e := st.engine
 	if e.cfg.RDMASampler != nil {
@@ -167,10 +169,34 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 			}
 		}()
 	}
-	pat := op.pat
-	out := &levelOutput{}
 	var bc batchCounts
 	defer st.fold(&bc)
+	// Traversal-level pushdown: the index-membership filter runs first.
+	work := batch
+	if op.member != nil {
+		filtered := getPtrs()
+		for _, vp := range batch {
+			if !op.member.has(vp.Addr) {
+				bc.indexFiltered++
+				continue
+			}
+			filtered = append(filtered, vp)
+		}
+		work = filtered
+		defer putPtrs(filtered)
+	}
+	if k := st.morselCount(sc, op, len(work)); k > 1 {
+		return st.runMorsels(sc, work, op, k, &bc)
+	}
+	return st.runMorsel(sc, work, op, &bc)
+}
+
+// runMorsel is the owner-side loop: it runs op over work, a batch or one
+// morsel of it, counting into bc.
+func (st *execState) runMorsel(sc *fabric.Ctx, work []core.VertexPtr, op levelOp, bc *batchCounts) (*levelOutput, error) {
+	e := st.engine
+	pat := op.pat
+	out := &levelOutput{}
 	buildRows := false
 	switch {
 	case op.group:
@@ -185,20 +211,6 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 	}
 	if op.edge != nil {
 		out.next = newFrontier(e.store.Farm())
-	}
-	// Traversal-level pushdown: the index-membership filter runs first.
-	work := batch
-	if op.member != nil {
-		filtered := getPtrs()
-		for _, vp := range batch {
-			if !op.member.has(vp.Addr) {
-				bc.indexFiltered++
-				continue
-			}
-			filtered = append(filtered, vp)
-		}
-		work = filtered
-		defer putPtrs(filtered)
 	}
 	// Unordered _limit short-circuit: once enough rows exist anywhere in
 	// the cluster, stop reading vertices.
@@ -250,7 +262,7 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 			ef = getInPlace()
 			defer putInPlace(ef)
 		}
-		err := st.materialize(sc, tx, work, pat, op.read, op.emit, &bc, func(v *core.VertexVisit, pass bool) (bool, error) {
+		err := st.materialize(sc, tx, work, pat, op.read, op.emit, bc, func(v *core.VertexVisit, pass bool) (bool, error) {
 			if pass {
 				if op.emit {
 					if err := emit(v.Ptr, v.Data, v.Schema); err != nil {
@@ -263,7 +275,7 @@ func (st *execState) runBatch(sc *fabric.Ctx, batch []core.VertexPtr, op levelOp
 				}
 			}
 			if op.edge != nil && (pass || op.through) {
-				if err := st.traverse(sc, tx, v, op.edge, ef, out.next, &bc); err != nil {
+				if err := st.traverse(sc, tx, v, op.edge, ef, out.next, bc); err != nil {
 					return false, err
 				}
 			}

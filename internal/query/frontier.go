@@ -87,6 +87,23 @@ func (f *frontier) merge(in *frontier) {
 	in.release()
 }
 
+// append adds a reply's pointers to f, a reply too, as if f's worker had
+// added them itself: undeduplicated, each owner's after f's own, owners new
+// to f in the order in met them. runBatch joins its morsels' replies this
+// way in morsel order, so the joined reply is the one a serial batch
+// builds, raw count included. in stays the caller's to release.
+func (f *frontier) append(in *frontier) {
+	batches, _ := in.seal()
+	for _, b := range batches {
+		o := &f.owners[b.m]
+		if o.first == 0 {
+			o.first = f.seq.Add(1)
+		}
+		o.ptrs = append(o.ptrs, b.ptrs...)
+	}
+	f.raw += in.raw
+}
+
 // empty reports whether nothing was added or merged; nil is empty.
 func (f *frontier) empty() bool { return f == nil || f.seq.Load() == 0 }
 

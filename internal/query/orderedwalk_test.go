@@ -16,9 +16,10 @@ import (
 // in overlapped windows. These tests hold it to the sort fallback row for
 // row where a window boundary matters — residual predicates that fail on
 // most hits, tie-runs across a boundary, the keyless top-up — in Direct
-// mode (windows read inline) and in Sim mode (windows read concurrently),
-// hold that a failed read past the stop surfaces nothing, and pin what the
-// overlap buys on the Sim clock.
+// mode (hits read one at a time) and in Sim mode (windows read
+// concurrently), hold that a failed read past the stop surfaces nothing,
+// pin what the overlap buys on the Sim clock, and hold the Direct walk to
+// the hits it takes.
 
 const walkNodes = 600
 
@@ -283,34 +284,112 @@ func runPoisoned(c *fabric.Ctx, f *farm.Farm) (r poisonRun) {
 
 // TestOrderedWalkDropsErrorsPastStop: the top 12 cold rows lie in the
 // score-46 and score-45 runs, 11 keyed hits each, so the walk stops at the
-// first score-44 hit, 23 hits down. Its second window (hits 13 to 36)
-// reads on into the score-44 run, whatever the address order within each
-// run. With two vertices of that run poisoned, so that reading them fails,
-// the walk returns the rows it returned before, as a walk reading one hit
-// at a time would, never having read them; a walk that does reach them
-// surfaces the error.
+// first score-44 hit, 23 hits down. In Sim mode its second window (hits 13
+// to 36) reads on into the score-44 run, whatever the address order within
+// each run. With two vertices of that run poisoned, so that reading them
+// fails, the walk returns the rows it returned before, as a walk reading
+// one hit at a time would, never having read them; a walk that does reach
+// them surfaces the error. In Direct mode the walk reads one hit at a
+// time: it reads the 22 hits it takes and never reaches the poisoned ones.
 func TestOrderedWalkDropsErrorsPastStop(t *testing.T) {
-	check := func(t *testing.T, r poisonRun) {
+	check := func(t *testing.T, r poisonRun, windowed bool) {
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
 		if r.deepErr == nil {
 			t.Fatal("a walk through the poisoned vertices succeeded; the case is vacuous")
 		}
-		if r.after.Stats.VerticesRead <= 22 {
-			t.Errorf("walk read %d vertices, none past the stop; the case is vacuous", r.after.Stats.VerticesRead)
+		if read := r.after.Stats.VerticesRead; windowed && read <= 22 {
+			t.Errorf("walk read %d vertices, none past the stop; the case is vacuous", read)
+		} else if !windowed && read != 22 {
+			t.Errorf("walk read %d vertices, want the 22 hits it took", read)
 		}
 		sameRows(t, "poisoned past the stop", r.after.Rows, r.before.Rows)
 	}
 	t.Run("Direct", func(t *testing.T) {
 		fab := fabric.New(fabric.DefaultConfig(6, fabric.Direct), nil)
 		f := farm.Open(fab, farm.Config{RegionSize: 16 << 20})
-		check(t, runPoisoned(fab.NewCtx(0, nil), f))
+		check(t, runPoisoned(fab.NewCtx(0, nil), f), false)
 	})
 	t.Run("Sim", func(t *testing.T) {
 		sc := simNew(t, 8)
 		var r poisonRun
 		sc.run(func(p simProc) { r = runPoisoned(sc.fab.NewCtx(0, p.p), sc.farm) })
-		check(t, r)
+		check(t, r, true)
 	})
+}
+
+// walkHitsTaken is how many vertices a walk that reads one hit at a time
+// reads for target rows of the wnode vertices whose cat is cat ("": any),
+// walking the score index descending when desc: every hit of each score
+// run down to the run that completes the target, and, when the index runs
+// out first, every keyless vertex in the top-up. It follows
+// loadWalkGraph's rules, not the engine.
+func walkHitsTaken(cat string, desc bool, target int) int {
+	var hits, admitted [47]int // by score
+	keyless := 0
+	for i := 0; i < walkNodes; i++ {
+		if i%17 == 0 {
+			keyless++
+			continue
+		}
+		c := "cold"
+		switch {
+		case i%30 == 0:
+			c = "rare"
+		case i%10 == 0:
+			c = "hot"
+		}
+		hits[i%47]++
+		if cat == "" || c == cat {
+			admitted[i%47]++
+		}
+	}
+	reads, rows := 0, 0
+	for j := range hits {
+		s := j
+		if desc {
+			s = len(hits) - 1 - j
+		}
+		reads, rows = reads+hits[s], rows+admitted[s]
+		if rows >= target {
+			return reads
+		}
+	}
+	return reads + keyless
+}
+
+// TestOrderedWalkDirectReadsHitsTaken: in Direct mode, where Overlap runs
+// its bodies inline and a window would hide no latency, the root walk
+// reads one hit at a time, so it reads exactly the hits it takes, none past
+// the stop, on every parity case.
+func TestOrderedWalkDirectReadsHitsTaken(t *testing.T) {
+	fab := fabric.New(fabric.DefaultConfig(6, fabric.Direct), nil)
+	f := farm.Open(fab, farm.Config{RegionSize: 16 << 20})
+	c := fab.NewCtx(0, nil)
+	g, e, err := loadWalkGraph(c, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// walkCases' residual filters and limit+skip, in order.
+	cases := []struct {
+		cat    string
+		target int
+	}{{"hot", 6}, {"cold", 9}, {"", 7}, {"hot", 40}}
+	for i, wc := range walkCases {
+		for _, dir := range []string{"-", ""} {
+			doc := fmt.Sprintf(wc.doc, dir)
+			res, err := e.Execute(c, g, []byte(doc))
+			if err != nil {
+				t.Fatalf("%s: %v", doc, err)
+			}
+			if src := res.Stats.Levels[0].Source; !strings.HasPrefix(src, "OrderedIndexScan") {
+				t.Errorf("%s: root source %q, want OrderedIndexScan", doc, src)
+			}
+			want := walkHitsTaken(cases[i].cat, dir == "-", cases[i].target)
+			if res.Stats.VerticesRead != int64(want) {
+				t.Errorf("%s: read %d vertices, want the %d hits it took", doc, res.Stats.VerticesRead, want)
+			}
+		}
+	}
 }

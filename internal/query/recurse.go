@@ -222,7 +222,8 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 
 // visitedFor hands a batch its owner's visited set, creating it lazily.
 // Safe unlocked: one goroutine per machine per iteration, iterations in
-// sequence.
+// sequence; the morsels of a split seed batch, which all mark the set, run
+// in Sim mode only, one process at a time.
 func (rr *recurseRun) visitedFor(m fabric.MachineID) *addrSet {
 	if rr.visited[m] == nil {
 		rr.visited[m] = getAddrSet()

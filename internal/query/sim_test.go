@@ -20,8 +20,13 @@ type simCluster struct {
 
 func simNew(t *testing.T, machines int) *simCluster {
 	t.Helper()
+	return simWith(fabric.DefaultConfig(machines, fabric.Sim))
+}
+
+// simWith builds a Sim cluster on cfg, at the same sim seed as simNew.
+func simWith(cfg fabric.Config) *simCluster {
 	env := sim.NewEnv(13)
-	fab := fabric.New(fabric.DefaultConfig(machines, fabric.Sim), env)
+	fab := fabric.New(cfg, env)
 	f := farm.Open(fab, farm.Config{RegionSize: 16 << 20, Replicas: 3})
 	return &simCluster{env: env, fab: fab, farm: f}
 }

@@ -343,6 +343,15 @@ func (r *Resource) Use(p *Proc, d time.Duration, fn func()) {
 	r.Release(p)
 }
 
+// Idle returns the units free now with no process queued for one: how
+// many acquirers would be granted a unit at once.
+func (r *Resource) Idle() int {
+	if len(r.waiters) > 0 {
+		return 0
+	}
+	return r.capacity - r.inUse
+}
+
 // Utilization returns the time-averaged fraction of capacity in use since
 // the start of the run, as of the current virtual time.
 func (r *Resource) Utilization() float64 {

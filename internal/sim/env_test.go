@@ -129,6 +129,39 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
+// TestResourceIdle: Idle counts the free units, and reads 0 while a
+// process waits for one, though a unit is about to free.
+func TestResourceIdle(t *testing.T) {
+	env := NewEnv(1)
+	var seen []int
+	env.Run(func(p *Proc) {
+		r := NewResource(env, 2)
+		seen = append(seen, r.Idle())
+		r.Acquire(p)
+		seen = append(seen, r.Idle())
+		j := p.Go("hold", func(cp *Proc) { r.Use(cp, 10*time.Millisecond, nil) })
+		w := p.Go("wait", func(cp *Proc) {
+			cp.Yield() // let hold take the last unit
+			r.Use(cp, time.Millisecond, nil)
+		})
+		p.Sleep(time.Millisecond) // hold runs; wait queues behind it
+		seen = append(seen, r.Idle())
+		r.Release(p) // the waiter takes the unit at once
+		seen = append(seen, r.Idle())
+		WaitAll(p, j, w)
+		seen = append(seen, r.Idle())
+	})
+	want := []int{2, 1, 0, 0, 2}
+	if len(seen) != len(want) {
+		t.Fatalf("Idle read %v, want %v", seen, want)
+	}
+	for i := range want {
+		if seen[i] != want[i] {
+			t.Fatalf("Idle read %v, want %v", seen, want)
+		}
+	}
+}
+
 func TestResourceUtilization(t *testing.T) {
 	env := NewEnv(1)
 	var util float64
