@@ -16,8 +16,9 @@
 //
 // Query failures map to protocol statuses: parse, bind, and `_recurse`
 // misuse errors are 400, an unmatched root is 404, an expired continuation
-// token is 410, a working-set fast-fail is 413, and frontend throttling is
-// 429.
+// token is 410, a working-set fast-fail is 413, frontend throttling is
+// 429, and data the query cannot reach (a lost region, an unreachable
+// machine, a snapshot version already reclaimed) is 503.
 //
 // Example:
 //
@@ -38,6 +39,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"time"
 
 	"a1"
 	"a1/internal/workload"
@@ -359,6 +361,26 @@ func main() {
 	}
 
 	s := &server{db: db, g: g}
+	log.Printf("a1server listening on %s", *addr)
+	if err := newHTTPServer(*addr, s.routes()).ListenAndServe(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// Connection timeouts: a client that stalls while sending its request, or
+// never reads the reply, or holds an idle keep-alive connection, is cut off
+// instead of pinning a connection and its goroutine for good. The write
+// budget covers the longest query the server answers.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// routes maps the server's endpoints.
+func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/explain", s.handleExplain)
@@ -367,9 +389,18 @@ func main() {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	log.Printf("a1server listening on %s", *addr)
-	if err := http.ListenAndServe(*addr, mux); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	return mux
+}
+
+// newHTTPServer is the server main runs: h on addr, under the connection
+// timeouts above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"testing"
+	"time"
 
 	"a1"
 	"a1/internal/query"
@@ -56,5 +57,34 @@ func TestEveryCodeHasStatus(t *testing.T) {
 			t.Errorf("code %d (named %q): status %d, wire code %q; want a non-500 status and the code's own, non-empty name",
 				c, c.String(), status, code)
 		}
+	}
+}
+
+// TestServerTimeouts: the server main runs bounds every phase of a
+// connection — header, body, reply, keep-alive idle — so a stalled or
+// idle client cannot hold a connection open for good, and it serves the
+// server's routes.
+func TestServerTimeouts(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", (&server{}).routes())
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout,
+		"ReadTimeout":       srv.ReadTimeout,
+		"WriteTimeout":      srv.WriteTimeout,
+		"IdleTimeout":       srv.IdleTimeout,
+	} {
+		if d <= 0 {
+			t.Errorf("%s = %v, want a bound", name, d)
+		}
+	}
+	if srv.ReadHeaderTimeout > srv.ReadTimeout {
+		t.Errorf("ReadHeaderTimeout %v exceeds ReadTimeout %v", srv.ReadHeaderTimeout, srv.ReadTimeout)
+	}
+	if srv.Addr != "127.0.0.1:0" {
+		t.Errorf("Addr = %q", srv.Addr)
+	}
+	w := httptest.NewRecorder()
+	srv.Handler.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if w.Code != http.StatusOK || w.Body.String() != "ok\n" {
+		t.Errorf("/healthz: %d %q", w.Code, w.Body)
 	}
 }

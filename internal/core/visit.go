@@ -205,8 +205,8 @@ func (v *VertexVisit) Edges(dir Direction, etypeName string, fn func(HalfEdge) b
 // batch as morsels, one call per morsel on a process of its own
 // (query's runMorsels, under fabric.Ctx.Parallel), and the root ordered
 // walk (query's orderedWalk), the one caller that reads remote vertices
-// from the coordinator, visits each vertex of a window under
-// fabric.Ctx.Overlap.
+// from the coordinator, visits each vertex of a window in a Parallel body
+// of its own.
 func (g *Graph) VisitVertices(tx *farm.Tx, vps []VertexPtr, proj Projection, fn func(v *VertexVisit) (more bool, err error)) error {
 	if len(vps) == 0 {
 		return nil

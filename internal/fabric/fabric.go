@@ -110,11 +110,7 @@ type Metrics struct {
 	LocalReads   atomic.Int64
 	RemoteReads  atomic.Int64
 	RemoteWrites atomic.Int64
-	RemoteCAS    atomic.Int64
 	RPCs         atomic.Int64
-	Datagrams    atomic.Int64
-	BytesRead    atomic.Int64
-	BytesWritten atomic.Int64
 }
 
 // New creates a fabric. In Sim mode the caller must run all activity inside
@@ -194,10 +190,8 @@ func (f *Fabric) Env() *sim.Env { return f.env }
 type OpStats struct {
 	LocalReads   atomic.Int64
 	RemoteReads  atomic.Int64
-	RemoteWrites atomic.Int64
 	RPCs         atomic.Int64
 	RDMAReadTime atomic.Int64 // nanoseconds spent in remote reads
-	BytesRead    atomic.Int64
 }
 
 // TotalReads returns local + remote reads.
@@ -208,10 +202,8 @@ func (s *OpStats) TotalReads() int64 { return s.LocalReads.Load() + s.RemoteRead
 func (s *OpStats) Merge(o *OpStats) {
 	s.LocalReads.Add(o.LocalReads.Load())
 	s.RemoteReads.Add(o.RemoteReads.Load())
-	s.RemoteWrites.Add(o.RemoteWrites.Load())
 	s.RPCs.Add(o.RPCs.Load())
 	s.RDMAReadTime.Add(o.RDMAReadTime.Load())
-	s.BytesRead.Add(o.BytesRead.Load())
 }
 
 // LocalFraction returns the fraction of object reads served from local
@@ -337,13 +329,11 @@ func (c *Ctx) ReadRemote(target MachineID, bytes int) error {
 		f.Metrics.LocalReads.Add(1)
 		if c.Stats != nil {
 			c.Stats.LocalReads.Add(1)
-			c.Stats.BytesRead.Add(int64(bytes))
 		}
 		c.sleepSim(f.cfg.Latency.LocalAccess)
 		return nil
 	}
 	f.Metrics.RemoteReads.Add(1)
-	f.Metrics.BytesRead.Add(int64(bytes))
 	start := f.Now()
 	// Request to target, NIC DMA service, response back.
 	c.wire(c.M, target, rdmaHeaderBytes)
@@ -353,7 +343,6 @@ func (c *Ctx) ReadRemote(target MachineID, bytes int) error {
 	c.wire(target, c.M, bytes)
 	if c.Stats != nil {
 		c.Stats.RemoteReads.Add(1)
-		c.Stats.BytesRead.Add(int64(bytes))
 		c.Stats.RDMAReadTime.Add(int64(f.Now() - start))
 	}
 	if f.Failed(target) {
@@ -374,10 +363,6 @@ func (c *Ctx) WriteRemote(target MachineID, bytes int) error {
 		return nil
 	}
 	f.Metrics.RemoteWrites.Add(1)
-	f.Metrics.BytesWritten.Add(int64(bytes))
-	if c.Stats != nil {
-		c.Stats.RemoteWrites.Add(1)
-	}
 	c.wire(c.M, target, bytes)
 	if f.cfg.Mode == Sim {
 		f.nic[target].Use(c.P, f.cfg.Latency.nicTime(bytes), nil)
@@ -400,7 +385,6 @@ func (c *Ctx) CASRemote(target MachineID) error {
 		c.sleepSim(f.cfg.Latency.LocalAccess)
 		return nil
 	}
-	f.Metrics.RemoteCAS.Add(1)
 	c.wire(c.M, target, rdmaHeaderBytes)
 	if f.cfg.Mode == Sim {
 		f.nic[target].Use(c.P, f.cfg.Latency.nicTime(8), nil)
@@ -442,15 +426,6 @@ func (c *Ctx) RPC(target MachineID, reqBytes int, handler func(sc *Ctx) (respByt
 	return err
 }
 
-// Datagram accounts for an unreliable datagram (clock sync, leases; §5.1).
-// Delivery is not guaranteed when the target is failed; no error is
-// returned, mirroring UD semantics.
-func (c *Ctx) Datagram(target MachineID, bytes int) (delivered bool) {
-	c.F.Metrics.Datagrams.Add(1)
-	c.wire(c.M, target, bytes)
-	return !c.F.Failed(target)
-}
-
 // Parallel runs n bodies concurrently — simulated processes in Sim mode,
 // goroutines in Direct mode — and waits for all of them. Each body receives
 // a context bound to its own process. In Direct mode body 0 runs on the
@@ -487,25 +462,9 @@ func (c *Ctx) Parallel(n int, fn func(i int, c *Ctx)) {
 	wg.Wait()
 }
 
-// Overlap runs n bodies that only wait — one-sided reads — so that their
-// waits overlap: concurrent processes in Sim mode, as Parallel runs them;
-// inline and in order on the caller in Direct mode, where a read is a
-// synchronous copy with no latency to hide and a hand-off to another
-// goroutine would only add cost. A body's context is the caller's own
-// whenever it runs on the caller.
-func (c *Ctx) Overlap(n int, fn func(i int, c *Ctx)) {
-	if c.F.cfg.Mode == Sim {
-		c.Parallel(n, fn)
-		return
-	}
-	for i := 0; i < n; i++ {
-		fn(i, c)
-	}
-}
-
-// Overlaps reports whether Overlap runs its bodies concurrently, so that
-// their waits hide one another: true in Sim mode, false in Direct mode,
-// where they run inline, one after another.
+// Overlaps reports whether reads that Parallel runs together hide one
+// another's waits: true in Sim mode; false in Direct mode, where a read is
+// a synchronous copy, so windowed readers read one item per window there.
 func (c *Ctx) Overlaps() bool { return c.F.cfg.Mode == Sim }
 
 // fanTask is one Direct-mode Parallel body handed to a worker goroutine.

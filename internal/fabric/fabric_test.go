@@ -168,8 +168,8 @@ func TestCPUQueueingUnderLoad(t *testing.T) {
 }
 
 // TestIdleWorkers: in Sim mode a machine's idle workers are its pool less
-// the ones a Work holds, and Overlap overlaps; Direct mode reports no idle
-// worker, and its Overlap runs inline.
+// the ones a Work holds, and concurrent reads overlap; Direct mode reports
+// no idle worker, and no overlap.
 func TestIdleWorkers(t *testing.T) {
 	f, env := simFabric(t, 2)
 	var idle, during, other, after int
@@ -343,18 +343,4 @@ func TestGoBackgroundActivity(t *testing.T) {
 	if !done {
 		t.Error("background activity did not complete")
 	}
-}
-
-func TestDatagram(t *testing.T) {
-	f, env := simFabric(t, 4)
-	env.Run(func(p *sim.Proc) {
-		c := f.NewCtx(0, p)
-		if !c.Datagram(1, 64) {
-			t.Error("datagram to live machine not delivered")
-		}
-		f.Fail(1)
-		if c.Datagram(1, 64) {
-			t.Error("datagram to failed machine delivered")
-		}
-	})
 }

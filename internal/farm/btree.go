@@ -383,56 +383,86 @@ func (bt *BTree) fill(tx *Tx, p Ptr, v *nodeView) error {
 
 func (bt *BTree) machine(tx *Tx) *Machine { return bt.farm.machines[tx.c.M] }
 
-// Get returns the value stored under key, using the cached fast path and
-// falling back to an uncached descent on any inconsistency.
-func (bt *BTree) Get(tx *Tx, key []byte) ([]byte, bool, error) {
-	if v, ok, err := bt.getCached(tx, key); err == nil {
-		return v, ok, nil
-	} else if errors.Is(err, ErrConflict) || errors.Is(err, ErrAborted) {
-		return nil, false, err
-	}
-	return bt.getSlow(tx, key)
+// pathEntry records one node a descent read through the transaction.
+type pathEntry struct {
+	ptr Ptr
+	v   *nodeView
 }
 
-// getCached descends through cached inner nodes, reading only the leaf
-// through the transaction — the paper's "one RDMA read" lookup.
-func (bt *BTree) getCached(tx *Tx, key []byte) ([]byte, bool, error) {
+func releasePath(path []pathEntry) {
+	for _, e := range path {
+		e.v.release()
+	}
+}
+
+// descend walks from the root to the leaf covering key, appending each
+// node it reads through tx to path (root side first, the leaf last) for
+// the caller to release. Uncached, it reads every level, as a split or a
+// scan needs. Cached, it starts from the machine's cached root pointer and
+// steps through cached inner nodes without a read — the paper's "one RDMA
+// read" lookup — and a stale cached node may leave the leaf left of the
+// one covering key. Inner nodes read through tx refresh the cache (fill).
+func (bt *BTree) descend(tx *Tx, key []byte, cached bool, path []pathEntry) ([]pathEntry, error) {
 	m := bt.machine(tx)
-	cn, ok := m.cacheGet(bt.desc.Addr)
+	p, ok := NilPtr, false
+	if cached {
+		var cn cachedNode
+		cn, ok = m.cacheGet(bt.desc.Addr)
+		p = cn.root
+	}
 	if !ok {
 		var err error
-		if cn.root, err = bt.rootPtr(tx); err != nil {
-			return nil, false, err
+		if p, err = bt.rootPtr(tx); err != nil {
+			return nil, err
 		}
-		if !tx.wrote(bt.desc.Addr) {
-			m.cachePut(bt.desc.Addr, cn)
+		if cached && !tx.wrote(bt.desc.Addr) {
+			m.cachePut(bt.desc.Addr, cachedNode{root: p})
 		}
 	}
-	p := cn.root
 	for depth := 0; depth < 64; depth++ {
-		if cn, ok := m.cacheGet(p.Addr); ok && cn.node != nil {
-			p = cn.node.child(cn.node.childIndex(key))
-			continue
+		if cached {
+			if cn, ok := m.cacheGet(p.Addr); ok && cn.node != nil {
+				p = cn.node.child(cn.node.childIndex(key))
+				continue
+			}
 		}
-		// Leaf (or uncached inner): read through the transaction.
 		v, err := bt.readNode(tx, p)
 		if err != nil {
-			return nil, false, err
+			releasePath(path)
+			return nil, err
 		}
+		path = append(path, pathEntry{ptr: p, v: v})
 		if v.leaf {
-			return bt.leafLookup(tx, v, key)
+			return path, nil
 		}
 		p = v.child(v.childIndex(key))
-		v.release()
 	}
-	return nil, false, errTooDeep
+	releasePath(path)
+	return nil, errTooDeep
 }
 
-// leafLookup finds key in the leaf v (which it releases), walking right
-// along snapshot-consistent sibling pointers when a stale cached path landed
+// Get returns the value stored under key, descending through the cache and
+// falling back to an uncached descent on any inconsistency.
+func (bt *BTree) Get(tx *Tx, key []byte) ([]byte, bool, error) {
+	val, ok, err := bt.get(tx, key, true)
+	if err != nil && !errors.Is(err, ErrConflict) && !errors.Is(err, ErrAborted) {
+		bt.machine(tx).cacheDrop(bt.desc.Addr)
+		return bt.get(tx, key, false)
+	}
+	return val, ok, err
+}
+
+// get looks key up in the leaf descend reaches, walking right along
+// snapshot-consistent sibling pointers when a stale cached path landed
 // left of the target.
-func (bt *BTree) leafLookup(tx *Tx, v *nodeView, key []byte) ([]byte, bool, error) {
-	defer v.release()
+func (bt *BTree) get(tx *Tx, key []byte, cached bool) ([]byte, bool, error) {
+	var pathBuf [4]pathEntry
+	path, err := bt.descend(tx, key, cached, pathBuf[:0])
+	if err != nil {
+		return nil, false, err
+	}
+	defer releasePath(path)
+	v := path[len(path)-1].v
 	for moves := 0; !v.coversKey(key); moves++ {
 		if moves >= maxMoveRight || v.next.IsNil() {
 			return nil, false, fmt.Errorf("btree: fence walk exhausted")
@@ -450,63 +480,6 @@ func (bt *BTree) leafLookup(tx *Tx, v *nodeView, key []byte) ([]byte, bool, erro
 		val = bytes.Clone(val) // the leaf sits in the view's pooled scratch
 	}
 	return val, true, nil
-}
-
-// getSlow is the uncached, fully transactional descent.
-func (bt *BTree) getSlow(tx *Tx, key []byte) ([]byte, bool, error) {
-	bt.machine(tx).cacheDrop(bt.desc.Addr)
-	p, err := bt.rootPtr(tx)
-	if err != nil {
-		return nil, false, err
-	}
-	for depth := 0; depth < 64; depth++ {
-		v, err := bt.readNode(tx, p)
-		if err != nil {
-			return nil, false, err
-		}
-		if v.leaf {
-			return bt.leafLookup(tx, v, key)
-		}
-		p = v.child(v.childIndex(key))
-		v.release()
-	}
-	return nil, false, errTooDeep
-}
-
-// pathEntry records one tx-read node during a mutation descent.
-type pathEntry struct {
-	ptr Ptr
-	v   *nodeView
-}
-
-func releasePath(path []pathEntry) {
-	for _, e := range path {
-		e.v.release()
-	}
-}
-
-// descendForWrite walks root→leaf entirely through transactional reads (the
-// snapshot is internally consistent, so no fence walks are needed) and
-// returns the path, appended to path[:0], which the caller releases.
-func (bt *BTree) descendForWrite(tx *Tx, key []byte, path []pathEntry) ([]pathEntry, error) {
-	p, err := bt.rootPtr(tx)
-	if err != nil {
-		return nil, err
-	}
-	for depth := 0; depth < 64; depth++ {
-		v, err := bt.readNode(tx, p)
-		if err != nil {
-			releasePath(path)
-			return nil, err
-		}
-		path = append(path, pathEntry{ptr: p, v: v})
-		if v.leaf {
-			return path, nil
-		}
-		p = v.child(v.childIndex(key))
-	}
-	releasePath(path)
-	return nil, errTooDeep
 }
 
 // writeNode installs img as the new image of the existing node object p.
@@ -544,7 +517,7 @@ func (bt *BTree) Put(tx *Tx, key, val []byte) error {
 		return fmt.Errorf("%w: %d bytes", ErrKeyTooLarge, len(key)+len(val))
 	}
 	var pathBuf [4]pathEntry
-	path, err := bt.descendForWrite(tx, key, pathBuf[:0])
+	path, err := bt.descend(tx, key, false, pathBuf[:0])
 	if err != nil {
 		return err
 	}
@@ -627,7 +600,7 @@ func (bt *BTree) splitNode(tx *Tx, p Ptr, big *nodeView) ([]byte, Ptr, error) {
 // split-only invariant the node cache relies on.
 func (bt *BTree) Delete(tx *Tx, key []byte) (bool, error) {
 	var pathBuf [4]pathEntry
-	path, err := bt.descendForWrite(tx, key, pathBuf[:0])
+	path, err := bt.descend(tx, key, false, pathBuf[:0])
 	if err != nil {
 		return false, err
 	}
@@ -655,38 +628,22 @@ func (bt *BTree) Scan(tx *Tx, from, to []byte, fn func(key, val []byte) bool) er
 		}
 		return true
 	}
-	p, err := bt.rootPtr(tx)
+	var pathBuf [4]pathEntry
+	path, err := bt.descend(tx, from, false, pathBuf[:0])
 	if err != nil {
 		return err
 	}
-	up, err := bt.readNode(tx, p)
-	if err != nil {
-		return err
-	}
-	if up.leaf {
-		visit(up)
-		up.release()
+	defer releasePath(path)
+	leaf := path[len(path)-1].v
+	if len(path) == 1 {
+		visit(leaf)
 		return nil
 	}
-	down := viewPool.Get().(*nodeView)
-	defer func() { up.release(); down.release() }()
-	var i int
-	for depth := 1; ; depth++ {
-		if depth >= 64 {
-			return errTooDeep
-		}
-		i = up.childIndex(from)
-		if err := bt.fill(tx, up.child(i), down); err != nil {
-			return err
-		}
-		if down.leaf {
-			break
-		}
-		up, down = down, up
-	}
+	up := path[len(path)-2].v
+	i := up.childIndex(from)
 	// Child i covers [key(i-1), key(i)), and a leaf parent's fence is its
 	// last child's: the next leaf is in range while the bound below it is.
-	_, err = bt.scanLeaves(tx, down, func() (Ptr, bool, error) {
+	_, err = bt.scanLeaves(tx, leaf, func() (Ptr, bool, error) {
 		for i >= up.n {
 			if up.next.IsNil() || up.hasHi && to != nil && bytes.Compare(up.hi, to) >= 0 {
 				return NilPtr, false, nil
@@ -709,15 +666,17 @@ func (bt *BTree) Scan(tx *Tx, from, to []byte, fn func(key, val []byte) bool) er
 const maxLeafWindow = 32
 
 // scanLeaves visits first, then the leaves next yields, in key order, until
-// visit returns false (cont=false) or next runs out. The leaves after first
-// are read in windows of 2, 4, … maxLeafWindow. A read-only transaction
-// issues each window's reads together through Overlap, so a long scan waits
-// one round trip per window rather than per leaf, and a scan that stops
-// early has read at most twice the leaves it visited. An update transaction
-// reads each leaf only when visit reaches it: its tracked read set must not
-// be shared between processes, and a leaf it never visits must not join its
-// commit-time validation. Errors surface in key order, after every leaf
-// before the failed read has been visited.
+// visit returns false (cont=false) or next runs out. Where concurrent reads
+// hide one another's waits (fabric.Ctx.Overlaps: Sim mode), the leaves
+// after first come in windows of 2, 4, … maxLeafWindow, and a read-only
+// transaction issues each window's reads together through Parallel: a long
+// scan waits one round trip per window rather than per leaf, and one that
+// stops early has read at most twice the leaves it visited. Elsewhere every
+// window holds one leaf, so a scan reads no leaf it does not visit. An
+// update transaction reads each leaf only when visit reaches it: its
+// tracked read set must not be shared between processes, and a leaf it
+// never visits must not join its commit-time validation. Errors surface in
+// key order, after every leaf before the failed read has been visited.
 func (bt *BTree) scanLeaves(tx *Tx, first *nodeView, next func() (Ptr, bool, error), visit func(*nodeView) bool) (cont bool, err error) {
 	if !visit(first) {
 		return false, nil
@@ -737,7 +696,11 @@ func (bt *BTree) scanLeaves(tx *Tx, first *nodeView, next func() (Ptr, bool, err
 			}
 		}
 	}()
-	for w := 2; ; w = min(2*w, maxLeafWindow) {
+	grow := 1
+	if tx.c.Overlaps() {
+		grow = 2
+	}
+	for w := grow; ; w = min(grow*w, maxLeafWindow) {
 		n, ok := 0, true
 		var tail error
 		for ; n < w; n++ {
@@ -748,7 +711,7 @@ func (bt *BTree) scanLeaves(tx *Tx, first *nodeView, next func() (Ptr, bool, err
 			win.ptrs[n] = p
 		}
 		if tx.readOnly {
-			tx.c.Overlap(n, read)
+			tx.c.Parallel(n, read)
 		}
 		for i := 0; i < n; i++ {
 			if !tx.readOnly {

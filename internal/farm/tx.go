@@ -162,7 +162,7 @@ func (tx *Tx) ReadTs() uint64 { return tx.readTs }
 func (tx *Tx) Ctx() *fabric.Ctx { return tx.c }
 
 // On returns tx bound to c, for a body that reads on a process of its own
-// (fabric.Ctx.Overlap, Parallel) so that its reads wait on that process's
+// (a fabric.Ctx.Parallel body) so that its reads wait on that process's
 // clock: tx itself when c is tx's own context, otherwise a copy of a
 // read-only snapshot, which tracks nothing and can be read from anywhere.
 // An update transaction's read set, cache and write set belong to the

@@ -65,7 +65,6 @@ var fabricRemoteOps = map[string]bool{
 	"WriteRemote": true,
 	"CASRemote":   true,
 	"Parallel":    true,
-	"Overlap":     true,
 	"Work":        true,
 }
 

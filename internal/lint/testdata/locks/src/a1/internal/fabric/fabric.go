@@ -9,4 +9,3 @@ func (*Ctx) RPC(to MachineID, reqBytes int, f func(*Ctx) error) error { return n
 func (*Ctx) ReadRemote(to MachineID, n int) ([]byte, error)           { return nil, nil }
 func (*Ctx) Parallel(n int, f func(int, *Ctx))                        {}
 func (*Ctx) Work(d int)                                               {}
-func (*Ctx) Overlap(n int, f func(int, *Ctx))                         {}

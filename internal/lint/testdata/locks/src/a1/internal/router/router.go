@@ -108,13 +108,6 @@ func (r *Router) Scratch(tx *farm.Tx, p farm.Ptr, buf []byte) ([]byte, error) {
 	return tx.ReadSizedInto(p.Addr, p.Size, buf) // want `Scratch calls ReadSizedInto while holding r.rw`
 }
 
-// Bad: Overlap fans out remote work like Parallel.
-func (r *Router) Prefetch(c *fabric.Ctx) {
-	r.mu.Lock()
-	c.Overlap(2, func(int, *fabric.Ctx) {}) // want `Prefetch calls Overlap while holding r.mu`
-	r.mu.Unlock()
-}
-
 type Queue struct {
 	mu sync.Mutex
 }

@@ -197,18 +197,18 @@ type walkHit struct {
 // field (or the type is unknown) and the caller falls back.
 //
 // The root walk buffers its hits in windows and issues each window's
-// vertex reads together through Overlap, each body reading the query's
+// vertex reads together through Parallel, each body reading the query's
 // read-only snapshot on a process of its own (farm.Tx.On), so a walk that
 // filters out most of its hits waits one round trip per window rather than
 // per hit. The first window holds the hits the target still needs, each
-// later one twice the last, up to maxWalkWindow. A window's hits are then taken strictly in index
-// order by the rules below, so the rows, their order and every error
-// surfaced are those of a walk that reads one hit at a time; the hits
-// read past the stop, at most one window, are released and their errors
-// dropped. An owner's walk reads its hits one at a time: its reads are
-// local, with no round trip to hide. So does the root walk where Overlap
-// runs its bodies inline (Direct mode): there a window would hide no
-// latency and only read past the stop.
+// later one twice the last, up to maxWalkWindow. A window's hits are then
+// taken strictly in index order by the rules below, so the rows, their
+// order and every error surfaced are those of a walk that reads one hit at
+// a time; the hits read past the stop, at most one window, are released
+// and their errors dropped. An owner's walk reads its hits one at a time:
+// its reads are local, with no round trip to hide. So does the root walk
+// where concurrent reads hide no latency (fabric.Ctx.Overlaps false:
+// Direct mode): there a window would only read past the stop.
 //
 // Exact parity with materialize-and-sort: the sort breaks key ties
 // ascending by address while a descending walk yields them
@@ -272,7 +272,7 @@ func (st *execState) orderedWalk(c *fabric.Ctx, tx *farm.Tx, pat *VertexPattern,
 	// means the walk stopped inside it.
 	flush := func() (more bool) {
 		if overlap {
-			c.Overlap(n, func(i int, c *fabric.Ctx) { readHit(i, c, tx.On(c)) })
+			c.Parallel(n, func(i int, c *fabric.Ctx) { readHit(i, c, tx.On(c)) })
 		} else {
 			readHit(0, c, tx)
 		}

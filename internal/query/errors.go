@@ -37,7 +37,9 @@ const (
 	// that have no recursive semantics.
 	CodeRecurse
 	// CodeUnavailable means the query needed data it cannot reach: a
-	// region lost with every replica, or a machine the fabric cannot reach.
+	// region lost with every replica, a machine the fabric cannot reach, or
+	// a version its snapshot needs that reclamation has already freed
+	// (farm.ErrTooOld). The last is retried on a fresh snapshot.
 	CodeUnavailable
 	// NumCodes counts the codes above. Every code below it has a wire name
 	// in codeNames, and cmd/a1server maps every one but CodeInternal to a
@@ -92,7 +94,7 @@ func classify(err error) error {
 		return &Error{Code: CodeBadToken, Err: err}
 	case errors.Is(err, ErrWorkingSet):
 		return &Error{Code: CodeWorkingSet, Err: err}
-	case errors.Is(err, farm.ErrRegionLost), errors.Is(err, fabric.ErrUnreachable):
+	case errors.Is(err, farm.ErrRegionLost), errors.Is(err, fabric.ErrUnreachable), errors.Is(err, farm.ErrTooOld):
 		return &Error{Code: CodeUnavailable, Err: err}
 	default:
 		return &Error{Code: CodeInternal, Err: err}

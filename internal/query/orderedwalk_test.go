@@ -359,8 +359,8 @@ func walkHitsTaken(cat string, desc bool, target int) int {
 	return reads + keyless
 }
 
-// TestOrderedWalkDirectReadsHitsTaken: in Direct mode, where Overlap runs
-// its bodies inline and a window would hide no latency, the root walk
+// TestOrderedWalkDirectReadsHitsTaken: in Direct mode, where a read is a
+// synchronous copy and a window would hide no latency, the root walk
 // reads one hit at a time, so it reads exactly the hits it takes, none past
 // the stop, on every parity case.
 func TestOrderedWalkDirectReadsHitsTaken(t *testing.T) {

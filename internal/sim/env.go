@@ -196,10 +196,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	<-p.wake
 }
 
-// Yield lets every other runnable process scheduled at the current instant
-// run before this one resumes.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // park blocks the process without a pending event; some other process must
 // later call unpark. Caller must NOT hold e.mu.
 func (p *Proc) park() {
@@ -259,13 +255,6 @@ func (j *Join) Wait(p *Proc) {
 	p.park()
 }
 
-// WaitAll waits for every join in order.
-func WaitAll(p *Proc, joins ...*Join) {
-	for _, j := range joins {
-		j.Wait(p)
-	}
-}
-
 // Parallel runs n bodies as child processes and waits for all of them.
 func Parallel(p *Proc, n int, fn func(i int, p *Proc)) {
 	joins := make([]*Join, n)
@@ -273,7 +262,9 @@ func Parallel(p *Proc, n int, fn func(i int, p *Proc)) {
 		i := i
 		joins[i] = p.Go(fmt.Sprintf("%s/par%d", p.name, i), func(cp *Proc) { fn(i, cp) })
 	}
-	WaitAll(p, joins...)
+	for _, j := range joins {
+		j.Wait(p)
+	}
 }
 
 // Resource is a FIFO-queued resource with fixed capacity, used to model CPUs,
@@ -284,10 +275,6 @@ type Resource struct {
 	capacity int
 	inUse    int
 	waiters  []*Proc
-
-	// Accounting for utilization reporting.
-	busy     time.Duration
-	lastTick time.Duration
 }
 
 // NewResource creates a resource with the given concurrent capacity.
@@ -298,17 +285,10 @@ func NewResource(env *Env, capacity int) *Resource {
 	return &Resource{env: env, capacity: capacity}
 }
 
-func (r *Resource) account() {
-	now := r.env.now
-	r.busy += time.Duration(r.inUse) * (now - r.lastTick)
-	r.lastTick = now
-}
-
 // Acquire obtains one unit of the resource, blocking in virtual time until
 // one is free. Units are granted in FIFO order.
 func (r *Resource) Acquire(p *Proc) {
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
-		r.account()
 		r.inUse++
 		return
 	}
@@ -320,7 +300,6 @@ func (r *Resource) Acquire(p *Proc) {
 // Release returns one unit. If processes are waiting, ownership transfers to
 // the head of the queue.
 func (r *Resource) Release(p *Proc) {
-	r.account()
 	r.inUse--
 	if len(r.waiters) > 0 {
 		w := r.waiters[0]
@@ -351,65 +330,6 @@ func (r *Resource) Idle() int {
 	}
 	return r.capacity - r.inUse
 }
-
-// Utilization returns the time-averaged fraction of capacity in use since
-// the start of the run, as of the current virtual time.
-func (r *Resource) Utilization() float64 {
-	r.account()
-	if r.env.now == 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(time.Duration(r.capacity)*r.env.now)
-}
-
-// Queue is an unbounded FIFO channel between processes: Put never blocks,
-// Get blocks (in virtual time) until an item is available.
-type Queue struct {
-	env     *Env
-	items   []interface{}
-	waiters []*Proc
-	closed  bool
-}
-
-// NewQueue creates an empty queue.
-func NewQueue(env *Env) *Queue { return &Queue{env: env} }
-
-// Put appends an item and wakes one waiting consumer.
-func (q *Queue) Put(v interface{}) {
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.env.unpark(w)
-	}
-}
-
-// Close wakes all waiting consumers; subsequent Gets return (nil, false).
-func (q *Queue) Close() {
-	q.closed = true
-	for _, w := range q.waiters {
-		q.env.unpark(w)
-	}
-	q.waiters = nil
-}
-
-// Get removes and returns the oldest item, blocking while the queue is empty.
-// It returns ok=false if the queue was closed and is empty.
-func (q *Queue) Get(p *Proc) (interface{}, bool) {
-	for len(q.items) == 0 {
-		if q.closed {
-			return nil, false
-		}
-		q.waiters = append(q.waiters, p)
-		p.park()
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}
-
-// Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
 
 // Histogram accumulates duration samples and reports order statistics; it is
 // how the benchmark harness computes the average and P99 series the paper

@@ -141,14 +141,15 @@ func TestResourceIdle(t *testing.T) {
 		seen = append(seen, r.Idle())
 		j := p.Go("hold", func(cp *Proc) { r.Use(cp, 10*time.Millisecond, nil) })
 		w := p.Go("wait", func(cp *Proc) {
-			cp.Yield() // let hold take the last unit
+			cp.Sleep(0) // let hold take the last unit
 			r.Use(cp, time.Millisecond, nil)
 		})
 		p.Sleep(time.Millisecond) // hold runs; wait queues behind it
 		seen = append(seen, r.Idle())
 		r.Release(p) // the waiter takes the unit at once
 		seen = append(seen, r.Idle())
-		WaitAll(p, j, w)
+		j.Wait(p)
+		w.Wait(p)
 		seen = append(seen, r.Idle())
 	})
 	want := []int{2, 1, 0, 0, 2}
@@ -162,64 +163,14 @@ func TestResourceIdle(t *testing.T) {
 	}
 }
 
-func TestResourceUtilization(t *testing.T) {
-	env := NewEnv(1)
-	var util float64
-	env.Run(func(p *Proc) {
-		r := NewResource(env, 2)
-		j := p.Go("job", func(cp *Proc) { r.Use(cp, 10*time.Millisecond, nil) })
-		j.Wait(p)
-		util = r.Utilization()
-	})
-	if util < 0.49 || util > 0.51 {
-		t.Errorf("utilization = %v, want ~0.5 (1 of 2 units busy)", util)
-	}
-}
-
-func TestQueueBlocksUntilPut(t *testing.T) {
-	env := NewEnv(1)
-	var got interface{}
-	var when time.Duration
-	env.Run(func(p *Proc) {
-		q := NewQueue(env)
-		p.Go("consumer", func(cp *Proc) {
-			got, _ = q.Get(cp)
-			when = cp.Now()
-		})
-		p.Sleep(7 * time.Millisecond)
-		q.Put("hello")
-	})
-	if got != "hello" {
-		t.Errorf("got %v, want hello", got)
-	}
-	if when != 7*time.Millisecond {
-		t.Errorf("consumed at %v, want 7ms", when)
-	}
-}
-
-func TestQueueClose(t *testing.T) {
-	env := NewEnv(1)
-	okAfterClose := true
-	env.Run(func(p *Proc) {
-		q := NewQueue(env)
-		p.Go("consumer", func(cp *Proc) {
-			_, okAfterClose = q.Get(cp)
-		})
-		p.Sleep(time.Millisecond)
-		q.Close()
-	})
-	if okAfterClose {
-		t.Error("Get on closed empty queue returned ok=true")
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	env := NewEnv(1)
 	called := false
 	env.Stuck = func(e *Env) { called = true }
 	env.Run(func(p *Proc) {
-		q := NewQueue(env)
-		q.Get(p) // nobody will ever Put
+		r := NewResource(env, 1)
+		r.Acquire(p)
+		r.Acquire(p) // nobody will ever Release
 	})
 	if !called {
 		t.Error("deadlock hook not called")
@@ -248,18 +199,20 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestYieldInterleaving: a zero-length Sleep yields to every process
+// already scheduled at the same instant.
 func TestYieldInterleaving(t *testing.T) {
 	env := NewEnv(1)
 	var order []string
 	env.Run(func(p *Proc) {
 		p.Go("a", func(cp *Proc) {
 			order = append(order, "a1")
-			cp.Yield()
+			cp.Sleep(0)
 			order = append(order, "a2")
 		})
 		p.Go("b", func(cp *Proc) {
 			order = append(order, "b1")
-			cp.Yield()
+			cp.Sleep(0)
 			order = append(order, "b2")
 		})
 	})
