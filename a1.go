@@ -483,18 +483,41 @@ func (db *DB) Recover(c *Ctx, from *ObjectStore, tenant, graph string, mode dr.M
 // Failure injection (the drills behind §5.3 and §6).
 
 // KillMachine power-fails one machine (driver memory lost).
-func (db *DB) KillMachine(c *Ctx, m MachineID) { db.farm.KillMachine(c, m) }
+func (db *DB) KillMachine(c *Ctx, m MachineID) {
+	db.farm.KillMachine(c, m)
+	db.dropProcessState(m)
+}
 
 // KillMachines power-fails several machines at once (correlated failure).
-func (db *DB) KillMachines(c *Ctx, ms ...MachineID) { db.farm.KillMachines(c, ms...) }
+func (db *DB) KillMachines(c *Ctx, ms ...MachineID) {
+	db.farm.KillMachines(c, ms...)
+	db.dropProcessState(ms...)
+}
 
 // CrashProcess kills the A1/FaRM process on a machine; driver memory
 // survives for fast restart.
-func (db *DB) CrashProcess(c *Ctx, m MachineID) { db.farm.CrashProcess(c, m) }
+func (db *DB) CrashProcess(c *Ctx, m MachineID) {
+	db.farm.CrashProcess(c, m)
+	db.dropProcessState(m)
+}
 
 // CrashProcesses crashes several processes at once (correlated software
 // outage); driver memory survives for fast restart.
-func (db *DB) CrashProcesses(c *Ctx, ms ...MachineID) { db.farm.CrashProcesses(c, ms...) }
+func (db *DB) CrashProcesses(c *Ctx, ms ...MachineID) {
+	db.farm.CrashProcesses(c, ms...)
+	db.dropProcessState(ms...)
+}
+
+// dropProcessState discards what the A1 process on each machine held in its
+// own heap, which no restart brings back: the query engine's continuation
+// cache and parked group-run tails (clients restart their queries), and the
+// catalog proxies (the next lookup there re-reads the catalog).
+func (db *DB) dropProcessState(ms ...MachineID) {
+	for _, m := range ms {
+		db.engine.DropResultsOn(m)
+		db.store.DropProxiesOn(m)
+	}
+}
 
 // RestartProcess fast-restarts a crashed process from driver memory (§5.3).
 func (db *DB) RestartProcess(c *Ctx, m MachineID) { db.farm.RestartProcess(c, m) }

@@ -575,3 +575,49 @@ func TestLostRegionIsUnavailable(t *testing.T) {
 		}
 	})
 }
+
+// TestPublicAPICrashDropsContinuations: a continuation lives in its
+// coordinator's process memory, so a crash of that process ends it even
+// after a fast restart: Fetch answers bad_token and the client restarts the
+// query.
+func TestPublicAPICrashDropsContinuations(t *testing.T) {
+	db := openTestDB(t, Options{Machines: 6, Mode: Sim})
+	db.Run(func(c *Ctx) {
+		g := setupFilmGraph(t, db, c)
+		err := db.Transaction(c, func(tx *Tx) error {
+			for i := 0; i < 30; i++ {
+				if _, err := g.CreateVertex(tx, "movie", Record(FV(0, Str(fmt.Sprintf("m%02d", i))))); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Query(c, g, `{"_hints": {"page_size": 10}, "_type": "movie", "_select": ["title"]}`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Continuation == "" {
+			t.Fatal("expected a continuation (30 rows, page size 10)")
+		}
+		m, err := db.Engine().Coordinator(res.Continuation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := db.Engine().PendingResults(m); n != 1 {
+			t.Fatalf("PendingResults(%v) = %d before the crash, want 1", m, n)
+		}
+		db.CrashProcess(c, m)
+		db.RestartProcess(c, m)
+		if n := db.Engine().PendingResults(m); n != 0 {
+			t.Errorf("PendingResults(%v) = %d after the crash, want 0", m, n)
+		}
+		_, err = db.Fetch(c, res.Continuation)
+		var qe *QueryError
+		if !errors.As(err, &qe) || qe.Code != CodeBadToken {
+			t.Errorf("Fetch after the coordinator crashed: err %v, want code bad_token", err)
+		}
+	})
+}

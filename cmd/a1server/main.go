@@ -72,7 +72,6 @@ type statsJSON struct {
 	PlanCacheHits  int64   `json:"plan_cache_hits,omitempty"`
 	GroupsShipped  int64   `json:"groups_shipped,omitempty"`
 	GroupsFiltered int64   `json:"groups_filtered,omitempty"`
-	GroupSpills    int64   `json:"group_spills,omitempty"`
 }
 
 type errorJSON struct {
@@ -92,7 +91,6 @@ func toResponse(res *a1.Result) queryResponse {
 			PlanCacheHits:  res.Stats.PlanCacheHits,
 			GroupsShipped:  res.Stats.GroupsShipped,
 			GroupsFiltered: res.Stats.GroupsFiltered,
-			GroupSpills:    res.Stats.GroupSpills,
 		},
 	}
 	if res.HasCount {

@@ -325,9 +325,6 @@ func (sh *shell) runQuery(doc string) {
 		groupNote := ""
 		if s.GroupsShipped > 0 || s.GroupsFiltered > 0 {
 			groupNote = fmt.Sprintf(", %d groups shipped, %d filtered", s.GroupsShipped, s.GroupsFiltered)
-			if s.GroupSpills > 0 {
-				groupNote += fmt.Sprintf(", %d spills", s.GroupSpills)
-			}
 		}
 		fmt.Printf("(%d hops, %d vertices, %d objects read, %.0f%% local, %d rpcs%s%s)\n",
 			s.Hops, s.VerticesRead, s.ObjectsRead, s.LocalFrac*100, s.RPCs, cacheNote, groupNote)

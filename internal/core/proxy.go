@@ -49,10 +49,20 @@ type typeDirectory struct {
 	expires time.Duration
 }
 
-// proxyMap is one machine's graph proxies; it is dropped on process restart.
+// proxyMap is one machine's graph proxies; it is dropped when the machine's
+// process crashes or the machine fails (DropProxiesOn).
 type proxyMap struct {
 	mu     sync.Mutex
 	graphs map[string]*graphProxy // keyed tenant/graph
+}
+
+// DropProxiesOn drops every graph proxy of machine m, as the loss of its
+// process does: the next lookup there starts a new entry.
+func (s *Store) DropProxiesOn(m fabric.MachineID) {
+	pm := &s.proxies[m]
+	pm.mu.Lock()
+	clear(pm.graphs)
+	pm.mu.Unlock()
 }
 
 // proxy returns machine c.M's entry for a graph, adding an empty one.

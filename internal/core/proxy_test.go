@@ -109,6 +109,29 @@ func TestProxyCacheTTLRefresh(t *testing.T) {
 	})
 }
 
+// TestDropProxiesOn: dropping one machine's proxies, as the loss of its
+// process does, makes that machine decode its graph row afresh and leaves
+// every other machine's proxy as it was.
+func TestDropProxiesOn(t *testing.T) {
+	s, g, c := testGraph(t, 5)
+	c1, c2 := c.At(1), c.At(2)
+	m1, err := g.meta(c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := g.meta(c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.DropProxiesOn(1)
+	if m, err := g.meta(c1); err != nil || m == m1 || m.Name != m1.Name {
+		t.Errorf("machine 1 after the drop = %p (%v), %v; want a fresh decode of %q", m, m, err, m1.Name)
+	}
+	if m, err := g.meta(c2); err != nil || m != m2 {
+		t.Errorf("machine 2 after machine 1's drop = %p, %v; want its proxy %p", m, err, m2)
+	}
+}
+
 // TestDroppedVertexTypeIsGone: after the DeleteType workflow's last steps
 // drop a type's trees and its catalog row, the type is gone by name, and no
 // write reaches its freed primary index.

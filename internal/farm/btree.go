@@ -667,16 +667,17 @@ const maxLeafWindow = 32
 
 // scanLeaves visits first, then the leaves next yields, in key order, until
 // visit returns false (cont=false) or next runs out. Where concurrent reads
-// hide one another's waits (fabric.Ctx.Overlaps: Sim mode), the leaves
-// after first come in windows of 2, 4, … maxLeafWindow, and a read-only
-// transaction issues each window's reads together through Parallel: a long
-// scan waits one round trip per window rather than per leaf, and one that
-// stops early has read at most twice the leaves it visited. Elsewhere every
-// window holds one leaf, so a scan reads no leaf it does not visit. An
-// update transaction reads each leaf only when visit reaches it: its
-// tracked read set must not be shared between processes, and a leaf it
-// never visits must not join its commit-time validation. Errors surface in
-// key order, after every leaf before the failed read has been visited.
+// hide one another's waits (fabric.Ctx.Overlaps: Sim mode), a read-only
+// transaction takes the leaves after first in windows of 2, 4, …
+// maxLeafWindow and issues each window's reads together through Parallel:
+// a long scan waits one round trip per window rather than per leaf, and one
+// that stops early has read at most twice the leaves it visited. Elsewhere,
+// and in every update transaction, each window holds one leaf, so a scan
+// reads no leaf — and next reads no leaf parent — it does not reach: an
+// update transaction's tracked read set must not be shared between
+// processes, and a node its scan never reaches must not join its
+// commit-time validation. Errors surface in key order, after every leaf
+// before the failed read has been visited.
 func (bt *BTree) scanLeaves(tx *Tx, first *nodeView, next func() (Ptr, bool, error), visit func(*nodeView) bool) (cont bool, err error) {
 	if !visit(first) {
 		return false, nil
@@ -697,7 +698,7 @@ func (bt *BTree) scanLeaves(tx *Tx, first *nodeView, next func() (Ptr, bool, err
 		}
 	}()
 	grow := 1
-	if tx.c.Overlaps() {
+	if tx.readOnly && tx.c.Overlaps() {
 		grow = 2
 	}
 	for w := grow; ; w = min(grow*w, maxLeafWindow) {
@@ -710,13 +711,10 @@ func (bt *BTree) scanLeaves(tx *Tx, first *nodeView, next func() (Ptr, bool, err
 			}
 			win.ptrs[n] = p
 		}
-		if tx.readOnly {
-			tx.c.Parallel(n, read)
-		}
+		// An update transaction's window holds one leaf, which Parallel
+		// reads inline on tx's own context.
+		tx.c.Parallel(n, read)
 		for i := 0; i < n; i++ {
-			if !tx.readOnly {
-				read(i, tx.c)
-			}
 			if win.errs[i] != nil {
 				return false, win.errs[i]
 			}

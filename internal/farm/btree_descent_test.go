@@ -142,7 +142,7 @@ func TestBTreeOpCostsSim(t *testing.T) {
 			{"scan stop", 67, 175680},
 			{"scan desc", 150, 315564},
 			{"scan desc stop", 66, 157092},
-			{"update scan stop", 52, 860574},
+			{"update scan stop", 52, 859912},
 			{"update scan desc stop", 52, 852001},
 			{"get stale near", 6, 99906},
 			{"get stale far", 13, 216559},
@@ -157,10 +157,10 @@ func TestBTreeOpCostsSim(t *testing.T) {
 			{"scan stop", 90, 547903},
 			{"scan desc", 194, 2748413},
 			{"scan desc stop", 66, 914423},
-			{"update scan stop", 71, 1179822},
-			{"update scan desc stop", 66, 1091709},
-			{"get stale near", 4, 67580},
-			{"get stale far", 16, 265069},
+			{"update scan stop", 65, 1075105},
+			{"update scan desc stop", 66, 1100195},
+			{"get stale near", 4, 66331},
+			{"get stale far", 16, 264784},
 		},
 	}
 	for _, tree := range []scanTree{wideTree, deepTree} {

@@ -398,6 +398,60 @@ func TestBTreeScanReadAheadSim(t *testing.T) {
 	})
 }
 
+// TestBTreeUpdateScanReadSetSim: an update transaction's scan reads each
+// node only when its walk reaches it, so in Sim mode, where read-only scans
+// read ahead in windows, an ascending update scan's read set — what commit
+// validates — is the one it has in Direct mode: a scan that stops early
+// holds no leaf parent beyond the leaf it stopped in.
+func TestBTreeUpdateScanReadSetSim(t *testing.T) {
+	cases := randomCases(rand.New(rand.NewSource(3)), wideTree, 96)
+	for i := range cases {
+		cases[i].desc, cases[i].update = false, true
+	}
+	// readSets builds the tree on c and returns each case's read-set size.
+	readSets := func(f *Farm, c *fabric.Ctx) ([]int, error) {
+		bt, keys, err := wideTree.build(f, c)
+		if err != nil {
+			return nil, err
+		}
+		sizes := make([]int, len(cases))
+		for i, sc := range cases {
+			tx := f.CreateTransaction(c)
+			var got []string
+			err := bt.Scan(tx, sc.from, sc.to, func(k, _ []byte) bool {
+				got = append(got, string(k))
+				return sc.stop == 0 || len(got) < sc.stop
+			})
+			sizes[i] = len(tx.reads)
+			tx.Abort()
+			if err != nil {
+				return nil, fmt.Errorf("%v: %v", sc, err)
+			}
+			if want := sc.want(keys); !slices.Equal(got, want) {
+				return nil, fmt.Errorf("%v: visited %d keys, oracle %d", sc, len(got), len(want))
+			}
+		}
+		return sizes, nil
+	}
+	f, c := directFarm(t, 5)
+	direct, err := readSets(f, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simFarmRun(t, 5, func(f *Farm, c *fabric.Ctx) {
+		sim, err := readSets(f, c)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i, sc := range cases {
+			if sim[i] != direct[i] {
+				t.Errorf("%v: read set of %d objects in Sim, %d in Direct", sc, sim[i], direct[i])
+			}
+		}
+	})
+}
+
 // TestBTreeScanOverlapsRemoteReads: with every node of a tree on one remote
 // machine, a full scan takes at most a quarter of the Sim time of reading
 // the same leaves one after another.

@@ -1,11 +1,6 @@
 package farm
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"a1/internal/fabric"
-)
+import "fmt"
 
 // Commit runs the RDMA-optimized optimistic commit protocol (paper §2.1,
 // FaRMv2 §5.2):
@@ -316,26 +311,4 @@ func applyToBackup(r *Region, ops []regionOp) {
 		r.ensure(op.off + uint32(len(op.bytes)))
 		copy(r.data[op.off:], op.bytes)
 	}
-}
-
-// AtomicAddUint64 is a convenience transaction that atomically increments a
-// 64-bit counter stored in an object (the paper's Figure 3 example).
-func AtomicAddUint64(c *fabric.Ctx, f *Farm, p Ptr, delta uint64) (uint64, error) {
-	var result uint64
-	err := RunTransaction(c, f, func(tx *Tx) error {
-		buf, err := tx.Read(p)
-		if err != nil {
-			return err
-		}
-		v := binary.LittleEndian.Uint64(buf.Data())
-		v += delta
-		w, err := tx.OpenForWrite(buf)
-		if err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(w.Data(), v)
-		result = v
-		return nil
-	})
-	return result, err
 }

@@ -32,6 +32,28 @@ func simFarmRun(t *testing.T, machines int, fn func(f *Farm, c *fabric.Ctx)) {
 	})
 }
 
+// atomicAddUint64 is a transaction that atomically increments a
+// 64-bit counter stored in an object (the paper's Figure 3 example).
+func atomicAddUint64(c *fabric.Ctx, f *Farm, p Ptr, delta uint64) (uint64, error) {
+	var result uint64
+	err := RunTransaction(c, f, func(tx *Tx) error {
+		buf, err := tx.Read(p)
+		if err != nil {
+			return err
+		}
+		v := binary.LittleEndian.Uint64(buf.Data())
+		v += delta
+		w, err := tx.OpenForWrite(buf)
+		if err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint64(w.Data(), v)
+		result = v
+		return nil
+	})
+	return result, err
+}
+
 // allocCounter creates a committed uint64 counter object and returns its
 // pointer.
 func allocCounter(t *testing.T, f *Farm, c *fabric.Ctx, initial uint64) Ptr {
@@ -131,7 +153,7 @@ func TestAtomicCounterConcurrent(t *testing.T) {
 			defer wg.Done()
 			wc := f.Fabric().NewCtx(fabric.MachineID(w%f.Fabric().Machines()), nil)
 			for i := 0; i < incs; i++ {
-				if _, err := AtomicAddUint64(wc, f, p, 1); err != nil {
+				if _, err := atomicAddUint64(wc, f, p, 1); err != nil {
 					t.Errorf("increment: %v", err)
 					return
 				}
@@ -285,7 +307,7 @@ func TestReadValidationConflict(t *testing.T) {
 	}
 	w, _ := tx1.OpenForWrite(bb)
 	binary.LittleEndian.PutUint64(w.Data(), 9)
-	if _, err := AtomicAddUint64(c, f, a, 1); err != nil {
+	if _, err := atomicAddUint64(c, f, a, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx1.Commit(); !errors.Is(err, ErrConflict) {
@@ -298,7 +320,7 @@ func TestSnapshotIsolationForReadOnly(t *testing.T) {
 	p := allocCounter(t, f, c, 10)
 	rtx := f.CreateReadTransaction(c)
 	// A later update must be invisible to the earlier snapshot.
-	if _, err := AtomicAddUint64(c, f, p, 5); err != nil {
+	if _, err := atomicAddUint64(c, f, p, 5); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := rtx.Read(p)
@@ -496,7 +518,7 @@ func TestRunTransactionRetriesConflicts(t *testing.T) {
 		}
 		if attempts == 1 {
 			// Sabotage: concurrent commit invalidates our read.
-			if _, err := AtomicAddUint64(c, f, p, 1); err != nil {
+			if _, err := atomicAddUint64(c, f, p, 1); err != nil {
 				return err
 			}
 		}
@@ -597,13 +619,13 @@ func TestWritesSurviveFailoverOfPrimary(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			if _, err := AtomicAddUint64(c, f, p, 1); err != nil {
+			if _, err := atomicAddUint64(c, f, p, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
 		primary, _ := f.PrimaryOf(c, p.Addr)
 		f.KillMachine(c, primary)
-		v, err := AtomicAddUint64(c, f, p, 1)
+		v, err := atomicAddUint64(c, f, p, 1)
 		if err != nil {
 			t.Fatalf("increment after failover: %v", err)
 		}

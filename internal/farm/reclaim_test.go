@@ -15,7 +15,7 @@ const counterSlot = 64
 func addN(t *testing.T, f *Farm, c *fabric.Ctx, p Ptr, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := AtomicAddUint64(c, f, p, 1); err != nil {
+		if _, err := atomicAddUint64(c, f, p, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -73,15 +73,15 @@ type pageSource interface {
 	// nextPage sets up to n rows or groups on res, adds the work it did
 	// to res.Stats, and reports whether more remain.
 	nextPage(c *fabric.Ctx, n int, res *Result) (more bool, err error)
-	// close releases whatever the source holds — parked run tails, spill
-	// tables, pooled buffers, a snapshot pin. Idempotent, and never called
-	// under a store lock. c is the coordinator's context, nil when the
-	// coordinator is gone (DropResultsOn) and nothing can cross the fabric.
+	// close releases whatever the source holds — parked run tails, pooled
+	// buffers, a snapshot pin. Idempotent, and never called under a store
+	// lock. c is the coordinator's context, nil when the coordinator is
+	// gone (DropResultsOn) and nothing can cross the fabric.
 	close(c *fabric.Ctx)
 }
 
 // itemSource streams a result's items one at a time into a pager: the
-// owners' group-run merge, the spill merge, or a `_recurse` expansion.
+// owners' group-run merge or a `_recurse` expansion.
 type itemSource[T any] interface {
 	// next returns the next item, ok=false once the source is exhausted,
 	// and adds the work it did to stats.
@@ -255,9 +255,10 @@ func (e *Engine) ExpireResults(c *fabric.Ctx) int {
 	return len(lapsed) + len(e.runs[c.M].sweep(now))
 }
 
-// DropResultsOn simulates a coordinator crash wiping its continuation
-// cache and its parked group-run tails (clients must restart their
-// queries; run tails this machine's queries parked elsewhere die by TTL).
+// DropResultsOn wipes machine m's continuation cache and parked group-run
+// tails, as the loss of its process does (a1.DB's crash and kill drills
+// call it): clients must restart their queries, and run tails this
+// machine's queries parked elsewhere die by TTL.
 func (e *Engine) DropResultsOn(m fabric.MachineID) {
 	closeAll(nil, e.caches[m].drain())
 	e.runs[m].drain()

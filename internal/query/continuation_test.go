@@ -70,6 +70,9 @@ type pagedCase struct {
 	c     *fabric.Ctx
 	doc   string
 	total int
+	// unordered: rows arrive in discovery order, which follows reply
+	// arrival within an iteration, so pages compare as a multiset.
+	unordered bool
 }
 
 const (
@@ -85,37 +88,37 @@ var pagedSources = []struct {
 	{"row slice", func(t *testing.T) pagedCase {
 		e, g, c := newRangeEnv(t)
 		e.cfg.PageSize = 5
-		return pagedCase{e, g, c, `{"_type": "item", "_select": ["id"]}`, rangeItems}
+		return pagedCase{e, g, c, `{"_type": "item", "_select": ["id"]}`, rangeItems, true}
 	}},
 	{"ordered-traverse rows", func(t *testing.T) pagedCase {
 		e, _, g, c := newTopOrderEnv(t, 8)
-		return pagedCase{e, g, c, topOrderPagedDoc, 64}
+		return pagedCase{e, g, c, topOrderPagedDoc, 64, false}
 	}},
 	{"group slice", func(t *testing.T) pagedCase {
 		e, _, g, c := newSkewEnv(t)
-		return pagedCase{e, g, c, skewOrderedGroupsDoc, 81}
+		return pagedCase{e, g, c, skewOrderedGroupsDoc, 81, false}
 	}},
 	{"streamed groups", func(t *testing.T) pagedCase {
 		e, _, g, c := newSkewEnv(t)
 		e.cfg.GroupChunk = 8 // workers park run tails the pages pull
-		return pagedCase{e, g, c, skewGroupsPagedDoc, 81}
+		return pagedCase{e, g, c, skewGroupsPagedDoc, 81, false}
 	}},
 	{"_limit cut mid-stream", func(t *testing.T) pagedCase {
 		e, _, g, c := newSkewEnv(t)
 		e.cfg.GroupChunk = 8 // the cut leaves every machine's run tail parked
-		return pagedCase{e, g, c, skewGroupsLimitDoc, 30}
+		return pagedCase{e, g, c, skewGroupsLimitDoc, 30, false}
 	}},
-	{"spilled groups", func(t *testing.T) pagedCase {
+	{"ordered groups past MaxWorkingSet", func(t *testing.T) pagedCase {
 		e, _, g, c := newSkewEnv(t)
-		e.cfg.MaxWorkingSet = 40 // 81 groups: the ordered form spills twice
-		return pagedCase{e, g, c, skewOrderedGroupsDoc, 81}
+		e.cfg.MaxWorkingSet = 40 // below the 81 groups the coordinator sorts
+		return pagedCase{e, g, c, skewOrderedGroupsDoc, 81, false}
 	}},
 	{"parked recursion", func(t *testing.T) pagedCase {
 		cfg := DefaultConfig()
 		cfg.PageSize = 2
 		e, g, c := newRecurseEnv(t, cfg)
 		total := len(oracleSet(bfsDist(recurseEdges(), 0, false, -1), 1, 5))
-		return pagedCase{e, g, c, recurseDoc(recurseID(0), 1, 5, ""), total}
+		return pagedCase{e, g, c, recurseDoc(recurseID(0), 1, 5, ""), total, true}
 	}},
 }
 
@@ -136,9 +139,26 @@ func (pc pagedCase) firstPage(t *testing.T) *Result {
 
 func pageLen(res *Result) int { return len(res.Rows) + len(res.Groups) }
 
+// drainImages executes the case's document on e and renders the items of
+// every page in order.
+func drainImages(t *testing.T, e *Engine, pc pagedCase) []string {
+	t.Helper()
+	res, err := e.Execute(pc.c, pc.g, []byte(pc.doc))
+	var out []string
+	for {
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, itemImages(res)...)
+		if res.Continuation == "" {
+			return out
+		}
+		res, err = e.Fetch(pc.c, res.Continuation)
+	}
+}
+
 // assertReleased is the end state every lifecycle path must reach at once:
-// no continuation or parked run tail on any machine, no spill table, no
-// snapshot pin.
+// no continuation or parked run tail on any machine, no snapshot pin.
 func (pc pagedCase) assertReleased(t *testing.T) {
 	t.Helper()
 	for m := 0; m < pc.machines(); m++ {
@@ -148,9 +168,6 @@ func (pc pagedCase) assertReleased(t *testing.T) {
 		if n := pc.e.PendingRuns(fabric.MachineID(m)); n != 0 {
 			t.Errorf("PendingRuns(m%d) = %d, want 0", m, n)
 		}
-	}
-	if names := pc.e.spill.TableNames(); len(names) != 0 {
-		t.Errorf("spill tables left behind: %v", names)
 	}
 	if n := pc.e.store.Farm().PinnedSnapshots(); n != 0 {
 		t.Errorf("snapshot pins left behind: %d", n)
@@ -199,17 +216,14 @@ func TestContinuationLifecycle(t *testing.T) {
 		run  func(t *testing.T, pc pagedCase)
 	}{
 		{"drain", func(t *testing.T, pc pagedCase) {
-			res := pc.firstPage(t)
-			n := pageLen(res)
-			for res.Continuation != "" {
-				var err error
-				if res, err = pc.e.Fetch(pc.c, res.Continuation); err != nil {
-					t.Fatal(err)
-				}
-				n += pageLen(res)
+			got := drainImages(t, pc.e, pc)
+			if len(got) != pc.total {
+				t.Errorf("drained %d, want %d", len(got), pc.total)
 			}
-			if n != pc.total {
-				t.Errorf("drained %d, want %d", n, pc.total)
+			// Whatever the case's Config, the pages hold the default
+			// Config's answer.
+			if want := drainImages(t, NewEngine(pc.e.store, DefaultConfig()), pc); !equalLines(got, want, pc.unordered) {
+				t.Errorf("the pages differ from the default Config's answer (%d vs %d items)", len(got), len(want))
 			}
 		}},
 		{"release mid-stream", func(t *testing.T, pc pagedCase) {

@@ -11,7 +11,6 @@ import (
 	"a1/internal/core"
 	"a1/internal/fabric"
 	"a1/internal/farm"
-	"a1/internal/objectstore"
 )
 
 // Execution: exec.go interprets the compiled Plan (plan.go). The planner
@@ -44,7 +43,12 @@ type Config struct {
 	// one machine before they are batched into an RPC; smaller groups are
 	// evaluated from the coordinator with one-sided reads (paper §3.4).
 	ShipThreshold int
-	// MaxWorkingSet bounds the query's accumulated intermediate vertices.
+	// MaxWorkingSet bounds the query's accumulated intermediate state —
+	// the frontier vertices across levels, each worker batch's group
+	// partials, the vertices a `_recurse` visits — and past it the query
+	// fails fast with ErrWorkingSet. The order-by-aggregate form sorts the
+	// merge of the worker runs in memory, so it holds at most
+	// machines·MaxWorkingSet groups.
 	MaxWorkingSet int
 	// PageSize caps the rows returned per response; the rest is cached at
 	// the coordinator behind a continuation token.
@@ -53,9 +57,9 @@ type Config struct {
 	ResultTTL time.Duration
 	// GroupChunk is how many sorted group entries a worker ships per
 	// round: the first chunk rides the batch reply, the rest are pulled
-	// chunk by chunk as the coordinator's merge drains. It also sizes the
-	// read-back chunks of spilled group runs. Coordinator residency for
-	// the unordered `_groupby` form is O(page + machines·GroupChunk).
+	// chunk by chunk as the coordinator's merge drains. Coordinator
+	// residency for the unordered `_groupby` form is
+	// O(page + machines·GroupChunk).
 	GroupChunk int
 
 	// CPU cost model for the simulated fabric (no-ops in Direct mode).
@@ -127,9 +131,6 @@ type Stats struct {
 	// GroupsFiltered counts groups a `_having` filter removed: worker-side
 	// pushdown drops and tombstones plus coordinator post-merge re-checks.
 	GroupsFiltered int64
-	// GroupSpills counts sorted group runs the coordinator spilled to the
-	// objectstore (order-by-aggregate form past MaxWorkingSet).
-	GroupSpills int64
 	// PeakGroups is the peak number of group entries resident at the
 	// coordinator: run-merge buffers plus the page, or the order-by-aggregate
 	// form's sort buffer.
@@ -176,11 +177,6 @@ type Engine struct {
 	runs   []*ttlStore[[]groupEntry] // per machine (worker-parked group-run tails)
 	plans  *planCache                // parsed shapes keyed by plan key
 
-	// spill holds sorted group runs the order-by-aggregate form writes past
-	// MaxWorkingSet (groupstream.go); spillSeq names the run tables.
-	spill    *objectstore.Store
-	spillSeq atomic.Uint64
-
 	// noStats plans as if the graph had no statistics: the preference-order
 	// fallback. Set only by tests that compare the cost-based choice with it.
 	noStats bool
@@ -200,7 +196,7 @@ func NewEngine(store *core.Store, cfg Config) *Engine {
 	if cfg.GroupChunk == 0 {
 		cfg.GroupChunk = DefaultConfig().GroupChunk
 	}
-	e := &Engine{store: store, cfg: cfg, plans: newPlanCache(), spill: objectstore.New()}
+	e := &Engine{store: store, cfg: cfg, plans: newPlanCache()}
 	machines := store.Farm().Fabric().Machines()
 	e.caches = make([]*ttlStore[pageSource], machines)
 	e.runs = make([]*ttlStore[[]groupEntry], machines)

@@ -1,14 +1,12 @@
 package query
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"a1/internal/bond"
 	"a1/internal/core"
 	"a1/internal/fabric"
-	"a1/internal/objectstore"
 )
 
 // Streaming grouped aggregation. Workers already reduce their batches to
@@ -27,10 +25,11 @@ import (
 // local state is exact and failing groups are dropped outright. The
 // coordinator re-checks every surviving group after its states merge.
 //
-// The order-by-aggregate form needs every group before the sort; past
-// MaxWorkingSet buffered groups the coordinator sorts the buffer into a run
-// and spills it to the engine's objectstore, then merge-sorts the runs back
-// — graceful completion where the engine used to fast-fail.
+// The order-by-aggregate form needs every group before the sort, so the
+// coordinator drains the merge into one buffer, sorts it in memory and
+// pages it like any materialized result (orderGroups). A1 keeps a query's
+// state in DRAM and does not spill it (paper §3.4): the buffer is bounded by
+// the worker runs it merged, each capped at MaxWorkingSet.
 
 // groupEntry is one element of a key-sorted group run: the group key's
 // order-preserving encoding and its partial aggregate states. A nil state
@@ -334,211 +333,59 @@ func (cur *groupCursor) close(c *fabric.Ctx) {
 	}
 }
 
-// Order-by-aggregate spill: the top-K-groups form needs every group before
-// any aggregate order is final. The coordinator drains the run merge into a
-// buffer; past MaxWorkingSet buffered groups the buffer is sorted by the
-// aggregate orders (encoded key ascending as the tie-break, as in the
-// in-memory path) and written to the engine's objectstore as one run, keyed
-// by big-endian sequence number so sorted-order reads are sequence reads.
-// The runs merge back lazily with a Go comparator — byte order of the
-// stored rows is never relied on.
-
-// spillRow is one finalized group with the encoded key that breaks
+// orderedGroup is one finalized group with the encoded key that breaks
 // aggregate-order ties.
-type spillRow struct {
+type orderedGroup struct {
 	enc string
 	gr  GroupRow
 }
 
-// spillOrder orders finalized groups by tp's aggregate `_orderby` keys,
-// nulls last, with the encoded group key as the final tie-break — the
-// order of the order-by-aggregate form, spilled or not.
-func spillOrder(tp *VertexPattern) func(a, b *spillRow) bool {
-	return func(a, b *spillRow) bool {
-		for k, ob := range tp.Orders {
-			col := tp.Aggs[tp.GroupOrder[k]].Raw
-			av, bv := a.gr.Aggregates[col], b.gr.Aggregates[col]
-			an, bn := av.IsNull(), bv.IsNull()
-			if an != bn {
-				return bn
-			}
-			if an {
-				continue
-			}
-			if cmp, _ := bond.Compare(av, bv); cmp != 0 {
-				if ob.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
+// aggregateLess orders finalized groups by tp's aggregate `_orderby` keys,
+// nulls last, with the encoded group key as the final tie-break.
+func aggregateLess(tp *VertexPattern, a, b *orderedGroup) bool {
+	for k, ob := range tp.Orders {
+		col := tp.Aggs[tp.GroupOrder[k]].Raw
+		av, bv := a.gr.Aggregates[col], b.gr.Aggregates[col]
+		an, bn := av.IsNull(), bv.IsNull()
+		if an != bn {
+			return bn
 		}
-		return a.enc < b.enc
-	}
-}
-
-// marshal encodes one spilled group: [enc, key values..., aggregate
-// values...], positions fixed by the pattern's GroupBy/Aggs so field names
-// need not be stored.
-func (r *spillRow) marshal(by []FieldPath, aggs []Aggregate) []byte {
-	keys := make([]bond.Value, len(by))
-	for i, fp := range by {
-		keys[i] = r.gr.Keys[fp.Raw]
-	}
-	avs := make([]bond.Value, len(aggs))
-	for i, a := range aggs {
-		avs[i] = r.gr.Aggregates[a.Raw]
-	}
-	return bond.Marshal(bond.List(bond.Blob([]byte(r.enc)), bond.List(keys...), bond.List(avs...)))
-}
-
-func unmarshalSpillRow(data []byte, by []FieldPath, aggs []Aggregate) (spillRow, error) {
-	v, err := bond.Unmarshal(data)
-	if err != nil {
-		return spillRow{}, fmt.Errorf("a1ql: corrupt spill row: %v", err)
-	}
-	r := spillRow{
-		enc: string(v.Index(0).AsBlob()),
-		gr: GroupRow{
-			Keys:       make(map[string]bond.Value, len(by)),
-			Aggregates: make(map[string]bond.Value, len(aggs)),
-		},
-	}
-	kl, al := v.Index(1), v.Index(2)
-	for i, fp := range by {
-		r.gr.Keys[fp.Raw] = kl.Index(i)
-	}
-	for i, a := range aggs {
-		r.gr.Aggregates[a.Raw] = al.Index(i)
-	}
-	return r, nil
-}
-
-func spillSeqKey(i int) []byte {
-	var key [8]byte
-	binary.BigEndian.PutUint64(key[:], uint64(i))
-	return key[:]
-}
-
-// writeSpillRun persists one sorted buffer as an objectstore run table.
-func (e *Engine) writeSpillRun(rows []spillRow, tp *VertexPattern) (*objectstore.Table, error) {
-	name := fmt.Sprintf("a1ql-spill-%d", e.spillSeq.Add(1))
-	t := e.spill.CreateTable(name, objectstore.BestEffort)
-	for i := range rows {
-		if err := t.UpsertIfNewer(spillSeqKey(i), rows[i].marshal(tp.GroupBy, tp.Aggs), 1); err != nil {
-			e.spill.DropTable(name)
-			return nil, err
+		if an {
+			continue
+		}
+		if cmp, _ := bond.Compare(av, bv); cmp != 0 {
+			if ob.Desc {
+				return cmp > 0
+			}
+			return cmp < 0
 		}
 	}
-	return t, nil
+	return a.enc < b.enc
 }
 
-// orderGroups drains the run merge for the order-by-aggregate form and
-// returns the pager of its ordered groups. Groups buffer in memory up to
-// MaxWorkingSet; overflow sorts and spills the buffer as a run. The final
-// partial buffer is sorted too: with no overflow it pages from memory as
-// the whole result, otherwise it rides as the in-memory run of a spill
-// merge that pages the runs back lazily behind the continuation.
-func (st *execState) orderGroups(qc *fabric.Ctx, cur *groupCursor, tp *VertexPattern) (_ pageSource, err error) {
-	e := st.engine
-	sm := &spillMerge{e: e, tp: tp, merge: runMerge[spillRow]{less: spillOrder(tp)}}
-	defer func() {
-		if err != nil {
-			sm.close(qc)
-			cur.close(qc)
-		}
-	}()
-	var buf []spillRow
-	sortBuf := func() { sort.Slice(buf, func(i, j int) bool { return sm.merge.less(&buf[i], &buf[j]) }) }
+// orderGroups serves the order-by-aggregate form, which needs every group
+// before any aggregate order is final: it drains the run merge into one
+// buffer, sorts it by aggregateLess and pages it as a materialized
+// result. The buffer holds no more groups than the worker runs it merged,
+// each already capped at MaxWorkingSet by runBatch.
+func (st *execState) orderGroups(qc *fabric.Ctx, cur *groupCursor, tp *VertexPattern) (pageSource, error) {
+	var buf []orderedGroup
 	for {
 		enc, gs, ok, err := cur.merged(qc, &st.stats)
 		if err != nil {
+			cur.close(qc)
 			return nil, err
 		}
 		if !ok {
 			break
 		}
-		buf = append(buf, spillRow{enc: enc, gr: groupRowOf(gs, tp.GroupBy, tp.Aggs)})
-		if len(buf) >= e.cfg.MaxWorkingSet {
-			sortBuf()
-			t, err := e.writeSpillRun(buf, tp)
-			if err != nil {
-				return nil, err
-			}
-			sm.tables = append(sm.tables, spillTable{t: t})
-			sm.merge.runs = append(sm.merge.runs, sortedRun[spillRow]{more: true})
-			st.stats.GroupSpills++
-			st.stats.PeakGroups = max(st.stats.PeakGroups, int64(len(buf)))
-			buf = buf[:0]
-		}
+		buf = append(buf, orderedGroup{enc: enc, gr: groupRowOf(gs, tp.GroupBy, tp.Aggs)})
 	}
-	sortBuf()
-	if len(sm.tables) == 0 {
-		st.stats.PeakGroups = max(st.stats.PeakGroups, int64(len(buf)))
-		grows := make([]GroupRow, len(buf))
-		for i := range buf {
-			grows[i] = buf[i].gr
-		}
-		return newPager(grows, nil, tp, groupsOf), nil
+	sort.Slice(buf, func(i, j int) bool { return aggregateLess(tp, &buf[i], &buf[j]) })
+	st.stats.PeakGroups = max(st.stats.PeakGroups, int64(len(buf)))
+	grows := make([]GroupRow, len(buf))
+	for i := range buf {
+		grows[i] = buf[i].gr
 	}
-	sm.merge.runs = append(sm.merge.runs, sortedRun[spillRow]{buf: buf})
-	p := newPager[GroupRow](nil, sm, tp, groupsOf)
-	p.groups = &sm.merge
-	return p, nil
-}
-
-// spillMerge merges the spilled runs plus the in-memory tail run into the
-// globally ordered group stream, decoding one chunk per run at a time.
-type spillMerge struct {
-	e      *Engine
-	tp     *VertexPattern
-	tables []spillTable // the spilled runs, in spill order; the tail run follows them
-	merge  runMerge[spillRow]
-}
-
-// spillTable is one spilled run and how far it has been read back.
-type spillTable struct {
-	t    *objectstore.Table
-	next int
-	buf  []spillRow // the chunk last read, decoded: reused by the next
-}
-
-// pull reads spilled run i's next GroupChunk rows back in sequence order.
-func (sm *spillMerge) pull(_ *fabric.Ctx, _ *Stats, i int) ([]spillRow, bool, error) {
-	r := &sm.tables[i]
-	n := r.t.Len()
-	end := min(r.next+sm.e.cfg.GroupChunk, n)
-	r.buf = r.buf[:0]
-	for ; r.next < end; r.next++ {
-		row, ok, err := r.t.Get(spillSeqKey(r.next))
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, fmt.Errorf("a1ql: spill run missing row %d", r.next)
-		}
-		sr, err := unmarshalSpillRow(row.Value, sm.tp.GroupBy, sm.tp.Aggs)
-		if err != nil {
-			return nil, false, err
-		}
-		r.buf = append(r.buf, sr)
-	}
-	return r.buf, r.next < n, nil
-}
-
-func (sm *spillMerge) next(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error) {
-	best, err := sm.merge.head(c, stats, sm)
-	if err != nil || best < 0 {
-		return GroupRow{}, false, err
-	}
-	c.Work(sm.e.cfg.CostMerge)
-	return sm.merge.pop(best).gr, true, nil
-}
-
-// close drops the spilled run tables — on stream exhaustion, Release,
-// expiry, coordinator crash, or a failure while collecting.
-func (sm *spillMerge) close(*fabric.Ctx) {
-	for _, r := range sm.tables {
-		sm.e.spill.DropTable(r.t.Name())
-	}
-	sm.tables = nil
+	return newPager(grows, nil, tp, groupsOf), nil
 }

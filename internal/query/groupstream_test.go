@@ -14,7 +14,7 @@ import (
 
 // Streamed grouped aggregation: parity with a brute-force oracle,
 // `_having` surface, binding and pushdown, continuation lifecycle for
-// parked group runs, and spill-backed completion of ordered queries past
+// parked group runs, and completion of ordered queries past
 // MaxWorkingSet. The skew env has 81 groups by category: "hot" with 120
 // members and 80 singleton tails (tie-heavy on _count). Integer
 // aggregates only — float sums are merge-order sensitive.
@@ -165,7 +165,6 @@ func drainGroups(t *testing.T, e *Engine, g *core.Graph, c *fabric.Ctx, doc stri
 		groups = append(groups, res.Groups...)
 		total.GroupsShipped += res.Stats.GroupsShipped
 		total.GroupsFiltered += res.Stats.GroupsFiltered
-		total.GroupSpills += res.Stats.GroupSpills
 		total.PeakGroups = max(total.PeakGroups, res.Stats.PeakGroups)
 		if res.Continuation == "" {
 			return groups, total
@@ -438,49 +437,23 @@ func TestGroupMergeOwnerOrder(t *testing.T) {
 	}
 }
 
-// TestGroupStreamSpill: an ordered grouped query whose full group set
-// exceeds MaxWorkingSet completes by spilling sorted runs to the object
-// store, and matches the oracle.
-func TestGroupStreamSpill(t *testing.T) {
+// TestOrderedGroupsPastMaxWorkingSet: an ordered grouped query whose full
+// group set exceeds MaxWorkingSet completes, matches the oracle, and
+// reports the whole sort buffer as PeakGroups.
+func TestOrderedGroupsPastMaxWorkingSet(t *testing.T) {
 	stream, _, g, c := newSkewEnv(t)
 	doc := `{"_type": "product", "_groupby": "category", "_select": ["_sum(score)"], "_orderby": "-_sum(score)"}`
 
 	// 81 groups > 40: large enough that no single worker's partial set
-	// trips the per-batch check, small enough that the coordinator must
-	// spill the sorted buffer (twice) instead of holding all 81.
+	// trips the per-batch check, small enough that the coordinator's sort
+	// holds more groups than the cap.
 	stream.cfg.MaxWorkingSet = 40
 	stream.cfg.PageSize = 10
 	got, total := drainGroups(t, stream, g, c, doc)
-	if total.GroupSpills == 0 {
-		t.Fatal("GroupSpills = 0, want > 0 (the query must have spilled to complete)")
-	}
-	sameGroups(t, "spilled ordered groups", got, groupOracle(t, g, c, doc))
-	if names := stream.spill.TableNames(); len(names) != 0 {
-		t.Fatalf("spill tables leaked after drain: %v", names)
-	}
-}
-
-// TestGroupStreamSpillRelease: dropping the continuation mid-stream
-// releases the spill tables backing it.
-func TestGroupStreamSpillRelease(t *testing.T) {
-	stream, _, g, c := newSkewEnv(t)
-	stream.cfg.MaxWorkingSet = 40
-	stream.cfg.PageSize = 10
-	doc := `{"_type": "product", "_groupby": "category", "_select": ["_sum(score)"], "_orderby": "-_sum(score)"}`
-	res, err := stream.Execute(c, g, []byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Continuation == "" {
-		t.Fatal("expected a continuation")
-	}
-	if names := stream.spill.TableNames(); len(names) == 0 {
-		t.Fatal("expected live spill tables behind the continuation")
-	}
-	if err := stream.Release(c, res.Continuation); err != nil {
-		t.Fatal(err)
-	}
-	if names := stream.spill.TableNames(); len(names) != 0 {
-		t.Fatalf("spill tables leaked after Release: %v", names)
+	sameGroups(t, "ordered groups past MaxWorkingSet", got, groupOracle(t, g, c, doc))
+	// The merge's inputs (partials of one group on several machines) may
+	// peak higher; the sort buffer alone holds all 81.
+	if total.PeakGroups < 81 {
+		t.Fatalf("PeakGroups = %d, want at least the 81 groups the sort holds", total.PeakGroups)
 	}
 }

@@ -58,41 +58,38 @@ func TestPageSourcesPageAlike(t *testing.T) {
 		// window of its answer that doc must return.
 		full   string
 		lo, hi int
-		// unordered: rows arrive in discovery order, which follows reply
-		// arrival within an iteration, so pages compare as a multiset.
-		unordered bool
 	}{
 		{name: "materialized rows", full: itemsDoc, hi: rangeItems, open: func(t *testing.T) pagedCase {
 			e, g, c := newRangeEnv(t)
-			return pagedCase{e, g, c, itemsDoc, rangeItems}
+			return pagedCase{e, g, c, itemsDoc, rangeItems, false}
 		}},
 		{name: "materialized rows, _skip and _limit", full: itemsDoc, lo: 7, hi: 67, open: func(t *testing.T) pagedCase {
 			e, g, c := newRangeEnv(t)
-			return pagedCase{e, g, c, `{"_type": "item", "_select": ["id", "score"], "_orderby": "-score", "_skip": 7, "_limit": 60}`, 60}
+			return pagedCase{e, g, c, `{"_type": "item", "_select": ["id", "score"], "_orderby": "-score", "_skip": 7, "_limit": 60}`, 60, false}
 		}},
 		{name: "materialized ordered groups", full: orderedGroupsDoc, hi: 81, open: func(t *testing.T) pagedCase {
 			e, _, g, c := newSkewEnv(t)
-			return pagedCase{e, g, c, orderedGroupsDoc, 81}
+			return pagedCase{e, g, c, orderedGroupsDoc, 81, false}
 		}},
 		{name: "streamed groups", full: groupsDoc, hi: 81, open: func(t *testing.T) pagedCase {
 			e, _, g, c := newSkewEnv(t)
 			e.cfg.GroupChunk = 1
-			return pagedCase{e, g, c, groupsDoc, 81}
+			return pagedCase{e, g, c, groupsDoc, 81, false}
 		}},
 		{name: "streamed groups, _skip and _limit", full: groupsDoc, lo: 5, hi: 59, open: func(t *testing.T) pagedCase {
 			e, _, g, c := newSkewEnv(t)
 			e.cfg.GroupChunk = 1
-			return pagedCase{e, g, c, `{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_sum(score)"], "_skip": 5, "_limit": 54}`, 54}
+			return pagedCase{e, g, c, `{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_sum(score)"], "_skip": 5, "_limit": 54}`, 54, false}
 		}},
-		{name: "spilled ordered groups", full: orderedGroupsDoc, hi: 81, open: func(t *testing.T) pagedCase {
+		{name: "ordered groups past MaxWorkingSet", full: orderedGroupsDoc, hi: 81, open: func(t *testing.T) pagedCase {
 			e, _, g, c := newSkewEnv(t)
 			e.cfg.MaxWorkingSet = 40
 			e.cfg.GroupChunk = 4
-			return pagedCase{e, g, c, orderedGroupsDoc, 81}
+			return pagedCase{e, g, c, orderedGroupsDoc, 81, false}
 		}},
-		{name: "recursion", full: recurseDoc(recurseID(0), 1, 5, ""), hi: recurseTotal, unordered: true, open: func(t *testing.T) pagedCase {
+		{name: "recursion", full: recurseDoc(recurseID(0), 1, 5, ""), hi: recurseTotal, open: func(t *testing.T) pagedCase {
 			e, g, c := newRecurseEnv(t, DefaultConfig())
-			return pagedCase{e, g, c, recurseDoc(recurseID(0), 1, 5, ""), recurseTotal}
+			return pagedCase{e, g, c, recurseDoc(recurseID(0), 1, 5, ""), recurseTotal, true}
 		}},
 	}
 	for _, tc := range cases {
@@ -110,11 +107,15 @@ func TestPageSourcesPageAlike(t *testing.T) {
 				return itemImages(res)
 			}
 			want := whole(pc.doc)
-			if full := whole(tc.full); len(full) < tc.hi || !equalLines(want, full[tc.lo:tc.hi], tc.unordered) {
+			if full := whole(tc.full); len(full) < tc.hi || !equalLines(want, full[tc.lo:tc.hi], pc.unordered) {
 				t.Fatalf("one-page answer is not rows [%d, %d) of the unwindowed answer (%d of %d)", tc.lo, tc.hi, len(want), len(full))
 			}
 			if len(want) != pc.total {
 				t.Fatalf("one-page answer has %d items, want %d", len(want), pc.total)
+			}
+			// Whatever the case's Config, the answer is the default Config's.
+			if ref := drainImages(t, NewEngine(pc.e.store, DefaultConfig()), pc); !equalLines(want, ref, pc.unordered) {
+				t.Fatalf("one-page answer differs from the default Config's (%d vs %d items)", len(want), len(ref))
 			}
 			div := pc.total
 			for d := 2; d < pc.total; d++ {
@@ -145,7 +146,7 @@ func TestPageSourcesPageAlike(t *testing.T) {
 				if wantPages := (pc.total + n - 1) / n; pages != wantPages {
 					t.Errorf("page size %d: %d pages, want %d (a full last page must not continue)", n, pages, wantPages)
 				}
-				if !equalLines(got, want, tc.unordered) {
+				if !equalLines(got, want, pc.unordered) {
 					t.Errorf("page size %d: the pages differ from the one-page answer", n)
 				}
 				for m := 0; m < pc.machines(); m++ {

@@ -361,11 +361,10 @@ type runTails[T any] interface {
 }
 
 // runMerge is the coordinator's one k-way merge over sorted runs: the
-// owners' group runs, spilled group runs, and OrderedTraverse's per-owner
-// row lists. The scan for the least head is linear on purpose: the run
-// count is bounded by the cluster size (or the spilled-run count) and
-// every merge here emits a page or a query limit at a time, so a heap
-// would not pay for itself.
+// owners' group runs and OrderedTraverse's per-owner row lists. The scan
+// for the least head is linear on purpose: the run count is bounded by the
+// cluster size and every merge here emits a page or a query limit at a
+// time, so a heap would not pay for itself.
 type runMerge[T any] struct {
 	runs []sortedRun[T]
 	less func(a, b *T) bool
