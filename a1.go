@@ -167,10 +167,9 @@ type Options struct {
 	// ProxyTTL overrides the catalog proxy cache TTL.
 	ProxyTTL time.Duration
 
-	// EnableDR attaches a replication log and durable ObjectStore.
+	// EnableDR attaches a replication log and durable ObjectStore; the
+	// recovery guarantee is chosen later, per Recover call.
 	EnableDR bool
-	// DRMode selects best-effort (default) or consistent recovery.
-	DRMode dr.Mode
 	// QueryConfig overrides engine tuning (zero value = defaults).
 	QueryConfig query.Config
 }
@@ -253,7 +252,7 @@ func Open(opts Options) (*DB, error) {
 		db.flows = task.RegisterWorkflows(db.tasks, db.store)
 		if opts.EnableDR {
 			db.os = objectstore.New()
-			db.repl, initErr = dr.NewReplicator(c, db.farm, db.os, opts.DRMode)
+			db.repl, initErr = dr.NewReplicator(c, db.farm, db.os)
 			if initErr != nil {
 				return
 			}
@@ -455,7 +454,9 @@ func (db *DB) Release(c *Ctx, token string) error { return db.tier.Release(c, to
 // ErrDRDisabled is returned when DR was not enabled in Options.
 var ErrDRDisabled = errors.New("a1: disaster recovery not enabled")
 
-// EnableReplication starts replicating a graph to the ObjectStore.
+// EnableReplication starts replicating a graph to the ObjectStore. Types
+// created afterwards are added to the schema snapshot when their first
+// change replicates.
 func (db *DB) EnableReplication(c *Ctx, g *Graph) error {
 	if db.repl == nil {
 		return ErrDRDisabled
@@ -475,7 +476,9 @@ func (db *DB) FlushReplication(c *Ctx) (int, error) {
 func (db *DB) DurableStore() *ObjectStore { return db.os }
 
 // Recover rebuilds a graph from another database's ObjectStore into this
-// one (§4).
+// one (§4): RecoverConsistent at the durability watermark tR,
+// RecoverBestEffort from every replicated row. Either mode reads any
+// replicated graph.
 func (db *DB) Recover(c *Ctx, from *ObjectStore, tenant, graph string, mode dr.Mode) (*RecoveryStats, error) {
 	return dr.Recover(c, from, db.store, tenant, graph, mode)
 }

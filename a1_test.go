@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"a1/internal/core"
+	"a1/internal/dr"
 	"a1/internal/workload"
 )
 
@@ -148,9 +149,14 @@ func TestPublicAPIDeleteGraphWorkflow(t *testing.T) {
 	})
 }
 
-func TestPublicAPIDisasterRecovery(t *testing.T) {
-	db := openTestDB(t, Options{EnableDR: true, DRMode: RecoverConsistent})
-	var store *ObjectStore
+// replicateJaws builds a DR-enabled database with default options, commits
+// one transaction (two vertices and an edge) to a replicated film graph,
+// runs extra in the same context, and returns the durable store. flush
+// runs the sweeper after the commit; without it only the synchronous
+// flushes have run.
+func replicateJaws(t *testing.T, flush bool, extra func(c *Ctx, db *DB, g *Graph)) *ObjectStore {
+	t.Helper()
+	db := openTestDB(t, Options{EnableDR: true})
 	db.Run(func(c *Ctx) {
 		g := setupFilmGraph(t, db, c)
 		if err := db.EnableReplication(c, g); err != nil {
@@ -170,34 +176,99 @@ func TestPublicAPIDisasterRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.FlushReplication(c); err != nil {
-			t.Fatal(err)
+		if extra != nil {
+			extra(c, db, g)
 		}
-		store = db.DurableStore()
+		if flush {
+			if _, err := db.FlushReplication(c); err != nil {
+				t.Fatal(err)
+			}
+		}
 	})
+	return db.DurableStore()
+}
 
-	// Total datacenter loss: build a brand-new cluster and recover.
-	db2 := openTestDB(t, Options{})
-	db2.Run(func(c *Ctx) {
-		stats, err := db2.Recover(c, store, "bing", "films", RecoverConsistent)
+// recoverFilms rebuilds the film graph from store into a brand-new
+// database, as after a total datacenter loss, checks the recovered counts,
+// and runs the Jaws traversal on the result.
+func recoverFilms(t *testing.T, store *ObjectStore, mode dr.Mode, vertices, edges int) *RecoveryStats {
+	t.Helper()
+	db := openTestDB(t, Options{})
+	var stats *RecoveryStats
+	db.Run(func(c *Ctx) {
+		var err error
+		if stats, err = db.Recover(c, store, "bing", "films", mode); err != nil {
+			t.Fatalf("%v recovery: %v", mode, err)
+		}
+		if stats.Vertices != vertices || stats.Edges != edges {
+			t.Errorf("%v recovery: %d/%d, want %d/%d", mode, stats.Vertices, stats.Edges, vertices, edges)
+		}
+		g, err := db.OpenGraph(c, "bing", "films")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Vertices != 2 || stats.Edges != 1 {
-			t.Errorf("recovered %d/%d, want 2/1", stats.Vertices, stats.Edges)
-		}
-		g, err := db2.OpenGraph(c, "bing", "films")
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := db2.Query(c, g, `{"id": "Jaws", "_out_edge": {"_type": "acted", "_vertex": {"_select": ["name"]}}}`)
+		res, err := db.Query(c, g, `{"id": "Jaws", "_out_edge": {"_type": "acted", "_vertex": {"_select": ["name"]}}}`)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Rows) != 1 {
-			t.Errorf("post-recovery rows = %d", len(res.Rows))
+			t.Errorf("%v recovery: post-recovery rows = %d, want 1", mode, len(res.Rows))
 		}
 	})
+	return stats
+}
+
+func TestPublicAPIDisasterRecovery(t *testing.T) {
+	recoverFilms(t, replicateJaws(t, true, nil), RecoverBestEffort, 2, 1)
+}
+
+// TestPublicAPIConsistentRecoveryDefaultOptions: the recovery mode is
+// chosen at Recover alone, so a store replicated with default options
+// recovers consistently.
+func TestPublicAPIConsistentRecoveryDefaultOptions(t *testing.T) {
+	recoverFilms(t, replicateJaws(t, true, nil), RecoverConsistent, 2, 1)
+}
+
+// TestPublicAPIConsistentRecoveryWithoutSweep: a synchronous flush
+// advances tR too, so a committed, flushed transaction is in a consistent
+// recovery before any sweep runs.
+func TestPublicAPIConsistentRecoveryWithoutSweep(t *testing.T) {
+	stats := recoverFilms(t, replicateJaws(t, false, nil), RecoverConsistent, 2, 1)
+	if stats.Watermark == 0 {
+		t.Error("tR = 0 after a synchronously flushed commit")
+	}
+}
+
+// TestPublicAPIReplicatesTypeCreatedAfterEnable: a type created after
+// EnableReplication joins the schema snapshot when its first change
+// replicates, so both recovery modes rebuild it.
+func TestPublicAPIReplicatesTypeCreatedAfterEnable(t *testing.T) {
+	studio := NewSchema("studio", Req(0, "name", TString))
+	store := replicateJaws(t, true, func(c *Ctx, db *DB, g *Graph) {
+		if err := g.CreateVertexType(c, "studio", studio, "name"); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.CreateEdgeType(c, "distributed", nil); err != nil {
+			t.Fatal(err)
+		}
+		err := db.Transaction(c, func(tx *Tx) error {
+			u, err := g.CreateVertex(tx, "studio", Record(FV(0, Str("Universal"))))
+			if err != nil {
+				return err
+			}
+			m, _, err := g.LookupVertex(tx, "movie", Str("Jaws"))
+			if err != nil {
+				return err
+			}
+			return g.CreateEdge(tx, u, "distributed", m, Null)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, mode := range []dr.Mode{RecoverBestEffort, RecoverConsistent} {
+		recoverFilms(t, store, mode, 3, 2)
+	}
 }
 
 func TestPublicAPIFastRestartDrill(t *testing.T) {

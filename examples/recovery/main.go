@@ -19,8 +19,8 @@ var nodeSchema = a1.NewSchema("node",
 )
 
 func main() {
-	// Primary cluster with consistent-mode DR enabled.
-	db, err := a1.Open(a1.Options{Machines: 9, EnableDR: true, DRMode: a1.RecoverConsistent})
+	// Primary cluster with DR enabled; the recovery mode is chosen at Recover.
+	db, err := a1.Open(a1.Options{Machines: 9, EnableDR: true})
 	if err != nil {
 		log.Fatal(err)
 	}

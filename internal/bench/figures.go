@@ -410,10 +410,6 @@ func FastRestart(spec Spec) (*Report, error) {
 		if loadErr = kg.Load(c, g); loadErr != nil {
 			return
 		}
-		// Re-snapshot the schema now that the workload created its types.
-		if loadErr = db.EnableReplication(c, g); loadErr != nil {
-			return
-		}
 		_, loadErr = db.FlushReplication(c)
 	})
 	if loadErr != nil {

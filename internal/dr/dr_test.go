@@ -23,7 +23,7 @@ type drEnv struct {
 	c     *fabric.Ctx
 }
 
-func newDREnv(t *testing.T, mode Mode) *drEnv {
+func newDREnv(t *testing.T) *drEnv {
 	t.Helper()
 	fab := fabric.New(fabric.DefaultConfig(6, fabric.Direct), nil)
 	f := farm.Open(fab, farm.Config{RegionSize: 16 << 20})
@@ -33,7 +33,7 @@ func newDREnv(t *testing.T, mode Mode) *drEnv {
 		t.Fatal(err)
 	}
 	os := objectstore.New()
-	repl, err := NewReplicator(c, f, os, mode)
+	repl, err := NewReplicator(c, f, os)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,29 +99,32 @@ func recoverInto(t *testing.T, e *drEnv, mode Mode) (*core.Store, *core.Graph, *
 	return fresh, g, stats
 }
 
-func TestSyncReplicationAndFullRecovery(t *testing.T) {
-	for _, mode := range []Mode{BestEffort, Consistent} {
-		t.Run(mode.String(), func(t *testing.T) {
-			e := newDREnv(t, mode)
-			a := e.addVertex(t, "a")
-			b := e.addVertex(t, "b")
-			err := farm.RunTransaction(e.c, e.store.Farm(), func(tx *farm.Tx) error {
-				return e.graph.CreateEdge(tx, a, "link", b, bond.Null)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n, _ := e.repl.PendingEntries(e.c); n != 0 {
-				t.Errorf("pending entries after sync flush = %d, want 0", n)
-			}
-			if e.repl.SyncFlushes.Load() == 0 {
-				t.Error("no synchronous flushes recorded")
-			}
-			e.repl.FlushPending(e.c) // refresh tR
+// bothModes lists the recovery modes; every store recovers either way.
+var bothModes = []Mode{BestEffort, Consistent}
 
+func TestSyncReplicationAndFullRecovery(t *testing.T) {
+	// Replicate once, through synchronous flushes alone: no sweep runs, so
+	// tR is whatever those flushes left.
+	e := newDREnv(t)
+	a := e.addVertex(t, "a")
+	b := e.addVertex(t, "b")
+	err := farm.RunTransaction(e.c, e.store.Farm(), func(tx *farm.Tx) error {
+		return e.graph.CreateEdge(tx, a, "link", b, bond.Null)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := e.repl.PendingEntries(e.c); n != 0 {
+		t.Errorf("pending entries after sync flush = %d, want 0", n)
+	}
+	if e.repl.SyncFlushes.Load() == 0 {
+		t.Error("no synchronous flushes recorded")
+	}
+	for _, mode := range bothModes {
+		t.Run(mode.String(), func(t *testing.T) {
 			fresh, g, stats := recoverInto(t, e, mode)
 			if stats.Vertices != 2 || stats.Edges != 1 {
-				t.Errorf("recovered %d vertices, %d edges; want 2, 1", stats.Vertices, stats.Edges)
+				t.Errorf("recovered %d vertices, %d edges (tR %d); want 2, 1", stats.Vertices, stats.Edges, stats.Watermark)
 			}
 			rtx := fresh.Farm().CreateReadTransaction(fresh.Farm().Fabric().NewCtx(0, nil))
 			va, okA, _ := g.LookupVertex(rtx, "node", bond.String("a"))
@@ -142,7 +145,7 @@ func TestSyncReplicationAndFullRecovery(t *testing.T) {
 }
 
 func TestSweeperDrainsBacklogAfterOutage(t *testing.T) {
-	e := newDREnv(t, BestEffort)
+	e := newDREnv(t)
 	e.os.SetUnavailable(true) // sync flush path fails
 	e.addVertex(t, "x")
 	e.addVertex(t, "y")
@@ -175,7 +178,7 @@ func TestSweeperDrainsBacklogAfterOutage(t *testing.T) {
 func TestUpdateOrderingUnderReplayAndReorder(t *testing.T) {
 	// Store v1 then v2 in the same vertex; flush entries out of order and
 	// replay them: ObjectStore must end at v2 (paper: conditional upsert).
-	e := newDREnv(t, BestEffort)
+	e := newDREnv(t)
 	e.os.SetUnavailable(true)
 	vp := e.addVertex(t, "k")
 	err := farm.RunTransaction(e.c, e.store.Farm(), func(tx *farm.Tx) error {
@@ -195,11 +198,11 @@ func TestUpdateOrderingUnderReplayAndReorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb, _ := e.os.Table("t/g/vertices")
-	row, ok, _ := tb.Get(vertexRowKey("node", bond.String("k")))
-	if !ok {
+	vs := tb.Versions(vertexRowKey("node", bond.String("k")))
+	if len(vs) == 0 {
 		t.Fatal("row missing")
 	}
-	v, _ := bond.Unmarshal(row.Value)
+	v, _ := bond.Unmarshal(vs[len(vs)-1].Value)
 	blob, _ := v.Field(2)
 	data, _ := bond.Unmarshal(blob.AsBlob())
 	label, _ := data.Field(1)
@@ -212,49 +215,48 @@ func TestPaperScenarioPartialEdgeReplication(t *testing.T) {
 	// Paper §4 scenario 1: one transaction adds A, B and an edge A->B.
 	// A and B replicate; the edge entry does not. Consistent recovery
 	// recovers none of them; best-effort recovers A and B without the
-	// edge.
-	for _, mode := range []Mode{BestEffort, Consistent} {
-		t.Run(mode.String(), func(t *testing.T) {
-			e := newDREnv(t, mode)
-			e.os.SetUnavailable(true) // force everything into the log
-			err := farm.RunTransaction(e.c, e.store.Farm(), func(tx *farm.Tx) error {
-				a, err := e.graph.CreateVertex(tx, "node", node("A", "v"))
-				if err != nil {
-					return err
-				}
-				b, err := e.graph.CreateVertex(tx, "node", node("B", "v"))
-				if err != nil {
-					return err
-				}
-				return e.graph.CreateEdge(tx, a, "link", b, bond.Null)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.os.SetUnavailable(false)
-			// Replicate exactly the two vertex entries; the edge entry
-			// stays unreplicated (the disaster hits now).
-			for i := 0; i < 2; i++ {
-				seq, entry, ok, err := e.repl.oldestEntry(e.c)
-				if err != nil || !ok {
-					t.Fatalf("oldest: %v %v", ok, err)
-				}
-				if entry.Kind != kVertexPut {
-					t.Fatalf("entry %d kind = %d, want vertex put", i, entry.Kind)
-				}
-				if err := e.repl.flushOne(e.c, seq, entry); err != nil {
-					t.Fatal(err)
-				}
-			}
-			e.repl.updateWatermark(e.c)
+	// edge. Both read the same store.
+	e := newDREnv(t)
+	e.os.SetUnavailable(true) // force everything into the log
+	err := farm.RunTransaction(e.c, e.store.Farm(), func(tx *farm.Tx) error {
+		a, err := e.graph.CreateVertex(tx, "node", node("A", "v"))
+		if err != nil {
+			return err
+		}
+		b, err := e.graph.CreateVertex(tx, "node", node("B", "v"))
+		if err != nil {
+			return err
+		}
+		return e.graph.CreateEdge(tx, a, "link", b, bond.Null)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.os.SetUnavailable(false)
+	// Replicate exactly the two vertex entries; the edge entry stays
+	// unreplicated (the disaster hits now).
+	for i := 0; i < 2; i++ {
+		seq, entry, ok, err := e.repl.oldestEntry(e.c)
+		if err != nil || !ok {
+			t.Fatalf("oldest: %v %v", ok, err)
+		}
+		if entry.Kind != kVertexPut {
+			t.Fatalf("entry %d kind = %d, want vertex put", i, entry.Kind)
+		}
+		if err := e.repl.flushOne(e.c, seq, entry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.repl.updateWatermark(e.c)
 
-			_, g, stats := recoverInto(t, e, mode)
+	for _, mode := range bothModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			_, g, _ := recoverInto(t, e, mode)
 			rtx := g.Store().Farm().CreateReadTransaction(g.Store().Farm().Fabric().NewCtx(0, nil))
-			_, okA, _ := g.LookupVertex(rtx, "node", bond.String("A"))
+			va, okA, _ := g.LookupVertex(rtx, "node", bond.String("A"))
 			_, okB, _ := g.LookupVertex(rtx, "node", bond.String("B"))
 			edges := 0
 			if okA {
-				va, _, _ := g.LookupVertex(rtx, "node", bond.String("A"))
 				g.EnumerateEdges(rtx, va, core.DirOut, "link", func(core.HalfEdge) bool {
 					edges++
 					return true
@@ -274,7 +276,6 @@ func TestPaperScenarioPartialEdgeReplication(t *testing.T) {
 					t.Errorf("best-effort recovered unreplicated edge")
 				}
 			}
-			_ = stats
 		})
 	}
 }
@@ -283,7 +284,7 @@ func TestPaperScenarioDanglingEdgeDropped(t *testing.T) {
 	// Paper §4 scenario 2: A and the edge replicate, B does not.
 	// Best-effort recovers A, notices B missing, and drops the edge:
 	// internally consistent, not transactionally consistent.
-	e := newDREnv(t, BestEffort)
+	e := newDREnv(t)
 	e.os.SetUnavailable(true)
 	err := farm.RunTransaction(e.c, e.store.Farm(), func(tx *farm.Tx) error {
 		a, err := e.graph.CreateVertex(tx, "node", node("A", "v"))
@@ -396,7 +397,7 @@ func decodeSeq(k []byte) uint64 {
 
 func TestConsistentRecoveryToWatermark(t *testing.T) {
 	// Writes beyond tR must not appear in a consistent recovery.
-	e := newDREnv(t, Consistent)
+	e := newDREnv(t)
 	e.addVertex(t, "early")
 	e.repl.FlushPending(e.c) // tR now covers "early"
 	e.os.SetUnavailable(true)
@@ -419,7 +420,7 @@ func TestConsistentRecoveryToWatermark(t *testing.T) {
 }
 
 func TestDeleteReplicationAndTombstones(t *testing.T) {
-	e := newDREnv(t, BestEffort)
+	e := newDREnv(t)
 	vp := e.addVertex(t, "gone")
 	err := farm.RunTransaction(e.c, e.store.Farm(), func(tx *farm.Tx) error {
 		return e.graph.DeleteVertex(tx, vp)

@@ -40,7 +40,7 @@ type goldenEntry struct {
 // mutator writes: entry order, kinds and the identities and data each
 // carries. The ObjectStore is down, so every entry stays in the log.
 func TestLogStreamGolden(t *testing.T) {
-	e := newDREnv(t, BestEffort)
+	e := newDREnv(t)
 	rated := bond.MustSchema("rated", bond.F(0, "score", bond.TInt32))
 	if err := e.graph.CreateEdgeType(e.c, "rated", rated); err != nil {
 		t.Fatal(err)

@@ -113,12 +113,8 @@ func Recover(c *fabric.Ctx, store *objectstore.Store, target *core.Store, tenant
 	}
 	scan := func(t *objectstore.Table, fn func(objectstore.Row) bool) error {
 		if mode == Consistent {
-			tR, ok := store.Watermark(watermarkKey)
-			if !ok {
-				tR = 0
-			}
-			stats.Watermark = tR
-			return t.ScanAtOrBelow(tR, fn)
+			stats.Watermark = store.Watermark()
+			return t.ScanAtOrBelow(stats.Watermark, fn)
 		}
 		return t.Scan(fn)
 	}

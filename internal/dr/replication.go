@@ -67,20 +67,16 @@ type Entry struct {
 	Ts     uint64 // FaRM commit timestamp
 }
 
-// watermarkKey is where the durability watermark tR is persisted.
-const watermarkKey = "tR"
-
 // Replicator implements core.UpdateLogger over an ObjectStore.
 type Replicator struct {
 	farm  *farm.Farm
 	store *objectstore.Store
-	mode  Mode
 
 	logIdx  *farm.BTree // seq(8BE) -> entry object Ptr
 	nextSeq atomic.Uint64
 
 	mu      sync.Mutex
-	enabled map[string]bool // "tenant/graph" -> replicate
+	enabled map[string]*replicated // "tenant/graph" -> replicate
 
 	// Metrics.
 	SyncFlushes  atomic.Int64
@@ -88,19 +84,19 @@ type Replicator struct {
 	SyncFailures atomic.Int64
 }
 
-// tableMode maps the recovery mode to the ObjectStore row scheme.
-func (r *Replicator) tableMode() objectstore.Mode {
-	if r.mode == Consistent {
-		return objectstore.Versioned
-	}
-	return objectstore.BestEffort
+// replicated is an enabled graph: its handle, and the vertex and edge
+// types its last schema snapshot wrote.
+type replicated struct {
+	g      *core.Graph
+	vtypes map[string]bool
+	etypes map[string]bool
 }
 
 // NewReplicator creates the replication log (in FaRM) and binds it to the
 // durable store. Install it with core.Store.SetLogger and enable graphs
 // with EnableGraph.
-func NewReplicator(c *fabric.Ctx, f *farm.Farm, store *objectstore.Store, mode Mode) (*Replicator, error) {
-	r := &Replicator{farm: f, store: store, mode: mode, enabled: make(map[string]bool)}
+func NewReplicator(c *fabric.Ctx, f *farm.Farm, store *objectstore.Store) (*Replicator, error) {
+	r := &Replicator{farm: f, store: store, enabled: make(map[string]*replicated)}
 	err := farm.RunTransaction(c, f, func(tx *farm.Tx) error {
 		bt, err := farm.CreateBTree(tx, farm.NilAddr)
 		if err != nil {
@@ -115,9 +111,6 @@ func NewReplicator(c *fabric.Ctx, f *farm.Farm, store *objectstore.Store, mode M
 	return r, nil
 }
 
-// Mode returns the configured recovery mode.
-func (r *Replicator) Mode() Mode { return r.mode }
-
 func gkey(tenant, graph string) string { return tenant + "/" + graph }
 
 func vertexTableName(tenant, graph string) string { return gkey(tenant, graph) + "/vertices" }
@@ -128,28 +121,35 @@ func metaTableName(tenant, graph string) string   { return gkey(tenant, graph) +
 // edge tables (paper: two tables per graph) and snapshotting its schema so
 // recovery can recreate types.
 func (r *Replicator) EnableGraph(c *fabric.Ctx, g *core.Graph) error {
-	r.store.CreateTable(vertexTableName(g.Tenant(), g.Name()), r.tableMode())
-	r.store.CreateTable(edgeTableName(g.Tenant(), g.Name()), r.tableMode())
-	if err := r.snapshotSchema(c, g); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.enabled[gkey(g.Tenant(), g.Name())] = true
-	r.mu.Unlock()
-	return nil
+	r.store.CreateTable(vertexTableName(g.Tenant(), g.Name()))
+	r.store.CreateTable(edgeTableName(g.Tenant(), g.Name()))
+	return r.snapshotSchema(c, g)
 }
 
 func (r *Replicator) graphEnabled(tenant, graph string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.enabled[gkey(tenant, graph)]
+	return r.enabled[gkey(tenant, graph)] != nil
+}
+
+// unsnapshotted returns e's graph when e names a type the graph's last
+// schema snapshot lacks (one created after EnableGraph), else nil.
+func (r *Replicator) unsnapshotted(e *Entry) *core.Graph {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rg := r.enabled[gkey(e.Tenant, e.Graph)]
+	if rg.vtypes[e.VType] && (e.EType == "" || rg.etypes[e.EType] && rg.vtypes[e.DstTyp]) {
+		return nil
+	}
+	return rg.g
 }
 
 // snapshotSchema persists type definitions so recovery can recreate the
-// control plane before replaying data rows.
+// control plane before replaying data rows, and enables g's replication.
 func (r *Replicator) snapshotSchema(c *fabric.Ctx, g *core.Graph) error {
-	meta := r.store.CreateTable(metaTableName(g.Tenant(), g.Name()), objectstore.BestEffort)
+	meta := r.store.CreateTable(metaTableName(g.Tenant(), g.Name()))
 	ts := r.farm.Clock().Current()
+	rg := &replicated{g: g, vtypes: make(map[string]bool), etypes: make(map[string]bool)}
 	vts, err := g.VertexTypeNames(c)
 	if err != nil {
 		return err
@@ -175,6 +175,7 @@ func (r *Replicator) snapshotSchema(c *fabric.Ctx, g *core.Graph) error {
 		if err := meta.UpsertIfNewer([]byte("vt/"+name), val, ts); err != nil {
 			return err
 		}
+		rg.vtypes[name] = true
 	}
 	ets, err := g.EdgeTypeNames(c)
 	if err != nil {
@@ -193,7 +194,11 @@ func (r *Replicator) snapshotSchema(c *fabric.Ctx, g *core.Graph) error {
 		if err := meta.UpsertIfNewer([]byte("et/"+name), val, ts); err != nil {
 			return err
 		}
+		rg.etypes[name] = true
 	}
+	r.mu.Lock()
+	r.enabled[gkey(g.Tenant(), g.Name())] = rg
+	r.mu.Unlock()
 	return nil
 }
 
@@ -290,6 +295,7 @@ func (r *Replicator) appendEntry(tx *farm.Tx, e *Entry) error {
 			return
 		}
 		r.SyncFlushes.Add(1)
+		r.updateWatermark(c)
 	})
 	return nil
 }
@@ -367,9 +373,15 @@ func edgeRowValue(e *Entry) []byte {
 }
 
 // flushOne applies a single log entry to ObjectStore and deletes it from
-// the log. Application is idempotent (timestamp-conditional), so replays
-// after failures are harmless.
+// the log, re-snapshotting the graph's schema first when the entry names a
+// type the snapshot lacks. Application is idempotent (timestamp-
+// conditional), so replays after failures are harmless.
 func (r *Replicator) flushOne(c *fabric.Ctx, seq uint64, e *Entry) error {
+	if g := r.unsnapshotted(e); g != nil {
+		if err := r.snapshotSchema(c, g); err != nil {
+			return err
+		}
+	}
 	if err := r.applyToStore(e); err != nil {
 		return err
 	}
@@ -486,7 +498,7 @@ func (r *Replicator) updateWatermark(c *fabric.Ctx) {
 	} else {
 		return
 	}
-	_ = r.store.PutWatermark(watermarkKey, tR)
+	_ = r.store.PutWatermark(tR)
 }
 
 // PendingEntries returns the replication-log backlog (age monitoring,

@@ -3,12 +3,20 @@
 // 3-way durable replication (simulated as always-durable in-memory state
 // that survives any A1 cluster event), a native timestamp-conditional
 // upsert that applies updates in transaction-timestamp order in a single
-// round trip, and a versioned-row mode whose sorted key iteration supports
-// consistent snapshot recovery.
+// round trip, and the durability watermark tR.
+//
+// Every table has one layout: each key's versions, ascending by timestamp.
+// The newest version is what best-effort recovery reads (Scan); the newest
+// at or below tR is what consistent recovery reads (ScanAtOrBelow). An
+// insert drops the versions of its key that neither can read again — those
+// older than the newest version at or below tR — so once tR has passed a
+// key's last write, the key holds one version, and while writes run ahead
+// of tR it holds one more per write tR has not reached yet.
 package objectstore
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -20,21 +28,7 @@ var ErrUnavailable = errors.New("objectstore: temporarily unavailable")
 // ErrNoTable is returned for operations on tables that do not exist.
 var ErrNoTable = errors.New("objectstore: no such table")
 
-// Mode selects how a table stores rows.
-type Mode int
-
-const (
-	// BestEffort keeps one row per key stamped with the transaction
-	// timestamp; upserts apply only if newer. Recovery from such a table is
-	// internally consistent but not transactionally consistent (§4).
-	BestEffort Mode = iota
-	// Versioned keeps every version of a key as ⟨(key,timestamp)→value⟩,
-	// supporting recovery to any consistent snapshot at or below the
-	// durability watermark.
-	Versioned
-)
-
-// Row is one stored entry.
+// Row is one stored version of a key.
 type Row struct {
 	Key       []byte
 	Value     []byte
@@ -42,18 +36,18 @@ type Row struct {
 	Tombstone bool
 }
 
-// Store is a set of tables plus named durability watermarks (the tR values
-// A1 persists for consistent recovery).
+// Store is a set of tables plus the durability watermark tR: every
+// transaction with a timestamp at or below it is fully replicated.
 type Store struct {
 	mu          sync.Mutex
 	tables      map[string]*Table
-	watermarks  map[string]uint64
+	watermark   uint64
 	unavailable bool
 }
 
 // New creates an empty store.
 func New() *Store {
-	return &Store{tables: make(map[string]*Table), watermarks: make(map[string]uint64)}
+	return &Store{tables: make(map[string]*Table)}
 }
 
 // SetUnavailable toggles fault injection: while set, every table operation
@@ -65,23 +59,24 @@ func (s *Store) SetUnavailable(v bool) {
 	s.unavailable = v
 }
 
-func (s *Store) check() error {
+// check fails while the store is unavailable and otherwise returns tR.
+func (s *Store) check() (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.unavailable {
-		return ErrUnavailable
+		return 0, ErrUnavailable
 	}
-	return nil
+	return s.watermark, nil
 }
 
-// CreateTable creates (or returns) a table with the given mode.
-func (s *Store) CreateTable(name string, mode Mode) *Table {
+// CreateTable creates (or returns) a table.
+func (s *Store) CreateTable(name string) *Table {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t, ok := s.tables[name]; ok {
 		return t
 	}
-	t := &Table{store: s, name: name, mode: mode, rows: make(map[string]Row), versions: make(map[string][]Row)}
+	t := &Table{store: s, versions: make(map[string][]Row)}
 	s.tables[name] = t
 	return t
 }
@@ -100,190 +95,102 @@ func (s *Store) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// DropTable removes a table and its contents.
-func (s *Store) DropTable(name string) {
+// PutWatermark durably records tR. It only advances: a lower value is
+// ignored.
+func (s *Store) PutWatermark(ts uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.tables, name)
-}
-
-// TableNames lists tables in sorted order.
-func (s *Store) TableNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		names = append(names, n)
+	if s.unavailable {
+		return ErrUnavailable
 	}
-	sort.Strings(names)
-	return names
-}
-
-// PutWatermark durably records a named watermark (e.g. the oldest
-// unreplicated timestamp tR).
-func (s *Store) PutWatermark(name string, ts uint64) error {
-	if err := s.check(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur, ok := s.watermarks[name]; !ok || ts > cur {
-		s.watermarks[name] = ts
-	}
+	s.watermark = max(s.watermark, ts)
 	return nil
 }
 
-// Watermark reads a named watermark.
-func (s *Store) Watermark(name string) (uint64, bool) {
+// Watermark reads tR (0 before the first PutWatermark).
+func (s *Store) Watermark() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ts, ok := s.watermarks[name]
-	return ts, ok
+	return s.watermark
 }
 
 // Table is one key-value table.
 type Table struct {
 	store *Store
-	name  string
-	mode  Mode
 
 	mu       sync.Mutex
-	rows     map[string]Row   // BestEffort mode
-	versions map[string][]Row // Versioned mode: ascending by Ts
+	versions map[string][]Row // ascending by Ts
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
-// Mode returns the table's storage mode.
-func (t *Table) Mode() Mode { return t.mode }
-
-// UpsertIfNewer stores value under key iff ts is newer than the stored
-// row's timestamp — the single-round-trip conditional API the paper
-// describes. In Versioned mode every version is retained unconditionally.
-// The operation is idempotent: replaying a replication-log entry cannot
-// change the outcome.
+// UpsertIfNewer stores value under key as the version at ts — the
+// single-round-trip conditional API the paper describes: a version older
+// than one recovery already reads in its place is discarded. The operation
+// is idempotent: replaying a replication-log entry cannot change the
+// outcome.
 func (t *Table) UpsertIfNewer(key, value []byte, ts uint64) error {
-	if err := t.store.check(); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	row := Row{Key: append([]byte(nil), key...), Value: append([]byte(nil), value...), Ts: ts}
-	if t.mode == Versioned {
-		t.insertVersionLocked(row)
-		return nil
-	}
-	if cur, ok := t.rows[string(key)]; ok && cur.Ts >= ts {
-		return nil // stale update discarded
-	}
-	t.rows[string(key)] = row
-	return nil
+	return t.insert(Row{Key: key, Value: value, Ts: ts})
 }
 
-// DeleteIfNewer records a deletion at ts: a tombstone row in BestEffort
-// mode (removed later by tombstone GC), a tombstone version in Versioned
-// mode. Idempotent like UpsertIfNewer.
+// DeleteIfNewer records a deletion at ts as a tombstone version (removed
+// later by GCTombstones). Idempotent like UpsertIfNewer.
 func (t *Table) DeleteIfNewer(key []byte, ts uint64) error {
-	if err := t.store.check(); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	row := Row{Key: append([]byte(nil), key...), Ts: ts, Tombstone: true}
-	if t.mode == Versioned {
-		t.insertVersionLocked(row)
-		return nil
-	}
-	if cur, ok := t.rows[string(key)]; ok && cur.Ts >= ts {
-		return nil
-	}
-	t.rows[string(key)] = row
-	return nil
+	return t.insert(Row{Key: key, Ts: ts, Tombstone: true})
 }
 
-func (t *Table) insertVersionLocked(row Row) {
+func (t *Table) insert(row Row) error {
+	tR, err := t.store.check()
+	if err != nil {
+		return err
+	}
+	row.Key = slices.Clone(row.Key)
+	row.Value = slices.Clone(row.Value)
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	k := string(row.Key)
 	vs := t.versions[k]
 	i := sort.Search(len(vs), func(i int) bool { return vs[i].Ts >= row.Ts })
 	if i < len(vs) && vs[i].Ts == row.Ts {
-		return // idempotent replay
+		return nil // idempotent replay
 	}
-	vs = append(vs, Row{})
-	copy(vs[i+1:], vs[i:])
-	vs[i] = row
+	vs = slices.Insert(vs, i, row)
+	// Keep the newest version at or below tR and every version above it.
+	if j := atOrBelow(vs, tR); j > 0 {
+		vs = slices.Delete(vs, 0, j)
+	}
 	t.versions[k] = vs
-}
-
-// Get returns the current row for key (BestEffort mode).
-func (t *Table) Get(key []byte) (Row, bool, error) {
-	if err := t.store.check(); err != nil {
-		return Row{}, false, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.mode == Versioned {
-		vs := t.versions[string(key)]
-		if len(vs) == 0 {
-			return Row{}, false, nil
-		}
-		return vs[len(vs)-1], true, nil
-	}
-	r, ok := t.rows[string(key)]
-	return r, ok, nil
-}
-
-// LatestAtOrBelow returns the newest version of key with Ts <= ts
-// (Versioned mode) — the primitive consistent recovery is built on.
-func (t *Table) LatestAtOrBelow(key []byte, ts uint64) (Row, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	vs := t.versions[string(key)]
-	i := sort.Search(len(vs), func(i int) bool { return vs[i].Ts > ts })
-	if i == 0 {
-		return Row{}, false
-	}
-	return vs[i-1], true
-}
-
-// Scan visits current rows (including tombstones) in sorted key order.
-func (t *Table) Scan(fn func(Row) bool) error {
-	if err := t.store.check(); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	var rows []Row
-	if t.mode == Versioned {
-		for _, vs := range t.versions {
-			rows = append(rows, vs[len(vs)-1])
-		}
-	} else {
-		for _, r := range t.rows {
-			rows = append(rows, r)
-		}
-	}
-	t.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return string(rows[i].Key) < string(rows[j].Key) })
-	for _, r := range rows {
-		if !fn(r) {
-			return nil
-		}
-	}
 	return nil
 }
 
+// atOrBelow returns the index of the newest version with Ts <= ts, or -1.
+func atOrBelow(vs []Row, ts uint64) int {
+	return sort.Search(len(vs), func(i int) bool { return vs[i].Ts > ts }) - 1
+}
+
+// Versions returns every stored version of key, oldest first (the last is
+// what best-effort recovery reads): what the insert-time trim left behind.
+func (t *Table) Versions(key []byte) []Row {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return slices.Clone(t.versions[string(key)])
+}
+
+// Scan visits the newest version of every key (tombstones included) in
+// sorted key order: what best-effort recovery reads.
+func (t *Table) Scan(fn func(Row) bool) error {
+	return t.ScanAtOrBelow(^uint64(0), fn)
+}
+
 // ScanAtOrBelow visits, for every key, the newest version with Ts <= ts in
-// sorted key order (Versioned mode).
+// sorted key order: at tR, what consistent recovery reads.
 func (t *Table) ScanAtOrBelow(ts uint64, fn func(Row) bool) error {
-	if err := t.store.check(); err != nil {
+	if _, err := t.store.check(); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	var rows []Row
 	for _, vs := range t.versions {
-		i := sort.Search(len(vs), func(i int) bool { return vs[i].Ts > ts })
-		if i > 0 {
-			rows = append(rows, vs[i-1])
+		if i := atOrBelow(vs, ts); i >= 0 {
+			rows = append(rows, vs[i])
 		}
 	}
 	t.mu.Unlock()
@@ -296,37 +203,22 @@ func (t *Table) ScanAtOrBelow(ts uint64, fn func(Row) bool) error {
 	return nil
 }
 
-// GCTombstones removes tombstone rows older than before (the offline GC
-// the paper runs weekly). Returns the number removed.
+// GCTombstones removes every key whose newest version is a tombstone older
+// than before (the offline GC the paper runs weekly) and returns how many
+// it removed. Only tombstones at or below tR go, so neither recovery mode
+// reads anything different afterwards: above tR, consistent recovery still
+// reads the version below the tombstone.
 func (t *Table) GCTombstones(before uint64) int {
+	tR := t.store.Watermark()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	if t.mode == Versioned {
-		for k, vs := range t.versions {
-			last := vs[len(vs)-1]
-			if last.Tombstone && last.Ts < before {
-				delete(t.versions, k)
-				n++
-			}
-		}
-		return n
-	}
-	for k, r := range t.rows {
-		if r.Tombstone && r.Ts < before {
-			delete(t.rows, k)
+	for k, vs := range t.versions {
+		last := vs[len(vs)-1]
+		if last.Tombstone && last.Ts < before && last.Ts <= tR {
+			delete(t.versions, k)
 			n++
 		}
 	}
 	return n
-}
-
-// Len returns the number of distinct keys (tombstones included).
-func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.mode == Versioned {
-		return len(t.versions)
-	}
-	return len(t.rows)
 }
