@@ -24,6 +24,23 @@ func openTestDB(t *testing.T, opts Options) *DB {
 		t.Fatal(err)
 	}
 	t.Cleanup(db.Close)
+	// Registered after Close, so it runs first: every snapshot pin,
+	// continuation entry and parked group run a test leaves behind is a
+	// leak.
+	t.Cleanup(func() {
+		if n := db.Farm().PinnedSnapshots(); n != 0 {
+			t.Errorf("%d snapshot pins still held at the end of the test", n)
+		}
+		for m := range db.Fabric().Machines() {
+			id := MachineID(m)
+			if n := db.Engine().PendingResults(id); n != 0 {
+				t.Errorf("machine %d: %d continuation entries still cached", m, n)
+			}
+			if n := db.Engine().PendingRuns(id); n != 0 {
+				t.Errorf("machine %d: %d group runs still parked", m, n)
+			}
+		}
+	})
 	return db
 }
 

@@ -1,10 +1,9 @@
 // Command a1lint is the multichecker driver for the engine's
 // project-specific analyzers (internal/lint): the distributed-correctness
-// contracts — stats commit hooks on write paths, deterministic map
-// handling in output paths, no machine-local lock spanning a fabric round
-// trip, one global lock-acquisition order, batched frontier reads,
-// byte accounting without throwaway encodings, and cursors and
-// transactions released on every path — enforced as build failures.
+// contracts — deterministic map handling in output paths, no
+// machine-local lock spanning a fabric round trip, one global
+// lock-acquisition order, batched frontier reads, and byte accounting
+// without throwaway encodings — enforced as build failures.
 //
 // Usage:
 //

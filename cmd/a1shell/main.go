@@ -50,39 +50,19 @@ func main() {
 	)
 	flag.Parse()
 
-	db, err := a1.Open(a1.Options{Machines: *machines})
+	params := workload.TestParams()
+	if *scale == "paper" {
+		params = workload.PaperParams()
+	}
+	sh, kg, err := openShell(*machines, params)
 	if err != nil {
 		fatal(err)
 	}
-	defer db.Close()
-
-	var g *a1.Graph
-	var kg *workload.FilmKG
-	db.Run(func(c *a1.Ctx) {
-		if err = db.CreateTenant(c, "bing"); err != nil {
-			return
-		}
-		if err = db.CreateGraph(c, "bing", "kg"); err != nil {
-			return
-		}
-		if g, err = db.OpenGraph(c, "bing", "kg"); err != nil {
-			return
-		}
-		params := workload.TestParams()
-		if *scale == "paper" {
-			params = workload.PaperParams()
-		}
-		kg = workload.NewFilmKG(params)
-		err = kg.Load(c, g)
-	})
-	if err != nil {
-		fatal(err)
-	}
+	defer sh.db.Close()
 	fmt.Printf("a1shell: %d machines, knowledge graph loaded (%d vertices, %d edges)\n",
 		*machines, kg.Stats.Vertices, kg.Stats.Edges)
 	fmt.Println("enter an A1QL JSON document followed by a blank line; :help for commands")
 
-	sh := &shell{db: db, g: g, bindings: a1.Params{}, graphs: map[string]*a1.Graph{"film": g}}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
@@ -119,6 +99,34 @@ func main() {
 		}
 		prompt()
 	}
+}
+
+// openShell opens a cluster of the given size with the film knowledge graph
+// loaded into bing/kg, and a shell pointed at it.
+func openShell(machines int, params workload.Params) (*shell, *workload.FilmKG, error) {
+	db, err := a1.Open(a1.Options{Machines: machines})
+	if err != nil {
+		return nil, nil, err
+	}
+	var g *a1.Graph
+	kg := workload.NewFilmKG(params)
+	db.Run(func(c *a1.Ctx) {
+		if err = db.CreateTenant(c, "bing"); err != nil {
+			return
+		}
+		if err = db.CreateGraph(c, "bing", "kg"); err != nil {
+			return
+		}
+		if g, err = db.OpenGraph(c, "bing", "kg"); err != nil {
+			return
+		}
+		err = kg.Load(c, g)
+	})
+	if err != nil {
+		db.Close()
+		return nil, nil, err
+	}
+	return &shell{db: db, g: g, bindings: a1.Params{}, graphs: map[string]*a1.Graph{"film": g}}, kg, nil
 }
 
 type shell struct {
@@ -264,12 +272,12 @@ func (sh *shell) runQuery(doc string) {
 		}
 		if len(res.Groups) > 0 {
 			// Grouped results: the Rows cursor iterates rows only, so drive
-			// the group pages through Fetch ourselves, releasing any
-			// remainder when the print cap cuts the stream short.
+			// the group pages through Fetch ourselves. Every page's token
+			// names the cursor's one continuation entry, so the deferred
+			// Close releases whatever the print cap leaves unread.
 			printed, truncated := 0, false
 			printGroups(res.Groups, &printed, &truncated)
-			token := res.Continuation
-			for token != "" && !truncated {
+			for token := res.Continuation; token != "" && !truncated; {
 				page, err := sh.db.Fetch(c, token)
 				if err != nil {
 					fmt.Printf("error: %v\n", err)
@@ -277,9 +285,6 @@ func (sh *shell) runQuery(doc string) {
 				}
 				printGroups(page.Groups, &printed, &truncated)
 				token = page.Continuation
-			}
-			if token != "" {
-				_ = sh.db.Release(c, token)
 			}
 			if truncated {
 				fmt.Printf("... group output capped at %d (add _limit to shape the result)\n", maxPrintRows)

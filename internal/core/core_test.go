@@ -32,6 +32,11 @@ func testGraph(t *testing.T, machines int) (*Store, *Graph, *fabric.Ctx) {
 	t.Helper()
 	fab := fabric.New(fabric.DefaultConfig(machines, fabric.Direct), nil)
 	f := farm.Open(fab, farm.Config{RegionSize: 8 << 20, Replicas: 3})
+	t.Cleanup(func() {
+		if n := f.PinnedSnapshots(); n != 0 {
+			t.Errorf("%d snapshot pins still held at the end of the test", n)
+		}
+	})
 	c := fab.NewCtx(0, nil)
 	cfg := DefaultConfig()
 	cfg.EdgeSpillThreshold = 16 // exercise spilling without huge tests

@@ -27,6 +27,11 @@ func newDREnv(t *testing.T) *drEnv {
 	t.Helper()
 	fab := fabric.New(fabric.DefaultConfig(6, fabric.Direct), nil)
 	f := farm.Open(fab, farm.Config{RegionSize: 16 << 20})
+	t.Cleanup(func() {
+		if n := f.PinnedSnapshots(); n != 0 {
+			t.Errorf("%d snapshot pins still held at the end of the test", n)
+		}
+	})
 	c := fab.NewCtx(0, nil)
 	s, err := core.Open(c, f, core.DefaultConfig())
 	if err != nil {

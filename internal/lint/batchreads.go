@@ -97,7 +97,7 @@ func runBatchReads(pass *analysis.Pass) error {
 			continue
 		}
 		info := pkg.TypesInfo
-		eachFunc(pkg, func(name string, decl ast.Node, body *ast.BlockStmt) {
+		eachFunc(pkg, func(body *ast.BlockStmt) {
 			ast.Inspect(body, func(n ast.Node) bool {
 				rs, ok := n.(*ast.RangeStmt)
 				if !ok {

@@ -1,14 +1,13 @@
 // Package lint holds the engine's project-specific static analyzers: the
-// distributed-correctness contracts the codebase relies on — stats commit
-// hooks on every write path, deterministic coordinator merges, the
-// paper's local/remote access gap priced into lock and read discipline,
-// a single global lock-acquisition order, byte accounting without
-// throwaway encodings, and cursors and transactions released on every
-// path — expressed as build failures instead of prose. The checks are
-// interprocedural where the contract demands it, built on the call
-// graph, bottom-up pass, and CFG kernel in internal/lint/analysis. See
-// docs/lint.md for the contract behind each analyzer and the
-// suppression policy.
+// distributed-correctness contracts the codebase relies on — deterministic
+// coordinator merges, the paper's local/remote access gap priced into lock
+// and read discipline, a single global lock-acquisition order, and byte
+// accounting without throwaway encodings — expressed as build failures
+// instead of prose. The checks are interprocedural where the contract
+// demands it, built on the call graph and bottom-up pass in
+// internal/lint/analysis. See docs/lint.md for the contract behind each
+// analyzer, the suppression policy, and the leak checks that run in the
+// tests instead.
 package lint
 
 import (
@@ -18,15 +17,21 @@ import (
 	"a1/internal/lint/analysis"
 )
 
+const (
+	corePath   = "a1/internal/core"
+	farmPath   = "a1/internal/farm"
+	fabricPath = "a1/internal/fabric"
+	queryPath  = "a1/internal/query"
+	bondPath   = "a1/internal/bond"
+)
+
 // All returns every analyzer in the suite, in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		StatsHook,
 		MapOrder,
 		Locks,
 		BatchReads,
 		MarshalSize,
-		Release,
 	}
 }
 
@@ -116,16 +121,16 @@ func usesObject(info *types.Info, n ast.Node, obj types.Object) bool {
 	return found
 }
 
-// eachFunc visits every function declaration and function literal in the
-// package, passing the enclosing declaration name for diagnostics.
-func eachFunc(pkg *analysis.Package, fn func(name string, decl ast.Node, body *ast.BlockStmt)) {
+// eachFunc passes the body of every function declaration in the package
+// to fn; function literals are visited as part of their declaration's body.
+func eachFunc(pkg *analysis.Package, fn func(body *ast.BlockStmt)) {
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn(fd.Name.Name, fd, fd.Body)
+			fn(fd.Body)
 		}
 	}
 }

@@ -18,12 +18,6 @@ func needGo(t *testing.T) {
 	}
 }
 
-func TestStatsHook(t *testing.T) {
-	needGo(t)
-	analysistest.Run(t, "testdata/statshook", lint.StatsHook,
-		"a1/internal/core", "a1/internal/hooks")
-}
-
 func TestMapOrder(t *testing.T) {
 	needGo(t)
 	analysistest.Run(t, "testdata/maporder", lint.MapOrder,
@@ -35,7 +29,7 @@ func TestMapOrder(t *testing.T) {
 func TestLockFabric(t *testing.T) {
 	needGo(t)
 	analysistest.Run(t, "testdata/locks", lint.Locks,
-		"a1/internal/router", "a1/internal/sim")
+		"a1/internal/router", "a1/internal/sim", "a1/internal/core")
 }
 
 func TestBatchReads(t *testing.T) {
@@ -55,11 +49,6 @@ func TestLockOrder(t *testing.T) {
 	needGo(t)
 	analysistest.Run(t, "testdata/locks", lint.Locks,
 		"a1/internal/alpha", "a1/internal/beta")
-}
-
-func TestRelease(t *testing.T) {
-	needGo(t)
-	analysistest.Run(t, "testdata/release", lint.Release, "a1/internal/work")
 }
 
 func TestByName(t *testing.T) {

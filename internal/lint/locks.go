@@ -85,8 +85,9 @@ var remoteCallExempt = map[string]bool{
 
 // isRemote reports whether a call of fn may cross the fabric. The core
 // data plane reaches farm (and hence the fabric) only through the
-// transaction or fabric context it is handed, so any exported core
-// function or method taking one is remote.
+// transaction or fabric context it is handed, so any core function or
+// method taking one is remote, exported or not: an unexported helper
+// (catGet under a proxy lock) reads farm just the same.
 func isRemote(fn *types.Func) bool {
 	switch funcPkgPath(fn) {
 	case fabricPath:
@@ -94,9 +95,6 @@ func isRemote(fn *types.Func) bool {
 	case farmPath:
 		return farmRemoteOps[fn.Name()]
 	case corePath:
-		if !fn.Exported() {
-			return false
-		}
 		for p := range fn.Type().(*types.Signature).Params().Variables() {
 			if isNamedType(p.Type(), farmPath, "Tx") || isNamedType(p.Type(), fabricPath, "Ctx") {
 				return true

@@ -37,7 +37,7 @@ func runMapOrder(pass *analysis.Pass) error {
 		return nil
 	}
 	info := pkg.TypesInfo
-	eachFunc(pkg, func(name string, decl ast.Node, body *ast.BlockStmt) {
+	eachFunc(pkg, func(body *ast.BlockStmt) {
 		ast.Inspect(body, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
