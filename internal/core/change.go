@@ -134,7 +134,7 @@ func (g *Graph) vertexChanged(tx *farm.Tx, vp VertexPtr, vt *vertexTypeMeta, bef
 	primary := farm.OpenBTree(g.store.farm, vt.Primary)
 	switch d.count {
 	case 1:
-		if err := primary.Put(tx, pkIndexKey(pk), ptrValue(vp)); err != nil {
+		if err := primary.Put(tx, pkIndexKey(pk), farm.AppendPtr(nil, vp)); err != nil {
 			return err
 		}
 	case -1:
@@ -150,7 +150,7 @@ func (g *Graph) vertexChanged(tx *farm.Tx, vp VertexPtr, vt *vertexTypeMeta, bef
 			}
 		}
 		if !f.new.IsNull() {
-			if err := st.Put(tx, secIndexKey(f.new, vp), ptrValue(vp)); err != nil {
+			if err := st.Put(tx, secIndexKey(f.new, vp), farm.AppendPtr(nil, vp)); err != nil {
 				return err
 			}
 		}

@@ -447,7 +447,7 @@ func TestScanVerticesByType(t *testing.T) {
 		// "a05", then the escape 0x00 0x01: a bad escape byte, sorting
 		// between a05 and a06.
 		bad := append(bond.OrderedEncode(nil, bond.String("a05"))[:4], 0x00, 0x01)
-		return farm.OpenBTree(g.store.farm, vt.Primary).Put(tx, bad, ptrValue(ptrs[0]))
+		return farm.OpenBTree(g.store.farm, vt.Primary).Put(tx, bad, farm.AppendPtr(nil, ptrs[0]))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,15 +51,15 @@ const initialInlineEntries = 4
 
 func encodeHalfEdge(dst []byte, he HalfEdge) {
 	binary.LittleEndian.PutUint32(dst[0:], he.TypeID)
-	putPtr(dst[4:], he.Other)
-	putPtr(dst[16:], he.Data)
+	farm.AppendPtr(dst[4:4], he.Other)
+	farm.AppendPtr(dst[16:16], he.Data)
 }
 
 func decodeHalfEdge(b []byte) HalfEdge {
 	return HalfEdge{
 		TypeID: binary.LittleEndian.Uint32(b[0:]),
-		Other:  getPtr(b[4:]),
-		Data:   getPtr(b[16:]),
+		Other:  farm.DecodePtr(b[4:]),
+		Data:   farm.DecodePtr(b[16:]),
 	}
 }
 
@@ -130,7 +130,7 @@ func (g *Graph) scanSpilledEdges(tx *farm.Tx, gm *graphMeta, vp VertexPtr, dir D
 		he := HalfEdge{
 			TypeID: binary.BigEndian.Uint32(k[8:]),
 			Other:  farm.Ptr{Addr: farm.Addr(binary.BigEndian.Uint64(k[12:])), Size: vertexHdrSize},
-			Data:   valuePtr(v),
+			Data:   farm.DecodePtr(v),
 		}
 		return fn(he)
 	})
@@ -159,7 +159,7 @@ func (g *Graph) findHalfEdge(tx *farm.Tx, gm *graphMeta, vp VertexPtr, hdr *vert
 		if err != nil || !ok {
 			return HalfEdge{}, false, err
 		}
-		return HalfEdge{TypeID: etype, Other: other, Data: valuePtr(v)}, true, nil
+		return HalfEdge{TypeID: etype, Other: other, Data: farm.DecodePtr(v)}, true, nil
 	}
 	if count == 0 || list.IsNil() {
 		return HalfEdge{}, false, nil
@@ -168,14 +168,19 @@ func (g *Graph) findHalfEdge(tx *farm.Tx, gm *graphMeta, vp VertexPtr, hdr *vert
 	if err != nil {
 		return HalfEdge{}, false, err
 	}
-	data := buf.Data()
+	i, he := inlineHalfEdge(buf.Data(), etype, other)
+	return he, i >= 0, nil
+}
+
+// inlineHalfEdge returns the byte offset of ⟨etype, other⟩ in an inline
+// half-edge array and its entry, or -1 when the array holds no such edge.
+func inlineHalfEdge(data []byte, etype uint32, other VertexPtr) (int, HalfEdge) {
 	for i := 0; i+halfEdgeBytes <= len(data); i += halfEdgeBytes {
-		he := decodeHalfEdge(data[i:])
-		if he.TypeID == etype && he.Other.Addr == other.Addr {
-			return he, true, nil
+		if he := decodeHalfEdge(data[i:]); he.TypeID == etype && he.Other.Addr == other.Addr {
+			return i, he
 		}
 	}
-	return HalfEdge{}, false, nil
+	return -1, HalfEdge{}
 }
 
 // addHalfEdge appends ⟨etype, other, data⟩ to one direction of a vertex's
@@ -201,7 +206,7 @@ func (g *Graph) addHalfEdge(tx *farm.Tx, gm *graphMeta, vp VertexPtr, dir Direct
 
 	if spilled {
 		tree := edgeTreeFor(g, gm, dir)
-		if err := tree.Put(tx, edgeTreeKey(vp.Addr, etype, other.Addr), ptrValue(dataPtr)); err != nil {
+		if err := tree.Put(tx, edgeTreeKey(vp.Addr, etype, other.Addr), farm.AppendPtr(nil, dataPtr)); err != nil {
 			return err
 		}
 		hdr.setListRef(dir, farm.NilPtr, count+1, true)
@@ -233,11 +238,11 @@ func (g *Graph) addHalfEdge(tx *farm.Tx, gm *graphMeta, vp VertexPtr, dir Direct
 		data := buf.Data()
 		for i := 0; i+halfEdgeBytes <= len(data); i += halfEdgeBytes {
 			old := decodeHalfEdge(data[i:])
-			if err := tree.Put(tx, edgeTreeKey(vp.Addr, old.TypeID, old.Other.Addr), ptrValue(old.Data)); err != nil {
+			if err := tree.Put(tx, edgeTreeKey(vp.Addr, old.TypeID, old.Other.Addr), farm.AppendPtr(nil, old.Data)); err != nil {
 				return err
 			}
 		}
-		if err := tree.Put(tx, edgeTreeKey(vp.Addr, etype, other.Addr), ptrValue(dataPtr)); err != nil {
+		if err := tree.Put(tx, edgeTreeKey(vp.Addr, etype, other.Addr), farm.AppendPtr(nil, dataPtr)); err != nil {
 			return err
 		}
 		// The header is the inline list's only pointer and is rewritten
@@ -275,13 +280,8 @@ func (g *Graph) addHalfEdge(tx *farm.Tx, gm *graphMeta, vp VertexPtr, dir Direct
 	return writeHeader()
 }
 
-// removeHalfEdge deletes ⟨etype, other⟩ from one direction, returning the
-// edge's data pointer.
-func (g *Graph) removeHalfEdge(tx *farm.Tx, gm *graphMeta, vp VertexPtr, dir Direction, etype uint32, other VertexPtr) error {
-	_, err := g.removeHalfEdgeData(tx, gm, vp, dir, etype, other)
-	return err
-}
-
+// removeHalfEdgeData deletes ⟨etype, other⟩ from one direction, returning
+// the edge's data pointer.
 func (g *Graph) removeHalfEdgeData(tx *farm.Tx, gm *graphMeta, vp VertexPtr, dir Direction, etype uint32, other VertexPtr) (farm.Ptr, error) {
 	hdrBuf, hdr, err := g.readHeader(tx, vp)
 	if err != nil {
@@ -307,7 +307,7 @@ func (g *Graph) removeHalfEdgeData(tx *farm.Tx, gm *graphMeta, vp VertexPtr, dir
 			return farm.NilPtr, err
 		}
 		hdr.setListRef(dir, farm.NilPtr, count-1, true)
-		return valuePtr(v), writeHeader()
+		return farm.DecodePtr(v), writeHeader()
 	}
 	if count == 0 || list.IsNil() {
 		return farm.NilPtr, nil
@@ -316,25 +316,21 @@ func (g *Graph) removeHalfEdgeData(tx *farm.Tx, gm *graphMeta, vp VertexPtr, dir
 	if err != nil {
 		return farm.NilPtr, err
 	}
-	data := buf.Data()
-	for i := 0; i+halfEdgeBytes <= len(data); i += halfEdgeBytes {
-		he := decodeHalfEdge(data[i:])
-		if he.TypeID != etype || he.Other.Addr != other.Addr {
-			continue
-		}
-		w, err := tx.OpenForWrite(buf)
-		if err != nil {
-			return farm.NilPtr, err
-		}
-		wd := w.Data()
-		copy(wd[i:], wd[i+halfEdgeBytes:])
-		if err := w.Resize(uint32(len(wd) - halfEdgeBytes)); err != nil {
-			return farm.NilPtr, err
-		}
-		hdr.setListRef(dir, w.Ptr(), count-1, false)
-		return he.Data, writeHeader()
+	i, he := inlineHalfEdge(buf.Data(), etype, other)
+	if i < 0 {
+		return farm.NilPtr, nil
 	}
-	return farm.NilPtr, nil
+	w, err := tx.OpenForWrite(buf)
+	if err != nil {
+		return farm.NilPtr, err
+	}
+	wd := w.Data()
+	copy(wd[i:], wd[i+halfEdgeBytes:])
+	if err := w.Resize(uint32(len(wd) - halfEdgeBytes)); err != nil {
+		return farm.NilPtr, err
+	}
+	hdr.setListRef(dir, w.Ptr(), count-1, false)
+	return he.Data, writeHeader()
 }
 
 // dropEdgeLists frees a vertex's edge-list storage (inline objects or
@@ -450,7 +446,7 @@ func (g *Graph) DeleteEdge(tx *farm.Tx, src VertexPtr, etypeName string, dst Ver
 	if err != nil {
 		return false, err
 	}
-	if err := g.removeHalfEdge(tx, gm, dst, DirIn, et.ID, src); err != nil {
+	if _, err := g.removeHalfEdgeData(tx, gm, dst, DirIn, et.ID, src); err != nil {
 		return false, err
 	}
 	if !dataPtr.IsNil() {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"a1/internal/bond"
@@ -59,24 +58,6 @@ type edgeTypeMeta struct {
 	Schema *bond.Schema // nil when edges of this type carry no data
 }
 
-func ptrToBlob(p farm.Ptr) bond.Value {
-	var b [12]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(p.Addr))
-	binary.LittleEndian.PutUint32(b[8:], p.Size)
-	return bond.Blob(b[:])
-}
-
-func blobToPtr(v bond.Value) farm.Ptr {
-	b := v.AsBlob()
-	if len(b) < 12 {
-		return farm.NilPtr
-	}
-	return farm.Ptr{
-		Addr: farm.Addr(binary.LittleEndian.Uint64(b)),
-		Size: binary.LittleEndian.Uint32(b[8:]),
-	}
-}
-
 func (m *tenantMeta) encode() []byte {
 	return bond.Marshal(bond.Struct(bond.FV(0, bond.String(m.Name))))
 }
@@ -86,8 +67,8 @@ func (m *graphMeta) encode() []byte {
 		bond.FV(0, bond.String(m.Name)),
 		bond.FV(1, bond.UInt64(uint64(m.State))),
 		bond.FV(2, bond.UInt64(uint64(m.NextTypeID))),
-		bond.FV(3, ptrToBlob(m.OutTree)),
-		bond.FV(4, ptrToBlob(m.InTree)),
+		bond.FV(3, bond.Blob(farm.AppendPtr(nil, m.OutTree))),
+		bond.FV(4, bond.Blob(farm.AppendPtr(nil, m.InTree))),
 	))
 }
 
@@ -105,8 +86,8 @@ func decodeGraphMeta(raw []byte) (*graphMeta, error) {
 		Name:       name.AsString(),
 		State:      GraphState(state.AsUint()),
 		NextTypeID: uint32(next.AsUint()),
-		OutTree:    blobToPtr(out),
-		InTree:     blobToPtr(in),
+		OutTree:    farm.DecodePtr(out.AsBlob()),
+		InTree:     farm.DecodePtr(in.AsBlob()),
 	}, nil
 }
 
@@ -115,7 +96,7 @@ func (m *vertexTypeMeta) encode() []byte {
 	for _, si := range m.Secondary {
 		sec = append(sec, bond.Struct(
 			bond.FV(0, bond.UInt64(uint64(si.FieldID))),
-			bond.FV(1, ptrToBlob(si.Tree)),
+			bond.FV(1, bond.Blob(farm.AppendPtr(nil, si.Tree))),
 		))
 	}
 	return bond.Marshal(bond.Struct(
@@ -123,7 +104,7 @@ func (m *vertexTypeMeta) encode() []byte {
 		bond.FV(1, bond.String(m.Name)),
 		bond.FV(2, bond.Blob(bond.EncodeSchema(m.Schema))),
 		bond.FV(3, bond.UInt64(uint64(m.PKField))),
-		bond.FV(4, ptrToBlob(m.Primary)),
+		bond.FV(4, bond.Blob(farm.AppendPtr(nil, m.Primary))),
 		bond.FV(5, bond.List(sec...)),
 	))
 }
@@ -148,14 +129,14 @@ func decodeVertexTypeMeta(raw []byte) (*vertexTypeMeta, error) {
 		Name:    name.AsString(),
 		Schema:  schema,
 		PKField: uint16(pk.AsUint()),
-		Primary: blobToPtr(primary),
+		Primary: farm.DecodePtr(primary.AsBlob()),
 	}
 	for _, sv := range secList.Elems() {
 		f, _ := sv.Field(0)
 		tree, _ := sv.Field(1)
 		m.Secondary = append(m.Secondary, secondaryMeta{
 			FieldID: uint16(f.AsUint()),
-			Tree:    blobToPtr(tree),
+			Tree:    farm.DecodePtr(tree.AsBlob()),
 		})
 	}
 	return m, nil

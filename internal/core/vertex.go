@@ -41,10 +41,10 @@ type vertexHdr struct {
 func (h *vertexHdr) encode(dst []byte) {
 	binary.LittleEndian.PutUint32(dst[0:], h.typeID)
 	binary.LittleEndian.PutUint32(dst[4:], h.flags)
-	putPtr(dst[8:], h.data)
-	putPtr(dst[20:], h.outList)
+	farm.AppendPtr(dst[8:8], h.data)
+	farm.AppendPtr(dst[20:20], h.outList)
 	binary.LittleEndian.PutUint32(dst[32:], h.outCount)
-	putPtr(dst[36:], h.inList)
+	farm.AppendPtr(dst[36:36], h.inList)
 	binary.LittleEndian.PutUint32(dst[48:], h.inCount)
 }
 
@@ -65,24 +65,12 @@ func decodeVertexHdrVal(b []byte) (vertexHdr, error) {
 	return vertexHdr{
 		typeID:   binary.LittleEndian.Uint32(b[0:]),
 		flags:    binary.LittleEndian.Uint32(b[4:]),
-		data:     getPtr(b[8:]),
-		outList:  getPtr(b[20:]),
+		data:     farm.DecodePtr(b[8:]),
+		outList:  farm.DecodePtr(b[20:]),
 		outCount: binary.LittleEndian.Uint32(b[32:]),
-		inList:   getPtr(b[36:]),
+		inList:   farm.DecodePtr(b[36:]),
 		inCount:  binary.LittleEndian.Uint32(b[48:]),
 	}, nil
-}
-
-func putPtr(dst []byte, p farm.Ptr) {
-	binary.LittleEndian.PutUint64(dst[0:], uint64(p.Addr))
-	binary.LittleEndian.PutUint32(dst[8:], p.Size)
-}
-
-func getPtr(b []byte) farm.Ptr {
-	return farm.Ptr{
-		Addr: farm.Addr(binary.LittleEndian.Uint64(b[0:])),
-		Size: binary.LittleEndian.Uint32(b[8:]),
-	}
 }
 
 // VertexPtr identifies a vertex: the fat pointer to its header object.
@@ -116,19 +104,6 @@ func pkIndexKey(pk bond.Value) []byte { return bond.OrderedEncode(nil, pk) }
 func secIndexKey(attr bond.Value, vp farm.Ptr) []byte {
 	k := bond.OrderedEncode(nil, attr)
 	return binary.BigEndian.AppendUint64(k, uint64(vp.Addr))
-}
-
-func ptrValue(p farm.Ptr) []byte {
-	var b [12]byte
-	putPtr(b[:], p)
-	return b[:]
-}
-
-func valuePtr(b []byte) farm.Ptr {
-	if len(b) < 12 {
-		return farm.NilPtr
-	}
-	return getPtr(b)
 }
 
 // CreateVertex inserts a vertex of the named type inside tx. The value must
@@ -189,7 +164,7 @@ func (g *Graph) LookupVertex(tx *farm.Tx, typeName string, pk bond.Value) (Verte
 	if err != nil || !ok {
 		return farm.NilPtr, false, err
 	}
-	return valuePtr(v), true, nil
+	return farm.DecodePtr(v), true, nil
 }
 
 // LookupVertexAnyType finds a vertex by primary key alone, trying every
@@ -390,7 +365,7 @@ func (g *Graph) DeleteVertex(tx *farm.Tx, vp VertexPtr) error {
 				src, dst, far = he.Other, vp, DirOut
 			}
 			if he.Other.Addr != vp.Addr {
-				if err := g.removeHalfEdge(tx, gm, he.Other, far, he.TypeID, vp); err != nil {
+				if _, err := g.removeHalfEdgeData(tx, gm, he.Other, far, he.TypeID, vp); err != nil {
 					return err
 				}
 			}
@@ -481,7 +456,7 @@ func (g *Graph) scanPrimary(tx *farm.Tx, typeName string, fn func(k []byte, vp V
 	var scanErr error
 	err = primary.Scan(tx, nil, nil, func(k, v []byte) bool {
 		var more bool
-		more, scanErr = fn(k, valuePtr(v))
+		more, scanErr = fn(k, farm.DecodePtr(v))
 		return more
 	})
 	if err == nil {
@@ -499,7 +474,7 @@ func (g *Graph) IndexScan(tx *farm.Tx, typeName, fieldName string, value bond.Va
 	st := farm.OpenBTree(g.store.farm, tree)
 	prefix := bond.OrderedEncode(nil, value)
 	return st.Scan(tx, prefix, prefixEnd(prefix), func(_, v []byte) bool {
-		return fn(valuePtr(v))
+		return fn(farm.DecodePtr(v))
 	})
 }
 
@@ -543,7 +518,7 @@ func (g *Graph) IndexRangeScanBoundsDir(tx *farm.Tx, typeName, fieldName string,
 		if len(attr) >= 8 {
 			attr = attr[:len(attr)-8] // strip the address suffix
 		}
-		return fn(attr, valuePtr(v))
+		return fn(attr, farm.DecodePtr(v))
 	}
 	if desc {
 		return st.ScanDesc(tx, from, to, visit)

@@ -364,7 +364,7 @@ func (e *drEnv) nextEntryAfter(after uint64) (uint64, *Entry, bool, error) {
 	if err != nil || raw == nil {
 		return 0, nil, false, err
 	}
-	p := unptr12(raw)
+	p := farm.DecodePtr(raw)
 	buf, err := tx.Read(p)
 	if err != nil {
 		return 0, nil, false, err

@@ -276,7 +276,7 @@ func (r *Replicator) appendEntry(tx *farm.Tx, e *Entry) error {
 	copy(buf.Data(), raw)
 	var key [8]byte
 	binary.BigEndian.PutUint64(key[:], e.Seq)
-	if err := r.logIdx.Put(tx, key[:], ptr12(buf.Ptr())); err != nil {
+	if err := r.logIdx.Put(tx, key[:], farm.AppendPtr(nil, buf.Ptr())); err != nil {
 		return err
 	}
 	tx.OnCommitTimestamp(func(ts uint64) {
@@ -298,23 +298,6 @@ func (r *Replicator) appendEntry(tx *farm.Tx, e *Entry) error {
 		r.updateWatermark(c)
 	})
 	return nil
-}
-
-func ptr12(p farm.Ptr) []byte {
-	var b [12]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(p.Addr))
-	binary.LittleEndian.PutUint32(b[8:], p.Size)
-	return b[:]
-}
-
-func unptr12(b []byte) farm.Ptr {
-	if len(b) < 12 {
-		return farm.NilPtr
-	}
-	return farm.Ptr{
-		Addr: farm.Addr(binary.LittleEndian.Uint64(b)),
-		Size: binary.LittleEndian.Uint32(b[8:]),
-	}
 }
 
 // LogChange implements core.UpdateLogger: it appends the change's entry
@@ -395,7 +378,7 @@ func (r *Replicator) flushOne(c *fabric.Ctx, seq uint64, e *Entry) error {
 		if _, err := r.logIdx.Delete(tx, key[:]); err != nil {
 			return err
 		}
-		if p := unptr12(v); !p.IsNil() {
+		if p := farm.DecodePtr(v); !p.IsNil() {
 			if buf, err := tx.Read(p); err == nil {
 				if err := tx.Free(buf); err != nil {
 					return err
@@ -470,7 +453,7 @@ func (r *Replicator) oldestEntry(c *fabric.Ctx) (uint64, *Entry, bool, error) {
 	if err != nil || raw == nil {
 		return 0, nil, false, err
 	}
-	p := unptr12(raw)
+	p := farm.DecodePtr(raw)
 	buf, err := tx.Read(p)
 	if err != nil {
 		return 0, nil, false, err

@@ -12,7 +12,11 @@
 // and under real goroutine concurrency (for unit and race tests).
 package farm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+)
 
 // RegionID identifies a replicated 2GB-class memory region. Region 0 is
 // reserved so that the zero Addr is a nil pointer.
@@ -63,3 +67,24 @@ func (p Ptr) String() string { return fmt.Sprintf("%v#%d", p.Addr, p.Size) }
 // PtrBytes is the encoded size of a fat pointer (8-byte address + 4-byte
 // size), the unit of pointer storage inside objects.
 const PtrBytes = 12
+
+// AppendPtr appends p's encoding to b: the address, then the size, both
+// little-endian. It is the one encoding of a fat pointer, in object
+// headers, B-tree nodes and values, and A1's own objects alike. To write
+// at a fixed offset, append to a zero-length slice there: b[off:off].
+func AppendPtr(b []byte, p Ptr) []byte {
+	b = binary.LittleEndian.AppendUint64(slices.Grow(b, PtrBytes), uint64(p.Addr))
+	return binary.LittleEndian.AppendUint32(b, p.Size)
+}
+
+// DecodePtr decodes the fat pointer at the front of b; a b shorter than
+// PtrBytes decodes as NilPtr.
+func DecodePtr(b []byte) Ptr {
+	if len(b) < PtrBytes {
+		return NilPtr
+	}
+	return Ptr{
+		Addr: Addr(binary.LittleEndian.Uint64(b)),
+		Size: binary.LittleEndian.Uint32(b[8:]),
+	}
+}

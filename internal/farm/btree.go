@@ -103,7 +103,7 @@ func (v *nodeView) parse(img []byte) error {
 	v.img = img
 	v.leaf, v.hasHi = img[0]&nodeFlagLeaf != 0, img[0]&nodeFlagHi != 0
 	v.n = int(binary.LittleEndian.Uint16(img[1:]))
-	v.next = ptrAt(img, 3)
+	v.next = DecodePtr(img[3:])
 	pos := nodeHdrBytes
 	v.hi = nil
 	if v.hasHi {
@@ -152,18 +152,6 @@ func skipBytes(img []byte, pos int) int {
 	return pos
 }
 
-func ptrAt(b []byte, pos int) Ptr {
-	return Ptr{
-		Addr: Addr(binary.LittleEndian.Uint64(b[pos:])),
-		Size: binary.LittleEndian.Uint32(b[pos+8:]),
-	}
-}
-
-func appendPtr(b []byte, p Ptr) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.Addr))
-	return binary.LittleEndian.AppendUint32(b, p.Size)
-}
-
 func (v *nodeView) key(i int) []byte {
 	p := int(v.off[i]) + 2
 	end := p + int(binary.LittleEndian.Uint16(v.img[p-2:]))
@@ -180,7 +168,7 @@ func (v *nodeView) val(i int) []byte {
 
 // child returns child i of an inner node, 0 <= i <= n: every child pointer
 // immediately precedes the entry that follows it.
-func (v *nodeView) child(i int) Ptr { return ptrAt(v.img, int(v.off[i])-PtrBytes) }
+func (v *nodeView) child(i int) Ptr { return DecodePtr(v.img[int(v.off[i])-PtrBytes:]) }
 
 // childIndex returns which child of an inner node covers key: the number of
 // separator keys <= key.
@@ -232,7 +220,7 @@ func appendNode(dst []byte, leaf bool, count int, next Ptr, hi []byte, hasHi boo
 	}
 	dst = append(dst, flags)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(count))
-	dst = appendPtr(dst, next)
+	dst = AppendPtr(dst, next)
 	if hasHi {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(hi)))
 		dst = append(dst, hi...)
@@ -308,7 +296,7 @@ func CreateBTree(tx *Tx, hint Addr) (*BTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	appendPtr(descBuf.Data()[:0], root)
+	AppendPtr(descBuf.Data()[:0], root)
 	return &BTree{farm: tx.farm, desc: descBuf.Ptr()}, nil
 }
 
@@ -330,7 +318,7 @@ func (bt *BTree) rootPtr(tx *Tx) (Ptr, error) {
 	if len(buf.data) < PtrBytes {
 		return NilPtr, errShortNode
 	}
-	return ptrAt(buf.data, 0), nil
+	return DecodePtr(buf.data), nil
 }
 
 // readNode fetches node p within tx into a pooled view; the caller releases
@@ -545,15 +533,15 @@ func (bt *BTree) Put(tx *Tx, key, val []byte) error {
 		level--
 		parent := path[level].v
 		pi := parent.childIndex(sep)
-		img = parent.splice(pi, pi, sep, appendPtr(ptrBuf[:0], right))
+		img = parent.splice(pi, pi, sep, AppendPtr(ptrBuf[:0], right))
 	}
 	return bt.writeNode(tx, path[level].ptr, img)
 }
 
 // growRoot replaces a split root by a new root referencing the two halves.
 func (bt *BTree) growRoot(tx *Tx, left Ptr, sep []byte, right Ptr) error {
-	body := appendPtr(make([]byte, 0, 2*PtrBytes+2+len(sep)), left)
-	body = appendEntry(body, false, sep, appendPtr(nil, right))
+	body := AppendPtr(make([]byte, 0, 2*PtrBytes+2+len(sep)), left)
+	body = appendEntry(body, false, sep, AppendPtr(nil, right))
 	root, err := allocNode(tx, left.Addr, false, 1, NilPtr, nil, false, body)
 	if err != nil {
 		return err
@@ -566,7 +554,7 @@ func (bt *BTree) growRoot(tx *Tx, left Ptr, sep []byte, right Ptr) error {
 	if err != nil {
 		return err
 	}
-	appendPtr(w.Data()[:0], root)
+	AppendPtr(w.Data()[:0], root)
 	bt.machine(tx).cacheDrop(bt.desc.Addr)
 	return nil
 }

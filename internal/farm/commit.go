@@ -212,76 +212,61 @@ type regionOp struct {
 }
 
 // nilOlder is the header image of an empty older-version pointer.
-var nilOlder = make([]byte, 12)
+var nilOlder = make([]byte, PtrBytes)
 
 // applyToPrimary installs the write set into the primary region and returns
-// the byte-level ops to mirror onto backups, in install order. An
-// overwritten object keeps its prior version as a chain record only when a
-// snapshot below commitTs may still read it (watermark < commitTs); its
-// chain is then trimmed below the newest record visible at the watermark.
-// Otherwise no record is written and the whole old chain is freed, and an
-// object unlinked (Unlink, Realloc) is freed with it: nothing can reach
-// its slot, so it needs no tombstone.
+// the byte-level ops to mirror onto backups, in install order. It keeps one
+// retention rule: a version lives only while a snapshot may read it. An
+// overwritten object's prior version becomes a chain record under the new
+// head when a snapshot below commitTs may still read it (watermark <
+// commitTs), and every installed head's chain is then trimmed by the
+// sweep's own trimChain, which frees what no snapshot at the watermark can
+// reach. The one exception is an object unlinked (Unlink, Realloc) that no
+// snapshot can read: nothing can reach its slot, so the slot and its chain
+// are freed outright and need no tombstone.
 func applyToPrimary(r *Region, bufs []*ObjBuf, commitTs, watermark uint64) []regionOp {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var ops []regionOp
 	for _, w := range bufs {
-		off := w.addr.Offset()
-		if w.isNew {
-			if w.freed {
-				continue
-			}
-			r.ensure(off + hdrBytes + uint32(len(w.data)))
-			r.setVersionWord(off, packVersion(commitTs, false, false))
-			r.setOlder(off, NilPtr)
-			r.setPayloadLen(off, uint32(len(w.data)))
-			copy(r.data[off+hdrBytes:], w.data)
-			ops = append(ops, imageOp(r, off, uint32(len(w.data)), true))
-			continue
-		}
+		off, n := w.addr.Offset(), uint32(len(w.data))
 		if w.moved && watermark >= commitTs {
 			ops = appendChainFrees(r, Ptr{Addr: w.addr}, ops)
 			continue
 		}
-		older := r.older(off)
-		recOff, kept := uint32(0), false
-		if watermark >= commitTs {
-			// No snapshot can read the prior version: drop it and its chain.
-			ops = appendChainFrees(r, older, ops)
-			older = NilPtr
-		} else {
+		older := NilPtr
+		if w.isNew {
+			r.ensure(off + hdrBytes + n)
+		} else if older = r.older(off); watermark < commitTs {
 			// Preserve the prior committed version for snapshot readers.
+			// Without a record the old chain stays under the new head
+			// until the trimChain below frees it.
 			prevLen := r.payloadLen(off)
-			var err error
-			if recOff, err = r.allocLocked(prevLen); err == nil {
+			if recOff, err := r.allocLocked(prevLen); err == nil {
 				r.setVersionWord(recOff, r.versionWord(off)&^lockBit|recordBit)
 				r.setOlder(recOff, older)
 				r.setPayloadLen(recOff, prevLen)
 				copy(r.data[recOff+hdrBytes:], r.data[off+hdrBytes:off+hdrBytes+prevLen])
-				older, kept = Ptr{Addr: MakeAddr(r.id, recOff), Size: prevLen}, true
+				older = Ptr{Addr: MakeAddr(r.id, recOff), Size: prevLen}
 				ops = append(ops, imageOp(r, recOff, prevLen, true))
 			} else {
 				// The region is full, so the chain is truncated: readers
 				// below this version see ErrTooOld, which pinned snapshots
-				// prevent. The records cut off stay allocated.
+				// prevent. The records cut off stay allocated, and the
+				// sweep skips them as it skips every version record.
 				older = NilPtr
 			}
 		}
+		r.setVersionWord(off, packVersion(commitTs, false, w.freed))
+		r.setOlder(off, older)
 		if w.freed {
-			r.setVersionWord(off, packVersion(commitTs, false, true))
-			r.setOlder(off, older)
 			r.setPayloadLen(off, 0)
 		} else {
-			r.setVersionWord(off, packVersion(commitTs, false, false))
-			r.setOlder(off, older)
-			r.setPayloadLen(off, uint32(len(w.data)))
+			r.setPayloadLen(off, n)
 			copy(r.data[off+hdrBytes:], w.data)
 		}
-		ops = append(ops, imageOp(r, off, uint32(len(w.data)), false))
-		if kept {
-			ops = trimChain(r, recOff, watermark, ops)
-		}
+		ops = append(ops, imageOp(r, off, n, w.isNew))
+		ops = trimChain(r, off, watermark, ops)
 	}
 	return ops
 }

@@ -294,21 +294,18 @@ func (f *Farm) GCVersions(c *fabric.Ctx) int {
 }
 
 // gcRegion sweeps one region: it reclaims objects whose visible version is
-// a tombstone, chain included, and trims every other object's chain. It
-// returns the frees and chain cuts for backup mirroring.
+// a tombstone, chain included, and trims every other object's chain. Slots
+// marked recordBit are no heads: version records, reached through their
+// head's chain, and allocations not yet installed, which are locked as
+// well. It returns the frees and chain cuts for backup mirroring.
 func gcRegion(r *Region, before uint64) []regionOp {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var ops []regionOp
-	heads := r.alloc.liveOffsets()
-	isChainRec := markChainRecords(r, heads)
-	for _, off := range heads {
-		if isChainRec[off] {
-			continue // version record, handled via its head
-		}
+	for _, off := range r.alloc.liveOffsets() {
 		vw := r.versionWord(off)
-		if versionLocked(vw) {
-			continue // commit in progress
+		if versionRecord(vw) || versionLocked(vw) {
+			continue // not a head, or a commit in progress
 		}
 		if versionTombed(vw) && versionTs(vw) <= before {
 			// Deleted and visible to nobody current: reclaim object + chain.
@@ -325,6 +322,8 @@ func gcRegion(r *Region, before uint64) []regionOp {
 // trimChain keeps, of the version chain starting at the slot off, the
 // newest version visible at `before` and everything newer, and frees the
 // strictly older records. It appends the frees and the chain cut to ops.
+// A commit runs it at its watermark on every head it installs, and a sweep
+// at its own on every head it keeps.
 func trimChain(r *Region, off uint32, before uint64, ops []regionOp) []regionOp {
 	for versionTs(r.versionWord(off)) > before {
 		p := r.older(off)
@@ -340,24 +339,6 @@ func trimChain(r *Region, off uint32, before uint64, ops []regionOp) []regionOp 
 	r.setOlder(off, NilPtr)
 	ops = append(ops, regionOp{off: off + 8, bytes: nilOlder})
 	return appendChainFrees(r, tail, ops)
-}
-
-// markChainRecords identifies which live slots are old-version records
-// (reachable through some head's older pointer) rather than object heads.
-func markChainRecords(r *Region, heads []uint32) map[uint32]bool {
-	rec := make(map[uint32]bool)
-	for _, off := range heads {
-		p := r.older(off)
-		for !p.IsNil() && p.Addr.Region() == r.id {
-			ro := p.Addr.Offset()
-			if rec[ro] || !r.alloc.isLive(ro) {
-				break
-			}
-			rec[ro] = true
-			p = r.older(ro)
-		}
-	}
-	return rec
 }
 
 // appendChainFrees frees the in-region chain starting at p and appends

@@ -356,7 +356,7 @@ func TestOpacityPaperScenario(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		copy(aBuf.Data(), appendPtr(nil, bPtr))
+		copy(aBuf.Data(), AppendPtr(nil, bPtr))
 		aPtr = aBuf.Ptr()
 		return nil
 	})
@@ -370,7 +370,7 @@ func TestOpacityPaperScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptrToB := ptrAt(aBuf.Data(), 0)
+	ptrToB := DecodePtr(aBuf.Data())
 	// T2 deletes B and commits.
 	err = RunTransaction(c, f, func(tx *Tx) error {
 		bBuf, err := tx.Read(bPtr)

@@ -1,8 +1,12 @@
 package farm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"a1/internal/fabric"
@@ -539,5 +543,207 @@ func TestReclaimSweepSparesUncommittedAlloc(t *testing.T) {
 	defer rtx.Abort()
 	if v, err := readCounter(rtx, nb.Ptr()); err != nil || v != 9 {
 		t.Errorf("new object = %d, %v; want 9", v, err)
+	}
+}
+
+// TestReclaimRandomHistory holds the one retention rule — a version lives
+// only while a snapshot may read it — over seeded random histories of
+// overwrites, deletes, moves, unlinks, pins, unpins and sweeps on three
+// machines with small regions. After every step each pinned reader still
+// reads what it saw at its snapshot, every backup's allocator equals its
+// primary's (live slots and free lists), and a commit made with no
+// snapshot pinned leaves the object's head without a version chain; once
+// every pin is released and a last sweep has run, only the live heads'
+// slots remain.
+func TestReclaimRandomHistory(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { reclaimHistory(t, seed, 400) })
+	}
+}
+
+// histObj is a live object of a random history: its pointer and the value
+// its payload encodes.
+type histObj struct {
+	p   Ptr
+	val uint64
+}
+
+// histPin is a pinned reader and, by address, the payload of every object
+// live at its snapshot.
+type histPin struct {
+	tx   *Tx
+	want map[Addr][]byte
+}
+
+// histPayload is the n-byte payload of an object holding val (n >= 8): a
+// read of another version, or of a slot reused since, shows as different
+// bytes.
+func histPayload(val uint64, n uint32) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(val*31 + uint64(i))
+	}
+	binary.LittleEndian.PutUint64(b, val)
+	return b
+}
+
+func reclaimHistory(t *testing.T, seed int64, steps int) {
+	fab := fabric.New(fabric.DefaultConfig(3, fabric.Direct), nil)
+	f := Open(fab, Config{RegionSize: 256 << 10, Replicas: 3})
+	c := fab.NewCtx(0, nil)
+	rng := rand.New(rand.NewSource(seed))
+	var objs []histObj
+	var pins []histPin
+	defer func() {
+		for _, pn := range pins {
+			pn.tx.Abort()
+		}
+	}()
+	val := uint64(0)
+	step, what := 0, ""
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("seed %d step %d (%s): %s", seed, step, what, fmt.Sprintf(format, args...))
+	}
+	// commit runs fn as one transaction on object i (or on none, i < 0).
+	commit := func(i int, fn func(tx *Tx, buf *ObjBuf) error) {
+		t.Helper()
+		err := RunTransaction(c, f, func(tx *Tx) error {
+			if i < 0 {
+				return fn(tx, nil)
+			}
+			buf, err := tx.Read(objs[i].p)
+			if err != nil {
+				return err
+			}
+			return fn(tx, buf)
+		})
+		if err != nil {
+			fail("%v", err)
+		}
+	}
+	// noChain checks the head of a commit made with no snapshot pinned.
+	noChain := func(a Addr) {
+		if len(pins) > 0 {
+			return
+		}
+		r, ok := f.regionAt(f.cm.replicasOf(a.Region())[0], a.Region())
+		if !ok {
+			fail("region of %v has no primary", a)
+		}
+		r.mu.RLock()
+		older := r.older(a.Offset())
+		r.mu.RUnlock()
+		if !older.IsNil() {
+			fail("commit with no snapshot pinned left %v a chain at %v", a, older)
+		}
+	}
+	for step = 0; step < steps; step++ {
+		val++
+		size := 8 + uint32(rng.Intn(120))
+		i := -1
+		if len(objs) > 0 {
+			i = rng.Intn(len(objs))
+		}
+		switch op := rng.Intn(100); {
+		case i < 0 || op < 20 && len(objs) < 16:
+			what = "create"
+			m, p := fabric.MachineID(rng.Intn(3)), NilPtr
+			commit(-1, func(tx *Tx, _ *ObjBuf) error {
+				buf, err := tx.AllocOn(m, size)
+				if err != nil {
+					return err
+				}
+				copy(buf.Data(), histPayload(val, size))
+				p = buf.Ptr()
+				return nil
+			})
+			objs = append(objs, histObj{p: p, val: val})
+		case op < 50:
+			what = "overwrite"
+			commit(i, func(tx *Tx, buf *ObjBuf) error {
+				w, err := tx.OpenForWrite(buf)
+				if err != nil {
+					return err
+				}
+				copy(w.Data(), histPayload(val, objs[i].p.Size))
+				return nil
+			})
+			objs[i].val = val
+			noChain(objs[i].p.Addr)
+		case op < 56:
+			what = "free"
+			commit(i, func(tx *Tx, buf *ObjBuf) error { return tx.Free(buf) })
+			noChain(objs[i].p.Addr)
+			objs = slices.Delete(objs, i, i+1)
+		case op < 64:
+			what = "realloc"
+			p := NilPtr
+			commit(i, func(tx *Tx, buf *ObjBuf) error {
+				nb, err := tx.Realloc(buf, size, buf.Addr())
+				if err != nil {
+					return err
+				}
+				copy(nb.Data(), histPayload(val, size))
+				p = nb.Ptr()
+				return nil
+			})
+			objs[i] = histObj{p: p, val: val}
+		case op < 70:
+			what = "unlink"
+			commit(i, func(tx *Tx, buf *ObjBuf) error { return tx.Unlink(buf) })
+			objs = slices.Delete(objs, i, i+1)
+		case op < 80 && len(pins) < 3:
+			what = "pin"
+			pn := histPin{tx: f.CreatePinnedReadTransaction(c), want: make(map[Addr][]byte)}
+			for _, o := range objs {
+				pn.want[o.p.Addr] = histPayload(o.val, o.p.Size)
+			}
+			pins = append(pins, pn)
+		case op < 90 && len(pins) > 0:
+			what = "unpin"
+			j := rng.Intn(len(pins))
+			pins[j].tx.Abort()
+			pins = slices.Delete(pins, j, j+1)
+		default:
+			what = "sweep"
+			f.GCVersions(c)
+		}
+
+		for _, pn := range pins {
+			for a, want := range pn.want {
+				buf, err := pn.tx.ReadSized(a, uint32(len(want)))
+				if err != nil {
+					fail("pinned reader at %d: read %v: %v", pn.tx.ReadTs(), a, err)
+				}
+				if !bytes.Equal(buf.Data(), want) {
+					fail("pinned reader at %d: %v holds value %d, want %d", pn.tx.ReadTs(), a,
+						binary.LittleEndian.Uint64(buf.Data()), binary.LittleEndian.Uint64(want))
+				}
+			}
+		}
+		for _, id := range f.cm.regionIDs() {
+			reps := f.cm.replicasOf(id)
+			pr, _ := f.regionAt(reps[0], id)
+			for _, b := range reps[1:] {
+				if br, ok := f.regionAt(b, id); !ok || !sameAllocator(br.alloc, pr.alloc) {
+					fail("region %d: backup on %v holds other slots than the primary", id, b)
+				}
+			}
+		}
+	}
+	step, what = steps, "final sweep"
+	for _, pn := range pins {
+		pn.tx.Abort()
+	}
+	pins = nil
+	f.GCVersions(c)
+	var want uint64
+	for _, o := range objs {
+		class, _ := classFor(o.p.Size + hdrBytes)
+		want += uint64(class)
+	}
+	if got := f.UsedBytes(); got != want {
+		fail("UsedBytes = %d, want %d (the slots of %d live heads)", got, want, len(objs))
 	}
 }

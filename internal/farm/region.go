@@ -120,17 +120,9 @@ func (r *Region) setVersionWord(off uint32, v uint64) {
 	binary.LittleEndian.PutUint64(r.data[off:], v)
 }
 
-func (r *Region) older(off uint32) Ptr {
-	return Ptr{
-		Addr: Addr(binary.LittleEndian.Uint64(r.data[off+8:])),
-		Size: binary.LittleEndian.Uint32(r.data[off+16:]),
-	}
-}
+func (r *Region) older(off uint32) Ptr { return DecodePtr(r.data[off+8:]) }
 
-func (r *Region) setOlder(off uint32, p Ptr) {
-	binary.LittleEndian.PutUint64(r.data[off+8:], uint64(p.Addr))
-	binary.LittleEndian.PutUint32(r.data[off+16:], p.Size)
-}
+func (r *Region) setOlder(off uint32, p Ptr) { AppendPtr(r.data[off+8:off+8], p) }
 
 func (r *Region) payloadLen(off uint32) uint32 {
 	return binary.LittleEndian.Uint32(r.data[off+20:])

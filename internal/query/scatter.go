@@ -7,6 +7,7 @@ import (
 	"a1/internal/bond"
 	"a1/internal/core"
 	"a1/internal/fabric"
+	"a1/internal/farm"
 )
 
 // Shipping: scatter runs a level's work near the data of a frontier split
@@ -67,14 +68,11 @@ func (o *levelOutput) absorb(cc *fabric.Ctx, st *execState, in *levelOutput, pat
 	}
 }
 
-// ptrWireBytes is the encoded size of a fat pointer (addr + size).
-const ptrWireBytes = 12
-
 // wireBytes is the Bond-encoded width of one row on the wire: the vertex
 // fat pointer, each projected value (field name + compact-binary value),
 // and the resolved _orderby keys when present.
 func (r *Row) wireBytes() int {
-	n := ptrWireBytes
+	n := farm.PtrBytes
 	for k, v := range r.Values {
 		n += len(k) + bond.MarshalSize(v)
 	}
@@ -113,7 +111,7 @@ func (g *groupState) wireBytes(enc string) int {
 func (o *levelOutput) wire() wireSize {
 	n := 0
 	if o.next != nil {
-		n = o.next.raw * ptrWireBytes
+		n = o.next.raw * farm.PtrBytes
 	}
 	for i := range o.rows {
 		n += o.rows[i].wireBytes()
@@ -159,7 +157,7 @@ func scatter[T interface{ wire() wireSize }](st *execState, qc *fabric.Ctx, batc
 		var err error
 		if !st.hints.NoShipping && b.m != cc.M && len(b.ptrs) >= st.engine.cfg.ShipThreshold {
 			var w wireSize
-			err = cc.RPC(b.m, len(b.ptrs)*ptrWireBytes+128, func(sc *fabric.Ctx) (int, error) {
+			err = cc.RPC(b.m, len(b.ptrs)*farm.PtrBytes+128, func(sc *fabric.Ctx) (int, error) {
 				var err error
 				if out, err = work(sc, b); err != nil {
 					return 0, err

@@ -512,69 +512,20 @@ func (t *Tracker) Summary(m int, now time.Duration, graph string) *GraphSummary 
 
 // aggregate merges every machine's local statistics into one summary.
 func (t *Tracker) aggregate(now time.Duration, graph string) *GraphSummary {
-	type fieldMerge struct {
-		count int64
-		hh    map[string]*hhEntry
-		dv    distinct
-	}
-	type typeMerge struct {
-		count  int64
-		fields map[string]*fieldMerge
-	}
-	type edgeMerge struct {
-		count int64
-		srcs  distinct
-	}
-	types := make(map[string]*typeMerge)
-	edges := make(map[string]*edgeMerge)
+	all := &localGraph{types: make(map[string]*typeStats), edges: make(map[string]*edgeStats)}
 	for _, l := range t.locals {
 		l.mu.Lock()
-		lg, ok := l.graphs[graph]
-		if !ok {
-			l.mu.Unlock()
-			continue
-		}
-		for tn, ts := range lg.types {
-			tm, ok := types[tn]
-			if !ok {
-				tm = &typeMerge{fields: make(map[string]*fieldMerge)}
-				types[tn] = tm
-			}
-			tm.count += ts.count
-			for fn, fs := range ts.fields {
-				fm, ok := tm.fields[fn]
-				if !ok {
-					fm = &fieldMerge{hh: make(map[string]*hhEntry)}
-					tm.fields[fn] = fm
-				}
-				fm.count += fs.count
-				fs.dv.mergeInto(&fm.dv)
-				for k, e := range fs.hh.m {
-					if d, ok := fm.hh[k]; ok {
-						d.count += e.count
-					} else {
-						fm.hh[k] = &hhEntry{val: e.val, count: e.count}
-					}
-				}
-			}
-		}
-		for en, es := range lg.edges {
-			em, ok := edges[en]
-			if !ok {
-				em = &edgeMerge{}
-				edges[en] = em
-			}
-			em.count += es.count
-			es.srcs.mergeInto(&em.srcs)
+		if lg, ok := l.graphs[graph]; ok {
+			all.merge(lg)
 		}
 		l.mu.Unlock()
 	}
 	out := &GraphSummary{
-		Types: make(map[string]*TypeSummary, len(types)),
-		Edges: make(map[string]*EdgeSummary, len(edges)),
+		Types: make(map[string]*TypeSummary, len(all.types)),
+		Edges: make(map[string]*EdgeSummary, len(all.edges)),
 		AsOf:  now,
 	}
-	for tn, tm := range types {
+	for tn, tm := range all.types {
 		ts := &TypeSummary{Count: tm.count, Fields: make(map[string]*FieldSummary, len(tm.fields))}
 		for fn, fm := range tm.fields {
 			fs := &FieldSummary{
@@ -582,12 +533,13 @@ func (t *Tracker) aggregate(now time.Duration, graph string) *GraphSummary {
 				Distinct: fm.dv.estimate(fm.count),
 				topk:     make(map[string]int64),
 			}
-			keys := make([]string, 0, len(fm.hh))
-			for k := range fm.hh {
+			hh := fm.hh.m
+			keys := make([]string, 0, len(hh))
+			for k := range hh {
 				keys = append(keys, k)
 			}
 			sort.Slice(keys, func(i, j int) bool {
-				a, b := fm.hh[keys[i]], fm.hh[keys[j]]
+				a, b := hh[keys[i]], hh[keys[j]]
 				if a.count != b.count {
 					return a.count > b.count
 				}
@@ -597,7 +549,7 @@ func (t *Tracker) aggregate(now time.Duration, graph string) *GraphSummary {
 				keys = keys[:heavyHitterK]
 			}
 			for _, k := range keys {
-				e := fm.hh[k]
+				e := hh[k]
 				fs.TopK = append(fs.TopK, HeavyHitter{Value: e.val, Count: e.count})
 				fs.topk[k] = e.count
 			}
@@ -605,11 +557,43 @@ func (t *Tracker) aggregate(now time.Duration, graph string) *GraphSummary {
 		}
 		out.Types[tn] = ts
 	}
-	for en, em := range edges {
+	for en, em := range all.edges {
 		out.Edges[en] = &EdgeSummary{
 			Count:   em.count,
 			Sources: em.srcs.estimate(em.count),
 		}
 	}
 	return out
+}
+
+// merge folds one machine's statistics into lg: counts and distinct
+// counters add, and heavy-hitter counts add per value in lg's map without
+// its cap, so that the summary's top-heavyHitterK cut sees every value
+// some machine tracks.
+func (lg *localGraph) merge(src *localGraph) {
+	for tn, ts := range src.types {
+		dt := lg.typ(tn)
+		dt.count += ts.count
+		for fn, fs := range ts.fields {
+			df, ok := dt.fields[fn]
+			if !ok {
+				df = newFieldStats()
+				dt.fields[fn] = df
+			}
+			df.count += fs.count
+			fs.dv.mergeInto(df.dv)
+			for k, e := range fs.hh.m {
+				if d, ok := df.hh.m[k]; ok {
+					d.count += e.count
+				} else {
+					df.hh.m[k] = &hhEntry{val: e.val, count: e.count}
+				}
+			}
+		}
+	}
+	for en, es := range src.edges {
+		de := lg.edge(en)
+		de.count += es.count
+		es.srcs.mergeInto(de.srcs)
+	}
 }

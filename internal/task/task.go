@@ -107,10 +107,7 @@ func encodeTask(t *Task) []byte {
 		bond.FV(2, bond.UInt64(t.ID)),
 	}
 	if !t.group.IsNil() {
-		var b [12]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(t.group.Addr))
-		binary.LittleEndian.PutUint32(b[8:], t.group.Size)
-		fs = append(fs, bond.FV(3, bond.Blob(b[:])))
+		fs = append(fs, bond.FV(3, bond.Blob(farm.AppendPtr(nil, t.group))))
 	}
 	return bond.Marshal(bond.Struct(fs...))
 }
@@ -128,13 +125,7 @@ func decodeTask(raw []byte) (*Task, error) {
 		t.Args[e.Key.AsString()] = e.Value.AsString()
 	}
 	if blob, ok := v.Field(3); ok {
-		b := blob.AsBlob()
-		if len(b) >= 12 {
-			t.group = farm.Ptr{
-				Addr: farm.Addr(binary.LittleEndian.Uint64(b)),
-				Size: binary.LittleEndian.Uint32(b[8:]),
-			}
-		}
+		t.group = farm.DecodePtr(blob.AsBlob())
 	}
 	return t, nil
 }
